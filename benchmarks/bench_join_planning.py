@@ -102,6 +102,7 @@ def test_indexed_planning_prunes_at_least_3x(bench_report):
         ratio = scan_stats.extension_attempts / max(1, indexed_stats.extension_attempts)
         bench_report(
             f"join_planning_{name}",
+            execution="indexed",  # the mode of the gated wall, named explicitly above
             scan_seconds=scan_seconds,
             indexed_seconds=indexed_seconds,
             extension_attempts=indexed_stats.extension_attempts,

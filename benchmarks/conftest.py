@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.engine import DEFAULT_EXECUTION
 from repro.workloads import random_graph_instance, random_string_instance
 
 
@@ -62,8 +63,8 @@ class BenchmarkReporter:
         """Merge *fields* into the record for benchmark *name*.
 
         Every record carries an ``execution`` field naming the engine mode
-        its wall times were measured under (default ``"indexed"``; pass the
-        field explicitly to override).  The regression gate refuses to
+        its wall times were measured under (default: the engine's own
+        ``DEFAULT_EXECUTION``; pass the field explicitly to override).  The regression gate refuses to
         compare records of different modes, so a baseline captured under one
         backend can never silently gate a run of another.
 
@@ -78,7 +79,7 @@ class BenchmarkReporter:
         self.results.setdefault(
             name,
             {
-                "execution": "indexed",
+                "execution": DEFAULT_EXECUTION,
                 "cpu_count": os.cpu_count() or 1,
                 "python_version": platform.python_version(),
                 "timed": self.timed,

@@ -1,6 +1,7 @@
 """Evaluation engine: matching, rule evaluation, stratified fixpoints, queries."""
 
 from repro.engine.evaluation import (
+    DEFAULT_EXECUTION,
     ExecutionMode,
     RuleEvaluator,
     evaluate_rule,
@@ -38,6 +39,7 @@ from repro.engine.tabling import AnswerTable, TableEntry
 from repro.engine.valuation import Valuation
 
 __all__ = [
+    "DEFAULT_EXECUTION",
     "DEFAULT_LIMITS",
     "AnswerTable",
     "EvaluationLimits",

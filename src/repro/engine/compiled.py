@@ -189,13 +189,24 @@ class CompiledRule:
 
     The plan fixes *what* each step checks (constants, repeated variables,
     atomicity, splice cuts) at compile time; the join *order* is chosen
-    greedily per call from the live relation sizes — smallest probeable
-    source first — mirroring the bound-aware planner's heuristic in id space.
+    greedily from the live relation sizes — smallest probeable source first,
+    mirroring the bound-aware planner's heuristic in id space — and cached
+    per delta position until a source changes its size regime.
     """
 
-    __slots__ = ("head_name", "head_components", "head_vars", "head_spec", "steps", "negations")
+    __slots__ = (
+        "head_name",
+        "head_components",
+        "head_vars",
+        "head_spec",
+        "steps",
+        "negations",
+        "_orders",
+    )
 
     def __init__(self, head_name, head_components, steps, negations):
+        #: frontier key → (cardinality signature, step order).
+        self._orders: dict = {}
         self.head_name = head_name
         self.head_components = head_components
         self.steps = steps
@@ -370,6 +381,26 @@ class CompiledRule:
 
     # -- execution ------------------------------------------------------------------------
 
+    def _join_order(self, sizes: "list[int]") -> "tuple[int, ...]":
+        """Greedy order of the steps: prefer one that can probe a hash
+        grouping, breaking ties towards the smallest source."""
+        pending = list(range(len(self.steps)))
+        bound_vars: set = set()
+        order = []
+        while pending:
+            best = min(
+                pending,
+                key=lambda index: (
+                    0 if self.steps[index].probeable(bound_vars) else 1,
+                    sizes[index],
+                ),
+            )
+            order.append(best)
+            pending.remove(best)
+            for kind, payload in self.steps[best].components:
+                bound_vars.update(_component_variables(kind, payload))
+        return tuple(order)
+
     def derive(
         self,
         instance: Instance,
@@ -385,7 +416,7 @@ class CompiledRule:
 
         # Resolve every step's source relation (honouring the frontier) and
         # its columnar view up front; any empty source means no derivations.
-        pending = []
+        views = []
         for step in self.steps:
             source = instance
             if frontier is not None and step.position in frontier:
@@ -395,27 +426,25 @@ class CompiledRule:
                 return set()
             if storage.arity() != step.arity:
                 return set()
-            pending.append((step, storage.columnar(table)))
+            views.append(storage.columnar(table))
 
-        # Greedy join order: among the remaining steps prefer one that can
-        # probe a hash grouping, breaking ties towards the smallest source.
+        # The join order is cached per frontier key and reused while every
+        # source stays in its power-of-two size bucket — the same regime rule
+        # as RuleEvaluator.compiled_sequence, counted by the same counters.
+        key = tuple(sorted(frontier)) if frontier else ()
+        signature = tuple(len(view.id_rows).bit_length() for view in views)
+        cached = self._orders.get(key)
+        if cached is not None and cached[0] == signature:
+            order = cached[1]
+            if statistics is not None:
+                statistics.plan_cache_hits += 1
+        else:
+            order = self._join_order([len(view.id_rows) for view in views])
+            self._orders[key] = (signature, order)
+            if statistics is not None:
+                statistics.plans_compiled += 1
+        ordered = [(self.steps[index], views[index]) for index in order]
         slots: dict = {}
-        bound_vars: set = set()
-        ordered = []
-        while pending:
-            best = None
-            best_key = None
-            for entry in pending:
-                key = (
-                    0 if entry[0].probeable(bound_vars) else 1,
-                    len(entry[1].id_rows),
-                )
-                if best_key is None or key < best_key:
-                    best, best_key = entry, key
-            ordered.append(best)
-            pending.remove(best)
-            for kind, payload in best[0].components:
-                bound_vars.update(_component_variables(kind, payload))
 
         max_derivations = limits.max_derivations_per_rule
         rows: list = [()]

@@ -6,46 +6,52 @@ path; a negated atom when the atom is not satisfied.  A rule fires for every
 valuation satisfying its body, producing the head fact.
 
 The evaluator enumerates the satisfying valuations of a body by processing
-its literals in a *join order*.  Two execution modes are supported:
+its literals in a *join order*.  Three execution modes are supported:
 
 * ``"scan"`` — the seed strategy: a static order (positive predicates first,
   fewest variables first, then equations, then negations), each predicate
   extended by scanning every row of its relation;
-* ``"indexed"`` — the default: a *bound-aware greedy planner* re-selects the
+* ``"indexed"`` — the default (:data:`DEFAULT_EXECUTION`): a *bound-aware
+  greedy planner* re-selects the
   next literal at evaluation time from the variables already bound and the
   live cardinalities of the relations involved, and each predicate extension
   consults the storage layer's indexes (exact tuple, exact argument path,
   ground first atom, fixed argument length — see :mod:`repro.storage`) to
   prune the candidate rows before falling back to associative matching;
-* ``"compiled"`` — the hot-path backend: rules in the simple fragment (every
-  component a lone variable or ground, no equations) are lowered once to
-  id-space hash-join plans over interned terms (:mod:`repro.engine.compiled`,
-  :mod:`repro.storage.columnar`); everything else runs as in indexed mode.
+* ``"compiled"`` — rules in the
+  simple fragment (no equations, at most one path variable per matched
+  argument) are lowered once to id-space hash-join plans over interned terms
+  (:mod:`repro.engine.compiled`, :mod:`repro.storage.columnar`); a rule
+  outside the fragment — and every :meth:`RuleEvaluator.derivations` stream
+  — runs as in indexed mode.
 
 All modes enumerate exactly the same derivations; the indexed mode merely
 attempts far fewer row matches than scan (the ``extension_attempts``
 statistics counter makes the difference measurable, and
 ``benchmarks/bench_join_planning.py`` records it), and the compiled mode
-removes the per-row interpreter constant on top.
+removes the per-row interpreter constant on top.  Whatever stays interpreted
+matches rows through split plans lowered once per pattern and bound-variable
+set (:mod:`repro.engine.match`), never by re-inspecting the pattern per row.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 from typing import Literal as TypingLiteral
 
 from repro.engine.compiled import compile_rule
 from repro.engine.limits import DEFAULT_LIMITS, EvaluationLimits
-from repro.engine.match import match_components, match_expression
+from repro.engine.match import MatchPlan, lower_pattern
 from repro.engine.valuation import Valuation
 from repro.errors import EvaluationError, UnsafeRuleError
 from repro.model.instance import Fact, Instance
 from repro.storage import EMPTY_ROWS
-from repro.syntax.expressions import AtomVariable, PathExpression, PathVariable
+from repro.syntax.expressions import AtomVariable, PathExpression, PathVariable, Variable
 from repro.syntax.literals import Equation, Literal, Predicate
 from repro.syntax.rules import Rule
 
 __all__ = [
+    "DEFAULT_EXECUTION",
     "ExecutionMode",
     "plan_body_order",
     "plan_literal_sequence",
@@ -61,6 +67,11 @@ __all__ = [
 #: (:mod:`repro.engine.compiled`) and behaves exactly like ``"indexed"`` for
 #: everything that does not compile.
 ExecutionMode = TypingLiteral["indexed", "scan", "compiled"]
+
+#: The mode every layer runs when the caller names none: every signature
+#: default, the service's ``options.get("execution", ...)`` and the stamp of
+#: the benchmark records read this one constant.
+DEFAULT_EXECUTION: ExecutionMode = "indexed"
 
 
 def plan_body_order(rule: Rule) -> list[Literal]:
@@ -292,30 +303,26 @@ def _required_length(component: PathExpression, valuation: Valuation) -> "int | 
     return total
 
 
-def _candidate_rows(predicate: Predicate, storage, valuation: Valuation):
+def _candidate_rows(predicate: Predicate, storage, valuation: Valuation, ready: "Sequence[bool]"):
     """A superset of the rows that can match *predicate* under *valuation*.
 
     Chooses the most selective applicable index: exact tuple membership when
     every argument is bound, otherwise the smallest among the exact-path,
     first-atom, and length buckets of any argument, falling back to the full
     row set.  Soundness only needs the superset property — the associative
-    matcher remains the final arbiter.
+    matcher remains the final arbiter.  *ready* says, per argument, whether
+    all of its variables are bound (a property of the join order, decided
+    once per stream rather than per valuation).
     """
     components = predicate.components
     if not components:
         return storage.view()
 
-    domain = valuation.domain
-    targets: list = []
-    all_bound = True
-    for component in components:
-        if component.variables() <= domain:
-            targets.append(valuation.apply_to_expression(component))
-        else:
-            targets.append(None)
-            all_bound = False
-
-    if all_bound:
+    targets = [
+        valuation.apply_to_expression(component) if is_ready else None
+        for component, is_ready in zip(components, ready)
+    ]
+    if all(ready):
         row = tuple(targets)
         return (row,) if row in storage else EMPTY_ROWS
 
@@ -349,9 +356,30 @@ def _candidate_rows(predicate: Predicate, storage, valuation: Valuation):
 # -- extension steps -------------------------------------------------------------------------------
 
 
+def _lowered(
+    plans: "dict[tuple, MatchPlan]",
+    expressions: "tuple[PathExpression, ...]",
+    bound: "Collection[Variable]",
+) -> MatchPlan:
+    """The split plan of *expressions* under *bound*, lowered once per cache."""
+    mentioned = [
+        variable
+        for expression in expressions
+        for variable in expression.variables()
+        if variable in bound
+    ]
+    key = (expressions, frozenset(mentioned))
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = lower_pattern(expressions, key[1])
+    return plan
+
+
 def _extend_with_predicate(
     valuations: Iterable[Valuation],
     predicate: Predicate,
+    matcher: MatchPlan,
+    ready: "Sequence[bool]",
     instance: Instance,
     limits: EvaluationLimits,
     execution: ExecutionMode,
@@ -364,12 +392,12 @@ def _extend_with_predicate(
         # No row of a homogeneous relation can match a predicate of another
         # arity; the scan mode would discover this one failed match at a time.
         return
-    components = predicate.components
     indexed = execution != "scan"
+    match = matcher.match
     count = 0
     for valuation in valuations:
         if indexed:
-            candidates = _candidate_rows(predicate, storage, valuation)
+            candidates = _candidate_rows(predicate, storage, valuation, ready)
         else:
             # The cached frozen view, not the live set: like the seed, lazy
             # consumers may add derived facts while the generator is running.
@@ -377,7 +405,7 @@ def _extend_with_predicate(
         if statistics is not None:
             statistics.extension_attempts += len(candidates)
         for row in candidates:
-            for extended in match_components(components, row, valuation):
+            for extended in match(row, valuation):
                 count += 1
                 limits.check_derivations(count)
                 yield extended
@@ -386,31 +414,32 @@ def _extend_with_predicate(
 def _extend_with_equation(
     valuations: Iterable[Valuation],
     equation: Equation,
+    bound: "frozenset[Variable]",
+    plans: "dict[tuple, MatchPlan]",
     limits: EvaluationLimits,
 ) -> Iterator[Valuation]:
+    """Extend through a positive equation: a known path matched against the other side."""
+    left_ready = equation.lhs.variables() <= bound
+    right_ready = equation.rhs.variables() <= bound
     count = 0
-    for valuation in valuations:
-        left_ready = valuation.can_evaluate(equation.lhs)
-        right_ready = valuation.can_evaluate(equation.rhs)
-        if left_ready and right_ready:
-            if valuation.apply_to_expression(equation.lhs) == valuation.apply_to_expression(
-                equation.rhs
-            ):
+    if left_ready and right_ready:
+        for valuation in valuations:
+            if valuation.values_of(equation.lhs) == valuation.values_of(equation.rhs):
                 count += 1
                 limits.check_derivations(count)
                 yield valuation
-            continue
-        if left_ready:
-            target = valuation.apply_to_expression(equation.lhs)
-            other = equation.rhs
-        elif right_ready:
-            target = valuation.apply_to_expression(equation.rhs)
-            other = equation.lhs
-        else:
+        return
+    if not (left_ready or right_ready):
+        for _ in valuations:
             raise EvaluationError(
                 f"equation {equation} reached with neither side bound; the rule is unsafe"
             )
-        for extended in match_expression(other, target, valuation):
+        return
+    known, pattern = (equation.lhs, equation.rhs) if left_ready else (equation.rhs, equation.lhs)
+    match = _lowered(plans, (pattern,), bound).match
+    for valuation in valuations:
+        target = valuation.apply_to_expression(known)
+        for extended in match((target,), valuation):
             count += 1
             limits.check_derivations(count)
             yield extended
@@ -422,21 +451,18 @@ def _filter_negative(
     instance: Instance,
 ) -> Iterator[Valuation]:
     """Keep only the valuations under which the negated literal is satisfied."""
-    for valuation in valuations:
-        if _check_negative(literal, valuation, instance):
-            yield valuation
-
-
-def _check_negative(literal: Literal, valuation: Valuation, instance: Instance) -> bool:
     atom = literal.atom
-    if isinstance(atom, Predicate):
-        fact = valuation.apply_to_predicate(atom)
-        return fact not in instance
     if isinstance(atom, Equation):
-        lhs = valuation.apply_to_expression(atom.lhs)
-        rhs = valuation.apply_to_expression(atom.rhs)
-        return lhs != rhs
-    raise EvaluationError(f"unexpected negated atom {atom!r}")  # pragma: no cover
+        lhs, rhs = atom.lhs, atom.rhs
+        for valuation in valuations:
+            if valuation.values_of(lhs) != valuation.values_of(rhs):
+                yield valuation
+    elif isinstance(atom, Predicate):
+        for valuation in valuations:
+            if valuation.apply_to_predicate(atom) not in instance:
+                yield valuation
+    else:
+        raise EvaluationError(f"unexpected negated atom {atom!r}")  # pragma: no cover
 
 
 def satisfying_valuations(
@@ -446,7 +472,7 @@ def satisfying_valuations(
     *,
     order: Sequence[Literal] | None = None,
     frontier: "dict[int, Instance] | None" = None,
-    execution: ExecutionMode = "indexed",
+    execution: ExecutionMode = DEFAULT_EXECUTION,
     sequence: "Sequence[int] | None" = None,
     statistics=None,
     initial_valuations: "Iterable[Valuation] | None" = None,
@@ -476,44 +502,104 @@ def satisfying_valuations(
     this to ask "does this *particular* head fact still have a derivation?"
     with the head variables pre-bound, turning the body evaluation into an
     index-backed membership probe.
+
+    Every pattern is lowered (:func:`~repro.engine.match.lower_pattern`) per
+    call; :meth:`RuleEvaluator.valuations` is the same stream over the
+    evaluator's cache of lowered patterns.
     """
     plan = list(order) if order is not None else plan_body_order(rule)
-    if sequence is not None:
-        pass  # a compiled plan: trust the caller's permutation
-    elif execution in ("indexed", "compiled"):
+    if sequence is None:
+        sequence = _default_sequence(plan, instance, frontier, execution)
+    return _run_body(
+        plan,
+        sequence,
+        instance,
+        limits,
+        frontier,
+        execution,
+        statistics,
+        initial_valuations,
+        negative_sources,
+        {},
+    )
+
+
+def _default_sequence(
+    plan: Sequence[Literal],
+    instance: Instance,
+    frontier: "dict[int, Instance] | None",
+    execution: ExecutionMode,
+) -> "Sequence[int]":
+    """The evaluation sequence of *plan* when the caller brings no compiled one."""
+    if execution in ("indexed", "compiled"):
         # The valuation-level interpreter (used by compiled mode for rules
         # outside the simple id-space fragment, and for derivation streams)
         # plans exactly like indexed mode.
-        sequence = plan_literal_sequence(plan, instance, frontier)
-    elif execution == "scan":
-        sequence = range(len(plan))
-    else:
-        raise EvaluationError(f"unknown execution mode {execution!r}")
-    valuations: Iterable[Valuation]
+        return plan_literal_sequence(plan, instance, frontier)
+    if execution == "scan":
+        return range(len(plan))
+    raise EvaluationError(f"unknown execution mode {execution!r}")
+
+
+def _run_body(
+    plan: Sequence[Literal],
+    sequence: "Sequence[int]",
+    instance: Instance,
+    limits: EvaluationLimits,
+    frontier: "dict[int, Instance] | None",
+    execution: ExecutionMode,
+    statistics,
+    initial_valuations: "Iterable[Valuation] | None",
+    negative_sources: "dict[int, Instance] | None",
+    match_plans: "dict[tuple, MatchPlan]",
+) -> Iterator[Valuation]:
+    """Run the literals of *plan* in *sequence*; *match_plans* caches the lowered patterns."""
+    # Which variables are bound when a literal is reached follows from the
+    # seeds' domain and the sequence, so every pattern is lowered for its
+    # bound set here, once, and the per-row work is plan execution only.
+    # Seeds with different domains run as separate streams.
     if initial_valuations is None:
-        valuations = (Valuation.EMPTY,)
+        streams = {frozenset(): [Valuation.EMPTY]}
     else:
-        valuations = initial_valuations
+        streams: "dict[frozenset, list[Valuation]]" = {}
+        for valuation in initial_valuations:
+            streams.setdefault(valuation.domain, []).append(valuation)
 
-    for position in sequence:
-        literal = plan[position]
-        if literal.positive and literal.is_predicate():
-            source = instance
-            if frontier is not None and position in frontier:
-                source = frontier[position]
-            valuations = _extend_with_predicate(
-                valuations, literal.atom, source, limits, execution, statistics  # type: ignore[arg-type]
-            )
-        elif literal.positive and literal.is_equation():
-            valuations = _extend_with_equation(valuations, literal.atom, limits)  # type: ignore[arg-type]
-        else:
-            # Negative literals filter the stream of candidate valuations.
-            source = instance
-            if negative_sources is not None and position in negative_sources:
-                source = negative_sources[position]
-            valuations = _filter_negative(valuations, literal, source)
-
-    yield from valuations
+    for domain, valuations in streams.items():
+        bound = set(domain)
+        for position in sequence:
+            literal = plan[position]
+            if literal.positive and literal.is_predicate():
+                source = instance
+                if frontier is not None and position in frontier:
+                    source = frontier[position]
+                predicate: Predicate = literal.atom  # type: ignore[assignment]
+                valuations = _extend_with_predicate(
+                    valuations,
+                    predicate,
+                    _lowered(match_plans, predicate.components, bound),
+                    [component.variables() <= bound for component in predicate.components],
+                    source,
+                    limits,
+                    execution,
+                    statistics,
+                )
+                bound |= predicate.variables()
+            elif literal.positive and literal.is_equation():
+                equation: Equation = literal.atom  # type: ignore[assignment]
+                # A copy: the step only runs once the stream is pulled, by
+                # which time `bound` has moved on to the later literals.
+                valuations = _extend_with_equation(
+                    valuations, equation, frozenset(bound), match_plans, limits
+                )
+                bound |= equation.variables()
+            else:
+                # Negative literals filter the stream of candidate valuations.
+                source = instance
+                if negative_sources is not None and position in negative_sources:
+                    source = negative_sources[position]
+                valuations = _filter_negative(valuations, literal, source)
+        yield from valuations
 
 
 def evaluate_rule(
@@ -523,7 +609,7 @@ def evaluate_rule(
     *,
     frontier: "dict[int, Instance] | None" = None,
     order: Sequence[Literal] | None = None,
-    execution: ExecutionMode = "indexed",
+    execution: ExecutionMode = DEFAULT_EXECUTION,
     sequence: "Sequence[int] | None" = None,
     statistics=None,
 ) -> set[Fact]:
@@ -557,6 +643,8 @@ class RuleEvaluator:
     only on the relative sizes of the source relations, so a plan stays good
     while every source remains in the same power-of-two size bucket; crossing
     a bucket boundary invalidates the cached plan and triggers a replan.
+    The split plans of the body's patterns (:mod:`repro.engine.match`) are
+    cached beside the sequences, per pattern and bound-variable set.
     """
 
     def __init__(
@@ -564,7 +652,7 @@ class RuleEvaluator:
         rule: Rule,
         limits: EvaluationLimits = DEFAULT_LIMITS,
         *,
-        execution: ExecutionMode = "indexed",
+        execution: ExecutionMode = DEFAULT_EXECUTION,
     ):
         self.rule = rule
         self.limits = limits
@@ -606,6 +694,9 @@ class RuleEvaluator:
         )
         #: frontier key → (cardinality signature, compiled evaluation sequence).
         self._plans: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        #: (pattern, bound variables) → lowered split plan.  Bounded by the
+        #: rule itself: its patterns times the bound sets its join orders reach.
+        self.match_plans: dict[tuple, MatchPlan] = {}
 
     def _cardinality_signature(
         self, instance: Instance, frontier: "dict[int, Instance] | None"
@@ -641,6 +732,39 @@ class RuleEvaluator:
             statistics.plans_compiled += 1
         return sequence
 
+    def valuations(
+        self,
+        instance: Instance,
+        frontier: "dict[int, Instance] | None" = None,
+        statistics=None,
+        *,
+        order: "Sequence[Literal] | None" = None,
+        sequence: "Sequence[int] | None" = None,
+        initial_valuations: "Iterable[Valuation] | None" = None,
+        negative_sources: "dict[int, Instance] | None" = None,
+    ) -> Iterator[Valuation]:
+        """:func:`satisfying_valuations` of this rule, on the cached split plans.
+
+        *order* replaces the body order position by position — signed
+        maintenance flips one negated literal positive to pivot on it — and
+        is planned per call unless a *sequence* comes with it.
+        """
+        plan = self.order if order is None else order
+        if sequence is None:
+            sequence = _default_sequence(plan, instance, frontier, self.execution)
+        return _run_body(
+            plan,
+            sequence,
+            instance,
+            self.limits,
+            frontier,
+            self.execution,
+            statistics,
+            initial_valuations,
+            negative_sources,
+            self.match_plans,
+        )
+
     def derivations(
         self,
         instance: Instance,
@@ -675,15 +799,11 @@ class RuleEvaluator:
                 )
                 if statistics is not None:
                     statistics.plans_compiled += 1
-        for valuation in satisfying_valuations(
-            self.rule,
+        for valuation in self.valuations(
             instance,
-            self.limits,
-            order=self.order,
-            frontier=frontier,
-            execution=self.execution,
+            frontier,
+            statistics,
             sequence=sequence,
-            statistics=statistics,
             initial_valuations=initial_valuations,
             negative_sources=negative_sources,
         ):
@@ -691,6 +811,18 @@ class RuleEvaluator:
             for path in fact.paths:
                 self.limits.check_path_length(len(path))
             yield fact, valuation
+
+    def head_valuations(self, fact: Fact) -> list[Valuation]:
+        """The valuations of the head's variables under which the head denotes *fact*.
+
+        These seed a head-bound rederivation probe (*initial_valuations* of
+        :meth:`derivations`); the head's split plan is lowered once.
+        """
+        head = self.rule.head
+        if head.name != fact.relation or head.arity != fact.arity:
+            return []
+        plan = _lowered(self.match_plans, head.components, ())
+        return list(plan.match(fact.paths, Valuation.EMPTY))
 
     def derive(
         self,

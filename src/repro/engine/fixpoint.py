@@ -15,10 +15,12 @@ Two fixpoint strategies are provided:
   The delta is kept as one long-lived instance whose per-relation row sets
   are swapped in place between rounds (no per-round instance rebuild).
 
-Orthogonally, rule bodies run in one of two execution modes (see
-:mod:`repro.engine.evaluation`): ``"indexed"`` (bound-aware greedy planning
-over the storage layer's indexes, the default) or ``"scan"`` (the seed
-nested-loop strategy).  All four combinations produce the same result; the
+Orthogonally, rule bodies run in one of three execution modes (see
+:mod:`repro.engine.evaluation`): ``"compiled"`` (id-space hash joins for the
+rules that lower, the indexed interpreter for the rest — the default),
+``"indexed"`` (bound-aware greedy planning over the storage layer's indexes)
+or ``"scan"`` (the seed nested-loop strategy).  All combinations produce the
+same result; the
 benchmarks ``benchmarks/bench_engine_scaling.py`` and
 ``benchmarks/bench_join_planning.py`` compare their costs (ablations of
 implementation design choices, not paper experiments — see DESIGN.md).
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Literal as TypingLiteral
 
-from repro.engine.evaluation import ExecutionMode, RuleEvaluator
+from repro.engine.evaluation import DEFAULT_EXECUTION, ExecutionMode, RuleEvaluator
 from repro.engine.limits import DEFAULT_LIMITS, EvaluationLimits
 from repro.errors import EvaluationError
 from repro.model.instance import Fact, Instance
@@ -149,7 +151,7 @@ class ProgramEvaluators:
         self,
         limits: EvaluationLimits = DEFAULT_LIMITS,
         *,
-        execution: ExecutionMode = "indexed",
+        execution: ExecutionMode = DEFAULT_EXECUTION,
     ):
         self.limits = limits
         self.execution: ExecutionMode = execution
@@ -282,7 +284,7 @@ def evaluate_stratum(
     limits: EvaluationLimits = DEFAULT_LIMITS,
     *,
     strategy: Strategy = "seminaive",
-    execution: ExecutionMode = "indexed",
+    execution: ExecutionMode = DEFAULT_EXECUTION,
     statistics: EvaluationStatistics | None = None,
     evaluators: ProgramEvaluators | None = None,
     copy: bool = True,
@@ -346,7 +348,7 @@ def evaluate_program(
     limits: EvaluationLimits = DEFAULT_LIMITS,
     *,
     strategy: Strategy = "seminaive",
-    execution: ExecutionMode = "indexed",
+    execution: ExecutionMode = DEFAULT_EXECUTION,
     statistics: EvaluationStatistics | None = None,
     seed_facts: "Iterable[Fact] | None" = None,
     evaluators: ProgramEvaluators | None = None,

@@ -59,7 +59,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterable
 
-from repro.engine.evaluation import ExecutionMode, RuleEvaluator
+from repro.engine.evaluation import DEFAULT_EXECUTION, ExecutionMode, RuleEvaluator
 from repro.engine.fixpoint import (
     EvaluationStatistics,
     ProgramEvaluators,
@@ -238,7 +238,7 @@ class MaintainedFixpoint:
         limits: EvaluationLimits = DEFAULT_LIMITS,
         *,
         strategy: Strategy = "seminaive",
-        execution: ExecutionMode = "indexed",
+        execution: ExecutionMode = DEFAULT_EXECUTION,
         statistics: "EvaluationStatistics | None" = None,
         evaluators: "ProgramEvaluators | None" = None,
         seed_facts: "Iterable[Fact] | None" = None,
@@ -648,8 +648,6 @@ class MaintainedFixpoint:
         ``local``-mode strata (see :meth:`ShardedFixpoint.counting_stratum`);
         only the count state and the net add/remove decisions stay here.
         """
-        from repro.engine.evaluation import satisfying_valuations
-
         statistics.maintenance_rounds += 1
         assert state.counts is not None
         if self.sharding is not None:
@@ -759,14 +757,11 @@ class MaintainedFixpoint:
                         with self._shard_statistics(shard, statistics) as shard_stats:
                             shard_stats.delta_restricted_applications += 1
                             seen = set()
-                            for valuation in satisfying_valuations(
-                                evaluator.rule,
+                            for valuation in evaluator.valuations(
                                 self.materialized,
-                                self.limits,
+                                {pivot: part},
+                                shard_stats,
                                 order=flipped,
-                                frontier={pivot: part},
-                                execution=self.execution,
-                                statistics=shard_stats,
                                 negative_sources=later_old or None,
                             ):
                                 if valuation in seen:
@@ -981,8 +976,6 @@ class MaintainedFixpoint:
         rows against the current (new) state — derivations admitted now
         that were blocked before.
         """
-        from repro.engine.evaluation import satisfying_valuations
-
         seeds: set[Fact] = set()
         delta = changes.removed if not killed else changes.added
         for evaluator in evaluators:
@@ -1021,14 +1014,11 @@ class MaintainedFixpoint:
                 frontier[pivot] = part
                 statistics.delta_restricted_applications += 1
                 seen: set = set()
-                for valuation in satisfying_valuations(
-                    evaluator.rule,
+                for valuation in evaluator.valuations(
                     self.materialized,
-                    self.limits,
+                    frontier,
+                    statistics,
                     order=flipped,
-                    frontier=frontier,
-                    execution=self.execution,
-                    statistics=statistics,
                     negative_sources=negative_sources,
                 ):
                     if valuation in seen:
@@ -1147,8 +1137,6 @@ class MaintainedFixpoint:
         semi-naive propagation that follows (the rederived facts seed it),
         so the sweep stays linear in the over-deletion instead of quadratic.
         """
-        from repro.engine.match import match_fact
-
         if not overdeleted:
             return set()
         statistics.maintenance_rounds += 1
@@ -1161,7 +1149,7 @@ class MaintainedFixpoint:
                 for fact in part:
                     for evaluator in by_head.get(fact.relation, ()):
                         shard_stats.rederivation_attempts += 1
-                        initial = list(match_fact(evaluator.rule.head, fact))
+                        initial = evaluator.head_valuations(fact)
                         if not initial:
                             continue
                         derivation = next(

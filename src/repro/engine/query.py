@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 from typing import Literal as TypingLiteral
 
-from repro.engine.evaluation import ExecutionMode
+from repro.engine.evaluation import DEFAULT_EXECUTION, ExecutionMode
 from repro.engine.fixpoint import (
     EvaluationStatistics,
     ProgramEvaluators,
@@ -267,7 +267,7 @@ class ProgramQuery:
         *,
         limits: EvaluationLimits = DEFAULT_LIMITS,
         strategy: Strategy = "seminaive",
-        execution: ExecutionMode = "indexed",
+        execution: ExecutionMode = DEFAULT_EXECUTION,
         mode: QueryMode = "full",
         name: str | None = None,
         require_monadic: bool = True,

@@ -58,7 +58,7 @@ from __future__ import annotations
 from array import array
 from typing import TYPE_CHECKING, Collection, Iterable
 
-from repro.engine.evaluation import ExecutionMode
+from repro.engine.evaluation import DEFAULT_EXECUTION, ExecutionMode
 from repro.engine.fixpoint import (
     EvaluationStatistics,
     ProgramEvaluators,
@@ -1038,8 +1038,6 @@ def _worker_dred(
     for fact in overdeleted:
         instance.discard_fact(fact, keep_empty=True)
 
-    from repro.engine.match import match_fact
-
     by_head: "dict[str, list]" = {}
     for evaluator in evaluators:
         by_head.setdefault(evaluator.rule.head.name, []).append(evaluator)
@@ -1047,7 +1045,7 @@ def _worker_dred(
     for fact in overdeleted:
         for evaluator in by_head.get(fact.relation, ()):
             statistics.rederivation_attempts += 1
-            initial = list(match_fact(evaluator.rule.head, fact))
+            initial = evaluator.head_valuations(fact)
             if not initial:
                 continue
             derivation = next(
@@ -1101,8 +1099,6 @@ def _worker_counting(
     are home rows.  Returns the signed count deltas for this shard's
     slice of the derivations.
     """
-    from repro.engine.evaluation import satisfying_valuations
-
     instance: Instance = _WORKER["instance"]
     inbound: WireDecoder = _WORKER["inbound"]
     inbound.absorb(defs)
@@ -1208,14 +1204,11 @@ def _worker_counting(
                     continue
                 statistics.delta_restricted_applications += 1
                 seen = set()
-                for valuation in satisfying_valuations(
-                    evaluator.rule,
+                for valuation in evaluator.valuations(
                     instance,
-                    limits,
+                    {pivot: part},
+                    statistics,
                     order=flipped,
-                    frontier={pivot: part},
-                    execution=evaluator.execution,
-                    statistics=statistics,
                     negative_sources=later_old or None,
                 ):
                     if valuation in seen:
@@ -2128,7 +2121,7 @@ class ShardedFixpoint:
         executor: "ParallelExecutor | None" = None,
         limits: EvaluationLimits = DEFAULT_LIMITS,
         *,
-        execution: ExecutionMode = "indexed",
+        execution: ExecutionMode = DEFAULT_EXECUTION,
         evaluators: "ProgramEvaluators | None" = None,
         plan: "ShardingPlan | None" = None,
     ):

@@ -51,7 +51,20 @@ class Valuation(Mapping[Variable, object]):
         self._bindings: dict[Variable, object] = {
             variable: _coerce_binding(variable, value) for variable, value in entries.items()
         }
-        self._hash = hash(frozenset(self._bindings.items()))
+        self._hash: "int | None" = None
+
+    @staticmethod
+    def _from_trusted(bindings: "dict[Variable, object]") -> "Valuation":
+        """Wrap an already-coerced binding dict without copying it (internal).
+
+        Skips the per-binding coercion of ``__init__``; callers hand over
+        ownership of a dict mapping atomic variables to atomic values and
+        path variables to :class:`Path` objects.
+        """
+        valuation = Valuation.__new__(Valuation)
+        valuation._bindings = bindings
+        valuation._hash = None
+        return valuation
 
     #: The empty valuation.
     EMPTY: "Valuation"
@@ -97,7 +110,7 @@ class Valuation(Mapping[Variable, object]):
             return self
         extended = dict(self._bindings)
         extended[variable] = coerced
-        return Valuation(extended)
+        return Valuation._from_trusted(extended)
 
     def merge(self, other: "Valuation") -> "Valuation | None":
         """Return the union of two valuations, or ``None`` if they conflict."""
@@ -108,12 +121,14 @@ class Valuation(Mapping[Variable, object]):
                 merged[variable] = value
             elif existing != value:
                 return None
-        return Valuation(merged)
+        return Valuation._from_trusted(merged)
 
     def restricted(self, variables: Iterable[Variable]) -> "Valuation":
         """Return the restriction of the valuation to *variables*."""
         wanted = set(variables)
-        return Valuation({v: value for v, value in self._bindings.items() if v in wanted})
+        return Valuation._from_trusted(
+            {v: value for v, value in self._bindings.items() if v in wanted}
+        )
 
     # -- application ------------------------------------------------------------------------
 
@@ -124,33 +139,48 @@ class Valuation(Mapping[Variable, object]):
             raise EvaluationError(f"valuation is not defined on {variable}")
         if isinstance(value, Path):
             return value
-        return Path((value,))  # atomic value, identified with a length-one path
+        return Path._from_trusted((value,))  # atomic value, identified with a length-one path
 
-    def apply_to_expression(self, expression: PathExpression) -> Path:
-        """Evaluate a path expression under this valuation (must be appropriate)."""
+    def values_of(self, expression: PathExpression) -> tuple:
+        """The elements of the path *expression* denotes (must be appropriate).
+
+        Comparing two expressions only needs their element tuples; building
+        (and hashing) a :class:`Path` is left to :meth:`apply_to_expression`.
+        """
+        bindings = self._bindings
         values: list[object] = []
         for item in expression.items:
             if isinstance(item, str):
                 values.append(item)
-            elif isinstance(item, AtomVariable):
-                binding = self._bindings.get(item)
-                if binding is None:
-                    raise EvaluationError(f"valuation is not defined on {item}")
-                values.append(binding)
-            elif isinstance(item, PathVariable):
-                binding = self._bindings.get(item)
-                if binding is None:
-                    raise EvaluationError(f"valuation is not defined on {item}")
-                values.extend(binding.elements)  # type: ignore[union-attr]
             elif isinstance(item, PackedExpression):
                 values.append(Packed(self.apply_to_expression(item.inner)))
-        return Path(values)
+            else:
+                binding = bindings.get(item)
+                if binding is None:
+                    raise EvaluationError(f"valuation is not defined on {item}")
+                if isinstance(item, PathVariable):
+                    values.extend(binding._elements)  # type: ignore[union-attr]
+                else:
+                    values.append(binding)
+        return tuple(values)
+
+    def apply_to_expression(self, expression: PathExpression) -> Path:
+        """Evaluate a path expression under this valuation (must be appropriate)."""
+        items = expression.items
+        if len(items) == 1 and isinstance(items[0], PathVariable):
+            binding = self._bindings.get(items[0])
+            if binding is None:
+                raise EvaluationError(f"valuation is not defined on {items[0]}")
+            return binding  # type: ignore[return-value]
+        # Bindings were validated when they entered the valuation and the
+        # constants when the expression was built: no re-validation here.
+        return Path._from_trusted(self.values_of(expression))
 
     def apply_to_predicate(self, predicate: Predicate) -> Fact:
         """Evaluate a predicate to a fact under this valuation."""
-        return Fact(
+        return Fact._from_trusted(
             predicate.name,
-            tuple(self.apply_to_expression(component) for component in predicate.components),
+            tuple([self.apply_to_expression(component) for component in predicate.components]),
         )
 
     def can_evaluate(self, expression: PathExpression) -> bool:
@@ -163,6 +193,10 @@ class Valuation(Mapping[Variable, object]):
         return isinstance(other, Valuation) and self._bindings == other._bindings
 
     def __hash__(self) -> int:
+        # Lazy: the matcher builds one valuation per match and most are never
+        # hashed (only the maintenance dedup sets do).
+        if self._hash is None:
+            self._hash = hash(frozenset(self._bindings.items()))
         return self._hash
 
     def __repr__(self) -> str:

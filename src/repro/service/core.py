@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Mapping
 
+from repro.engine.evaluation import DEFAULT_EXECUTION
 from repro.engine.limits import DEFAULT_LIMITS, EvaluationLimits
 from repro.engine.query import ProgramQuery, QueryResult, QuerySession, UpdateResult
 from repro.engine.reasons import (
@@ -1125,7 +1126,7 @@ class SessionRegistry:
             output_relation,
             limits=limits,
             strategy=options.get("strategy", "seminaive"),
-            execution=options.get("execution", "indexed"),
+            execution=options.get("execution", DEFAULT_EXECUTION),
             mode=options.get("mode", "full"),
             require_monadic=False,
         )

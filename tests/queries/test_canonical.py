@@ -52,10 +52,14 @@ def instance_for(name: str, seed: int) -> Instance:
 
 @pytest.mark.parametrize("name", query_names())
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_program_agrees_with_reference(name, seed):
+@pytest.mark.parametrize("strategy", ["naive", "seminaive"])
+@pytest.mark.parametrize("execution", ["scan", "indexed", "compiled"])
+def test_program_agrees_with_reference(name, seed, strategy, execution):
     query = get_query(name)
     instance = instance_for(name, seed)
-    assert query.run(instance) == query.run_reference(instance)
+    program = query.make_query(execution=execution, strategy=strategy)
+    answer = program.boolean(instance) if query.boolean else program.answer(instance)
+    assert answer == query.run_reference(instance)
 
 
 @pytest.mark.parametrize("name", query_names())
