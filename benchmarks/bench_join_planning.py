@@ -10,8 +10,10 @@ indexed mode must attempt at least 3× fewer valuation extensions (the
 ``extension_attempts`` statistics counter) on both workloads.
 
 The compiled id-space backend (``execution="compiled"``) is ablated here as
-well: it must produce the same fixpoints and beat the indexed interpreter by
-at least 5× wall time on the recursive reachability workload.  Its wall
+well: it must produce the same fixpoints and beat the scan evaluator — the
+oracle, whose speed no performance change moves — by at least 20× wall time
+on the dense recursive reachability workload; its ratio to the indexed
+interpreter is recorded, not gated.  Its wall
 times are recorded under ``join_planning_compiled`` with
 ``execution="compiled"``, so the regression gate tracks the compiled tier
 separately and never compares it against an indexed baseline.
@@ -128,12 +130,21 @@ def _best_of(action, repeats=3):
     return best, result
 
 
-def test_compiled_backend_beats_indexed_5x(bench_report):
-    """The compiled-tier acceptance bar: ≥5× faster than indexed on reachability.
+#: The compiled tier's acceptance bar on dense reachability, against the scan
+#: evaluator — the oracle, which no performance change moves.  Fixed from the
+#: commit before the bar was re-stated: ten runs of this measurement read
+#: 33.8 / 37.9 / 40.1 (quartiles); 20 is the lower quartile × 0.6, the margin
+#: the old ≥5× bar against the indexed interpreter had under its recorded 8.3×.
+COMPILED_VS_SCAN_BAR = 20.0
 
-    Best-of-three walls for both modes on the dense recursive reachability
-    workload, identical fixpoints required.  The 10× ablation graph is
-    measured and recorded alongside for the DESIGN.md ablation table.
+
+def test_compiled_backend_beats_scan_20x(bench_report):
+    """The compiled-tier acceptance bar: ≥20× faster than scan on reachability.
+
+    Best-of-three walls on the dense recursive reachability workload,
+    identical fixpoints required.  The ratio to the indexed interpreter and
+    the 10× ablation graph are measured and recorded alongside, ungated:
+    they move whenever the interpreter does.
     """
     program = get_query("reachability").program()
     print()
@@ -154,18 +165,29 @@ def test_compiled_backend_beats_indexed_5x(bench_report):
             f"compiled {compiled_seconds:.3f}s ({speedup:.1f}× faster, "
             f"identical fixpoints)"
         )
+        if label == "dense":
+            scan_seconds, scan = _best_of(
+                lambda: evaluate_program(program, instance.copy(), execution="scan")
+            )
+            assert scan == compiled
+            speedup_vs_scan = scan_seconds / max(compiled_seconds, 1e-9)
+            print(
+                f"reachability (dense): scan {scan_seconds:.3f}s "
+                f"({speedup_vs_scan:.1f}× the compiled wall)"
+            )
     bench_report(
         "join_planning_compiled",
         execution="compiled",
         workload="unary reachability, dense graph (60 nodes, 300 edges) and 10x graph (80 nodes, 200 edges)",
         compiled_seconds=recorded["dense"][1],
+        speedup_vs_scan=speedup_vs_scan,
         speedup_vs_indexed=recorded["dense"][2],
         compiled_10x_seconds=recorded["10x"][1],
         speedup_vs_indexed_10x=recorded["10x"][2],
     )
     # The acceptance bar is asserted on the dense workload, where join
-    # fan-out (not fixpoint bookkeeping) dominates both modes.
-    assert recorded["dense"][2] >= 5.0, (
-        f"compiled backend only {recorded['dense'][2]:.2f}x faster than indexed "
-        f"(need >= 5x)"
+    # fan-out (not fixpoint bookkeeping) dominates every mode.
+    assert speedup_vs_scan >= COMPILED_VS_SCAN_BAR, (
+        f"compiled backend only {speedup_vs_scan:.1f}x faster than scan "
+        f"(need >= {COMPILED_VS_SCAN_BAR:.0f}x)"
     )

@@ -20,9 +20,12 @@ per-row interpreter loops:
   ``$x`` binds the spliced middle as its own interned id;
 * negated literals become id-row membership tests against the columnar
   row set of the instance relation;
-* head rows are deduplicated *as id tuples* and only the unique ones decode
-  back to :class:`~repro.model.instance.Fact` objects — ids never escape the
-  engine.
+* the head stage returns the *set of head id rows*
+  (:meth:`CompiledRule.head_rows`); the resident semi-naive loop of
+  :mod:`repro.engine.fixpoint` works on those sets directly, and
+  :meth:`CompiledRule.derive` is the same join followed by
+  :func:`decode_rows` for callers that traffic in
+  :class:`~repro.model.instance.Fact` objects.
 
 The compilable fragment: no equations; every positive body component is a
 lone variable, ground, or a sequence of atoms/atom-variables/ground-packed
@@ -39,6 +42,7 @@ are honoured position-by-position: each body step sources its relation from
 the interpreter.
 """
 
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -53,7 +57,7 @@ from repro.syntax.expressions import (
 )
 from repro.syntax.literals import Literal, Predicate
 
-__all__ = ["CompiledRule", "compile_rule"]
+__all__ = ["CompiledRule", "compile_rule", "decode_rows"]
 
 # Candidate-check op tags (first tuple element of every op):
 _LEN = 0  # (0, pos, n, exact)        — length of the path at pos
@@ -170,18 +174,45 @@ def _target_spec(components: tuple, slots: dict, table) -> tuple:
     return tuple(spec)
 
 
-def _target_ids(spec: tuple, current: tuple, concat) -> tuple:
-    out = []
-    for tag, payload in spec:
+def _target_rows(spec: tuple, rows: list, concat):
+    """The id row *spec* constructs from each register row of *rows*, in order.
+
+    Built column by column (constants repeated, registers picked with
+    ``itemgetter``, sequences zipped into ``concat``), so the per-row work is
+    C-level iteration plus one memoised ``concat`` call per sequence.
+    """
+    if not spec:
+        return repeat((), len(rows))
+
+    def column(tag, payload):
         if tag == 0:
-            out.append(payload)
-        elif tag == 1:
-            out.append(current[payload])
-        else:
-            out.append(
-                concat(tuple(p if t == 0 else current[p] for t, p in payload))
-            )
-    return tuple(out)
+            return repeat(payload, len(rows))
+        if tag == 1:
+            return map(itemgetter(payload), rows)
+        return map(concat, zip(*[column(*part) for part in payload]))
+
+    return zip(*[column(*component) for component in spec])
+
+
+def _project(rows: list, slots: list) -> set:
+    """The distinct projections of the register *rows* onto *slots*, as id tuples."""
+    if not slots:
+        return {()}
+    if len(slots) == 1:
+        return set(zip(map(itemgetter(slots[0]), rows)))
+    return set(map(itemgetter(*slots), rows))
+
+
+def decode_rows(table, id_rows, limits: EvaluationLimits = DEFAULT_LIMITS) -> list:
+    """Decode head *id_rows* to path rows — the one place ids become paths.
+
+    The path-length limit is checked here, on the distinct ids of the batch.
+    """
+    paths = table.paths
+    idents = set(chain.from_iterable(id_rows))
+    if idents:
+        limits.check_path_length(max(len(paths[ident]) for ident in idents))
+    return table.decode_rows(id_rows)
 
 
 class CompiledRule:
@@ -198,9 +229,9 @@ class CompiledRule:
         "head_name",
         "head_components",
         "head_vars",
-        "head_spec",
         "steps",
         "negations",
+        "_head_index",
         "_orders",
     )
 
@@ -211,37 +242,21 @@ class CompiledRule:
         self.head_components = head_components
         self.steps = steps
         self.negations = negations
-        # The distinct head variables in first-appearance order, and the
-        # head recipe expressed against *that* order rather than per-call
-        # register slots.  Both are call-order independent, so decoded facts
-        # can be cached across rounds (and across rules with the same head
-        # shape) keyed on the projected variable ids.
+        # The distinct head variables in first-appearance order: result rows
+        # are projected onto them (and deduplicated) before a constructing
+        # head concatenates anything.  ``None`` for a head of lone variables,
+        # whose rows are that projection itself.
         head_vars: list = []
         for kind, payload in head_components:
             for variable in _component_variables(kind, payload):
                 if variable not in head_vars:
                     head_vars.append(variable)
-        index_of = {variable: index for index, variable in enumerate(head_vars)}
-        spec = []
-        for kind, payload in head_components:
-            if kind == "const":
-                spec.append((0, payload))
-            elif kind == "var":
-                spec.append((1, index_of[payload]))
-            else:
-                spec.append(
-                    (
-                        2,
-                        tuple(
-                            (0, Path((part,)))
-                            if part_kind == "c"
-                            else (1, index_of[part])
-                            for part_kind, part in payload
-                        ),
-                    )
-                )
         self.head_vars = tuple(head_vars)
-        self.head_spec = tuple(spec)
+        self._head_index = (
+            None
+            if all(kind == "var" for kind, _ in head_components)
+            else {variable: index for index, variable in enumerate(head_vars)}
+        )
 
     # -- per-call step resolution --------------------------------------------------------
 
@@ -401,14 +416,8 @@ class CompiledRule:
                 bound_vars.update(_component_variables(kind, payload))
         return tuple(order)
 
-    def derive(
-        self,
-        instance: Instance,
-        frontier=None,
-        limits: EvaluationLimits = DEFAULT_LIMITS,
-        statistics=None,
-    ) -> set:
-        """One id-space application of the rule; returns the derived facts."""
+    def _join(self, instance: Instance, frontier, limits: EvaluationLimits, statistics):
+        """Run the body; ``(result rows, variable → register slot)`` or ``None``."""
         table = instance.term_table()
         atomic = table.atomic_flags
         concat = table.concat
@@ -423,9 +432,9 @@ class CompiledRule:
                 source = frontier[step.position]
             storage = source.storage(step.name)
             if storage is None or not storage:
-                return set()
+                return None
             if storage.arity() != step.arity:
-                return set()
+                return None
             views.append(storage.columnar(table))
 
         # The join order is cached per frontier key and reused while every
@@ -670,7 +679,7 @@ class CompiledRule:
             if statistics is not None:
                 statistics.extension_attempts += attempts
             if not out:
-                return set()
+                return None
             rows = out
             for offset, variable in enumerate(frees):
                 slots[variable] = width + offset
@@ -688,91 +697,52 @@ class CompiledRule:
             spec = _target_spec(negation.components, slots, table)
             rows = [
                 current
-                for current in rows
-                if _target_ids(spec, current, concat) not in members
+                for current, target in zip(rows, _target_rows(spec, rows, concat))
+                if target not in members
             ]
             if not rows:
-                return set()
+                return None
+        return rows, slots
 
-        # Decode: project each result row down to the head variables and
-        # look the projection up in a table-lifetime decode cache before
-        # constructing anything.  The cache is keyed by the id-resolved head
-        # recipe (call-order independent), so a head row derived again in a
-        # later round — or by another rule with the same head shape — reuses
-        # the already-decoded Fact instead of rebuilding ids and paths.
+    def head_rows(
+        self,
+        instance: Instance,
+        frontier=None,
+        limits: EvaluationLimits = DEFAULT_LIMITS,
+        statistics=None,
+    ) -> set:
+        """One id-space application of the rule: the set of head id rows.
+
+        Ids are those of ``instance.term_table()``.  Result rows are
+        projected onto the head variables and deduplicated *before* a
+        constructing head (``T(@x·@z)``, ``T(@x·a·$y)``) concatenates, so
+        each distinct binding builds its path once.
+        """
+        joined = self._join(instance, frontier, limits, statistics)
+        if joined is None:
+            return set()
+        rows, slots = joined
+        if self._head_index is None:
+            return _project(rows, [slots[variable] for _, variable in self.head_components])
+        table = instance.term_table()
+        spec = _target_spec(self.head_components, self._head_index, table)
+        keys = list(_project(rows, [slots[variable] for variable in self.head_vars]))
+        return set(_target_rows(spec, keys, table.concat))
+
+    def derive(
+        self,
+        instance: Instance,
+        frontier=None,
+        limits: EvaluationLimits = DEFAULT_LIMITS,
+        statistics=None,
+    ) -> set:
+        """One id-space application of the rule; returns the derived facts."""
+        id_rows = self.head_rows(instance, frontier, limits, statistics)
         name = self.head_name
-        intern = table.intern
-        proj = tuple(slots[variable] for variable in self.head_vars)
-        respec = tuple(
-            (0, intern(payload))
-            if tag == 0
-            else (
-                (tag, tuple((t, intern(p) if t == 0 else p) for t, p in payload))
-                if tag == 2
-                else (tag, payload)
-            )
-            for tag, payload in self.head_spec
-        )
-        cache = table.scratch.get((name, respec))
-        if cache is None:
-            cache = table.scratch[(name, respec)] = {}
-        path_of = table.path
-        check_path_length = limits.check_path_length
-        lookup = cache.get
-        facts: set = set()
-        add_fact = facts.add
-        if len(proj) == 1:
-            # Single head variable: key on the bare id, no tuple per row.
-            slot = proj[0]
-            for current in rows:
-                key = current[slot]
-                entry = lookup(key)
-                if entry is None:
-                    ids = _target_ids(respec, (key,), concat)
-                    paths = tuple(path_of(ident) for ident in ids)
-                    longest = max((len(path) for path in paths), default=0)
-                    check_path_length(longest)
-                    cache[key] = entry = (Fact._from_trusted(name, paths), longest)
-                else:
-                    check_path_length(entry[1])
-                add_fact(entry[0])
-            return facts
-        project = itemgetter(*proj) if proj else None
-        if (
-            project is not None
-            and len(respec) == 1
-            and respec[0][0] == 2
-            and tuple(respec[0][1]) == tuple((1, index) for index in range(len(proj)))
-        ):
-            # Single sequence head over the projected variables in order
-            # (e.g. ``T(@x·@z)``): the projection key *is* the concat recipe.
-            for current in rows:
-                key = project(current)
-                entry = lookup(key)
-                if entry is None:
-                    path = path_of(concat(key))
-                    longest = len(path)
-                    check_path_length(longest)
-                    cache[key] = entry = (Fact._from_trusted(name, (path,)), longest)
-                else:
-                    check_path_length(entry[1])
-                add_fact(entry[0])
-            return facts
-        for current in rows:
-            key = project(current) if project is not None else ()
-            entry = lookup(key)
-            if entry is None:
-                ids = _target_ids(respec, key, concat)
-                paths = tuple(path_of(ident) for ident in ids)
-                longest = max((len(path) for path in paths), default=0)
-                check_path_length(longest)
-                cache[key] = entry = (Fact._from_trusted(name, paths), longest)
-            else:
-                # Re-check against *these* limits: the cached fact may have
-                # been decoded under a more permissive budget.
-                check_path_length(entry[1])
-            add_fact(entry[0])
-        return facts
+        return {
+            Fact._from_trusted(name, row)
+            for row in decode_rows(instance.term_table(), id_rows, limits)
+        }
 
 
 def compile_rule(head: Predicate, order: Sequence[Literal]) -> Optional[CompiledRule]:

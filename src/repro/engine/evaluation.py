@@ -11,19 +11,19 @@ its literals in a *join order*.  Three execution modes are supported:
 * ``"scan"`` — the seed strategy: a static order (positive predicates first,
   fewest variables first, then equations, then negations), each predicate
   extended by scanning every row of its relation;
-* ``"indexed"`` — the default (:data:`DEFAULT_EXECUTION`): a *bound-aware
-  greedy planner* re-selects the
+* ``"indexed"`` — a *bound-aware greedy planner* re-selects the
   next literal at evaluation time from the variables already bound and the
   live cardinalities of the relations involved, and each predicate extension
   consults the storage layer's indexes (exact tuple, exact argument path,
   ground first atom, fixed argument length — see :mod:`repro.storage`) to
   prune the candidate rows before falling back to associative matching;
-* ``"compiled"`` — rules in the
-  simple fragment (no equations, at most one path variable per matched
+* ``"compiled"`` — the default (``DEFAULT_EXECUTION = "compiled"``): rules in
+  the simple fragment (no equations, at most one path variable per matched
   argument) are lowered once to id-space hash-join plans over interned terms
   (:mod:`repro.engine.compiled`, :mod:`repro.storage.columnar`); a rule
   outside the fragment — and every :meth:`RuleEvaluator.derivations` stream
-  — runs as in indexed mode.
+  — runs as in indexed mode, and a stratum holding such a rule keeps its
+  fixpoint loop on facts (:mod:`repro.engine.fixpoint`).
 
 All modes enumerate exactly the same derivations; the indexed mode merely
 attempts far fewer row matches than scan (the ``extension_attempts``
@@ -60,18 +60,18 @@ __all__ = [
     "RuleEvaluator",
 ]
 
-#: How predicate extensions source their candidate rows: ``"indexed"`` prunes
-#: through the storage indexes under a bound-aware greedy plan; ``"scan"`` is
-#: the seed nested-loop strategy kept as an ablation baseline; ``"compiled"``
-#: lowers simple rules to id-space hash joins over interned terms
+#: How predicate extensions source their candidate rows: ``"compiled"`` lowers
+#: simple rules to id-space hash joins over interned terms
 #: (:mod:`repro.engine.compiled`) and behaves exactly like ``"indexed"`` for
-#: everything that does not compile.
+#: everything that does not compile; ``"indexed"`` prunes through the storage
+#: indexes under a bound-aware greedy plan; ``"scan"`` is the seed
+#: nested-loop strategy, kept as the oracle of the agreement sweeps.
 ExecutionMode = TypingLiteral["indexed", "scan", "compiled"]
 
 #: The mode every layer runs when the caller names none: every signature
 #: default, the service's ``options.get("execution", ...)`` and the stamp of
 #: the benchmark records read this one constant.
-DEFAULT_EXECUTION: ExecutionMode = "indexed"
+DEFAULT_EXECUTION: ExecutionMode = "compiled"
 
 
 def plan_body_order(rule: Rule) -> list[Literal]:

@@ -12,18 +12,31 @@ Two fixpoint strategies are provided:
 * ``seminaive`` — after the first round, only rules whose body mentions a
   relation that changed in the previous round are re-evaluated, each with at
   least one of those body predicates restricted to the newly derived facts.
-  The delta is kept as one long-lived instance whose per-relation row sets
-  are swapped in place between rounds (no per-round instance rebuild).
 
 Orthogonally, rule bodies run in one of three execution modes (see
-:mod:`repro.engine.evaluation`): ``"compiled"`` (id-space hash joins for the
-rules that lower, the indexed interpreter for the rest — the default),
-``"indexed"`` (bound-aware greedy planning over the storage layer's indexes)
-or ``"scan"`` (the seed nested-loop strategy).  All combinations produce the
-same result; the
-benchmarks ``benchmarks/bench_engine_scaling.py`` and
+:mod:`repro.engine.evaluation`, whose ``DEFAULT_EXECUTION = "compiled"`` is
+what runs when the caller names none): ``"compiled"`` (id-space hash joins
+for the rules that lower, the indexed interpreter for a rule with an equation
+or with two path variables in one matched argument), ``"indexed"``
+(bound-aware greedy planning over the storage layer's indexes) or ``"scan"``
+(the seed nested-loop strategy).  All combinations produce the same result;
+``benchmarks/bench_engine_scaling.py`` and
 ``benchmarks/bench_join_planning.py`` compare their costs (ablations of
 implementation design choices, not paper experiments — see DESIGN.md).
+
+Where the semi-naive loop keeps its state follows from the rules, not from an
+option.  A stratum whose rules *all* lower (``evaluator.compiled_plan is not
+None`` for each) runs **resident in id space**: every round's head rows stay
+id tuples, the rows the head relation already holds are subtracted from its
+columnar view's row set, each genuinely new row is decoded to paths exactly
+once — where it enters the relation, which is also where the path-length
+limit is checked — and the next round's delta view is built from those same
+id rows.  A stratum with at least one interpreted rule, the ``naive``
+strategy, the ``"indexed"`` and ``"scan"`` modes and the sharded loops of
+:mod:`repro.engine.sharding` keep the delta as a set of
+:class:`~repro.model.instance.Fact` objects in one long-lived instance whose
+per-relation row sets are swapped in place between rounds.  Both loops run
+the same rounds and count them the same.
 """
 
 from __future__ import annotations
@@ -31,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Literal as TypingLiteral
 
+from repro.engine.compiled import decode_rows
 from repro.engine.evaluation import DEFAULT_EXECUTION, ExecutionMode, RuleEvaluator
 from repro.engine.limits import DEFAULT_LIMITS, EvaluationLimits
 from repro.errors import EvaluationError
@@ -224,6 +238,94 @@ def _apply_rules_seminaive(
     return new_facts
 
 
+def _all_lower(evaluators: list[RuleEvaluator]) -> bool:
+    """Whether every rule runs an id-space plan — then so does the loop around them."""
+    return all(evaluator.compiled_plan is not None for evaluator in evaluators)
+
+
+def _resident_round(
+    evaluators: list[RuleEvaluator],
+    current: Instance,
+    delta: "Instance | None",
+    limits: EvaluationLimits,
+    statistics: EvaluationStatistics,
+    collected: "set | None" = None,
+) -> Instance:
+    """One round of rules that all lower, kept in id space; returns the next delta.
+
+    The id-resident twin of :func:`_apply_rules_naive` (*delta* ``None``: the
+    first round, every rule against *current*) and
+    :func:`_apply_rules_seminaive` plus the adding loop around them, counted
+    the same.  Head id rows lose the rows their relation already holds by
+    set difference against its view; what is left is decoded once, joins
+    *current* as one batch per relation (which advances that view), and
+    becomes the next delta — an instance sharing the term table, with views
+    built from the very id rows.  *collected* receives the added facts.
+    """
+    table = current.term_table()
+    #: (head relation, arity) → new id rows; a batch decodes as one arity.
+    fresh: "dict[tuple[str, int], set]" = {}
+    for evaluator in evaluators:
+        if delta is None:
+            frontiers: list = [None]
+        else:
+            frontiers = [
+                {position: delta}
+                for name in evaluator.predicate_positions.keys() & delta.relation_names
+                for position in evaluator.predicate_positions[name]
+            ]
+            if not frontiers:
+                continue
+            statistics.delta_restricted_applications += len(frontiers)
+        statistics.rule_applications += 1
+        head = evaluator.rule.head
+        for frontier in frontiers:
+            derived = evaluator.compiled_plan.head_rows(
+                current, frontier, evaluator.limits, statistics
+            )
+            storage = current.storage(head.name)
+            if derived and storage:
+                derived -= storage.columnar(table).id_row_set
+            if derived:
+                key = (head.name, head.arity)
+                if key in fresh:
+                    fresh[key] |= derived
+                else:
+                    fresh[key] = derived
+    following = current.restricted(())
+    for (name, _), id_set in fresh.items():
+        id_rows = list(id_set)
+        rows = set(decode_rows(table, id_rows, limits))
+        current.add_rows(name, rows, id_rows)
+        following.add_rows(name, rows, id_rows)
+        if collected is not None:
+            collected.update([Fact._from_trusted(name, row) for row in rows])
+    statistics.facts_derived += following.fact_count()
+    limits.check_fact_count(current.fact_count())
+    return following
+
+
+def _propagate_resident(
+    evaluators: list[RuleEvaluator],
+    current: Instance,
+    delta: Instance,
+    limits: EvaluationLimits,
+    statistics: EvaluationStatistics,
+    iterations_before: int,
+    collect: bool,
+) -> tuple[int, set]:
+    """:func:`propagate_delta` for rules that all lower: rounds until the delta is empty."""
+    iterations = iterations_before
+    added: set = set()
+    while delta:
+        iterations += 1
+        limits.check_iterations(iterations)
+        delta = _resident_round(
+            evaluators, current, delta, limits, statistics, added if collect else None
+        )
+    return iterations - iterations_before, added
+
+
 def propagate_delta(
     evaluators: list[RuleEvaluator],
     current: Instance,
@@ -249,9 +351,18 @@ def propagate_delta(
     evaluation hot path should not pay an extra union per round).
     *iterations_before* offsets the iteration-budget check so a caller that
     already ran rounds against the same budget keeps one coherent count.
+
+    When every rule lowers (see the module docstring) the semi-naive rounds
+    stay in id space: same rounds, same counters, same return value.
     """
     if statistics is None:
         statistics = EvaluationStatistics()
+    if strategy == "seminaive" and _all_lower(evaluators):
+        delta = Instance()
+        delta.replace_with(delta_facts)
+        return _propagate_resident(
+            evaluators, current, delta, limits, statistics, iterations_before, collect
+        )
     iterations = iterations_before
     added: set = set()
     # One delta instance lives across all rounds; its relation storages are
@@ -323,21 +434,26 @@ def evaluate_stratum(
     # First round: all rules against the full instance.
     iterations = 1
     limits.check_iterations(iterations)
-    delta_facts = _apply_rules_naive(stratum_evaluators, current, statistics)
-    for fact in delta_facts:
-        current.add_fact(fact)
-    statistics.facts_derived += len(delta_facts)
-    limits.check_fact_count(current.fact_count())
-
-    rounds, _ = propagate_delta(
-        stratum_evaluators,
-        current,
-        delta_facts,
-        limits,
-        statistics,
-        strategy=strategy,
-        iterations_before=iterations,
-    )
+    if strategy == "seminaive" and _all_lower(stratum_evaluators):
+        delta = _resident_round(stratum_evaluators, current, None, limits, statistics)
+        rounds, _ = _propagate_resident(
+            stratum_evaluators, current, delta, limits, statistics, iterations, False
+        )
+    else:
+        delta_facts = _apply_rules_naive(stratum_evaluators, current, statistics)
+        for fact in delta_facts:
+            current.add_fact(fact)
+        statistics.facts_derived += len(delta_facts)
+        limits.check_fact_count(current.fact_count())
+        rounds, _ = propagate_delta(
+            stratum_evaluators,
+            current,
+            delta_facts,
+            limits,
+            statistics,
+            strategy=strategy,
+            iterations_before=iterations,
+        )
     statistics.merge_stratum(iterations + rounds)
     return current
 

@@ -28,7 +28,8 @@ from repro.engine.fixpoint import EvaluationStatistics
 from repro.engine.query import QueryResult, UpdateResult
 from repro.errors import ParseError
 from repro.model.instance import Fact, Instance
-from repro.model.terms import Path
+from repro.model.terms import Packed, Path
+from repro.parser.lexer import Token, TokenKind, tokenize
 from repro.parser.parser import parse_expression, parse_rules
 from repro.parser.unparser import format_path, unparse_instance, unparse_program
 from repro.syntax.programs import Program
@@ -61,8 +62,19 @@ def instance_to_text(instance: Instance) -> str:
 
 
 def instance_from_text(text: str) -> Instance:
-    """Parse an instance from fact-rule text (every rule must be a ground fact)."""
+    """Parse an instance from fact-rule text (every rule must be a ground fact).
+
+    Text that is nothing but plain ground facts is read straight off the
+    token stream; anything else — a variable, an arrow, a missing ``.`` —
+    goes through :func:`~repro.parser.parser.parse_rules`, which owns every
+    error message and position.
+    """
     instance = Instance()
+    facts = _read_ground_facts(tokenize(text))
+    if facts is not None:
+        for fact in facts:
+            instance.add_fact(fact)
+        return instance
     for rule in parse_rules(text):
         if rule.body or not rule.head.is_ground():
             raise ParseError(f"instance files may only contain ground facts, got {rule}")
@@ -71,6 +83,63 @@ def instance_from_text(text: str) -> Instance:
             *(component.ground_path() for component in rule.head.components),
         )
     return instance
+
+
+def _read_ground_facts(tokens: "list[Token]") -> "list[Fact] | None":
+    """The facts of a token stream shaped ``Name(path, …).`` throughout, else ``None``.
+
+    A path is ``NAME``, a non-empty ``STRING``, ``ϵ`` and ``<…>`` nesting
+    joined by ``·``; the first token that does not fit gives up on the whole
+    stream (nothing is half-read), so the caller's fallback reports it.
+    """
+    kinds = TokenKind
+    position = 0
+
+    def read_path() -> "Path | None":
+        nonlocal position
+        values: list = []
+        while True:
+            token = tokens[position]
+            kind = token.kind
+            if kind == kinds.NAME or (kind == kinds.STRING and token.text):
+                values.append(token.text)
+            elif kind == kinds.LANGLE:
+                position += 1
+                inner = Path(()) if tokens[position].kind == kinds.RANGLE else read_path()
+                if inner is None or tokens[position].kind != kinds.RANGLE:
+                    return None
+                values.append(Packed(inner))
+            elif kind != kinds.EPSILON:
+                return None
+            position += 1
+            if tokens[position].kind != kinds.CONCAT:
+                return Path._from_trusted(tuple(values))
+            position += 1
+
+    facts = []
+    while tokens[position].kind != kinds.EOF:
+        name = tokens[position]
+        if name.kind != kinds.NAME:
+            return None
+        position += 1
+        paths: list = []
+        if tokens[position].kind == kinds.LPAR:
+            position += 1
+            while tokens[position].kind != kinds.RPAR:
+                if paths:
+                    if tokens[position].kind != kinds.COMMA:
+                        return None
+                    position += 1
+                path = read_path()
+                if path is None:
+                    return None
+                paths.append(path)
+            position += 1
+        if tokens[position].kind != kinds.END:
+            return None
+        position += 1
+        facts.append(Fact._from_trusted(name.text, tuple(paths)))
+    return facts
 
 
 def save_instance(instance: Instance, path: "FilePath | str") -> None:

@@ -139,6 +139,32 @@ class Instance:
         """Insert the fact ``relation(paths...)`` into the instance."""
         self.add_fact(Fact(relation, paths))
 
+    def add_rows(
+        self,
+        relation: str,
+        rows: "set[tuple[Path, ...]]",
+        id_rows: "list[tuple] | None" = None,
+    ) -> None:
+        """Insert a non-empty batch of rows, none of them present, into *relation*.
+
+        What :meth:`add_fact` does per fact — the arity check, the generation
+        and the change log — in one call (see :meth:`Relation.add_rows`).
+        *id_rows* are the same rows as id tuples of :meth:`term_table`.
+        """
+        stored = self._relations.get(relation)
+        if stored is None:
+            stored = self._relations[relation] = Relation()
+        existing = stored.arity()
+        if existing is None:
+            existing = len(next(iter(rows)))
+        wrong = set(map(len, rows)) - {existing}
+        if wrong:
+            raise ModelError(
+                f"relation {relation!r} already holds tuples of arity {existing}; "
+                f"cannot add a tuple of arity {min(wrong)}"
+            )
+        stored.add_rows(rows, id_rows, self._terms)
+
     def discard_fact(self, fact: Fact, *, keep_empty: bool = False) -> None:
         """Remove *fact* if present.
 

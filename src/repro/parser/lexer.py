@@ -16,8 +16,7 @@ The surface syntax follows the paper's notation as closely as ASCII allows:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import NamedTuple
 
 from repro.errors import ParseError
 
@@ -47,8 +46,7 @@ class TokenKind:
     EOF = "EOF"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single token with its source position (1-based line and column)."""
 
     kind: str

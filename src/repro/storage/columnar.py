@@ -20,13 +20,15 @@ live here:
   ``dict[int, array]`` groupings (``groups(position)`` maps the id at a
   position to the indexes of the rows carrying it — the id-space analogue of
   ``rows_with_path``).  Views are cached on the relation per
-  ``(table, generation)`` and rebuilt wholesale on mutation, mirroring the
+  ``(table, generation)``; additions advance a view by its id rows
+  (:meth:`ColumnarView.extended`), anything else rebuilds it, mirroring the
   lazy index refresh in :mod:`repro.storage.relation`.
 
-Ids never leak past the engine: compiled rules decode unique head rows back
-to :class:`~repro.model.instance.Fact` objects at the derivation boundary,
-so everything above (semi-naive deltas, counting/DRed maintenance, tabling,
-sharding) keeps trafficking in ordinary facts.
+Ids never leak past the engine: the resident semi-naive loop
+(:mod:`repro.engine.fixpoint`) keeps its deltas as id rows between rounds and
+decodes each new row once, when it enters the relation; everything above
+(counting/DRed maintenance, tabling, sharding) keeps trafficking in ordinary
+:class:`~repro.model.instance.Fact` objects.
 """
 
 from array import array
@@ -58,7 +60,6 @@ class TermTable:
         "_element_ids",
         "_concat",
         "_splices",
-        "scratch",
     )
 
     def __init__(self, paths: "Iterable[Path | Value]" = ()):
@@ -73,9 +74,6 @@ class TermTable:
         self._element_ids: dict = {}
         self._concat: dict[tuple, int] = {}
         self._splices: dict[tuple, int] = {}
-        #: Engine-owned scratch space (e.g. decoded-fact caches) that shares
-        #: the table's lifetime.  Not pickled.
-        self.scratch: dict = {}
         for path in paths:
             self.intern(as_path(path))
 
@@ -108,10 +106,13 @@ class TermTable:
         """Decode one id back to its path."""
         return self._paths[ident]
 
-    def decode_row(self, ids: Iterable[int]) -> tuple:
-        """Decode an id row back to a tuple of paths."""
-        paths = self._paths
-        return tuple(paths[ident] for ident in ids)
+    def decode_rows(self, id_rows: "Iterable[tuple]") -> "list[tuple]":
+        """Decode id rows (all of one arity) back to path rows, in order."""
+        decode = self._paths.__getitem__
+        # Column by column: one C-level map per position instead of one
+        # tuple(...) call per row.
+        columns = [map(decode, column) for column in zip(*id_rows)]
+        return list(zip(*columns)) if columns else [() for _ in id_rows]
 
     def is_atomic(self, ident: int) -> bool:
         """Whether id *ident* names a single atomic value (an ``@x`` match)."""
@@ -190,9 +191,7 @@ class TermTable:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TermTable({len(self._paths)} terms)"
 
-    # Pickle as the path list alone; the id map and flags are derived.  The
-    # scratch dict may hold engine objects of unknown picklability, so it is
-    # deliberately dropped.
+    # Pickle as the path list alone; the id map and flags are derived.
     def __getstate__(self) -> list[Path]:
         return self._paths
 
@@ -204,24 +203,23 @@ class TermTable:
         self._element_ids = {}
         self._concat = {}
         self._splices = {}
-        self.scratch = {}
 
 
 class ColumnarView:
     """Packed id-space snapshot of one relation generation.
 
-    Construction interns every stored row against *table* and lays the ids
-    out both row-wise (:attr:`id_rows`, for candidate checks) and
-    column-wise (:meth:`column`, one ``array('q')`` per argument position).
+    Holds the relation's rows as id tuples against *table* — row-wise
+    (:attr:`id_rows`, for candidate checks) and, on demand, column-wise
+    (:meth:`column`, one ``array('q')`` per argument position).
     :meth:`groups` materialises the id-space hash index for one position on
     first use; :attr:`id_row_set` does the same for membership tests
-    (negation, dedup).  Instances are immutable snapshots — the owning
-    relation swaps in a fresh view when its generation changes.
+    (negation, the fixpoint's known-row subtraction).  Instances are
+    snapshots — the owning relation swaps in a fresh view when its
+    generation changes.
     """
 
     __slots__ = (
         "table",
-        "arity",
         "id_rows",
         "_columns",
         "_decomposed",
@@ -232,37 +230,37 @@ class ColumnarView:
         "_row_set",
     )
 
-    def __init__(self, rows: Iterable[tuple], arity: "int | None", table: TermTable):
-        intern_row = table.intern_row
+    def __init__(self, id_rows: "list[tuple]", table: TermTable, row_set: "set | None" = None):
         self.table = table
-        self.arity = arity
-        self.id_rows: list[tuple] = [intern_row(row) for row in rows]
+        self.id_rows = id_rows
         self._columns: "dict[int, array]" = {}
         self._decomposed: "dict[int, list]" = {}
         self._groups: "dict[int, dict]" = {}
         self._first_groups: "dict[int, dict]" = {}
         self._last_groups: "dict[int, dict]" = {}
         self._element_joins: "dict[tuple, dict]" = {}
-        self._row_set: "frozenset | None" = None
+        self._row_set = row_set
 
     def __len__(self) -> int:
         return len(self.id_rows)
 
-    def extended(self, rows: Iterable[tuple], arity: "int | None") -> "ColumnarView":
-        """A fresh view holding this view's rows plus *rows*, sharing the work.
+    def extended(self, id_rows: "list[tuple]") -> "ColumnarView":
+        """A fresh view holding this view's rows plus *id_rows*, sharing the work.
 
-        The generation-advance fast path of the compiled tier: a semi-naive
-        micro-round adds a small delta to a large relation, and rebuilding
-        the view from scratch would re-intern every unchanged row.  The
-        already-interned id rows are reused (*rows* must be disjoint from
-        them — callers advance from a net-effective change log); the lazy
-        indexes are not carried over and rebuild on first use against the
-        extended row list.
+        The generation-advance fast path: a semi-naive round adds a small
+        delta to a large relation, and rebuilding the view would re-intern
+        every unchanged row.  *id_rows* must be disjoint from the rows held
+        (callers advance by rows they just inserted).  The membership set,
+        once built, *moves* to the new view and grows by the delta — this
+        view rebuilds its own if it is asked again — so advancing costs no
+        hashing pass over the relation; the lazy indexes are not carried
+        over and rebuild on first use against the extended row list.
         """
-        view = ColumnarView((), arity, self.table)
-        intern_row = self.table.intern_row
-        view.id_rows = self.id_rows + [intern_row(row) for row in rows]
-        return view
+        row_set = self._row_set
+        if row_set is not None:
+            self._row_set = None
+            row_set.update(id_rows)
+        return ColumnarView(self.id_rows + id_rows, self.table, row_set)
 
     def column(self, position: int) -> array:
         """The packed int array of ids at *position*, one entry per row."""
@@ -365,9 +363,9 @@ class ColumnarView:
         return grouped
 
     @property
-    def id_row_set(self) -> frozenset:
-        """The id rows as a frozenset, for membership tests."""
+    def id_row_set(self) -> set:
+        """The id rows as a set, for membership tests (treat as read-only)."""
         rows = self._row_set
         if rows is None:
-            rows = self._row_set = frozenset(self.id_rows)
+            rows = self._row_set = set(self.id_rows)
         return rows

@@ -41,6 +41,7 @@ overflow simply advance the *floor* below which changes are unknown, making
 
 from __future__ import annotations
 
+from itertools import count, repeat
 from typing import Iterable, Iterator
 
 from repro.errors import ModelError
@@ -123,6 +124,45 @@ class Relation:
                 self._record(row, False)
             return True
         return False
+
+    def add_rows(
+        self,
+        rows: "set[tuple[Path, ...]]",
+        id_rows: "list[tuple] | None" = None,
+        table: "TermTable | None" = None,
+    ) -> None:
+        """Insert the batch *rows*, none of which is present: one :meth:`add` each.
+
+        The generation moves by one per row and a watched relation logs the
+        same entries the single adds would (a batch that overflows the log
+        voids it whole — no mark can fall inside a batch).  *id_rows*, the
+        same rows as id tuples against *table*, advance the cached columnar
+        view in step — or found it, when the relation was empty — so the
+        resident fixpoint never re-interns what it derived in id space.
+        """
+        start = self._generation
+        before = len(self._rows)
+        was_empty = not before
+        self._rows |= rows
+        if len(self._rows) != before + len(rows):
+            raise ModelError("add_rows takes only rows the relation does not hold")
+        self._generation = start + len(rows)
+        if self._log is not None:
+            if len(self._log) + len(rows) > self.LOG_LIMIT:
+                self._log.clear()
+                self._log_floor = self._generation
+            else:
+                self._log.extend(zip(count(start + 1), rows, repeat(True)))
+        if id_rows is None:
+            return
+        if was_empty:
+            self._columnar = ColumnarView(id_rows, table)  # type: ignore[arg-type]
+            self._columnar_table = table
+        elif self._columnar_table is table and self._columnar_generation == start:
+            self._columnar = self._columnar.extended(id_rows)  # type: ignore[union-attr]
+        else:
+            return  # no current view to advance; columnar() catches up from the log
+        self._columnar_generation = self._generation
 
     def set_rows(self, rows: "Iterable[tuple[Path, ...]]") -> None:
         """Replace the entire contents with *rows* (used by incremental deltas).
@@ -330,32 +370,26 @@ class Relation:
 
         Cached per ``(table, generation)``.  A stale view against the same
         table advances *incrementally* when the change log can prove the
-        drift was pure additions (the semi-naive hot path: each micro-round
-        adds a small delta to a large relation): the new view reuses the old
-        view's interned id rows and interns only the added ones.  Removals,
-        wholesale rewrites, or a different term table rebuild the whole view,
-        which is how a relation's terms first enter an instance's id space.
-        Building a view turns the change log on, so long-lived relations —
-        a resident shard worker's partitions above all — take the
-        incremental path on every later generation bump.
+        drift was pure additions (a round of single :meth:`add` calls on a
+        large relation; :meth:`add_rows` advances the view itself): the new
+        view reuses the old view's id rows and interns only the added ones.
+        Removals, wholesale rewrites, or a different term table rebuild the
+        whole view, which is how a relation's terms first enter an instance's
+        id space.  Building a view turns the change log on, so long-lived
+        relations — a resident shard worker's partitions above all — take
+        the incremental path on every later generation bump.
         """
-        if (
-            self._columnar is not None
-            and self._columnar_table is table
-            and self._columnar_generation != self._generation
-        ):
+        if self._columnar_table is table and self._columnar_generation == self._generation:
+            return self._columnar  # type: ignore[return-value]
+        intern_row = table.intern_row
+        changes = None
+        if self._columnar is not None and self._columnar_table is table:
             changes = self.changes_since(self._columnar_generation)
-            if changes is not None and not changes[1]:
-                self._columnar = self._columnar.extended(changes[0], self.arity())
-                self._columnar_generation = self._generation
-                return self._columnar
-        if (
-            self._columnar is None
-            or self._columnar_table is not table
-            or self._columnar_generation != self._generation
-        ):
+        if changes is not None and not changes[1]:
+            self._columnar = self._columnar.extended([intern_row(row) for row in changes[0]])
+        else:
             self.watch()
-            self._columnar = ColumnarView(self._rows, self.arity(), table)
+            self._columnar = ColumnarView([intern_row(row) for row in self._rows], table)
             self._columnar_table = table
-            self._columnar_generation = self._generation
+        self._columnar_generation = self._generation
         return self._columnar

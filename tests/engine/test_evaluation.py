@@ -3,15 +3,19 @@
 import pytest
 
 from repro.engine import (
+    DEFAULT_EXECUTION,
     EvaluationLimits,
+    ProgramEvaluators,
     ProgramQuery,
     evaluate_program,
     evaluate_rule,
+    evaluate_stratum,
     plan_body_order,
 )
 from repro.errors import EvaluationBudgetExceeded, EvaluationError, ModelError
-from repro.model import Fact, Instance, pack, path, unary_instance
+from repro.model import Fact, Instance, graph_instance, pack, path, unary_instance
 from repro.parser import parse_program, parse_rule
+from repro.storage import Relation
 
 
 class TestRuleEvaluation:
@@ -119,3 +123,75 @@ class TestProgramQuery:
         query = ProgramQuery(parse_program("A :- R(a.$x)."), {"R": 1}, "A")
         assert query.boolean(unary_instance("R", ["ab"]))
         assert not query.boolean(unary_instance("R", ["ba"]))
+
+
+class TestResidentFixpoint:
+    """The default execution keeps an all-lowering stratum's loop in id space;
+    what callers can observe around that loop must not have moved."""
+
+    EXAMPLE_23 = "T(a).\nT(a.$x) :- T($x)."
+    CLOSURE = "T(@x.@y) :- R(@x.@y).\nT(@x.@z) :- T(@x.@y), R(@y.@z)."
+    EDGES = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
+
+    def test_the_default_lowers_these_programs(self):
+        assert DEFAULT_EXECUTION == "compiled"
+        evaluators = ProgramEvaluators()
+        for text in (self.EXAMPLE_23, self.CLOSURE):
+            for stratum in parse_program(text).strata:
+                assert all(e.compiled_plan is not None for e in evaluators.for_stratum(stratum))
+
+    @pytest.mark.parametrize(
+        "limits",
+        [
+            EvaluationLimits(max_iterations=30),
+            EvaluationLimits(max_path_length=12),
+            EvaluationLimits(max_facts=20),
+        ],
+        ids=["max_iterations", "max_path_length", "max_facts"],
+    )
+    def test_example_23_is_cut_off_as_under_indexed(self, limits):
+        program = parse_program(self.EXAMPLE_23)
+        with pytest.raises(EvaluationBudgetExceeded) as default:
+            evaluate_program(program, Instance(), limits)
+        with pytest.raises(EvaluationBudgetExceeded) as indexed:
+            evaluate_program(program, Instance(), limits, execution="indexed")
+        assert default.value.limit_name == indexed.value.limit_name
+        assert str(default.value) == str(indexed.value)
+
+    def _watched_closure(self):
+        current = graph_instance("R", self.EDGES)
+        current.ensure_relation("T")
+        mark = current.storage("T").watch()
+        evaluate_stratum(parse_program(self.CLOSURE).strata[0], current, copy=False)
+        return current, mark
+
+    def test_a_watched_relation_logs_the_rows_the_fixpoint_added(self):
+        current, mark = self._watched_closure()
+        assert len(current.relation("T")) == 16
+        assert current.storage("T").changes_since(mark) == (current.relation("T"), frozenset())
+
+    def test_a_batch_past_the_log_limit_voids_the_log(self, monkeypatch):
+        monkeypatch.setattr(Relation, "LOG_LIMIT", 5)
+        current, mark = self._watched_closure()
+        storage = current.storage("T")
+        assert storage.changes_since(mark) is None
+        assert storage.changes_since(storage.generation) == (frozenset(), frozenset())
+
+    def test_a_batch_of_the_wrong_arity_is_refused_like_a_fact(self):
+        instance = Instance({"R": [("a", "b")]})
+        with pytest.raises(ModelError) as single:
+            instance.add_fact(Fact("R", [path("c")]))
+        with pytest.raises(ModelError) as batch:
+            instance.add_rows("R", {(path("c"),)})
+        assert str(batch.value) == str(single.value)
+        assert instance.relation("R") == {(path("a"), path("b"))}
+
+    def test_a_run_leaves_nothing_on_the_input_instance(self):
+        instance = graph_instance("R", self.EDGES)
+        query = ProgramQuery(parse_program(self.CLOSURE), {"R": 1}, "T")
+        assert len(query.run(instance).paths()) == 16
+        assert instance._terms is None
+        for name in instance.relation_names:
+            storage = instance.storage(name)
+            assert storage._columnar is None
+            assert storage.changes_since(0) is None  # nobody started a change log either

@@ -290,3 +290,54 @@ class TestInstanceIntegration:
         instance.replace_with([Fact("U", [path("d")])])
         assert instance.storage("T") is None
         assert instance.paths("U") == {path("d")}
+
+
+class TestBatchAdds:
+    """``add_rows``: what ``add`` does row by row, plus the id rows for the view."""
+
+    def test_a_batch_counts_and_logs_like_single_adds(self, edges):
+        single, batch = edges.copy(), edges.copy()
+        marks = single.watch(), batch.watch()
+        new = rows_of((("d",), ("x",)), (("e",), ("y",)))
+        for row in new:
+            single.add(row)
+        batch.add_rows(set(new))
+        assert batch.rows == single.rows
+        assert batch.generation == single.generation
+        assert batch.changes_since(marks[1]) == single.changes_since(marks[0]) == (new, frozenset())
+
+    def test_a_row_already_held_is_refused(self, edges):
+        with pytest.raises(ModelError):
+            edges.add_rows({next(iter(edges.rows))})
+
+    def test_id_rows_advance_the_cached_view_and_its_row_set(self, edges):
+        table = Instance().term_table()
+        view = edges.columnar(table)
+        known = view.id_row_set
+        new = list(rows_of((("d",), ("x",)), (("e",), ("y",))))
+        id_rows = [table.intern_row(row) for row in new]
+        edges.add_rows(set(new), id_rows, table)
+        advanced = edges.columnar(table)
+        assert advanced is not view and advanced.id_row_set is known  # moved, not rebuilt
+        assert known == {table.intern_row(row) for row in edges.rows}
+        assert sorted(advanced.id_rows) == sorted(known)
+        assert view.id_row_set == set(view.id_rows) and len(view) == 5  # the old snapshot holds
+
+    def test_id_rows_found_the_view_of_an_empty_relation_without_a_log(self):
+        table = Instance().term_table()
+        relation = Relation()
+        rows = list(rows_of((("a",),), (("b",),)))
+        id_rows = [table.intern_row(row) for row in rows]
+        relation.add_rows(set(rows), id_rows, table)
+        assert relation.columnar(table).id_rows is id_rows
+        assert relation.changes_since(0) is None
+
+    def test_a_stale_view_is_left_to_catch_up_from_the_log(self, edges):
+        table = Instance().term_table()
+        edges.columnar(table)
+        edges.add(next(iter(rows_of((("d",), ("x",))))))  # the view is now one row behind
+        new = list(rows_of((("e",), ("y",))))
+        edges.add_rows(set(new), [table.intern_row(row) for row in new], table)
+        view = edges.columnar(table)
+        assert view.id_row_set == {table.intern_row(row) for row in edges.rows}
+        assert len(view) == len(edges) == 7
