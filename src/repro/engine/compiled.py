@@ -49,6 +49,7 @@ from typing import Optional, Sequence
 from repro.engine.limits import DEFAULT_LIMITS, EvaluationLimits
 from repro.model.instance import Fact, Instance
 from repro.model.terms import Packed, Path
+from repro.storage.columnar import ColumnarView
 from repro.syntax.expressions import (
     AtomVariable,
     PackedExpression,
@@ -117,13 +118,20 @@ def _component_variables(kind, payload):
 class _Step:
     """One positive body predicate: its static position, name, and components."""
 
-    __slots__ = ("position", "name", "arity", "components")
+    __slots__ = ("position", "name", "arity", "components", "variables")
 
     def __init__(self, position: int, predicate: Predicate, components: tuple):
         self.position = position
         self.name = predicate.name
         self.arity = predicate.arity
         self.components = components
+        #: Every variable of the components; once all are in registers the
+        #: step has nothing left to bind and is a membership test.
+        self.variables = frozenset(
+            variable
+            for kind, payload in components
+            for variable in _component_variables(kind, payload)
+        )
 
     def probeable(self, bound: set) -> bool:
         """Whether some hash grouping is usable given the *bound* variables."""
@@ -229,17 +237,22 @@ class CompiledRule:
         "head_name",
         "head_components",
         "head_vars",
+        "head_step",
         "steps",
         "negations",
         "_head_index",
         "_orders",
     )
 
-    def __init__(self, head_name, head_components, steps, negations):
+    def __init__(self, head_name, head_components, steps, negations, head_step=None):
         #: frontier key → (cardinality signature, step order).
         self._orders: dict = {}
         self.head_name = head_name
         self.head_components = head_components
+        #: The head as a *matching* step over given head rows — what
+        #: :meth:`derivable_rows` leads the join with; ``None`` when a head
+        #: component holds two path variables and cannot destructure.
+        self.head_step = head_step
         self.steps = steps
         self.negations = negations
         # The distinct head variables in first-appearance order: result rows
@@ -396,11 +409,12 @@ class CompiledRule:
 
     # -- execution ------------------------------------------------------------------------
 
-    def _join_order(self, sizes: "list[int]") -> "tuple[int, ...]":
-        """Greedy order of the steps: prefer one that can probe a hash
-        grouping, breaking ties towards the smallest source."""
+    def _join_order(self, sizes: "list[int]", bound: tuple = ()) -> "tuple[int, ...]":
+        """Greedy order of the steps, starting from the *bound* variables:
+        prefer a step that can probe a hash grouping, breaking ties towards
+        the smallest source."""
         pending = list(range(len(self.steps)))
-        bound_vars: set = set()
+        bound_vars: set = set(bound)
         order = []
         while pending:
             best = min(
@@ -416,8 +430,15 @@ class CompiledRule:
                 bound_vars.update(_component_variables(kind, payload))
         return tuple(order)
 
-    def _join(self, instance: Instance, frontier, limits: EvaluationLimits, statistics):
-        """Run the body; ``(result rows, variable → register slot)`` or ``None``."""
+    def _join(
+        self, instance: Instance, frontier, limits: EvaluationLimits, statistics, head_view=None
+    ):
+        """Run the body; ``(result rows, variable → register slot)`` or ``None``.
+
+        With *head_view* — a view of head id rows — the join is restricted to
+        those heads: :attr:`head_step` leads, reading only that view, and the
+        body steps run with the head's variables bound.
+        """
         table = instance.term_table()
         atomic = table.atomic_flags
         concat = table.concat
@@ -441,6 +462,8 @@ class CompiledRule:
         # source stays in its power-of-two size bucket — the same regime rule
         # as RuleEvaluator.compiled_sequence, counted by the same counters.
         key = tuple(sorted(frontier)) if frontier else ()
+        if head_view is not None:
+            key = ("head",)
         signature = tuple(len(view.id_rows).bit_length() for view in views)
         cached = self._orders.get(key)
         if cached is not None and cached[0] == signature:
@@ -448,11 +471,16 @@ class CompiledRule:
             if statistics is not None:
                 statistics.plan_cache_hits += 1
         else:
-            order = self._join_order([len(view.id_rows) for view in views])
+            order = self._join_order(
+                [len(view.id_rows) for view in views],
+                self.head_vars if head_view is not None else (),
+            )
             self._orders[key] = (signature, order)
             if statistics is not None:
                 statistics.plans_compiled += 1
         ordered = [(self.steps[index], views[index]) for index in order]
+        if head_view is not None:
+            ordered.insert(0, (self.head_step, head_view))
         slots: dict = {}
 
         max_derivations = limits.max_derivations_per_rule
@@ -460,6 +488,22 @@ class CompiledRule:
         width = 0
 
         for step, view in ordered:
+            if step.variables <= slots.keys():
+                # Nothing left to bind: the step is a membership test on the
+                # view's row set, one attempt per current row — no group
+                # probe, no walk through the bucket of one bound position.
+                members = view.id_row_set
+                spec = _target_spec(step.components, slots, table)
+                if statistics is not None:
+                    statistics.extension_attempts += len(rows)
+                rows = [
+                    current
+                    for current, target in zip(rows, _target_rows(spec, rows, concat))
+                    if target in members
+                ]
+                if not rows:
+                    return None
+                continue
             frees: list = []
             probe, ops = self._resolve_step(step, view, slots, frees, table)
             id_rows = view.id_rows
@@ -718,7 +762,32 @@ class CompiledRule:
         constructing head (``T(@x·@z)``, ``T(@x·a·$y)``) concatenates, so
         each distinct binding builds its path once.
         """
-        joined = self._join(instance, frontier, limits, statistics)
+        return self._head_stage(instance, self._join(instance, frontier, limits, statistics))
+
+    def derivable_rows(
+        self,
+        instance: Instance,
+        id_rows: "list[tuple]",
+        limits: EvaluationLimits = DEFAULT_LIMITS,
+        statistics=None,
+    ) -> set:
+        """The subset of the head *id_rows* one application derives from *instance*.
+
+        One join for the whole set (delete–rederive asks this of everything
+        it over-deleted): :attr:`head_step` — which must not be ``None`` —
+        matches the head against *id_rows* and nothing else, so every result
+        row's head is one of them by construction and a fact the body needs
+        is only ever read from *instance*, never from the set being tested.
+        """
+        if not id_rows:
+            return set()
+        head_view = ColumnarView(id_rows, instance.term_table())
+        return self._head_stage(
+            instance, self._join(instance, None, limits, statistics, head_view)
+        )
+
+    def _head_stage(self, instance: Instance, joined) -> set:
+        """The distinct head id rows of a :meth:`_join` result."""
         if joined is None:
             return set()
         rows, slots = joined
@@ -788,5 +857,10 @@ def compile_rule(head: Predicate, order: Sequence[Literal]) -> Optional[Compiled
             if variable not in positive_vars:
                 return None
         head_components.append(classified)
+    head_step = None
+    if all(_classify(component, binding_only=False) for component in head.components):
+        head_step = _Step(-1, head, tuple(head_components))
 
-    return CompiledRule(head.name, tuple(head_components), tuple(steps), tuple(negations))
+    return CompiledRule(
+        head.name, tuple(head_components), tuple(steps), tuple(negations), head_step
+    )

@@ -191,7 +191,7 @@ def plan_literal_sequence(
     the bound variables enable — and the equations with one bound side.
 
     *bound* names variables that are already bound before the body runs
-    (head-bound rederivation probes seed the join with partial valuations);
+    (rederivation seeds the join with the valuations of the head's variables);
     the plan then schedules the literals those bindings make selective first.
     """
     remaining = set(range(len(order)))
@@ -499,9 +499,9 @@ def satisfying_valuations(
 
     *initial_valuations* seeds the join with partial valuations instead of
     the empty one — rederivation during delete–rederive maintenance uses
-    this to ask "does this *particular* head fact still have a derivation?"
-    with the head variables pre-bound, turning the body evaluation into an
-    index-backed membership probe.
+    this to ask "which of *these* head facts still have a derivation?" with
+    the head variables pre-bound, turning the body evaluation into
+    index-backed membership probes (:meth:`RuleEvaluator.derivable`).
 
     Every pattern is lowered (:func:`~repro.engine.match.lower_pattern`) per
     call; :meth:`RuleEvaluator.valuations` is the same stream over the
@@ -771,40 +771,22 @@ class RuleEvaluator:
         frontier: "dict[int, Instance] | None" = None,
         statistics=None,
         *,
-        initial_valuations: "Iterable[Valuation] | None" = None,
         negative_sources: "dict[int, Instance] | None" = None,
     ) -> "Iterator[tuple[Fact, Valuation]]":
         """Yield every ``(head fact, satisfying valuation)`` derivation.
 
         Unlike :meth:`derive` this does not collapse derivations into a fact
         set: counting-based maintenance needs each distinct body valuation as
-        one unit of support for its head fact.  *initial_valuations* seeds
-        the join with pre-bound valuations (see
-        :func:`satisfying_valuations`); the join is then planned per call
-        around those bindings — the compiled cache only knows unbound starts,
-        and a head-bound probe that ignored its bindings would degenerate
-        into a scan of the first body relation.
+        one unit of support for its head fact.
         """
         sequence = None
         if self.execution in ("indexed", "compiled"):
-            if initial_valuations is None:
-                sequence = self.compiled_sequence(instance, frontier, statistics)
-            else:
-                initial_valuations = tuple(initial_valuations)
-                seed_domain: set = set()
-                for valuation in initial_valuations:
-                    seed_domain |= valuation.domain
-                sequence = plan_literal_sequence(
-                    self.order, instance, frontier, bound=seed_domain
-                )
-                if statistics is not None:
-                    statistics.plans_compiled += 1
+            sequence = self.compiled_sequence(instance, frontier, statistics)
         for valuation in self.valuations(
             instance,
             frontier,
             statistics,
             sequence=sequence,
-            initial_valuations=initial_valuations,
             negative_sources=negative_sources,
         ):
             fact = valuation.apply_to_predicate(self.rule.head)
@@ -812,11 +794,53 @@ class RuleEvaluator:
                 self.limits.check_path_length(len(path))
             yield fact, valuation
 
+    def derivable(
+        self, instance: Instance, facts: "Collection[Fact]", statistics=None
+    ) -> set[Fact]:
+        """The subset of the head *facts* this rule derives from *instance* in one application.
+
+        Delete–rederive asks this of everything it over-deleted, set at a
+        time.  The body only ever reads *instance*: a fact of *facts* supports
+        nothing, itself included, unless *instance* holds it.  A rule that
+        lowers and whose head can be matched in id space runs its ordinary
+        join led by one extra step over the head rows
+        (:meth:`~repro.engine.compiled.CompiledRule.derivable_rows`);
+        anything else runs one interpreted stream seeded with the head
+        valuations of all the facts, planned once around the head's variables.
+        """
+        head = self.rule.head
+        plan = self.compiled_plan
+        if plan is not None and plan.head_step is not None:
+            intern_row = instance.term_table().intern_row
+            by_row = {
+                intern_row(fact.paths): fact
+                for fact in facts
+                if fact.relation == head.name and fact.arity == head.arity
+            }
+            id_rows = plan.derivable_rows(instance, list(by_row), self.limits, statistics)
+            return {by_row[row] for row in id_rows}
+        seeds = [valuation for fact in facts for valuation in self.head_valuations(fact)]
+        if not seeds:
+            return set()
+        sequence = None
+        if self.execution in ("indexed", "compiled"):
+            # The cached sequences only know unbound starts; around the head's
+            # bindings the body turns into index-backed membership probes.
+            sequence = plan_literal_sequence(self.order, instance, bound=head.variables())
+            if statistics is not None:
+                statistics.plans_compiled += 1
+        return {
+            valuation.apply_to_predicate(head)
+            for valuation in self.valuations(
+                instance, None, statistics, sequence=sequence, initial_valuations=seeds
+            )
+        }
+
     def head_valuations(self, fact: Fact) -> list[Valuation]:
         """The valuations of the head's variables under which the head denotes *fact*.
 
-        These seed a head-bound rederivation probe (*initial_valuations* of
-        :meth:`derivations`); the head's split plan is lowered once.
+        These seed the interpreted stream of :meth:`derivable`; the head's
+        split plan is lowered once.
         """
         head = self.rule.head
         if head.name != fact.relation or head.arity != fact.arity:

@@ -58,6 +58,7 @@ __all__ = [
     "evaluate_stratum",
     "evaluate_program",
     "propagate_delta",
+    "rederivable",
     "Strategy",
 ]
 
@@ -84,7 +85,8 @@ class EvaluationStatistics:
     (:mod:`repro.engine.maintenance`): ``maintenance_rounds`` counts the
     delta-propagation rounds run across the counting, overdeletion,
     rederivation, and insertion phases; ``rederivation_attempts`` the
-    head-bound body probes of the delete–rederive step; and
+    (over-deleted fact, rule of its head relation) pairs the delete–rederive
+    step asked about; and
     ``facts_retracted`` the facts that net-disappeared from a maintained
     materialization (EDB retractions plus derived facts that lost their last
     support).
@@ -387,6 +389,38 @@ def propagate_delta(
             added |= new_facts
         delta_facts = new_facts
     return iterations - iterations_before, added
+
+
+def rederivable(
+    evaluators: list[RuleEvaluator],
+    instance: Instance,
+    facts: "Iterable[Fact]",
+    statistics: EvaluationStatistics,
+) -> set:
+    """The facts among *facts* that one rule application derives from *instance*.
+
+    The rederivation step of delete–rederive, shared by
+    :mod:`repro.engine.maintenance` and the shard workers: *facts* is the
+    over-deleted set, *instance* the state without it, and each rule is asked
+    once about all the facts of its head relation that no earlier rule
+    supported (:meth:`RuleEvaluator.derivable`) — one ``rederivation_attempts``
+    per fact asked about.  Nothing is added here, so no answer depends on
+    another: a fact whose support is itself rederived comes back through the
+    :func:`propagate_delta` the caller runs from the returned facts.
+    """
+    pending: "dict[str, set]" = {}
+    for fact in facts:
+        pending.setdefault(fact.relation, set()).add(fact)
+    found: set = set()
+    for evaluator in evaluators:
+        candidates = pending.get(evaluator.rule.head.name)
+        if not candidates:
+            continue
+        statistics.rederivation_attempts += len(candidates)
+        derived = evaluator.derivable(instance, candidates, statistics)
+        candidates -= derived
+        found |= derived
+    return found
 
 
 def evaluate_stratum(

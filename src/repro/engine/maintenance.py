@@ -15,12 +15,16 @@ drifts instead of recomputing it:
   there.
 * **Delete–rederive** (recursive strata): deletions are first *over-deleted*
   (everything derivable through a deleted fact, to a fixpoint, evaluated
-  against the old state), then every over-deleted fact gets a chance to
-  *rederive* itself from the surviving facts (a head-bound body probe via
-  :meth:`~repro.engine.evaluation.RuleEvaluator.derivations`), and finally
-  insertions propagate through the ordinary semi-naive core
+  against the old state); then the over-deleted set is *rederived* set at a
+  time — each rule is asked once which of those facts it still derives from
+  the surviving ones (:func:`~repro.engine.fixpoint.rederivable`, one
+  head-restricted join per rule via
+  :meth:`~repro.engine.evaluation.RuleEvaluator.derivable`) and the
+  survivors are re-added together; and finally insertions propagate through
+  the ordinary semi-naive core
   (:func:`~repro.engine.fixpoint.propagate_delta`) shared with full
-  evaluation.
+  evaluation, which also brings back facts whose support was itself
+  rederived.
 
 Both algorithms propagate **signed** deltas through stratified negation.  A
 negated literal ``not N(t̄)`` is an indicator that flips when ``N`` changes,
@@ -46,7 +50,7 @@ A maintained fixpoint can additionally run **sharded**
 :class:`~repro.engine.sharding.ShardedFixpoint` and the build evaluates
 recursive strata with shard-parallel rounds, while every update phase fans
 its delta work out by home shard — counting pivots partition their overlay
-rows, overdeletion and rederivation partition their frontiers, and the
+rows, overdeletion and rederivation partition their fact sets, and the
 insertion cascade runs through the sharded round engine (parallel under a
 process executor).  The maintained result is extensionally identical either
 way; sharding partitions the work and keeps a
@@ -66,6 +70,7 @@ from repro.engine.fixpoint import (
     Strategy,
     evaluate_stratum,
     propagate_delta,
+    rederivable,
 )
 from repro.engine.limits import DEFAULT_LIMITS, EvaluationLimits
 from repro.errors import EvaluationError, MaintenanceUnsupportedError
@@ -863,7 +868,7 @@ class MaintainedFixpoint:
         relation's delta is final before this stratum runs.
 
         Sharded, each phase fans its frontier out by home shard —
-        overdeletion rounds and rederivation probes partition their fact
+        overdeletion rounds and the rederivation joins partition their fact
         sets, and the insertion cascade runs through the sharded round
         engine (parallel under a process executor).
         """
@@ -875,7 +880,7 @@ class MaintainedFixpoint:
         if self.sharding is not None and not negated_changed:
             # Worker-resident DRed: ship the stratum's delta (and the removal
             # seeds) to the resident workers, which run the overdeletion
-            # cascade and the rederivation probes against their partitions.
+            # cascade and the rederivation joins against their partitions.
             # Falls back to the parent-side phases below when the executor
             # declines (no resident workers, non-local stratum, tiny delta)
             # or when the delta flows through a negated literal — the worker
@@ -931,9 +936,9 @@ class MaintainedFixpoint:
             statistics.facts_derived += len(gained)
 
         # One semi-naive propagation finishes both halves of the update: the
-        # rederived facts re-support other over-deleted facts (whose one-shot
-        # probe may have run before their support came back) and the update's
-        # added facts derive genuinely new ones.
+        # rederived facts re-support other over-deleted facts (rederivation
+        # ran against the state without any of them) and the update's added
+        # facts derive genuinely new ones.
         seeds = changes.facts(changes.added, stratum.body_relation_names()) | rederived | gained
         if self.sharding is not None:
             rounds, inserted = self.sharding.propagate(
@@ -1128,43 +1133,24 @@ class MaintainedFixpoint:
         overdeleted: set[Fact],
         statistics: EvaluationStatistics,
     ) -> set[Fact]:
-        """Probe every over-deleted fact once for an alternative derivation.
+        """Re-add the over-deleted facts that still have a derivation.
 
-        Each attempt binds the head to the candidate fact and probes the
-        body against the current (post-deletion) state; a success re-adds
-        the fact immediately.  One sweep is enough: facts whose support only
-        comes back through a *later* rederivation are recovered by the
-        semi-naive propagation that follows (the rederived facts seed it),
-        so the sweep stays linear in the over-deletion instead of quadratic.
+        Set at a time (:func:`~repro.engine.fixpoint.rederivable`): every
+        rule is asked once which of the over-deleted facts it derives from
+        the post-deletion state, and the survivors are added afterwards, so
+        no answer depends on the order of asking.  One sweep is enough: a
+        fact whose support only comes back through another rederived fact is
+        recovered by the semi-naive propagation that follows (the rederived
+        facts seed it).
         """
         if not overdeleted:
             return set()
         statistics.maintenance_rounds += 1
-        by_head: dict[str, list[RuleEvaluator]] = {}
-        for evaluator in evaluators:
-            by_head.setdefault(evaluator.rule.head.name, []).append(evaluator)
         rederived: set[Fact] = set()
         for shard, part in self._frontier_parts(overdeleted):
             with self._shard_statistics(shard, statistics) as shard_stats:
-                for fact in part:
-                    for evaluator in by_head.get(fact.relation, ()):
-                        shard_stats.rederivation_attempts += 1
-                        initial = evaluator.head_valuations(fact)
-                        if not initial:
-                            continue
-                        derivation = next(
-                            iter(
-                                evaluator.derivations(
-                                    self.materialized,
-                                    initial_valuations=initial,
-                                    statistics=shard_stats,
-                                )
-                            ),
-                            None,
-                        )
-                        if derivation is not None:
-                            self.materialized.add_fact(fact)
-                            rederived.add(fact)
-                            break
+                rederived |= rederivable(evaluators, self.materialized, part, shard_stats)
+        for fact in rederived:
+            self.materialized.add_fact(fact)
         statistics.facts_derived += len(rederived)
         return rederived

@@ -64,6 +64,7 @@ from repro.engine.fixpoint import (
     ProgramEvaluators,
     _apply_rules_seminaive,
     evaluate_program,
+    rederivable,
 )
 from repro.engine.limits import DEFAULT_LIMITS, EvaluationLimits
 from repro.errors import EvaluationError
@@ -1038,28 +1039,9 @@ def _worker_dred(
     for fact in overdeleted:
         instance.discard_fact(fact, keep_empty=True)
 
-    by_head: "dict[str, list]" = {}
-    for evaluator in evaluators:
-        by_head.setdefault(evaluator.rule.head.name, []).append(evaluator)
-    rederived: "set[Fact]" = set()
-    for fact in overdeleted:
-        for evaluator in by_head.get(fact.relation, ()):
-            statistics.rederivation_attempts += 1
-            initial = evaluator.head_valuations(fact)
-            if not initial:
-                continue
-            derivation = next(
-                iter(
-                    evaluator.derivations(
-                        instance, initial_valuations=initial, statistics=statistics
-                    )
-                ),
-                None,
-            )
-            if derivation is not None:
-                instance.add_fact(fact)
-                rederived.add(fact)
-                break
+    rederived = rederivable(evaluators, instance, overdeleted, statistics)
+    for fact in rederived:
+        instance.add_fact(fact)
 
     outbound: WireEncoder = _WORKER["outbound"]
     over_blocks = _encode_fact_blocks(outbound, overdeleted)
@@ -2546,7 +2528,7 @@ class ShardedFixpoint:
         Routes the removed-fact seeds (replicated relations broadcast, the
         overdeletion pivot must run where the affected valuations live) and
         the per-shard pinned facts to the workers; each runs the cascade
-        and the rederivation probes against its resident partition.  The
+        and the rederivation joins against its resident partition.  The
         caller applies the returned facts to the authoritative instance
         only: every returned fact is a home row of the worker that reported
         it (local-mode strata never derive foreign rows), so the worker

@@ -13,12 +13,13 @@ the paper so the benchmark can verify the reproduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable
 
 from repro.fragments.fragment import Fragment, core_fragments
 from repro.fragments.subsumption import equivalence_classes, is_subsumed
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = [
     "EXPECTED_FIGURE1_CLASSES",
@@ -143,6 +144,8 @@ def _representative(members: Iterable[Fragment]) -> str:
 
 def _levels(graph: nx.DiGraph) -> dict[int, list[str]]:
     """Longest-path depth of each node from the bottom (for text rendering)."""
+    import networkx as nx
+
     depth: dict[str, int] = {}
     for node in nx.topological_sort(graph):
         predecessors = list(graph.predecessors(node))
@@ -155,6 +158,8 @@ def _levels(graph: nx.DiGraph) -> dict[int, list[str]]:
 
 def build_hasse_diagram(fragments: Iterable[Fragment] | None = None) -> HasseDiagram:
     """Compute the expressiveness Hasse diagram of *fragments* (default: Figure 1's sixteen)."""
+    import networkx as nx
+
     pool = list(fragments) if fragments is not None else core_fragments()
     classes = tuple(equivalence_classes(pool))
     representatives = {members: _representative(members) for members in classes}

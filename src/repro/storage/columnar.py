@@ -16,13 +16,17 @@ live here:
 * :class:`ColumnarView` — a packed, read-only view of one
   :class:`~repro.storage.relation.Relation` generation: one int array per
   argument position, the id-rows as tuples for random access, and id-space
-  variants of the relation's generation-invalidated indexes as
-  ``dict[int, array]`` groupings (``groups(position)`` maps the id at a
-  position to the indexes of the rows carrying it — the id-space analogue of
-  ``rows_with_path``).  Views are cached on the relation per
-  ``(table, generation)``; additions advance a view by its id rows
-  (:meth:`ColumnarView.extended`), anything else rebuilds it, mirroring the
-  lazy index refresh in :mod:`repro.storage.relation`.
+  variants of the relation's indexes as ``dict[int, array]`` groupings
+  (``groups(position)`` maps the id at a position to the indexes of the rows
+  carrying it — the id-space analogue of ``rows_with_path``), all built on
+  first use.  Views are cached on the relation per ``(table, generation)``,
+  and a new generation's view is the old one *advanced by the net delta*
+  (:meth:`ColumnarView.advanced`): rows added and rows removed patch the
+  membership set, the columns and the groupings the old view had built, so
+  a maintenance pass that changes a handful of rows of a large relation
+  interns and regroups only those.  Only what the relation's change log
+  cannot describe (a wholesale rewrite, an overflow, another term table)
+  packs a fresh view.
 
 Ids never leak past the engine: the resident semi-naive loop
 (:mod:`repro.engine.fixpoint`) keeps its deltas as id rows between rounds and
@@ -32,7 +36,8 @@ decodes each new row once, when it enters the relation; everything above
 """
 
 from array import array
-from typing import TYPE_CHECKING, Iterable, Iterator
+from itertools import count
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator
 
 from repro.model.terms import Path, as_path
 
@@ -205,6 +210,15 @@ class TermTable:
         self._splices = {}
 
 
+def _group_into(grouped: dict, pairs: "Iterable[tuple[int, int]]") -> None:
+    """Append each value of *pairs* to the ``array('q')`` bucket of its key."""
+    for key, value in pairs:
+        bucket = grouped.get(key)
+        if bucket is None:
+            grouped[key] = bucket = array("q")
+        bucket.append(value)
+
+
 class ColumnarView:
     """Packed id-space snapshot of one relation generation.
 
@@ -213,9 +227,10 @@ class ColumnarView:
     (:meth:`column`, one ``array('q')`` per argument position).
     :meth:`groups` materialises the id-space hash index for one position on
     first use; :attr:`id_row_set` does the same for membership tests
-    (negation, the fixpoint's known-row subtraction).  Instances are
-    snapshots — the owning relation swaps in a fresh view when its
-    generation changes.
+    (negation, fully bound join steps, the fixpoint's known-row
+    subtraction).  Instances are snapshots — when its generation changes the
+    owning relation swaps in the view :meth:`advanced` by the net delta,
+    which takes everything built so far with it.
     """
 
     __slots__ = (
@@ -228,39 +243,118 @@ class ColumnarView:
         "_last_groups",
         "_element_joins",
         "_row_set",
+        "_index",
     )
 
-    def __init__(self, id_rows: "list[tuple]", table: TermTable, row_set: "set | None" = None):
+    def __init__(self, id_rows: "list[tuple]", table: TermTable):
         self.table = table
         self.id_rows = id_rows
+        self._forget()
+
+    def _forget(self) -> None:
+        """Hold nothing but the rows; every structure below builds on first use."""
         self._columns: "dict[int, array]" = {}
         self._decomposed: "dict[int, list]" = {}
         self._groups: "dict[int, dict]" = {}
         self._first_groups: "dict[int, dict]" = {}
         self._last_groups: "dict[int, dict]" = {}
         self._element_joins: "dict[tuple, dict]" = {}
-        self._row_set = row_set
+        self._row_set: "set | None" = None
+        #: row → its index in :attr:`id_rows`; built by the first removal.
+        self._index: "dict[tuple, int] | None" = None
 
     def __len__(self) -> int:
         return len(self.id_rows)
 
-    def extended(self, id_rows: "list[tuple]") -> "ColumnarView":
-        """A fresh view holding this view's rows plus *id_rows*, sharing the work.
+    def advanced(
+        self, added: "list[tuple]", removed: "Collection[tuple]" = ()
+    ) -> "ColumnarView":
+        """The view one net delta on: this view's rows minus *removed* plus *added*.
 
-        The generation-advance fast path: a semi-naive round adds a small
-        delta to a large relation, and rebuilding the view would re-intern
-        every unchanged row.  *id_rows* must be disjoint from the rows held
-        (callers advance by rows they just inserted).  The membership set,
-        once built, *moves* to the new view and grows by the delta — this
-        view rebuilds its own if it is asked again — so advancing costs no
-        hashing pass over the relation; the lazy indexes are not carried
-        over and rebuild on first use against the extended row list.
+        The generation-advance path, in both directions: a maintenance pass
+        or a semi-naive round changes a handful of rows of a large relation,
+        and rebuilding the view would re-intern and regroup every unchanged
+        row.  *added* must be disjoint from the rows held and *removed* a
+        subset of them (callers advance by a net delta).  Everything built so
+        far — the membership set, the columns, every grouping — *moves* to
+        the new view and is patched by the delta, so advancing costs one copy
+        of the row list plus work proportional to the delta; this view stays
+        a valid snapshot and rebuilds whatever it is asked for again.
         """
-        row_set = self._row_set
-        if row_set is not None:
-            self._row_set = None
-            row_set.update(id_rows)
-        return ColumnarView(self.id_rows + id_rows, self.table, row_set)
+        view = ColumnarView(self.id_rows.copy(), self.table)
+        view._columns, view._decomposed = self._columns, self._decomposed
+        view._groups, view._element_joins = self._groups, self._element_joins
+        view._first_groups, view._last_groups = self._first_groups, self._last_groups
+        view._row_set, view._index = self._row_set, self._index
+        self._forget()  # what was built is the new view's alone from here on
+        if removed:
+            # Swap-removal moves rows: only what is keyed by row index
+            # position by position is patched, the element-level groupings
+            # are dropped and rebuild on first use.
+            view._first_groups = {}
+            view._last_groups = {}
+            view._element_joins = {}
+            for row in removed:
+                view._remove(row)
+            if not view.id_rows:
+                view._forget()  # emptied: the rows that follow may have another arity
+        if added:
+            view._extend(added)
+        return view
+
+    def _extend(self, added: "list[tuple]") -> None:
+        """Append the rows *added* and bring every built structure up to them."""
+        start = len(self.id_rows)
+        self.id_rows.extend(added)
+        if self._row_set is not None:
+            self._row_set.update(added)
+        if self._index is not None:
+            self._index.update(zip(added, count(start)))
+        for position, column in self._columns.items():
+            column.extend([row[position] for row in added])
+        elements = self.table.elements
+        for position, decomposed in self._decomposed.items():
+            decomposed.extend([elements(row[position]) for row in added])
+        for position, grouped in self._groups.items():
+            _group_into(grouped, self._whole_pairs(position, start))
+        for position, grouped in self._first_groups.items():
+            _group_into(grouped, self._element_pairs(position, 0, start))
+        for position, grouped in self._last_groups.items():
+            _group_into(grouped, self._element_pairs(position, -1, start))
+        for key, grouped in self._element_joins.items():
+            _group_into(grouped, self._join_pairs(*key, start))
+
+    def _remove(self, row: tuple) -> None:
+        """Drop the held *row*; the last row takes over its index.
+
+        The swap keeps row indexes dense, so columns and the whole-argument
+        groupings are patched in place (the caller has dropped the
+        element-level groupings).
+        """
+        id_rows = self.id_rows
+        index = self._index
+        if index is None:
+            index = self._index = dict(zip(id_rows, count()))
+        at = index.pop(row)
+        last = len(id_rows) - 1
+        moved = id_rows.pop()
+        if at != last:
+            id_rows[at] = moved
+            index[moved] = at
+        if self._row_set is not None:
+            self._row_set.discard(row)
+        for parallel in (*self._columns.values(), *self._decomposed.values()):
+            tail = parallel.pop()
+            if at != last:
+                parallel[at] = tail
+        for position, grouped in self._groups.items():
+            bucket = grouped[row[position]]
+            bucket.remove(at)
+            if not bucket:
+                del grouped[row[position]]
+            if at != last:
+                bucket = grouped[moved[position]]
+                bucket[bucket.index(last)] = at
 
     def column(self, position: int) -> array:
         """The packed int array of ids at *position*, one entry per row."""
@@ -284,17 +378,30 @@ class ColumnarView:
             self._decomposed[position] = decomposed
         return decomposed
 
+    # Each grouping is filled from ``(key, value)`` pairs over the rows from
+    # index *start* on: 0 when it is first built, the old row count when
+    # :meth:`_extend` patches it.
+
+    def _whole_pairs(self, position: int, start: int):
+        return zip(self.column(position)[start:], count(start))
+
+    def _element_pairs(self, position: int, end: int, start: int):
+        for index, parts in enumerate(self.decomposed(position)[start:], start):
+            if parts:
+                yield parts[end], index
+
+    def _join_pairs(self, position: int, length: int, key_index: int, emit_index: int, start: int):
+        atomic = self.table.atomic_flags
+        for parts in self.decomposed(position)[start:]:
+            if len(parts) == length and atomic[parts[emit_index]]:
+                yield parts[key_index], parts[emit_index]
+
     def groups(self, position: int) -> dict:
         """Id-space hash index: id at *position* → array of row indexes."""
         grouped = self._groups.get(position)
         if grouped is None:
-            grouped = {}
-            for index, ident in enumerate(self.column(position)):
-                bucket = grouped.get(ident)
-                if bucket is None:
-                    grouped[ident] = bucket = array("q")
-                bucket.append(index)
-            self._groups[position] = grouped
+            grouped = self._groups[position] = {}
+            _group_into(grouped, self._whole_pairs(position, 0))
         return grouped
 
     def first_groups(self, position: int) -> dict:
@@ -306,28 +413,16 @@ class ColumnarView:
         """
         grouped = self._first_groups.get(position)
         if grouped is None:
-            grouped = self._element_groups(position, 0)
-            self._first_groups[position] = grouped
+            grouped = self._first_groups[position] = {}
+            _group_into(grouped, self._element_pairs(position, 0, 0))
         return grouped
 
     def last_groups(self, position: int) -> dict:
         """Group rows by the *last element* id of the path at *position*."""
         grouped = self._last_groups.get(position)
         if grouped is None:
-            grouped = self._element_groups(position, -1)
-            self._last_groups[position] = grouped
-        return grouped
-
-    def _element_groups(self, position: int, index: int) -> dict:
-        grouped: dict = {}
-        for row_index, decomposed in enumerate(self.decomposed(position)):
-            if not decomposed:
-                continue
-            key = decomposed[index]
-            bucket = grouped.get(key)
-            if bucket is None:
-                grouped[key] = bucket = array("q")
-            bucket.append(row_index)
+            grouped = self._last_groups[position] = {}
+            _group_into(grouped, self._element_pairs(position, -1, 0))
         return grouped
 
     def element_join_groups(
@@ -343,23 +438,11 @@ class ColumnarView:
         the unary-reachability shape) degenerates to one dict lookup and an
         array extend per probe.
         """
-        cache_key = (position, length, key_index, emit_index)
-        grouped = self._element_joins.get(cache_key)
+        key = (position, length, key_index, emit_index)
+        grouped = self._element_joins.get(key)
         if grouped is None:
-            grouped = {}
-            atomic = self.table.atomic_flags
-            for decomposed in self.decomposed(position):
-                if len(decomposed) != length:
-                    continue
-                emitted = decomposed[emit_index]
-                if not atomic[emitted]:
-                    continue
-                key = decomposed[key_index]
-                bucket = grouped.get(key)
-                if bucket is None:
-                    grouped[key] = bucket = array("q")
-                bucket.append(emitted)
-            self._element_joins[cache_key] = grouped
+            grouped = self._element_joins[key] = {}
+            _group_into(grouped, self._join_pairs(*key, 0))
         return grouped
 
     @property

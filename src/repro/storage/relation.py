@@ -37,11 +37,18 @@ fixpoint loops (whose delta relations are rewritten wholesale every round)
 pay nothing; wholesale rewrites (:meth:`set_rows`, :meth:`clear`) and log
 overflow simply advance the *floor* below which changes are unknown, making
 :meth:`changes_since` answer ``None`` — "recompute instead".
+
+The same log keeps the relation's **columnar view** (:meth:`columnar`, the
+id-space form the compiled engine joins over) alive across generations:
+building a view starts the log, and a stale view advances by the net rows
+added and removed since it was cached instead of being rebuilt.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import count, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from repro.errors import ModelError
@@ -159,7 +166,7 @@ class Relation:
             self._columnar = ColumnarView(id_rows, table)  # type: ignore[arg-type]
             self._columnar_table = table
         elif self._columnar_table is table and self._columnar_generation == start:
-            self._columnar = self._columnar.extended(id_rows)  # type: ignore[union-attr]
+            self._columnar = self._columnar.advanced(id_rows)  # type: ignore[union-attr]
         else:
             return  # no current view to advance; columnar() catches up from the log
         self._columnar_generation = self._generation
@@ -222,9 +229,9 @@ class Relation:
             return None
         first: dict[tuple[Path, ...], bool] = {}
         last: dict[tuple[Path, ...], bool] = {}
-        for entry_generation, row, added in self._log:
-            if entry_generation <= generation:
-                continue
+        # Entries are appended in generation order: bisect to the mark.
+        start = bisect_right(self._log, generation, key=itemgetter(0))
+        for _, row, added in self._log[start:]:
             if row not in first:
                 first[row] = added
             last[row] = added
@@ -369,15 +376,15 @@ class Relation:
         """The packed id-space view of the current generation, against *table*.
 
         Cached per ``(table, generation)``.  A stale view against the same
-        table advances *incrementally* when the change log can prove the
-        drift was pure additions (a round of single :meth:`add` calls on a
-        large relation; :meth:`add_rows` advances the view itself): the new
-        view reuses the old view's id rows and interns only the added ones.
-        Removals, wholesale rewrites, or a different term table rebuild the
-        whole view, which is how a relation's terms first enter an instance's
-        id space.  Building a view turns the change log on, so long-lived
-        relations — a resident shard worker's partitions above all — take
-        the incremental path on every later generation bump.
+        table advances by the net delta the change log reports — rows added
+        *and* rows removed (:meth:`ColumnarView.advanced`; :meth:`add_rows`
+        advances the view itself) — so only the changed rows are interned and
+        every grouping the old view had built is patched, not rebuilt.  A
+        wholesale rewrite, a log overflow or a different term table rebuild
+        the whole view, which is how a relation's terms first enter an
+        instance's id space.  Building a view turns the change log on, so
+        long-lived relations — a maintained materialization, a resident shard
+        worker's partitions — advance on every later generation bump.
         """
         if self._columnar_table is table and self._columnar_generation == self._generation:
             return self._columnar  # type: ignore[return-value]
@@ -385,8 +392,11 @@ class Relation:
         changes = None
         if self._columnar is not None and self._columnar_table is table:
             changes = self.changes_since(self._columnar_generation)
-        if changes is not None and not changes[1]:
-            self._columnar = self._columnar.extended([intern_row(row) for row in changes[0]])
+        if changes is not None:
+            added, removed = changes
+            self._columnar = self._columnar.advanced(
+                [intern_row(row) for row in added], [intern_row(row) for row in removed]
+            )
         else:
             self.watch()
             self._columnar = ColumnarView([intern_row(row) for row in self._rows], table)

@@ -12,16 +12,62 @@ predicates only use EDB relation names.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import StratificationError, SyntaxSemanticError
 from repro.model.schema import Schema
 from repro.syntax.literals import Predicate
 from repro.syntax.rules import Rule
 
-__all__ = ["Stratum", "Program", "stratify_rules"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
+
+__all__ = ["Stratum", "Program", "stratify_rules", "strongly_connected_components"]
+
+
+def strongly_connected_components(
+    successors: "Mapping[str, Iterable[str]]",
+) -> "list[set[str]]":
+    """The strongly connected components of a directed graph (Tarjan, iterative).
+
+    *successors* maps a node to the nodes it has an edge to; a node named
+    only as a successor counts too.  Components come out callees first: a
+    component appears after every component it can reach.
+    """
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    components: list[set[str]] = []
+    for root in successors:
+        if root in index:
+            continue
+        work = [(root, iter(successors[root]))]
+        while work:
+            node, children = work[-1]
+            if node not in index:
+                index[node] = low[node] = len(index)
+                stack.append(node)
+                on_stack.add(node)
+            for child in children:
+                if child not in index:
+                    work.append((child, iter(successors.get(child, ()))))
+                    break
+                if child in on_stack:
+                    low[node] = min(low[node], index[child])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component: set[str] = set()
+                    while node not in component:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.add(member)
+                    components.append(component)
+    return components
 
 
 class Stratum:
@@ -198,50 +244,57 @@ class Program:
 
     # -- dependency graph and recursion -----------------------------------------------------------
 
+    def idb_dependencies(self) -> dict[str, dict[str, bool]]:
+        """The IDB dependency relation (footnote 2 of the paper), as plain dicts.
+
+        Maps every IDB relation name ``R1`` to ``{R2: negative}`` for each
+        IDB name ``R2`` occurring in the body of a rule whose head relation
+        is ``R1``; ``negative`` records whether some such occurrence is
+        negated.
+        """
+        idb = self.idb_relation_names()
+        dependencies: dict[str, dict[str, bool]] = {name: {} for name in idb}
+        for rule in self.rules():
+            callees = dependencies[rule.head.name]
+            for literal in rule.body:
+                if not literal.is_predicate():
+                    continue
+                name = literal.atom.name  # type: ignore[union-attr]
+                if name in idb:
+                    callees[name] = literal.negative or callees.get(name, False)
+        return dependencies
+
     def dependency_graph(self) -> nx.DiGraph:
-        """Return the IDB dependency graph (footnote 2 of the paper).
+        """Return :meth:`idb_dependencies` as a graph.
 
         Nodes are IDB relation names; there is an edge from ``R1`` to ``R2`` if
         ``R2`` occurs in the body of a rule whose head relation is ``R1``.
         Edges carry a ``negative`` attribute recording whether some such
         occurrence is negated.
         """
-        idb = self.idb_relation_names()
+        import networkx as nx
+
         graph = nx.DiGraph()
-        graph.add_nodes_from(idb)
-        for rule in self.rules():
-            head = rule.head.name
-            for literal in rule.body:
-                if not literal.is_predicate():
-                    continue
-                name = literal.atom.name  # type: ignore[union-attr]
-                if name not in idb:
-                    continue
-                negative = literal.negative or graph.get_edge_data(head, name, {}).get(
-                    "negative", False
-                )
+        for head, callees in self.idb_dependencies().items():
+            graph.add_node(head)
+            for name, negative in callees.items():
                 graph.add_edge(head, name, negative=negative)
         return graph
 
     def uses_recursion(self) -> bool:
         """Return ``True`` if the dependency graph has a cycle (the R feature)."""
-        graph = self.dependency_graph()
-        try:
-            nx.find_cycle(graph)
-        except nx.NetworkXNoCycle:
-            return False
-        return True
+        return bool(self.recursive_relation_names())
 
     def recursive_relation_names(self) -> frozenset[str]:
         """IDB relation names that participate in a dependency cycle."""
-        graph = self.dependency_graph()
+        dependencies = self.idb_dependencies()
         recursive: set[str] = set()
-        for component in nx.strongly_connected_components(graph):
+        for component in strongly_connected_components(dependencies):
             if len(component) > 1:
                 recursive.update(component)
             else:
-                node = next(iter(component))
-                if graph.has_edge(node, node):
+                (node,) = component
+                if node in dependencies[node]:
                     recursive.add(node)
         return frozenset(recursive)
 
@@ -329,32 +382,29 @@ def stratify_rules(rules: Sequence[Rule]) -> list[Stratum]:
     Raises :class:`StratificationError` when a cycle contains a negative edge.
     """
     idb = {rule.head.name for rule in rules}
-    graph = nx.DiGraph()
-    graph.add_nodes_from(idb)
+    #: (body relation, head relation) → negated somewhere: the body relation
+    #: must be computed no later than (strictly earlier, if negated) the head.
+    edges: dict[tuple[str, str], bool] = {}
     for rule in rules:
         head = rule.head.name
         for literal in rule.body:
             if not literal.is_predicate():
                 continue
             name = literal.atom.name  # type: ignore[union-attr]
-            if name not in idb:
-                continue
-            # Edge from the body relation to the head relation: the body
-            # relation must be computed no later than (strictly earlier, if
-            # negated) the head relation.
-            existing = graph.get_edge_data(name, head, default=None)
-            negative = literal.negative or (existing or {}).get("negative", False)
-            graph.add_edge(name, head, negative=negative)
+            if name in idb:
+                edges[name, head] = literal.negative or edges.get((name, head), False)
 
     # Reject cycles that contain a negative edge.
-    for component in nx.strongly_connected_components(graph):
-        if len(component) == 1:
-            node = next(iter(component))
-            if graph.has_edge(node, node) and graph[node][node].get("negative"):
-                raise StratificationError(f"relation {node!r} negatively depends on itself")
-            continue
-        for source, target, data in graph.edges(data=True):
-            if data.get("negative") and source in component and target in component:
+    successors: dict[str, list[str]] = {name: [] for name in idb}
+    for source, target in edges:
+        successors[source].append(target)
+    for component in strongly_connected_components(successors):
+        for (source, target), negative in edges.items():
+            if negative and source in component and target in component:
+                if len(component) == 1:
+                    raise StratificationError(
+                        f"relation {source!r} negatively depends on itself"
+                    )
                 raise StratificationError(
                     f"relations {sorted(component)} form a cycle through negation"
                 )
@@ -363,14 +413,14 @@ def stratify_rules(rules: Sequence[Rule]) -> list[Stratum]:
     level: dict[str, int] = {name: 0 for name in idb}
     changed = True
     iterations = 0
-    bound = max(1, len(idb)) * max(1, graph.number_of_edges() + 1)
+    bound = max(1, len(idb)) * (len(edges) + 1)
     while changed:
         changed = False
         iterations += 1
         if iterations > bound:
             raise StratificationError("stratification did not converge (negation cycle)")
-        for source, target, data in graph.edges(data=True):
-            required = level[source] + (1 if data.get("negative") else 0)
+        for (source, target), negative in edges.items():
+            required = level[source] + (1 if negative else 0)
             if level[target] < required:
                 level[target] = required
                 changed = True

@@ -11,7 +11,7 @@ relation name and no longer uses the I feature.
 
 from __future__ import annotations
 
-import networkx as nx
+from graphlib import TopologicalSorter
 
 from repro.errors import TransformationError
 from repro.fragments.features import Feature, program_features
@@ -112,11 +112,11 @@ def eliminate_intermediate_predicates(program: Program, output_relation: str) ->
 
     # Unfold relations from the output downwards: a relation may only be
     # unfolded once every relation whose definition mentions it has already
-    # been unfolded, otherwise its atoms would be reintroduced later.  The
-    # dependency graph has an edge R1 → R2 when R1's definition mentions R2,
-    # so a topological order of that graph processes callers before callees.
-    graph = program.dependency_graph()
-    order = [name for name in nx.topological_sort(graph) if name != output_relation]
+    # been unfolded, otherwise its atoms would be reintroduced later.  R1
+    # depends on R2 when R1's definition mentions R2; the sorter yields a
+    # relation after everything it depends on, so callers come first in reverse.
+    callees_first = TopologicalSorter(program.idb_dependencies()).static_order()
+    order = [name for name in reversed(list(callees_first)) if name != output_relation]
     for relation in order:
         rules = unfold_relation(rules, relation, fresh)
 

@@ -56,8 +56,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import networkx as nx
-
 from repro.analysis.adornment import Adornment, AdornedRule, adorn_program
 from repro.errors import (
     EvaluationError,
@@ -69,7 +67,7 @@ from repro.model.terms import Path, as_path
 from repro.syntax.expressions import PathVariable, Variable
 from repro.syntax.literals import Literal, Predicate, pos
 from repro.syntax.naming import FreshNames
-from repro.syntax.programs import Program
+from repro.syntax.programs import Program, strongly_connected_components
 from repro.syntax.rules import Rule
 from repro.transform.base import TransformationReport
 
@@ -219,11 +217,11 @@ def _check_termination(
     magic_rules: "list[tuple[Rule, str, str, Predicate, list[Literal]]]",
 ) -> None:
     """Reject magic rules that could expand path values along a recursion cycle."""
-    graph = nx.DiGraph()
+    successors: dict[str, set[str]] = {}
     for _, guard_name, head_name, _, _ in magic_rules:
-        graph.add_edge(guard_name, head_name)
+        successors.setdefault(guard_name, set()).add(head_name)
     component_of: dict[str, int] = {}
-    for index, component in enumerate(nx.strongly_connected_components(graph)):
+    for index, component in enumerate(strongly_connected_components(successors)):
         for node in component:
             component_of[node] = index
 

@@ -31,9 +31,8 @@ DESIGN.md for the scope discussion.
 
 from __future__ import annotations
 
+from graphlib import CycleError, TopologicalSorter
 from itertools import product
-
-import networkx as nx
 
 from repro.errors import TransformationError
 from repro.fragments.features import Feature, program_features
@@ -235,10 +234,9 @@ def flatten_rule(rule: Rule, flat_relations: frozenset[str], fresh: FreshNames |
 
 def _strata_by_relation(program: Program) -> list[tuple[str, list[Rule]]]:
     """Split a nonrecursive program into one stratum per IDB relation, callees first."""
-    graph = program.dependency_graph()
     try:
-        order = list(reversed(list(nx.topological_sort(graph))))
-    except nx.NetworkXUnfeasible as exc:  # pragma: no cover - guarded by caller
+        order = list(TopologicalSorter(program.idb_dependencies()).static_order())
+    except CycleError as exc:  # pragma: no cover - guarded by caller
         raise TransformationError("program is recursive") from exc
     rules_by_head: dict[str, list[Rule]] = {}
     for rule in program.rules():

@@ -9,12 +9,13 @@ of a successful branch is the composition of the substitutions along it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterator
 
 from repro.syntax.literals import Equation
 from repro.syntax.substitution import Substitution
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = ["SearchNode", "SearchTree"]
 
@@ -104,6 +105,8 @@ class SearchTree:
 
     def to_networkx(self) -> nx.DiGraph:
         """Export the tree as a directed graph (node labels are equation strings)."""
+        import networkx as nx
+
         graph = nx.DiGraph()
         counter = 0
 

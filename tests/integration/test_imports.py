@@ -1,0 +1,56 @@
+"""What a server or a library user imports stays free of ``networkx``.
+
+The graph library is a dependency of the helpers whose contract is an
+``nx.DiGraph`` (``Program.dependency_graph``, the Hasse diagram,
+``SearchTree.to_networkx``) and of nothing else: importing it costs every
+process that merely parses, evaluates and serves ≈0.2 s and ≈16 MB.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import repro
+
+SERVING_WITHOUT_NETWORKX = '''
+import sys
+
+sys.modules["networkx"] = None  # any import of it now raises ImportError
+
+import repro.service.http
+import repro.queries.canonical
+from repro import Fact, ProgramQuery, evaluate_program, parse_program
+from repro.io import instance_from_text
+
+program = parse_program("""
+    Blocked(@x) :- Blocklist(@x).
+    T(@x, @y) :- E(@x, @y), not Blocked(@y).
+    T(@x, @z) :- T(@x, @y), E(@y, @z), not Blocked(@z).
+""")
+assert program.uses_recursion() and len(program.strata) == 2
+instance = instance_from_text("E(a, b). E(b, c). E(c, d). E(b, e). Blocklist(e).")
+assert len(evaluate_program(program, instance).relation("T")) == 6
+
+query = ProgramQuery(program, {"E": 2, "Blocklist": 1}, "T", require_monadic=False)
+session = query.session(instance)
+assert len(session.run(binding={0: "b"}, mode="goal").output.relation("T")) == 2
+session.run()
+result = session.update([Fact("E", ("a", "e"))], [Fact("E", ("b", "c"))])
+assert result.maintained
+assert len(session.run().output.relation("T")) == 2
+print("served without networkx")
+'''
+
+
+def test_parsing_evaluating_and_serving_never_import_networkx():
+    source_root = str(Path(repro.__file__).resolve().parents[1])
+    finished = subprocess.run(
+        [sys.executable, "-c", SERVING_WITHOUT_NETWORKX],
+        env=dict(os.environ, PYTHONPATH=source_root),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert finished.returncode == 0, finished.stderr
+    assert finished.stdout.strip() == "served without networkx"

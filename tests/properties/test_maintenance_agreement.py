@@ -9,12 +9,21 @@ incremental-maintenance refactor, the analogue of
 ``test_fixpoint_agreement.py`` for the update path.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import MaintainedFixpoint, evaluate_program
+from repro.engine import (
+    EvaluationStatistics,
+    MaintainedFixpoint,
+    ProcessExecutor,
+    ShardedFixpoint,
+    evaluate_program,
+)
+from repro.io import instance_from_text
 from repro.model import Fact
 from repro.parser import parse_program
 from repro.queries import get_query
+from repro.storage import choose_sharding_plan
 from repro.workloads import (
     as_edge_pairs,
     random_graph_instance,
@@ -132,3 +141,160 @@ def test_session_answers_survive_update_streams(seed):
         served = session.run(binding={0: "a"})
         assert served.served_by == "maintained"
         assert served.output == query.run(current.copy(), binding={0: "a"}).output
+
+
+# -- directed retraction cases ---------------------------------------------------------
+#
+# Shapes of delete–rederive the random generators above do not reach.  Each
+# case is ``(program, base facts, update steps)``; a fact is written
+# ``"E(a, b)"`` and parsed like an instance file.
+
+DIRECTED_RETRACTIONS = {
+    # The second rule's head literal is also its body literal: an over-deleted
+    # T(a) must not count as its own support.
+    "tautological rule": (
+        """
+        T(@x) :- R(@x).
+        T(@x) :- T(@x).
+        """,
+        ["R(a)", "R(b)"],
+        [([], ["R(a)"]), (["R(a)"], ["R(b)"])],
+    ),
+    # b and c lie on a cycle: once E(a, b) goes, T(a, b) and T(a, c) are each
+    # other's only support, both over-deleted — neither may come back.
+    "support only from an over-deleted fact on a cycle": (
+        """
+        T(@x, @y) :- E(@x, @y).
+        T(@x, @z) :- T(@x, @y), E(@y, @z).
+        """,
+        ["E(a, b)", "E(b, c)", "E(c, b)", "E(d, a)"],
+        [([], ["E(a, b)"])],
+    ),
+    # T(a, b) survives through T(a, c), E(c, b); T(a, d) is derivable only
+    # from T(a, b), which is itself missing while rederivation is evaluated —
+    # it has to come back through the propagation that follows.
+    "support returns through a later rederivation": (
+        """
+        T(@x, @y) :- E(@x, @y).
+        T(@x, @z) :- T(@x, @y), E(@y, @z).
+        """,
+        ["E(a, b)", "E(a, c)", "E(c, b)", "E(b, d)", "E(d, e)"],
+        [([], ["E(a, b)"]), ([], ["E(c, b)"])],
+    ),
+    "constructing head": (
+        """
+        T(@x.@y) :- E(@x, @y).
+        T(@x.@z) :- T(@x.@y), E(@y, @z).
+        """,
+        ["E(a, b)", "E(a, c)", "E(c, b)", "E(b, d)", "E(d, b)"],
+        [([], ["E(a, b)"]), (["E(a, d)"], ["E(a, c)"])],
+    ),
+    "constant and repeated variable in an arity-3 head": (
+        """
+        P(@x, mark, @x) :- N(@x).
+        P(@y, mark, @y) :- P(@x, mark, @x), E(@x, @y).
+        """,
+        ["N(n0)", "E(n0, n1)", "E(n1, n2)", "E(n0, n2)", "E(n2, n3)", "E(n3, n1)"],
+        [([], ["E(n0, n1)"]), ([], ["E(n0, n2)"])],
+    ),
+    # The first rule lowers to an id-space plan, the second holds an equation
+    # and stays interpreted: one stratum, both ways of asking.
+    "equation beside a rule that lowers": (
+        """
+        T(@x, @y) :- E(@x, @y).
+        T(@x, @z) :- T(@x, @y), E(@y, $w), $w = @z.
+        """,
+        ["E(a, b)", "E(a, c)", "E(c, b)", "E(b, d)", "E(d, b)"],
+        [([], ["E(a, b)"]), ([], ["E(a, c)"])],
+    ),
+    # $x.$y cannot be destructured in id space (every split of a fact is a
+    # seed); S(a.b.c) keeps the support S(a), L(a, b.c) when S(a.b) goes.
+    "two path variables in one head component": (
+        """
+        S($x) :- R($x).
+        S($x.$y) :- S($x), L($x, $y).
+        """,
+        ["R(a)", "R(b)", "L(a, b)", "L(a.b, c)", "L(a, b.c)", "L(b, c)", "L(a.b.c, d)"],
+        [([], ["L(a, b)"]), ([], ["L(a, b.c)"])],
+    ),
+    "retraction and addition of one relation in one batch": (
+        """
+        T(@x, @y) :- E(@x, @y).
+        T(@x, @z) :- T(@x, @y), E(@y, @z).
+        """,
+        ["E(a, b)", "E(b, c)", "E(c, d)", "E(a, d)"],
+        [(["E(a, c)", "E(d, e)"], ["E(a, b)", "E(c, d)"]), (["E(c, d)"], ["E(a, c)", "E(a, d)"])],
+    ),
+}
+
+
+def _directed_case(name):
+    def facts(texts):
+        return list(instance_from_text("".join(f"{text}.\n" for text in texts)).facts())
+
+    program_text, base, steps = DIRECTED_RETRACTIONS[name]
+    return (
+        parse_program(program_text),
+        instance_from_text("".join(f"{text}.\n" for text in base)),
+        [(facts(additions), facts(retractions)) for additions, retractions in steps],
+    )
+
+
+def _retracted_through(program, base, steps, *, execution, sharding=None):
+    """``facts_retracted`` per step, checking every state against scratch."""
+    maintained = MaintainedFixpoint.evaluate(
+        program, base, execution=execution, sharding=sharding
+    )
+    current = base.copy()
+    retracted = []
+    for additions, retractions in steps:
+        statistics = EvaluationStatistics()
+        maintained.update(additions, retractions, statistics=statistics)
+        for fact in retractions:
+            current.discard_fact(fact)
+        for fact in additions:
+            current.add_fact(fact)
+        assert maintained.materialized == evaluate_program(program, current, execution=execution)
+        retracted.append(statistics.facts_retracted)
+    return retracted
+
+
+@pytest.mark.parametrize("name", DIRECTED_RETRACTIONS)
+def test_directed_retractions_agree_in_every_execution(name):
+    program, base, steps = _directed_case(name)
+    counts = {
+        execution: _retracted_through(program, base, steps, execution=execution)
+        for execution in EXECUTIONS
+    }
+    assert counts["scan"] == counts["indexed"] == counts["compiled"]
+    assert any(counts["scan"])  # every case retracts something
+
+
+def test_directed_retractions_agree_through_two_shards():
+    """The same cases with the over-deleted set split by home shard, and —
+    where the stratum's reads are worker-local — with overdeletion and
+    rederivation run by the resident shard workers themselves."""
+    ran_on_workers = set()
+    with ProcessExecutor(2, min_round_rows=0) as executor:
+        for name in DIRECTED_RETRACTIONS:
+            program, base, steps = _directed_case(name)
+            plan = choose_sharding_plan(program)
+            expected = _retracted_through(program, base, steps, execution="compiled")
+            in_parent = ShardedFixpoint(program, plan.spec(2), plan=plan)
+            assert _retracted_through(
+                program, base, steps, execution="compiled", sharding=in_parent
+            ) == expected
+            resident = ShardedFixpoint(program, plan.spec(2), executor, plan=plan)
+            worker_dred = resident.dred_stratum
+
+            def recording(*args, name=name, worker_dred=worker_dred):
+                outcome = worker_dred(*args)
+                if outcome is not None:
+                    ran_on_workers.add(name)
+                return outcome
+
+            resident.dred_stratum = recording
+            assert _retracted_through(
+                program, base, steps, execution="compiled", sharding=resident
+            ) == expected
+    assert len(ran_on_workers) >= 3

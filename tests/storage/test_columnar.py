@@ -1,0 +1,172 @@
+"""The columnar view of a relation advances by the delta, in both directions.
+
+A :class:`~repro.storage.Relation` keeps one id-space view alive across its
+generations: additions and removals patch what the view has built instead of
+rebuilding it.  Whatever the relation went through, the advanced view must
+be indistinguishable from one built from scratch over the current rows.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from repro.model import Instance, Path
+from repro.storage import ColumnarView, Relation, TermTable
+
+PATHS = [
+    Path(elements)
+    for elements in [(), ("a",), ("b",), ("c",), ("a", "b"), ("b", "a"), ("a", "b", "c")]
+]
+ROWS = st.tuples(st.sampled_from(PATHS), st.sampled_from(PATHS))
+#: What a step may ask the live view to build (and the check then compares).
+STRUCTURES = ("row_set", "columns", "groups", "element_groups", "element_joins")
+
+STEPS = st.lists(
+    st.tuples(
+        st.one_of(
+            st.tuples(st.just("add"), ROWS),
+            st.tuples(st.just("discard"), ROWS),
+            st.tuples(st.just("add_rows"), st.sets(ROWS, min_size=1, max_size=4)),
+        ),
+        st.sets(st.sampled_from(STRUCTURES)),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+def rows_by_key(view, grouped):
+    """A grouping of row indexes as ``key → set of id rows``."""
+    return {key: {view.id_rows[index] for index in bucket} for key, bucket in grouped.items()}
+
+
+def assert_same(view, relation, table, structures):
+    """*view* against a view rebuilt over the relation's current rows."""
+    rebuilt = ColumnarView([table.intern_row(row) for row in relation.rows], table)
+    assert len(view.id_rows) == len(rebuilt.id_rows) == len(view)
+    assert set(view.id_rows) == set(rebuilt.id_rows)
+    if "row_set" in structures:
+        assert view.id_row_set == rebuilt.id_row_set
+    for position in (0, 1):
+        if "columns" in structures:
+            assert list(view.column(position)) == [row[position] for row in view.id_rows]
+            assert view.decomposed(position) == [
+                table.elements(row[position]) for row in view.id_rows
+            ]
+        if "groups" in structures:
+            assert rows_by_key(view, view.groups(position)) == rows_by_key(
+                rebuilt, rebuilt.groups(position)
+            )
+        if "element_groups" in structures:
+            for grouping in ("first_groups", "last_groups"):
+                assert rows_by_key(view, getattr(view, grouping)(position)) == rows_by_key(
+                    rebuilt, getattr(rebuilt, grouping)(position)
+                )
+        if "element_joins" in structures:
+            joined = view.element_join_groups(position, 2, 0, -1)
+            expected = rebuilt.element_join_groups(position, 2, 0, -1)
+            assert {key: sorted(bucket) for key, bucket in joined.items()} == {
+                key: sorted(bucket) for key, bucket in expected.items()
+            }
+
+
+@given(steps=STEPS)
+@settings(max_examples=150, deadline=None)
+def test_the_advanced_view_equals_a_rebuilt_one_after_every_step(steps):
+    table = Instance().term_table()
+    relation = Relation()
+    relation.columnar(table)
+    for (verb, argument), structures in steps:
+        if verb == "add":
+            relation.add(argument)
+        elif verb == "discard":
+            relation.discard(argument)
+        else:
+            fresh = argument - relation.rows
+            if fresh:
+                relation.add_rows(fresh, [table.intern_row(row) for row in fresh], table)
+        assert_same(relation.columnar(table), relation, table, structures)
+    assert_same(relation.columnar(table), relation, table, STRUCTURES)
+
+
+def test_a_removal_keeps_what_was_built_and_the_old_snapshot():
+    table = Instance().term_table()
+    relation = Relation([(path, PATHS[1]) for path in PATHS])
+    view = relation.columnar(table)
+    known, grouped = view.id_row_set, view.groups(1)
+    view.first_groups(0)
+    relation.discard((PATHS[0], PATHS[1]))
+    relation.discard((PATHS[4], PATHS[1]))
+    advanced = relation.columnar(table)
+    assert advanced is not view
+    assert advanced.id_row_set is known and advanced.groups(1) is grouped  # moved, then patched
+    assert_same(advanced, relation, table, STRUCTURES)
+    # the view it advanced from still describes the rows it was built over
+    assert len(view) == len(PATHS) and view.id_row_set == set(view.id_rows)
+    assert rows_by_key(view, view.groups(1)) == {table.intern(PATHS[1]): set(view.id_rows)}
+
+
+def test_a_relation_refilled_at_another_arity_starts_its_view_over():
+    table = Instance().term_table()
+    relation = Relation([(PATHS[1], PATHS[2])])
+    relation.columnar(table).groups(1)
+    relation.discard((PATHS[1], PATHS[2]))
+    relation.add((PATHS[3],))
+    view = relation.columnar(table)
+    assert view.id_rows == [table.intern_row((PATHS[3],))]
+    assert rows_by_key(view, view.groups(0)) == {table.intern(PATHS[3]): set(view.id_rows)}
+
+
+def test_a_batch_past_the_log_limit_falls_back_to_a_rebuild(monkeypatch):
+    monkeypatch.setattr(Relation, "LOG_LIMIT", 4)
+    table = Instance().term_table()
+    relation = Relation([(PATHS[0], PATHS[0])])
+    known = relation.columnar(table).id_row_set
+    # seven rows and no id rows: the view is left stale and the log is voided
+    relation.add_rows({(path, PATHS[1]) for path in PATHS})
+    view = relation.columnar(table)
+    assert view.id_row_set is not known  # nothing carried over
+    assert_same(view, relation, table, STRUCTURES)
+
+
+def test_a_second_term_table_gets_a_view_of_its_own():
+    table, other = Instance().term_table(), TermTable([PATHS[6], PATHS[5]])
+    relation = Relation([(path, PATHS[1]) for path in PATHS])
+    first = relation.columnar(table)
+    relation.discard((PATHS[2], PATHS[1]))
+    second = relation.columnar(other)
+    assert second.table is other and second is not first
+    assert_same(second, relation, other, STRUCTURES)
+    assert_same(relation.columnar(table), relation, table, STRUCTURES)  # and back: rebuilt again
+
+
+@given(
+    operations=st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from(("add", "discard")), ROWS),
+            st.tuples(st.just("rewrite"), st.sets(ROWS, max_size=3)),
+        ),
+        max_size=40,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_changes_since_is_the_net_difference_from_every_mark(operations):
+    """Bisecting to the mark answers what replaying the whole log would: the
+    difference between the rows now and the rows at the mark, with a row's
+    alternating operations netted out — and ``None`` below the floor a
+    wholesale rewrite leaves."""
+    relation = Relation()
+    relation.watch()
+    states = {relation.generation: frozenset()}
+    floor = relation.generation
+    for verb, argument in operations:
+        if verb == "rewrite":
+            relation.set_rows(argument)
+            floor = relation.generation
+        else:
+            getattr(relation, verb)(argument)
+        states[relation.generation] = frozenset(relation.rows)
+    now = frozenset(relation.rows)
+    for mark, rows in states.items():
+        if mark < floor:
+            assert relation.changes_since(mark) is None
+        else:
+            assert relation.changes_since(mark) == (now - rows, rows - now)
