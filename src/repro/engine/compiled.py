@@ -1,11 +1,11 @@
 """Compiled id-space rule execution (``execution="compiled"``).
 
-This is the hot-path backend beneath the bound-aware planner: a rule whose
-literals fall in the *compilable fragment* lowers once into a
-:class:`CompiledRule`.  Applying one runs hash joins over the dense integer
-ids of a per-instance :class:`~repro.storage.columnar.TermTable` instead of
-threading :class:`~repro.engine.valuation.Valuation` dictionaries through
-per-row interpreter loops:
+This is the hot-path backend beneath the bound-aware planner: every safe
+rule lowers once into a :class:`CompiledRule` (:func:`lower_rule`).
+Applying one runs hash joins over the dense integer ids of a per-instance
+:class:`~repro.storage.columnar.TermTable` instead of threading
+:class:`~repro.engine.valuation.Valuation` dictionaries through per-row
+interpreter loops:
 
 * intermediate valuations are plain tuples of ints (one slot per variable
   bound so far), extended by tuple concatenation instead of dict copies;
@@ -18,7 +18,16 @@ per-row interpreter loops:
   iff its id carries the atomic flag (mirroring
   :func:`repro.engine.match.match_expression` semantics), and a single
   ``$x`` binds the spliced middle as its own interned id;
-* negated literals become id-row membership tests against the columnar
+* an equation is a step without a source (:class:`_Equation`).  Once the
+  steps before it have put both of its sides in registers it — or its
+  negation — is a *filter*: both sides are constructed like a head and
+  compared as ids, which interning makes path equality.  A positive
+  equation with one side in registers is a *binding step*: that side is
+  constructed, and its path matched against the other side by the split
+  plan of :mod:`repro.engine.match` — the one implementation of choice
+  points — whose new bindings are interned
+  (:meth:`~repro.engine.match.MatchPlan.extend_id_rows`);
+* negated predicates become id-row membership tests against the columnar
   row set of the instance relation;
 * the head stage returns the *set of head id rows*
   (:meth:`CompiledRule.head_rows`); the resident semi-naive loop of
@@ -27,14 +36,21 @@ per-row interpreter loops:
   :func:`decode_rows` for callers that traffic in
   :class:`~repro.model.instance.Fact` objects.
 
-The compilable fragment: no equations; every positive body component is a
-lone variable, ground, or a sequence of atoms/atom-variables/ground-packed
-items with at most one path variable; head and negated components are the
-same but with any number of (bound) path variables, since they construct
-rather than match.  Rules outside the fragment do not compile;
-:class:`~repro.engine.evaluation.RuleEvaluator` transparently falls back to
-the indexed interpreter for them, so ``execution="compiled"`` is always
-exactly answer-equivalent to ``"indexed"``/``"scan"``.
+What lowers: the whole language.  A body component a join step can take
+apart deterministically — a lone variable, a ground path, or a sequence of
+atoms, atom variables and ground packed items around at most one path
+variable — is matched by the step's own ops.  Any other positive component
+(``R($u·$s·$v)``, a repeated ``$x``, a packed item holding variables) is
+normalised in the paper's own spirit: the step binds the whole argument to a
+fresh variable and a binding equation takes it apart.  Heads, negated
+predicates and bound equation sides only *construct*, with any number of
+path variables and with packing built from variables
+(:meth:`~repro.storage.columnar.TermTable.pack`).  Only an unsafe rule does
+not lower, and :func:`lower_rule` returns the registered reason
+(:mod:`repro.engine.reasons`) instead of a plan; it is kept as
+:attr:`~repro.engine.evaluation.RuleEvaluator.lowering_refusal`.
+``execution="compiled"`` is exactly answer-equivalent to
+``"indexed"``/``"scan"``, which the agreement suites sweep.
 
 Frontier dictionaries (semi-naive deltas, the telescoped maintenance joins)
 are honoured position-by-position: each body step sources its relation from
@@ -42,23 +58,27 @@ are honoured position-by-position: each body step sources its relation from
 the interpreter.
 """
 
+from collections import Counter
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import Optional, Sequence
 
 from repro.engine.limits import DEFAULT_LIMITS, EvaluationLimits
-from repro.model.instance import Fact, Instance
-from repro.model.terms import Packed, Path
-from repro.storage.columnar import ColumnarView
-from repro.syntax.expressions import (
-    AtomVariable,
-    PackedExpression,
-    PathExpression,
-    PathVariable,
+from repro.engine.match import lower_pattern
+from repro.engine.reasons import (
+    LOWERING_UNSAFE_EQUATION,
+    LOWERING_UNSAFE_HEAD,
+    LOWERING_UNSAFE_NEGATION,
+    reason,
 )
-from repro.syntax.literals import Literal, Predicate
+from repro.model.instance import Fact, Instance
+from repro.model.terms import Packed
+from repro.storage.columnar import ColumnarView
+from repro.syntax.expressions import AtomVariable, PathExpression, PathVariable
+from repro.syntax.literals import Equation, Literal, Predicate
+from repro.syntax.rules import bind_equations
 
-__all__ = ["CompiledRule", "compile_rule", "decode_rows"]
+__all__ = ["CompiledRule", "compile_rule", "decode_rows", "lower_rule"]
 
 # Candidate-check op tags (first tuple element of every op):
 _LEN = 0  # (0, pos, n, exact)        — length of the path at pos
@@ -75,20 +95,16 @@ _PLOCAL = 10  # (10, pos, start, from_end, new_index)
 _PFREE = 11  # (11, pos, start, from_end)          — bind the spliced middle
 
 
-def _classify(component: PathExpression, *, binding_only: bool):
-    """Classify one component, or ``None`` if outside the fragment.
-
-    *binding_only* components (head, negations) construct a path from bound
-    variables, so any number of path variables is fine; matching components
-    destructure, which is only deterministic with at most one.
-    """
+def _classify(component: PathExpression):
+    """One component as ``(kind, payload)``: a lone variable, a constant, or a
+    sequence of parts — constants ``c``, atom variables ``a``, path variables
+    ``p`` and packed sub-components ``k`` (themselves classified)."""
     items = component.items
     if len(items) == 1 and isinstance(items[0], (AtomVariable, PathVariable)):
         return ("var", items[0])
     if component.is_ground():
         return ("const", component.ground_path())
     parts = []
-    path_vars = 0
     for item in items:
         if isinstance(item, str):
             parts.append(("c", item))
@@ -96,14 +112,27 @@ def _classify(component: PathExpression, *, binding_only: bool):
             parts.append(("a", item))
         elif isinstance(item, PathVariable):
             parts.append(("p", item))
-            path_vars += 1
-        elif isinstance(item, PackedExpression) and item.inner.is_ground():
+        elif item.inner.is_ground():
             parts.append(("c", Packed(item.inner.ground_path())))
         else:
-            return None
-    if path_vars > 1 and not binding_only:
-        return None
+            parts.append(("k", _classify(item.inner)))
     return ("seq", tuple(parts))
+
+
+def _destructures(kind, payload) -> bool:
+    """Whether a join step can take the component apart without a choice point.
+
+    Constructing (head, negation, the bound side of an equation) works for
+    any component; destructuring a stored row is only deterministic with at
+    most one path-variable occurrence and nothing to match inside a packed
+    value.  :func:`lower_rule` turns any other matched component into a
+    binding equation, whose :class:`~repro.engine.match.MatchPlan` has the
+    choice points.
+    """
+    if kind != "seq":
+        return True
+    kinds = [part_kind for part_kind, _ in payload]
+    return "k" not in kinds and kinds.count("p") <= 1
 
 
 def _component_variables(kind, payload):
@@ -111,7 +140,9 @@ def _component_variables(kind, payload):
         yield payload
     elif kind == "seq":
         for part_kind, part in payload:
-            if part_kind != "c":
+            if part_kind == "k":
+                yield from _component_variables(*part)
+            elif part_kind != "c":
                 yield part
 
 
@@ -164,42 +195,106 @@ class _Constraint:
         self.components = components
 
 
+class _Equation:
+    """One (non)equation: its sides as constructed components and as patterns.
+
+    With both sides in registers it is a filter on their ids — interning is
+    canonical, so id equality is path equality.  A positive equation with
+    one side in registers binds the variables of the other: the bound side
+    is constructed, and its path matched against the open side's
+    :class:`~repro.engine.match.MatchPlan`, lowered once per bound-variable
+    set the join orders reach (:attr:`plans`).
+    """
+
+    __slots__ = ("literal", "atom", "positive", "sides", "components", "variables", "keep", "plans")
+
+    def __init__(self, literal: Literal):
+        self.literal = literal
+        #: What :func:`~repro.syntax.rules.bind_equations` reads of a literal.
+        self.atom = literal.atom
+        self.positive = literal.positive
+        self.sides = self.atom.sides
+        self.components = tuple(_classify(side) for side in self.sides)
+        self.variables = tuple(side.variables() for side in self.sides)
+        #: The variables something else in the rule mentions (set by
+        #: :func:`lower_rule`); binding any other would only be interning.
+        self.keep: frozenset = frozenset()
+        #: (index of the open side, its bound variables) → lowered pattern.
+        self.plans: dict = {}
+
+    def apply(self, rows: list, slots: dict, table, limits):
+        """Run the equation over the register *rows*; ``(rows, variables appended)``.
+
+        With both sides bound the rows are filtered on the ids the two sides
+        construct; otherwise (positive, one side bound — the join order
+        guarantees it) the bound side's id is matched against the open side
+        and every match appends the open side's new variables.
+        """
+        left, right = (variables <= slots.keys() for variables in self.variables)
+        if left and right:
+            spec = _target_spec(self.components, slots, table)
+            rows = [
+                current
+                for current, (lhs, rhs) in zip(rows, _target_rows(spec, rows, table))
+                if (lhs == rhs) is self.positive
+            ]
+            limits.check_derivations(len(rows))
+            return rows, ()
+        known, opened = (0, 1) if left else (1, 0)
+        bound = self.variables[opened].intersection(slots)
+        plan = self.plans.get((opened, bound))
+        if plan is None:
+            plan = self.plans[opened, bound] = lower_pattern((self.sides[opened],), bound)
+        spec = _component_spec(*self.components[known], slots, table)
+        return plan.extend_id_rows(
+            rows, _target_column(*spec, rows, table), slots, table, limits, self.keep
+        )
+
+
+def _component_spec(kind, payload, slots: dict, table) -> tuple:
+    """Resolve one constructed component to its ``(tag, payload)`` id recipe."""
+    if kind == "const":
+        return (0, table.intern(payload))
+    if kind == "var":
+        return (1, slots[payload])
+    parts = []
+    for part_kind, part in payload:
+        if part_kind == "c":
+            parts.append((0, table.element(part)))
+        elif part_kind == "k":
+            parts.append((3, _component_spec(*part, slots, table)))
+        else:
+            parts.append((1, slots[part]))
+    return (2, tuple(parts))
+
+
 def _target_spec(components: tuple, slots: dict, table) -> tuple:
     """Resolve constructed components to ``(tag, payload)`` id recipes."""
-    intern = table.intern
-    spec = []
-    for kind, payload in components:
-        if kind == "const":
-            spec.append((0, intern(payload)))
-        elif kind == "var":
-            spec.append((1, slots[payload]))
-        else:
-            parts = tuple(
-                (0, intern(Path((part,)))) if part_kind == "c" else (1, slots[part])
-                for part_kind, part in payload
-            )
-            spec.append((2, parts))
-    return tuple(spec)
+    return tuple(_component_spec(kind, payload, slots, table) for kind, payload in components)
 
 
-def _target_rows(spec: tuple, rows: list, concat):
-    """The id row *spec* constructs from each register row of *rows*, in order.
+def _target_column(tag, payload, rows: list, table):
+    """The id one recipe constructs from each register row of *rows*, in order.
 
-    Built column by column (constants repeated, registers picked with
-    ``itemgetter``, sequences zipped into ``concat``), so the per-row work is
-    C-level iteration plus one memoised ``concat`` call per sequence.
+    Constants are repeated, registers picked with ``itemgetter``, sequences
+    zipped into the memoised ``concat`` and packed parts mapped through the
+    memoised ``pack``, so the per-row work is C-level iteration plus one
+    table call per sequence or packing.
     """
+    if tag == 0:
+        return repeat(payload, len(rows))
+    if tag == 1:
+        return map(itemgetter(payload), rows)
+    if tag == 3:
+        return map(table.pack, _target_column(*payload, rows, table))
+    return map(table.concat, zip(*[_target_column(*part, rows, table) for part in payload]))
+
+
+def _target_rows(spec: tuple, rows: list, table):
+    """The id row *spec* constructs from each register row of *rows*, in order."""
     if not spec:
         return repeat((), len(rows))
-
-    def column(tag, payload):
-        if tag == 0:
-            return repeat(payload, len(rows))
-        if tag == 1:
-            return map(itemgetter(payload), rows)
-        return map(concat, zip(*[column(*part) for part in payload]))
-
-    return zip(*[column(*component) for component in spec])
+    return zip(*[_target_column(*component, rows, table) for component in spec])
 
 
 def _project(rows: list, slots: list) -> set:
@@ -230,7 +325,10 @@ class CompiledRule:
     atomicity, splice cuts) at compile time; the join *order* is chosen
     greedily from the live relation sizes — smallest probeable source first,
     mirroring the bound-aware planner's heuristic in id space — and cached
-    per delta position until a source changes its size regime.
+    per delta position until a source changes its size regime.  Equations
+    have no source: each runs as soon as the steps before it have bound one
+    of its sides (:func:`~repro.syntax.rules.bind_equations`), a nonequality
+    as soon as they have bound both.
     """
 
     __slots__ = (
@@ -239,12 +337,15 @@ class CompiledRule:
         "head_vars",
         "head_step",
         "steps",
+        "equations",
         "negations",
         "_head_index",
         "_orders",
     )
 
-    def __init__(self, head_name, head_components, steps, negations, head_step=None):
+    def __init__(
+        self, head_name, head_components, steps, negations, head_step=None, equations=()
+    ):
         #: frontier key → (cardinality signature, step order).
         self._orders: dict = {}
         self.head_name = head_name
@@ -254,6 +355,7 @@ class CompiledRule:
         #: component holds two path variables and cannot destructure.
         self.head_step = head_step
         self.steps = steps
+        self.equations = equations
         self.negations = negations
         # The distinct head variables in first-appearance order: result rows
         # are projected onto them (and deduplicated) before a constructing
@@ -310,7 +412,7 @@ class CompiledRule:
                 resolved = []
                 for part_kind, part in parts:
                     if part_kind == "c":
-                        resolved.append((0, intern(Path((part,)))))
+                        resolved.append((0, table.element(part)))
                     else:
                         slot = slots.get(part)
                         if slot is None:
@@ -323,7 +425,7 @@ class CompiledRule:
 
                 def emit_element(index, part_kind, part):
                     if part_kind == "c":
-                        eid = intern(Path((part,)))
+                        eid = table.element(part)
                         ops.append((_ECONST, position, index, eid))
                         return (0, eid)
                     slot = slots.get(part)
@@ -409,25 +511,24 @@ class CompiledRule:
 
     # -- execution ------------------------------------------------------------------------
 
-    def _join_order(self, sizes: "list[int]", bound: tuple = ()) -> "tuple[int, ...]":
-        """Greedy order of the steps, starting from the *bound* variables:
-        prefer a step that can probe a hash grouping, breaking ties towards
-        the smallest source."""
-        pending = list(range(len(self.steps)))
+    def _join_order(self, sizes: dict, bound: tuple = ()) -> tuple:
+        """Greedy order of the steps and equations, starting from the *bound*
+        variables: prefer a step that can probe a hash grouping, breaking
+        ties towards the smallest source (*sizes*, per step), and run every
+        equation the variables bound so far reach before the next step."""
+        pending = list(self.steps)
+        equations = list(self.equations)
         bound_vars: set = set(bound)
-        order = []
+        order = bind_equations(equations, bound_vars)
         while pending:
             best = min(
                 pending,
-                key=lambda index: (
-                    0 if self.steps[index].probeable(bound_vars) else 1,
-                    sizes[index],
-                ),
+                key=lambda step: (0 if step.probeable(bound_vars) else 1, sizes[step]),
             )
             order.append(best)
             pending.remove(best)
-            for kind, payload in self.steps[best].components:
-                bound_vars.update(_component_variables(kind, payload))
+            bound_vars |= best.variables
+            order += bind_equations(equations, bound_vars)
         return tuple(order)
 
     def _join(
@@ -435,9 +536,10 @@ class CompiledRule:
     ):
         """Run the body; ``(result rows, variable → register slot)`` or ``None``.
 
-        With *head_view* — a view of head id rows — the join is restricted to
+        Steps and equations run in the cached :meth:`_join_order`.  With
+        *head_view* — a view of head id rows — the join is restricted to
         those heads: :attr:`head_step` leads, reading only that view, and the
-        body steps run with the head's variables bound.
+        body runs with the head's variables bound.
         """
         table = instance.term_table()
         atomic = table.atomic_flags
@@ -446,7 +548,7 @@ class CompiledRule:
 
         # Resolve every step's source relation (honouring the frontier) and
         # its columnar view up front; any empty source means no derivations.
-        views = []
+        views = {}
         for step in self.steps:
             source = instance
             if frontier is not None and step.position in frontier:
@@ -456,7 +558,7 @@ class CompiledRule:
                 return None
             if storage.arity() != step.arity:
                 return None
-            views.append(storage.columnar(table))
+            views[step] = storage.columnar(table)
 
         # The join order is cached per frontier key and reused while every
         # source stays in its power-of-two size bucket — the same regime rule
@@ -464,7 +566,7 @@ class CompiledRule:
         key = tuple(sorted(frontier)) if frontier else ()
         if head_view is not None:
             key = ("head",)
-        signature = tuple(len(view.id_rows).bit_length() for view in views)
+        signature = tuple(len(view.id_rows).bit_length() for view in views.values())
         cached = self._orders.get(key)
         if cached is not None and cached[0] == signature:
             order = cached[1]
@@ -472,22 +574,31 @@ class CompiledRule:
                 statistics.plan_cache_hits += 1
         else:
             order = self._join_order(
-                [len(view.id_rows) for view in views],
+                {step: len(view.id_rows) for step, view in views.items()},
                 self.head_vars if head_view is not None else (),
             )
             self._orders[key] = (signature, order)
             if statistics is not None:
                 statistics.plans_compiled += 1
-        ordered = [(self.steps[index], views[index]) for index in order]
         if head_view is not None:
-            ordered.insert(0, (self.head_step, head_view))
+            order = (self.head_step, *order)
+            views[self.head_step] = head_view
         slots: dict = {}
 
         max_derivations = limits.max_derivations_per_rule
         rows: list = [()]
         width = 0
 
-        for step, view in ordered:
+        for step in order:
+            if step.__class__ is _Equation:
+                rows, frees = step.apply(rows, slots, table, limits)
+                if not rows:
+                    return None
+                for offset, variable in enumerate(frees):
+                    slots[variable] = width + offset
+                width += len(frees)
+                continue
+            view = views[step]
             if step.variables <= slots.keys():
                 # Nothing left to bind: the step is a membership test on the
                 # view's row set, one attempt per current row — no group
@@ -498,7 +609,7 @@ class CompiledRule:
                     statistics.extension_attempts += len(rows)
                 rows = [
                     current
-                    for current, target in zip(rows, _target_rows(spec, rows, concat))
+                    for current, target in zip(rows, _target_rows(spec, rows, table))
                     if target in members
                 ]
                 if not rows:
@@ -741,7 +852,7 @@ class CompiledRule:
             spec = _target_spec(negation.components, slots, table)
             rows = [
                 current
-                for current, target in zip(rows, _target_rows(spec, rows, concat))
+                for current, target in zip(rows, _target_rows(spec, rows, table))
                 if target not in members
             ]
             if not rows:
@@ -796,7 +907,7 @@ class CompiledRule:
         table = instance.term_table()
         spec = _target_spec(self.head_components, self._head_index, table)
         keys = list(_project(rows, [slots[variable] for variable in self.head_vars]))
-        return set(_target_rows(spec, keys, table.concat))
+        return set(_target_rows(spec, keys, table))
 
     def derive(
         self,
@@ -814,53 +925,81 @@ class CompiledRule:
         }
 
 
-def compile_rule(head: Predicate, order: Sequence[Literal]) -> Optional[CompiledRule]:
-    """Compile *head* ``:-`` *order* into id-space form, or ``None``.
+def lower_rule(head: Predicate, order: Sequence[Literal]) -> "CompiledRule | str":
+    """Lower *head* ``:-`` *order* into id-space form, or say why not.
 
     *order* is the rule's static body order (the frontier position space of
     :class:`~repro.engine.evaluation.RuleEvaluator`); step positions index
-    into it.  Returns ``None`` when any literal falls outside the compilable
-    fragment — the caller then keeps the interpreted path for this rule.
+    into it.  Every literal of the language lowers; what comes back as a
+    string is a registered reason (:mod:`repro.engine.reasons`) naming a
+    variable no positive predicate or equation binds — the caller then keeps
+    the interpreted path, which raises on such a rule when it is evaluated.
     """
     steps = []
     negations = []
-    positive_vars: set = set()
+    equations = []
     for position, literal in enumerate(order):
+        atom = literal.atom
         if literal.is_equation():
-            return None
-        predicate = literal.atom
-        components = []
-        for component in predicate.components:
-            classified = _classify(component, binding_only=not literal.positive)
-            if classified is None:
-                return None
-            components.append(classified)
-        if literal.positive:
-            steps.append(_Step(position, predicate, tuple(components)))
-            for kind, payload in components:
-                positive_vars.update(_component_variables(kind, payload))
-        else:
-            negations.append(_Constraint(predicate, tuple(components)))
+            equations.append(_Equation(literal))
+            continue
+        components = [_classify(component) for component in atom.components]
+        if not literal.positive:
+            negations.append(_Constraint(atom, tuple(components)))
+            continue
+        for index, component in enumerate(atom.components):
+            if not _destructures(*components[index]):
+                # Outside the deterministic fragment: the step binds the whole
+                # argument to a fresh variable (no parsed name holds a "#") and
+                # a binding equation takes it apart.
+                whole = PathVariable(f"#{position}.{index}")
+                components[index] = ("var", whole)
+                equations.append(
+                    _Equation(Literal(Equation(PathExpression((whole,)), component)))
+                )
+        steps.append(_Step(position, atom, tuple(components)))
 
-    for negation in negations:
-        for kind, payload in negation.components:
-            for variable in _component_variables(kind, payload):
-                if variable not in positive_vars:
-                    return None
+    # Safety: the limited variables are those of the steps, closed under the
+    # equations in binding order.
+    limited: set = set()
+    for step in steps:
+        limited |= step.variables
+    stuck = list(equations)
+    bind_equations(stuck, limited)
+    if stuck:
+        return reason(LOWERING_UNSAFE_EQUATION, f"no side of {stuck[0].literal} becomes bound")
+    negated = [literal for literal in order if literal.negative and literal.is_predicate()]
+    constructed = [(LOWERING_UNSAFE_NEGATION, literal) for literal in negated]
+    constructed.append((LOWERING_UNSAFE_HEAD, head))
+    for code, literal in constructed:
+        unlimited = sorted(map(str, literal.variables() - limited))
+        if unlimited:
+            return reason(code, f"{', '.join(unlimited)} of {literal} not limited")
 
-    head_components = []
-    for component in head.components:
-        classified = _classify(component, binding_only=True)
-        if classified is None:
-            return None
-        for variable in _component_variables(*classified):
-            if variable not in positive_vars:
-                return None
-        head_components.append(classified)
+    head_components = tuple(_classify(component) for component in head.components)
     head_step = None
-    if all(_classify(component, binding_only=False) for component in head.components):
-        head_step = _Step(-1, head, tuple(head_components))
+    if all(_destructures(*classified) for classified in head_components):
+        head_step = _Step(-1, head, head_components)
+
+    # A binding equation interns only what another literal (or the head) reads.
+    mentions = Counter(head.variables())
+    for step in steps:
+        mentions.update(step.variables)
+    for literal in negated:
+        mentions.update(literal.variables())
+    for equation in equations:
+        mentions.update(equation.atom.variables())
+    for equation in equations:
+        equation.keep = frozenset(
+            variable for variable in equation.atom.variables() if mentions[variable] > 1
+        )
 
     return CompiledRule(
-        head.name, tuple(head_components), tuple(steps), tuple(negations), head_step
+        head.name, head_components, tuple(steps), tuple(negations), head_step, tuple(equations)
     )
+
+
+def compile_rule(head: Predicate, order: Sequence[Literal]) -> Optional[CompiledRule]:
+    """:func:`lower_rule`, with ``None`` for a rule that does not lower."""
+    lowered = lower_rule(head, order)
+    return lowered if isinstance(lowered, CompiledRule) else None

@@ -17,13 +17,16 @@ its literals in a *join order*.  Three execution modes are supported:
   consults the storage layer's indexes (exact tuple, exact argument path,
   ground first atom, fixed argument length — see :mod:`repro.storage`) to
   prune the candidate rows before falling back to associative matching;
-* ``"compiled"`` — the default (``DEFAULT_EXECUTION = "compiled"``): rules in
-  the simple fragment (no equations, at most one path variable per matched
-  argument) are lowered once to id-space hash-join plans over interned terms
-  (:mod:`repro.engine.compiled`, :mod:`repro.storage.columnar`); a rule
-  outside the fragment — and every :meth:`RuleEvaluator.derivations` stream
-  — runs as in indexed mode, and a stratum holding such a rule keeps its
-  fixpoint loop on facts (:mod:`repro.engine.fixpoint`).
+* ``"compiled"`` — the default (``DEFAULT_EXECUTION = "compiled"``): every
+  safe rule is lowered once to an id-space plan over interned terms — hash
+  joins for the predicates, id filters and split-plan binding steps for the
+  equations (:mod:`repro.engine.compiled`, :mod:`repro.storage.columnar`) —
+  and a stratum of such rules keeps its semi-naive loop in id space
+  (:mod:`repro.engine.fixpoint`).  What still runs as in indexed mode is
+  every :meth:`RuleEvaluator.derivations` stream (counting maintenance needs
+  one valuation per derivation), a ``negative_sources`` override, the
+  rederivation of a head with two path variables in one component, and a
+  rule that does not lower — :attr:`RuleEvaluator.lowering_refusal` says why.
 
 All modes enumerate exactly the same derivations; the indexed mode merely
 attempts far fewer row matches than scan (the ``extension_attempts``
@@ -39,7 +42,7 @@ from __future__ import annotations
 from typing import Collection, Iterable, Iterator, Sequence
 from typing import Literal as TypingLiteral
 
-from repro.engine.compiled import compile_rule
+from repro.engine.compiled import lower_rule
 from repro.engine.limits import DEFAULT_LIMITS, EvaluationLimits
 from repro.engine.match import MatchPlan, lower_pattern
 from repro.engine.valuation import Valuation
@@ -48,7 +51,7 @@ from repro.model.instance import Fact, Instance
 from repro.storage import EMPTY_ROWS
 from repro.syntax.expressions import AtomVariable, PathExpression, PathVariable, Variable
 from repro.syntax.literals import Equation, Literal, Predicate
-from repro.syntax.rules import Rule
+from repro.syntax.rules import Rule, bind_equations
 
 __all__ = [
     "DEFAULT_EXECUTION",
@@ -61,9 +64,9 @@ __all__ = [
 ]
 
 #: How predicate extensions source their candidate rows: ``"compiled"`` lowers
-#: simple rules to id-space hash joins over interned terms
-#: (:mod:`repro.engine.compiled`) and behaves exactly like ``"indexed"`` for
-#: everything that does not compile; ``"indexed"`` prunes through the storage
+#: rules to id-space joins over interned terms (:mod:`repro.engine.compiled`)
+#: and behaves exactly like ``"indexed"`` for what stays on valuations (see
+#: the module docstring); ``"indexed"`` prunes through the storage
 #: indexes under a bound-aware greedy plan; ``"scan"`` is the seed
 #: nested-loop strategy, kept as the oracle of the agreement sweeps.
 ExecutionMode = TypingLiteral["indexed", "scan", "compiled"]
@@ -102,23 +105,11 @@ def plan_body_order(rule: Rule) -> list[Literal]:
     for literal in positive_predicates:
         bound.update(literal.variables())
 
-    ordered_equations: list[Literal] = []
-    pending = list(positive_equations)
-    while pending:
-        progressed = False
-        for literal in list(pending):
-            equation: Equation = literal.atom  # type: ignore[assignment]
-            left_bound = equation.lhs.variables() <= bound
-            right_bound = equation.rhs.variables() <= bound
-            if left_bound or right_bound:
-                ordered_equations.append(literal)
-                bound.update(equation.variables())
-                pending.remove(literal)
-                progressed = True
-        if not progressed:
-            raise UnsafeRuleError(
-                f"cannot order the equations of rule {rule}: no side becomes fully bound"
-            )
+    ordered_equations = bind_equations(positive_equations, bound)
+    if positive_equations:
+        raise UnsafeRuleError(
+            f"cannot order the equations of rule {rule}: no side becomes fully bound"
+        )
 
     return positive_predicates + ordered_equations + negatives
 
@@ -658,11 +649,16 @@ class RuleEvaluator:
         self.limits = limits
         self.execution: ExecutionMode = execution
         self.order = plan_body_order(rule)
-        #: The id-space plan (compiled mode only); ``None`` when the rule
-        #: falls outside the simple fragment and stays interpreted.
+        #: The id-space plan (compiled mode only) — every safe rule has one —
+        #: or, beside it, the registered reason the rule stays interpreted.
         self.compiled_plan = None
+        self.lowering_refusal: "str | None" = None
         if execution == "compiled":
-            self.compiled_plan = compile_rule(rule.head, self.order)
+            lowered = lower_rule(rule.head, self.order)
+            if isinstance(lowered, str):
+                self.lowering_refusal = lowered
+            else:
+                self.compiled_plan = lowered
         #: Positions (in the planned order) of positive body predicates, by relation name.
         self.predicate_positions: dict[str, list[int]] = {}
         for position, literal in enumerate(self.order):
@@ -858,10 +854,11 @@ class RuleEvaluator:
     ) -> set[Fact]:
         """Evaluate the rule once against *instance* (optionally delta-restricted).
 
-        In compiled mode, rules in the simple fragment run their id-space
-        plan (:class:`~repro.engine.compiled.CompiledRule`); the rest — and
-        every :meth:`derivations` stream, which needs per-valuation support —
-        take the interpreted path, so answers are identical across modes.
+        In compiled mode a rule runs its id-space plan
+        (:class:`~repro.engine.compiled.CompiledRule`); a rule that did not
+        lower — and every :meth:`derivations` stream, which needs
+        per-valuation support — takes the interpreted path, so answers are
+        identical across modes.
         A *negative_sources* override always interprets: the compiled plan's
         negation membership tests are baked against the live instance.
         """

@@ -15,9 +15,8 @@ Two fixpoint strategies are provided:
 
 Orthogonally, rule bodies run in one of three execution modes (see
 :mod:`repro.engine.evaluation`, whose ``DEFAULT_EXECUTION = "compiled"`` is
-what runs when the caller names none): ``"compiled"`` (id-space hash joins
-for the rules that lower, the indexed interpreter for a rule with an equation
-or with two path variables in one matched argument), ``"indexed"``
+what runs when the caller names none): ``"compiled"`` (id-space joins —
+every safe rule lowers, equations and all), ``"indexed"``
 (bound-aware greedy planning over the storage layer's indexes) or ``"scan"``
 (the seed nested-loop strategy).  All combinations produce the same result;
 ``benchmarks/bench_engine_scaling.py`` and
@@ -31,7 +30,8 @@ id tuples, the rows the head relation already holds are subtracted from its
 columnar view's row set, each genuinely new row is decoded to paths exactly
 once — where it enters the relation, which is also where the path-length
 limit is checked — and the next round's delta view is built from those same
-id rows.  A stratum with at least one interpreted rule, the ``naive``
+id rows.  Under ``"compiled"`` that is every stratum of a safe program
+(31 of the 31 rules of :mod:`repro.queries.canonical` lower).  The ``naive``
 strategy, the ``"indexed"`` and ``"scan"`` modes and the sharded loops of
 :mod:`repro.engine.sharding` keep the delta as a set of
 :class:`~repro.model.instance.Fact` objects in one long-lived instance whose

@@ -19,13 +19,25 @@ flat list of ops over a register file:
   real choice point; when the item after it is a constant, a bound variable
   or a ground packed value, the candidate ends are found by scanning for the
   next occurrence of that anchor instead of trying every split;
-* bindings accumulate in the register list, and one :class:`Valuation` is
-  built per *surviving* match (trusted constructor, trusted path slices).
+* bindings accumulate in the register list; what is read back out of it,
+  and when, is the driver's business.
+
+A plan has two drivers over the one walk (:func:`_walk`).
+:meth:`MatchPlan.match` is the object-space one: registers are loaded from a
+:class:`Valuation`, and one :class:`Valuation` is built per *surviving* match
+(trusted constructor, trusted path slices).
+:meth:`MatchPlan.extend_id_rows` is the id-space one, run by the binding
+equations of :mod:`repro.engine.compiled`: registers are loaded from the ids
+of a register row through the term table, each new binding that the rest of
+the rule reads is interned, and the result is a list of extended id rows —
+no :class:`Valuation`, no dict, and no second implementation of ``SPLIT`` /
+``REST`` / ``PACKED``.
 
 :class:`~repro.engine.evaluation.RuleEvaluator` caches the plans per
-``(pattern, bound variables)``; :func:`match_expression`,
-:func:`match_components` and :func:`match_fact` lower on every call and are
-meant for tests and one-off matches.
+``(pattern, bound variables)``, a lowered equation per open side and bound
+variables; :func:`match_expression`, :func:`match_components` and
+:func:`match_fact` lower on every call and are meant for tests and one-off
+matches.
 """
 
 from __future__ import annotations
@@ -110,6 +122,60 @@ class MatchPlan:
                 else:
                     extended[variable] = row[index]
             yield Valuation._from_trusted(extended)
+
+    def extend_id_rows(
+        self, rows: list, targets, slots: dict, table, limits, keep: "Collection[Variable]"
+    ) -> "tuple[list, list]":
+        """Match the one-expression pattern against an id per register row.
+
+        The id-space twin of :meth:`match` for
+        :class:`~repro.engine.compiled.CompiledRule`: *rows* are its register
+        tuples (ids of *table*, a :class:`~repro.storage.columnar.TermTable`),
+        *slots* maps each variable the plan was lowered for to its index in
+        them, and *targets* yields, row by row, the id of the path the
+        pattern must denote.  The walk is :func:`_walk` over the decoded
+        paths; of a surviving match only the bindings of the variables in
+        *keep* are interned and appended — the rest occur nowhere else in
+        the rule, so the rows that differ only in them collapse, and with
+        nothing to keep a row's first match ends its walk.  Returns
+        the extended rows and the variables appended to them, in order;
+        ``limits.check_derivations`` counts the matches as they are found.
+        """
+        paths = table.paths
+        intern = table.intern
+        element = table.element
+        loads = [(slot, slots[variable], is_path) for variable, slot, is_path in self.loads]
+        kept = [bind for bind in self.binds if bind[0] in keep]
+        binds = [(source, index) for _, source, index in kept]
+        ops = self.ops
+        registers: list = [None] * self.width
+        counted = limits.max_derivations_per_rule is not None
+        out: list = []
+        for current, target in zip(rows, targets):
+            for slot, source, is_path in loads:
+                elements = paths[current[source]]._elements
+                registers[slot] = elements if is_path else elements[0]
+            for _ in _walk(ops, 0, (paths[target],), (), 0, 0, registers):
+                out.append(
+                    current
+                    + tuple(
+                        [
+                            intern(Path._from_trusted(registers[index]))
+                            if source == _FROM_SLICE
+                            else element(registers[index])
+                            if source == _FROM_ATOM
+                            else target
+                            for source, index in binds
+                        ]
+                    )
+                )
+                if counted:
+                    limits.check_derivations(len(out))
+                if not binds:
+                    break  # nothing is read back: one match is as good as all
+        if len(kept) < len(self.binds):
+            out = list(dict.fromkeys(out))
+        return out, [variable for variable, _, _ in kept]
 
 
 def _walk(

@@ -52,6 +52,12 @@ Codes
     The service registry evicted a session of the tenant generating the
     most shed work (admission pressure) in preference to the global LRU
     victim, keeping well-behaved tenants resident under a hostile load.
+``lowering_unsafe_head`` / ``lowering_unsafe_negation`` / ``lowering_unsafe_equation``
+    Why a rule has no id-space plan
+    (:attr:`~repro.engine.evaluation.RuleEvaluator.lowering_refusal`): a
+    variable of the head, or of a negated predicate, is bound by no positive
+    predicate or equation, or no side of an equation ever becomes bound.
+    Every safe rule lowers; these name what makes a rule unsafe.
 """
 
 from repro.errors import EvaluationBudgetExceeded
@@ -66,6 +72,9 @@ SNAPSHOT_UNSUPPORTED = "snapshot_unsupported"
 TENANT_CAPACITY = "tenant_capacity"
 SERVICE_CAPACITY = "service_capacity"
 ADMISSION_PRESSURE = "admission_pressure"
+LOWERING_UNSAFE_HEAD = "lowering_unsafe_head"
+LOWERING_UNSAFE_NEGATION = "lowering_unsafe_negation"
+LOWERING_UNSAFE_EQUATION = "lowering_unsafe_equation"
 
 #: Every code the engine may emit.  Closed by test: an emitted reason whose
 #: code is not listed here fails ``tests/engine/test_reasons.py``.
@@ -81,6 +90,9 @@ REASON_CODES = frozenset(
         TENANT_CAPACITY,
         SERVICE_CAPACITY,
         ADMISSION_PRESSURE,
+        LOWERING_UNSAFE_HEAD,
+        LOWERING_UNSAFE_NEGATION,
+        LOWERING_UNSAFE_EQUATION,
     }
 )
 

@@ -309,12 +309,20 @@ class Instance:
 
     def is_flat(self) -> bool:
         """Return ``True`` if no packed value occurs anywhere in the instance."""
-        return all(fact.is_flat() for fact in self.facts())
+        return all(
+            path.is_flat()
+            for stored in self._relations.values()
+            for row in stored.rows
+            for path in row
+        )
 
     def is_classical(self) -> bool:
         """Return ``True`` if every argument path is a single atomic value."""
         return all(
-            path.is_atomic() for fact in self.facts() for path in fact.paths
+            path.is_atomic()
+            for stored in self._relations.values()
+            for row in stored.rows
+            for path in row
         )
 
     def schema(self) -> Schema:

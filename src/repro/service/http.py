@@ -213,7 +213,10 @@ async def _read_request(
             break
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    declared = headers.get("content-length") or "0"
+    if not declared.isascii() or not declared.isdigit():  # also refuses "-1", "+1", "1e3"
+        raise ServiceError(400, "bad_request", f"malformed Content-Length {declared!r}")
+    length = int(declared)
     if length > MAX_BODY_BYTES:
         raise ServiceError(413, "payload_too_large", f"body of {length} bytes refused")
     body: "dict | None" = None

@@ -39,7 +39,7 @@ from array import array
 from itertools import count
 from typing import TYPE_CHECKING, Collection, Iterable, Iterator
 
-from repro.model.terms import Path, as_path
+from repro.model.terms import Packed, Path, as_path
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.model.terms import Value
@@ -65,6 +65,7 @@ class TermTable:
         "_element_ids",
         "_concat",
         "_splices",
+        "_packs",
     )
 
     def __init__(self, paths: "Iterable[Path | Value]" = ()):
@@ -79,6 +80,7 @@ class TermTable:
         self._element_ids: dict = {}
         self._concat: dict[tuple, int] = {}
         self._splices: dict[tuple, int] = {}
+        self._packs: dict[int, int] = {}
         for path in paths:
             self.intern(as_path(path))
 
@@ -140,17 +142,26 @@ class TermTable:
         """
         cached = self._elements.get(ident)
         if cached is None:
-            element_ids = self._element_ids
-            out = []
-            for element in self._paths[ident].elements:
-                eid = element_ids.get(element)
-                if eid is None:
-                    eid = element_ids[element] = self.intern(
-                        Path._from_trusted((element,))
-                    )
-                out.append(eid)
-            cached = tuple(out)
+            values = self._paths[ident].elements
+            try:  # every value seen before: the common case, no call per value
+                cached = tuple([self._element_ids[value] for value in values])
+            except KeyError:
+                cached = tuple(map(self.element, values))
             self._elements[ident] = cached
+        return cached
+
+    def element(self, value: "Value") -> int:
+        """The id of the length-one path holding *value* (an atom or a packed value)."""
+        eid = self._element_ids.get(value)
+        if eid is None:
+            eid = self._element_ids[value] = self.intern(Path._from_trusted((value,)))
+        return eid
+
+    def pack(self, ident: int) -> int:
+        """The id of ``⟨p⟩`` as a length-one path, for the path *p* named by *ident*."""
+        cached = self._packs.get(ident)
+        if cached is None:
+            cached = self._packs[ident] = self.element(Packed(self._paths[ident]))
         return cached
 
     def concat(self, parts: tuple) -> int:
@@ -208,6 +219,7 @@ class TermTable:
         self._element_ids = {}
         self._concat = {}
         self._splices = {}
+        self._packs = {}
 
 
 def _group_into(grouped: dict, pairs: "Iterable[tuple[int, int]]") -> None:

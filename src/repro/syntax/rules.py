@@ -20,7 +20,41 @@ from repro.syntax.expressions import PathExpression, Variable
 from repro.syntax.literals import Atom, Equation, Literal, Predicate, pos
 from repro.syntax.substitution import Substitution
 
-__all__ = ["Rule", "rule", "fact_rule"]
+__all__ = ["Rule", "rule", "fact_rule", "bind_equations"]
+
+
+def bind_equations(pending: "list[Literal]", bound: "set[Variable]") -> "list[Literal]":
+    """Move the equations *bound* reaches out of *pending*, in the order it reaches them.
+
+    A positive equation can be evaluated once every variable of one side is
+    in *bound*, and then limits the variables of its other side (rule 2 of
+    the limited variables); a nonequality once all of its variables are.
+    Each equation taken adds its variables to *bound*, which may reach
+    further ones.  Both arguments are updated in place: what is left in
+    *pending* has no side within *bound*, so for a safe rule and the
+    variables of its positive predicates nothing is left.  Only ``positive``
+    and ``atom`` are read of each entry, so a lowered equation that carries
+    both is ordered like its literal.
+
+    This is the one ordering of equations: the limited variables below, the
+    static body order of :func:`repro.engine.evaluation.plan_body_order`,
+    the join order of :class:`repro.engine.compiled.CompiledRule` and the
+    elimination order of Lemma 4.5 (:mod:`repro.transform.equations`).
+    """
+    ordered: list[Literal] = []
+    progressed = True
+    while pending and progressed:
+        progressed = False
+        for literal in list(pending):
+            equation: Equation = literal.atom  # type: ignore[assignment]
+            left = equation.lhs.variables() <= bound
+            right = equation.rhs.variables() <= bound
+            if (left or right) if literal.positive else (left and right):
+                ordered.append(literal)
+                pending.remove(literal)
+                bound.update(equation.variables())
+                progressed = True
+    return ordered
 
 
 def _as_literal(item: "Literal | Atom") -> Literal:
@@ -140,19 +174,10 @@ class Rule:
         limited: set[Variable] = set()
         for predicate in self.positive_predicates():
             limited.update(predicate.variables())
-        equations = list(self.positive_equations())
-        changed = True
-        while changed:
-            changed = False
-            for equation in equations:
-                left_vars = equation.lhs.variables()
-                right_vars = equation.rhs.variables()
-                if left_vars <= limited and not right_vars <= limited:
-                    limited.update(right_vars)
-                    changed = True
-                if right_vars <= limited and not left_vars <= limited:
-                    limited.update(left_vars)
-                    changed = True
+        bind_equations(
+            [literal for literal in self._body if literal.positive and literal.is_equation()],
+            limited,
+        )
         return frozenset(limited)
 
     def is_safe(self) -> bool:

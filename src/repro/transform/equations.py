@@ -26,7 +26,7 @@ from repro.syntax.expressions import PathExpression, Variable
 from repro.syntax.literals import Equation, Literal, Predicate
 from repro.syntax.naming import FreshNames
 from repro.syntax.programs import Program, Stratum
-from repro.syntax.rules import Rule
+from repro.syntax.rules import Rule, bind_equations
 
 __all__ = [
     "eliminate_positive_equations",
@@ -50,20 +50,11 @@ def _equation_binding_order(rule: Rule) -> list[Literal]:
     pending = [
         literal for literal in rule.body if literal.positive and literal.is_equation()
     ]
-    ordered: list[Literal] = []
-    while pending:
-        progressed = False
-        for literal in list(pending):
-            equation: Equation = literal.atom  # type: ignore[assignment]
-            if equation.lhs.variables() <= bound or equation.rhs.variables() <= bound:
-                ordered.append(literal)
-                bound.update(equation.variables())
-                pending.remove(literal)
-                progressed = True
-        if not progressed:
-            raise TransformationError(
-                f"cannot order the positive equations of rule {rule}; is the rule safe?"
-            )
+    ordered = bind_equations(pending, bound)
+    if pending:
+        raise TransformationError(
+            f"cannot order the positive equations of rule {rule}; is the rule safe?"
+        )
     return ordered
 
 

@@ -328,8 +328,13 @@ def random_positive_program(
     an output relation ``S``; every rule draws its body predicates from the
     EDB and *strictly earlier* IDB relations, except for self-recursive rules
     that strip an atom from their own relation — so every program terminates
-    on every instance.  Used by the property-based tests to check that all
-    fixpoint strategies and execution modes agree on arbitrary programs.
+    on every instance.  Besides plain predicates the shapes cover the
+    equation forms of Section 2.2 — a filter between bound variables, an
+    equation that binds by splitting around a constant, a nonequality
+    between atomic variables (the one negated literal drawn: it negates no
+    relation) — and a path variable repeated inside one component.  Used by
+    the property-based tests to check that all fixpoint strategies and
+    execution modes agree on arbitrary programs.
     """
     from repro.parser.parser import parse_program
 
@@ -338,7 +343,7 @@ def random_positive_program(
     for index in range(1, derived):
         head = f"S{index}"
         sources = [relation] + [f"S{j}" for j in range(index)]
-        shape = generator.randrange(5)
+        shape = generator.randrange(9)
         first = generator.choice(sources)
         letter = generator.choice(list(alphabet))
         if shape == 0:
@@ -351,10 +356,20 @@ def random_positive_program(
             # Concatenate the EDB with an earlier IDB (keeps sizes bounded by
             # |EDB| per chain step, unlike squaring an IDB against itself).
             lines.append(f"{head}($x.$y) :- {relation}($x), {first}($y.{letter}).")
-        else:
+        elif shape == 4:
             # A shrinking self-recursion on top of a copied base relation.
             lines.append(f"{head}($x) :- {first}($x).")
             lines.append(f"{head}($x) :- {head}({letter}.$x).")
+        elif shape == 5:
+            # An equation both of whose sides are bound when it is reached.
+            lines.append(f"{head}($y) :- {first}($x), {relation}($y), $x = $y.{letter}.")
+        elif shape == 6:
+            # A binding equation: every split of $x around the letter.
+            lines.append(f"{head}($u.$v) :- {first}($x), $x = $u.{letter}.$v.")
+        elif shape == 7:
+            lines.append(f"{head}(@a.$x) :- {first}(@a.$x.@b), @a != @b.")
+        else:
+            lines.append(f"{head}($x.$y) :- {first}($x.$y.$x).")
     lines.append(f"S($x) :- S{derived - 1}($x).")
     return parse_program("\n".join(lines))
 

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import Valuation, match_components, match_expression, match_fact
+from repro.engine.limits import DEFAULT_LIMITS
+from repro.engine.match import lower_pattern
 from repro.errors import EvaluationError
 from repro.model import EPSILON, Fact, Packed, Path, pack, path
 from repro.parser import parse_expression
+from repro.storage.columnar import TermTable
 from repro.syntax import (
     AtomVariable,
     PackedExpression,
@@ -188,6 +191,39 @@ def test_plan_matcher_agrees_with_brute_force(case):
         assert Counter(map(Valuation, expected)) == Counter(
             match_expression(expressions[0], paths[0], partial)
         )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_match_cases(), st.sets(st.sampled_from(VARIABLES)))
+def test_id_space_driver_agrees_with_the_valuation_matcher(case, dropped):
+    """``MatchPlan.extend_id_rows`` (what a lowered binding equation runs) finds
+    the matches of ``MatchPlan.match``: same walk, ids in and ids out, and the
+    variables outside *keep* projected away with the duplicates they leave."""
+    (expression, *_), (concrete, *_), partial = case
+    partial = partial.restricted(expression.variables())
+    table = TermTable()
+    bound = list(partial)
+    slots = {variable: index for index, variable in enumerate(bound)}
+    row = tuple(table.intern(partial.path_of(variable)) for variable in bound)
+    plan = lower_pattern((expression,), frozenset(bound))
+    keep = expression.variables() - dropped
+    rows, appended = plan.extend_id_rows(
+        [row], [table.intern(concrete)], slots, table, DEFAULT_LIMITS, keep
+    )
+    assert set(appended) == keep - set(bound) and len(set(appended)) == len(appended)
+    assert all(found[: len(row)] == row for found in rows)
+    names = bound + appended
+    found = [
+        frozenset(zip(names, (table.path(ident) for ident in extended))) for extended in rows
+    ]
+    expected = [
+        frozenset((variable, valuation.path_of(variable)) for variable in names)
+        for valuation in match_expression(expression, concrete, partial)
+    ]
+    if keep >= expression.variables():
+        assert Counter(found) == Counter(expected)
+    else:
+        assert len(found) == len(set(found)) and set(found) == set(expected)
 
 
 @pytest.mark.parametrize(

@@ -21,10 +21,15 @@ from repro.engine import (
     ProgramQuery,
     TableEntry,
 )
+from repro.engine.compiled import compile_rule, lower_rule
+from repro.engine.evaluation import RuleEvaluator
 from repro.engine.reasons import (
     ADMISSION_PRESSURE,
     GENERALIZATION_TOO_LARGE,
     GOAL_BUDGET_EXCEEDED,
+    LOWERING_UNSAFE_EQUATION,
+    LOWERING_UNSAFE_HEAD,
+    LOWERING_UNSAFE_NEGATION,
     MAINTENANCE_BUDGET_EXCEEDED,
     MAINTENANCE_UNSUPPORTED,
     REASON_CODES,
@@ -40,7 +45,7 @@ from repro.engine.reasons import (
 from repro.errors import EvaluationBudgetExceeded, EvaluationError
 from repro.io.serialization import instance_to_text
 from repro.model import Fact, Instance, path, unary_instance
-from repro.parser import parse_program
+from repro.parser import parse_program, parse_rule
 from repro.queries import get_query
 from repro.service import AdmissionLimits, ServiceError, SessionRegistry, TenantBudget
 from repro.workloads import prefix_tree_instance
@@ -190,6 +195,33 @@ class TestEmittedReasonsAreRegistered:
         with pytest.raises(SnapshotUnsupportedError) as caught:
             SessionDurability(tmp_path).recover()
         assert_registered(str(caught.value), SNAPSHOT_UNSUPPORTED)
+
+    @pytest.mark.parametrize(
+        "rule_text, code",
+        [
+            ("T($x, $y) :- R($x).", LOWERING_UNSAFE_HEAD),
+            ("T($x) :- R($x), not Q($x, $y).", LOWERING_UNSAFE_NEGATION),
+            ("T($x) :- R($x), $x != $y.", LOWERING_UNSAFE_EQUATION),
+        ],
+    )
+    def test_lowering_refusals(self, rule_text, code):
+        """Why a rule has no id-space plan: only an unsafe rule has none, and
+        the evaluator keeps the reason beside the (absent) plan."""
+        evaluator = RuleEvaluator(parse_rule(rule_text), execution="compiled")
+        assert evaluator.compiled_plan is None
+        assert_registered(evaluator.lowering_refusal, code)
+        # Not attempted is not refused; a safe rule is not refused either.
+        assert RuleEvaluator(parse_rule(rule_text), execution="indexed").lowering_refusal is None
+        safe = RuleEvaluator(parse_rule("T($x) :- R($x), $x != $x.a."), execution="compiled")
+        assert safe.compiled_plan is not None and safe.lowering_refusal is None
+
+    def test_an_equation_no_side_of_which_gets_bound_is_refused(self):
+        """``plan_body_order`` raises on this rule before any evaluator is
+        built, so the reason is read off the lowering itself."""
+        rule = parse_rule("T($x) :- R($x), $y = $z.")
+        order = list(rule.body)
+        assert_registered(lower_rule(rule.head, order), LOWERING_UNSAFE_EQUATION)
+        assert compile_rule(rule.head, order) is None
 
     def test_service_eviction_reasons(self):
         registry = SessionRegistry(

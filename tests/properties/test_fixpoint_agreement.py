@@ -12,16 +12,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import (
+    EvaluationLimits,
     EvaluationStatistics,
     ProgramEvaluators,
     evaluate_program,
     propagate_delta,
 )
+from repro.errors import EvaluationBudgetExceeded
 from repro.io import instance_from_text
 from repro.model import Fact, Instance, path
 from repro.parser import parse_program
 from repro.queries import get_query
+from repro.transform import eliminate_equations
 from repro.workloads import (
+    random_event_log_instance,
     random_graph_instance,
     random_nfa_instance,
     random_positive_program,
@@ -135,12 +139,52 @@ DIRECTED_CASES = {
         "T(@x, @z) :- T(@x, @y), E(@y, @z), not Blocked(@z).\n",
         CHAIN + " E(a, d). Blocklist(c).",
     ),
-    # A holds an equation (stays interpreted) and is mutually recursive with
-    # B (lowers): the stratum is mixed, so its loop stays on facts.
+    # A holds an equation and is mutually recursive with B.  Until equations
+    # lowered (PR 21) this stratum was mixed and its loop stayed on facts —
+    # hence the name, kept for the test ids; now all three rules lower.
     "mixed_stratum": (
         "A($x) :- R($x).\nA($y) :- B($x), $x = a·$y.\nB($x) :- A($x).\n",
         "R(a·a·b). R(b·a). R(a).",
     ),
+    # A binding equation with a real choice point inside a recursive stratum:
+    # every round splits the delta's paths around each of their a's.
+    "binding_equation_in_recursion": (
+        "W($x) :- R($x).\nW($u·$v) :- W($x), $x = $u·a·$v.\n",
+        "R(b·a·b·a·c). R(a·a). R(c).",
+    ),
+    # The open side is anchored on a *bound* path variable; S(ϵ) makes the
+    # anchor empty, which must fall back to trying every split.
+    "open_side_anchored_on_a_bound_path_variable": (
+        "P($u, $v) :- R($x), S($s), $x = $u·$s·$v.\n",
+        "R(a·b·a·b·c). R(b). S(a·b). S(b). S(eps). S(c·c).",
+    ),
+    # @x ranges over atomic values only, in the middle of a pattern and as a
+    # whole side: the packed <a> binds neither.
+    "atom_variable_never_binds_a_packed_value": (
+        "P(@x, $z) :- R($y), $y = @x·$z.\nQ(@x) :- R($y), @x = $y.\n",
+        "R(<a>·b). R(a·b). R(<a>). R(a). R(eps).",
+    ),
+    "epsilon_splits": (
+        "P($u, $v) :- R($x), $x = $u·$v.\nE($u) :- R($x), $x = $u·$x.\n",
+        "R(eps). R(a·b).",
+    ),
+    # Filters: an equation between two bound sides, nonequalities between
+    # path variables and between atom variables, a ground equation.
+    "bound_sides_are_compared_as_ids": (
+        "F($x) :- R($x), R($y), $x = $y·b.\nN($x, $y) :- R($x), R($y), $x != $y·b.\n"
+        "M(@a·@b) :- R(@a·@b·$z), @a != @b.\nG($x) :- R($x), a·b = a·b, a != b.\n",
+        "R(a·b). R(a). R(b·b·a). R(a·a·b).",
+    ),
+    # Example 2.2's first rule and friends: a positive component with three
+    # path variables, a packing head built from variables, a non-ground
+    # packed item matched in the body and constructed under negation.
+    "non_deterministic_component_and_non_ground_packing": (
+        "T($u·<$s>·$v) :- R($u·$s·$v), S($s).\nU($s, $v) :- T($u·<$s>·$v).\n"
+        "D($x) :- R($x·$x).\nV($s) :- S($s), R($x), not T(<$s>·$x).\n",
+        "R(c·d·a·c·d). R(a·b·a·b). R(a·c·d). S(c·d). S(a).",
+    ),
+    # The only positive literal is an equation: its ground side binds.
+    "equation_without_a_predicate": ("G($x, @y) :- $x·@y = a·b·c.\n", "R(a)."),
 }
 
 MODE_INDEPENDENT_COUNTERS = (
@@ -170,17 +214,19 @@ def test_directed_cases_agree_with_equal_counters(name):
 
 
 def test_directed_cases_cover_resident_and_mixed_strata():
-    """The table holds strata on both sides of the all-rules-lower choice."""
-    lowered = {}
+    """Every stratum of the table runs the resident round.
+
+    The ``[[False, True, True]]`` this test pinned for ``mixed_stratum`` is
+    retired: its equation lowers now and no safe rule refuses, so no case
+    has a mixed stratum left to pin — the ``Fact`` loop is still swept by
+    the "scan" and "indexed" columns of the tests above.
+    """
     for name, (program_text, _) in DIRECTED_CASES.items():
         evaluators = ProgramEvaluators(execution="compiled")
-        lowered[name] = [
-            [evaluator.compiled_plan is not None for evaluator in evaluators.for_stratum(stratum)]
-            for stratum in parse_program(program_text).strata
-        ]
-    assert all(all(stratum) for stratum in lowered["negation_on_a_lower_idb"])
-    assert all(all(stratum) for stratum in lowered["constructing_head"])
-    assert [sorted(stratum) for stratum in lowered["mixed_stratum"]] == [[False, True, True]]
+        for stratum in parse_program(program_text).strata:
+            for evaluator in evaluators.for_stratum(stratum):
+                assert evaluator.compiled_plan is not None, (name, str(evaluator.rule))
+                assert evaluator.lowering_refusal is None
 
 
 @pytest.mark.parametrize("case", ["head_relation_holds_edb_rows", "mixed_stratum"])
@@ -206,3 +252,59 @@ def test_propagate_delta_collects_exactly_the_facts_added(case):
         assert current == evaluate_program(program, instance.union(Instance(seeds)))
         outcomes.append((rounds, added))
     assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def test_derivation_limit_trips_inside_a_binding_equation():
+    """``max_derivations_per_rule`` counts what an equation step produces: the
+    one R-row is under the cap, its six splits are over it."""
+    program = parse_program("P($u, $v) :- R($x), $x = $u·$v.\n")
+    instance = instance_from_text("R(a·a·a·a·a).")
+    limits = EvaluationLimits(max_derivations_per_rule=5)
+    for execution in EXECUTIONS:
+        with pytest.raises(EvaluationBudgetExceeded) as caught:
+            evaluate_program(program, instance, limits, execution=execution)
+        assert caught.value.limit_name == "max_derivations_per_rule"
+        roomy = EvaluationLimits(max_derivations_per_rule=6)
+        assert len(evaluate_program(program, instance, roomy, execution=execution).relation("P")) == 6
+
+
+# -- Theorem 4.7 as a metamorphic oracle ----------------------------------------------------------
+#
+# Equations are redundant given intermediate predicates: a program and its
+# equation-free rewrite (Example 4.4, Lemma 4.5) define the same output
+# relation.  Both run the fast path, so an equation step is checked against
+# plain joins over the auxiliary relations — and against the independent
+# reference implementation where the query has one.
+
+
+def _equation_free_rewrite_agrees(program, instance):
+    """The original's result; the rewrite must define each of its relations alike."""
+    rewritten = eliminate_equations(program)
+    assert not any(rule.has_equation() for stratum in rewritten.strata for rule in stratum)
+    direct = evaluate_program(program, instance, execution="compiled")
+    through_predicates = evaluate_program(rewritten, instance, execution="compiled")
+    for name in program.idb_relation_names():
+        assert direct.relation(name) == through_predicates.relation(name), name
+    return direct
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", ["process_compliance", "only_as_equation", "unequal_palindrome"])
+def test_canonical_queries_agree_with_their_equation_free_rewrite(name, seed):
+    query = get_query(name)
+    if name == "process_compliance":
+        instance = random_event_log_instance(logs=8, max_events=6, seed=seed)
+    else:
+        instance = random_string_instance(paths=8, max_length=6, seed=seed)
+        instance.add("R", path("a", "a", "a"))
+        instance.add("R", path("a", "b", "a", "b"))
+    result = _equation_free_rewrite_agrees(query.program(), instance)
+    assert result.paths(query.output_relation) == query.run_reference(instance)
+
+
+@given(program_seed=st.integers(0, 50), instance_seed=st.integers(0, 50))
+@settings(max_examples=25, deadline=None)
+def test_random_programs_agree_with_their_equation_free_rewrite(program_seed, instance_seed):
+    program = random_positive_program(seed=program_seed)
+    instance = random_string_instance(paths=5, max_length=4, seed=instance_seed)
+    _equation_free_rewrite_agrees(program, instance)

@@ -197,8 +197,9 @@ DIRECTED_RETRACTIONS = {
         ["N(n0)", "E(n0, n1)", "E(n1, n2)", "E(n0, n2)", "E(n2, n3)", "E(n3, n1)"],
         [([], ["E(n0, n1)"]), ([], ["E(n0, n2)"])],
     ),
-    # The first rule lowers to an id-space plan, the second holds an equation
-    # and stays interpreted: one stratum, both ways of asking.
+    # The second rule holds an equation; since equations lower (PR 21) both
+    # rules answer rederivation with an id-space join led by the head rows,
+    # where the head's @z makes the equation bind $w.
     "equation beside a rule that lowers": (
         """
         T(@x, @y) :- E(@x, @y).
@@ -216,6 +217,40 @@ DIRECTED_RETRACTIONS = {
         """,
         ["R(a)", "R(b)", "L(a, b)", "L(a.b, c)", "L(a, b.c)", "L(b, c)", "L(a.b.c, d)"],
         [([], ["L(a, b)"]), ([], ["L(a, b.c)"])],
+    ),
+    # Example 4.6's recursion: a destructuring step and a nonequality filter
+    # under the head-led join.  U(a.b, a.b) is needed by two chains; the
+    # equal pair of R(a.a) never peels.
+    "nonequality filter in a recursive rule": (
+        """
+        U($x, $x) :- R($x).
+        U($x, $y) :- U($x, @a.$y.@b), @a != @b.
+        S($x) :- U($x, eps).
+        """,
+        ["R(a.b)", "R(a.a.b.b)", "R(a.a)", "R(b.a.b.a)"],
+        [([], ["R(a.a.b.b)"]), (["R(a.b.a.b)"], ["R(a.b)"])],
+    ),
+    # A binding equation with a choice point in a recursive rule whose head
+    # ($u.$v) cannot lead the join: W(b.b.a.c) is an R-fact and also
+    # b.a.b.a.c without its first a, so it survives the first step and
+    # loses its other support in the second.
+    "binding equation in a recursive rule": (
+        """
+        W($x) :- R($x).
+        W($u.$v) :- W($x), $x = $u.a.$v.
+        """,
+        ["R(b.a.b.a.c)", "R(b.b.a.c)", "R(a.c)"],
+        [([], ["R(b.b.a.c)"]), ([], ["R(b.a.b.a.c)"]), (["R(a.a)"], ["R(a.c)"])],
+    ),
+    # The head leads and binds $x; the equation then splits it into $u and
+    # $v, and both T literals become membership tests.
+    "binding equation under a head that leads": (
+        """
+        T($x) :- R($x).
+        T($x) :- T($u), T($v), $x = $u.a.$v, L($x).
+        """,
+        ["R(b)", "R(c)", "L(b.a.c)", "L(c.a.b)", "L(b.a.c.a.b)", "L(c.a.b.a.c)"],
+        [([], ["R(c)"]), (["R(c)"], ["L(b.a.c)"])],
     ),
     "retraction and addition of one relation in one batch": (
         """

@@ -79,3 +79,27 @@ def test_registry_lookup_errors():
     with pytest.raises(KeyError):
         get_query("does_not_exist")
     assert set(query_names()) == set(CANONICAL_QUERIES)
+
+
+def test_every_canonical_rule_lowers_to_an_id_space_plan():
+    """31/31: the whole language of the paper's own programs is on the fast
+    path — equations (only_as_equation, unequal_palindrome,
+    process_compliance), several path variables in one body component
+    (reversal_no_arity, three_occurrences) and packing built from variables
+    (three_occurrences) included."""
+    from repro.engine.compiled import compile_rule
+    from repro.engine.evaluation import plan_body_order
+
+    rules = [
+        (name, rule)
+        for name in query_names()
+        for stratum in get_query(name).program().strata
+        for rule in stratum
+    ]
+    assert len(rules) == 31
+    refused = [
+        (name, str(rule))
+        for name, rule in rules
+        if compile_rule(rule.head, plan_body_order(rule)) is None
+    ]
+    assert refused == []

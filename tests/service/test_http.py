@@ -229,6 +229,31 @@ class TestStdlibServer:
 
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize("declared", ["abc", "-5", "1e3", "+4", "٣"])
+    def test_malformed_content_length_is_a_400_not_a_dropped_connection(self, declared):
+        async def scenario():
+            server, app = await serve(port=0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                head = f"POST /v1/sessions HTTP/1.1\r\nHost: t\r\nContent-Length: {declared}\r\n\r\n"
+                writer.write(head.encode("utf-8"))
+                await writer.drain()
+                status_line = await reader.readline()
+                assert b"400" in status_line
+                headers = await reader.readuntil(b"\r\n\r\n")
+                assert b"Connection: close" in headers
+                payload = json.loads(await reader.read())  # the server closes after a 400
+                assert payload["error"]["code"] == "bad_request"
+                assert "Content-Length" in payload["error"]["message"]
+            finally:
+                writer.close()
+                server.close()
+                await server.wait_closed()
+                app.close()
+
+        asyncio.run(scenario())
+
 
 class TestFastAPIFrontend:
     def test_missing_dependency_raises_a_clear_error(self):

@@ -170,3 +170,20 @@ def test_changes_since_is_the_net_difference_from_every_mark(operations):
             assert relation.changes_since(mark) is None
         else:
             assert relation.changes_since(mark) == (now - rows, rows - now)
+
+
+def test_the_table_packs_and_wraps_values_as_canonical_ids():
+    """``element`` and ``pack`` name length-one paths, memoised and canonical:
+    the id a join constructs equals the id the same path interns to."""
+    from repro.model import Packed
+
+    table = TermTable()
+    inner = table.intern(Path(("a", "b")))
+    packed = table.pack(inner)
+    assert table.path(packed) == Path((Packed(Path(("a", "b"))),))
+    assert table.pack(inner) == packed == table.intern(Path((Packed(Path(("a", "b"))),)))
+    assert not table.is_atomic(packed) and table.is_atomic(table.element("a"))
+    assert table.element(Packed(Path(("a", "b")))) == packed
+    whole = table.intern(Path(("a", Packed(Path(("a", "b"))))))
+    assert table.elements(whole) == (table.element("a"), packed)
+    assert table.pack(table.intern(Path(()))) == table.intern(Path((Packed(Path(())),)))
