@@ -1,14 +1,13 @@
-"""NEG — stratified negation end-to-end: goal-directed + maintained + sharded.
+"""NEG — stratified negation end-to-end: goal-directed + maintained.
 
 Not a paper experiment: this benchmark demonstrates the stratified-negation
 story described in DESIGN.md on one workload — "reachable but not blocked":
 ``Blocked`` is an IDB relation read under negation *inside* the recursion,
 the exact shape every fast path used to refuse (goal mode fell back to full
-evaluation, maintenance raised on any update that could reach the negated
-relation, and the sharding planner demoted the whole stratum to replicated
-workers).
+evaluation, and maintenance raised on any update that could reach the
+negated relation).
 
-Three gates, one per lifted restriction, all on the same program and graph:
+Two gates, one per lifted restriction, both on the same program and graph:
 
 * **goal-directed** — a bound-source goal runs on the goal pipeline
   (``mode == "goal"``, no ``fallback_reason``) and attempts at least
@@ -18,11 +17,7 @@ Three gates, one per lifted restriction, all on the same program and graph:
   directions: additions retract downstream, retractions rederive) stays
   incrementally maintained with answers identical to a scratch rebuild at
   every step, and attempts at least ``MAINTENANCE_PRUNING_FACTOR``× fewer
-  extensions than per-step re-evaluation (deterministic, always checked);
-* **sharded** — the planner proves every stratum local/aligned with the
-  recursive relation *not* replicated, and the sharded session serves
-  answers identical to the single-process one through the same stream
-  (always checked).
+  extensions than per-step re-evaluation (deterministic, always checked).
 
 With ``--json`` the harness writes ``BENCH_negation.json``; wall times are
 recorded for the regression gate, the deterministic counter ratios are the
@@ -35,7 +30,6 @@ import pytest
 
 from repro.engine import EvaluationStatistics, ProgramQuery, evaluate_program
 from repro.parser import parse_program
-from repro.storage import choose_sharding_plan
 from repro.workloads import as_edge_pairs, layered_graph_instance, update_stream
 
 BLOCKED_REACHABILITY = """
@@ -47,7 +41,6 @@ T(@x, @z) :- T(@x, @y), E(@y, @z), not Blocked(@z).
 GRAPH = dict(layers=10, width=12, edges_per_node=2, seed=2)
 STEPS = 4
 SOURCES = ["a", "l1n0", "l2n1", "l3n2", "l5n5"]
-SHARDS = 4
 #: A bound-source goal must attempt at least this many × fewer extensions
 #: than full evaluation of the same program.
 GOAL_PRUNING_FACTOR = 3
@@ -177,47 +170,6 @@ def test_updates_through_the_negated_relation_stay_maintained(bench_report):
         f"extension attempts vs per-step re-evaluation {scratch_attempts} "
         f"({scratch_attempts / max(1, incremental_attempts):.1f}× pruned), "
         f"answers match scratch at every step"
-    )
-
-
-def test_sharded_negation_stratum_is_not_replicated(bench_report):
-    """The planner proves local/aligned; sharded ≡ single-process serving."""
-    program, query, instance = _workload()
-    plan = choose_sharding_plan(program)
-    assert all(mode in ("local", "aligned") for mode in plan.modes), plan.modes
-    assert "T" not in plan.spec(SHARDS).replicated
-    steps = _blocklist_steps(instance)
-
-    plain = query.session(instance.copy())
-    plain_answers = [plain.run(binding={0: source}).output for source in SOURCES]
-    started = time.perf_counter()
-    with query.session(instance.copy(), shards=SHARDS) as sharded:
-        answers = [sharded.run(binding={0: source}).output for source in SOURCES]
-        assert answers == plain_answers
-        for additions, retractions in steps:
-            plain_update = plain.update(additions, retractions)
-            sharded_update = sharded.update(additions, retractions)
-            assert plain_update.maintained and sharded_update.maintained
-            assert sharded_update.fallback_reason is None
-            for source in SOURCES:
-                lhs = plain.run(binding={0: source})
-                rhs = sharded.run(binding={0: source})
-                assert rhs.served_by == "maintained"
-                assert lhs.output == rhs.output
-    sharded_seconds = time.perf_counter() - started
-
-    bench_report(
-        "negation",
-        shards=SHARDS,
-        stratum_modes=list(plan.modes),
-        replicated_relations=sorted(plan.spec(SHARDS).replicated),
-        sharded_stream_seconds=sharded_seconds,
-    )
-    print()
-    print(
-        f"sharded negation ({SHARDS} shards): stratum modes {list(plan.modes)}, "
-        f"replicated {sorted(plan.spec(SHARDS).replicated)} (recursion not "
-        f"replicated), answers identical to single-process through the stream"
     )
 
 

@@ -27,14 +27,6 @@ from repro.engine.query import (
     QuerySession,
     UpdateResult,
 )
-from repro.engine.sharding import (
-    ParallelExecutor,
-    ProcessExecutor,
-    SequentialExecutor,
-    ShardedFixpoint,
-    ShardedInstance,
-    goal_shard_footprint,
-)
 from repro.engine.tabling import AnswerTable, TableEntry
 from repro.engine.valuation import Valuation
 
@@ -47,22 +39,16 @@ __all__ = [
     "ExecutionMode",
     "MaintainedFixpoint",
     "MaintenanceResult",
-    "ParallelExecutor",
-    "ProcessExecutor",
     "ProgramEvaluators",
     "ProgramQuery",
     "QueryMode",
     "QueryResult",
     "QuerySession",
     "RuleEvaluator",
-    "SequentialExecutor",
-    "ShardedFixpoint",
-    "ShardedInstance",
     "Strategy",
     "TableEntry",
     "UpdateResult",
     "Valuation",
-    "goal_shard_footprint",
     "evaluate_program",
     "evaluate_rule",
     "evaluate_stratum",

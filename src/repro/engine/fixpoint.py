@@ -32,11 +32,10 @@ once — where it enters the relation, which is also where the path-length
 limit is checked — and the next round's delta view is built from those same
 id rows.  Under ``"compiled"`` that is every stratum of a safe program
 (31 of the 31 rules of :mod:`repro.queries.canonical` lower).  The ``naive``
-strategy, the ``"indexed"`` and ``"scan"`` modes and the sharded loops of
-:mod:`repro.engine.sharding` keep the delta as a set of
-:class:`~repro.model.instance.Fact` objects in one long-lived instance whose
-per-relation row sets are swapped in place between rounds.  Both loops run
-the same rounds and count them the same.
+strategy and the ``"indexed"`` and ``"scan"`` modes keep the delta as a set
+of :class:`~repro.model.instance.Fact` objects in one long-lived instance
+whose per-relation row sets are swapped in place between rounds.  Both loops
+run the same rounds and count them the same.
 """
 
 from __future__ import annotations
@@ -94,19 +93,6 @@ class EvaluationStatistics:
     ``subgoal_table_hits`` counts goal-mode calls answered from a session's
     subgoal answer table (:mod:`repro.engine.tabling`) — repeated subsumed
     calls detected and served with zero evaluation.
-
-    The sharding counters belong to shard-parallel evaluation
-    (:mod:`repro.engine.sharding`): ``shard_rounds`` counts the partitioned
-    semi-naive rounds run, ``cross_shard_facts`` the delta rows exchanged
-    between workers (rows a shard derived that another shard's replica had
-    to receive), and ``shard_skipped_updates`` the update facts a tabled
-    goal's shard footprint proved irrelevant and mirrored without any
-    maintenance propagation.  ``exchange_batches`` counts the packed
-    id-block dispatches a process executor actually sent (deltas accumulate
-    across micro-rounds and flush once per exchange barrier) and
-    ``exchanged_bytes`` the id payload those dispatches carried (array
-    itemsize per interned id, deterministic — independent of pickling
-    details).
     """
 
     iterations: int = 0
@@ -120,39 +106,12 @@ class EvaluationStatistics:
     rederivation_attempts: int = 0
     facts_retracted: int = 0
     subgoal_table_hits: int = 0
-    shard_rounds: int = 0
-    cross_shard_facts: int = 0
-    shard_skipped_updates: int = 0
-    exchange_batches: int = 0
-    exchanged_bytes: int = 0
     per_stratum_iterations: list[int] = field(default_factory=list)
-
-    #: The work counters a per-shard (or per-worker) statistics object feeds
-    #: back into the round's aggregate via :meth:`absorb_counters`.
-    WORK_COUNTERS = (
-        "rule_applications",
-        "delta_restricted_applications",
-        "extension_attempts",
-        "plans_compiled",
-        "plan_cache_hits",
-        "rederivation_attempts",
-    )
 
     def merge_stratum(self, iterations: int) -> None:
         """Record the iteration count of one stratum."""
         self.per_stratum_iterations.append(iterations)
         self.iterations += iterations
-
-    def absorb_counters(self, other: "EvaluationStatistics") -> None:
-        """Fold another object's per-shard work counters into this one.
-
-        Only the :data:`WORK_COUNTERS` are summed: round/iteration counts
-        are owned by the coordinating loop (a partitioned round is still one
-        round), and the derived/retracted fact tallies are recorded on the
-        net results by the owner.
-        """
-        for name in self.WORK_COUNTERS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
 class ProgramEvaluators:
@@ -399,12 +358,12 @@ def rederivable(
 ) -> set:
     """The facts among *facts* that one rule application derives from *instance*.
 
-    The rederivation step of delete–rederive, shared by
-    :mod:`repro.engine.maintenance` and the shard workers: *facts* is the
-    over-deleted set, *instance* the state without it, and each rule is asked
-    once about all the facts of its head relation that no earlier rule
-    supported (:meth:`RuleEvaluator.derivable`) — one ``rederivation_attempts``
-    per fact asked about.  Nothing is added here, so no answer depends on
+    The rederivation step of delete–rederive
+    (:mod:`repro.engine.maintenance`): *facts* is the over-deleted set,
+    *instance* the state without it, and each rule is asked once about all
+    the facts of its head relation that no earlier rule supported
+    (:meth:`RuleEvaluator.derivable`) — one ``rederivation_attempts`` per
+    fact asked about.  Nothing is added here, so no answer depends on
     another: a fact whose support is itself rederived comes back through the
     :func:`propagate_delta` the caller runs from the returned facts.
     """

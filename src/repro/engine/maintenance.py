@@ -44,24 +44,11 @@ genuinely unstratifiable programs at build time.  The property tests in
 materialization stays extensionally identical to a from-scratch fixpoint
 across strategy × execution combinations, including retractions and
 retraction streams through negated literals.
-
-A maintained fixpoint can additionally run **sharded**
-(:mod:`repro.engine.sharding`): pass a
-:class:`~repro.engine.sharding.ShardedFixpoint` and the build evaluates
-recursive strata with shard-parallel rounds, while every update phase fans
-its delta work out by home shard — counting pivots partition their overlay
-rows, overdeletion and rederivation partition their fact sets, and the
-insertion cascade runs through the sharded round engine (parallel under a
-process executor).  The maintained result is extensionally identical either
-way; sharding partitions the work and keeps a
-:class:`~repro.engine.sharding.ShardedInstance` mirror of the
-materialization in step.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from repro.engine.evaluation import DEFAULT_EXECUTION, ExecutionMode, RuleEvaluator
 from repro.engine.fixpoint import (
@@ -76,9 +63,6 @@ from repro.engine.limits import DEFAULT_LIMITS, EvaluationLimits
 from repro.errors import EvaluationError, MaintenanceUnsupportedError
 from repro.model.instance import Fact, Instance
 from repro.syntax.programs import Program, Stratum
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.sharding import ShardedFixpoint
 
 __all__ = ["MaintainedFixpoint", "MaintenanceResult"]
 
@@ -191,7 +175,6 @@ class MaintainedFixpoint:
         strategy: Strategy,
         execution: ExecutionMode,
         evaluators: ProgramEvaluators,
-        sharding: "ShardedFixpoint | None" = None,
     ):
         self.program = program
         self.materialized = materialized
@@ -199,39 +182,10 @@ class MaintainedFixpoint:
         self.strategy: Strategy = strategy
         self.execution: ExecutionMode = execution
         self.evaluators = evaluators
-        #: The shard-parallel round engine (and partitioned mirror of the
-        #: materialization), when this fixpoint runs sharded.
-        self.sharding = sharding
         self._states = states
         self._idb = program.idb_relation_names()
         self._known = program.relation_names()
         self._valid = True
-
-    def _absorb(self, added: "Iterable[Fact]" = (), removed: "Iterable[Fact]" = ()) -> None:
-        """Mirror parent-side materialization changes into the sharded view."""
-        if self.sharding is not None:
-            self.sharding.absorb(tuple(added), tuple(removed))
-
-    @contextmanager
-    def _shard_statistics(self, shard: "int | None", statistics: EvaluationStatistics):
-        """Per-shard work accounting for one fanned-out maintenance slice.
-
-        Unsharded (``shard is None``) the aggregate object is used directly;
-        sharded, a fresh object collects the slice's counters and is folded
-        into both the fixpoint's per-shard tally and the aggregate on exit.
-        """
-        if shard is None:
-            yield statistics
-            return
-        shard_stats = EvaluationStatistics()
-        try:
-            yield shard_stats
-        finally:
-            assert self.sharding is not None
-            self.sharding.per_shard_extension_attempts[shard] += (
-                shard_stats.extension_attempts
-            )
-            statistics.absorb_counters(shard_stats)
 
     # -- construction ------------------------------------------------------------------
 
@@ -247,7 +201,6 @@ class MaintainedFixpoint:
         statistics: "EvaluationStatistics | None" = None,
         evaluators: "ProgramEvaluators | None" = None,
         seed_facts: "Iterable[Fact] | None" = None,
-        sharding: "ShardedFixpoint | None" = None,
     ) -> "MaintainedFixpoint":
         """Materialize *program* over a copy of *instance*, with support state.
 
@@ -265,27 +218,9 @@ class MaintainedFixpoint:
         maintained materialization.  Planted facts of derived relations are
         *pinned*: they are axioms of this materialization and never
         retracted by maintenance.
-
-        *sharding* hands the build (and every later update) to a
-        :class:`~repro.engine.sharding.ShardedFixpoint` for the same
-        program: recursive strata run shard-parallel rounds, counting strata
-        stay one parent-side pass (they are a single enumeration) with their
-        derivations absorbed into the sharded mirror.
         """
         if statistics is None:
             statistics = EvaluationStatistics()
-        if sharding is not None:
-            if sharding.program is not program:
-                raise EvaluationError(
-                    "the ShardedFixpoint was built for a different program"
-                )
-            if evaluators is None:
-                evaluators = sharding.evaluators
-            elif evaluators is not sharding.evaluators:
-                raise EvaluationError(
-                    "sharded maintenance must share the ShardedFixpoint's "
-                    "ProgramEvaluators (pass the same object, or neither)"
-                )
         if evaluators is None:
             evaluators = ProgramEvaluators(limits, execution=execution)
         seen_heads: set[str] = set()
@@ -319,8 +254,6 @@ class MaintainedFixpoint:
         if seed_facts is not None:
             for fact in seed_facts:
                 current.add_fact(fact)
-        if sharding is not None:
-            sharding.attach(current)
         states: list[_StratumState] = []
         for index, stratum in enumerate(program.strata):
             recursive = bool(stratum.head_relation_names() & stratum.body_relation_names())
@@ -331,32 +264,24 @@ class MaintainedFixpoint:
             )
             state = _StratumState(recursive, pinned)
             if recursive:
-                if sharding is not None:
-                    rounds = sharding.stratum_fixpoint(index, current, statistics)
-                    statistics.merge_stratum(rounds)
-                else:
-                    evaluate_stratum(
-                        stratum,
-                        current,
-                        limits,
-                        strategy=strategy,
-                        execution=execution,
-                        statistics=statistics,
-                        evaluators=evaluators,
-                        copy=False,
-                    )
+                evaluate_stratum(
+                    stratum,
+                    current,
+                    limits,
+                    strategy=strategy,
+                    execution=execution,
+                    statistics=statistics,
+                    evaluators=evaluators,
+                    copy=False,
+                )
             else:
-                added = cls._evaluate_counting_stratum(
+                cls._evaluate_counting_stratum(
                     stratum, current, state, limits, statistics, evaluators
                 )
-                if sharding is not None and added:
-                    sharding.absorb(added)
             states.append(state)
         for name in program.idb_relation_names():
             current.ensure_relation(name)
-        return cls(
-            program, current, states, limits, strategy, execution, evaluators, sharding
-        )
+        return cls(program, current, states, limits, strategy, execution, evaluators)
 
     # -- durability (support-state export / restore) -----------------------------------
 
@@ -387,7 +312,6 @@ class MaintainedFixpoint:
         strategy: Strategy,
         execution: ExecutionMode,
         evaluators: ProgramEvaluators,
-        sharding: "ShardedFixpoint | None" = None,
     ) -> "MaintainedFixpoint":
         """Rebuild a maintained fixpoint from exported support state.
 
@@ -396,9 +320,7 @@ class MaintainedFixpoint:
         fast.  The support must match the program's strata (count and
         recursive flags, which are recomputed here); a mismatch means the
         snapshot was taken for a different program shape and is refused
-        with :class:`~repro.errors.MaintenanceUnsupportedError`.  When
-        *sharding* is given, the fixpoint is attached to it exactly as a
-        fresh :meth:`evaluate` build would be.
+        with :class:`~repro.errors.MaintenanceUnsupportedError`.
         """
         states: list[_StratumState] = []
         triples = list(support)
@@ -419,11 +341,7 @@ class MaintainedFixpoint:
             if not expected:
                 state.counts = dict(counts or {})
             states.append(state)
-        if sharding is not None:
-            sharding.attach(materialized)
-        return cls(
-            program, materialized, states, limits, strategy, execution, evaluators, sharding
-        )
+        return cls(program, materialized, states, limits, strategy, execution, evaluators)
 
     @staticmethod
     def _evaluate_counting_stratum(
@@ -433,14 +351,12 @@ class MaintainedFixpoint:
         limits: EvaluationLimits,
         statistics: EvaluationStatistics,
         evaluators: ProgramEvaluators,
-    ) -> set[Fact]:
+    ) -> None:
         """One counting pass over a non-recursive stratum.
 
         No head relation is read by any body in the stratum, so a single
         round reaches the fixpoint; the derived facts are buffered and
         applied after the enumeration so the read views stay stable.
-        Returns the facts that were genuinely new (the sharded build absorbs
-        them into its mirror).
         """
         for rule in stratum:
             current.ensure_relation(rule.head.name)
@@ -457,15 +373,14 @@ class MaintainedFixpoint:
                 seen.add(valuation)
                 counts[fact] = counts.get(fact, 0) + 1
                 derived.append(fact)
-        new_facts: set[Fact] = set()
+        new_facts = 0
         for fact in derived:
             if fact not in current:
                 current.add_fact(fact)
-                new_facts.add(fact)
-        statistics.facts_derived += len(new_facts)
+                new_facts += 1
+        statistics.facts_derived += new_facts
         limits.check_fact_count(current.fact_count())
         statistics.merge_stratum(1)
-        return new_facts
 
     # -- updates -----------------------------------------------------------------------
 
@@ -543,7 +458,6 @@ class MaintainedFixpoint:
                     if fact.relation == name:
                         self.materialized.add_fact(fact)
                 changes.record(name, added_rows, removed_rows, old_rows)
-            self._absorb(added_facts, removed_facts)
             statistics.facts_retracted += len(removed_facts)
 
             for index, (stratum, state) in enumerate(zip(self.program.strata, self._states)):
@@ -552,11 +466,11 @@ class MaintainedFixpoint:
                     continue
                 if state.recursive:
                     net_added, net_removed = self._maintain_dred_stratum(
-                        index, stratum, state, changes, statistics
+                        stratum, state, changes, statistics
                     )
                 else:
                     net_added, net_removed = self._maintain_counting_stratum(
-                        index, stratum, state, changes, statistics
+                        stratum, state, changes, statistics
                     )
                 statistics.facts_retracted += len(net_removed)
                 result_added |= net_added
@@ -617,7 +531,6 @@ class MaintainedFixpoint:
 
     def _maintain_counting_stratum(
         self,
-        index: int,
         stratum: Stratum,
         state: _StratumState,
         changes: _ChangeSet,
@@ -642,50 +555,10 @@ class MaintainedFixpoint:
         extinguishes every derivation it now blocks, a removed row revives
         them.  Stratification guarantees the negated relation's net delta
         is final (its owning stratum committed earlier this pass).
-
-        Under sharding, each pivot's overlay rows are additionally
-        partitioned by home shard and enumerated per shard (a derivation's
-        valuation determines its pivot row, so the per-shard enumerations
-        are disjoint and their counts merge exactly); shards whose partition
-        of the delta is empty do no work, which is what lets disjoint
-        update batches proceed without ever synchronizing.  Under a process
-        executor the enumeration itself moves off the parent for
-        ``local``-mode strata (see :meth:`ShardedFixpoint.counting_stratum`);
-        only the count state and the net add/remove decisions stay here.
         """
         statistics.maintenance_rounds += 1
         assert state.counts is not None
-        if self.sharding is not None:
-            # Worker-resident counting: ship each shard its home slice of
-            # the delta and let it enumerate the telescoped joins against
-            # its resident partition.  Falls back to the parent-side loops
-            # below when the executor declines (no resident workers,
-            # non-local stratum, tiny delta) or when a changed relation is
-            # replicated (its delta rows have no unique pivot home).
-            changed = {
-                name: (
-                    changes.added.get(name, set()),
-                    changes.removed.get(name, set()),
-                )
-                for name in changes.names & set(stratum.body_relation_names())
-            }
-            worker_counts = self.sharding.counting_stratum(index, changed, statistics)
-            if worker_counts is not None:
-                return self._apply_count_deltas(worker_counts, state, statistics)
         delta_counts: dict[Fact, int] = {}
-        # The same (polarity, relation) delta rows pivot in several rules and
-        # at several positions: partition them once per stratum pass, not
-        # once per occurrence.
-        pivot_parts_cache: "dict[tuple[str, str], list[tuple[int | None, Instance]]]" = {}
-
-        def pivot_parts(polarity: str, name: str, overlay: Instance, rows):
-            parts = pivot_parts_cache.get((polarity, name))
-            if parts is None:
-                parts = pivot_parts_cache[(polarity, name)] = self._pivot_parts(
-                    name, overlay, rows
-                )
-            return parts
-
         for evaluator in self.evaluators.for_stratum(stratum):
             read_names = evaluator.body_relation_names | evaluator.negated_relation_names
             if not (read_names & changes.names):
@@ -713,29 +586,25 @@ class MaintainedFixpoint:
                     for position, later_name in positions[pivot_index + 1 :]
                     if later_name in changes.names
                 }
-                for polarity, overlay, sign in (
-                    ("added", changes.added_overlay, 1),
-                    ("removed", changes.removed_overlay, -1),
+                for overlay, sign in (
+                    (changes.added_overlay, 1),
+                    (changes.removed_overlay, -1),
                 ):
-                    rows = overlay.relation(name)
-                    if not rows:
+                    if not overlay.relation(name):
                         continue
-                    parts = pivot_parts(polarity, name, overlay, rows)
-                    for shard, part in parts:
-                        with self._shard_statistics(shard, statistics) as shard_stats:
-                            shard_stats.delta_restricted_applications += 1
-                            frontier = {pivot: part, **overrides}
-                            seen: set = set()
-                            for fact, valuation in evaluator.derivations(
-                                self.materialized,
-                                frontier=frontier,
-                                statistics=shard_stats,
-                                negative_sources=negative_old or None,
-                            ):
-                                if valuation in seen:
-                                    continue
-                                seen.add(valuation)
-                                delta_counts[fact] = delta_counts.get(fact, 0) + sign
+                    statistics.delta_restricted_applications += 1
+                    frontier = {pivot: overlay, **overrides}
+                    seen: set = set()
+                    for fact, valuation in evaluator.derivations(
+                        self.materialized,
+                        frontier=frontier,
+                        statistics=statistics,
+                        negative_sources=negative_old or None,
+                    ):
+                        if valuation in seen:
+                            continue
+                        seen.add(valuation)
+                        delta_counts[fact] = delta_counts.get(fact, 0) + sign
             for pivot, literal in negated_positions:
                 name = literal.atom.name
                 if name not in changes.names:
@@ -750,32 +619,28 @@ class MaintainedFixpoint:
                     for position, other in negated_positions
                     if position > pivot and other.atom.name in changes.names
                 }
-                for polarity, overlay, sign in (
-                    ("added", changes.added_overlay, -1),
-                    ("removed", changes.removed_overlay, 1),
+                for overlay, sign in (
+                    (changes.added_overlay, -1),
+                    (changes.removed_overlay, 1),
                 ):
-                    rows = overlay.relation(name)
-                    if not rows:
+                    if not overlay.relation(name):
                         continue
-                    parts = pivot_parts(polarity, name, overlay, rows)
-                    for shard, part in parts:
-                        with self._shard_statistics(shard, statistics) as shard_stats:
-                            shard_stats.delta_restricted_applications += 1
-                            seen = set()
-                            for valuation in evaluator.valuations(
-                                self.materialized,
-                                {pivot: part},
-                                shard_stats,
-                                order=flipped,
-                                negative_sources=later_old or None,
-                            ):
-                                if valuation in seen:
-                                    continue
-                                seen.add(valuation)
-                                fact = valuation.apply_to_predicate(evaluator.rule.head)
-                                for fact_path in fact.paths:
-                                    self.limits.check_path_length(len(fact_path))
-                                delta_counts[fact] = delta_counts.get(fact, 0) + sign
+                    statistics.delta_restricted_applications += 1
+                    seen = set()
+                    for valuation in evaluator.valuations(
+                        self.materialized,
+                        {pivot: overlay},
+                        statistics,
+                        order=flipped,
+                        negative_sources=later_old or None,
+                    ):
+                        if valuation in seen:
+                            continue
+                        seen.add(valuation)
+                        fact = valuation.apply_to_predicate(evaluator.rule.head)
+                        for fact_path in fact.paths:
+                            self.limits.check_path_length(len(fact_path))
+                        delta_counts[fact] = delta_counts.get(fact, 0) + sign
 
         return self._apply_count_deltas(delta_counts, state, statistics)
 
@@ -788,10 +653,7 @@ class MaintainedFixpoint:
         """Fold signed derivation-count deltas into the stratum's count state.
 
         A fact whose support count crosses zero materializes (or retracts);
-        pinned facts stay present regardless.  This is the authoritative
-        half of counting maintenance — the enumeration that produced
-        *delta_counts* may have run parent-side or on the resident workers,
-        but the counts themselves only live here.
+        pinned facts stay present regardless.
         """
         counts = state.counts
         assert counts is not None
@@ -821,35 +683,12 @@ class MaintainedFixpoint:
                 self.materialized.discard_fact(fact, keep_empty=True)
                 net_removed.add(fact)
         statistics.facts_derived += len(net_added)
-        self._absorb(net_added, net_removed)
         return net_added, net_removed
-
-    def _pivot_parts(
-        self, name: str, overlay: Instance, rows: "frozenset"
-    ) -> "list[tuple[int | None, Instance]]":
-        """The per-shard frontier instances for one pivot's overlay rows.
-
-        Unsharded, the overlay itself is the single part.  Sharded, the
-        pivot relation's rows are split by home shard into small frontier
-        instances (the frontier is only ever read at the pivot position, so
-        a single-relation instance is equivalent to the full overlay there).
-        """
-        if self.sharding is None:
-            return [(None, overlay)]
-        parts: "list[tuple[int | None, Instance]]" = []
-        for shard, shard_rows in enumerate(self.sharding.spec.partition_rows(name, rows)):
-            if not shard_rows:
-                continue
-            part = Instance()
-            part.set_relation_rows(name, shard_rows)
-            parts.append((shard, part))
-        return parts
 
     # -- delete-rederive maintenance ---------------------------------------------------
 
     def _maintain_dred_stratum(
         self,
-        index: int,
         stratum: Stratum,
         state: _StratumState,
         changes: _ChangeSet,
@@ -866,59 +705,21 @@ class MaintainedFixpoint:
         enumerated against the new state and join the semi-naive insertion
         propagation.  Stratification makes both exact — the negated
         relation's delta is final before this stratum runs.
-
-        Sharded, each phase fans its frontier out by home shard —
-        overdeletion rounds and the rederivation joins partition their fact
-        sets, and the insertion cascade runs through the sharded round
-        engine (parallel under a process executor).
         """
         evaluators = self.evaluators.for_stratum(stratum)
         head_names = stratum.head_relation_names()
-        body_names = stratum.body_relation_names()
         negated_changed = changes.names & stratum.negated_relation_names()
-        outcome = None
-        if self.sharding is not None and not negated_changed:
-            # Worker-resident DRed: ship the stratum's delta (and the removal
-            # seeds) to the resident workers, which run the overdeletion
-            # cascade and the rederivation joins against their partitions.
-            # Falls back to the parent-side phases below when the executor
-            # declines (no resident workers, non-local stratum, tiny delta)
-            # or when the delta flows through a negated literal — the worker
-            # cascade knows nothing of flipped-literal kill seeds.
-            changed = {
-                name: (
-                    changes.added.get(name, set()),
-                    changes.removed.get(name, set()),
-                )
-                for name in changes.names & set(body_names)
-            }
-            removal_seeds = changes.facts(changes.removed, body_names)
-            outcome = self.sharding.dred_stratum(
-                index, changed, removal_seeds, state.pinned, statistics
+        kill_seeds = set()
+        if negated_changed:
+            kill_seeds = self._negation_seeds(
+                evaluators, head_names, state, changes, statistics, killed=True
             )
-        if outcome is not None:
-            # The workers applied these to their resident partitions and the
-            # sharded fixpoint updated its mirror; only the authoritative
-            # instance is left to bring in step — no catch-up to queue.
-            overdeleted, rederived = outcome
-            for fact in overdeleted:
-                self.materialized.discard_fact(fact, keep_empty=True)
-            for fact in rederived:
-                self.materialized.add_fact(fact)
-        else:
-            kill_seeds = set()
-            if negated_changed:
-                kill_seeds = self._negation_seeds(
-                    evaluators, head_names, state, changes, statistics, killed=True
-                )
-            overdeleted = self._overdelete(
-                evaluators, head_names, state, changes, statistics, extra_seeds=kill_seeds
-            )
-            for fact in overdeleted:
-                self.materialized.discard_fact(fact, keep_empty=True)
-            self._absorb((), overdeleted)
-            rederived = self._rederive(evaluators, overdeleted, statistics)
-            self._absorb(rederived)
+        overdeleted = self._overdelete(
+            evaluators, head_names, state, changes, statistics, extra_seeds=kill_seeds
+        )
+        for fact in overdeleted:
+            self.materialized.discard_fact(fact, keep_empty=True)
+        rederived = self._rederive(evaluators, overdeleted, statistics)
 
         gained: set[Fact] = set()
         if negated_changed:
@@ -932,7 +733,6 @@ class MaintainedFixpoint:
             gained = {fact for fact in gained if fact not in self.materialized}
             for fact in gained:
                 self.materialized.add_fact(fact)
-            self._absorb(gained)
             statistics.facts_derived += len(gained)
 
         # One semi-naive propagation finishes both halves of the update: the
@@ -940,20 +740,15 @@ class MaintainedFixpoint:
         # ran against the state without any of them) and the update's added
         # facts derive genuinely new ones.
         seeds = changes.facts(changes.added, stratum.body_relation_names()) | rederived | gained
-        if self.sharding is not None:
-            rounds, inserted = self.sharding.propagate(
-                index, self.materialized, seeds, statistics, collect=True
-            )
-        else:
-            rounds, inserted = propagate_delta(
-                evaluators,
-                self.materialized,
-                seeds,
-                self.limits,
-                statistics,
-                strategy="seminaive",
-                collect=True,
-            )
+        rounds, inserted = propagate_delta(
+            evaluators,
+            self.materialized,
+            seeds,
+            self.limits,
+            statistics,
+            strategy="seminaive",
+            collect=True,
+        )
         statistics.maintenance_rounds += rounds
 
         net_added = (inserted | gained) - overdeleted
@@ -1055,10 +850,7 @@ class MaintainedFixpoint:
         relations are overlaid with their pre-update rows, and changed
         *negated* positions read the old overlay via ``negative_sources``.
         *extra_seeds* pre-loads the cascade with facts killed through
-        negated literals (enumerated by :meth:`_negation_seeds`).  Sharded,
-        each round's frontier is partitioned by home shard and the parts
-        run independently (they are delta restrictions over disjoint row
-        sets, so the union of their derivations is the round's derivations).
+        negated literals (enumerated by :meth:`_negation_seeds`).
         """
         overdeleted: set[Fact] = set(extra_seeds or ())
         frontier_facts = changes.facts(
@@ -1072,60 +864,46 @@ class MaintainedFixpoint:
             self.limits.check_iterations(rounds)
             statistics.maintenance_rounds += 1
             new_deleted: set[Fact] = set()
-            for shard, part in self._frontier_parts(frontier_facts):
-                with self._shard_statistics(shard, statistics) as shard_stats:
-                    frontier_instance.replace_with(part)
-                    frontier_names = {fact.relation for fact in part}
-                    for evaluator in evaluators:
-                        if not (evaluator.body_relation_names & frontier_names):
-                            continue
-                        shard_stats.rule_applications += 1
-                        positions = evaluator.positions_in_order
-                        negative_old = {
-                            position: changes.old_overlay
-                            for position, literal in enumerate(evaluator.order)
-                            if literal.negative
-                            and literal.is_predicate()
-                            and literal.atom.name in changes.names
-                        } or None
-                        for pivot, name in positions:
-                            if name not in frontier_names:
-                                continue
-                            overrides = {
-                                position: changes.old_overlay
-                                for position, other in positions
-                                if position != pivot and other in changes.names
-                            }
-                            shard_stats.delta_restricted_applications += 1
-                            frontier = {pivot: frontier_instance, **overrides}
-                            for fact in evaluator.derive(
-                                self.materialized,
-                                frontier=frontier,
-                                statistics=shard_stats,
-                                negative_sources=negative_old,
-                            ):
-                                if (
-                                    fact.relation in head_names
-                                    and fact not in overdeleted
-                                    and fact not in state.pinned
-                                    and fact in self.materialized
-                                ):
-                                    new_deleted.add(fact)
+            frontier_instance.replace_with(frontier_facts)
+            frontier_names = {fact.relation for fact in frontier_facts}
+            for evaluator in evaluators:
+                if not (evaluator.body_relation_names & frontier_names):
+                    continue
+                statistics.rule_applications += 1
+                positions = evaluator.positions_in_order
+                negative_old = {
+                    position: changes.old_overlay
+                    for position, literal in enumerate(evaluator.order)
+                    if literal.negative
+                    and literal.is_predicate()
+                    and literal.atom.name in changes.names
+                } or None
+                for pivot, name in positions:
+                    if name not in frontier_names:
+                        continue
+                    overrides = {
+                        position: changes.old_overlay
+                        for position, other in positions
+                        if position != pivot and other in changes.names
+                    }
+                    statistics.delta_restricted_applications += 1
+                    frontier = {pivot: frontier_instance, **overrides}
+                    for fact in evaluator.derive(
+                        self.materialized,
+                        frontier=frontier,
+                        statistics=statistics,
+                        negative_sources=negative_old,
+                    ):
+                        if (
+                            fact.relation in head_names
+                            and fact not in overdeleted
+                            and fact not in state.pinned
+                            and fact in self.materialized
+                        ):
+                            new_deleted.add(fact)
             overdeleted |= new_deleted
             frontier_facts = new_deleted
         return overdeleted
-
-    def _frontier_parts(
-        self, facts: "set[Fact]"
-    ) -> "list[tuple[int | None, set[Fact]]]":
-        """Partition a frontier by home shard (one all-facts part unsharded)."""
-        if self.sharding is None:
-            return [(None, facts)]
-        return [
-            (shard, part)
-            for shard, part in enumerate(self.sharding.spec.partition_facts(facts))
-            if part
-        ]
 
     def _rederive(
         self,
@@ -1146,10 +924,7 @@ class MaintainedFixpoint:
         if not overdeleted:
             return set()
         statistics.maintenance_rounds += 1
-        rederived: set[Fact] = set()
-        for shard, part in self._frontier_parts(overdeleted):
-            with self._shard_statistics(shard, statistics) as shard_stats:
-                rederived |= rederivable(evaluators, self.materialized, part, shard_stats)
+        rederived = rederivable(evaluators, self.materialized, overdeleted, statistics)
         for fact in rederived:
             self.materialized.add_fact(fact)
         statistics.facts_derived += len(rederived)

@@ -61,7 +61,6 @@ entry.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 from typing import Literal as TypingLiteral
@@ -83,13 +82,6 @@ from repro.engine.reasons import (
     maintenance_reason,
     reason,
 )
-from repro.engine.sharding import (
-    ParallelExecutor,
-    ProcessExecutor,
-    SequentialExecutor,
-    ShardedFixpoint,
-    goal_shard_footprint,
-)
 from repro.engine.tabling import DEFAULT_MAX_ENTRIES, AnswerTable, TableEntry
 from repro.errors import (
     EvaluationBudgetExceeded,
@@ -102,7 +94,6 @@ from repro.errors import (
 from repro.model.instance import Fact, Instance
 from repro.model.schema import Schema
 from repro.model.terms import Path, as_path
-from repro.storage.partition import ShardingPlan, ShardingSpec, choose_sharding_plan
 from repro.syntax.programs import Program
 
 __all__ = ["ProgramQuery", "QueryResult", "QuerySession", "QueryMode", "ServedBy", "UpdateResult"]
@@ -115,11 +106,8 @@ QueryMode = TypingLiteral["full", "goal"]
 #: evaluation; ``"goal"`` — the magic-set pipeline derived the demanded slice
 #: for this call; ``"tabled"`` — the call was subsumed by a previously
 #: evaluated goal and served from the session's subgoal answer table with
-#: zero evaluation (:mod:`repro.engine.tabling`); ``"worker"`` — a sharded
-#: session routed the goal to the resident worker owning its (singleton)
-#: shard footprint, which evaluated it against its partition without any
-#: parent-side evaluation or materialization read.
-ServedBy = TypingLiteral["full", "maintained", "goal", "tabled", "worker"]
+#: zero evaluation (:mod:`repro.engine.tabling`).
+ServedBy = TypingLiteral["full", "maintained", "goal", "tabled"]
 
 #: A query binding: concrete paths for some output argument positions.
 Binding = dict[int, Path]
@@ -360,15 +348,12 @@ class ProgramQuery:
         *,
         check_flat: bool = True,
         memoize: bool = True,
-        shards: int = 1,
-        executor: "str | ParallelExecutor" = "sequential",
         table_capacity: "int | None" = None,
         generalization_limit: "float | None" = DEFAULT_GENERALIZATION_LIMIT,
     ) -> "QuerySession":
         """Open a :class:`QuerySession` for repeated queries over *instance*.
 
-        ``shards``/``executor`` configure sharded serving,
-        ``table_capacity`` the subgoal answer table's LRU bound, and
+        ``table_capacity`` is the subgoal answer table's LRU bound and
         ``generalization_limit`` the cost model gating generalized tabling
         (``None`` disables it) — see :class:`QuerySession`.
         """
@@ -377,8 +362,6 @@ class ProgramQuery:
             instance,
             check_flat=check_flat,
             memoize=memoize,
-            shards=shards,
-            executor=executor,
             table_capacity=table_capacity,
             generalization_limit=generalization_limit,
         )
@@ -449,10 +432,6 @@ class UpdateResult:
     updated incrementally; when it is ``False`` and ``fallback_reason`` is
     set, maintenance could not cover the update (or broke its budget) and the
     next query will re-evaluate from scratch for that recorded reason.
-    ``shards_touched`` (sharded sessions only) records which shards the
-    effective EDB delta was routed to — disjointly-routed update batches
-    touch disjoint shard partitions and never synchronize on each other's
-    state.
     """
 
     added: frozenset[Fact]
@@ -460,7 +439,6 @@ class UpdateResult:
     maintained: bool
     fallback_reason: "str | None"
     statistics: EvaluationStatistics
-    shards_touched: "frozenset[int] | None" = None
 
 
 class QuerySession:
@@ -504,8 +482,6 @@ class QuerySession:
         *,
         check_flat: bool = True,
         memoize: bool = True,
-        shards: int = 1,
-        executor: "str | ParallelExecutor" = "sequential",
         table_capacity: "int | None" = None,
         generalization_limit: "float | None" = DEFAULT_GENERALIZATION_LIMIT,
     ):
@@ -524,72 +500,13 @@ class QuerySession:
         self._memoize = memoize
         self._evaluators: dict[int, ProgramEvaluators] = {}
         self._maintained: "MaintainedFixpoint | None" = None
-        #: Sharded serving (``shards > 1``): the materialization is hash-
-        #: partitioned (:class:`~repro.storage.partition.ShardingSpec` over
-        #: planner-chosen keys), builds and large insertion cascades run
-        #: shard-parallel rounds through *executor* (``"sequential"`` — the
-        #: deterministic in-process default — or ``"process"`` for a
-        #: ``concurrent.futures`` pool per shard; an already-constructed
-        #: :class:`~repro.engine.sharding.ParallelExecutor` is used as-is),
-        #: and update deltas are routed by key so disjointly-routed batches
-        #: touch disjoint shard state.  Call :meth:`close` (or use the
-        #: session as a context manager) to release process workers.
-        self.shards = shards
-        self._sharded: "ShardedFixpoint | None" = None
-        self._shard_spec: "ShardingSpec | None" = None
-        #: The consumer-aligned sharding plan behind ``_shard_spec`` (sharded
-        #: sessions only): its modes/replication drive the partitioned
-        #: executor and the worker-resident serving below.
-        self._shard_plan: "ShardingPlan | None" = None
-        if shards > 1:
-            if not memoize:
-                # A non-memoizing session never builds maintained state, and
-                # the one-shot plain evaluation would silently ignore the
-                # requested shards — refuse rather than pretend.
-                raise EvaluationError(
-                    "sharded serving requires a memoizing session; "
-                    "drop memoize=False or shards"
-                )
-            self._shard_plan = choose_sharding_plan(query.program)
-            self._shard_spec = self._shard_plan.spec(shards)
-            if isinstance(executor, ParallelExecutor):
-                shard_executor = executor
-            elif executor == "sequential":
-                shard_executor = SequentialExecutor(shards)
-            elif executor == "process":
-                shard_executor = ProcessExecutor(shards)
-            else:
-                raise EvaluationError(
-                    f"unknown shard executor {executor!r}; use 'sequential', "
-                    f"'process', or a ParallelExecutor instance"
-                )
-            self._sharded = ShardedFixpoint(
-                query.program,
-                self._shard_spec,
-                shard_executor,
-                query.limits,
-                execution=query.execution,
-                evaluators=self._evaluators_for(query.program),
-                plan=self._shard_plan,
-            )
-        elif shards != 1:
-            raise EvaluationError(f"shards must be at least 1, got {shards}")
-        #: Safety net for leaked sharded sessions: a session that is garbage
-        #: collected without :meth:`close` must not strand pinned
-        #: :class:`~repro.engine.sharding.ProcessExecutor` workers.  The
-        #: finalizer holds the :class:`ShardedFixpoint` (never the session
-        #: itself), so collection of the session triggers the same executor
-        #: shutdown an explicit close would have run.
-        self._finalizer: "weakref.finalize | None" = None
-        if self._sharded is not None:
-            self._finalizer = weakref.finalize(self, ShardedFixpoint.close, self._sharded)
         #: Tabled goal-mode calls, by call subsumption.  The LRU capacity is
         #: a serving knob: sessions pinning many overlapping goals can raise
         #: it, memory-tight fleets can lower it (minimum 1).
         self.table_capacity = (
             DEFAULT_MAX_ENTRIES if table_capacity is None else table_capacity
         )
-        self._tables = AnswerTable(max_entries=self.table_capacity, spec=self._shard_spec)
+        self._tables = AnswerTable(max_entries=self.table_capacity)
         #: Cost-model ceiling for *generalized* rewritings: a generalized
         #: goal subsumes the requested call, so its tabled entry can be
         #: arbitrarily larger than the slice actually demanded.  When the
@@ -726,10 +643,6 @@ class QuerySession:
             self._maintained.materialized.discard_fact(fact, keep_empty=True)
         for fact in stray_added:
             self._maintained.materialized.add_fact(fact)
-        if (stray_added or stray_removed) and self._maintained.sharding is not None:
-            # The mirrored strays are part of the materialization, so the
-            # partitioned mirror (and worker state) must see them too.
-            self._maintained.sharding.absorb(stray_added, stray_removed)
 
     def _absorb_out_of_band(self, statistics: EvaluationStatistics) -> None:
         """Bring every maintained artifact up to date with the pinned instance.
@@ -777,7 +690,6 @@ class QuerySession:
                 execution=self.query.execution,
                 statistics=statistics,
                 evaluators=self._evaluators_for(self.query.program),
-                sharding=self._sharded,
             )
         except EvaluationError as error:
             if isinstance(error, EvaluationBudgetExceeded):
@@ -880,22 +792,12 @@ class QuerySession:
         else:
             self._basis = {}
         self.last_maintenance_fallback = fallback
-        shards_touched: "frozenset[int] | None" = None
-        if self._shard_spec is not None:
-            shards_touched = frozenset(
-                shard
-                for shard, part in enumerate(
-                    self._shard_spec.partition_facts(applied.added | applied.removed)
-                )
-                if part
-            )
         return UpdateResult(
             added=applied.added,
             removed=applied.removed,
             maintained=maintained,
             fallback_reason=fallback,
             statistics=statistics,
-            shards_touched=shards_touched,
         )
 
     # -- queries -----------------------------------------------------------------------
@@ -924,14 +826,8 @@ class QuerySession:
                 # it beats even a goal-directed run.  The request keeps its
                 # goal identity (mode stays "goal"), and the compile-time
                 # fallback reason — what a cold run would have hit — is
-                # threaded through so callers still see it.  Partition-local
-                # goals (singleton shard footprint) go to the resident worker
-                # owning that shard instead — no parent-side read at all.
-                compiled, fallback_reason = query._goal_program_for_key(key)
-                if compiled is not None:
-                    served = self._serve_from_worker(compiled, normalised, statistics)
-                    if served is not None:
-                        return served
+                # threaded through so callers still see it.
+                _compiled, fallback_reason = query._goal_program_for_key(key)
                 return self._serve_from_materialization(
                     normalised,
                     statistics=statistics,
@@ -1088,7 +984,6 @@ class QuerySession:
                 values,
                 compiled,
                 snapshot=snapshot,
-                shard_footprint=self._entry_footprint(compiled, seed_binding),
             )
         return TableEntry(
             self.query.output_relation,
@@ -1096,64 +991,6 @@ class QuerySession:
             values,
             compiled,
             fixpoint=fixpoint,
-            shard_footprint=self._entry_footprint(compiled, seed_binding),
-        )
-
-    def _entry_footprint(self, compiled, seed_binding: Binding) -> "frozenset[int] | None":
-        """The shards this entry's answers can depend on (``None`` = all)."""
-        if self._shard_spec is None:
-            return None
-        return goal_shard_footprint(compiled, self._shard_spec, seed_binding)
-
-    def _serve_from_worker(
-        self,
-        compiled,
-        normalised: Binding,
-        statistics: EvaluationStatistics,
-    ) -> "QueryResult | None":
-        """Serve a partition-local goal from the resident worker that owns it.
-
-        Only fires when the goal's shard footprint is a single shard (every
-        EDB access of its magic program is pinned to seed values homed
-        there, see :func:`~repro.engine.sharding.goal_shard_footprint` —
-        that worker's partition plus its full copies of the replicated
-        relations then contain every base row the goal can touch), the
-        executor keeps resident workers (process pools, partitioned), and
-        the materialization is live (so the worker replicas are known to be
-        in step).  Returns ``None`` otherwise — the caller serves from the
-        parent materialization as before.
-        """
-        if self._sharded is None or self._maintained is None:
-            return None
-        seed_binding = {
-            position: normalised[position]
-            for position in compiled.adornment.bound_positions
-        }
-        footprint = self._entry_footprint(compiled, seed_binding)
-        if footprint is None or len(footprint) != 1:
-            return None
-        seed = compiled.seed_fact(seed_binding)
-        rows = self._sharded.run_goal(
-            next(iter(footprint)), compiled.program, (seed,), statistics
-        )
-        if rows is None:
-            return None
-        answers = Instance()
-        for name, relation_rows in rows.items():
-            answers.set_relation_rows(name, relation_rows)
-        for name in compiled.program.idb_relation_names():
-            answers.ensure_relation(name)
-        # A generalized rewriting answers a wider call than requested; the
-        # binding restriction narrows it back down, exactly as for entries.
-        output = _restrict_output(answers, self.query.output_relation, normalised)
-        return QueryResult(
-            output=output,
-            full_instance=answers,
-            statistics=statistics,
-            output_relation=self.query.output_relation,
-            binding=normalised,
-            mode="goal",
-            served_by="worker",
         )
 
     def _serve_from_entry(
@@ -1220,18 +1057,6 @@ class QuerySession:
         """Run against the pinned instance and read the nullary output as a boolean."""
         return self.run(binding=binding, mode=mode).boolean()
 
-    # -- sharding ----------------------------------------------------------------------
-
-    @property
-    def sharding(self) -> "ShardedFixpoint | None":
-        """The session's shard-parallel round engine (``None`` unsharded).
-
-        Exposes the partitioned mirror of the materialization
-        (``sharding.sharded``) and the per-shard work counters the
-        benchmarks assert balance on.
-        """
-        return self._sharded
-
     @property
     def materialized(self) -> "Instance | None":
         """The maintained full materialization, or ``None`` when no full-mode
@@ -1250,10 +1075,8 @@ class QuerySession:
         Everything a :meth:`restore` needs to come back serving without
         re-evaluating: the pinned EDB, the maintained materialization plus
         its per-stratum support state (:meth:`MaintainedFixpoint.support_state`),
-        every tabled goal's seed and answers, and — for sharded sessions —
-        the sharding plan (compared on restore as a compatibility
-        handshake).  The document is stamped with
-        :data:`SESSION_STATE_VERSION`.
+        and every tabled goal's seed and answers.  The document is stamped
+        with :data:`SESSION_STATE_VERSION`.
         """
         # Imported lazily: repro.io.serialization depends on this module.
         from repro.io.serialization import (
@@ -1272,7 +1095,6 @@ class QuerySession:
             "materialization": None,
             "strata": None,
             "table": [],
-            "sharding": None,
         }
         if self._maintained is not None:
             materialized = self._maintained.materialized
@@ -1300,11 +1122,6 @@ class QuerySession:
                     "answers": _answers_to_json(entry.answers),
                 }
             )
-        if self._shard_plan is not None:
-            state["sharding"] = {
-                "shard_count": self.shards,
-                "plan": self._shard_plan.to_json(),
-            }
         return state
 
     @classmethod
@@ -1313,8 +1130,6 @@ class QuerySession:
         query: ProgramQuery,
         state: "Mapping[str, object]",
         *,
-        shards: int = 1,
-        executor: "str | ParallelExecutor" = "sequential",
         table_capacity: "int | None" = None,
         generalization_limit: "float | None" = DEFAULT_GENERALIZATION_LIMIT,
     ) -> "QuerySession":
@@ -1328,11 +1143,10 @@ class QuerySession:
         program; an entry whose adornment this build rewrites differently
         is dropped rather than restored wrong, and any snapshot entry is
         evicted by the first update that touches it).  A state written by
-        an incompatible build — different :data:`SESSION_STATE_VERSION`,
-        or a sharding plan this build's planner would not choose — is
-        refused with :class:`~repro.errors.SnapshotUnsupportedError`;
-        *shards*/*executor* themselves may differ freely from the exporting
-        session's (routing is recomputed).
+        an incompatible build — a different :data:`SESSION_STATE_VERSION`
+        — is refused with :class:`~repro.errors.SnapshotUnsupportedError`.
+        Keys this build does not know are ignored, so a state exported by
+        an older build that recorded more reads the same.
         """
         # Imported lazily: repro.io.serialization depends on this module.
         from repro.io.serialization import (
@@ -1358,22 +1172,9 @@ class QuerySession:
         session = cls(
             query,
             instance,
-            shards=shards,
-            executor=executor,
             table_capacity=table_capacity,
             generalization_limit=generalization_limit,
         )
-        stored_sharding = state.get("sharding")
-        if session._shard_plan is not None and stored_sharding is not None:
-            if stored_sharding.get("plan") != session._shard_plan.to_json():
-                session.close()
-                raise SnapshotUnsupportedError(
-                    reason(
-                        SNAPSHOT_UNSUPPORTED,
-                        "the snapshot's sharding plan differs from the plan this "
-                        "build chooses for the program",
-                    )
-                )
         materialization = state.get("materialization")
         strata = state.get("strata")
         if materialization is not None and strata is not None:
@@ -1404,7 +1205,6 @@ class QuerySession:
                 query.strategy,
                 query.execution,
                 session._evaluators_for(query.program),
-                sharding=session._sharded,
             )
         for stored in state.get("table") or ():
             positions = tuple(int(position) for position in stored["positions"])
@@ -1417,7 +1217,6 @@ class QuerySession:
             answers = _answers_from_json(stored["answers"])
             for name in compiled.program.idb_relation_names():
                 answers.ensure_relation(name)
-            seed_binding = dict(zip(positions, values))
             session._tables.insert(
                 TableEntry(
                     query.output_relation,
@@ -1425,25 +1224,14 @@ class QuerySession:
                     values,
                     compiled,
                     snapshot=answers,
-                    shard_footprint=session._entry_footprint(compiled, seed_binding),
                 )
             )
         session._sync_basis()
         return session
 
     def close(self) -> None:
-        """Release sharding workers (idempotent; a no-op for plain sessions).
-
-        Closing detaches the GC finalizer first, so an explicit close followed
-        by garbage collection shuts the executor down exactly once (the
-        executor's own ``close`` is idempotent as well, making double-close
-        safe even for exotic executors).
-        """
-        if self._finalizer is not None:
-            self._finalizer.detach()
-            self._finalizer = None
-        if self._sharded is not None:
-            self._sharded.close()
+        """Release the session (idempotent).  It holds no resource outside
+        the process, so this only lets callers scope it with ``with``."""
 
     def __enter__(self) -> "QuerySession":
         return self

@@ -40,7 +40,7 @@ repeated subsumed call and served from the table instead of re-deriving.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from repro.engine.fixpoint import EvaluationStatistics
 from repro.engine.maintenance import MaintainedFixpoint
@@ -48,9 +48,6 @@ from repro.engine.reasons import SNAPSHOT_NOT_MAINTAINED, maintenance_reason, re
 from repro.errors import EvaluationError, SubgoalTableError
 from repro.model.instance import Fact, Instance
 from repro.model.terms import Path
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.storage.partition import ShardingSpec
 
 __all__ = ["DEFAULT_MAX_ENTRIES", "TableEntry", "AnswerTable"]
 
@@ -83,7 +80,6 @@ class TableEntry:
         "fixpoint",
         "snapshot",
         "known_relations",
-        "shard_footprint",
         "hits",
         "last_used",
     )
@@ -97,7 +93,6 @@ class TableEntry:
         *,
         fixpoint: "MaintainedFixpoint | None" = None,
         snapshot: "Instance | None" = None,
-        shard_footprint: "frozenset[int] | None" = None,
     ):
         if len(positions) != len(values):
             raise SubgoalTableError(
@@ -120,12 +115,6 @@ class TableEntry:
         self.known_relations: frozenset[str] = (
             compiled.program.relation_names() if compiled is not None else frozenset()
         )
-        #: In a sharded session, the home shards this entry's answers can
-        #: depend on (see :func:`repro.engine.sharding.goal_shard_footprint`);
-        #: ``None`` means "possibly all".  Update facts routed to shards
-        #: outside the footprint are mirrored into the entry's base-relation
-        #: copy without any maintenance propagation.
-        self.shard_footprint = shard_footprint
         self.hits = 0
         self.last_used = 0
 
@@ -173,20 +162,10 @@ class AnswerTable:
     re-evaluate on next demand).
     """
 
-    def __init__(
-        self,
-        max_entries: int = DEFAULT_MAX_ENTRIES,
-        *,
-        spec: "ShardingSpec | None" = None,
-    ):
+    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
         if max_entries < 1:
             raise SubgoalTableError("an answer table needs room for at least one entry")
         self.max_entries = max_entries
-        #: The sharding spec of the owning session, when serving is sharded:
-        #: :meth:`apply_update` routes each update fact by its home shard and
-        #: entries whose :attr:`TableEntry.shard_footprint` excludes that
-        #: shard take the mirror-only fast path.
-        self.spec = spec
         self._entries: list[TableEntry] = []
         self._clock = 0
         #: ``(entry description, reason)`` pairs dropped because an update
@@ -276,15 +255,6 @@ class AnswerTable:
         retractions = list(retractions)
         if not additions and not retractions:
             return []
-        homes: "dict[Fact, int]" = {}
-        if self.spec is not None and any(
-            entry.shard_footprint is not None for entry in self._entries
-        ):
-            # One hash per fact, not one per (entry, fact) — and none at all
-            # when no live entry has a footprint (recursive goals): the
-            # footprint checks below sit on the per-update hot path.
-            for fact in (*additions, *retractions):
-                homes[fact] = self.spec.shard_of_fact(fact)
         evicted: list[tuple[TableEntry, str]] = []
         for entry in list(self._entries):
             relevant_added = [f for f in additions if f.relation in entry.known_relations]
@@ -293,37 +263,6 @@ class AnswerTable:
             ]
             if not relevant_added and not relevant_removed:
                 continue
-            if self.spec is not None and entry.shard_footprint is not None:
-                # Facts homed outside the entry's shard footprint provably
-                # cannot join any body occurrence of its magic program: they
-                # are mirrored into the entry's base-relation copy (which
-                # doubles as the session's reference state) and skipped by
-                # maintenance entirely.  Replicated relations are the
-                # exception — the footprint proof skipped their occurrences
-                # (every worker reads the full copy, so home ownership says
-                # nothing about reachability), so their facts are always
-                # maintained through the entry.
-                replicated = self.spec.replicated
-                inside_added = []
-                inside_removed = []
-                mirrored = 0
-                for fact in relevant_removed:
-                    if fact.relation in replicated or homes[fact] in entry.shard_footprint:
-                        inside_removed.append(fact)
-                    else:
-                        entry.answers.discard_fact(fact, keep_empty=True)
-                        mirrored += 1
-                for fact in relevant_added:
-                    if fact.relation in replicated or homes[fact] in entry.shard_footprint:
-                        inside_added.append(fact)
-                    else:
-                        entry.answers.add_fact(fact)
-                        mirrored += 1
-                if statistics is not None:
-                    statistics.shard_skipped_updates += mirrored
-                relevant_added, relevant_removed = inside_added, inside_removed
-                if not relevant_added and not relevant_removed:
-                    continue
             if entry.fixpoint is None:
                 evicted.append(
                     (

@@ -16,7 +16,7 @@ makes the session state *durable* with the classic two-file scheme:
 
 * **Versioned snapshots** — the full session state
   (:meth:`QuerySession.export_state`: materialization rows, stratum support
-  state, answer-table entries, sharding plan) plus the session config,
+  state, answer-table entries) plus the session config,
   wrapped in a ``{format, version, generation, config, state}`` document and
   written atomically (temp file → fsync → ``os.replace``).  A snapshot at
   generation *g* makes every log record ``≤ g`` redundant; writing one

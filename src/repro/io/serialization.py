@@ -303,20 +303,19 @@ def update_result_to_json(result: UpdateResult) -> dict:
         "maintained": result.maintained,
         "fallback_reason": result.fallback_reason,
         "statistics": statistics_to_json(result.statistics),
-        "shards_touched": (
-            None if result.shards_touched is None else sorted(result.shards_touched)
-        ),
     }
 
 
 def update_result_from_json(data: "Mapping[str, object]") -> UpdateResult:
-    """Decode an :class:`UpdateResult` encoded by :func:`update_result_to_json`."""
-    shards = data.get("shards_touched")
+    """Decode an :class:`UpdateResult` encoded by :func:`update_result_to_json`.
+
+    Keys other than the ones read here are ignored, as in
+    :func:`statistics_from_json`.
+    """
     return UpdateResult(
         added=frozenset(fact_from_json(fact) for fact in data.get("added", ())),
         removed=frozenset(fact_from_json(fact) for fact in data.get("removed", ())),
         maintained=bool(data.get("maintained", False)),
         fallback_reason=data.get("fallback_reason"),
         statistics=statistics_from_json(data.get("statistics")),
-        shards_touched=None if shards is None else frozenset(int(shard) for shard in shards),
     )

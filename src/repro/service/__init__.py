@@ -3,8 +3,7 @@
 See :mod:`repro.service.core` for the serving semantics (write coalescing,
 concurrent reads during maintenance, admission control) and
 :mod:`repro.service.http` for the transport.  ``python -m repro.service``
-starts the stdlib HTTP server; :func:`create_fastapi_app` mounts the same
-routes on FastAPI when it is installed.
+starts the stdlib HTTP server.
 """
 
 from repro.service.core import (
@@ -15,7 +14,6 @@ from repro.service.core import (
     SessionRegistry,
     TenantBudget,
 )
-from repro.service.fastapi_app import create_fastapi_app
 from repro.service.http import ServiceApp, serve
 
 __all__ = [
@@ -26,6 +24,5 @@ __all__ = [
     "SessionHandle",
     "SessionRegistry",
     "TenantBudget",
-    "create_fastapi_app",
     "serve",
 ]

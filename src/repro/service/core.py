@@ -886,13 +886,6 @@ class SessionHandle:
 
     def stats(self) -> dict:
         """A JSON-ready snapshot of the handle's serving counters."""
-        session_statistics = None
-        if self.session.sharding is not None:
-            session_statistics = {
-                "per_shard_extension_attempts": list(
-                    self.session.sharding.per_shard_extension_attempts
-                )
-            }
         return {
             "session": self.session_id,
             "tenant": self.tenant,
@@ -908,7 +901,6 @@ class SessionHandle:
             "shed_queries": self.shed_queries,
             "edb_facts": self._edb_size(),
             "table_capacity": self.session.table_capacity,
-            "sharding": session_statistics,
             "persist": self.persist_name,
             "durable": self.durability is not None,
             "standby": self.standby,
@@ -993,9 +985,10 @@ class SessionRegistry:
 
         *program* and *instance* are Sequence Datalog text (the same format
         :mod:`repro.io.serialization` persists); *options* tunes the engine:
-        ``mode``, ``execution``, ``strategy``, ``shards``, ``executor``,
-        ``table_capacity`` (capped by the tenant budget), ``max_facts`` /
-        ``max_iterations`` evaluation limits, and ``materialize`` (default
+        ``mode``, ``execution``, ``strategy``, ``table_capacity`` (capped by
+        the tenant budget), ``max_facts`` / ``max_iterations`` evaluation
+        limits (a non-integer value for any of the three is refused with 400
+        ``bad_upload``), and ``materialize`` (default
         true — build the full fixpoint eagerly so every read is a committed
         view read; pass false to serve goal-mode traffic through the
         subsumption table instead).
@@ -1067,8 +1060,7 @@ class SessionRegistry:
                 "program": program,
                 "output_relation": output_relation,
                 # Only plain JSON scalars survive into the persisted config;
-                # live objects (a ParallelExecutor, say) cannot be restored
-                # from disk anyway.
+                # live objects cannot be restored from disk anyway.
                 "options": {
                     key: value
                     for key, value in options.items()
@@ -1096,11 +1088,23 @@ class SessionRegistry:
         budget: TenantBudget,
     ) -> "tuple[ProgramQuery, dict]":
         """The query + session kwargs shared by :meth:`create` and restore."""
+
+        def int_option(name: str) -> "int | None":
+            value = options.get(name)
+            if value is None:
+                return None
+            try:
+                return int(value)
+            except (TypeError, ValueError):
+                raise ServiceError(
+                    400, "bad_upload", f"option {name!r} must be an integer, got {value!r}"
+                ) from None
+
         limits = DEFAULT_LIMITS
         overrides = {
-            name: int(options[name])
+            name: value
             for name in ("max_facts", "max_iterations")
-            if options.get(name) is not None
+            if (value := int_option(name)) is not None
         }
         if overrides:
             limits = EvaluationLimits(
@@ -1113,12 +1117,12 @@ class SessionRegistry:
         schema = {
             name: arities[name] for name in sorted(parsed_program.edb_relation_names())
         }
-        table_capacity = options.get("table_capacity")
+        table_capacity = int_option("table_capacity")
         if budget.table_capacity is not None:
             table_capacity = (
                 budget.table_capacity
                 if table_capacity is None
-                else min(int(table_capacity), budget.table_capacity)
+                else min(table_capacity, budget.table_capacity)
             )
         query = ProgramQuery(
             parsed_program,
@@ -1130,12 +1134,7 @@ class SessionRegistry:
             mode=options.get("mode", "full"),
             require_monadic=False,
         )
-        session_kwargs = dict(
-            shards=int(options.get("shards", 1)),
-            executor=options.get("executor", "sequential"),
-            table_capacity=None if table_capacity is None else int(table_capacity),
-        )
-        return query, session_kwargs
+        return query, dict(table_capacity=table_capacity)
 
     # -- persistence (restore, re-attach, warm standby) --------------------------------
 
@@ -1212,6 +1211,8 @@ class SessionRegistry:
                 parsed_program, config["output_relation"], options, budget
             )
             session = QuerySession.restore(query, recovered.state, **session_kwargs)
+        except ServiceError:
+            raise
         except SnapshotUnsupportedError as error:
             raise ServiceError(409, "snapshot_unsupported", str(error)) from error
         except (KeyError, SequenceDatalogError) as error:

@@ -6,10 +6,7 @@ registry and returns ``(status, json_body)`` pairs.  The in-process load
 generator (``benchmarks/bench_serving.py``) and most tests drive it
 directly; :func:`serve` wraps the same dispatch in a minimal HTTP/1.1
 server built on ``asyncio.start_server`` so the whole service runs on the
-standard library alone.  When FastAPI happens to be installed,
-:func:`repro.service.fastapi_app.create_fastapi_app` exposes the identical
-routes through it — same dispatch, nicer tooling — but nothing in tier-1
-requires it.
+standard library alone.
 
 Routes (all bodies JSON):
 

@@ -13,38 +13,14 @@ The columnar layer (:mod:`repro.storage.columnar`) adds the id space the
 compiled execution tier runs on: a per-instance :class:`TermTable` interning
 every path into a dense integer id, and a packed :class:`ColumnarView` per
 relation generation with id-space groupings mirroring the secondary indexes.
-
-The partition layer (:mod:`repro.storage.partition`) adds hash partitioning
-on top: a deterministic cross-process row hash, the :class:`ShardingSpec`
-routing table, and two planners — the legacy producer-side
-:func:`choose_shard_keys` and the consumer-aligned
-:func:`choose_sharding_plan`, whose :class:`ShardingPlan` also decides which
-relations to replicate and which strata the sharded engine
-(:mod:`repro.engine.sharding`) may run worker-local.
 """
 
 from repro.storage.columnar import ColumnarView, TermTable
-from repro.storage.partition import (
-    ShardingPlan,
-    ShardingSpec,
-    choose_shard_keys,
-    choose_sharding_plan,
-    plan_for_spec,
-    stable_hash_path,
-    stable_hash_row,
-)
 from repro.storage.relation import EMPTY_ROWS, Relation
 
 __all__ = [
     "EMPTY_ROWS",
     "ColumnarView",
     "Relation",
-    "ShardingPlan",
-    "ShardingSpec",
     "TermTable",
-    "choose_shard_keys",
-    "choose_sharding_plan",
-    "plan_for_spec",
-    "stable_hash_path",
-    "stable_hash_row",
 ]

@@ -9,9 +9,7 @@ live here:
   lifetime of a session: copies and restrictions of an
   :class:`~repro.model.instance.Instance` share the table, so an id minted
   while evaluating one stratum keeps meaning the same path in every later
-  fixpoint, maintenance round, or tabled goal over the same data.  The table
-  pickles as its path list (the dictionary is rebuilt on load), so process
-  shards can carry one across the wire.
+  fixpoint, maintenance round, or tabled goal over the same data.
 
 * :class:`ColumnarView` — a packed, read-only view of one
   :class:`~repro.storage.relation.Relation` generation: one int array per
@@ -31,7 +29,7 @@ live here:
 Ids never leak past the engine: the resident semi-naive loop
 (:mod:`repro.engine.fixpoint`) keeps its deltas as id rows between rounds and
 decodes each new row once, when it enters the relation; everything above
-(counting/DRed maintenance, tabling, sharding) keeps trafficking in ordinary
+(counting/DRed maintenance, tabling) keeps trafficking in ordinary
 :class:`~repro.model.instance.Fact` objects.
 """
 
@@ -206,20 +204,6 @@ class TermTable:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TermTable({len(self._paths)} terms)"
-
-    # Pickle as the path list alone; the id map and flags are derived.
-    def __getstate__(self) -> list[Path]:
-        return self._paths
-
-    def __setstate__(self, paths: list[Path]) -> None:
-        self._paths = list(paths)
-        self._ids = {path: ident for ident, path in enumerate(self._paths)}
-        self._atomic = array("b", (1 if path.is_atomic() else 0 for path in self._paths))
-        self._elements = {}
-        self._element_ids = {}
-        self._concat = {}
-        self._splices = {}
-        self._packs = {}
 
 
 def _group_into(grouped: dict, pairs: "Iterable[tuple[int, int]]") -> None:

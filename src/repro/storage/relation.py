@@ -383,8 +383,8 @@ class Relation:
         wholesale rewrite, a log overflow or a different term table rebuild
         the whole view, which is how a relation's terms first enter an
         instance's id space.  Building a view turns the change log on, so
-        long-lived relations — a maintained materialization, a resident shard
-        worker's partitions — advance on every later generation bump.
+        a long-lived relation — a maintained materialization — advances on
+        every later generation bump.
         """
         if self._columnar_table is table and self._columnar_generation == self._generation:
             return self._columnar  # type: ignore[return-value]

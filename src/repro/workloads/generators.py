@@ -144,10 +144,8 @@ def power_law_graph_instance(
 
     Endpoints are drawn by preferential attachment: each edge picks its
     source and target with probability proportional to ``(rank+1)^-exponent``
-    over the node ranks, so a few hub nodes concentrate most of the edges.
-    This is the hostile key distribution for hash partitioning — all of a
-    hub's adjacency hashes to one shard, so balanced-work claims that hold
-    on the friendly layered graphs must be re-checked here.  Self-loops are
+    over the node ranks, so a few hub nodes concentrate most of the edges
+    — the skewed counterpart of the friendly layered graphs.  Self-loops are
     skipped (they add no reachability information and would let the
     transitive closure grow degenerate cycles); node ``a`` is the top hub
     and ``b`` the second, matching the reachability query's endpoints.

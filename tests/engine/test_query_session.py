@@ -11,7 +11,7 @@ calls.
 import pytest
 
 from repro.engine import EvaluationLimits, EvaluationStatistics, ProgramQuery, QueryResult
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, SubgoalTableError
 from repro.model import Fact, Instance, path, unary_instance
 from repro.parser import parse_program
 from repro.queries import get_query
@@ -293,60 +293,23 @@ class TestPathsAmbiguityMessage:
         assert "relation=" in message
 
 
+def test_table_capacity_is_threaded_through():
+    session = pair_query().session(line_instance(), table_capacity=2)
+    assert session.table_capacity == 2
+    assert session._tables.max_entries == 2
+    # the LRU bound is enforced: a third distinct goal evicts the coldest
+    for source in ("a", "n1", "n2"):
+        session.run(binding={0: source}, mode="goal")
+    assert len(session._tables) <= 2
+    with pytest.raises(SubgoalTableError):
+        pair_query().session(line_instance(), table_capacity=0)
+
+
 class TestSessionClose:
-    """Regression tests for the close/finalize lifecycle.
-
-    A leaked sharded session used to strand the pinned ProcessExecutor
-    workers: nothing called ``close`` and the executor held OS resources
-    until interpreter exit.  Sessions now carry a ``weakref.finalize`` guard
-    (holding the ShardedFixpoint, never the session itself), and ``close``
-    is idempotent and detaches the guard.
-    """
-
-    def _spy_on_sharded_close(self, monkeypatch):
-        import repro.engine.sharding as sharding
-
-        calls = []
-        original = sharding.ShardedFixpoint.close
-
-        def spy(self):
-            calls.append(id(self))
-            return original(self)
-
-        monkeypatch.setattr(sharding.ShardedFixpoint, "close", spy)
-        return calls
-
-    def test_close_is_idempotent_for_plain_and_sharded_sessions(self):
-        plain = pair_query().session(line_instance())
-        plain.run()
-        plain.close()
-        plain.close()  # double close must be a no-op
-        sharded = pair_query().session(line_instance(), shards=2)
-        sharded.run()
-        sharded.close()
-        sharded.close()
-        # A closed session still answers from its materialization.
-        assert sharded.run(binding={0: "a"}).served_by == "maintained"
-
-    def test_leaked_sharded_sessions_release_their_executor_on_gc(self, monkeypatch):
-        import gc
-
-        calls = self._spy_on_sharded_close(monkeypatch)
-        session = pair_query().session(line_instance(), shards=2)
-        session.run()
-        assert calls == []
-        del session
-        gc.collect()
-        assert len(calls) == 1, "the finalizer did not shut the executor down"
-
-    def test_explicit_close_detaches_the_finalizer(self, monkeypatch):
-        import gc
-
-        calls = self._spy_on_sharded_close(monkeypatch)
-        session = pair_query().session(line_instance(), shards=2)
+    def test_close_is_idempotent(self):
+        session = pair_query().session(line_instance())
         session.run()
         session.close()
-        assert len(calls) == 1
-        del session
-        gc.collect()
-        assert len(calls) == 1, "gc after an explicit close must not close again"
+        session.close()  # double close must be a no-op
+        # A closed session still answers from its materialization.
+        assert session.run(binding={0: "a"}).served_by == "maintained"

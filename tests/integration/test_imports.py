@@ -6,10 +6,13 @@ The graph library is a dependency of the helpers whose contract is an
 process that merely parses, evaluates and serves ≈0.2 s and ≈16 MB.
 """
 
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -54,3 +57,11 @@ def test_parsing_evaluating_and_serving_never_import_networkx():
     )
     assert finished.returncode == 0, finished.stderr
     assert finished.stdout.strip() == "served without networkx"
+
+
+@pytest.mark.parametrize("package", ["repro.engine", "repro.storage", "repro.service"])
+def test_every_exported_name_resolves(package):
+    """A deleted module leaves its names behind in ``__all__`` first."""
+    module = importlib.import_module(package)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []

@@ -1,0 +1,173 @@
+"""Data written before the shard-parallel layer was deleted still reads.
+
+Every literal below was written by commit 19c7d04 (the last one that had
+``repro.engine.sharding``), from sessions opened with ``shards=2`` /
+``shards=4, executor="process"``.  This build has no such option, no
+``"sharding"`` block in a session state, no ``shards_touched`` on an update
+result and five fewer statistics counters — and must keep reading all of it,
+ignoring what it no longer knows.  Each test fails if a reader starts
+rejecting (or misreading) the old documents.
+"""
+
+import asyncio
+import json
+
+from repro.engine import MaintainedFixpoint, ProgramQuery, QuerySession
+from repro.io.serialization import (
+    fact_from_json,
+    rows_from_json,
+    statistics_from_json,
+    update_result_from_json,
+)
+from repro.model import Instance, path
+from repro.parser import parse_program
+from repro.service import SessionRegistry
+
+BLOCKED_REACHABILITY = """
+Blocked(@x) :- Blocklist(@x).
+T(@x, @y) :- E(@x, @y), not Blocked(@y).
+T(@x, @z) :- T(@x, @y), E(@y, @z), not Blocked(@z).
+"""
+
+SHARDING_BLOCK = (
+    '{"plan":{"keys":{"Blocked":0,"Blocklist":0,"E":0,"T":0},"modes":["local","local"],'
+    '"repartitions":{},"replicated":["Blocked","E"]},"shard_count":2}'
+)
+
+#: ``export_state()`` of a ``shards=2`` session after ``run()`` and one update
+#: (``+E(d, a)``, closing the cycle): a materialization with support state.
+MATERIALIZED_STATE = (
+    '{"edb":{"Blocklist":[["e"]],"E":[["a","b"],["b","c"],["b","e"],["c","d"],["d","a"]]},'
+    '"materialization":{"Blocked":[["e"]],"Blocklist":[["e"]],'
+    '"E":[["a","b"],["b","c"],["b","e"],["c","d"],["d","a"]],'
+    '"T":[["a","a"],["a","b"],["a","c"],["a","d"],["b","a"],["b","b"],["b","c"],["b","d"],'
+    '["c","a"],["c","b"],["c","c"],["c","d"],["d","a"],["d","b"],["d","c"],["d","d"]]},'
+    '"sharding":' + SHARDING_BLOCK + ","
+    '"strata":[{"counts":[[["Blocked","e"],1]],"pinned":[],"recursive":false},'
+    '{"counts":null,"pinned":[],"recursive":true}],"table":[],"version":1}'
+)
+
+#: ``export_state()`` of a ``shards=2`` session that only ever answered the
+#: goal ``T(b, ?)``: no materialization, one tabled entry.
+TABLED_STATE = (
+    '{"edb":{"Blocklist":[["e"]],"E":[["a","b"],["b","c"],["b","e"],["c","d"]]},'
+    '"materialization":null,"sharding":' + SHARDING_BLOCK + ',"strata":null,'
+    '"table":[{"answers":{"Blocked":[["e"]],"Blocklist":[["e"]],'
+    '"E":[["a","b"],["b","c"],["b","e"],["c","d"]],"Magic_T_bf":[["b"]],'
+    '"T":[["b","c"],["b","d"]],"T_bf":[["b","c"],["b","d"]]},"positions":[0],"values":["b"]}],'
+    '"version":1}'
+)
+
+#: The snapshot document a registry wrote for a session created with
+#: ``options={"persist": "alpha", "shards": 4, "executor": "process",
+#: "table_capacity": 8}``.
+PERSISTED_SNAPSHOT = (
+    '{"config":{"name":"alpha","options":{"executor":"process","persist":"alpha","shards":4,'
+    '"table_capacity":8},"output_relation":"T","program":' + json.dumps(BLOCKED_REACHABILITY) + ","
+    '"tenant":"acme"},"format":"repro-session-snapshot","generation":0,'
+    '"state":{"edb":{"Blocklist":[["e"]],"E":[["a","b"],["b","c"],["b","e"],["c","d"]]},'
+    '"materialization":{"Blocked":[["e"]],"Blocklist":[["e"]],'
+    '"E":[["a","b"],["b","c"],["b","e"],["c","d"]],'
+    '"T":[["a","b"],["a","c"],["a","d"],["b","c"],["b","d"],["c","d"]]},'
+    '"sharding":{"plan":{"keys":{"Blocked":0,"Blocklist":0,"E":0,"T":0},'
+    '"modes":["local","local"],"repartitions":{},"replicated":["Blocked","E"]},"shard_count":4},'
+    '"strata":[{"counts":[[["Blocked","e"],1]],"pinned":[],"recursive":false},'
+    '{"counts":null,"pinned":[],"recursive":true}],"table":[],"version":1},"version":1}'
+)
+
+#: ``update_result_to_json`` of the ``+E(d, a)`` update above.
+UPDATE_RESULT = (
+    '{"added":[["E","d","a"]],"fallback_reason":null,"kind":"update_result","maintained":true,'
+    '"removed":[],"shards_touched":[0],"statistics":{"cross_shard_facts":0,'
+    '"delta_restricted_applications":9,"exchange_batches":0,"exchanged_bytes":0,'
+    '"extension_attempts":28,"facts_derived":10,"facts_retracted":0,"iterations":0,'
+    '"maintenance_rounds":5,"per_stratum_iterations":[],"plan_cache_hits":5,"plans_compiled":4,'
+    '"rederivation_attempts":0,"rule_applications":9,"shard_rounds":5,'
+    '"shard_skipped_updates":0,"subgoal_table_hits":0}}'
+)
+
+
+def build_query():
+    return ProgramQuery(
+        parse_program(BLOCKED_REACHABILITY),
+        {"E": 2, "Blocklist": 1},
+        "T",
+        require_monadic=False,
+    )
+
+
+def edb_of(state):
+    instance = Instance()
+    for name, rows in state["edb"].items():
+        instance.set_relation_rows(name, rows_from_json(rows))
+    return instance
+
+
+def test_a_sharded_sessions_materialized_state_restores_into_a_plain_session():
+    state = json.loads(MATERIALIZED_STATE)
+    assert state["sharding"]["shard_count"] == 2
+    query = build_query()
+    scratch = MaintainedFixpoint.evaluate(query.program, edb_of(state))
+    with QuerySession.restore(build_query(), state) as restored:
+        answered = restored.run()
+        assert answered.served_by == "maintained"  # read, not re-evaluated
+        assert answered.output == query.run(edb_of(state)).output
+        assert restored.materialized == scratch.materialized
+        assert restored._maintained.support_state() == scratch.support_state()
+        # Still a live session: retracting the closing edge breaks the cycle.
+        restored.update([], [fact_from_json(["E", "d", "a"])])
+        assert (path("d"), path("a")) not in restored.run().output.relation("T")
+
+
+def test_a_sharded_sessions_tabled_goals_restore_into_a_plain_session():
+    state = json.loads(TABLED_STATE)
+    assert state["sharding"] is not None and state["table"]
+    binding = {0: path("b")}
+    with build_query().session(edb_of(state)) as scratch:
+        expected = scratch.run(binding=binding, mode="goal")
+        with QuerySession.restore(build_query(), state) as restored:
+            served = restored.run(binding=binding, mode="goal")
+            assert served.served_by == "tabled"
+            assert served.output == expected.output
+            (entry,) = restored._tables
+            (built,) = scratch._tables
+            assert (entry.positions, entry.values) == (built.positions, built.values)
+            assert entry.answers == built.answers
+
+
+def test_a_persisted_config_naming_shards_and_executor_restores_and_serves(tmp_path):
+    directory = tmp_path / "acme" / "alpha"
+    directory.mkdir(parents=True)
+    (directory / "snapshot-000000000000.json").write_text(PERSISTED_SNAPSHOT)
+    (directory / "wal-000000000000.log").write_bytes(b"")
+
+    async def scenario():
+        registry = SessionRegistry(persist_root=tmp_path)
+        try:
+            (handle,) = await registry.restore_all()
+            assert registry.restore_errors == []
+            assert handle.persist_config["options"]["shards"] == 4
+            assert handle.session.table_capacity == 8  # the options it knows still apply
+            answer = await handle.run_query(binding={0: path("a")})
+            assert set(rows_from_json(answer["answers"]["T"])) == {
+                (path("a"), path(node)) for node in "bcd"
+            }
+            ack = await handle.enqueue_update([fact_from_json(["E", "d", "a"])], [])
+            assert ack["generation"] == 1
+        finally:
+            registry.close_all()
+
+    asyncio.run(scenario())
+
+
+def test_update_results_and_statistics_written_with_the_removed_fields_decode():
+    payload = json.loads(UPDATE_RESULT)
+    assert payload["shards_touched"] == [0] and "shard_rounds" in payload["statistics"]
+    result = update_result_from_json(payload)
+    assert result.added == {fact_from_json(["E", "d", "a"])}
+    assert result.maintained and not result.removed
+    assert not hasattr(result, "shards_touched")
+    statistics = statistics_from_json(payload["statistics"])
+    assert statistics == result.statistics
+    assert (statistics.extension_attempts, statistics.maintenance_rounds) == (28, 5)
+    assert not hasattr(statistics, "exchanged_bytes")

@@ -138,14 +138,4 @@ class TestResultRoundTrips:
         assert decoded.maintained == result.maintained
         assert decoded.fallback_reason == result.fallback_reason
         assert decoded.statistics == result.statistics
-        assert decoded.shards_touched == result.shards_touched
         session.close()
-
-    def test_sharded_update_results_keep_their_shards(self):
-        query = pair_query()
-        with query.session(line_instance(), shards=2) as session:
-            session.run()
-            result = session.update(additions=[Fact("E", (path("n4"), path("z")))])
-            decoded = update_result_from_json(update_result_to_json(result))
-            assert decoded.shards_touched == result.shards_touched
-            assert decoded.shards_touched is not None

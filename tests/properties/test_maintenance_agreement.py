@@ -15,15 +15,12 @@ from hypothesis import given, settings, strategies as st
 from repro.engine import (
     EvaluationStatistics,
     MaintainedFixpoint,
-    ProcessExecutor,
-    ShardedFixpoint,
     evaluate_program,
 )
 from repro.io import instance_from_text
 from repro.model import Fact
 from repro.parser import parse_program
 from repro.queries import get_query
-from repro.storage import choose_sharding_plan
 from repro.workloads import (
     as_edge_pairs,
     random_graph_instance,
@@ -275,11 +272,9 @@ def _directed_case(name):
     )
 
 
-def _retracted_through(program, base, steps, *, execution, sharding=None):
+def _retracted_through(program, base, steps, *, execution):
     """``facts_retracted`` per step, checking every state against scratch."""
-    maintained = MaintainedFixpoint.evaluate(
-        program, base, execution=execution, sharding=sharding
-    )
+    maintained = MaintainedFixpoint.evaluate(program, base, execution=execution)
     current = base.copy()
     retracted = []
     for additions, retractions in steps:
@@ -303,33 +298,3 @@ def test_directed_retractions_agree_in_every_execution(name):
     }
     assert counts["scan"] == counts["indexed"] == counts["compiled"]
     assert any(counts["scan"])  # every case retracts something
-
-
-def test_directed_retractions_agree_through_two_shards():
-    """The same cases with the over-deleted set split by home shard, and —
-    where the stratum's reads are worker-local — with overdeletion and
-    rederivation run by the resident shard workers themselves."""
-    ran_on_workers = set()
-    with ProcessExecutor(2, min_round_rows=0) as executor:
-        for name in DIRECTED_RETRACTIONS:
-            program, base, steps = _directed_case(name)
-            plan = choose_sharding_plan(program)
-            expected = _retracted_through(program, base, steps, execution="compiled")
-            in_parent = ShardedFixpoint(program, plan.spec(2), plan=plan)
-            assert _retracted_through(
-                program, base, steps, execution="compiled", sharding=in_parent
-            ) == expected
-            resident = ShardedFixpoint(program, plan.spec(2), executor, plan=plan)
-            worker_dred = resident.dred_stratum
-
-            def recording(*args, name=name, worker_dred=worker_dred):
-                outcome = worker_dred(*args)
-                if outcome is not None:
-                    ran_on_workers.add(name)
-                return outcome
-
-            resident.dred_stratum = recording
-            assert _retracted_through(
-                program, base, steps, execution="compiled", sharding=resident
-            ) == expected
-    assert len(ran_on_workers) >= 3

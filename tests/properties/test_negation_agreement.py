@@ -4,16 +4,14 @@ Negation used to be the construct every fast path refused; now it must be
 indistinguishable from the slow paths it replaced.  For the canonical
 "reachable but not blocked" workload (negation over a demanded IDB
 relation) and the set-difference shape (negation over an EDB relation),
-these sweeps check the three agreement contracts across
-strategy × execution × shard count:
+these sweeps check the two agreement contracts across
+strategy × execution:
 
 * maintained ≡ scratch — update streams through the *negated* relation in
   both directions (additions produce downstream retractions and vice
   versa), including retraction-only streams;
 * tabled ≡ goal ≡ full — the goal pipeline handles the stratified rewrite
-  with no ``fallback_reason``, cold and warm;
-* sharded ≡ single-process — the planner's non-replicated negation-stratum
-  proof produces extensionally identical instances at every shard count.
+  with no ``fallback_reason``, cold and warm.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -21,12 +19,10 @@ from hypothesis import given, settings, strategies as st
 from repro.engine import (
     MaintainedFixpoint,
     ProgramQuery,
-    ShardedFixpoint,
     evaluate_program,
 )
 from repro.model import Fact, path
 from repro.parser import parse_program
-from repro.storage import choose_sharding_plan
 from repro.workloads import (
     as_edge_pairs,
     churn_stream,
@@ -36,7 +32,6 @@ from repro.workloads import (
 
 STRATEGIES = ("naive", "seminaive")
 EXECUTIONS = ("scan", "indexed", "compiled")
-SHARD_COUNTS = (1, 2, 3)
 
 #: Reachability avoiding blocked nodes: ``Blocked`` is a demanded IDB
 #: relation read under negation inside the recursion — the exact shape
@@ -63,10 +58,10 @@ def blocked_instance(seed, *, blocked_nodes=2):
     return instance
 
 
-def apply_steps_and_check(program, base, steps, *, strategy, execution, sharding=None):
+def apply_steps_and_check(program, base, steps, *, strategy, execution):
     """Drive one maintained fixpoint through *steps*, checking every state."""
     maintained = MaintainedFixpoint.evaluate(
-        program, base, strategy=strategy, execution=execution, sharding=sharding
+        program, base, strategy=strategy, execution=execution
     )
     current = base.copy()
     for additions, retractions in steps:
@@ -79,8 +74,6 @@ def apply_steps_and_check(program, base, steps, *, strategy, execution, sharding
             program, current, strategy=strategy, execution=execution
         )
         assert maintained.materialized == scratch
-        if sharding is not None:
-            assert sharding.sharded.merged() == scratch
 
 
 @given(seed=st.integers(0, 60), stream_seed=st.integers(0, 10))
@@ -221,53 +214,3 @@ def test_tabled_negation_goals_survive_updates_through_the_negated_relation(seed
         served = session.run(binding=binding, mode="goal")
         reference = query.run(working.copy(), binding=binding, mode="full")
         assert served.output == reference.output
-
-
-def test_negation_stratum_is_proved_non_replicated():
-    """Guard the premise of the sharded sweeps: no whole-stratum replication."""
-    program = parse_program(BLOCKED_REACHABILITY)
-    plan = choose_sharding_plan(program)
-    assert all(mode in ("local", "aligned") for mode in plan.modes)
-    assert "T" not in plan.spec(3).replicated
-
-
-@given(seed=st.integers(0, 60), shards=st.sampled_from(SHARD_COUNTS))
-@settings(max_examples=10, deadline=None)
-def test_sharded_negation_agrees_with_single_process(seed, shards):
-    program = parse_program(BLOCKED_REACHABILITY)
-    instance = blocked_instance(seed, blocked_nodes=2)
-    plan = choose_sharding_plan(program)
-    expected = evaluate_program(program, instance)
-    fixpoint = ShardedFixpoint(program, plan.spec(shards), plan=plan)
-    assert fixpoint.evaluate(instance) == expected
-    assert fixpoint.sharded.merged() == expected
-
-
-@given(
-    seed=st.integers(0, 40),
-    shards=st.sampled_from(SHARD_COUNTS),
-    execution=st.sampled_from(("indexed", "compiled")),
-)
-@settings(max_examples=8, deadline=None)
-def test_sharded_negation_maintenance_tracks_scratch(seed, shards, execution):
-    """Sharded maintained ≡ scratch through streams on both relations."""
-    program = parse_program(BLOCKED_REACHABILITY)
-    base = blocked_instance(seed, blocked_nodes=3)
-    plan = choose_sharding_plan(program)
-    sharding = ShardedFixpoint(
-        program, plan.spec(shards), execution=execution, plan=plan
-    )
-    steps = []
-    for (e_add, e_del), (b_add, b_del) in zip(
-        update_stream(base, relation="E", steps=3, seed=seed + 11),
-        update_stream(base, relation="Blocklist", steps=3, seed=seed + 13),
-    ):
-        steps.append((e_add + b_add, e_del + b_del))
-    apply_steps_and_check(
-        program,
-        base,
-        steps,
-        strategy="seminaive",
-        execution=execution,
-        sharding=sharding,
-    )

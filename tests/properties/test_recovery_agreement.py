@@ -3,7 +3,7 @@
 :meth:`QuerySession.export_state` → JSON → :meth:`QuerySession.restore`
 must reproduce a session that is *observably identical* to rebuilding from
 scratch on the same base — across strategy × execution (including
-compiled) × shard count, on update streams that mix additions with
+compiled), on update streams that mix additions with
 retractions through a stratified-negation program.  And a restored session
 is not a read-only museum piece: it must keep absorbing updates through
 the normal maintenance path and stay in agreement afterwards.
@@ -28,11 +28,10 @@ from repro.workloads import as_edge_pairs, random_graph_instance, update_stream
 
 STRATEGIES = ("naive", "seminaive")
 EXECUTIONS = ("scan", "indexed", "compiled")
-SHARD_COUNTS = (1, 3)
 
 #: Reachability avoiding blocked nodes — recursion over pairs with a
 #: demanded IDB relation under negation, the hardest shape every layer
-#: (maintenance, tabling, sharding) has to round-trip through a snapshot.
+#: (maintenance, tabling) has to round-trip through a snapshot.
 BLOCKED_REACHABILITY = """
 Blocked(@x) :- Blocklist(@x).
 T(@x, @y) :- E(@x, @y), not Blocked(@y).
@@ -93,23 +92,21 @@ def apply_to(instance, additions, retractions):
         instance.add_fact(fact)
 
 
-def roundtrip_check(strategy, execution, shards, seed):
+def roundtrip_check(strategy, execution, seed):
     """Snapshot mid-stream; the restored session must equal scratch, then
     keep tracking scratch through the rest of the stream."""
     base = blocked_instance(seed)
     steps = mixed_stream(base, seed)
     split = len(steps) // 2
     query = build_query(strategy, execution)
-    session = query.session(base.copy(), shards=shards)
+    session = query.session(base.copy())
     session.run()  # establish the maintained materialization
     current = base.copy()
     for additions, retractions in steps[:split]:
         session.update(additions, retractions)
         apply_to(current, additions, retractions)
     state = json.loads(json.dumps(session.export_state()))
-    restored = QuerySession.restore(
-        build_query(strategy, execution), state, shards=shards
-    )
+    restored = QuerySession.restore(build_query(strategy, execution), state)
     try:
         expected = query.run(current.copy()).output
         answered = restored.run()
@@ -135,14 +132,7 @@ def roundtrip_check(strategy, execution, shards, seed):
 def test_restore_agrees_across_strategy_and_execution(seed):
     for strategy in STRATEGIES:
         for execution in EXECUTIONS:
-            roundtrip_check(strategy, execution, 1, seed)
-
-
-@given(seed=st.integers(0, 40), shards=st.sampled_from(SHARD_COUNTS))
-@settings(max_examples=6, deadline=None)
-def test_restore_agrees_for_sharded_sessions(seed, shards):
-    for execution in ("indexed", "compiled"):
-        roundtrip_check("seminaive", execution, shards, seed)
+            roundtrip_check(strategy, execution, seed)
 
 
 @given(

@@ -3,8 +3,7 @@
 Most coverage drives :meth:`ServiceApp.dispatch` directly — it is the
 transport-independent surface both servers and the benchmark share.  One
 test exercises the real ``asyncio.start_server`` transport over a socket
-(keep-alive, error statuses, malformed bodies), and the FastAPI front-end
-is covered when the dependency happens to be installed.
+(keep-alive, error statuses, malformed bodies).
 """
 
 import asyncio
@@ -15,7 +14,6 @@ import pytest
 from repro.io.serialization import instance_to_text, rows_from_json
 from repro.model import Instance, path
 from repro.service import ServiceApp, SessionRegistry, serve
-from repro.service.fastapi_app import create_fastapi_app
 
 REACHABILITY_PAIRS = """
 T(@x, @y) :- E(@x, @y).
@@ -99,6 +97,34 @@ class TestDispatch:
                 "POST", "/v1/sessions", create_body(program="T(@x :- broken")
             )
             assert status == 400 and error["error"]["code"] == "bad_upload"
+
+        asyncio.run(scenario())
+        app.close()
+
+    @pytest.mark.parametrize("option", ["max_facts", "max_iterations", "table_capacity"])
+    def test_non_integer_options_are_a_400_naming_the_option(self, option, tmp_path):
+        app = ServiceApp(SessionRegistry(persist_root=tmp_path))
+
+        async def refused(options):
+            status, error = await app.dispatch(
+                "POST", "/v1/sessions", create_body(options=options)
+            )
+            assert status == 400 and error["error"]["code"] == "bad_upload"
+            assert option in error["error"]["message"]
+
+        async def scenario():
+            await refused({option: "abc"})
+            # The restore path reads its options from the persisted config.
+            status, created = await app.dispatch(
+                "POST", "/v1/sessions", create_body(options={"persist": "alpha"})
+            )
+            assert status == 201
+            await app.dispatch("DELETE", f"/v1/sessions/{created['session']}")
+            (snapshot,) = (tmp_path / "default" / "alpha").glob("snapshot-*.json")
+            document = json.loads(snapshot.read_text())
+            document["config"]["options"][option] = "abc"
+            snapshot.write_text(json.dumps(document))
+            await refused({"persist": "alpha"})
 
         asyncio.run(scenario())
         app.close()
@@ -253,20 +279,3 @@ class TestStdlibServer:
                 app.close()
 
         asyncio.run(scenario())
-
-
-class TestFastAPIFrontend:
-    def test_missing_dependency_raises_a_clear_error(self):
-        try:
-            import fastapi  # noqa: F401
-        except ImportError:
-            with pytest.raises(RuntimeError, match="stdlib asyncio server"):
-                create_fastapi_app()
-        else:
-            pytest.skip("fastapi installed; covered by the mounting test")
-
-    def test_routes_mount_when_fastapi_is_available(self):
-        pytest.importorskip("fastapi")
-        api = create_fastapi_app()
-        paths = {route.path for route in api.routes}
-        assert "/v1/sessions/{session_id}/query" in paths
