@@ -93,7 +93,7 @@ def test_maintained_serving_beats_reevaluation_5x(bench_report, request):
     # Baseline: the pre-maintenance behaviour — re-evaluate the fixpoint for
     # every query (kept as strong as possible: shared compiled plans).
     scratch_instance = instance.copy()
-    evaluators = ProgramEvaluators(query.limits, execution=query.execution)
+    evaluators = ProgramEvaluators(query.limits)
     scratch_stats = EvaluationStatistics()
     scratch_answers = []
     started = time.perf_counter()

@@ -104,22 +104,6 @@ def load_pairs(
     # gate's core floor never asserts an absolute speedup.
     result_timed = bool(result.get("timed", False))
     result_cpus = int(result.get("cpu_count", result.get("cpus", 1)) or 1)
-    # Never compare wall times across execution modes: a baseline captured
-    # under one backend (e.g. "indexed") says nothing about a run of another
-    # (e.g. "compiled").  Records without the field predate the stamp and
-    # were all measured under the indexed interpreter.
-    baseline_mode = baseline.get("execution", "indexed")
-    result_mode = result.get("execution", "indexed")
-    if baseline_mode != result_mode:
-        return (
-            [
-                f"{baseline_path.name}: execution mode mismatch — baseline was "
-                f"measured under {baseline_mode!r} but the result under "
-                f"{result_mode!r}; refresh the baseline instead of comparing "
-                f"across backends"
-            ],
-            [],
-        )
     for key, expected in sorted(baseline.items()):
         if not isinstance(expected, (int, float)):
             continue

@@ -24,7 +24,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine import DEFAULT_EXECUTION
 from repro.workloads import random_graph_instance, random_string_instance
 
 
@@ -62,13 +61,7 @@ class BenchmarkReporter:
     def record(self, name: str, **fields) -> None:
         """Merge *fields* into the record for benchmark *name*.
 
-        Every record carries an ``execution`` field naming the engine mode
-        its wall times were measured under (default: the engine's own
-        ``DEFAULT_EXECUTION``; pass the field explicitly to override).  The regression gate refuses to
-        compare records of different modes, so a baseline captured under one
-        backend can never silently gate a run of another.
-
-        Records also carry the environment the run was measured in —
+        Records carry the environment the run was measured in —
         ``cpu_count``, ``python_version``, and ``timed`` (whether the run
         was a real timing run, i.e. ``--benchmark-disable`` was *not*
         passed) — so ``check_regressions.py`` can arm or disarm the
@@ -79,7 +72,6 @@ class BenchmarkReporter:
         self.results.setdefault(
             name,
             {
-                "execution": DEFAULT_EXECUTION,
                 "cpu_count": os.cpu_count() or 1,
                 "python_version": platform.python_version(),
                 "timed": self.timed,

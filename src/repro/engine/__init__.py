@@ -1,18 +1,14 @@
 """Evaluation engine: matching, rule evaluation, stratified fixpoints, queries."""
 
 from repro.engine.evaluation import (
-    DEFAULT_EXECUTION,
-    ExecutionMode,
     RuleEvaluator,
     evaluate_rule,
     plan_body_order,
     plan_literal_sequence,
-    satisfying_valuations,
 )
 from repro.engine.fixpoint import (
     EvaluationStatistics,
     ProgramEvaluators,
-    Strategy,
     evaluate_program,
     evaluate_stratum,
     propagate_delta,
@@ -31,12 +27,10 @@ from repro.engine.tabling import AnswerTable, TableEntry
 from repro.engine.valuation import Valuation
 
 __all__ = [
-    "DEFAULT_EXECUTION",
     "DEFAULT_LIMITS",
     "AnswerTable",
     "EvaluationLimits",
     "EvaluationStatistics",
-    "ExecutionMode",
     "MaintainedFixpoint",
     "MaintenanceResult",
     "ProgramEvaluators",
@@ -45,7 +39,6 @@ __all__ = [
     "QueryResult",
     "QuerySession",
     "RuleEvaluator",
-    "Strategy",
     "TableEntry",
     "UpdateResult",
     "Valuation",
@@ -58,5 +51,4 @@ __all__ = [
     "plan_body_order",
     "plan_literal_sequence",
     "propagate_delta",
-    "satisfying_valuations",
 ]

@@ -1,11 +1,10 @@
-"""Compiled id-space rule execution (``execution="compiled"``).
+"""Id-space rule plans: how every rule is executed.
 
-This is the hot-path backend beneath the bound-aware planner: every safe
-rule lowers once into a :class:`CompiledRule` (:func:`lower_rule`).
+Every safe rule lowers once into a :class:`CompiledRule` (:func:`lower_rule`).
 Applying one runs hash joins over the dense integer ids of a per-instance
 :class:`~repro.storage.columnar.TermTable` instead of threading
 :class:`~repro.engine.valuation.Valuation` dictionaries through per-row
-interpreter loops:
+loops:
 
 * intermediate valuations are plain tuples of ints (one slot per variable
   bound so far), extended by tuple concatenation instead of dict copies;
@@ -28,40 +27,47 @@ interpreter loops:
   points — whose new bindings are interned
   (:meth:`~repro.engine.match.MatchPlan.extend_id_rows`);
 * negated predicates become id-row membership tests against the columnar
-  row set of the instance relation;
+  row set of the instance relation — or of the instance a caller names for
+  that static position (``negative_sources``: maintenance reads a changed
+  negated relation as it was before the update);
 * the head stage returns the *set of head id rows*
   (:meth:`CompiledRule.head_rows`); the resident semi-naive loop of
-  :mod:`repro.engine.fixpoint` works on those sets directly, and
+  :mod:`repro.engine.fixpoint` works on those sets directly,
   :meth:`CompiledRule.derive` is the same join followed by
   :func:`decode_rows` for callers that traffic in
-  :class:`~repro.model.instance.Fact` objects.
+  :class:`~repro.model.instance.Fact` objects, and
+  :meth:`CompiledRule.derivation_counts` tallies the join's rows per head
+  instead of collapsing them — the support counts of counting maintenance.
 
-What lowers: the whole language.  A body component a join step can take
-apart deterministically — a lone variable, a ground path, or a sequence of
-atoms, atom variables and ground packed items around at most one path
-variable — is matched by the step's own ops.  Any other positive component
+What lowers: the whole language.  A component a join step can take apart
+deterministically — a lone variable, a ground path, or a sequence of atoms,
+atom variables and ground packed items around at most one path variable — is
+matched by the step's own ops.  Any other *matched* component
 (``R($u·$s·$v)``, a repeated ``$x``, a packed item holding variables) is
 normalised in the paper's own spirit: the step binds the whole argument to a
-fresh variable and a binding equation takes it apart.  Heads, negated
-predicates and bound equation sides only *construct*, with any number of
-path variables and with packing built from variables
+fresh variable and a binding equation takes it apart.  That holds for the
+positive body predicates and for the head in its matching role
+(:attr:`CompiledRule.head_step`, which leads the head-restricted join of
+delete–rederive).  Heads in their constructing role, negated predicates and
+bound equation sides only *construct*, with any number of path variables and
+with packing built from variables
 (:meth:`~repro.storage.columnar.TermTable.pack`).  Only an unsafe rule does
 not lower, and :func:`lower_rule` returns the registered reason
-(:mod:`repro.engine.reasons`) instead of a plan; it is kept as
-:attr:`~repro.engine.evaluation.RuleEvaluator.lowering_refusal`.
-``execution="compiled"`` is exactly answer-equivalent to
-``"indexed"``/``"scan"``, which the agreement suites sweep.
+(:mod:`repro.engine.reasons`) instead of a plan;
+:class:`~repro.engine.evaluation.RuleEvaluator` raises it when the rule is
+evaluated.  The agreement suites hold these plans to
+:mod:`repro.engine.reference`.
 
 Frontier dictionaries (semi-naive deltas, the telescoped maintenance joins)
 are honoured position-by-position: each body step sources its relation from
-``frontier[position]`` when present, in the same static position space as
-the interpreter.
+``frontier[position]`` when present, in the static position space of
+:func:`~repro.engine.evaluation.plan_body_order`.
 """
 
 from collections import Counter
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.engine.limits import DEFAULT_LIMITS, EvaluationLimits
 from repro.engine.match import lower_pattern
@@ -78,7 +84,7 @@ from repro.syntax.expressions import AtomVariable, PathExpression, PathVariable
 from repro.syntax.literals import Equation, Literal, Predicate
 from repro.syntax.rules import bind_equations
 
-__all__ = ["CompiledRule", "compile_rule", "decode_rows", "lower_rule"]
+__all__ = ["CompiledRule", "decode_rows", "lower_rule"]
 
 # Candidate-check op tags (first tuple element of every op):
 _LEN = 0  # (0, pos, n, exact)        — length of the path at pos
@@ -185,11 +191,12 @@ class _Step:
 
 
 class _Constraint:
-    """A constructed membership target: one negated predicate or the head."""
+    """A constructed membership target: one negated predicate at its static position."""
 
-    __slots__ = ("name", "arity", "components")
+    __slots__ = ("position", "name", "arity", "components")
 
-    def __init__(self, predicate: Predicate, components: tuple):
+    def __init__(self, position: int, predicate: Predicate, components: tuple):
+        self.position = position
         self.name = predicate.name
         self.arity = predicate.arity
         self.components = components
@@ -222,13 +229,15 @@ class _Equation:
         #: (index of the open side, its bound variables) → lowered pattern.
         self.plans: dict = {}
 
-    def apply(self, rows: list, slots: dict, table, limits):
+    def apply(self, rows: list, slots: dict, table, limits, every_variable: bool = False):
         """Run the equation over the register *rows*; ``(rows, variables appended)``.
 
         With both sides bound the rows are filtered on the ids the two sides
         construct; otherwise (positive, one side bound — the join order
         guarantees it) the bound side's id is matched against the open side
-        and every match appends the open side's new variables.
+        and every match appends the open side's new variables — those in
+        :attr:`keep`, or all of them under *every_variable* (a derivation
+        count tells apart valuations that differ in any variable).
         """
         left, right = (variables <= slots.keys() for variables in self.variables)
         if left and right:
@@ -246,8 +255,9 @@ class _Equation:
         if plan is None:
             plan = self.plans[opened, bound] = lower_pattern((self.sides[opened],), bound)
         spec = _component_spec(*self.components[known], slots, table)
+        keep = self.variables[opened] if every_variable else self.keep
         return plan.extend_id_rows(
-            rows, _target_column(*spec, rows, table), slots, table, limits, self.keep
+            rows, _target_column(*spec, rows, table), slots, table, limits, keep
         )
 
 
@@ -319,13 +329,13 @@ def decode_rows(table, id_rows, limits: EvaluationLimits = DEFAULT_LIMITS) -> li
 
 
 class CompiledRule:
-    """An id-space execution plan for one compilable rule.
+    """The id-space execution plan of one rule.
 
     The plan fixes *what* each step checks (constants, repeated variables,
-    atomicity, splice cuts) at compile time; the join *order* is chosen
-    greedily from the live relation sizes — smallest probeable source first,
-    mirroring the bound-aware planner's heuristic in id space — and cached
-    per delta position until a source changes its size regime.  Equations
+    atomicity, splice cuts) when the rule is lowered; the join *order* is
+    chosen greedily from the live relation sizes — smallest probeable source
+    first — and cached per delta position until a source changes its size
+    regime.  Equations
     have no source: each runs as soon as the steps before it have bound one
     of its sides (:func:`~repro.syntax.rules.bind_equations`), a nonequality
     as soon as they have bound both.
@@ -336,6 +346,7 @@ class CompiledRule:
         "head_components",
         "head_vars",
         "head_step",
+        "head_equations",
         "steps",
         "equations",
         "negations",
@@ -344,16 +355,18 @@ class CompiledRule:
     )
 
     def __init__(
-        self, head_name, head_components, steps, negations, head_step=None, equations=()
+        self, head_name, head_components, steps, negations, head_step, head_equations, equations
     ):
         #: frontier key → (cardinality signature, step order).
         self._orders: dict = {}
         self.head_name = head_name
         self.head_components = head_components
         #: The head as a *matching* step over given head rows — what
-        #: :meth:`derivable_rows` leads the join with; ``None`` when a head
-        #: component holds two path variables and cannot destructure.
+        #: :meth:`derivable_rows` leads the join with — and the binding
+        #: equations that take apart the head components it could only bind
+        #: whole (normalised like a body component, see :func:`lower_rule`).
         self.head_step = head_step
+        self.head_equations = head_equations
         self.steps = steps
         self.equations = equations
         self.negations = negations
@@ -511,14 +524,18 @@ class CompiledRule:
 
     # -- execution ------------------------------------------------------------------------
 
-    def _join_order(self, sizes: dict, bound: tuple = ()) -> tuple:
-        """Greedy order of the steps and equations, starting from the *bound*
-        variables: prefer a step that can probe a hash grouping, breaking
-        ties towards the smallest source (*sizes*, per step), and run every
-        equation the variables bound so far reach before the next step."""
+    def _join_order(self, sizes: dict, head_led: bool = False) -> tuple:
+        """Greedy order of the steps and equations: prefer a step that can
+        probe a hash grouping, breaking ties towards the smallest source
+        (*sizes*, per step), and run every equation the variables bound so
+        far reach before the next step.  *head_led* orders what follows
+        :attr:`head_step`: its variables are bound and its equations join in."""
         pending = list(self.steps)
         equations = list(self.equations)
-        bound_vars: set = set(bound)
+        bound_vars: set = set()
+        if head_led:
+            equations += self.head_equations
+            bound_vars |= self.head_step.variables
         order = bind_equations(equations, bound_vars)
         while pending:
             best = min(
@@ -532,14 +549,25 @@ class CompiledRule:
         return tuple(order)
 
     def _join(
-        self, instance: Instance, frontier, limits: EvaluationLimits, statistics, head_view=None
+        self,
+        instance: Instance,
+        frontier,
+        limits: EvaluationLimits,
+        statistics,
+        head_view=None,
+        negative_sources=None,
+        every_variable: bool = False,
     ):
         """Run the body; ``(result rows, variable → register slot)`` or ``None``.
 
         Steps and equations run in the cached :meth:`_join_order`.  With
         *head_view* — a view of head id rows — the join is restricted to
         those heads: :attr:`head_step` leads, reading only that view, and the
-        body runs with the head's variables bound.
+        body runs with the head's variables bound.  *negative_sources* is the
+        frontier of the negated predicates: the membership test at an
+        overridden static position reads that instance.  *every_variable*
+        makes the binding equations keep the variables nothing else reads, so
+        the result has one row per valuation of all the rule's variables.
         """
         table = instance.term_table()
         atomic = table.atomic_flags
@@ -561,8 +589,7 @@ class CompiledRule:
             views[step] = storage.columnar(table)
 
         # The join order is cached per frontier key and reused while every
-        # source stays in its power-of-two size bucket — the same regime rule
-        # as RuleEvaluator.compiled_sequence, counted by the same counters.
+        # source stays in its power-of-two size bucket.
         key = tuple(sorted(frontier)) if frontier else ()
         if head_view is not None:
             key = ("head",)
@@ -574,8 +601,7 @@ class CompiledRule:
                 statistics.plan_cache_hits += 1
         else:
             order = self._join_order(
-                {step: len(view.id_rows) for step, view in views.items()},
-                self.head_vars if head_view is not None else (),
+                {step: len(view.id_rows) for step, view in views.items()}, head_view is not None
             )
             self._orders[key] = (signature, order)
             if statistics is not None:
@@ -591,7 +617,7 @@ class CompiledRule:
 
         for step in order:
             if step.__class__ is _Equation:
-                rows, frees = step.apply(rows, slots, table, limits)
+                rows, frees = step.apply(rows, slots, table, limits, every_variable)
                 if not rows:
                     return None
                 for offset, variable in enumerate(frees):
@@ -841,9 +867,12 @@ class CompiledRule:
             width += len(frees)
 
         # Negated literals: membership tests against the instance relation
-        # (never the frontier), exactly like the interpreter's filters.
+        # (never the positive frontier) unless the position is overridden.
         for negation in self.negations:
-            storage = instance.storage(negation.name)
+            source = instance
+            if negative_sources is not None and negation.position in negative_sources:
+                source = negative_sources[negation.position]
+            storage = source.storage(negation.name)
             if storage is None or not storage:
                 continue
             if storage.arity() != negation.arity:
@@ -865,6 +894,7 @@ class CompiledRule:
         frontier=None,
         limits: EvaluationLimits = DEFAULT_LIMITS,
         statistics=None,
+        negative_sources=None,
     ) -> set:
         """One id-space application of the rule: the set of head id rows.
 
@@ -873,7 +903,10 @@ class CompiledRule:
         constructing head (``T(@x·@z)``, ``T(@x·a·$y)``) concatenates, so
         each distinct binding builds its path once.
         """
-        return self._head_stage(instance, self._join(instance, frontier, limits, statistics))
+        joined = self._join(
+            instance, frontier, limits, statistics, negative_sources=negative_sources
+        )
+        return self._head_stage(instance, joined)
 
     def derivable_rows(
         self,
@@ -885,10 +918,10 @@ class CompiledRule:
         """The subset of the head *id_rows* one application derives from *instance*.
 
         One join for the whole set (delete–rederive asks this of everything
-        it over-deleted): :attr:`head_step` — which must not be ``None`` —
-        matches the head against *id_rows* and nothing else, so every result
-        row's head is one of them by construction and a fact the body needs
-        is only ever read from *instance*, never from the set being tested.
+        it over-deleted): :attr:`head_step` matches the head against
+        *id_rows* and nothing else, so every result row's head is one of them
+        by construction and a fact the body needs is only ever read from
+        *instance*, never from the set being tested.
         """
         if not id_rows:
             return set()
@@ -915,14 +948,69 @@ class CompiledRule:
         frontier=None,
         limits: EvaluationLimits = DEFAULT_LIMITS,
         statistics=None,
+        negative_sources=None,
     ) -> set:
         """One id-space application of the rule; returns the derived facts."""
-        id_rows = self.head_rows(instance, frontier, limits, statistics)
+        id_rows = self.head_rows(instance, frontier, limits, statistics, negative_sources)
         name = self.head_name
         return {
             Fact._from_trusted(name, row)
             for row in decode_rows(instance.term_table(), id_rows, limits)
         }
+
+    def derivation_counts(
+        self,
+        instance: Instance,
+        frontier=None,
+        limits: EvaluationLimits = DEFAULT_LIMITS,
+        statistics=None,
+        negative_sources=None,
+    ) -> "dict[Fact, int]":
+        """Each derived fact with its number of derivations in this application.
+
+        A derivation is a valuation of *all* the rule's variables satisfying
+        the body — what counting maintenance keeps per fact — so the join
+        runs with every equation variable kept, its result rows (one per
+        valuation) are tallied by the head id row each constructs, and each
+        distinct head is decoded once.
+        """
+        joined = self._join(
+            instance,
+            frontier,
+            limits,
+            statistics,
+            negative_sources=negative_sources,
+            every_variable=True,
+        )
+        if joined is None:
+            return {}
+        rows, slots = joined
+        table = instance.term_table()
+        spec = _target_spec(self.head_components, slots, table)
+        counts = Counter(_target_rows(spec, rows, table))
+        name = self.head_name
+        decoded = decode_rows(table, list(counts), limits)
+        return {
+            Fact._from_trusted(name, row): count for row, count in zip(decoded, counts.values())
+        }
+
+
+def _normalised(predicate: Predicate, tag: str) -> "tuple[tuple, list[_Equation]]":
+    """The components of a *matched* predicate, each one a join step can take apart.
+
+    A component outside the deterministic fragment (:func:`_destructures`) is
+    replaced by a fresh whole-argument variable — no parsed name holds a
+    ``#``, and *tag* keeps the names of different literals apart — and comes
+    back as the binding equation that takes it apart.
+    """
+    components = [_classify(component) for component in predicate.components]
+    equations = []
+    for index, component in enumerate(predicate.components):
+        if not _destructures(*components[index]):
+            whole = PathVariable(f"#{tag}.{index}")
+            components[index] = ("var", whole)
+            equations.append(_Equation(Literal(Equation(PathExpression((whole,)), component))))
+    return tuple(components), equations
 
 
 def lower_rule(head: Predicate, order: Sequence[Literal]) -> "CompiledRule | str":
@@ -932,8 +1020,8 @@ def lower_rule(head: Predicate, order: Sequence[Literal]) -> "CompiledRule | str
     :class:`~repro.engine.evaluation.RuleEvaluator`); step positions index
     into it.  Every literal of the language lowers; what comes back as a
     string is a registered reason (:mod:`repro.engine.reasons`) naming a
-    variable no positive predicate or equation binds — the caller then keeps
-    the interpreted path, which raises on such a rule when it is evaluated.
+    variable no positive predicate or equation binds — the evaluator raises
+    it as :class:`~repro.errors.UnsafeRuleError` when the rule is evaluated.
     """
     steps = []
     negations = []
@@ -942,22 +1030,13 @@ def lower_rule(head: Predicate, order: Sequence[Literal]) -> "CompiledRule | str
         atom = literal.atom
         if literal.is_equation():
             equations.append(_Equation(literal))
-            continue
-        components = [_classify(component) for component in atom.components]
-        if not literal.positive:
-            negations.append(_Constraint(atom, tuple(components)))
-            continue
-        for index, component in enumerate(atom.components):
-            if not _destructures(*components[index]):
-                # Outside the deterministic fragment: the step binds the whole
-                # argument to a fresh variable (no parsed name holds a "#") and
-                # a binding equation takes it apart.
-                whole = PathVariable(f"#{position}.{index}")
-                components[index] = ("var", whole)
-                equations.append(
-                    _Equation(Literal(Equation(PathExpression((whole,)), component)))
-                )
-        steps.append(_Step(position, atom, tuple(components)))
+        elif literal.positive:
+            components, binding = _normalised(atom, str(position))
+            steps.append(_Step(position, atom, components))
+            equations += binding
+        else:
+            components = tuple(_classify(component) for component in atom.components)
+            negations.append(_Constraint(position, atom, components))
 
     # Safety: the limited variables are those of the steps, closed under the
     # equations in binding order.
@@ -976,11 +1055,6 @@ def lower_rule(head: Predicate, order: Sequence[Literal]) -> "CompiledRule | str
         if unlimited:
             return reason(code, f"{', '.join(unlimited)} of {literal} not limited")
 
-    head_components = tuple(_classify(component) for component in head.components)
-    head_step = None
-    if all(_destructures(*classified) for classified in head_components):
-        head_step = _Step(-1, head, head_components)
-
     # A binding equation interns only what another literal (or the head) reads.
     mentions = Counter(head.variables())
     for step in steps:
@@ -994,12 +1068,18 @@ def lower_rule(head: Predicate, order: Sequence[Literal]) -> "CompiledRule | str
             variable for variable in equation.atom.variables() if mentions[variable] > 1
         )
 
+    # The head as a matching step reads back every variable it takes apart:
+    # the body, run after it, mentions them all (the rule is safe).
+    head_components, head_equations = _normalised(head, "head")
+    for equation in head_equations:
+        equation.keep = frozenset(equation.atom.variables())
+
     return CompiledRule(
-        head.name, head_components, tuple(steps), tuple(negations), head_step, tuple(equations)
+        head.name,
+        tuple(_classify(component) for component in head.components),
+        tuple(steps),
+        tuple(negations),
+        _Step(-1, head, head_components),
+        tuple(head_equations),
+        tuple(equations),
     )
-
-
-def compile_rule(head: Predicate, order: Sequence[Literal]) -> Optional[CompiledRule]:
-    """:func:`lower_rule`, with ``None`` for a rule that does not lower."""
-    lowered = lower_rule(head, order)
-    return lowered if isinstance(lowered, CompiledRule) else None

@@ -5,46 +5,29 @@ semipositive program applied to the result of the preceding strata; the
 result of a semipositive program ``P`` on an instance ``I`` is the smallest
 instance containing ``I`` and satisfying all rules of ``P``.
 
-Two fixpoint strategies are provided:
+One loop computes it, semi-naively and **resident in id space**: the first
+round evaluates every rule of the stratum against the full instance; each
+later round evaluates only the rules whose body mentions a relation that
+changed in the previous round, once per such body position with that position
+restricted to the newly derived facts.  Every round's head rows stay id
+tuples (:meth:`~repro.engine.compiled.CompiledRule.head_rows`), the rows the
+head relation already holds are subtracted from its columnar view's row set,
+each genuinely new row is decoded to paths exactly once — where it enters
+the relation, which is also where the path-length limit is checked — and the
+next round's delta view is built from those same id rows.
 
-* ``naive`` — every rule is re-evaluated against the full instance until no
-  new fact is derived;
-* ``seminaive`` — after the first round, only rules whose body mentions a
-  relation that changed in the previous round are re-evaluated, each with at
-  least one of those body predicates restricted to the newly derived facts.
-
-Orthogonally, rule bodies run in one of three execution modes (see
-:mod:`repro.engine.evaluation`, whose ``DEFAULT_EXECUTION = "compiled"`` is
-what runs when the caller names none): ``"compiled"`` (id-space joins —
-every safe rule lowers, equations and all), ``"indexed"``
-(bound-aware greedy planning over the storage layer's indexes) or ``"scan"``
-(the seed nested-loop strategy).  All combinations produce the same result;
-``benchmarks/bench_engine_scaling.py`` and
-``benchmarks/bench_join_planning.py`` compare their costs (ablations of
-implementation design choices, not paper experiments — see DESIGN.md).
-
-Where the semi-naive loop keeps its state follows from the rules, not from an
-option.  A stratum whose rules *all* lower (``evaluator.compiled_plan is not
-None`` for each) runs **resident in id space**: every round's head rows stay
-id tuples, the rows the head relation already holds are subtracted from its
-columnar view's row set, each genuinely new row is decoded to paths exactly
-once — where it enters the relation, which is also where the path-length
-limit is checked — and the next round's delta view is built from those same
-id rows.  Under ``"compiled"`` that is every stratum of a safe program
-(31 of the 31 rules of :mod:`repro.queries.canonical` lower).  The ``naive``
-strategy and the ``"indexed"`` and ``"scan"`` modes keep the delta as a set
-of :class:`~repro.model.instance.Fact` objects in one long-lived instance
-whose per-relation row sets are swapped in place between rounds.  Both loops
-run the same rounds and count them the same.
+The naive, valuation-level definition of the same fixpoint is kept apart in
+:mod:`repro.engine.reference` as the oracle the agreement suites compare
+this loop against; nothing here imports it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Literal as TypingLiteral
+from typing import Iterable
 
 from repro.engine.compiled import decode_rows
-from repro.engine.evaluation import DEFAULT_EXECUTION, ExecutionMode, RuleEvaluator
+from repro.engine.evaluation import RuleEvaluator
 from repro.engine.limits import DEFAULT_LIMITS, EvaluationLimits
 from repro.errors import EvaluationError
 from repro.model.instance import Fact, Instance
@@ -58,10 +41,7 @@ __all__ = [
     "evaluate_program",
     "propagate_delta",
     "rederivable",
-    "Strategy",
 ]
-
-Strategy = TypingLiteral["naive", "seminaive"]
 
 
 @dataclass
@@ -69,16 +49,16 @@ class EvaluationStatistics:
     """Counters accumulated while evaluating a program.
 
     ``rule_applications`` counts how many times a rule was evaluated in a
-    round (at most once per rule per round, for both strategies);
+    round (at most once per rule per round);
     ``delta_restricted_applications`` additionally counts the per-delta-
-    position body evaluations of the semi-naive strategy, which may exceed
+    position body evaluations of the semi-naive rounds, which may exceed
     the rule count for rules with several IDB body predicates.
-    ``extension_attempts`` counts the candidate rows handed to the
-    associative matcher while extending valuations through body predicates —
-    the nested-loop work the indexed execution mode exists to avoid.
-    ``plans_compiled`` and ``plan_cache_hits`` split the indexed mode's body
-    evaluations into those that ran the greedy planner and those that reused
-    a compiled plan (see :class:`~repro.engine.evaluation.RuleEvaluator`).
+    ``extension_attempts`` counts the candidate rows a join step looked at
+    while extending its register rows through a body predicate — the
+    nested-loop work the hash groupings exist to avoid.
+    ``plans_compiled`` and ``plan_cache_hits`` split the body evaluations
+    into those that chose a join order and those that reused the cached one
+    (see :class:`~repro.engine.compiled.CompiledRule`).
 
     The maintenance counters belong to incremental view maintenance
     (:mod:`repro.engine.maintenance`): ``maintenance_rounds`` counts the
@@ -117,91 +97,26 @@ class EvaluationStatistics:
 class ProgramEvaluators:
     """A cache of :class:`RuleEvaluator` objects, keyed by rule.
 
-    Rule evaluators carry compiled join plans; reusing them across strata,
-    rounds, and — through :class:`~repro.engine.query.QuerySession` —
-    repeated queries keeps the planner out of the evaluation inner loop.
+    Rule evaluators carry the lowered plans and their join orders; reusing
+    them across strata, rounds, and — through
+    :class:`~repro.engine.query.QuerySession` — repeated queries keeps
+    lowering and ordering out of the evaluation inner loop.
     """
 
-    def __init__(
-        self,
-        limits: EvaluationLimits = DEFAULT_LIMITS,
-        *,
-        execution: ExecutionMode = DEFAULT_EXECUTION,
-    ):
+    def __init__(self, limits: EvaluationLimits = DEFAULT_LIMITS):
         self.limits = limits
-        self.execution: ExecutionMode = execution
         self._evaluators: dict[Rule, RuleEvaluator] = {}
 
     def evaluator(self, rule: Rule) -> RuleEvaluator:
         """The cached evaluator for *rule* (built on first use)."""
         found = self._evaluators.get(rule)
         if found is None:
-            found = self._evaluators[rule] = RuleEvaluator(
-                rule, self.limits, execution=self.execution
-            )
+            found = self._evaluators[rule] = RuleEvaluator(rule, self.limits)
         return found
 
     def for_stratum(self, stratum: Stratum) -> list[RuleEvaluator]:
         """Evaluators for every rule of *stratum*, in order."""
         return [self.evaluator(rule) for rule in stratum]
-
-
-def _apply_rules_naive(
-    evaluators: list[RuleEvaluator],
-    instance: Instance,
-    statistics: EvaluationStatistics,
-) -> set:
-    new_facts = set()
-    for evaluator in evaluators:
-        statistics.rule_applications += 1
-        derived = evaluator.derive(instance, statistics=statistics)
-        if derived:
-            # Every fact of one application carries the rule's head relation,
-            # so resolve the existing row set once instead of per fact.
-            storage = instance.storage(evaluator.rule.head.name)
-            existing = storage.rows if storage is not None else ()
-            new_facts.update(
-                [fact for fact in derived if fact.paths not in existing]
-            )
-    return new_facts
-
-
-def _apply_rules_seminaive(
-    evaluators: list[RuleEvaluator],
-    instance: Instance,
-    delta: Instance,
-    changed: "set[str] | frozenset[str]",
-    statistics: EvaluationStatistics,
-) -> set:
-    """Evaluate each affected rule with one body atom restricted to the delta.
-
-    Rules whose bodies mention none of the *changed* relations are skipped
-    entirely: no new fact can satisfy any of their body atoms.
-    """
-    new_facts = set()
-    for evaluator in evaluators:
-        if not (evaluator.body_relation_names & changed):
-            continue
-        statistics.rule_applications += 1
-        for name in evaluator.predicate_positions.keys() & changed:
-            for position in evaluator.predicate_positions[name]:
-                statistics.delta_restricted_applications += 1
-                derived = evaluator.derive(
-                    instance, frontier={position: delta}, statistics=statistics
-                )
-                if derived:
-                    # One head relation per rule: resolve its row set once.
-                    storage = instance.storage(evaluator.rule.head.name)
-                    existing = storage.rows if storage is not None else ()
-                    new_facts.update(
-                        [fact for fact in derived if fact.paths not in existing]
-                    )
-    return new_facts
-
-
-def _all_lower(evaluators: list[RuleEvaluator]) -> bool:
-    """Whether every rule runs an id-space plan — then so does the loop around them."""
-    return all(evaluator.compiled_plan is not None for evaluator in evaluators)
 
 
 def _resident_round(
@@ -212,16 +127,16 @@ def _resident_round(
     statistics: EvaluationStatistics,
     collected: "set | None" = None,
 ) -> Instance:
-    """One round of rules that all lower, kept in id space; returns the next delta.
+    """One round, kept in id space; returns the next delta.
 
-    The id-resident twin of :func:`_apply_rules_naive` (*delta* ``None``: the
-    first round, every rule against *current*) and
-    :func:`_apply_rules_seminaive` plus the adding loop around them, counted
-    the same.  Head id rows lose the rows their relation already holds by
-    set difference against its view; what is left is decoded once, joins
-    *current* as one batch per relation (which advances that view), and
-    becomes the next delta — an instance sharing the term table, with views
-    built from the very id rows.  *collected* receives the added facts.
+    With *delta* ``None`` — the first round — every rule runs against
+    *current*; otherwise each rule whose body mentions a relation of *delta*
+    runs once per such position, restricted there to *delta*.  Head id rows
+    lose the rows their relation already holds by set difference against its
+    view; what is left is decoded once, joins *current* as one batch per
+    relation (which advances that view), and becomes the next delta — an
+    instance sharing the term table, with views built from the very id
+    rows.  *collected* receives the added facts.
     """
     table = current.term_table()
     #: (head relation, arity) → new id rows; a batch decodes as one arity.
@@ -275,7 +190,7 @@ def _propagate_resident(
     iterations_before: int,
     collect: bool,
 ) -> tuple[int, set]:
-    """:func:`propagate_delta` for rules that all lower: rounds until the delta is empty."""
+    """:func:`propagate_delta` from a delta instance: rounds until the delta is empty."""
     iterations = iterations_before
     added: set = set()
     while delta:
@@ -294,14 +209,13 @@ def propagate_delta(
     limits: EvaluationLimits = DEFAULT_LIMITS,
     statistics: "EvaluationStatistics | None" = None,
     *,
-    strategy: Strategy = "seminaive",
     iterations_before: int = 0,
     collect: bool = False,
 ) -> tuple[int, set]:
     """Close *current* under *evaluators*, starting from already-applied deltas.
 
     This is the semi-naive core shared by full evaluation
-    (:func:`evaluate_stratum` calls it after its first naive round) and
+    (:func:`evaluate_stratum` runs the same rounds after its first one) and
     incremental maintenance (the insertion phase seeds it with the update's
     added facts).  *delta_facts* must already be present in *current*; the
     loop repeatedly evaluates the rules whose bodies mention the delta's
@@ -312,42 +226,14 @@ def propagate_delta(
     evaluation hot path should not pay an extra union per round).
     *iterations_before* offsets the iteration-budget check so a caller that
     already ran rounds against the same budget keeps one coherent count.
-
-    When every rule lowers (see the module docstring) the semi-naive rounds
-    stay in id space: same rounds, same counters, same return value.
     """
     if statistics is None:
         statistics = EvaluationStatistics()
-    if strategy == "seminaive" and _all_lower(evaluators):
-        delta = Instance()
-        delta.replace_with(delta_facts)
-        return _propagate_resident(
-            evaluators, current, delta, limits, statistics, iterations_before, collect
-        )
-    iterations = iterations_before
-    added: set = set()
-    # One delta instance lives across all rounds; its relation storages are
-    # refilled in place each round rather than rebuilt.
     delta = Instance()
-    while delta_facts:
-        iterations += 1
-        limits.check_iterations(iterations)
-        if strategy == "seminaive":
-            delta.replace_with(delta_facts)
-            changed = {fact.relation for fact in delta_facts}
-            new_facts = _apply_rules_seminaive(evaluators, current, delta, changed, statistics)
-        elif strategy == "naive":
-            new_facts = _apply_rules_naive(evaluators, current, statistics)
-        else:
-            raise EvaluationError(f"unknown evaluation strategy {strategy!r}")
-        for fact in new_facts:
-            current.add_fact(fact)
-        statistics.facts_derived += len(new_facts)
-        limits.check_fact_count(current.fact_count())
-        if collect:
-            added |= new_facts
-        delta_facts = new_facts
-    return iterations - iterations_before, added
+    delta.replace_with(delta_facts)
+    return _propagate_resident(
+        evaluators, current, delta, limits, statistics, iterations_before, collect
+    )
 
 
 def rederivable(
@@ -387,8 +273,6 @@ def evaluate_stratum(
     instance: Instance,
     limits: EvaluationLimits = DEFAULT_LIMITS,
     *,
-    strategy: Strategy = "seminaive",
-    execution: ExecutionMode = DEFAULT_EXECUTION,
     statistics: EvaluationStatistics | None = None,
     evaluators: ProgramEvaluators | None = None,
     copy: bool = True,
@@ -398,7 +282,7 @@ def evaluate_stratum(
     The input *instance* is not modified unless ``copy=False``, which lets
     :func:`evaluate_program` grow one working copy across chained strata
     instead of re-copying the ever-larger instance per stratum.  A shared
-    :class:`ProgramEvaluators` carries compiled rule plans across calls.
+    :class:`ProgramEvaluators` carries the lowered rule plans across calls.
     """
     if statistics is None:
         statistics = EvaluationStatistics()
@@ -407,46 +291,24 @@ def evaluate_stratum(
         current.ensure_relation(rule.head.name)
 
     if evaluators is not None:
-        # The evaluators carry their own limits/execution; a caller passing a
-        # conflicting configuration would silently get the cache's one.
-        if evaluators.execution != execution or evaluators.limits != limits:
+        # The evaluators carry their own limits; a caller passing conflicting
+        # ones would silently get the cache's.
+        if evaluators.limits != limits:
             raise EvaluationError(
-                f"the supplied ProgramEvaluators were built for "
-                f"execution={evaluators.execution!r} with limits {evaluators.limits}, "
-                f"but this call asks for execution={execution!r} with limits {limits}"
+                f"the supplied ProgramEvaluators were built with limits "
+                f"{evaluators.limits}, but this call asks for limits {limits}"
             )
         stratum_evaluators = evaluators.for_stratum(stratum)
     else:
-        stratum_evaluators = [
-            RuleEvaluator(rule, limits, execution=execution) for rule in stratum
-        ]
-
-    if strategy not in ("naive", "seminaive"):
-        raise EvaluationError(f"unknown evaluation strategy {strategy!r}")
+        stratum_evaluators = [RuleEvaluator(rule, limits) for rule in stratum]
 
     # First round: all rules against the full instance.
     iterations = 1
     limits.check_iterations(iterations)
-    if strategy == "seminaive" and _all_lower(stratum_evaluators):
-        delta = _resident_round(stratum_evaluators, current, None, limits, statistics)
-        rounds, _ = _propagate_resident(
-            stratum_evaluators, current, delta, limits, statistics, iterations, False
-        )
-    else:
-        delta_facts = _apply_rules_naive(stratum_evaluators, current, statistics)
-        for fact in delta_facts:
-            current.add_fact(fact)
-        statistics.facts_derived += len(delta_facts)
-        limits.check_fact_count(current.fact_count())
-        rounds, _ = propagate_delta(
-            stratum_evaluators,
-            current,
-            delta_facts,
-            limits,
-            statistics,
-            strategy=strategy,
-            iterations_before=iterations,
-        )
+    delta = _resident_round(stratum_evaluators, current, None, limits, statistics)
+    rounds, _ = _propagate_resident(
+        stratum_evaluators, current, delta, limits, statistics, iterations, False
+    )
     statistics.merge_stratum(iterations + rounds)
     return current
 
@@ -456,8 +318,6 @@ def evaluate_program(
     instance: Instance,
     limits: EvaluationLimits = DEFAULT_LIMITS,
     *,
-    strategy: Strategy = "seminaive",
-    execution: ExecutionMode = DEFAULT_EXECUTION,
     statistics: EvaluationStatistics | None = None,
     seed_facts: "Iterable[Fact] | None" = None,
     evaluators: ProgramEvaluators | None = None,
@@ -473,22 +333,20 @@ def evaluate_program(
     *seed_facts* are injected into the working copy before the first stratum
     — this is how goal-directed evaluation plants the magic fact describing
     the query's bindings (see :mod:`repro.transform.magic`).  *evaluators*
-    optionally shares compiled rule plans across calls (repeated queries over
-    the same program reuse both the static orders and the greedy sequences).
+    optionally shares lowered rule plans across calls (repeated queries over
+    the same program reuse both the plans and their cached join orders).
     """
     current = instance.copy()
     if seed_facts is not None:
         for fact in seed_facts:
             current.add_fact(fact)
     if evaluators is None:
-        evaluators = ProgramEvaluators(limits, execution=execution)
+        evaluators = ProgramEvaluators(limits)
     for stratum in program.strata:
         current = evaluate_stratum(
             stratum,
             current,
             limits,
-            strategy=strategy,
-            execution=execution,
             statistics=statistics,
             evaluators=evaluators,
             copy=False,

@@ -7,10 +7,12 @@ keeps a program's materialized fixpoint — the result of
 drifts instead of recomputing it:
 
 * **Counting** (non-recursive strata): every derived fact carries the number
-  of distinct ``(rule, body valuation)`` derivations supporting it.  An
+  of distinct ``(rule, body valuation)`` derivations supporting it — a
+  valuation of *all* the rule's variables, tallied in id space
+  (:meth:`~repro.engine.evaluation.RuleEvaluator.derivation_counts`).  An
   update changes the counts by the telescoped delta joins
   ``new⁽<i⁾ ⊗ Δi ⊗ old⁽>i⁾`` (one term per body position over a changed
-  relation), which enumerate each gained and lost derivation exactly once;
+  relation), which count each gained and lost derivation exactly once;
   a fact appears when its count leaves zero and disappears when it returns
   there.
 * **Delete–rederive** (recursive strata): deletions are first *over-deleted*
@@ -29,7 +31,9 @@ drifts instead of recomputing it:
 Both algorithms propagate **signed** deltas through stratified negation.  A
 negated literal ``not N(t̄)`` is an indicator that flips when ``N`` changes,
 so the telescoped joins gain one extra pivot per changed negated position:
-the literal is flipped positive, restricted to the delta rows of ``N``, and
+the literal is flipped positive
+(:meth:`~repro.engine.evaluation.RuleEvaluator.pivoted`, one more lowered
+plan in the same position space), restricted to the delta rows of ``N``, and
 its contribution enters with the *opposite* sign (an addition to ``N``
 retracts downstream derivations, a retraction adds them).  Delete–rederive
 likewise seeds extra overdeletions from additions to negated relations
@@ -41,20 +45,20 @@ relations the program has never heard of are refused upfront with
 :class:`~repro.errors.MaintenanceUnsupportedError` — plus, defensively,
 genuinely unstratifiable programs at build time.  The property tests in
 ``tests/properties/test_maintenance_agreement.py`` assert that a maintained
-materialization stays extensionally identical to a from-scratch fixpoint
-across strategy × execution combinations, including retractions and
-retraction streams through negated literals.
+materialization stays extensionally identical to a from-scratch fixpoint of
+the reference evaluator, including retractions and retraction streams
+through negated literals.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable
 
-from repro.engine.evaluation import DEFAULT_EXECUTION, ExecutionMode, RuleEvaluator
+from repro.engine.evaluation import RuleEvaluator
 from repro.engine.fixpoint import (
     EvaluationStatistics,
     ProgramEvaluators,
-    Strategy,
     evaluate_stratum,
     propagate_delta,
     rederivable,
@@ -154,6 +158,15 @@ class _ChangeSet:
         }
 
 
+def _changed_negations(evaluator: RuleEvaluator, changes: _ChangeSet) -> "dict[int, str]":
+    """Static position → relation name of the negated predicates over a changed relation."""
+    return {
+        position: literal.atom.name  # type: ignore[union-attr]
+        for position, literal in enumerate(evaluator.order)
+        if literal.negative and literal.is_predicate() and literal.atom.name in changes.names
+    }
+
+
 class MaintainedFixpoint:
     """A materialized program fixpoint that can be updated in place.
 
@@ -172,15 +185,11 @@ class MaintainedFixpoint:
         materialized: Instance,
         states: list[_StratumState],
         limits: EvaluationLimits,
-        strategy: Strategy,
-        execution: ExecutionMode,
         evaluators: ProgramEvaluators,
     ):
         self.program = program
         self.materialized = materialized
         self.limits = limits
-        self.strategy: Strategy = strategy
-        self.execution: ExecutionMode = execution
         self.evaluators = evaluators
         self._states = states
         self._idb = program.idb_relation_names()
@@ -196,8 +205,6 @@ class MaintainedFixpoint:
         instance: Instance,
         limits: EvaluationLimits = DEFAULT_LIMITS,
         *,
-        strategy: Strategy = "seminaive",
-        execution: ExecutionMode = DEFAULT_EXECUTION,
         statistics: "EvaluationStatistics | None" = None,
         evaluators: "ProgramEvaluators | None" = None,
         seed_facts: "Iterable[Fact] | None" = None,
@@ -222,7 +229,7 @@ class MaintainedFixpoint:
         if statistics is None:
             statistics = EvaluationStatistics()
         if evaluators is None:
-            evaluators = ProgramEvaluators(limits, execution=execution)
+            evaluators = ProgramEvaluators(limits)
         seen_heads: set[str] = set()
         for index, stratum in enumerate(program.strata):
             heads = stratum.head_relation_names()
@@ -268,8 +275,6 @@ class MaintainedFixpoint:
                     stratum,
                     current,
                     limits,
-                    strategy=strategy,
-                    execution=execution,
                     statistics=statistics,
                     evaluators=evaluators,
                     copy=False,
@@ -281,7 +286,7 @@ class MaintainedFixpoint:
             states.append(state)
         for name in program.idb_relation_names():
             current.ensure_relation(name)
-        return cls(program, current, states, limits, strategy, execution, evaluators)
+        return cls(program, current, states, limits, evaluators)
 
     # -- durability (support-state export / restore) -----------------------------------
 
@@ -309,8 +314,6 @@ class MaintainedFixpoint:
         materialized: Instance,
         support: "Iterable[tuple[bool, dict[Fact, int] | None, Iterable[Fact]]]",
         limits: EvaluationLimits,
-        strategy: Strategy,
-        execution: ExecutionMode,
         evaluators: ProgramEvaluators,
     ) -> "MaintainedFixpoint":
         """Rebuild a maintained fixpoint from exported support state.
@@ -341,7 +344,7 @@ class MaintainedFixpoint:
             if not expected:
                 state.counts = dict(counts or {})
             states.append(state)
-        return cls(program, materialized, states, limits, strategy, execution, evaluators)
+        return cls(program, materialized, states, limits, evaluators)
 
     @staticmethod
     def _evaluate_counting_stratum(
@@ -355,26 +358,20 @@ class MaintainedFixpoint:
         """One counting pass over a non-recursive stratum.
 
         No head relation is read by any body in the stratum, so a single
-        round reaches the fixpoint; the derived facts are buffered and
-        applied after the enumeration so the read views stay stable.
+        round reaches the fixpoint; the derived facts are applied after
+        every rule was counted, so the read views stay stable.
         """
         for rule in stratum:
             current.ensure_relation(rule.head.name)
         limits.check_iterations(1)
         counts = state.counts
         assert counts is not None
-        derived: list[Fact] = []
         for evaluator in evaluators.for_stratum(stratum):
             statistics.rule_applications += 1
-            seen: set = set()
-            for fact, valuation in evaluator.derivations(current, statistics=statistics):
-                if valuation in seen:
-                    continue
-                seen.add(valuation)
-                counts[fact] = counts.get(fact, 0) + 1
-                derived.append(fact)
+            for fact, count in evaluator.derivation_counts(current, statistics=statistics).items():
+                counts[fact] = counts.get(fact, 0) + count
         new_facts = 0
-        for fact in derived:
+        for fact in counts:
             if fact not in current:
                 current.add_fact(fact)
                 new_facts += 1
@@ -558,26 +555,19 @@ class MaintainedFixpoint:
         """
         statistics.maintenance_rounds += 1
         assert state.counts is not None
-        delta_counts: dict[Fact, int] = {}
+        delta_counts: "Counter[Fact]" = Counter()
+        gain, lose = delta_counts.update, delta_counts.subtract
         for evaluator in self.evaluators.for_stratum(stratum):
             read_names = evaluator.body_relation_names | evaluator.negated_relation_names
             if not (read_names & changes.names):
                 continue
             statistics.rule_applications += 1
             positions = evaluator.positions_in_order
-            negated_positions = tuple(
-                (position, literal)
-                for position, literal in enumerate(evaluator.order)
-                if literal.negative and literal.is_predicate()
-            )
+            changed_negations = _changed_negations(evaluator, changes)
             # Negations follow every positive predicate in the static order,
             # so at any positive pivot every changed negated position reads
             # the pre-update overlay.
-            negative_old = {
-                position: changes.old_overlay
-                for position, literal in negated_positions
-                if literal.atom.name in changes.names
-            }
+            negative_old = dict.fromkeys(changed_negations, changes.old_overlay) or None
             for pivot_index, (pivot, name) in enumerate(positions):
                 if name not in changes.names:
                     continue
@@ -586,61 +576,48 @@ class MaintainedFixpoint:
                     for position, later_name in positions[pivot_index + 1 :]
                     if later_name in changes.names
                 }
-                for overlay, sign in (
-                    (changes.added_overlay, 1),
-                    (changes.removed_overlay, -1),
+                for overlay, tally in (
+                    (changes.added_overlay, gain),
+                    (changes.removed_overlay, lose),
                 ):
                     if not overlay.relation(name):
                         continue
                     statistics.delta_restricted_applications += 1
-                    frontier = {pivot: overlay, **overrides}
-                    seen: set = set()
-                    for fact, valuation in evaluator.derivations(
-                        self.materialized,
-                        frontier=frontier,
-                        statistics=statistics,
-                        negative_sources=negative_old or None,
-                    ):
-                        if valuation in seen:
-                            continue
-                        seen.add(valuation)
-                        delta_counts[fact] = delta_counts.get(fact, 0) + sign
-            for pivot, literal in negated_positions:
-                name = literal.atom.name
-                if name not in changes.names:
-                    continue
-                flipped = list(evaluator.order)
-                flipped[pivot] = literal.negated()
+                    tally(
+                        evaluator.derivation_counts(
+                            self.materialized,
+                            frontier={pivot: overlay, **overrides},
+                            statistics=statistics,
+                            negative_sources=negative_old,
+                        )
+                    )
+            for pivot, name in changed_negations.items():
                 # Telescope: changed negated positions *after* this pivot
                 # still read old; those before it (and every positive
                 # position) read the updated materialization.
                 later_old = {
                     position: changes.old_overlay
-                    for position, other in negated_positions
-                    if position > pivot and other.atom.name in changes.names
+                    for position in changed_negations
+                    if position > pivot
                 }
-                for overlay, sign in (
-                    (changes.added_overlay, -1),
-                    (changes.removed_overlay, 1),
+                # The opposite sign: a row the negated relation gained blocks
+                # derivations, a row it lost admits them.
+                for overlay, tally in (
+                    (changes.added_overlay, lose),
+                    (changes.removed_overlay, gain),
                 ):
                     if not overlay.relation(name):
                         continue
                     statistics.delta_restricted_applications += 1
-                    seen = set()
-                    for valuation in evaluator.valuations(
-                        self.materialized,
-                        {pivot: overlay},
-                        statistics,
-                        order=flipped,
-                        negative_sources=later_old or None,
-                    ):
-                        if valuation in seen:
-                            continue
-                        seen.add(valuation)
-                        fact = valuation.apply_to_predicate(evaluator.rule.head)
-                        for fact_path in fact.paths:
-                            self.limits.check_path_length(len(fact_path))
-                        delta_counts[fact] = delta_counts.get(fact, 0) + sign
+                    tally(
+                        evaluator.pivoted(pivot).derivation_counts(
+                            self.materialized,
+                            {pivot: overlay},
+                            self.limits,
+                            statistics,
+                            later_old or None,
+                        )
+                    )
 
         return self._apply_count_deltas(delta_counts, state, statistics)
 
@@ -746,7 +723,6 @@ class MaintainedFixpoint:
             seeds,
             self.limits,
             statistics,
-            strategy="seminaive",
             collect=True,
         )
         statistics.maintenance_rounds += rounds
@@ -779,58 +755,36 @@ class MaintainedFixpoint:
         seeds: set[Fact] = set()
         delta = changes.removed if not killed else changes.added
         for evaluator in evaluators:
-            negated_positions = [
-                (position, literal)
-                for position, literal in enumerate(evaluator.order)
-                if literal.negative
-                and literal.is_predicate()
-                and literal.atom.name in changes.names
-            ]
-            if not negated_positions:
-                continue
-            positions = evaluator.positions_in_order
-            for pivot, literal in negated_positions:
-                name = literal.atom.name
+            changed_negations = _changed_negations(evaluator, changes)
+            for pivot, name in changed_negations.items():
                 rows = delta.get(name)
                 if not rows:
                     continue
-                flipped = list(evaluator.order)
-                flipped[pivot] = literal.negated()
                 frontier: dict[int, Instance] = {}
                 negative_sources = None
                 if killed:
                     frontier = {
                         position: changes.old_overlay
-                        for position, other_name in positions
+                        for position, other_name in evaluator.positions_in_order
                         if other_name in changes.names
                     }
                     negative_sources = {
                         position: changes.old_overlay
-                        for position, other in negated_positions
+                        for position in changed_negations
                         if position != pivot
                     } or None
                 part = Instance()
                 part.set_relation_rows(name, rows)
                 frontier[pivot] = part
                 statistics.delta_restricted_applications += 1
-                seen: set = set()
-                for valuation in evaluator.valuations(
-                    self.materialized,
-                    frontier,
-                    statistics,
-                    order=flipped,
-                    negative_sources=negative_sources,
-                ):
-                    if valuation in seen:
-                        continue
-                    seen.add(valuation)
-                    fact = valuation.apply_to_predicate(evaluator.rule.head)
+                derived = evaluator.pivoted(pivot).derive(
+                    self.materialized, frontier, self.limits, statistics, negative_sources
+                )
+                for fact in derived:
                     if fact.relation not in head_names or fact in state.pinned:
                         continue
                     if killed and fact not in self.materialized:
                         continue
-                    for fact_path in fact.paths:
-                        self.limits.check_path_length(len(fact_path))
                     seeds.add(fact)
         return seeds
 
@@ -871,13 +825,10 @@ class MaintainedFixpoint:
                     continue
                 statistics.rule_applications += 1
                 positions = evaluator.positions_in_order
-                negative_old = {
-                    position: changes.old_overlay
-                    for position, literal in enumerate(evaluator.order)
-                    if literal.negative
-                    and literal.is_predicate()
-                    and literal.atom.name in changes.names
-                } or None
+                negative_old = (
+                    dict.fromkeys(_changed_negations(evaluator, changes), changes.old_overlay)
+                    or None
+                )
                 for pivot, name in positions:
                     if name not in frontier_names:
                         continue

@@ -33,11 +33,10 @@ the rule reads is interned, and the result is a list of extended id rows —
 no :class:`Valuation`, no dict, and no second implementation of ``SPLIT`` /
 ``REST`` / ``PACKED``.
 
-:class:`~repro.engine.evaluation.RuleEvaluator` caches the plans per
-``(pattern, bound variables)``, a lowered equation per open side and bound
-variables; :func:`match_expression`, :func:`match_components` and
-:func:`match_fact` lower on every call and are meant for tests and one-off
-matches.
+A lowered equation caches its plans per open side and bound variables;
+:mod:`repro.engine.reference` lowers one per literal it runs;
+:func:`match_expression`, :func:`match_components` and :func:`match_fact`
+lower on every call and are meant for tests and one-off matches.
 """
 
 from __future__ import annotations

@@ -65,13 +65,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 from typing import Literal as TypingLiteral
 
-from repro.engine.evaluation import DEFAULT_EXECUTION, ExecutionMode
-from repro.engine.fixpoint import (
-    EvaluationStatistics,
-    ProgramEvaluators,
-    Strategy,
-    evaluate_program,
-)
+from repro.engine.fixpoint import EvaluationStatistics, ProgramEvaluators, evaluate_program
 from repro.engine.limits import DEFAULT_LIMITS, EvaluationLimits
 from repro.engine.maintenance import MaintainedFixpoint
 from repro.engine.reasons import (
@@ -254,8 +248,6 @@ class ProgramQuery:
         output_relation: str,
         *,
         limits: EvaluationLimits = DEFAULT_LIMITS,
-        strategy: Strategy = "seminaive",
-        execution: ExecutionMode = DEFAULT_EXECUTION,
         mode: QueryMode = "full",
         name: str | None = None,
         require_monadic: bool = True,
@@ -264,8 +256,6 @@ class ProgramQuery:
         self.input_schema = input_schema if isinstance(input_schema, Schema) else Schema(input_schema)
         self.output_relation = output_relation
         self.limits = limits
-        self.strategy: Strategy = strategy
-        self.execution: ExecutionMode = execution
         if mode not in ("full", "goal"):
             raise EvaluationError(f"unknown query mode {mode!r}; use 'full' or 'goal'")
         self.mode: QueryMode = mode
@@ -527,9 +517,7 @@ class QuerySession:
     def _evaluators_for(self, program: Program) -> ProgramEvaluators:
         found = self._evaluators.get(id(program))
         if found is None:
-            found = self._evaluators[id(program)] = ProgramEvaluators(
-                self.query.limits, execution=self.query.execution
-            )
+            found = self._evaluators[id(program)] = ProgramEvaluators(self.query.limits)
         return found
 
     def _evaluate(
@@ -542,8 +530,6 @@ class QuerySession:
             program,
             self.instance,
             self.query.limits,
-            strategy=self.query.strategy,
-            execution=self.query.execution,
             statistics=statistics,
             seed_facts=seed_facts,
             evaluators=self._evaluators_for(program),
@@ -686,8 +672,6 @@ class QuerySession:
                 self.query.program,
                 self.instance,
                 self.query.limits,
-                strategy=self.query.strategy,
-                execution=self.query.execution,
                 statistics=statistics,
                 evaluators=self._evaluators_for(self.query.program),
             )
@@ -713,8 +697,6 @@ class QuerySession:
             full,
             [],
             self.query.limits,
-            self.query.strategy,
-            self.query.execution,
             self._evaluators_for(self.query.program),
         )
 
@@ -968,8 +950,6 @@ class QuerySession:
                 compiled.program,
                 self.instance,
                 self.query.limits,
-                strategy=self.query.strategy,
-                execution=self.query.execution,
                 statistics=statistics,
                 evaluators=self._evaluators_for(compiled.program),
                 seed_facts=(seed,),
@@ -1202,8 +1182,6 @@ class QuerySession:
                 materialized,
                 support,
                 query.limits,
-                query.strategy,
-                query.execution,
                 session._evaluators_for(query.program),
             )
         for stored in state.get("table") or ():

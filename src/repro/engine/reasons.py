@@ -54,7 +54,8 @@ Codes
     victim, keeping well-behaved tenants resident under a hostile load.
 ``lowering_unsafe_head`` / ``lowering_unsafe_negation`` / ``lowering_unsafe_equation``
     Why a rule has no id-space plan
-    (:attr:`~repro.engine.evaluation.RuleEvaluator.lowering_refusal`): a
+    (:attr:`~repro.engine.evaluation.RuleEvaluator.lowering_refusal`, raised
+    as :class:`~repro.errors.UnsafeRuleError` when the rule is evaluated): a
     variable of the head, or of a negated predicate, is bound by no positive
     predicate or equation, or no side of an equation ever becomes bound.
     Every safe rule lowers; these name what makes a rule unsafe.

@@ -255,11 +255,11 @@ class Instance:
         return relation.unary_view(name)
 
     def storage(self, name: str) -> "Relation | None":
-        """Return the indexed :class:`~repro.storage.Relation` for *name*, if present."""
+        """Return the :class:`~repro.storage.Relation` storing *name*, if present."""
         return self._relations.get(name)
 
     def term_table(self) -> TermTable:
-        """The instance's lazily-created path interner (compiled execution).
+        """The instance's lazily-created path interner (the id space joins run in).
 
         Created on first use; :meth:`copy`/:meth:`restricted` clones made
         afterwards share it, so ids stay stable across the working copies a

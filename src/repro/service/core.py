@@ -51,7 +51,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Mapping
 
-from repro.engine.evaluation import DEFAULT_EXECUTION
 from repro.engine.limits import DEFAULT_LIMITS, EvaluationLimits
 from repro.engine.query import ProgramQuery, QueryResult, QuerySession, UpdateResult
 from repro.engine.reasons import (
@@ -917,6 +916,18 @@ class SessionHandle:
         }
 
 
+def _bool_option(options: "Mapping[str, object]", name: str) -> bool:
+    """The on/off session option *name* (absent or ``null``: on); 400 for a non-boolean."""
+    value = options.get(name)
+    if value is None:
+        return True
+    if not isinstance(value, bool):
+        raise ServiceError(
+            400, "bad_upload", f"option {name!r} must be a boolean, got {value!r}"
+        )
+    return value
+
+
 class SessionRegistry:
     """Multi-tenant session lifecycle: creation, LRU eviction, budgets.
 
@@ -985,13 +996,14 @@ class SessionRegistry:
 
         *program* and *instance* are Sequence Datalog text (the same format
         :mod:`repro.io.serialization` persists); *options* tunes the engine:
-        ``mode``, ``execution``, ``strategy``, ``table_capacity`` (capped by
-        the tenant budget), ``max_facts`` / ``max_iterations`` evaluation
-        limits (a non-integer value for any of the three is refused with 400
-        ``bad_upload``), and ``materialize`` (default
-        true — build the full fixpoint eagerly so every read is a committed
-        view read; pass false to serve goal-mode traffic through the
-        subsumption table instead).
+        ``mode``, ``table_capacity`` (capped by the tenant budget),
+        ``max_facts`` / ``max_iterations`` evaluation limits (a non-integer
+        value for any of the three is refused with 400 ``bad_upload``),
+        ``coalesce`` and ``materialize`` (default true — build the full
+        fixpoint eagerly so every read is a committed view read; pass false
+        to serve goal-mode traffic through the subsumption table instead; a
+        non-boolean value for either is refused the same way).  Unknown keys
+        are ignored.
 
         ``persist`` names a durable directory under the registry's
         ``persist_root``: a fresh session writes its initial snapshot there
@@ -1026,6 +1038,8 @@ class SessionRegistry:
                     f"pass output_relation to pick one of {idb}",
                 )
             output_relation = idb[0]
+        coalesce = _bool_option(options, "coalesce")
+        materialize = _bool_option(options, "materialize")
         try:
             query, session_kwargs = self._build_query(
                 parsed_program, output_relation, options, budget
@@ -1035,16 +1049,11 @@ class SessionRegistry:
             raise ServiceError(400, "bad_upload", str(error)) from error
         session_id = f"s{next(self._ids)}"
         handle = SessionHandle(
-            session_id,
-            tenant,
-            query,
-            session,
-            admission=budget.admission,
-            coalesce=bool(options.get("coalesce", True)),
+            session_id, tenant, query, session, admission=budget.admission, coalesce=coalesce
         )
         self._admit(tenant, budget)
         self._sessions[session_id] = handle
-        if options.get("materialize", True):
+        if materialize:
             try:
                 await handle.ensure_materialized()
             except SequenceDatalogError as error:
@@ -1129,8 +1138,6 @@ class SessionRegistry:
             schema,
             output_relation,
             limits=limits,
-            strategy=options.get("strategy", "seminaive"),
-            execution=options.get("execution", DEFAULT_EXECUTION),
             mode=options.get("mode", "full"),
             require_monadic=False,
         )
@@ -1206,6 +1213,7 @@ class SessionRegistry:
         config = recovered.config
         options = dict(config.get("options") or {})
         try:
+            coalesce = _bool_option(options, "coalesce")
             parsed_program = parse_program(config["program"])
             query, session_kwargs = self._build_query(
                 parsed_program, config["output_relation"], options, budget
@@ -1221,12 +1229,7 @@ class SessionRegistry:
             ) from error
         session_id = f"s{next(self._ids)}"
         handle = SessionHandle(
-            session_id,
-            tenant,
-            query,
-            session,
-            admission=budget.admission,
-            coalesce=bool(options.get("coalesce", True)),
+            session_id, tenant, query, session, admission=budget.admission, coalesce=coalesce
         )
         handle.persist_name = name
         handle.generation = recovered.generation

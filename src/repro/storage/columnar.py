@@ -1,8 +1,8 @@
 """Interned terms and columnar id-space views of relations.
 
-The compiled execution tier (``execution="compiled"``) runs joins over dense
-integer ids instead of :class:`~repro.model.terms.Path` objects.  Two pieces
-live here:
+The engine runs its joins (:mod:`repro.engine.compiled`) over dense integer
+ids instead of :class:`~repro.model.terms.Path` objects.  Two pieces live
+here:
 
 * :class:`TermTable` — a per-instance interner mapping each distinct ``Path``
   to a dense integer id.  Ids are append-only and therefore stable for the
@@ -13,11 +13,11 @@ live here:
 
 * :class:`ColumnarView` — a packed, read-only view of one
   :class:`~repro.storage.relation.Relation` generation: one int array per
-  argument position, the id-rows as tuples for random access, and id-space
-  variants of the relation's indexes as ``dict[int, array]`` groupings
+  argument position, the id-rows as tuples for random access, and the hash
+  indexes the joins probe, as ``dict[int, array]`` groupings
   (``groups(position)`` maps the id at a position to the indexes of the rows
-  carrying it — the id-space analogue of ``rows_with_path``), all built on
-  first use.  Views are cached on the relation per ``(table, generation)``,
+  carrying it; ``first_groups`` / ``last_groups`` key on the first / last
+  element), all built on first use.  Views are cached on the relation per ``(table, generation)``,
   and a new generation's view is the old one *advanced by the net delta*
   (:meth:`ColumnarView.advanced`): rows added and rows removed patch the
   membership set, the columns and the groupings the old view had built, so
@@ -403,8 +403,7 @@ class ColumnarView:
     def first_groups(self, position: int) -> dict:
         """Group rows by the *first element* id of the path at *position*.
 
-        The id-space analogue of ``rows_with_first_atom``: rows whose path at
-        the position is ε are in no bucket.  Keys are element ids (length-1
+        Rows whose path at the position is ε are in no bucket.  Keys are element ids (length-1
         paths), so atoms and packed values each get their own bucket.
         """
         grouped = self._first_groups.get(position)

@@ -1,32 +1,22 @@
-"""A single stored relation: a row set plus lazy secondary indexes.
+"""A single stored relation: a row set, cached read views and a change log.
 
 The evaluation semantics of the paper (Section 2.3) only ever needs set
 membership and iteration, and the seed implementation provided exactly that —
-at the price of re-allocating a fresh ``frozenset`` on every read and scanning
-every row on every join step.  :class:`Relation` keeps the same extensional
-contract while adding the machinery a join planner wants:
+at the price of re-allocating a fresh ``frozenset`` on every read.
+:class:`Relation` keeps the same extensional contract while adding what the
+layers above it read:
 
 * a **generation counter**, bumped on every mutation, which stamps all derived
   structures so they can be invalidated lazily instead of eagerly;
 * a cached **read view** (:meth:`view`): repeated reads between mutations
   return the *same* ``frozenset`` object, so hot loops pay for one snapshot
   per generation instead of one per call;
-* three kinds of **lazy per-argument indexes**, built on first use and
-  dropped wholesale when the generation moves on:
-
-  - *exact path* (:meth:`rows_with_path`) — rows whose ``i``-th argument is a
-    given ground path; used when a join has fully bound an argument;
-  - *first atom* (:meth:`rows_with_first_atom`) — rows whose ``i``-th argument
-    starts with a given atomic value; used when a prefix of an argument is
-    ground (a constant, or a variable bound earlier in the join);
-  - *length* (:meth:`rows_with_length`) — rows whose ``i``-th argument has a
-    given length; used when every item of an argument expression has a known
-    width.
-
-Indexes never decide membership on their own: they only *prune* the candidate
-rows handed to the associative matcher, so a lookup is always sound as long
-as it is a superset of the matching rows (the unit tests in
-``tests/storage/`` check each index against the equivalent full scan).
+* one **lazy per-argument index**, built on first use and dropped when the
+  generation moves on: *exact path* (:meth:`rows_with_path`) — rows whose
+  ``i``-th argument is a given ground path, which is how a query binding
+  restricts an output relation (:mod:`repro.engine.query`).  The joins of
+  the engine do not read it: they probe the hash groupings of the relation's
+  columnar view.
 
 For incremental view maintenance the relation can additionally keep a
 **change log**: :meth:`watch` starts recording every effective ``add`` /
@@ -39,9 +29,9 @@ overflow simply advance the *floor* below which changes are unknown, making
 :meth:`changes_since` answer ``None`` — "recompute instead".
 
 The same log keeps the relation's **columnar view** (:meth:`columnar`, the
-id-space form the compiled engine joins over) alive across generations:
-building a view starts the log, and a stale view advances by the net rows
-added and removed since it was cached instead of being rebuilt.
+id-space form the engine joins over) alive across generations: building a
+view starts the log, and a stale view advances by the net rows added and
+removed since it was cached instead of being rebuilt.
 """
 
 from __future__ import annotations
@@ -64,7 +54,7 @@ Row = "tuple[Path, ...]"
 
 
 class Relation:
-    """Rows of one relation, with cached views and lazy secondary indexes."""
+    """Rows of one relation, with cached views and a lazy exact-path index."""
 
     __slots__ = (
         "_rows",
@@ -75,9 +65,6 @@ class Relation:
         "_unary_view_generation",
         "_index_generation",
         "_by_path",
-        "_by_first_atom",
-        "_by_last_atom",
-        "_by_length",
         "_log",
         "_log_floor",
         "_columnar",
@@ -99,9 +86,6 @@ class Relation:
         self._unary_view_generation = -1
         self._index_generation = -1
         self._by_path: dict[int, dict[Path, set]] = {}
-        self._by_first_atom: dict[int, dict[str, set]] = {}
-        self._by_last_atom: dict[int, dict[str, set]] = {}
-        self._by_length: dict[int, dict[int, set]] = {}
         self._log: "list[tuple[int, tuple[Path, ...], bool]] | None" = None
         self._log_floor = 0
         self._columnar: "ColumnarView | None" = None
@@ -304,19 +288,13 @@ class Relation:
             self._unary_view_generation = self._generation
         return self._unary_view  # type: ignore[return-value]
 
-    # -- lazy indexes ------------------------------------------------------------------
-
-    def _refresh_indexes(self) -> None:
-        if self._index_generation != self._generation:
-            self._by_path = {}
-            self._by_first_atom = {}
-            self._by_last_atom = {}
-            self._by_length = {}
-            self._index_generation = self._generation
+    # -- lazy index ---------------------------------------------------------------------
 
     def rows_with_path(self, position: int, path: Path) -> "set | frozenset":
         """Rows whose argument at *position* equals the ground *path*."""
-        self._refresh_indexes()
+        if self._index_generation != self._generation:
+            self._by_path = {}
+            self._index_generation = self._generation
         index = self._by_path.get(position)
         if index is None:
             index = {}
@@ -324,51 +302,6 @@ class Relation:
                 index.setdefault(row[position], set()).add(row)
             self._by_path[position] = index
         return index.get(path, EMPTY_ROWS)
-
-    def rows_with_first_atom(self, position: int, atom: str) -> "set | frozenset":
-        """Rows whose argument at *position* starts with the atomic value *atom*.
-
-        Rows whose argument is empty or starts with a packed value are in no
-        bucket: they cannot match a pattern that begins with a ground atom.
-        """
-        self._refresh_indexes()
-        index = self._by_first_atom.get(position)
-        if index is None:
-            index = {}
-            for row in self._rows:
-                elements = row[position].elements
-                if elements and isinstance(elements[0], str):
-                    index.setdefault(elements[0], set()).add(row)
-            self._by_first_atom[position] = index
-        return index.get(atom, EMPTY_ROWS)
-
-    def rows_with_last_atom(self, position: int, atom: str) -> "set | frozenset":
-        """Rows whose argument at *position* ends with the atomic value *atom*.
-
-        The mirror image of :meth:`rows_with_first_atom`, used when a *suffix*
-        of an argument pattern is ground (e.g. the second atom of an edge).
-        """
-        self._refresh_indexes()
-        index = self._by_last_atom.get(position)
-        if index is None:
-            index = {}
-            for row in self._rows:
-                elements = row[position].elements
-                if elements and isinstance(elements[-1], str):
-                    index.setdefault(elements[-1], set()).add(row)
-            self._by_last_atom[position] = index
-        return index.get(atom, EMPTY_ROWS)
-
-    def rows_with_length(self, position: int, length: int) -> "set | frozenset":
-        """Rows whose argument at *position* has exactly *length* elements."""
-        self._refresh_indexes()
-        index = self._by_length.get(position)
-        if index is None:
-            index = {}
-            for row in self._rows:
-                index.setdefault(len(row[position]), set()).add(row)
-            self._by_length[position] = index
-        return index.get(length, EMPTY_ROWS)
 
     # -- columnar id-space view ----------------------------------------------------------
 

@@ -331,8 +331,8 @@ def random_positive_program(
     equation that binds by splitting around a constant, a nonequality
     between atomic variables (the one negated literal drawn: it negates no
     relation) — and a path variable repeated inside one component.  Used by
-    the property-based tests to check that all fixpoint strategies and
-    execution modes agree on arbitrary programs.
+    the property-based tests to check that the evaluator agrees with the
+    reference fixpoint on arbitrary programs.
     """
     from repro.parser.parser import parse_program
 

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine.reference import reference_fixpoint
+from repro.model import Instance
+from repro.model.terms import as_path
 from repro.workloads import (
     random_event_log_instance,
     random_graph_instance,
@@ -41,3 +44,25 @@ def nfa_instance():
 def event_log_instance():
     """One process-mining event log instance."""
     return random_event_log_instance(seed=11)
+
+
+@pytest.fixture(scope="session")
+def oracle_output():
+    """``(query, instance, binding=None)`` → the output instance *query* must answer.
+
+    The output relation of the reference fixpoint (:mod:`repro.engine.reference`)
+    of the query's program, restricted to the rows the binding selects — what
+    every serving tier (full, goal, tabled, maintained, restored) is held to.
+    """
+
+    def output(query, instance, binding=None):
+        wanted = {position: as_path(value) for position, value in (binding or {}).items()}
+        full = reference_fixpoint(query.program, instance, query.limits)
+        rows = [
+            row
+            for row in full.relation(query.output_relation)
+            if all(row[position] == value for position, value in wanted.items())
+        ]
+        return Instance({query.output_relation: rows})
+
+    return output

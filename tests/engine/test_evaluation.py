@@ -3,7 +3,6 @@
 import pytest
 
 from repro.engine import (
-    DEFAULT_EXECUTION,
     EvaluationLimits,
     ProgramEvaluators,
     ProgramQuery,
@@ -12,6 +11,7 @@ from repro.engine import (
     evaluate_stratum,
     plan_body_order,
 )
+from repro.engine.reference import reference_fixpoint
 from repro.errors import EvaluationBudgetExceeded, EvaluationError, ModelError
 from repro.model import Fact, Instance, graph_instance, pack, path, unary_instance
 from repro.parser import parse_program, parse_rule
@@ -77,8 +77,8 @@ class TestFixpoint:
             "T($x, eps) :- R($x).\nT($x, $y.@u) :- T($x.@u, $y).\nS($x) :- T(eps, $x)."
         )
         instance = unary_instance("R", ["abc", "ab", ""])
-        naive = evaluate_program(program, instance, strategy="naive")
-        seminaive = evaluate_program(program, instance, strategy="seminaive")
+        naive = reference_fixpoint(program, instance)
+        seminaive = evaluate_program(program, instance)
         assert naive == seminaive
 
     def test_strata_applied_in_order(self):
@@ -126,19 +126,19 @@ class TestProgramQuery:
 
 
 class TestResidentFixpoint:
-    """The default execution keeps an all-lowering stratum's loop in id space;
-    what callers can observe around that loop must not have moved."""
+    """The fixpoint loop stays in id space; what callers can observe around
+    that loop is what the valuation-level reference shows."""
 
     EXAMPLE_23 = "T(a).\nT(a.$x) :- T($x)."
     CLOSURE = "T(@x.@y) :- R(@x.@y).\nT(@x.@z) :- T(@x.@y), R(@y.@z)."
     EDGES = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
 
     def test_the_default_lowers_these_programs(self):
-        assert DEFAULT_EXECUTION == "compiled"
         evaluators = ProgramEvaluators()
         for text in (self.EXAMPLE_23, self.CLOSURE):
             for stratum in parse_program(text).strata:
-                assert all(e.compiled_plan is not None for e in evaluators.for_stratum(stratum))
+                assert all(e.lowering_refusal is None for e in evaluators.for_stratum(stratum))
+                assert all(e.compiled_plan.head_step for e in evaluators.for_stratum(stratum))
 
     @pytest.mark.parametrize(
         "limits",
@@ -153,10 +153,10 @@ class TestResidentFixpoint:
         program = parse_program(self.EXAMPLE_23)
         with pytest.raises(EvaluationBudgetExceeded) as default:
             evaluate_program(program, Instance(), limits)
-        with pytest.raises(EvaluationBudgetExceeded) as indexed:
-            evaluate_program(program, Instance(), limits, execution="indexed")
-        assert default.value.limit_name == indexed.value.limit_name
-        assert str(default.value) == str(indexed.value)
+        with pytest.raises(EvaluationBudgetExceeded) as reference:
+            reference_fixpoint(program, Instance(), limits)
+        assert default.value.limit_name == reference.value.limit_name
+        assert str(default.value) == str(reference.value)
 
     def _watched_closure(self):
         current = graph_instance("R", self.EDGES)

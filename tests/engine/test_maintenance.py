@@ -2,10 +2,17 @@
 
 import pytest
 
-from repro.engine import EvaluationStatistics, MaintainedFixpoint, evaluate_program
+from repro.engine import (
+    EvaluationStatistics,
+    MaintainedFixpoint,
+    RuleEvaluator,
+    evaluate_program,
+)
+from repro.engine.reference import reference_fixpoint
 from repro.errors import EvaluationError, MaintenanceUnsupportedError
+from repro.io import instance_from_text
 from repro.model import Fact, Instance, path, unary_instance
-from repro.parser import parse_program
+from repro.parser import parse_program, parse_rule
 from repro.syntax.programs import Program
 from repro.workloads import as_edge_pairs, layered_graph_instance, update_stream
 
@@ -34,7 +41,7 @@ def line_instance(*nodes):
 
 
 def assert_maintained_matches_scratch(maintained, program, base):
-    assert maintained.materialized == evaluate_program(program, base)
+    assert maintained.materialized == reference_fixpoint(program, base)
 
 
 class TestInitialEvaluation:
@@ -43,12 +50,14 @@ class TestInitialEvaluation:
         instance = as_edge_pairs(layered_graph_instance(layers=4, width=3, seed=0))
         maintained = MaintainedFixpoint.evaluate(program, instance)
         assert maintained.materialized == evaluate_program(program, instance)
+        assert_maintained_matches_scratch(maintained, program, instance)
 
     def test_counting_strata_match_evaluate_program(self):
         program = parse_program(NON_RECURSIVE)
         instance = unary_instance("R", ["aa", "aba", "ba", "a"])
         maintained = MaintainedFixpoint.evaluate(program, instance)
         assert maintained.materialized == evaluate_program(program, instance)
+        assert_maintained_matches_scratch(maintained, program, instance)
 
     def test_input_instance_is_not_mutated(self):
         program = parse_program(REACHABILITY_PAIRS)
@@ -322,3 +331,148 @@ class TestPinnedFacts:
         base.discard_fact(edge("a", "b"))
         assert maintained.materialized.contains("T", path("q"), path("r"))
         assert_maintained_matches_scratch(maintained, program, base)
+
+
+def facts_of(text):
+    return list(instance_from_text(text).facts())
+
+
+def counts_of(maintained, stratum=0):
+    """The support counts of one counting stratum, keyed by the fact's text."""
+    return {str(fact): count for fact, count in maintained.support_state()[stratum][1].items()}
+
+
+class TestIdSpaceCounting:
+    """Derivation counts are tallied over id rows, one per valuation of *all*
+    the rule's variables — also those only a binding equation mentions."""
+
+    def test_counts_under_a_binding_equation(self):
+        rule = parse_rule("S($x) :- R($x), $x = $u·a·$v.")
+        instance = instance_from_text("R(a·b·a). R(b). R(a·a·a).")
+        evaluator = RuleEvaluator(rule)
+        counts = {str(fact): n for fact, n in evaluator.derivation_counts(instance).items()}
+        assert counts == {"S(a·b·a)": 2, "S(a·a·a)": 3}
+        # One application derives each fact once, however many valuations.
+        assert {str(fact) for fact in evaluator.derive(instance)} == set(counts)
+        # A frontier restricts the count like it restricts the join.
+        delta = instance_from_text("R(a·a·a).")
+        (position,) = evaluator.predicate_positions["R"]
+        restricted = evaluator.derivation_counts(instance, frontier={position: delta})
+        assert {str(fact): n for fact, n in restricted.items()} == {"S(a·a·a)": 3}
+
+    def test_a_constructing_head_sums_the_valuations_it_collapses(self):
+        rule = parse_rule("T($u·$v) :- A($u), B($v).")
+        instance = instance_from_text("A(a). A(a·b). B(b·c). B(c).")
+        counts = RuleEvaluator(rule).derivation_counts(instance)
+        assert {str(fact): n for fact, n in counts.items()} == {
+            "T(a·b·c)": 2,  # a + b·c and a·b + c
+            "T(a·c)": 1,
+            "T(a·b·b·c)": 1,
+        }
+
+    def test_maintained_counts_follow_updates_through_the_equation(self):
+        program = parse_program("S($x) :- R($x), $x = $u·a·$v.")
+        base = instance_from_text("R(a·b·a). R(b).")
+        maintained = MaintainedFixpoint.evaluate(program, base)
+        assert counts_of(maintained) == {"S(a·b·a)": 2}
+        maintained.update(facts_of("R(a·a)."), facts_of("R(a·b·a)."))
+        assert counts_of(maintained) == {"S(a·a)": 2}
+        maintained.update(facts_of("R(a·b·a)."), [])
+        assert counts_of(maintained) == {"S(a·a)": 2, "S(a·b·a)": 2}
+        assert_maintained_matches_scratch(
+            maintained, program, instance_from_text("R(a·a). R(b). R(a·b·a).")
+        )
+
+
+class TestNegatedPivots:
+    """A changed negated relation is a pivot of its own: the literal flipped
+    positive (``RuleEvaluator.pivoted``), restricted to the delta rows."""
+
+    TWO_NEGATIONS = "S($x) :- R($x), not P($x), not Q($x)."
+
+    def drive(self, program_text, base_text, steps):
+        program = parse_program(program_text)
+        current = instance_from_text(base_text)
+        for relation in program.relation_names():
+            current.ensure_relation(relation)
+        maintained = MaintainedFixpoint.evaluate(program, current)
+        for additions, retractions in steps:
+            added, removed = facts_of(additions), facts_of(retractions)
+            maintained.update(added, removed)
+            for fact in removed:
+                current.discard_fact(fact, keep_empty=True)
+            for fact in added:
+                current.add_fact(fact)
+            assert_maintained_matches_scratch(maintained, program, current)
+            yield maintained
+
+    def test_a_counting_stratum_pivots_on_each_changed_negation_once(self):
+        """Both negated relations change in one update: the pivot on ``P`` must
+        read ``Q`` as it was (the telescope's ``later_old``), or S(c)'s one
+        derivation is lost twice — or never."""
+        states = self.drive(
+            self.TWO_NEGATIONS,
+            "R(a). R(b). R(c). R(d). P(a). Q(b).",
+            [
+                ("P(c). Q(c).", ""),  # c blocked by both at once
+                ("", "P(c). Q(c)."),  # and released by both at once
+                ("P(d).", ""),  # an addition to one negated relation
+                ("", "Q(b)."),  # a retraction from the other
+                ("Q(d). P(b).", "P(d). R(c)."),  # everything moves
+            ],
+        )
+        expected = [
+            {"S(d)": 1},
+            {"S(c)": 1, "S(d)": 1},
+            {"S(c)": 1},
+            {"S(b)": 1, "S(c)": 1},
+            {},
+        ]
+        for maintained, counts in zip(states, expected, strict=True):
+            assert counts_of(maintained) == counts
+
+    def test_the_pivoted_plan_is_lowered_once_per_position(self):
+        evaluator = RuleEvaluator(parse_rule(self.TWO_NEGATIONS))
+        first, second = [
+            position
+            for position, literal in enumerate(evaluator.order)
+            if literal.negative
+        ]
+        assert evaluator.pivoted(first) is evaluator.pivoted(first)
+        assert evaluator.pivoted(first) is not evaluator.pivoted(second)
+        # The flipped literal is a join step at its own static position.
+        assert first in {step.position for step in evaluator.pivoted(first).steps}
+        assert first not in {step.position for step in evaluator.compiled_plan.steps}
+
+    def test_kill_seeds_read_the_other_negation_before_the_update(self):
+        """Delete–rederive: T(b, c) held before both blockers arrived.  The kill
+        seeds of ``B1``'s pivot are derivations of the *old* state, so they read
+        ``B2`` through the pre-update overlay; read new, neither pivot would
+        see a derivation to kill and T(·, c) would stay."""
+        program_text = (
+            "T(@x, @y) :- E(@x, @y), not B1(@y), not B2(@y).\n"
+            "T(@x, @z) :- T(@x, @y), E(@y, @z), not B1(@z), not B2(@z).\n"
+        )
+        states = list(
+            self.drive(
+                program_text,
+                "E(a, b). E(b, c). E(c, d).",
+                [("B1(c). B2(c).", ""), ("", "B1(c). B2(c)."), ("B2(d).", "E(a, b).")],
+            )
+        )
+        reached = {str(fact) for fact in states[-1].materialized.facts() if fact.relation == "T"}
+        assert reached == {"T(b, c)"}
+
+
+class TestHeadLedRederivation:
+    def test_derivable_takes_a_head_of_two_path_variables_apart(self):
+        """``T($u·$v)`` does not destructure deterministically: the head step
+        binds the argument whole and a binding equation tries every split."""
+        evaluator = RuleEvaluator(parse_rule("T($u·$v) :- A($u), B($v)."))
+        assert evaluator.compiled_plan.head_step is not None
+        assert len(evaluator.compiled_plan.head_equations) == 1
+        instance = instance_from_text("A(a). A(a·b). B(b·c). B(c).")
+        asked = facts_of("T(a·b·c). T(a·c). T(b·c). T(c·a). T(eps).") + facts_of("T(a, c). U(a·c).")
+        derivable = evaluator.derivable(instance, asked)
+        assert {str(fact) for fact in derivable} == {"T(a·b·c)", "T(a·c)"}
+        assert evaluator.derivable(instance, []) == set()

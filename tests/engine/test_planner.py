@@ -1,18 +1,12 @@
-"""Tests for the bound-aware greedy join planner and indexed extension."""
+"""Tests for the static body order and the bound-aware greedy join planner."""
 
 import pytest
 
-from repro.engine import (
-    EvaluationStatistics,
-    evaluate_program,
-    evaluate_rule,
-    plan_body_order,
-    plan_literal_sequence,
-)
+from repro.engine import evaluate_rule, plan_body_order, plan_literal_sequence
+from repro.engine.reasons import LOWERING_UNSAFE_NEGATION
 from repro.errors import UnsafeRuleError
 from repro.model import Instance, path, unary_instance
-from repro.parser import parse_program, parse_rule
-from repro.workloads import random_graph_instance, random_nfa_instance
+from repro.parser import parse_rule
 
 
 def plan_of(rule_text, instance, frontier=None):
@@ -114,70 +108,17 @@ class TestPlannerFailurePaths:
         assert sorted(sequence) == [0, 1]
 
     def test_unbound_negation_fails_at_evaluation_time(self):
-        from repro.errors import EvaluationError
         from repro.syntax.literals import neg, pred, pos
         from repro.syntax.expressions import path_var
         from repro.syntax.rules import Rule
 
-        # Unsafe on purpose (bypasses Stratum validation): ¬Q($y) is reached
-        # with $y unbound in both execution modes.
+        # Unsafe on purpose (bypasses Stratum validation): nothing binds the
+        # $y of ¬Q($y), so the rule has no plan and says so when evaluated.
         rule = Rule(
             pred("S", path_var("x")),
             [pos(pred("R", path_var("x"))), neg(pred("Q", path_var("y")))],
         )
         instance = unary_instance("R", ["a"])
         instance.add("Q", path("b"))
-        for execution in ("scan", "indexed"):
-            with pytest.raises(EvaluationError, match="not defined"):
-                evaluate_rule(rule, instance, execution=execution)
-
-
-class TestIndexedExtensionAgreesWithScan:
-    """Index-pruned evaluation must derive exactly the scan-mode facts."""
-
-    CASES = [
-        # (rule, instance builder) covering ground, variable, and mixed arguments.
-        ("S($x) :- R($x).", lambda: unary_instance("R", ["ab", "ba", ""])),
-        ("S :- R(a.b).", lambda: unary_instance("R", ["ab", "ba"])),
-        ("S($x) :- R(a.$x).", lambda: unary_instance("R", ["ab", "ba", "a"])),
-        ("S($x) :- R($x.b).", lambda: unary_instance("R", ["ab", "ba", "b"])),
-        ("S(@x.@y) :- R(@x.@y).", lambda: unary_instance("R", ["ab", "ba", "abc"])),
-        ("S($x.$y) :- R($x), Q($y).", lambda: _two_relations()),
-        ("S($x) :- R($x), Q($x).", lambda: _two_relations()),
-        ("S($x) :- R($x), not Q($x).", lambda: _two_relations()),
-        ("S($y) :- R($x), $x = a.$y, Q($y).", lambda: _two_relations()),
-    ]
-
-    @pytest.mark.parametrize("rule_text,builder", CASES)
-    def test_same_facts(self, rule_text, builder):
-        rule = parse_rule(rule_text)
-        instance = builder()
-        scan = evaluate_rule(rule, instance, execution="scan")
-        indexed = evaluate_rule(rule, instance, execution="indexed")
-        assert scan == indexed
-
-    def test_indexed_mode_attempts_fewer_extensions(self):
-        program = parse_program("T(@x.@y) :- R(@x.@y).\nT(@x.@z) :- T(@x.@y), R(@y.@z).")
-        instance = random_graph_instance(nodes=30, edges=60, seed=7)
-        scan_stats = EvaluationStatistics()
-        indexed_stats = EvaluationStatistics()
-        scan = evaluate_program(program, instance, execution="scan", statistics=scan_stats)
-        indexed = evaluate_program(
-            program, instance, execution="indexed", statistics=indexed_stats
-        )
-        assert scan == indexed
-        assert indexed_stats.extension_attempts * 3 <= scan_stats.extension_attempts
-
-    def test_multi_arity_predicates_use_per_argument_indexes(self):
-        instance = random_nfa_instance(seed=5, words=12, max_word_length=5, states=3)
-        rule = parse_rule("E(@q1, @a, @q2) :- D(@q1, @a, @q2), F(@q2).")
-        scan = evaluate_rule(rule, instance, execution="scan")
-        indexed = evaluate_rule(rule, instance, execution="indexed")
-        assert scan == indexed
-
-
-def _two_relations():
-    instance = unary_instance("R", ["ab", "a", "b"])
-    for word in ("ab", "b", "c"):
-        instance.add("Q", path(*word) if word else path())
-    return instance
+        with pytest.raises(UnsafeRuleError, match=LOWERING_UNSAFE_NEGATION):
+            evaluate_rule(rule, instance)

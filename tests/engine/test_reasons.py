@@ -21,7 +21,7 @@ from repro.engine import (
     ProgramQuery,
     TableEntry,
 )
-from repro.engine.compiled import compile_rule, lower_rule
+from repro.engine.compiled import lower_rule
 from repro.engine.evaluation import RuleEvaluator
 from repro.engine.reasons import (
     ADMISSION_PRESSURE,
@@ -42,7 +42,7 @@ from repro.engine.reasons import (
     reason,
     reason_code,
 )
-from repro.errors import EvaluationBudgetExceeded, EvaluationError
+from repro.errors import EvaluationBudgetExceeded, EvaluationError, UnsafeRuleError
 from repro.io.serialization import instance_to_text
 from repro.model import Fact, Instance, path, unary_instance
 from repro.parser import parse_program, parse_rule
@@ -205,14 +205,21 @@ class TestEmittedReasonsAreRegistered:
         ],
     )
     def test_lowering_refusals(self, rule_text, code):
-        """Why a rule has no id-space plan: only an unsafe rule has none, and
-        the evaluator keeps the reason beside the (absent) plan."""
-        evaluator = RuleEvaluator(parse_rule(rule_text), execution="compiled")
-        assert evaluator.compiled_plan is None
+        """Why a rule has no id-space plan: only an unsafe rule has none; the
+        evaluator keeps the reason and raises it when the rule is evaluated."""
+        evaluator = RuleEvaluator(parse_rule(rule_text))
         assert_registered(evaluator.lowering_refusal, code)
-        # Not attempted is not refused; a safe rule is not refused either.
-        assert RuleEvaluator(parse_rule(rule_text), execution="indexed").lowering_refusal is None
-        safe = RuleEvaluator(parse_rule("T($x) :- R($x), $x != $x.a."), execution="compiled")
+        instance = unary_instance("R", ["a"])
+        for evaluate in (
+            lambda: evaluator.derive(instance),
+            lambda: evaluator.derivation_counts(instance),
+            lambda: evaluator.derivable(instance, [Fact("T", [path("a")])]),
+        ):
+            with pytest.raises(UnsafeRuleError) as caught:
+                evaluate()
+            assert_registered(str(caught.value), code)
+        # A safe rule is not refused.
+        safe = RuleEvaluator(parse_rule("T($x) :- R($x), $x != $x.a."))
         assert safe.compiled_plan is not None and safe.lowering_refusal is None
 
     def test_an_equation_no_side_of_which_gets_bound_is_refused(self):
@@ -221,7 +228,6 @@ class TestEmittedReasonsAreRegistered:
         rule = parse_rule("T($x) :- R($x), $y = $z.")
         order = list(rule.body)
         assert_registered(lower_rule(rule.head, order), LOWERING_UNSAFE_EQUATION)
-        assert compile_rule(rule.head, order) is None
 
     def test_service_eviction_reasons(self):
         registry = SessionRegistry(

@@ -1,4 +1,4 @@
-"""What a server or a library user imports stays free of ``networkx``.
+"""What a server or a library user imports stays free of ``networkx`` — and of the test oracle.
 
 The graph library is a dependency of the helpers whose contract is an
 ``nx.DiGraph`` (``Program.dependency_graph``, the Hasse diagram,
@@ -7,6 +7,7 @@ process that merely parses, evaluates and serves ≈0.2 s and ≈16 MB.
 """
 
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -65,3 +66,48 @@ def test_every_exported_name_resolves(package):
     module = importlib.import_module(package)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+def test_one_evaluator_in_production_and_the_oracle_off_its_import_path():
+    """``repro.engine.reference`` is the tests' oracle; nothing a server or a
+    library user imports may pull it in."""
+    source_root = str(Path(repro.__file__).resolve().parents[1])
+    script = (
+        "import sys, repro, repro.service, repro.service.http, repro.queries.canonical\n"
+        "assert 'repro.engine.evaluation' in sys.modules\n"
+        "assert 'repro.engine.reference' not in sys.modules\n"
+    )
+    finished = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=source_root),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert finished.returncode == 0, finished.stderr
+
+    # ... and with one evaluator there is no mode left to name on a signature.
+    from repro.engine import (
+        MaintainedFixpoint,
+        ProgramEvaluators,
+        ProgramQuery,
+        RuleEvaluator,
+        evaluate_program,
+        evaluate_stratum,
+        propagate_delta,
+    )
+
+    callables = [
+        RuleEvaluator.__init__,
+        ProgramEvaluators.__init__,
+        evaluate_stratum,
+        evaluate_program,
+        propagate_delta,
+        MaintainedFixpoint.__init__,
+        MaintainedFixpoint.evaluate,
+        MaintainedFixpoint.from_support,
+        ProgramQuery.__init__,
+    ]
+    for function in callables:
+        parameters = inspect.signature(function).parameters
+        assert not {"execution", "strategy"} & parameters.keys(), function.__qualname__

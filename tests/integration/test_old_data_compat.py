@@ -1,11 +1,14 @@
-"""Data written before the shard-parallel layer was deleted still reads.
+"""Data written before a layer or an option was deleted still reads.
 
-Every literal below was written by commit 19c7d04 (the last one that had
-``repro.engine.sharding``), from sessions opened with ``shards=2`` /
+The sharding literals below were written by commit 19c7d04 (the last one
+that had ``repro.engine.sharding``), from sessions opened with ``shards=2`` /
 ``shards=4, executor="process"``.  This build has no such option, no
 ``"sharding"`` block in a session state, no ``shards_touched`` on an update
 result and five fewer statistics counters — and must keep reading all of it,
-ignoring what it no longer knows.  Each test fails if a reader starts
+ignoring what it no longer knows.  The ``EQUATION_*`` literals were written
+by commit 6de9eff (the last one with ``execution=`` / ``strategy=`` and the
+valuation interpreter that counted derivations); their support counts must
+keep the meaning they were written with.  Each test fails if a reader starts
 rejecting (or misreading) the old documents.
 """
 
@@ -84,6 +87,33 @@ UPDATE_RESULT = (
     '"maintenance_rounds":5,"per_stratum_iterations":[],"plan_cache_hits":5,"plans_compiled":4,'
     '"rederivation_attempts":0,"rule_applications":9,"shard_rounds":5,'
     '"shard_skipped_updates":0,"subgoal_table_hits":0}}'
+)
+
+
+EQUATION_PROGRAM = "S($x) :- R($x), $x = $u·a·$v.\n"
+
+#: The snapshot document a registry wrote for a session created with
+#: ``options={"persist": "beta", "execution": "indexed", "strategy": "naive",
+#: "table_capacity": 8}`` over ``R(a·b·a). R(b).``
+EQUATION_PERSISTED_SNAPSHOT = (
+    '{"config":{"name":"beta","options":{"execution":"indexed","persist":"beta",'
+    '"strategy":"naive","table_capacity":8},"output_relation":"S",'
+    '"program":"S($x) :- R($x), $x = $u\\u00b7a\\u00b7$v.\\n","tenant":"acme"},'
+    '"format":"repro-session-snapshot","generation":0,'
+    '"state":{"edb":{"R":[["a\\u00b7b\\u00b7a"],["b"]]},'
+    '"materialization":{"R":[["a\\u00b7b\\u00b7a"],["b"]],"S":[["a\\u00b7b\\u00b7a"]]},'
+    '"strata":[{"counts":[[["S","a\\u00b7b\\u00b7a"],2]],"pinned":[],"recursive":false}],'
+    '"table":[],"version":1},"version":1}'
+)
+
+#: ``export_state()`` of a session over ``R(a·b·a)`` after ``run()``: S(a·b·a)
+#: has two derivations — ``$u``, ``$v`` = (ϵ, b·a) and (a·b, ϵ) — although
+#: neither variable is mentioned anywhere else in the rule.
+EQUATION_MATERIALIZED_STATE = (
+    '{"edb":{"R":[["a\\u00b7b\\u00b7a"]]},'
+    '"materialization":{"R":[["a\\u00b7b\\u00b7a"]],"S":[["a\\u00b7b\\u00b7a"]]},'
+    '"strata":[{"counts":[[["S","a\\u00b7b\\u00b7a"],2]],"pinned":[],"recursive":false}],'
+    '"table":[],"version":1}'
 )
 
 
@@ -171,3 +201,47 @@ def test_update_results_and_statistics_written_with_the_removed_fields_decode():
     assert statistics == result.statistics
     assert (statistics.extension_attempts, statistics.maintenance_rounds) == (28, 5)
     assert not hasattr(statistics, "exchanged_bytes")
+
+
+def test_a_persisted_config_naming_execution_and_strategy_restores_and_serves(tmp_path):
+    directory = tmp_path / "acme" / "beta"
+    directory.mkdir(parents=True)
+    (directory / "snapshot-000000000000.json").write_text(EQUATION_PERSISTED_SNAPSHOT)
+    (directory / "wal-000000000000.log").write_bytes(b"")
+
+    async def scenario():
+        registry = SessionRegistry(persist_root=tmp_path)
+        try:
+            (handle,) = await registry.restore_all()
+            assert registry.restore_errors == []
+            options = handle.persist_config["options"]
+            assert (options["execution"], options["strategy"]) == ("indexed", "naive")
+            assert handle.session.table_capacity == 8  # the options it knows still apply
+            answer = await handle.run_query()
+            assert set(rows_from_json(answer["answers"]["S"])) == {(path("a", "b", "a"),)}
+            ack = await handle.enqueue_update([fact_from_json(["R", "b·a"])], [])
+            assert ack["generation"] == 1
+            answer = await handle.run_query()
+            assert len(answer["answers"]["S"]) == 2
+        finally:
+            registry.close_all()
+
+    asyncio.run(scenario())
+
+
+def test_a_support_count_written_by_the_interpreter_keeps_its_meaning():
+    state = json.loads(EQUATION_MATERIALIZED_STATE)
+    fact = fact_from_json(["S", "a·b·a"])
+    assert state["strata"][0]["counts"] == [[["S", "a·b·a"], 2]]
+    query = ProgramQuery(parse_program(EQUATION_PROGRAM), {"R": 1}, "S")
+    with QuerySession.restore(query, state) as restored:
+        assert restored.run().served_by == "maintained"  # read, not re-evaluated
+        assert restored._maintained.support_state()[0][1] == {fact: 2}
+        # Both derivations go with the one R-fact; a count that had collapsed
+        # the equation's single-mention variables would go negative or linger.
+        restored.update([], [fact_from_json(["R", "a·b·a"])])
+        assert not restored.run().output.relation("S")
+        assert restored._maintained.support_state()[0][1] == {}
+        restored.update([fact_from_json(["R", "a·b·a"])], [])
+        assert restored.run().paths() == {path("a", "b", "a")}
+        assert restored._maintained.support_state()[0][1] == {fact: 2}

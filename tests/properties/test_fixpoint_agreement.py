@@ -1,11 +1,11 @@
-"""Property-based agreement of fixpoint strategies and execution modes.
+"""Property-based agreement of the evaluator with the reference fixpoint.
 
-The engine offers four ways to compute the same semantics (Section 2.3):
-{naive, semi-naive} fixpoint strategies × {scan, indexed, compiled}
-execution modes.
-These tests drive all four over random programs and random workload instances
+The engine computes the semantics of Section 2.3 one way — lowered id-space
+plans under a resident semi-naive loop; :mod:`repro.engine.reference` computes
+it the way the paper defines it — naive rounds of full scans over valuations.
+These tests drive both over random programs and random workload instances
 (from :mod:`repro.workloads.generators`) and require extensionally identical
-results — the key safety net under the storage/planner refactor.
+results — the key safety net under any engine refactor.
 """
 
 import pytest
@@ -18,6 +18,7 @@ from repro.engine import (
     evaluate_program,
     propagate_delta,
 )
+from repro.engine.reference import reference_fixpoint
 from repro.errors import EvaluationBudgetExceeded
 from repro.io import instance_from_text
 from repro.model import Fact, Instance, path
@@ -32,18 +33,9 @@ from repro.workloads import (
     random_string_instance,
 )
 
-STRATEGIES = ("naive", "seminaive")
-EXECUTIONS = ("scan", "indexed", "compiled")
-
-
 def all_variants(program, instance):
-    results = []
-    for strategy in STRATEGIES:
-        for execution in EXECUTIONS:
-            results.append(
-                evaluate_program(program, instance, strategy=strategy, execution=execution)
-            )
-    return results
+    """The evaluator's result and the oracle's."""
+    return [evaluate_program(program, instance), reference_fixpoint(program, instance)]
 
 
 @given(program_seed=st.integers(0, 50), instance_seed=st.integers(0, 50))
@@ -53,6 +45,9 @@ def test_random_positive_programs_agree(program_seed, instance_seed):
     instance = random_string_instance(paths=5, max_length=4, seed=instance_seed)
     first, *rest = all_variants(program, instance)
     assert all(result == first for result in rest)
+    # Every drawn rule shape lowers, and its head can lead a rederivation join.
+    for evaluator in map(ProgramEvaluators().evaluator, program.rules()):
+        assert evaluator.compiled_plan.head_step is not None
 
 
 @given(seed=st.integers(0, 100))
@@ -89,22 +84,21 @@ def test_negation_agrees_on_random_graphs(seed):
 @given(seed=st.integers(0, 30))
 @settings(max_examples=10, deadline=None)
 def test_indexed_extension_attempts_never_exceed_scan(seed):
-    """Index pruning yields a subset of the scan candidates, never more."""
+    """Probing a hash grouping looks at a subset of the rows a scan would, never more:
+    a nested loop tries every R row against every valuation of every round."""
     program = get_query("reachability").program()
     instance = random_graph_instance(nodes=10, edges=25, seed=seed)
-    scan_stats = EvaluationStatistics()
-    indexed_stats = EvaluationStatistics()
-    scan = evaluate_program(program, instance, execution="scan", statistics=scan_stats)
-    indexed = evaluate_program(program, instance, execution="indexed", statistics=indexed_stats)
-    assert scan == indexed
-    assert indexed_stats.extension_attempts <= scan_stats.extension_attempts
+    statistics = EvaluationStatistics()
+    result = evaluate_program(program, instance, statistics=statistics)
+    assert result == reference_fixpoint(program, instance)
+    edges, closure = len(instance.relation("R")), len(result.relation("T"))
+    assert 0 < statistics.extension_attempts <= statistics.iterations * (edges + closure * edges)
 
 
 # -- directed cases the random generators do not reach --------------------------------------------
 #
-# Each runs scan ≡ indexed ≡ compiled under the semi-naive strategy; where
-# every rule of a stratum lowers, "compiled" keeps the loop in id space
-# (engine/fixpoint.py), so these pin the places that loop has to get right.
+# Each runs the evaluator against the reference fixpoint; the loop stays in
+# id space (engine/fixpoint.py), so these pin the places it has to get right.
 
 REACHABILITY = "T(@x, @y) :- E(@x, @y).\nT(@x, @z) :- T(@x, @y), E(@y, @z).\n"
 CHAIN = "E(a, b). E(b, c). E(c, d). E(d, b)."
@@ -187,46 +181,33 @@ DIRECTED_CASES = {
     "equation_without_a_predicate": ("G($x, @y) :- $x·@y = a·b·c.\n", "R(a)."),
 }
 
-MODE_INDEPENDENT_COUNTERS = (
-    "iterations",
-    "per_stratum_iterations",
-    "rule_applications",
-    "delta_restricted_applications",
-    "facts_derived",
-)
-
-
 @pytest.mark.parametrize("name", DIRECTED_CASES)
 def test_directed_cases_agree_with_equal_counters(name):
     program_text, instance_text = DIRECTED_CASES[name]
     program = parse_program(program_text)
     instance = instance_from_text(instance_text)
-    results, counters = [], []
-    for execution in EXECUTIONS:
-        statistics = EvaluationStatistics()
-        results.append(
-            evaluate_program(program, instance, execution=execution, statistics=statistics)
-        )
-        counters.append({field: getattr(statistics, field) for field in MODE_INDEPENDENT_COUNTERS})
-    assert results[0] == results[1] == results[2]
-    assert counters[0] == counters[1] == counters[2]
-    assert results[0].fact_count() > instance.fact_count()  # the case derives something
+    statistics = EvaluationStatistics()
+    result = evaluate_program(program, instance, statistics=statistics)
+    assert result == reference_fixpoint(program, instance)
+    # The counters a caller reads off a run: every derived fact counted once
+    # (a row the head relation already held is not), every round in a stratum.
+    assert statistics.facts_derived == result.fact_count() - instance.fact_count() > 0
+    assert statistics.iterations == sum(statistics.per_stratum_iterations)
+    assert len(statistics.per_stratum_iterations) == len(program.strata)
+    assert statistics.rule_applications <= statistics.iterations * sum(
+        len(stratum.rules) for stratum in program.strata
+    )
 
 
 def test_directed_cases_cover_resident_and_mixed_strata():
-    """Every stratum of the table runs the resident round.
-
-    The ``[[False, True, True]]`` this test pinned for ``mixed_stratum`` is
-    retired: its equation lowers now and no safe rule refuses, so no case
-    has a mixed stratum left to pin — the ``Fact`` loop is still swept by
-    the "scan" and "indexed" columns of the tests above.
-    """
+    """Every rule of the table lowers, heads included: none is refused, and
+    each can lead its join with the head (delete–rederive needs that)."""
     for name, (program_text, _) in DIRECTED_CASES.items():
-        evaluators = ProgramEvaluators(execution="compiled")
+        evaluators = ProgramEvaluators()
         for stratum in parse_program(program_text).strata:
             for evaluator in evaluators.for_stratum(stratum):
-                assert evaluator.compiled_plan is not None, (name, str(evaluator.rule))
-                assert evaluator.lowering_refusal is None
+                assert evaluator.lowering_refusal is None, (name, str(evaluator.rule))
+                assert evaluator.compiled_plan.head_step is not None
 
 
 @pytest.mark.parametrize("case", ["head_relation_holds_edb_rows", "mixed_stratum"])
@@ -235,23 +216,20 @@ def test_propagate_delta_collects_exactly_the_facts_added(case):
     program = parse_program(program_text)
     instance = instance_from_text(CHAIN + " R(a·b).")
     seeds = {Fact("E", [path("d"), path("e")]), Fact("R", [path("a", "a", "c")])}
-    outcomes = []
-    for execution in EXECUTIONS:
-        evaluators = ProgramEvaluators(execution=execution)
-        current = evaluate_program(program, instance, execution=execution, evaluators=evaluators)
-        for fact in seeds:
-            current.add_fact(fact)
-        before = set(current.facts())
-        statistics = EvaluationStatistics()
-        rounds, added = propagate_delta(
-            evaluators.for_stratum(program.strata[0]), current, set(seeds), statistics=statistics,
-            collect=True,
-        )
-        assert added == set(current.facts()) - before
-        assert added and statistics.facts_derived == len(added)
-        assert current == evaluate_program(program, instance.union(Instance(seeds)))
-        outcomes.append((rounds, added))
-    assert outcomes[0] == outcomes[1] == outcomes[2]
+    evaluators = ProgramEvaluators()
+    current = evaluate_program(program, instance, evaluators=evaluators)
+    for fact in seeds:
+        current.add_fact(fact)
+    before = set(current.facts())
+    statistics = EvaluationStatistics()
+    rounds, added = propagate_delta(
+        evaluators.for_stratum(program.strata[0]), current, set(seeds), statistics=statistics,
+        collect=True,
+    )
+    assert rounds >= 1
+    assert added == set(current.facts()) - before
+    assert added and statistics.facts_derived == len(added)
+    assert current == reference_fixpoint(program, instance.union(Instance(seeds)))
 
 
 def test_derivation_limit_trips_inside_a_binding_equation():
@@ -260,12 +238,12 @@ def test_derivation_limit_trips_inside_a_binding_equation():
     program = parse_program("P($u, $v) :- R($x), $x = $u·$v.\n")
     instance = instance_from_text("R(a·a·a·a·a).")
     limits = EvaluationLimits(max_derivations_per_rule=5)
-    for execution in EXECUTIONS:
+    for fixpoint in (evaluate_program, reference_fixpoint):
         with pytest.raises(EvaluationBudgetExceeded) as caught:
-            evaluate_program(program, instance, limits, execution=execution)
+            fixpoint(program, instance, limits)
         assert caught.value.limit_name == "max_derivations_per_rule"
         roomy = EvaluationLimits(max_derivations_per_rule=6)
-        assert len(evaluate_program(program, instance, roomy, execution=execution).relation("P")) == 6
+        assert len(fixpoint(program, instance, roomy).relation("P")) == 6
 
 
 # -- Theorem 4.7 as a metamorphic oracle ----------------------------------------------------------
@@ -281,8 +259,8 @@ def _equation_free_rewrite_agrees(program, instance):
     """The original's result; the rewrite must define each of its relations alike."""
     rewritten = eliminate_equations(program)
     assert not any(rule.has_equation() for stratum in rewritten.strata for rule in stratum)
-    direct = evaluate_program(program, instance, execution="compiled")
-    through_predicates = evaluate_program(rewritten, instance, execution="compiled")
+    direct = evaluate_program(program, instance)
+    through_predicates = evaluate_program(rewritten, instance)
     for name in program.idb_relation_names():
         assert direct.relation(name) == through_predicates.relation(name), name
     return direct

@@ -1,9 +1,9 @@
 """Property-based agreement of maintained and from-scratch fixpoints.
 
 The maintained materialization (:class:`repro.engine.MaintainedFixpoint`)
-must stay extensionally identical to re-evaluating the program on the
-updated base instance — across every strategy × execution combination, for
-random positive programs and graph workloads, and through update streams
+must stay extensionally identical to the reference fixpoint
+(:mod:`repro.engine.reference`) of the program on the updated base instance —
+for random positive programs and graph workloads, and through update streams
 that mix additions with retractions.  This is the safety net under the
 incremental-maintenance refactor, the analogue of
 ``test_fixpoint_agreement.py`` for the update path.
@@ -12,11 +12,8 @@ incremental-maintenance refactor, the analogue of
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import (
-    EvaluationStatistics,
-    MaintainedFixpoint,
-    evaluate_program,
-)
+from repro.engine import EvaluationStatistics, MaintainedFixpoint
+from repro.engine.reference import reference_fixpoint
 from repro.io import instance_from_text
 from repro.model import Fact
 from repro.parser import parse_program
@@ -29,31 +26,35 @@ from repro.workloads import (
     update_stream,
 )
 
-STRATEGIES = ("naive", "seminaive")
-EXECUTIONS = ("scan", "indexed", "compiled")
-
 REACHABILITY_PAIRS = """
 T(@x, @y) :- E(@x, @y).
 T(@x, @z) :- T(@x, @y), E(@y, @z).
 """
 
 
-def apply_steps_and_check(program, base, steps, *, strategy, execution):
-    """Drive one maintained fixpoint through *steps*, checking every state."""
-    maintained = MaintainedFixpoint.evaluate(
-        program, base, strategy=strategy, execution=execution
-    )
+def apply_steps_and_check(program, base, steps):
+    """Drive one maintained fixpoint through *steps*, checking every state.
+
+    Returns, per step, ``(facts_retracted counted, facts the oracle lost)``.
+    """
+    maintained = MaintainedFixpoint.evaluate(program, base)
     current = base.copy()
+    scratch = reference_fixpoint(program, current)
+    assert maintained.materialized == scratch
+    retracted = []
     for additions, retractions in steps:
-        maintained.update(additions, retractions)
+        statistics = EvaluationStatistics()
+        maintained.update(additions, retractions, statistics=statistics)
         for fact in retractions:
             current.discard_fact(fact)
         for fact in additions:
             current.add_fact(fact)
-        scratch = evaluate_program(
-            program, current, strategy=strategy, execution=execution
-        )
+        before, scratch = scratch, reference_fixpoint(program, current)
         assert maintained.materialized == scratch
+        retracted.append(
+            (statistics.facts_retracted, len(set(before.facts()) - set(scratch.facts())))
+        )
+    return retracted
 
 
 @given(
@@ -75,7 +76,7 @@ def test_random_positive_programs_stay_in_sync(program_seed, instance_seed, stre
             seed=stream_seed,
         )
     )
-    apply_steps_and_check(program, base, steps, strategy="seminaive", execution="indexed")
+    apply_steps_and_check(program, base, steps)
 
 
 @given(seed=st.integers(0, 60))
@@ -86,11 +87,7 @@ def test_reachability_streams_agree_across_all_variants(seed):
     steps = list(
         update_stream(base, relation="E", steps=2, seed=seed + 1000)
     )
-    for strategy in STRATEGIES:
-        for execution in EXECUTIONS:
-            apply_steps_and_check(
-                program, base, steps, strategy=strategy, execution=execution
-            )
+    apply_steps_and_check(program, base, steps)
 
 
 @given(seed=st.integers(0, 60))
@@ -101,10 +98,7 @@ def test_retraction_only_streams_agree(seed):
     base = as_edge_pairs(random_graph_instance(nodes=8, edges=16, seed=seed))
     rows = sorted(base.relation("E"), key=repr)
     steps = [([], [Fact("E", row)]) for row in rows[:4]]
-    for execution in EXECUTIONS:
-        apply_steps_and_check(
-            program, base, steps, strategy="seminaive", execution=execution
-        )
+    apply_steps_and_check(program, base, steps)
 
 
 @given(seed=st.integers(0, 60))
@@ -114,7 +108,7 @@ def test_unary_reachability_with_strata_stays_in_sync(seed):
     program = get_query("reachability").program()
     base = random_graph_instance(nodes=7, edges=12, seed=seed)
     steps = list(update_stream(base, relation="R", steps=3, seed=seed + 7))
-    apply_steps_and_check(program, base, steps, strategy="seminaive", execution="indexed")
+    apply_steps_and_check(program, base, steps)
 
 
 @given(seed=st.integers(0, 40))
@@ -205,8 +199,9 @@ DIRECTED_RETRACTIONS = {
         ["E(a, b)", "E(a, c)", "E(c, b)", "E(b, d)", "E(d, b)"],
         [([], ["E(a, b)"]), ([], ["E(a, c)"])],
     ),
-    # $x.$y cannot be destructured in id space (every split of a fact is a
-    # seed); S(a.b.c) keeps the support S(a), L(a, b.c) when S(a.b) goes.
+    # $x.$y does not destructure deterministically: the head leads the join
+    # bound whole, and a binding equation tries every split of each fact;
+    # S(a.b.c) keeps the support S(a), L(a, b.c) when S(a.b) goes.
     "two path variables in one head component": (
         """
         S($x) :- R($x).
@@ -228,7 +223,7 @@ DIRECTED_RETRACTIONS = {
         [([], ["R(a.a.b.b)"]), (["R(a.b.a.b)"], ["R(a.b)"])],
     ),
     # A binding equation with a choice point in a recursive rule whose head
-    # ($u.$v) cannot lead the join: W(b.b.a.c) is an R-fact and also
+    # ($u.$v) leads the join through a second one: W(b.b.a.c) is an R-fact and also
     # b.a.b.a.c without its first a, so it survives the first step and
     # loses its other support in the second.
     "binding equation in a recursive rule": (
@@ -272,29 +267,9 @@ def _directed_case(name):
     )
 
 
-def _retracted_through(program, base, steps, *, execution):
-    """``facts_retracted`` per step, checking every state against scratch."""
-    maintained = MaintainedFixpoint.evaluate(program, base, execution=execution)
-    current = base.copy()
-    retracted = []
-    for additions, retractions in steps:
-        statistics = EvaluationStatistics()
-        maintained.update(additions, retractions, statistics=statistics)
-        for fact in retractions:
-            current.discard_fact(fact)
-        for fact in additions:
-            current.add_fact(fact)
-        assert maintained.materialized == evaluate_program(program, current, execution=execution)
-        retracted.append(statistics.facts_retracted)
-    return retracted
-
-
 @pytest.mark.parametrize("name", DIRECTED_RETRACTIONS)
 def test_directed_retractions_agree_in_every_execution(name):
     program, base, steps = _directed_case(name)
-    counts = {
-        execution: _retracted_through(program, base, steps, execution=execution)
-        for execution in EXECUTIONS
-    }
-    assert counts["scan"] == counts["indexed"] == counts["compiled"]
-    assert any(counts["scan"])  # every case retracts something
+    retracted = apply_steps_and_check(program, base, steps)
+    assert all(counted == lost for counted, lost in retracted)
+    assert any(counted for counted, _ in retracted)  # every case retracts something

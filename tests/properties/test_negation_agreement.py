@@ -4,23 +4,20 @@ Negation used to be the construct every fast path refused; now it must be
 indistinguishable from the slow paths it replaced.  For the canonical
 "reachable but not blocked" workload (negation over a demanded IDB
 relation) and the set-difference shape (negation over an EDB relation),
-these sweeps check the two agreement contracts across
-strategy × execution:
+these sweeps check the two agreement contracts against the reference
+fixpoint (:mod:`repro.engine.reference`):
 
-* maintained ≡ scratch — update streams through the *negated* relation in
+* maintained ≡ reference — update streams through the *negated* relation in
   both directions (additions produce downstream retractions and vice
   versa), including retraction-only streams;
-* tabled ≡ goal ≡ full — the goal pipeline handles the stratified rewrite
-  with no ``fallback_reason``, cold and warm.
+* tabled ≡ goal ≡ full ≡ reference — the goal pipeline handles the
+  stratified rewrite with no ``fallback_reason``, cold and warm.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import (
-    MaintainedFixpoint,
-    ProgramQuery,
-    evaluate_program,
-)
+from repro.engine import MaintainedFixpoint, ProgramQuery
+from repro.engine.reference import reference_fixpoint
 from repro.model import Fact, path
 from repro.parser import parse_program
 from repro.workloads import (
@@ -29,9 +26,6 @@ from repro.workloads import (
     random_graph_instance,
     update_stream,
 )
-
-STRATEGIES = ("naive", "seminaive")
-EXECUTIONS = ("scan", "indexed", "compiled")
 
 #: Reachability avoiding blocked nodes: ``Blocked`` is a demanded IDB
 #: relation read under negation inside the recursion — the exact shape
@@ -58,28 +52,24 @@ def blocked_instance(seed, *, blocked_nodes=2):
     return instance
 
 
-def apply_steps_and_check(program, base, steps, *, strategy, execution):
+def apply_steps_and_check(program, base, steps):
     """Drive one maintained fixpoint through *steps*, checking every state."""
-    maintained = MaintainedFixpoint.evaluate(
-        program, base, strategy=strategy, execution=execution
-    )
+    maintained = MaintainedFixpoint.evaluate(program, base)
     current = base.copy()
+    assert maintained.materialized == reference_fixpoint(program, current)
     for additions, retractions in steps:
         maintained.update(additions, retractions)
         for fact in retractions:
             current.discard_fact(fact)
         for fact in additions:
             current.add_fact(fact)
-        scratch = evaluate_program(
-            program, current, strategy=strategy, execution=execution
-        )
-        assert maintained.materialized == scratch
+        assert maintained.materialized == reference_fixpoint(program, current)
 
 
 @given(seed=st.integers(0, 60), stream_seed=st.integers(0, 10))
 @settings(max_examples=10, deadline=None)
 def test_streams_through_the_negated_relation_stay_in_sync(seed, stream_seed):
-    """Blocklist churn — both signed directions — across every variant."""
+    """Blocklist churn — both signed directions."""
     program = parse_program(BLOCKED_REACHABILITY)
     base = blocked_instance(seed, blocked_nodes=3)
     steps = list(
@@ -92,11 +82,7 @@ def test_streams_through_the_negated_relation_stay_in_sync(seed, stream_seed):
             seed=stream_seed,
         )
     )
-    for strategy in STRATEGIES:
-        for execution in EXECUTIONS:
-            apply_steps_and_check(
-                program, base, steps, strategy=strategy, execution=execution
-            )
+    apply_steps_and_check(program, base, steps)
 
 
 @given(seed=st.integers(0, 60))
@@ -117,9 +103,7 @@ def test_mixed_churn_on_both_sides_of_the_negation(seed):
         (edge_add + block_add, edge_del + block_del)
         for (edge_add, edge_del), (block_add, block_del) in zip(edge_steps, block_steps)
     ]
-    apply_steps_and_check(
-        program, base, steps, strategy="seminaive", execution="indexed"
-    )
+    apply_steps_and_check(program, base, steps)
 
 
 @given(seed=st.integers(0, 60))
@@ -130,10 +114,7 @@ def test_retraction_only_streams_through_negation(seed):
     base = blocked_instance(seed, blocked_nodes=4)
     rows = sorted(base.relation("Blocklist"), key=repr)
     steps = [([], [Fact("Blocklist", row)]) for row in rows[:3]]
-    for execution in EXECUTIONS:
-        apply_steps_and_check(
-            program, base, steps, strategy="seminaive", execution=execution
-        )
+    apply_steps_and_check(program, base, steps)
 
 
 @given(seed=st.integers(0, 40))
@@ -156,10 +137,7 @@ def test_set_difference_streams_agree(seed):
         update_stream(base, relation="Q", steps=3, seed=seed + 2),
     ):
         steps.append((r_add + q_add, r_del + q_del))
-    for strategy in STRATEGIES:
-        apply_steps_and_check(
-            program, base, steps, strategy=strategy, execution="indexed"
-        )
+    apply_steps_and_check(program, base, steps)
 
 
 @given(
@@ -167,36 +145,29 @@ def test_set_difference_streams_agree(seed):
     source=st.sampled_from(["a", "b", "n2", "n4"]),
 )
 @settings(max_examples=10, deadline=None)
-def test_goal_tabled_and_full_agree_with_negation(seed, source):
+def test_goal_tabled_and_full_agree_with_negation(oracle_output, seed, source):
     """tabled ≡ goal ≡ full: the stratified rewrite takes the goal pipeline."""
     program = parse_program(BLOCKED_REACHABILITY)
     instance = blocked_instance(seed, blocked_nodes=2)
     binding = {0: path(source)}
-    for strategy in STRATEGIES:
-        for execution in EXECUTIONS:
-            query = ProgramQuery(
-                program,
-                {"E": 2, "Blocklist": 1},
-                "T",
-                strategy=strategy,
-                execution=execution,
-                require_monadic=False,
-            )
-            full = query.run(instance.copy(), binding=binding, mode="full")
-            goal = query.run(instance.copy(), binding=binding, mode="goal")
-            assert goal.mode == "goal" and goal.fallback_reason is None
-            assert goal.output == full.output
-            session = query.session(instance.copy())
-            cold = session.run(binding=binding, mode="goal")
-            warm = session.run(binding=binding, mode="goal")
-            assert warm.served_by == "tabled"
-            assert cold.output == full.output
-            assert warm.output == full.output
+    query = ProgramQuery(program, {"E": 2, "Blocklist": 1}, "T", require_monadic=False)
+    expected = oracle_output(query, instance, binding)
+    full = query.run(instance.copy(), binding=binding, mode="full")
+    assert full.output == expected
+    goal = query.run(instance.copy(), binding=binding, mode="goal")
+    assert goal.mode == "goal" and goal.fallback_reason is None
+    assert goal.output == expected
+    session = query.session(instance.copy())
+    cold = session.run(binding=binding, mode="goal")
+    warm = session.run(binding=binding, mode="goal")
+    assert warm.served_by == "tabled"
+    assert cold.output == expected
+    assert warm.output == expected
 
 
 @given(seed=st.integers(0, 40))
 @settings(max_examples=8, deadline=None)
-def test_tabled_negation_goals_survive_updates_through_the_negated_relation(seed):
+def test_tabled_negation_goals_survive_updates_through_the_negated_relation(oracle_output, seed):
     program = parse_program(BLOCKED_REACHABILITY)
     instance = blocked_instance(seed, blocked_nodes=2)
     query = ProgramQuery(
@@ -212,5 +183,4 @@ def test_tabled_negation_goals_survive_updates_through_the_negated_relation(seed
     )
     for binding in ({0: path("a")}, {0: path("b")}):
         served = session.run(binding=binding, mode="goal")
-        reference = query.run(working.copy(), binding=binding, mode="full")
-        assert served.output == reference.output
+        assert served.output == oracle_output(query, working, binding)

@@ -1,10 +1,9 @@
 """Property-based agreement of snapshot-restored and from-scratch sessions.
 
 :meth:`QuerySession.export_state` → JSON → :meth:`QuerySession.restore`
-must reproduce a session that is *observably identical* to rebuilding from
-scratch on the same base — across strategy × execution (including
-compiled), on update streams that mix additions with
-retractions through a stratified-negation program.  And a restored session
+must reproduce a session that is *observably identical* to the reference
+fixpoint (:mod:`repro.engine.reference`) of the same base, on update streams
+that mix additions with retractions through a stratified-negation program.  And a restored session
 is not a read-only museum piece: it must keep absorbing updates through
 the normal maintenance path and stay in agreement afterwards.
 
@@ -26,9 +25,6 @@ from repro.model import path
 from repro.parser import parse_program
 from repro.workloads import as_edge_pairs, random_graph_instance, update_stream
 
-STRATEGIES = ("naive", "seminaive")
-EXECUTIONS = ("scan", "indexed", "compiled")
-
 #: Reachability avoiding blocked nodes — recursion over pairs with a
 #: demanded IDB relation under negation, the hardest shape every layer
 #: (maintenance, tabling) has to round-trip through a snapshot.
@@ -39,13 +35,11 @@ T(@x, @z) :- T(@x, @y), E(@y, @z), not Blocked(@z).
 """
 
 
-def build_query(strategy="seminaive", execution="indexed"):
+def build_query():
     return ProgramQuery(
         parse_program(BLOCKED_REACHABILITY),
         {"E": 2, "Blocklist": 1},
         "T",
-        strategy=strategy,
-        execution=execution,
         require_monadic=False,
     )
 
@@ -92,13 +86,15 @@ def apply_to(instance, additions, retractions):
         instance.add_fact(fact)
 
 
-def roundtrip_check(strategy, execution, seed):
-    """Snapshot mid-stream; the restored session must equal scratch, then
-    keep tracking scratch through the rest of the stream."""
+@given(seed=st.integers(0, 40))
+@settings(max_examples=4, deadline=None)
+def test_restore_agrees_across_strategy_and_execution(oracle_output, seed):
+    """Snapshot mid-stream; the restored session must equal the oracle, then
+    keep tracking it through the rest of the stream."""
     base = blocked_instance(seed)
     steps = mixed_stream(base, seed)
     split = len(steps) // 2
-    query = build_query(strategy, execution)
+    query = build_query()
     session = query.session(base.copy())
     session.run()  # establish the maintained materialization
     current = base.copy()
@@ -106,9 +102,9 @@ def roundtrip_check(strategy, execution, seed):
         session.update(additions, retractions)
         apply_to(current, additions, retractions)
     state = json.loads(json.dumps(session.export_state()))
-    restored = QuerySession.restore(build_query(strategy, execution), state)
+    restored = QuerySession.restore(build_query(), state)
     try:
-        expected = query.run(current.copy()).output
+        expected = oracle_output(query, current)
         answered = restored.run()
         # Serving from the restored materialization, not a re-evaluation.
         assert answered.served_by == "maintained"
@@ -119,7 +115,7 @@ def roundtrip_check(strategy, execution, seed):
             session.update(additions, retractions)
             restored.update(additions, retractions)
             apply_to(current, additions, retractions)
-        final = query.run(current.copy()).output
+        final = oracle_output(query, current)
         assert restored.run().output == final
         assert session.run().output == final
     finally:
@@ -127,20 +123,12 @@ def roundtrip_check(strategy, execution, seed):
         restored.close()
 
 
-@given(seed=st.integers(0, 40))
-@settings(max_examples=4, deadline=None)
-def test_restore_agrees_across_strategy_and_execution(seed):
-    for strategy in STRATEGIES:
-        for execution in EXECUTIONS:
-            roundtrip_check(strategy, execution, seed)
-
-
 @given(
     seed=st.integers(0, 40),
     source=st.sampled_from(["a", "b", "n2", "n4"]),
 )
 @settings(max_examples=8, deadline=None)
-def test_tabled_goals_restore_and_keep_serving(seed, source):
+def test_tabled_goals_restore_and_keep_serving(oracle_output, seed, source):
     """A goal-only session's answer table survives the round-trip: the
     restored session serves the same binding from the table, and updates
     through the negated relation keep it correct afterwards."""
@@ -150,6 +138,7 @@ def test_tabled_goals_restore_and_keep_serving(seed, source):
     binding = {0: path(source)}
     cold = session.run(binding=binding, mode="goal")
     assert cold.fallback_reason is None
+    assert cold.output == oracle_output(query, base, binding)
     state = json.loads(json.dumps(session.export_state()))
     assert state["table"], "the goal run must have seeded the answer table"
     restored = QuerySession.restore(build_query(), state)
@@ -172,8 +161,8 @@ def test_tabled_goals_restore_and_keep_serving(seed, source):
         for additions, retractions in steps:
             restored.update(additions, retractions)
             apply_to(current, additions, retractions)
-        reference = query.run(current.copy(), binding=binding, mode="full")
-        assert restored.run(binding=binding, mode="goal").output == reference.output
+        expected = oracle_output(query, current, binding)
+        assert restored.run(binding=binding, mode="goal").output == expected
     finally:
         session.close()
         restored.close()

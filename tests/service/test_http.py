@@ -101,8 +101,11 @@ class TestDispatch:
         asyncio.run(scenario())
         app.close()
 
-    @pytest.mark.parametrize("option", ["max_facts", "max_iterations", "table_capacity"])
+    @pytest.mark.parametrize(
+        "option", ["max_facts", "max_iterations", "table_capacity", "materialize", "coalesce"]
+    )
     def test_non_integer_options_are_a_400_naming_the_option(self, option, tmp_path):
+        """... and non-boolean ones: ``"no"`` is not false, it is a mistake."""
         app = ServiceApp(SessionRegistry(persist_root=tmp_path))
 
         async def refused(options):
@@ -114,6 +117,12 @@ class TestDispatch:
 
         async def scenario():
             await refused({option: "abc"})
+            if option in ("materialize", "coalesce"):
+                await refused({option: "false"})
+                await refused({option: ["no"]})
+                await refused({option: 0})
+            if option == "materialize":
+                return  # only read when a session is created
             # The restore path reads its options from the persisted config.
             status, created = await app.dispatch(
                 "POST", "/v1/sessions", create_body(options={"persist": "alpha"})

@@ -34,39 +34,13 @@ class TestIndexesAgreeWithFullScans:
                 expected = {row for row in edges.rows if row[position] == key}
                 assert set(edges.rows_with_path(position, key)) == expected
 
-    def test_first_atom_index(self, edges):
-        for position in (0, 1):
-            for atom in ("a", "b", "c", "x", "z", "missing"):
-                expected = {
-                    row
-                    for row in edges.rows
-                    if row[position].elements and row[position].elements[0] == atom
-                }
-                assert set(edges.rows_with_first_atom(position, atom)) == expected
-
-    def test_last_atom_index(self, edges):
-        for position in (0, 1):
-            for atom in ("a", "b", "c", "x", "z", "missing"):
-                expected = {
-                    row
-                    for row in edges.rows
-                    if row[position].elements and row[position].elements[-1] == atom
-                }
-                assert set(edges.rows_with_last_atom(position, atom)) == expected
-
-    def test_length_index(self, edges):
-        for position in (0, 1):
-            for length in (0, 1, 2, 3):
-                expected = {row for row in edges.rows if len(row[position]) == length}
-                assert set(edges.rows_with_length(position, length)) == expected
-
     def test_indexes_refresh_after_mutation(self, edges):
-        assert len(edges.rows_with_first_atom(0, "a")) == 2
-        new_row = (path("a", "z"), path("w"))
+        assert len(edges.rows_with_path(1, path("x"))) == 3
+        new_row = (path("a", "z"), path("x"))
         edges.add(new_row)
-        assert new_row in edges.rows_with_first_atom(0, "a")
+        assert new_row in edges.rows_with_path(1, path("x"))
         edges.discard(new_row)
-        assert new_row not in edges.rows_with_first_atom(0, "a")
+        assert new_row not in edges.rows_with_path(1, path("x"))
 
 
 class TestViews:
@@ -189,8 +163,8 @@ class TestMutationPathAudit:
         edges.set_rows({new_row})
         assert edges.view() is not view
         assert edges.view() == {new_row}
-        assert set(edges.rows_with_first_atom(0, "z")) == {new_row}
-        assert edges.rows_with_first_atom(0, "a") == frozenset()
+        assert set(edges.rows_with_path(0, path("z", "z"))) == {new_row}
+        assert edges.rows_with_path(0, path("a", "b")) == frozenset()
 
     def test_clear_invalidates_unary_view(self):
         relation = Relation()
@@ -274,7 +248,7 @@ class TestInstanceIntegration:
         instance.add("R", path("b", "c"))
         storage = instance.storage("R")
         assert storage is not None
-        assert set(storage.rows_with_first_atom(0, "a")) == {(path("a", "b"),)}
+        assert set(storage.rows_with_path(0, path("a", "b"))) == {(path("a", "b"),)}
         assert instance.storage("missing") is None
 
     def test_replace_with_reuses_relation_storage(self):
