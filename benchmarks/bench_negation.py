@@ -20,8 +20,8 @@ Two gates, one per lifted restriction, both on the same program and graph:
   extensions than per-step re-evaluation (deterministic, always checked).
 
 With ``--json`` the harness writes ``BENCH_negation.json``; wall times are
-recorded for the regression gate, the deterministic counter ratios are the
-portable evidence.
+recorded beside them, the deterministic counter ratios are the portable
+evidence.
 """
 
 import time

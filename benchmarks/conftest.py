@@ -64,10 +64,8 @@ class BenchmarkReporter:
         Records carry the environment the run was measured in —
         ``cpu_count``, ``python_version``, and ``timed`` (whether the run
         was a real timing run, i.e. ``--benchmark-disable`` was *not*
-        passed) — so ``check_regressions.py`` can arm or disarm the
-        core-count-dependent speedup gates from the record itself instead of
-        re-probing the gate-time machine, which may not be the machine that
-        produced the numbers.
+        passed) — so a reader of the artifact knows which machine and what
+        kind of run produced the wall-time fields.
         """
         self.results.setdefault(
             name,

@@ -8,8 +8,8 @@ makes the session state *durable* with the classic two-file scheme:
 * **Write-ahead log** (:class:`WriteAheadLog`) — an append-only file of
   length+CRC32-framed JSON records, one per committed maintenance pass (the
   *merged* batch the flusher handed to :meth:`QuerySession.update`, plus the
-  generation it committed).  Appends are fsynced **before** the pass is
-  acknowledged to any client, so the log always contains every acked batch.
+  generation it committed).  An append *is* write + fsync and returns before
+  the pass is acknowledged to any client: the log holds every acked batch.
   Opening a log for append scans the valid prefix and truncates a torn tail
   (a frame cut short by a crash mid-write) — a half-written record was by
   construction never acked, so dropping it is exactly right.
@@ -179,19 +179,16 @@ class WriteAheadLog:
             if records:
                 self.last_generation = int(records[-1]["generation"])
 
-    def append(self, record: "Mapping[str, object]", *, sync: bool = True) -> None:
-        """Frame, write, and (by default) fsync one record.
+    def append(self, record: "Mapping[str, object]") -> None:
+        """Frame, write, and fsync one record.
 
-        The caller must not acknowledge the corresponding commit before the
-        record's fsync barrier: that is what makes "acked" imply "durable".
-        With ``sync=False`` the barrier is deferred — group commit: appends
-        to the same file are ordered, so one later :meth:`sync` (or a synced
-        append) flushes every deferred record at once.
+        The caller must not acknowledge the corresponding commit before this
+        returns: the fsync barrier is what makes "acked" imply "durable".
         """
         payload = json.dumps(record, separators=(",", ":"), sort_keys=True).encode("utf-8")
         frame = _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
         self.shim.write(self._handle, frame)
-        if sync and self._fsync:
+        if self._fsync:
             self.shim.fsync(self._handle)
         else:
             self._handle.flush()
@@ -199,12 +196,6 @@ class WriteAheadLog:
         generation = record.get("generation")
         if generation is not None:
             self.last_generation = int(generation)  # type: ignore[arg-type]
-
-    def sync(self) -> None:
-        """The fsync barrier for every record appended so far."""
-        self._handle.flush()
-        if self._fsync:
-            self.shim.fsync(self._handle)
 
     @staticmethod
     def read(path: "Path | str") -> "list[dict]":
@@ -393,30 +384,15 @@ class SessionDurability:
         additions: "Iterable[Fact]",
         retractions: "Iterable[Fact]",
         batches: int,
-        *,
-        sync: bool = True,
     ) -> None:
-        """Append one committed pass; by default returns only after the
-        fsync barrier.  With ``sync=False`` the barrier is deferred to a
-        later :meth:`sync` — group commit: the caller must withhold the
-        pass's acknowledgement until that barrier."""
+        """Append one committed pass; returns only after the fsync barrier."""
         if self._wal is None:
             raise SequenceDatalogError(
                 "the write-ahead log is not open for append (initialize, or "
                 "recover + open_for_append, first)"
             )
-        self._wal.append(encode_commit(generation, additions, retractions, batches), sync=sync)
+        self._wal.append(encode_commit(generation, additions, retractions, batches))
         self.records_logged += 1
-
-    def sync(self) -> None:
-        """The fsync barrier for every deferred :meth:`log_commit` so far.
-
-        A no-op when the log is closed (e.g. a snapshot rotated it away
-        after the deferred appends: the snapshot's own atomic write is then
-        the durability barrier for everything it covers).
-        """
-        if self._wal is not None:
-            self._wal.sync()
 
     def should_snapshot(self) -> bool:
         """Whether the live log has grown past the compaction trigger."""

@@ -1,8 +1,8 @@
 """The serving core: sessions, write coalescing, committed reads, admission.
 
 This module is the transport-free heart of the network service
-(:mod:`repro.service.http` wraps it in HTTP, the benchmark drives it
-directly).  It turns one :class:`~repro.engine.query.QuerySession` into a
+(:mod:`repro.service.http` wraps it in HTTP; tests drive it directly).
+It turns one :class:`~repro.engine.query.QuerySession` into a
 *concurrent* serving unit and a set of them into a multi-tenant registry:
 
 * **Write coalescing** — concurrent update requests against one session are
@@ -11,9 +11,15 @@ directly).  It turns one :class:`~repro.engine.query.QuerySession` into a
   arrival order over fact space (a later retraction cancels a queued
   addition of the same fact and vice versa), so one merged
   :meth:`QuerySession.update` call is extensionally equivalent to applying
-  the batches serially — while paying the fixpoint/round overhead once.
-  Every request is acked individually after the merged pass commits, with
-  the committed generation and how many batches shared its pass.
+  the batches serially — while paying the fixpoint/round overhead, and on
+  a durable session the WAL record and its fsync, once.  Coalescing is the
+  write path's only amortiser: every pass is update → append + fsync →
+  publish → ack in one executor hop, the queue is taken once the session
+  lock is held (batches that arrive while a tabled query or a snapshot
+  holds it share the next pass), and every request is acked individually
+  after *its own* pass's fsync, with the committed generation and how many
+  batches shared the pass.  Flush, standby refresh and restore record a
+  committed pass through one applier (:meth:`SessionHandle._apply_commits`).
 
 * **Concurrent reads during maintenance** — every committed maintenance
   pass publishes a :class:`CommittedView`: zero-copy frozenset views of the
@@ -220,13 +226,6 @@ class _PendingUpdate:
 #: generation zero.
 DEFAULT_COMMIT_LOG_LIMIT = 512
 
-#: Group-commit bound: how many coalesced passes the flusher will commit
-#: (WAL-append without the fsync barrier, acks withheld) before it forces a
-#: ``sync()`` even though the queue is still non-empty.  Appends to one file
-#: are ordered, so the single barrier covers every held record; the bound
-#: keeps ack latency from growing without limit under a saturating writer.
-WAL_GROUP_COMMIT_LIMIT = 8
-
 
 class _WalAppendFailed(Exception):
     """Internal: the WAL append at the commit point failed.
@@ -283,6 +282,13 @@ def _merge_batches(
     return list(additions), list(retractions), count
 
 
+def _fail(batches: "Iterable[_PendingUpdate]", error: Exception) -> None:
+    """Fail every still-waiting request of *batches* with *error*."""
+    for pending in batches:
+        if not pending.future.done():
+            pending.future.set_exception(error)
+
+
 class SessionHandle:
     """One served session: a :class:`QuerySession` plus its concurrency machinery.
 
@@ -300,7 +306,6 @@ class SessionHandle:
         session: QuerySession,
         *,
         admission: "AdmissionLimits | None" = None,
-        coalesce: bool = True,
         commit_log_limit: int = DEFAULT_COMMIT_LOG_LIMIT,
     ):
         self.session_id = session_id
@@ -308,9 +313,6 @@ class SessionHandle:
         self.query = query
         self.session = session
         self.admission = admission if admission is not None else AdmissionLimits()
-        #: When ``False`` the flusher drains one batch per maintenance pass —
-        #: the serialized baseline the serving benchmark compares against.
-        self.coalesce = coalesce
         self.created_at = time.time()
         self.last_used = self.created_at
         #: Committed maintenance generation: 0 covers the initial build,
@@ -350,9 +352,6 @@ class SessionHandle:
         self._pending: "deque[_PendingUpdate]" = deque()
         self._flusher: "asyncio.Task | None" = None
         self._active_queries = 0
-        #: True while a merged maintenance pass is running in the executor
-        #: thread — the window committed-view reads are concurrent with.
-        self.maintenance_in_flight = False
         # Serving counters (surfaced by the stats endpoint and benchmark).
         self.maintenance_passes = 0
         self.batches_committed = 0
@@ -384,12 +383,8 @@ class SessionHandle:
         if self.closed:
             return
         self.closed = True
-        while self._pending:
-            pending = self._pending.popleft()
-            if not pending.future.done():
-                pending.future.set_exception(
-                    ServiceError(503, "session_evicted", "session closed before the pass ran")
-                )
+        _fail(self._pending, ServiceError(503, "session_evicted", "session closed before its pass"))
+        self._pending.clear()
         if self._flusher is not None:
             self._flusher.cancel()
             self._flusher = None
@@ -417,10 +412,43 @@ class SessionHandle:
         else:
             self.committed = CommittedView.capture(self.generation, materialized, self.committed)
 
+    def _apply_commits(self, commits: "Iterable[tuple[int, list[Fact], list[Fact], int]]") -> None:
+        """Record committed passes and publish the state they produced.
+
+        *commits* are ``(generation, additions, retractions, batches)`` in
+        order (:func:`decode_commit`'s shape), each already applied by
+        :meth:`QuerySession.update`; called, like :meth:`_commit_view`, with
+        the maintenance thread quiescent.  A replayed log tail is handed
+        over whole and pays for one view capture.
+        """
+        for generation, additions, retractions, batches in commits:
+            self.generation = generation
+            self.maintenance_passes += 1
+            self.batches_committed += batches
+            self.commit_log.append(
+                CommitRecord(generation, tuple(additions), tuple(retractions), batches)
+            )
+        self._truncate_commit_log()
+        self._commit_view()
+
+    async def _replay(self, records: "list[dict]") -> None:
+        """Apply logged commit records through the normal maintenance path."""
+        commits = [decode_commit(record) for record in records]
+
+        def run() -> None:
+            for _generation, additions, retractions, _batches in commits:
+                self.session.update(additions, retractions)
+
+        await self._run_in_executor(run)
+        self._apply_commits(commits)
+
     def _edb_size(self) -> int:
+        # ``len`` of the stored relations, not of ``instance.relation(name)``:
+        # this runs on the event loop while a pass may be mutating them in the
+        # executor thread; building the cached view would copy and write there.
         instance = self.session.instance
         return sum(
-            len(instance.relation(name))
+            len(instance.storage(name))
             for name in instance.relation_names & self.query.input_schema.relation_names
         )
 
@@ -485,164 +513,84 @@ class SessionHandle:
     async def _flush_loop(self) -> None:
         """Drain the update queue, one merged maintenance pass at a time.
 
-        Durable sessions group-commit: while more passes are queued, WAL
-        records are appended *without* their fsync barrier and the acks are
-        withheld; the first pass that drains the queue (or hits
-        :data:`WAL_GROUP_COMMIT_LIMIT` held passes) appends with the
-        barrier, and — appends to one file being ordered — that single
-        fsync covers every held record, so all the held acks go out
-        together.  "Acked" still implies "durable", at a fraction of the
-        fsyncs under a backlog, and the common drained-queue case stays a
-        single executor hop per pass.
+        Every pass has the same shape — update → append + fsync → publish →
+        ack — and costs one executor hop.  The queue is taken only once
+        ``_lock`` is held, so batches that arrive while a tabled query or a
+        snapshot holds it join the pass about to run; every batch of a pass
+        is acked after that pass's own fsync, which is what makes "acked"
+        imply "durable".  A cancellation while waiting for the lock leaves
+        the queue to :meth:`close`, which fails it.
         """
-        held: "list[tuple[list[_PendingUpdate], dict]]" = []
-
-        def fail_held(error: Exception) -> None:
-            for group, _ack in held:
-                for pending in group:
-                    if not pending.future.done():
-                        pending.future.set_exception(error)
-            held.clear()
-
         while self._pending and not self.closed:
-            if self.coalesce:
-                taken = list(self._pending)
-                self._pending.clear()
-            else:
-                taken = [self._pending.popleft()]
-            additions, retractions, batch_count = _merge_batches(taken)
+            taken: "list[_PendingUpdate]" = []
             try:
                 async with self._lock:
+                    taken = list(self._pending)
+                    self._pending.clear()
+                    additions, retractions, batch_count = _merge_batches(taken)
                     generation = self.generation + 1
-                    # Group commit: with more passes already queued the fsync
-                    # barrier is deferred and the ack withheld; on a drained
-                    # queue (or at the held-pass limit) the append carries
-                    # its own fsync, which — appends to one file being
-                    # ordered — covers every held record at once.
-                    barrier = (
-                        not self._pending or len(held) + 1 >= WAL_GROUP_COMMIT_LIMIT
-                    )
                     durability = self.durability
 
                     def commit_pass() -> UpdateResult:
                         # Redo-log discipline, in one executor hop: the WAL
-                        # record lands right after the update succeeds and
-                        # *before* the pass is committed or acked.  A failed
-                        # update never reaches the append.
+                        # record lands (written and fsynced) right after the
+                        # update succeeds and *before* the pass is committed
+                        # or acked.  A failed update never reaches the append.
                         result = self.session.update(additions, retractions)
                         if durability is not None:
                             try:
                                 durability.log_commit(
-                                    generation,
-                                    additions,
-                                    retractions,
-                                    batch_count,
-                                    sync=barrier,
+                                    generation, additions, retractions, batch_count
                                 )
                             except Exception as error:  # noqa: BLE001 — rewrapped
                                 raise _WalAppendFailed(error) from error
                         return result
 
-                    self.maintenance_in_flight = True
-                    try:
-                        result: UpdateResult = await self._run_in_executor(commit_pass)
-                    finally:
-                        self.maintenance_in_flight = False
-                    self.generation = generation
-                    self.maintenance_passes += 1
-                    self.batches_committed += batch_count
-                    self.commit_log.append(
-                        CommitRecord(
-                            self.generation, tuple(additions), tuple(retractions), batch_count
-                        )
-                    )
-                    self._truncate_commit_log()
-                    self._commit_view()
+                    result: UpdateResult = await self._run_in_executor(commit_pass)
+                    self._apply_commits([(generation, additions, retractions, batch_count)])
             except asyncio.CancelledError:
-                # close() cancelled the flusher mid-pass: neither the taken
-                # batch's futures nor any held acks may be left dangling.
-                evicted = ServiceError(
-                    503, "session_evicted", "session closed before the pass was acked"
-                )
-                for pending in taken:
-                    if not pending.future.done():
-                        pending.future.set_exception(evicted)
-                fail_held(evicted)
+                # close() cancelled the flusher mid-pass: the taken batches'
+                # futures must not be left dangling.
+                _fail(taken, ServiceError(503, "session_evicted", "session closed mid-pass"))
                 raise
             except _WalAppendFailed as failure:
                 # The update is applied in memory but not durable: this
                 # handle's state is now *ahead* of its log, so committing
                 # anything further would ack writes a restart must lose.
-                # Fail the batch (and every held, unsynced pass) unacked and
-                # close; recovery rebuilds from the acked prefix.
-                error = ServiceError(
-                    503,
-                    "wal_append_failed",
-                    f"write-ahead log append failed ({failure.error}); "
-                    f"session closed to protect the acked prefix",
+                # Fail the pass unacked and close; recovery rebuilds from
+                # the acked prefix.
+                _fail(
+                    taken,
+                    ServiceError(
+                        503,
+                        "wal_append_failed",
+                        f"write-ahead log append failed ({failure.error}); "
+                        f"session closed to protect the acked prefix",
+                    ),
                 )
-                for pending in taken:
-                    if not pending.future.done():
-                        pending.future.set_exception(error)
-                fail_held(error)
                 self.close()
                 return
-            except Exception as error:  # noqa: BLE001 — acked per request below
-                for pending in taken:
-                    if not pending.future.done():
-                        pending.future.set_exception(self._update_error(error))
+            except Exception as error:  # noqa: BLE001 — failed per request
+                _fail(taken, self._update_error(error))
                 continue
             ack = {
-                "generation": self.generation,
+                "generation": generation,
                 "coalesced_batches": batch_count,
                 "update": update_result_to_json(result),
             }
-            if self.durability is None:
-                for pending in taken:
-                    if not pending.future.done():
-                        pending.future.set_result(ack)
-            else:
-                held.append((taken, ack))
-                if barrier:
-                    # The synced append above is the fsync barrier: appends
-                    # to one file are ordered, so it covers every held pass.
-                    for group, group_ack in held:
-                        for pending in group:
-                            if not pending.future.done():
-                                pending.future.set_result(group_ack)
-                    held.clear()
-            if self.durability is not None and self.durability.should_snapshot():
+            for pending in taken:
+                if not pending.future.done():
+                    pending.future.set_result(ack)
+            if durability is not None and durability.should_snapshot():
                 # Snapshot-then-truncate compaction, triggered by log size.
                 # Every acked batch is already durable in the log, so a
                 # snapshot failure only costs availability, never data —
                 # but a half-crashed durability layer must not keep serving.
                 try:
                     await self.snapshot_now()
-                except asyncio.CancelledError:
-                    fail_held(
-                        ServiceError(
-                            503, "session_evicted", "session closed before the pass was acked"
-                        )
-                    )
-                    raise
                 except Exception:  # noqa: BLE001 — close is the safe response
-                    fail_held(
-                        ServiceError(
-                            503,
-                            "wal_append_failed",
-                            "snapshot failed before the pass was made durable; "
-                            "session closed to protect the acked prefix",
-                        )
-                    )
                     self.close()
                     return
-                # The snapshot's atomic fsync'd write covers every held
-                # generation, so it doubles as their group-commit barrier.
-                for group, group_ack in held:
-                    for pending in group:
-                        if not pending.future.done():
-                            pending.future.set_result(group_ack)
-                held.clear()
 
     @staticmethod
     def _update_error(error: Exception) -> Exception:
@@ -719,25 +667,11 @@ class SessionHandle:
             raise ServiceError(
                 409, "not_standby", f"session {self.session_id} is not a warm standby"
             )
-        applied = 0
         async with self._lock:
             records = await self._run_in_executor(self._tailer.poll)
-            for record in records:
-                generation, additions, retractions, batches = decode_commit(record)
-                await self._run_in_executor(
-                    partial(self.session.update, additions, retractions)
-                )
-                self.generation = generation
-                self.maintenance_passes += 1
-                self.batches_committed += batches
-                self.commit_log.append(
-                    CommitRecord(generation, tuple(additions), tuple(retractions), batches)
-                )
-                applied += 1
-            if applied:
-                self._truncate_commit_log()
-                self._commit_view()
-        return {"generation": self.generation, "applied": applied}
+            if records:
+                await self._replay(records)
+        return {"generation": self.generation, "applied": len(records)}
 
     async def promote(self) -> dict:
         """Promote a warm standby to primary: drain the tail, reopen the log.
@@ -998,12 +932,11 @@ class SessionRegistry:
         :mod:`repro.io.serialization` persists); *options* tunes the engine:
         ``mode``, ``table_capacity`` (capped by the tenant budget),
         ``max_facts`` / ``max_iterations`` evaluation limits (a non-integer
-        value for any of the three is refused with 400 ``bad_upload``),
-        ``coalesce`` and ``materialize`` (default true — build the full
-        fixpoint eagerly so every read is a committed view read; pass false
-        to serve goal-mode traffic through the subsumption table instead; a
-        non-boolean value for either is refused the same way).  Unknown keys
-        are ignored.
+        value for any of the three is refused with 400 ``bad_upload``) and
+        ``materialize`` (default true — build the full fixpoint eagerly so
+        every read is a committed view read; pass false to serve goal-mode
+        traffic through the subsumption table instead; a non-boolean value
+        is refused the same way).  Unknown keys are ignored.
 
         ``persist`` names a durable directory under the registry's
         ``persist_root``: a fresh session writes its initial snapshot there
@@ -1038,7 +971,6 @@ class SessionRegistry:
                     f"pass output_relation to pick one of {idb}",
                 )
             output_relation = idb[0]
-        coalesce = _bool_option(options, "coalesce")
         materialize = _bool_option(options, "materialize")
         try:
             query, session_kwargs = self._build_query(
@@ -1048,9 +980,7 @@ class SessionRegistry:
         except SequenceDatalogError as error:
             raise ServiceError(400, "bad_upload", str(error)) from error
         session_id = f"s{next(self._ids)}"
-        handle = SessionHandle(
-            session_id, tenant, query, session, admission=budget.admission, coalesce=coalesce
-        )
+        handle = SessionHandle(session_id, tenant, query, session, admission=budget.admission)
         self._admit(tenant, budget)
         self._sessions[session_id] = handle
         if materialize:
@@ -1213,7 +1143,6 @@ class SessionRegistry:
         config = recovered.config
         options = dict(config.get("options") or {})
         try:
-            coalesce = _bool_option(options, "coalesce")
             parsed_program = parse_program(config["program"])
             query, session_kwargs = self._build_query(
                 parsed_program, config["output_relation"], options, budget
@@ -1228,36 +1157,17 @@ class SessionRegistry:
                 500, "restore_failed", f"cannot restore {directory}: {error}"
             ) from error
         session_id = f"s{next(self._ids)}"
-        handle = SessionHandle(
-            session_id, tenant, query, session, admission=budget.admission, coalesce=coalesce
-        )
+        handle = SessionHandle(session_id, tenant, query, session, admission=budget.admission)
         handle.persist_name = name
         handle.generation = recovered.generation
         handle.commit_log_base = recovered.generation
-        if recovered.tail:
-            loop = asyncio.get_running_loop()
-            decoded = [decode_commit(record) for record in recovered.tail]
-
-            def replay() -> None:
-                for _generation, additions, retractions, _batches in decoded:
-                    session.update(additions, retractions)
-
-            try:
-                await loop.run_in_executor(None, replay)
-            except SequenceDatalogError as error:
-                session.close()
-                raise ServiceError(
-                    500, "restore_failed", f"log replay failed for {directory}: {error}"
-                ) from error
-            for generation, additions, retractions, batches in decoded:
-                handle.generation = generation
-                handle.maintenance_passes += 1
-                handle.batches_committed += batches
-                handle.commit_log.append(
-                    CommitRecord(generation, tuple(additions), tuple(retractions), batches)
-                )
-            handle._truncate_commit_log()
-        handle._commit_view()
+        try:
+            await handle._replay(recovered.tail)
+        except SequenceDatalogError as error:
+            session.close()
+            raise ServiceError(
+                500, "restore_failed", f"log replay failed for {directory}: {error}"
+            ) from error
         handle.durability = durability
         handle.persist_config = dict(config)
         if standby:

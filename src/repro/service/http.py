@@ -2,11 +2,10 @@
 
 :class:`ServiceApp` is the transport-independent API surface — it maps
 ``(method, path, json_body)`` requests onto the :mod:`repro.service.core`
-registry and returns ``(status, json_body)`` pairs.  The in-process load
-generator (``benchmarks/bench_serving.py``) and most tests drive it
+registry and returns ``(status, json_body)`` pairs.  Most tests drive it
 directly; :func:`serve` wraps the same dispatch in a minimal HTTP/1.1
 server built on ``asyncio.start_server`` so the whole service runs on the
-standard library alone.
+standard library alone (``benchmarks/e2e`` drives that server over sockets).
 
 Routes (all bodies JSON):
 

@@ -8,8 +8,10 @@ result and five fewer statistics counters — and must keep reading all of it,
 ignoring what it no longer knows.  The ``EQUATION_*`` literals were written
 by commit 6de9eff (the last one with ``execution=`` / ``strategy=`` and the
 valuation interpreter that counted derivations); their support counts must
-keep the meaning they were written with.  Each test fails if a reader starts
-rejecting (or misreading) the old documents.
+keep the meaning they were written with.  ``COALESCE_PERSISTED_SNAPSHOT`` was
+written by commit af2d02c, the last one whose sessions took a ``coalesce``
+option (``false`` ran one maintenance pass per request batch).  Each test
+fails if a reader starts rejecting (or misreading) the old documents.
 """
 
 import asyncio
@@ -24,7 +26,7 @@ from repro.io.serialization import (
 )
 from repro.model import Instance, path
 from repro.parser import parse_program
-from repro.service import SessionRegistry
+from repro.service import ServiceApp, SessionRegistry
 
 BLOCKED_REACHABILITY = """
 Blocked(@x) :- Blocklist(@x).
@@ -114,6 +116,20 @@ EQUATION_MATERIALIZED_STATE = (
     '"materialization":{"R":[["a\\u00b7b\\u00b7a"]],"S":[["a\\u00b7b\\u00b7a"]]},'
     '"strata":[{"counts":[[["S","a\\u00b7b\\u00b7a"],2]],"pinned":[],"recursive":false}],'
     '"table":[],"version":1}'
+)
+
+#: The snapshot document a registry wrote for a session created with
+#: ``options={"persist": "gamma", "coalesce": False, "table_capacity": 8}``
+#: over ``E(a, b). E(b, c).``
+COALESCE_PERSISTED_SNAPSHOT = (
+    '{"config":{"name":"gamma","options":{"coalesce":false,"persist":"gamma",'
+    '"table_capacity":8},"output_relation":"T",'
+    '"program":"T(@x, @y) :- E(@x, @y).\\nT(@x, @z) :- T(@x, @y), E(@y, @z).\\n",'
+    '"tenant":"acme"},"format":"repro-session-snapshot","generation":0,'
+    '"state":{"edb":{"E":[["a","b"],["b","c"]]},'
+    '"materialization":{"E":[["a","b"],["b","c"]],"T":[["a","b"],["a","c"],["b","c"]]},'
+    '"strata":[{"counts":null,"pinned":[],"recursive":true}],"table":[],"version":1},'
+    '"version":1}'
 )
 
 
@@ -245,3 +261,56 @@ def test_a_support_count_written_by_the_interpreter_keeps_its_meaning():
         restored.update([fact_from_json(["R", "a·b·a"])], [])
         assert restored.run().paths() == {path("a", "b", "a")}
         assert restored._maintained.support_state()[0][1] == {fact: 2}
+
+
+def test_a_persisted_config_naming_coalesce_false_restores_and_coalesces(tmp_path):
+    directory = tmp_path / "acme" / "gamma"
+    directory.mkdir(parents=True)
+    (directory / "snapshot-000000000000.json").write_text(COALESCE_PERSISTED_SNAPSHOT)
+    (directory / "wal-000000000000.log").write_bytes(b"")
+
+    async def scenario():
+        registry = SessionRegistry(persist_root=tmp_path)
+        try:
+            (handle,) = await registry.restore_all()
+            assert registry.restore_errors == []
+            assert handle.persist_config["options"]["coalesce"] is False  # read, ignored
+            assert handle.session.table_capacity == 8  # the options it knows still apply
+            answer = await handle.run_query(binding={0: path("a")})
+            assert set(rows_from_json(answer["answers"]["T"])) == {
+                (path("a"), path("b")),
+                (path("a"), path("c")),
+            }
+            acks = await asyncio.gather(
+                handle.enqueue_update([fact_from_json(["E", "c", "d"])], []),
+                handle.enqueue_update([fact_from_json(["E", "d", "e"])], []),
+            )
+            # The serialized mode is gone: the two batches share one pass.
+            assert [ack["coalesced_batches"] for ack in acks] == [2, 2]
+            assert handle.maintenance_passes == 1 and handle.generation == 1
+            answer = await handle.run_query(binding={0: path("a")})
+            assert len(answer["answers"]["T"]) == 4
+        finally:
+            registry.close_all()
+
+    asyncio.run(scenario())
+
+
+def test_a_create_request_naming_coalesce_is_accepted_whatever_its_type():
+    app = ServiceApp(SessionRegistry())
+    body = {
+        "program": "T(@x, @y) :- E(@x, @y).\nT(@x, @z) :- T(@x, @y), E(@y, @z).\n",
+        "instance": "E(a, b).",
+    }
+
+    async def scenario():
+        for value in (False, True, None, 0, 1.5, "abc", ["no"], {"on": False}):
+            status, created = await app.dispatch(
+                "POST", "/v1/sessions", {**body, "options": {"coalesce": value}}
+            )
+            assert status == 201, (value, created)
+
+    try:
+        asyncio.run(scenario())
+    finally:
+        app.close()

@@ -102,7 +102,7 @@ class TestDispatch:
         app.close()
 
     @pytest.mark.parametrize(
-        "option", ["max_facts", "max_iterations", "table_capacity", "materialize", "coalesce"]
+        "option", ["max_facts", "max_iterations", "table_capacity", "materialize"]
     )
     def test_non_integer_options_are_a_400_naming_the_option(self, option, tmp_path):
         """... and non-boolean ones: ``"no"`` is not false, it is a mistake."""
@@ -117,7 +117,7 @@ class TestDispatch:
 
         async def scenario():
             await refused({option: "abc"})
-            if option in ("materialize", "coalesce"):
+            if option == "materialize":
                 await refused({option: "false"})
                 await refused({option: ["no"]})
                 await refused({option: 0})

@@ -6,13 +6,16 @@ also mirrors how the stdlib server and the benchmark drive the core.
 """
 
 import asyncio
+import threading
 
 import pytest
 
 from repro.engine import EvaluationLimits, ProgramQuery
+from repro.io.durability import FileSystemShim
 from repro.io.serialization import instance_to_text, rows_from_json
 from repro.model import Fact, Instance, path
 from repro.parser import parse_program
+from repro.storage import Relation
 from repro.service import (
     AdmissionLimits,
     CommittedView,
@@ -46,12 +49,10 @@ def edge(source, target):
     return Fact("E", (path(source), path(target)))
 
 
-def make_handle(instance=None, *, coalesce=True, admission=None, **session_options):
+def make_handle(instance=None, *, admission=None, **session_options):
     query = pair_query()
     session = query.session(instance if instance is not None else line_instance())
-    return SessionHandle(
-        "s-test", "tenant", query, session, coalesce=coalesce, admission=admission
-    )
+    return SessionHandle("s-test", "tenant", query, session, admission=admission)
 
 
 def expected_pairs(instance, binding=None):
@@ -122,21 +123,6 @@ class TestCoalescing:
         assert set(handle.committed.select("T", {})) == expected_pairs(final)
         handle.close()
 
-    def test_serialized_mode_pays_one_pass_per_batch(self):
-        handle = make_handle(coalesce=False)
-
-        async def scenario():
-            await handle.ensure_materialized()
-            return await asyncio.gather(
-                *(handle.enqueue_update([edge(f"x{i}", f"x{i + 1}")]) for i in range(5))
-            )
-
-        acks = asyncio.run(scenario())
-        assert handle.maintenance_passes == 5
-        assert sorted(ack["generation"] for ack in acks) == [1, 2, 3, 4, 5]
-        assert all(ack["coalesced_batches"] == 1 for ack in acks)
-        handle.close()
-
     def test_later_retraction_cancels_a_queued_addition(self):
         handle = make_handle(line_instance(3))
 
@@ -171,6 +157,148 @@ class TestCoalescing:
         handle.close()
 
 
+class RecordingShim(FileSystemShim):
+    """Pass-through shim logging WAL records, WAL fsyncs and (via the test) acks."""
+
+    def __init__(self):
+        self.events = []
+
+    def write(self, handle, data):
+        super().write(handle, data)
+        if "wal-" in handle.name:
+            self.events.append("record")
+
+    def fsync(self, handle):
+        super().fsync(handle)
+        if "wal-" in handle.name:
+            self.events.append("fsync")
+
+    def count(self, kind):
+        return self.events.count(kind)
+
+
+async def persisted_handle(tmp_path):
+    registry = SessionRegistry(persist_root=tmp_path)
+    shim = registry.durability_shim = RecordingShim()
+    handle = await registry.create(
+        program=REACHABILITY_PAIRS,
+        instance=instance_to_text(line_instance()),
+        options={"persist": "p"},
+    )
+    return registry, shim, handle
+
+
+class TestCommitShape:
+    """One amortiser: update → append + fsync → publish → ack, per pass."""
+
+    def test_batches_arriving_while_the_lock_is_held_share_the_next_pass(self, tmp_path):
+        async def scenario():
+            registry, shim, handle = await persisted_handle(tmp_path)
+            await handle._lock.acquire()  # a tabled query or a snapshot
+            first = asyncio.ensure_future(handle.enqueue_update([edge("x0", "x1")]))
+            for _ in range(5):
+                await asyncio.sleep(0)  # the flusher starts and waits for the lock
+            second = asyncio.ensure_future(handle.enqueue_update([edge("x1", "x2")]))
+            for _ in range(5):
+                await asyncio.sleep(0)
+            handle._lock.release()
+            acks = await asyncio.gather(first, second)
+            passes = handle.maintenance_passes
+            registry.close_all()
+            return acks, passes, shim
+
+        acks, passes, shim = asyncio.run(scenario())
+        assert passes == 1
+        assert [ack["coalesced_batches"] for ack in acks] == [2, 2]
+        assert {ack["generation"] for ack in acks} == {1}
+        assert (shim.count("record"), shim.count("fsync")) == (1, 1)
+
+    def test_every_pass_is_one_record_one_fsync_and_acks_follow_their_own_fsync(self, tmp_path):
+        writers, per_writer = 16, 25
+
+        async def scenario():
+            registry, shim, handle = await persisted_handle(tmp_path)
+
+            async def writer(index):
+                for step in range(per_writer):
+                    ack = await handle.enqueue_update([edge(f"w{index}", f"s{step}")])
+                    shim.events.append(ack["generation"])
+
+            await asyncio.gather(*(writer(index) for index in range(writers)))
+            stats = handle.stats()
+            registry.close_all()
+            return stats, shim
+
+        stats, shim = asyncio.run(scenario())
+        assert stats["batches_committed"] == writers * per_writer
+        passes = stats["maintenance_passes"]
+        assert shim.count("fsync") == shim.count("record") == passes <= 200
+        assert stats["records_logged"] == passes
+        records = durable = acks = 0
+        for event in shim.events:
+            if event == "record":
+                records += 1
+            elif event == "fsync":
+                durable = records  # this fsync covers every record written so far
+            else:
+                acks += 1
+                assert event <= durable, f"generation {event} acked before its fsync"
+        assert acks == writers * per_writer
+
+    def test_close_while_the_flusher_waits_for_the_lock_fails_every_queued_update(self):
+        handle = make_handle()
+
+        async def scenario():
+            await handle.ensure_materialized()
+            await handle._lock.acquire()
+            futures = []
+            for index in range(3):
+                futures.append(
+                    asyncio.ensure_future(handle.enqueue_update([edge(f"x{index}", "y")]))
+                )
+                for _ in range(3):
+                    await asyncio.sleep(0)
+            flusher = handle._flusher
+            handle.close()
+            handle._lock.release()
+            errors = await asyncio.gather(*futures, return_exceptions=True)
+            await asyncio.gather(flusher, return_exceptions=True)
+            return errors, flusher
+
+        errors, flusher = asyncio.run(scenario())
+        assert [(error.status, error.code) for error in errors] == [(503, "session_evicted")] * 3
+        assert flusher.cancelled()
+        assert not handle._pending and handle.maintenance_passes == 0
+
+    def test_the_loop_thread_never_builds_a_view_of_the_pinned_edb(self, monkeypatch):
+        """``_edb_size`` counts the stored rows; ``Relation.view()`` would copy the
+        relation and write its cache while the executor thread mutates it."""
+        handle = make_handle()
+        loop_thread = threading.current_thread()
+        offenders = []
+        view = Relation.view
+
+        def watched_view(relation):
+            if threading.current_thread() is loop_thread and id(relation) in pinned:
+                offenders.append(relation)
+            return view(relation)
+
+        async def scenario():
+            await handle.ensure_materialized()
+            await handle.enqueue_update([edge("x0", "x1")])
+            stats = handle.stats()
+            await handle.enqueue_update([edge("x1", "x2")], [edge("x0", "x1")])
+            return stats, handle.stats()
+
+        instance = handle.session.instance
+        pinned = {id(instance.storage(name)) for name in instance.relation_names}
+        monkeypatch.setattr(Relation, "view", watched_view)
+        first, second = asyncio.run(scenario())
+        assert (first["edb_facts"], second["edb_facts"]) == (6, 6)
+        assert offenders == []
+        handle.close()
+
+
 class TestAdmission:
     def test_full_update_queue_sheds_with_429(self):
         handle = make_handle(admission=AdmissionLimits(max_pending_updates=2))
@@ -178,24 +306,22 @@ class TestAdmission:
         async def scenario():
             await handle.ensure_materialized()
             async with handle._lock:  # hold the engine: the flusher cannot drain
-                first = asyncio.ensure_future(handle.enqueue_update([edge("x0", "x1")]))
-                for _ in range(5):
-                    await asyncio.sleep(0)  # flusher takes the first batch, blocks
+                # The queue is taken only under the lock, so both stay queued.
                 queued = [
                     asyncio.ensure_future(handle.enqueue_update([edge(f"x{i}", f"x{i + 1}")]))
-                    for i in (1, 2)
+                    for i in (0, 1)
                 ]
                 for _ in range(5):
                     await asyncio.sleep(0)
                 with pytest.raises(ServiceError) as shed:
-                    await handle.enqueue_update([edge("x3", "x4")])
+                    await handle.enqueue_update([edge("x2", "x3")])
                 assert shed.value.status == 429
                 assert shed.value.code == "too_many_pending_updates"
-            return await asyncio.gather(first, *queued)
+            return await asyncio.gather(*queued)
 
         acks = asyncio.run(scenario())
         assert handle.shed_updates == 1
-        assert len(acks) == 3  # everything admitted before the shed still committed
+        assert len(acks) == 2  # everything admitted before the shed still committed
         assert set(handle.committed.select("T", {})) >= {
             (path("x0"), path("x2")),
             (path("x1"), path("x2")),
@@ -354,25 +480,33 @@ class TestHandleLifecycle:
 
     def test_close_fails_queued_and_in_flight_updates_with_503(self):
         handle = make_handle()
+        entered, release = threading.Event(), threading.Event()
+        update = handle.session.update
+
+        def slow_update(additions, retractions):
+            entered.set()
+            release.wait(5)
+            return update(additions, retractions)
+
+        handle.session.update = slow_update
 
         async def scenario():
             await handle.ensure_materialized()
-            async with handle._lock:
-                taken = asyncio.ensure_future(handle.enqueue_update([edge("x0", "x1")]))
-                for _ in range(5):
-                    await asyncio.sleep(0)  # flusher takes it, blocks on the lock
-                queued = asyncio.ensure_future(handle.enqueue_update([edge("x1", "x2")]))
-                for _ in range(5):
-                    await asyncio.sleep(0)
-                handle.close()
-            errors = await asyncio.gather(taken, queued, return_exceptions=True)
-            return errors
+            loop = asyncio.get_running_loop()
+            taken = asyncio.ensure_future(handle.enqueue_update([edge("x0", "x1")]))
+            await loop.run_in_executor(None, entered.wait, 5)  # its pass is in the executor
+            queued = asyncio.ensure_future(handle.enqueue_update([edge("x1", "x2")]))
+            await asyncio.sleep(0)
+            handle.close()
+            release.set()
+            return await asyncio.gather(taken, queued, return_exceptions=True)
 
         errors = asyncio.run(scenario())
         assert len(errors) == 2
         for error in errors:
             assert isinstance(error, ServiceError)
             assert error.status == 503 and error.code == "session_evicted"
+        assert handle.generation == 0 and handle.commit_log == []
 
 
 class TestRegistry:
