@@ -167,19 +167,27 @@ def load_program(path: "FilePath | str") -> Program:
 # -- JSON boundary codec (paths, facts, results) ---------------------------------------
 
 
+@lru_cache(maxsize=1 << 16)
 def path_to_text(path: Path) -> str:
     """Render a concrete path in ground expression syntax (``ϵ`` when empty)."""
     return format_path(path)
 
 
-@lru_cache(maxsize=1 << 16)
 def path_from_text(text: str) -> Path:
     """Parse a path rendered by :func:`path_to_text` back into a :class:`Path`.
 
-    Memoized: decoded documents (snapshots, WAL records, wire rows) repeat
-    the same few node labels across thousands of rows, and paths are
-    immutable values, so re-lexing each occurrence would dominate restore.
+    Both directions are memoized: encoded answers and decoded documents
+    (snapshots, WAL records, wire rows) repeat the same few node labels
+    across thousands of rows, and paths are immutable values that cache
+    their hash.  Only strings reach the memo.
     """
+    if not isinstance(text, str):
+        raise ParseError(f"path text must be a string, got {text!r}")
+    return _parse_path_text(text)
+
+
+@lru_cache(maxsize=1 << 16)
+def _parse_path_text(text: str) -> Path:
     expression = parse_expression(text)
     if not expression.is_ground():
         raise ParseError(f"path text must be ground (no variables), got {text!r}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 
+from repro.errors import ParseError
 from repro.model.instance import Instance
 from repro.model.terms import Packed, Path
 from repro.syntax.expressions import (
@@ -38,7 +39,10 @@ _RESERVED_WORDS = {"not", "eps", "epsilon"}
 def _constant_text(constant: str) -> str:
     if _BARE_NAME.match(constant) and constant not in _RESERVED_WORDS:
         return constant
-    return f"'{constant}'"
+    quote = '"' if "'" in constant else "'"
+    if quote in constant or "\n" in constant:  # the lexer has no escapes
+        raise ParseError(f"constant {constant!r} has no quoted spelling (both quotes or a newline)")
+    return f"{quote}{constant}{quote}"
 
 
 def unparse_expression(expression: PathExpression) -> str:

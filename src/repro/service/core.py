@@ -79,6 +79,7 @@ from repro.io.serialization import (
     fact_from_json,
     instance_from_text,
     path_from_text,
+    path_to_text,
     query_result_to_json,
     rows_to_json,
     update_result_to_json,
@@ -148,11 +149,12 @@ class CommittedView:
     The snapshot is zero-copy: each relation is captured as the storage
     layer's cached frozenset view, which a later maintenance pass *replaces*
     (generation-invalidated caches build a new frozenset) but never mutates.
-    Binding-restricted reads go through per-position hash indexes built
-    lazily — and only ever on the event loop thread, so no locking is
-    needed.  Indexes are inherited from the previous view for relations
-    whose frozenset is identical (the common case: a small update touches
-    few relations).
+    Binding-restricted reads go through per-position groupings built lazily —
+    only ever on the event loop thread, so no locking is needed — and kept in
+    wire order (the key ``rows_to_json`` sorts by), so a read bound at one
+    position is a dict probe whose rows encode without reordering.  They are
+    inherited from the previous view for relations whose frozenset is
+    identical (the common case: a small update touches few relations).
     """
 
     __slots__ = ("generation", "relations", "_indexes")
@@ -184,7 +186,7 @@ class CommittedView:
         index = self._indexes.get(key)
         if index is None:
             grouped: "dict[Path, list]" = {}
-            for row in self.relations.get(name, ()):
+            for row in sorted(self.relations.get(name, ()), key=lambda r: [*map(path_to_text, r)]):
                 grouped.setdefault(row[position], []).append(row)
             index = {value: tuple(rows) for value, rows in grouped.items()}
             self._indexes[key] = index
@@ -197,6 +199,9 @@ class CommittedView:
             return ()
         if not binding:
             return tuple(rows)
+        if len(binding) == 1:
+            ((position, value),) = binding.items()
+            return self._index(name, position).get(value, ())
         candidates = min(
             (self._index(name, position).get(value, ()) for position, value in binding.items()),
             key=len,
@@ -1300,10 +1305,12 @@ class SessionRegistry:
     # -- request-level helpers shared by the HTTP layers -------------------------------
 
     @staticmethod
-    def decode_facts(data: "Iterable[object] | None") -> "list[Fact]":
+    def decode_facts(data: "list | None") -> "list[Fact]":
         """Decode the update endpoints' fact lists (JSON ``[relation, path…]``)."""
         if not data:
             return []
+        if not isinstance(data, list):
+            raise ServiceError(400, "bad_fact", f"facts are a JSON list, got {data!r}")
         try:
             return [fact_from_json(item) for item in data]
         except SequenceDatalogError as error:
@@ -1314,7 +1321,12 @@ class SessionRegistry:
         """Decode a request binding ``{"0": "a·b"}`` into paths."""
         if not data:
             return {}
+        if not isinstance(data, Mapping):
+            raise ServiceError(400, "bad_binding", f"a binding is a JSON object, got {data!r}")
         try:
-            return {int(position): path_from_text(text) for position, text in data.items()}
+            binding = {int(position): path_from_text(text) for position, text in data.items()}
         except (ValueError, SequenceDatalogError) as error:
             raise ServiceError(400, "bad_binding", str(error)) from error
+        if len(binding) != len(data):
+            raise ServiceError(400, "bad_binding", f"binding {data!r} names a position twice")
+        return binding

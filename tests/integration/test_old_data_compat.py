@@ -10,8 +10,11 @@ by commit 6de9eff (the last one with ``execution=`` / ``strategy=`` and the
 valuation interpreter that counted derivations); their support counts must
 keep the meaning they were written with.  ``COALESCE_PERSISTED_SNAPSHOT`` was
 written by commit af2d02c, the last one whose sessions took a ``coalesce``
-option (``false`` ran one maintenance pass per request batch).  Each test
-fails if a reader starts rejecting (or misreading) the old documents.
+option (``false`` ran one maintenance pass per request batch).
+``QUOTED_PERSISTED_SNAPSHOT`` was written by commit b9a3807, before
+constants holding a ``'`` gained a double-quoted spelling: its ``it's`` and
+``'x y'`` must read back as the same constants.  Each test fails if a reader
+starts rejecting (or misreading) the old documents.
 """
 
 import asyncio
@@ -128,6 +131,22 @@ COALESCE_PERSISTED_SNAPSHOT = (
     '"tenant":"acme"},"format":"repro-session-snapshot","generation":0,'
     '"state":{"edb":{"E":[["a","b"],["b","c"]]},'
     '"materialization":{"E":[["a","b"],["b","c"]],"T":[["a","b"],["a","c"],["b","c"]]},'
+    '"strata":[{"counts":null,"pinned":[],"recursive":true}],"table":[],"version":1},'
+    '"version":1}'
+)
+
+#: The snapshot document a registry wrote for a session created with
+#: ``options={"persist": "delta", "table_capacity": 8}`` over
+#: ``E(a, it's). E(it's, 'x y'). E('x y', b).``
+QUOTED_PERSISTED_SNAPSHOT = (
+    '{"config":{"name":"delta","options":{"persist":"delta","table_capacity":8},'
+    '"output_relation":"T",'
+    '"program":"T(@x, @y) :- E(@x, @y).\\nT(@x, @z) :- T(@x, @y), E(@y, @z).\\n",'
+    '"tenant":"acme"},"format":"repro-session-snapshot","generation":0,'
+    '"state":{"edb":{"E":[["\'x y\'","b"],["a","it\'s"],["it\'s","\'x y\'"]]},'
+    '"materialization":{"E":[["\'x y\'","b"],["a","it\'s"],["it\'s","\'x y\'"]],'
+    '"T":[["\'x y\'","b"],["a","\'x y\'"],["a","b"],["a","it\'s"],["it\'s","\'x y\'"],'
+    '["it\'s","b"]]},'
     '"strata":[{"counts":null,"pinned":[],"recursive":true}],"table":[],"version":1},'
     '"version":1}'
 )
@@ -314,3 +333,31 @@ def test_a_create_request_naming_coalesce_is_accepted_whatever_its_type():
         asyncio.run(scenario())
     finally:
         app.close()
+
+
+def test_a_snapshot_with_quoted_constants_restores_to_identical_answers(tmp_path):
+    directory = tmp_path / "acme" / "delta"
+    directory.mkdir(parents=True)
+    (directory / "snapshot-000000000000.json").write_text(QUOTED_PERSISTED_SNAPSHOT)
+    (directory / "wal-000000000000.log").write_bytes(b"")
+    written = json.loads(QUOTED_PERSISTED_SNAPSHOT)["state"]["materialization"]["T"]
+
+    async def scenario():
+        registry = SessionRegistry(persist_root=tmp_path)
+        try:
+            (handle,) = await registry.restore_all()
+            assert registry.restore_errors == []
+            answer = await handle.run_query()
+            assert answer["answers"]["T"] == sorted(written)  # the same spellings
+            assert set(rows_from_json(answer["answers"]["T"])) >= {
+                (path("a"), path("it's")),
+                (path("it's"), path("x y")),
+            }
+            ack = await handle.enqueue_update([fact_from_json(["E", "b", "it's"])], [])
+            assert ack["generation"] == 1
+            answer = await handle.run_query(binding={0: path("x y")})
+            assert answer["answers"]["T"] == [["'x y'", "'x y'"], ["'x y'", "b"], ["'x y'", "it's"]]
+        finally:
+            registry.close_all()
+
+    asyncio.run(scenario())

@@ -30,8 +30,8 @@ from repro.io.serialization import (
     update_result_to_json,
 )
 from repro.model import Fact, Instance, path
-from repro.model.terms import Path
-from repro.parser import parse_program
+from repro.model.terms import Packed, Path
+from repro.parser import format_path, parse_program
 
 REACHABILITY_PAIRS = """
 T(@x, @y) :- E(@x, @y).
@@ -53,8 +53,16 @@ def line_instance(length=5):
     return instance
 
 
-labels = st.sampled_from(["a", "b", "c", "node", "x1"])
-paths = st.lists(labels, min_size=0, max_size=4).map(lambda ls: Path(ls))
+#: Bare names, reserved words (``eps``, ``not``) and constants that need
+#: quoting: a space, a ``·``, one quote kind or the other.
+labels = st.sampled_from(
+    ["a", "b", "node", "x1", "it's", "eps", "not", "epsilon", "x y", "a·b", "x'y z", 'say "hi"']
+)
+paths = st.recursive(
+    st.lists(labels, max_size=3).map(Path),
+    lambda inner: st.lists(st.one_of(labels, inner.map(Packed)), max_size=3).map(Path),
+    max_leaves=8,
+)
 
 
 class TestPathsAndFacts:
@@ -63,6 +71,18 @@ class TestPathsAndFacts:
         text = path_to_text(value)
         assert isinstance(text, str)
         assert path_from_text(text) == value
+        # The memo never serves a spelling the unparser would not produce.
+        assert text == format_path(value)
+
+    @pytest.mark.parametrize("constant", ["a'b\"c", "line\nbreak"])
+    def test_a_constant_without_a_spelling_is_refused(self, constant):
+        with pytest.raises(ParseError, match="no quoted spelling"):
+            path_to_text(Path([constant]))
+
+    @pytest.mark.parametrize("text", [5, None, ["a"], {"a": "b"}])
+    def test_non_string_path_text_is_refused(self, text):
+        with pytest.raises(ParseError, match="must be a string"):
+            path_from_text(text)
 
     def test_non_ground_path_text_is_refused(self):
         with pytest.raises(ParseError, match="ground"):

@@ -1,0 +1,158 @@
+"""Committed reads encode exactly what the oracle answers, in wire order.
+
+A :class:`CommittedView` stores its per-position groupings sorted by the
+rows' wire text and inherits them across generations, so a held view must
+keep answering *its* generation after later commits — every bound and
+unbound read, list for list and order included, as ``rows_to_json`` of the
+reference fixpoint at that generation.  Node labels include ones that need
+quoting on the wire (``'x y'``, ``"x'y z"``, ``'eps'``), whose text sorts
+apart from the bare names.
+"""
+
+import asyncio
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.io.serialization as serialization
+from repro.engine import ProgramQuery
+from repro.io.serialization import path_to_text, rows_to_json
+from repro.model import Fact, Instance, path
+from repro.parser import parse_program
+from repro.service import SessionHandle
+
+REACHABILITY_PAIRS = """
+T(@x, @y) :- E(@x, @y).
+T(@x, @z) :- T(@x, @y), E(@y, @z).
+"""
+
+NODES = ("a", "b", "x y", "x'y z", "eps")
+EDGES = tuple((s, t) for s in NODES for t in NODES if s != t)
+
+edges_strategy = st.lists(st.sampled_from(EDGES), max_size=3, unique=True)
+
+
+def pair_query():
+    return ProgramQuery(
+        parse_program(REACHABILITY_PAIRS), {"E": 2}, "T", require_monadic=False
+    )
+
+
+def edge(source, target):
+    return Fact("E", (path(source), path(target)))
+
+
+def instance_from_edges(edges):
+    instance = Instance()
+    for source, target in edges:
+        instance.add("E", source, target)
+    return instance
+
+
+def bindings():
+    yield {}
+    for node in NODES:
+        yield {0: path(node)}
+        yield {1: path(node)}
+    for source, target in EDGES[::3]:
+        yield {0: path(source), 1: path(target)}
+
+
+def read_all(view):
+    return [rows_to_json(view.select("T", binding)) for binding in bindings()]
+
+
+def drive(seed_edges, batches, hold_mask):
+    """Commit *batches*, holding (and reading) views in between."""
+
+    async def scenario():
+        query = pair_query()
+        handle = SessionHandle(
+            "reads", "tenant", query, query.session(instance_from_edges(seed_edges))
+        )
+        await handle.ensure_materialized()
+        held = [(handle.committed, read_all(handle.committed))]
+        for index, (adds, retracts) in enumerate(batches):
+            pending = asyncio.ensure_future(
+                handle.enqueue_update(
+                    [edge(*pair) for pair in adds], [edge(*pair) for pair in retracts]
+                )
+            )
+            if hold_mask[index % len(hold_mask)]:
+                await asyncio.sleep(0)  # the pass may or may not have committed yet
+                held.append((handle.committed, read_all(handle.committed)))
+            await pending
+            held.append((handle.committed, read_all(handle.committed)))
+        log = list(handle.commit_log)
+        handle.close()
+        return held, log
+
+    return asyncio.run(scenario())
+
+
+def edb_states(seed_edges, commit_log):
+    current = set(seed_edges)
+    states = {0: frozenset(current)}
+    for record in commit_log:
+        for fact in record.retractions:
+            current.discard(tuple(p[0] for p in fact.paths))
+        for fact in record.additions:
+            current.add(tuple(p[0] for p in fact.paths))
+        states[record.generation] = frozenset(current)
+    return states
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=edges_strategy,
+    batches=st.lists(st.tuples(edges_strategy, edges_strategy), min_size=1, max_size=5),
+    hold_mask=st.lists(st.booleans(), min_size=1, max_size=3),
+)
+def test_held_views_answer_their_generation_in_wire_order(
+    seed, batches, hold_mask, oracle_output
+):
+    held, commit_log = drive(seed, batches, hold_mask)
+    states = edb_states(seed, commit_log)
+    query = pair_query()
+    for view, first_reads in held:
+        oracle = oracle_output(query, instance_from_edges(states[view.generation])).relation("T")
+        expected = [
+            rows_to_json(
+                row
+                for row in oracle
+                if all(row[position] == value for position, value in binding.items())
+            )
+            for binding in bindings()
+        ]
+        # Read when held, and again after every later commit.
+        assert first_reads == expected, f"generation {view.generation} read when held"
+        assert read_all(view) == expected, f"generation {view.generation} read later"
+
+
+def test_a_repeated_bound_read_of_an_unchanged_view_renders_no_path(monkeypatch):
+    rendered = []
+    format_path = serialization.format_path
+
+    def counting_format_path(value):
+        rendered.append(value)
+        return format_path(value)
+
+    monkeypatch.setattr(serialization, "format_path", counting_format_path)
+    path_to_text.cache_clear()
+
+    async def scenario():
+        query = pair_query()
+        edges = list(zip(NODES, NODES[1:]))
+        handle = SessionHandle("count", "tenant", query, query.session(instance_from_edges(edges)))
+        await handle.ensure_materialized()
+        try:
+            first = await handle.run_query(binding={0: path("a")})
+            assert rendered  # the cold read rendered its rows once
+            rendered.clear()
+            second = await handle.run_query(binding={0: path("a")})
+            assert second == first
+        finally:
+            handle.close()
+
+    asyncio.run(scenario())
+    assert rendered == []

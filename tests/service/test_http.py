@@ -148,10 +148,34 @@ class TestDispatch:
                 "POST", f"/v1/sessions/{session}/update", {"add": [["E", "@x", "b"]]}
             )
             assert status == 400 and error["error"]["code"] == "bad_fact"
-            status, error = await app.dispatch(
-                "POST", f"/v1/sessions/{session}/query", {"binding": {"seven": "a"}}
-            )
-            assert status == 400 and error["error"]["code"] == "bad_binding"
+            for facts in (
+                [["E", "a", 5]],
+                [["E", "a", None]],
+                [["E", "a", ["b"]]],
+                [["E", "a", {"b": "c"}]],
+                [[5, "a", "b"]],
+                [5],
+                5,
+            ):
+                status, error = await app.dispatch(
+                    "POST", f"/v1/sessions/{session}/update", {"add": facts}
+                )
+                assert (status, error["error"]["code"]) == (400, "bad_fact"), facts
+            for binding in (
+                {"seven": "a"},
+                {"0": 5},
+                {"0": None},
+                {"0": ["a"]},
+                {"0": {"a": "b"}},
+                "a",
+                ["a"],
+                5,
+                {"0": "a", "00": "b"},
+            ):
+                status, error = await app.dispatch(
+                    "POST", f"/v1/sessions/{session}/query", {"binding": binding}
+                )
+                assert (status, error["error"]["code"]) == (400, "bad_binding"), binding
 
         asyncio.run(scenario())
         app.close()

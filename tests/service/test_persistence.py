@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.io.durability import KEEP_SNAPSHOTS
-from repro.io.serialization import instance_to_text
+from repro.io.serialization import instance_from_text, instance_to_text, rows_from_json
 from repro.model import Fact, Instance, path
 from repro.service import ServiceApp, SessionRegistry
 from repro.service.core import ServiceError
@@ -99,6 +99,35 @@ class TestRegistryPersistence:
             replacement.close_all()
 
         asyncio.run(scenario())
+
+    def test_constants_holding_a_quote_survive_a_restart(self, tmp_path, oracle_output):
+        # The lexer reads "x'y z" (double-quoted); its wire spelling must too.
+        upload = "E(\"x'y z\", b).\nE(b, 'c d').\n"
+        added = Fact("E", (path("c d"), path("it's")))
+
+        async def scenario():
+            primary = SessionRegistry(persist_root=tmp_path)
+            handle = await primary.create(
+                program=REACHABILITY_PAIRS, instance=upload, options={"persist": "alpha"}
+            )
+            await handle.enqueue_update([added], [])
+            before = await handle.run_query()
+            primary.close_all()
+
+            replacement = SessionRegistry(persist_root=tmp_path)
+            (revived,) = await replacement.restore_all()
+            assert replacement.restore_errors == []
+            after = await revived.run_query()
+            query = revived.query
+            replacement.close_all()
+            return query, before, after
+
+        query, before, after = asyncio.run(scenario())
+        instance = instance_from_text(upload)
+        instance.add_fact(added)
+        expected = oracle_output(query, instance).relation("T")
+        assert set(rows_from_json(before["answers"]["T"])) == set(expected)
+        assert after["answers"] == before["answers"]
 
     def test_wal_growth_triggers_snapshot_compaction(self, tmp_path):
         async def scenario():
