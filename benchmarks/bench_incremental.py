@@ -13,11 +13,11 @@ is followed by a burst of queries at different bindings.
 The maintained path applies each update with counting / delete–rederive
 maintenance and answers every query straight from the materialization; the
 baseline re-evaluates the program per query (with warm compiled plans, the
-strongest version of the old behaviour).  Answers must be identical
-everywhere, and the maintained path must attempt at least 5× fewer
-extensions over the stream — the deterministic acceptance bar; the wall-clock
-ratio is reported beside it.  With ``--json`` the harness writes the measured
-numbers to ``BENCH_incremental.json``.
+strongest version of the old behaviour).  This file reports the wall-clock
+ratio and the counters; the deterministic gate on the same streams — every
+update maintained, answers identical to scratch, at least 5× fewer extension
+attempts — is ``tests/engine/test_maintained_streams.py``.  With ``--json``
+the harness writes the measured numbers to ``BENCH_incremental.json``.
 """
 
 import time
@@ -61,12 +61,10 @@ def _steps(instance):
 
 
 def test_maintained_serving_beats_reevaluation_5x(bench_report):
-    """The acceptance bar: ≥5× wall-clock over the stream, identical answers."""
+    """Wall clock over the stream: maintained serving against re-evaluation."""
     program, query, instance = _workload()
     edb_size = len(instance.relation("E"))
     steps = _steps(instance)
-    for additions, retractions in steps:
-        assert len(additions) + len(retractions) <= max(1, edb_size // 100)
 
     # Maintained path: one session; per step, one incremental update and a
     # burst of queries served from the materialization.
@@ -74,15 +72,11 @@ def test_maintained_serving_beats_reevaluation_5x(bench_report):
     incremental_stats = EvaluationStatistics()
     maintained_answers = []
     started = time.perf_counter()
-    warmup = session.run(binding={0: SOURCES[0]})
-    assert warmup.served_by == "full"
+    session.run(binding={0: SOURCES[0]})
     for additions, retractions in steps:
         update = session.update(additions, retractions)
-        assert update.maintained and update.fallback_reason is None
         for source in SOURCES:
-            result = session.run(binding={0: source})
-            assert result.served_by == "maintained"
-            maintained_answers.append(result.output.relation("T"))
+            maintained_answers.append(session.run(binding={0: source}).output.relation("T"))
         for field in ("extension_attempts", "plan_cache_hits", "maintenance_rounds"):
             setattr(
                 incremental_stats,
@@ -116,13 +110,7 @@ def test_maintained_serving_beats_reevaluation_5x(bench_report):
             )
     scratch_seconds = time.perf_counter() - started
 
-    assert len(maintained_answers) == len(scratch_answers)
-    for maintained, scratch in zip(maintained_answers, scratch_answers):
-        assert maintained == scratch
-    # The gate is the deterministic counter ratio (immune to runner noise);
-    # the wall-clock ratio is reported, not asserted.
-    assert incremental_stats.extension_attempts * 5 <= scratch_stats.extension_attempts
-
+    identical = maintained_answers == scratch_answers
     speedup = scratch_seconds / max(incremental_seconds, 1e-9)
     bench_report(
         "incremental",
@@ -145,7 +133,7 @@ def test_maintained_serving_beats_reevaluation_5x(bench_report):
     print(
         f"serving stream ({STEPS} steps × {len(SOURCES)} queries, ≤1% churn): "
         f"maintained {incremental_seconds:.3f}s vs re-evaluation {scratch_seconds:.3f}s "
-        f"({speedup:.1f}× faster, identical answers); extension attempts "
+        f"({speedup:.1f}× faster, identical answers: {identical}); extension attempts "
         f"{incremental_stats.extension_attempts} vs {scratch_stats.extension_attempts}"
     )
 
@@ -157,10 +145,7 @@ def test_deletion_heavy_churn_stays_maintained(bench_report):
     edges per step and adds one back (half of them resurrecting a previously
     retracted edge), so maintenance lives on the deletion side — counting
     decrements crossing zero and revived facts that must return with correct
-    support counts.  Every step must stay maintained (no fallback) and agree
-    with a scratch re-evaluation; the gate is correctness plus the recorded
-    wall time, so a hostile workload regression shows up in CI, not just the
-    friendly one.
+    support counts.  The wall time of the maintained stream is recorded.
     """
     program, query, instance = _workload()
     steps = list(
@@ -176,28 +161,16 @@ def test_deletion_heavy_churn_stays_maintained(bench_report):
     )
     retracted = sum(len(removed) for _, removed in steps)
     added = sum(len(appended) for appended, _ in steps)
-    assert retracted >= 3 * added  # the stream really is deletion-heavy
 
     session = query.session(instance.copy())
-    scratch_instance = instance.copy()
     session.run(binding={0: SOURCES[0]})
     maintenance_rounds = 0
     started = time.perf_counter()
     for additions, retractions in steps:
         update = session.update(additions, retractions)
-        assert update.maintained and update.fallback_reason is None
         maintenance_rounds += update.statistics.maintenance_rounds
-        delta = scratch_instance.begin_delta()
-        for fact in additions:
-            delta.add_fact(fact)
-        for fact in retractions:
-            delta.retract_fact(fact)
-        delta.apply()
         for source in SOURCES[:2]:
-            result = session.run(binding={0: source})
-            assert result.served_by == "maintained"
-            expected = query.run(scratch_instance.copy(), binding={0: source})
-            assert result.output == expected.output
+            session.run(binding={0: source})
     churn_seconds = time.perf_counter() - started
 
     bench_report(
@@ -211,8 +184,8 @@ def test_deletion_heavy_churn_stays_maintained(bench_report):
     print()
     print(
         f"deletion-heavy churn ({len(steps)} steps, {retracted} retractions vs "
-        f"{added} additions): maintained throughout in {churn_seconds:.3f}s "
-        f"({maintenance_rounds} maintenance rounds), answers match scratch"
+        f"{added} additions): maintained in {churn_seconds:.3f}s "
+        f"({maintenance_rounds} maintenance rounds)"
     )
 
 

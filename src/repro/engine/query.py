@@ -40,9 +40,11 @@ are answered from the materialization without re-evaluating anything
 (``QueryResult.served_by == "maintained"``), and :meth:`QuerySession.update`
 applies fact-level additions/retractions to both the pinned instance and the
 materialization incrementally (counting / delete–rederive, see
-:mod:`repro.engine.maintenance`).  Out-of-band mutations of the pinned
-instance are absorbed through the storage layer's change logs when possible;
-updates maintenance cannot cover fall back to re-evaluation with a recorded
+:mod:`repro.engine.maintenance`).  An answer is the program's fixpoint over
+the *current* instance, so a mutation of the pinned instance made behind the
+session's back simply drops what the session memoized (reason
+``out_of_band_mutation``) and the next query evaluates from scratch; updates
+maintenance cannot cover fall back the same way with their own recorded
 reason, mirroring the goal-mode fallback contract.
 
 Until a full materialization exists, goal-mode answers are *tabled* by call
@@ -71,6 +73,7 @@ from repro.engine.maintenance import MaintainedFixpoint
 from repro.engine.reasons import (
     GENERALIZATION_TOO_LARGE,
     GOAL_BUDGET_EXCEEDED,
+    OUT_OF_BAND_MUTATION,
     REWRITE_UNSUPPORTED,
     SNAPSHOT_UNSUPPORTED,
     maintenance_reason,
@@ -454,12 +457,15 @@ class QuerySession:
     program as a maintained materialization of its own and tables it.
     :meth:`update` mutates the pinned instance through a transactional
     :class:`~repro.model.instance.InstanceDelta` and maintains the
-    materialization *and* every tabled subgoal incrementally.  Out-of-band
-    mutations of the pinned instance are detected through the storage
-    generations and absorbed via the relations' change logs when possible;
-    anything maintenance cannot cover falls back to re-evaluation with a
-    recorded reason (table entries degrade individually: an entry whose
-    update cannot be maintained is evicted and re-evaluates on next demand).
+    materialization *and* every tabled subgoal incrementally; anything
+    maintenance cannot cover falls back to re-evaluation with a recorded
+    reason (table entries degrade individually: an entry whose update cannot
+    be maintained is evicted and re-evaluates on next demand).  A mutation
+    of the pinned instance that did not go through :meth:`update` is caught
+    by comparing each relation's storage object and generation with those
+    the session's own writes left: it drops the materialization and every
+    table entry (reason ``out_of_band_mutation``), and the next demand
+    rebuilds them from scratch.
 
     Results served from the materialization or the table share their
     ``full_instance`` with the session; treat it as read-only.
@@ -506,9 +512,9 @@ class QuerySession:
         #: the model (always table); exactly-adorned rewritings are never
         #: affected.
         self.generalization_limit = generalization_limit
-        #: Relation name → (storage object, generation) at the moment the
-        #: maintained artifacts (materialization and table entries) were
-        #: last in sync with the pinned instance.
+        #: Relation name → (storage object, generation) after the session's
+        #: own last write, which is what the maintained artifacts
+        #: (materialization and table entries) describe.
         self._basis: "dict[str, tuple[object, int]]" = {}
         #: Why the last update (or out-of-band change) could not be
         #: maintained incrementally, if it could not.
@@ -541,63 +547,42 @@ class QuerySession:
         """Whether any maintained state (materialization or table entries) exists."""
         return self._maintained is not None or len(self._tables) > 0
 
-    def _sync_basis(self) -> None:
+    def _record_basis(self) -> None:
         self._basis = {}
         for name in self.instance.relation_names:
             storage = self.instance.storage(name)
-            if storage is not None:
-                self._basis[name] = (storage, storage.watch())
+            self._basis[name] = (storage, storage.generation)
 
-    def _reference_rows(self, name: str) -> "frozenset":
-        """Pre-drift rows of *name*, from whichever artifact tracked them.
+    def _drop_drifted_artifacts(self) -> "str | None":
+        """Drop every maintained artifact if the pinned instance drifted.
 
-        The main materialization mirrors every base relation; a table entry
-        only maintains the relations its magic program mentions, so entries
-        that know the relation are preferred over ones carrying a stale
-        creation-time copy.
+        Drift is any difference from the basis the session's own writes
+        recorded — a changed generation, a replaced storage object, a
+        relation added or gone.  The artifacts no longer describe the
+        instance, and the scratch evaluation the next demand runs is the
+        answer by definition, so nothing tries to reconstruct the missed
+        delta.  Returns the recorded reason, or ``None`` when nothing drifted.
         """
-        if self._maintained is not None:
-            return self._maintained.materialized.relation(name)
-        for entry in self._tables:
-            if name in entry.known_relations:
-                return entry.answers.relation(name)
-        for entry in self._tables:
-            return entry.answers.relation(name)
-        return frozenset()
-
-    def _pending_out_of_band_delta(self) -> "tuple[list[Fact], list[Fact]]":
-        """EDB changes made to the pinned instance behind the session's back.
-
-        Returns ``(additions, retractions)``, both empty when the instance is
-        untouched.  The drift is always reconstructible: the change logs
-        answer cheaply when they can, and otherwise an artifact still holds
-        every relation's old rows, so a full diff recovers the delta.
-        """
-        additions: list[Fact] = []
-        retractions: list[Fact] = []
-        names_now = self.instance.relation_names
-        for name in names_now:
-            storage = self.instance.storage(name)
-            entry = self._basis.get(name)
-            if entry is not None and entry[0] is storage and entry[1] == storage.generation:
-                continue
-            changes = None
-            if entry is not None and entry[0] is storage:
-                changes = storage.changes_since(entry[1])
-            if changes is None:
-                # Log unavailable (overflow, wholesale rewrite, or a brand-new
-                # relation object): diff against an artifact's old state.
-                old_rows = self._reference_rows(name)
-                new_rows = storage.view()
-                changes = (new_rows - old_rows, old_rows - new_rows)
-            added_rows, removed_rows = changes
-            additions.extend(Fact(name, row) for row in added_rows)
-            retractions.extend(Fact(name, row) for row in removed_rows)
-        for name in self._basis.keys() - names_now:
-            # The relation vanished out-of-band; its old rows are still in
-            # the artifacts.
-            retractions.extend(Fact(name, row) for row in self._reference_rows(name))
-        return additions, retractions
+        if not self._has_artifacts():
+            return None
+        instance = self.instance
+        names = instance.relation_names
+        basis = self._basis
+        drifted = list(basis.keys() - names)
+        for name in names:
+            storage = instance.storage(name)
+            entry = basis.get(name)
+            if entry is None or entry[0] is not storage or entry[1] != storage.generation:
+                drifted.append(name)
+        if not drifted:
+            return None
+        self._maintained = None
+        self._tables.clear()
+        self._basis = {}
+        self.last_maintenance_fallback = reason(
+            OUT_OF_BAND_MUTATION, ", ".join(sorted(drifted))
+        )
+        return self.last_maintenance_fallback
 
     def _maintain_main(
         self,
@@ -630,35 +615,12 @@ class QuerySession:
         for fact in stray_added:
             self._maintained.materialized.add_fact(fact)
 
-    def _absorb_out_of_band(self, statistics: EvaluationStatistics) -> None:
-        """Bring every maintained artifact up to date with the pinned instance.
-
-        A drift the main materialization cannot be maintained through drops
-        it (with the reason recorded); table entries degrade individually.
-        """
-        if not self._has_artifacts():
-            return
-        additions, retractions = self._pending_out_of_band_delta()
-        if not additions and not retractions:
-            # Re-sync even on netted-out drift, so stale marks do not keep
-            # re-folding an ever-growing change log on every query.
-            self._sync_basis()
-            return
-        if self._maintained is not None:
-            try:
-                self._maintain_main(additions, retractions, statistics)
-            except EvaluationError as error:
-                self.last_maintenance_fallback = maintenance_reason(error)
-                self._maintained = None
-        self._tables.apply_update(additions, retractions, statistics)
-        self._sync_basis()
-
     def _materialization(
         self, statistics: EvaluationStatistics
     ) -> "tuple[MaintainedFixpoint, ServedBy]":
         """The maintained full fixpoint, synced with the pinned instance.
 
-        Out-of-band drift has already been absorbed by :meth:`run`; this
+        Out-of-band drift has already been checked by :meth:`run`; this
         either serves the live materialization or (re)builds it from
         scratch.  The second component says how the caller's answer was
         produced.
@@ -686,7 +648,7 @@ class QuerySession:
         # The materialization subsumes every tabled subgoal; keeping the
         # entries alive would only make later updates maintain dead state.
         self._tables.clear()
-        self._sync_basis()
+        self._record_basis()
         return maintained, "full"
 
     def _plain_materialization(self, statistics: EvaluationStatistics) -> MaintainedFixpoint:
@@ -722,13 +684,10 @@ class QuerySession:
         re-evaluates on next demand.  ``UpdateResult.maintained`` reports
         whether the session still holds incrementally updated state — the
         materialization when one existed, otherwise surviving table entries.
+        After an out-of-band mutation there is nothing left to maintain: the
+        delta is applied and the result carries the ``out_of_band_mutation``
+        reason.
         """
-        # Out-of-band drift must be measured before the delta mutates the
-        # instance, and absorbed as its own maintenance step before the
-        # in-band changes — otherwise the basis sync below would bury it.
-        out_of_band: "tuple[list[Fact], list[Fact]]" = ([], [])
-        if self._has_artifacts():
-            out_of_band = self._pending_out_of_band_delta()
         delta = self.instance.begin_delta()
         for verb, facts in (("add", additions), ("retract", retractions)):
             for fact in facts:
@@ -741,26 +700,24 @@ class QuerySession:
                     delta.add_fact(fact)
                 else:
                     delta.retract_fact(fact)
+        # Drift must be checked before the delta mutates the instance, or
+        # the basis recorded below would bury it.
+        drift = self._drop_drifted_artifacts()
         applied = delta.apply()
 
         statistics = EvaluationStatistics()
         had_entries = len(self._tables) > 0
         maintained = False
-        fallback: "str | None" = None
+        fallback = drift
         if self._maintained is not None:
             try:
-                if out_of_band[0] or out_of_band[1]:
-                    self._maintain_main(*out_of_band, statistics=statistics)
                 self._maintain_main(applied.added, applied.removed, statistics=statistics)
             except EvaluationError as error:
                 fallback = maintenance_reason(error)
                 self._maintained = None
             else:
                 maintained = True
-        evicted: "list[tuple[TableEntry, str]]" = []
-        if out_of_band[0] or out_of_band[1]:
-            evicted += self._tables.apply_update(*out_of_band, statistics=statistics)
-        evicted += self._tables.apply_update(
+        evicted = self._tables.apply_update(
             applied.added, applied.removed, statistics=statistics
         )
         if not maintained and fallback is None and had_entries:
@@ -770,7 +727,7 @@ class QuerySession:
             elif evicted:
                 fallback = evicted[0][1]
         if self._has_artifacts():
-            self._sync_basis()
+            self._record_basis()
         else:
             self._basis = {}
         self.last_maintenance_fallback = fallback
@@ -798,7 +755,7 @@ class QuerySession:
         normalised = _normalise_binding(binding, query.output_arity, query.output_relation)
         statistics = EvaluationStatistics()
         if self._memoize:
-            self._absorb_out_of_band(statistics)
+            self._drop_drifted_artifacts()
 
         fallback_reason: "str | None" = None
         if wanted_mode == "goal":
@@ -911,7 +868,7 @@ class QuerySession:
             if self._memoize:
                 entry = self._table_entry_for(compiled, seed_binding, seed, statistics)
                 self._tables.insert(entry)
-                self._sync_basis()
+                self._record_basis()
                 full = entry.answers
             else:
                 full = self._evaluate(compiled.program, statistics, seed_facts=(seed,))
@@ -1204,7 +1161,7 @@ class QuerySession:
                     snapshot=answers,
                 )
             )
-        session._sync_basis()
+        session._record_basis()
         return session
 
     def close(self) -> None:

@@ -147,8 +147,8 @@ class Instance:
     ) -> None:
         """Insert a non-empty batch of rows, none of them present, into *relation*.
 
-        What :meth:`add_fact` does per fact — the arity check, the generation
-        and the change log — in one call (see :meth:`Relation.add_rows`).
+        What :meth:`add_fact` does per fact — the arity check and the
+        generation step — in one call (see :meth:`Relation.add_rows`).
         *id_rows* are the same rows as id tuples of :meth:`term_table`.
         """
         stored = self._relations.get(relation)
@@ -171,8 +171,8 @@ class Instance:
         By default a relation whose last row is removed disappears from the
         instance entirely; ``keep_empty=True`` keeps it present (but empty),
         which preserves its storage object — and with it the generation
-        counter and change log that serving sessions key their cached views
-        on.
+        counter serving sessions compare against to tell their own writes
+        from out-of-band ones.
         """
         relation = self._relations.get(fact.relation)
         if relation is not None:

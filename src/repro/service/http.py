@@ -196,6 +196,8 @@ async def _read_request(
         request_line = await reader.readline()
     except (ConnectionResetError, asyncio.IncompleteReadError):
         return None
+    except ValueError as error:  # the line outgrew the reader's buffer limit
+        raise ServiceError(400, "bad_request", "request line too long") from error
     if not request_line or request_line.isspace():
         return None
     try:
@@ -204,7 +206,10 @@ async def _read_request(
         raise ServiceError(400, "bad_request", "malformed request line") from error
     headers: dict[str, str] = {}
     while True:
-        line = await reader.readline()
+        try:
+            line = await reader.readline()
+        except ValueError as error:
+            raise ServiceError(400, "bad_request", "header line too long") from error
         if not line or line in (b"\r\n", b"\n"):
             break
         name, _, value = line.decode("latin-1").partition(":")
@@ -217,7 +222,12 @@ async def _read_request(
         raise ServiceError(413, "payload_too_large", f"body of {length} bytes refused")
     body: "dict | None" = None
     if length:
-        raw = await reader.readexactly(length)
+        try:
+            raw = await reader.readexactly(length)
+        except asyncio.IncompleteReadError as error:
+            raise ServiceError(
+                400, "bad_request", f"body ended after {len(error.partial)} of {length} bytes"
+            ) from error
         try:
             body = json.loads(raw)
         except json.JSONDecodeError as error:

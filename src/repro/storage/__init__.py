@@ -4,8 +4,8 @@ The model layer (:class:`repro.model.instance.Instance`), the Datalog engine
 (:mod:`repro.engine`), and the algebra evaluator (:mod:`repro.algebra`) all
 read and write relations through the :class:`Relation` class defined here.  A
 ``Relation`` stores the rows of one relation as a set of path tuples, with
-cached zero-copy read views, a change log and one *lazy,
-generation-invalidated* index by exact argument path.  See DESIGN.md for the
+cached zero-copy read views and one *lazy, generation-invalidated* index by
+exact argument path.  See DESIGN.md for the
 storage layout.
 
 The columnar layer (:mod:`repro.storage.columnar`) adds the id space the

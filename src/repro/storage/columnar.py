@@ -17,14 +17,13 @@ here:
   indexes the joins probe, as ``dict[int, array]`` groupings
   (``groups(position)`` maps the id at a position to the indexes of the rows
   carrying it; ``first_groups`` / ``last_groups`` key on the first / last
-  element), all built on first use.  Views are cached on the relation per ``(table, generation)``,
-  and a new generation's view is the old one *advanced by the net delta*
-  (:meth:`ColumnarView.advanced`): rows added and rows removed patch the
-  membership set, the columns and the groupings the old view had built, so
-  a maintenance pass that changes a handful of rows of a large relation
-  interns and regroups only those.  Only what the relation's change log
-  cannot describe (a wholesale rewrite, an overflow, another term table)
-  packs a fresh view.
+  element), all built on first use.  A relation caches one view per term
+  table and brings it up to date by *advancing it by the net delta* pending
+  since its last read (:meth:`ColumnarView.advanced`): rows added and rows
+  removed patch the membership set, the columns and the groupings the old
+  view had built, so a maintenance pass that changes a handful of rows of a
+  large relation interns and regroups only those.  Only a wholesale rewrite
+  or another term table packs a fresh view.
 
 Ids never leak past the engine: the resident semi-naive loop
 (:mod:`repro.engine.fixpoint`) keeps its deltas as id rows between rounds and

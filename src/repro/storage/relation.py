@@ -1,4 +1,4 @@
-"""A single stored relation: a row set, cached read views and a change log.
+"""A single stored relation: a row set, cached read views and a pending delta.
 
 The evaluation semantics of the paper (Section 2.3) only ever needs set
 membership and iteration, and the seed implementation provided exactly that —
@@ -18,27 +18,17 @@ layers above it read:
   the engine do not read it: they probe the hash groupings of the relation's
   columnar view.
 
-For incremental view maintenance the relation can additionally keep a
-**change log**: :meth:`watch` starts recording every effective ``add`` /
-``discard`` (stamped with the generation it produced), and
-:meth:`changes_since` folds the log into the net ``(added, removed)`` row
-sets between a past generation and now.  Logging is opt-in so the hot
-fixpoint loops (whose delta relations are rewritten wholesale every round)
-pay nothing; wholesale rewrites (:meth:`set_rows`, :meth:`clear`) and log
-overflow simply advance the *floor* below which changes are unknown, making
-:meth:`changes_since` answer ``None`` — "recompute instead".
-
-The same log keeps the relation's **columnar view** (:meth:`columnar`, the
-id-space form the engine joins over) alive across generations: building a
-view starts the log, and a stale view advances by the net rows added and
-removed since it was cached instead of being rebuilt.
+The relation's **columnar view** (:meth:`columnar`, the id-space form the
+engine joins over) stays alive across generations.  While one is cached the
+relation keeps its *pending delta*: the net rows added and removed since the
+view was last brought up to date, each row's alternating ``add`` /
+``discard`` cancelling out.  The next read advances the view by that delta
+instead of rebuilding it; a wholesale rewrite (:meth:`set_rows`,
+:meth:`clear`) drops the view instead.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import count, repeat
-from operator import itemgetter
 from typing import Iterable, Iterator
 
 from repro.errors import ModelError
@@ -65,17 +55,10 @@ class Relation:
         "_unary_view_generation",
         "_index_generation",
         "_by_path",
-        "_log",
-        "_log_floor",
         "_columnar",
         "_columnar_table",
-        "_columnar_generation",
+        "_pending",
     )
-
-    #: Maximum number of change-log entries kept before the log gives up and
-    #: advances its floor (past that many row changes, recomputing downstream
-    #: views from scratch is the better deal anyway).
-    LOG_LIMIT = 8192
 
     def __init__(self, rows: "Iterable[tuple[Path, ...]] | None" = None):
         self._rows: set[tuple[Path, ...]] = set(rows) if rows is not None else set()
@@ -86,11 +69,11 @@ class Relation:
         self._unary_view_generation = -1
         self._index_generation = -1
         self._by_path: dict[int, dict[Path, set]] = {}
-        self._log: "list[tuple[int, tuple[Path, ...], bool]] | None" = None
-        self._log_floor = 0
         self._columnar: "ColumnarView | None" = None
         self._columnar_table: "TermTable | None" = None
-        self._columnar_generation = -1
+        #: Row → ``True`` (added) / ``False`` (removed) since the columnar
+        #: view was last advanced; ``None`` while no view is cached.
+        self._pending: "dict[tuple[Path, ...], bool] | None" = None
 
     # -- mutation ----------------------------------------------------------------------
 
@@ -100,8 +83,8 @@ class Relation:
         self._rows.add(row)
         if len(self._rows) != before:
             self._generation += 1
-            if self._log is not None:
-                self._record(row, True)
+            if self._pending is not None and self._pending.pop(row, None) is None:
+                self._pending[row] = True
             return True
         return False
 
@@ -111,8 +94,8 @@ class Relation:
         self._rows.discard(row)
         if len(self._rows) != before:
             self._generation += 1
-            if self._log is not None:
-                self._record(row, False)
+            if self._pending is not None and self._pending.pop(row, None) is None:
+                self._pending[row] = False
             return True
         return False
 
@@ -122,108 +105,55 @@ class Relation:
         id_rows: "list[tuple] | None" = None,
         table: "TermTable | None" = None,
     ) -> None:
-        """Insert the batch *rows*, none of which is present: one :meth:`add` each.
+        """Insert the batch *rows*, none of which is present, as one mutation.
 
-        The generation moves by one per row and a watched relation logs the
-        same entries the single adds would (a batch that overflows the log
-        voids it whole — no mark can fall inside a batch).  *id_rows*, the
-        same rows as id tuples against *table*, advance the cached columnar
-        view in step — or found it, when the relation was empty — so the
-        resident fixpoint never re-interns what it derived in id space.
+        *id_rows*, the same rows as id tuples against *table*, advance a
+        columnar view that is current against *table* in step — or found it,
+        when the relation was empty — so the resident fixpoint never
+        re-interns what it derived in id space.  Otherwise the rows join the
+        pending delta of whatever view is cached.
         """
-        start = self._generation
         before = len(self._rows)
-        was_empty = not before
         self._rows |= rows
         if len(self._rows) != before + len(rows):
             raise ModelError("add_rows takes only rows the relation does not hold")
-        self._generation = start + len(rows)
-        if self._log is not None:
-            if len(self._log) + len(rows) > self.LOG_LIMIT:
-                self._log.clear()
-                self._log_floor = self._generation
-            else:
-                self._log.extend(zip(count(start + 1), rows, repeat(True)))
-        if id_rows is None:
-            return
-        if was_empty:
+        self._generation += 1
+        if id_rows is not None and not before:
             self._columnar = ColumnarView(id_rows, table)  # type: ignore[arg-type]
             self._columnar_table = table
-        elif self._columnar_table is table and self._columnar_generation == start:
+            self._pending = {}
+            return
+        pending = self._pending
+        if pending is None:
+            return
+        if id_rows is not None and self._columnar_table is table and not pending:
             self._columnar = self._columnar.advanced(id_rows)  # type: ignore[union-attr]
-        else:
-            return  # no current view to advance; columnar() catches up from the log
-        self._columnar_generation = self._generation
+            return
+        for row in rows:
+            if pending.pop(row, None) is None:
+                pending[row] = True
 
     def set_rows(self, rows: "Iterable[tuple[Path, ...]]") -> None:
         """Replace the entire contents with *rows* (used by incremental deltas).
 
-        A wholesale rewrite is not diffed: the change log (if any) is voided
-        up to the new generation, so :meth:`changes_since` over the rewrite
-        reports "unknown" rather than a wrong delta.
+        A wholesale rewrite is not diffed: the columnar view is dropped and
+        the next read rebuilds it.
         """
         self._rows = set(rows)
         self._generation += 1
-        if self._log is not None:
-            self._log.clear()
-            self._log_floor = self._generation
+        self._drop_columnar()
 
     def clear(self) -> None:
         """Remove all rows."""
         if self._rows:
             self._rows = set()
             self._generation += 1
-            if self._log is not None:
-                self._log.clear()
-                self._log_floor = self._generation
+            self._drop_columnar()
 
-    # -- change log --------------------------------------------------------------------
-
-    def watch(self) -> int:
-        """Start logging row changes (idempotent) and return the current generation.
-
-        The returned generation is the *mark* to later hand to
-        :meth:`changes_since`.  Logging stays enabled for the lifetime of the
-        relation; copies made with :meth:`copy` do not inherit it.
-        """
-        if self._log is None:
-            self._log = []
-            self._log_floor = self._generation
-        return self._generation
-
-    def _record(self, row: "tuple[Path, ...]", added: bool) -> None:
-        self._log.append((self._generation, row, added))  # type: ignore[union-attr]
-        if len(self._log) > self.LOG_LIMIT:  # type: ignore[arg-type]
-            self._log.clear()  # type: ignore[union-attr]
-            self._log_floor = self._generation
-
-    def changes_since(self, generation: int) -> "tuple[frozenset, frozenset] | None":
-        """Net ``(added, removed)`` row sets since *generation*, or ``None``.
-
-        ``None`` means the log cannot answer (logging was not enabled at that
-        generation, a wholesale rewrite happened, or the log overflowed) and
-        the caller should fall back to a full diff or recomputation.  Because
-        only *effective* mutations are logged, a row's operations since any
-        mark strictly alternate, so its net change is determined by its first
-        and last logged operation alone.
-        """
-        if generation == self._generation:
-            return (EMPTY_ROWS, EMPTY_ROWS)
-        if self._log is None or generation < self._log_floor:
-            return None
-        first: dict[tuple[Path, ...], bool] = {}
-        last: dict[tuple[Path, ...], bool] = {}
-        # Entries are appended in generation order: bisect to the mark.
-        start = bisect_right(self._log, generation, key=itemgetter(0))
-        for _, row, added in self._log[start:]:
-            if row not in first:
-                first[row] = added
-            last[row] = added
-        added_rows = frozenset(row for row, was_add in last.items() if was_add and first[row])
-        removed_rows = frozenset(
-            row for row, was_add in last.items() if not was_add and not first[row]
-        )
-        return (added_rows, removed_rows)
+    def _drop_columnar(self) -> None:
+        self._columnar = None
+        self._columnar_table = None
+        self._pending = None
 
     # -- plain access ------------------------------------------------------------------
 
@@ -259,7 +189,7 @@ class Relation:
         return f"Relation({len(self._rows)} rows, generation {self._generation})"
 
     def copy(self) -> "Relation":
-        """Return a copy sharing no mutable state (indexes and change log are not copied)."""
+        """Return a copy sharing no mutable state (indexes and views are not copied)."""
         return Relation(self._rows)
 
     # -- cached read views -------------------------------------------------------------
@@ -306,33 +236,27 @@ class Relation:
     # -- columnar id-space view ----------------------------------------------------------
 
     def columnar(self, table: TermTable) -> ColumnarView:
-        """The packed id-space view of the current generation, against *table*.
+        """The packed id-space view of the current rows, against *table*.
 
-        Cached per ``(table, generation)``.  A stale view against the same
-        table advances by the net delta the change log reports — rows added
-        *and* rows removed (:meth:`ColumnarView.advanced`; :meth:`add_rows`
-        advances the view itself) — so only the changed rows are interned and
-        every grouping the old view had built is patched, not rebuilt.  A
-        wholesale rewrite, a log overflow or a different term table rebuild
-        the whole view, which is how a relation's terms first enter an
-        instance's id space.  Building a view turns the change log on, so
-        a long-lived relation — a maintained materialization — advances on
-        every later generation bump.
+        A cached view against the same table advances by the pending delta —
+        rows added *and* rows removed (:meth:`ColumnarView.advanced`;
+        :meth:`add_rows` advances the view itself) — so only the changed
+        rows are interned and every grouping the old view had built is
+        patched, not rebuilt.  A wholesale rewrite or a different term table
+        rebuilds the whole view, which is how a relation's terms first enter
+        an instance's id space.
         """
-        if self._columnar_table is table and self._columnar_generation == self._generation:
+        if self._columnar_table is table:
+            pending = self._pending
+            if pending:
+                intern_row = table.intern_row
+                self._columnar = self._columnar.advanced(  # type: ignore[union-attr]
+                    [intern_row(row) for row, added in pending.items() if added],
+                    [intern_row(row) for row, added in pending.items() if not added],
+                )
+                pending.clear()
             return self._columnar  # type: ignore[return-value]
-        intern_row = table.intern_row
-        changes = None
-        if self._columnar is not None and self._columnar_table is table:
-            changes = self.changes_since(self._columnar_generation)
-        if changes is not None:
-            added, removed = changes
-            self._columnar = self._columnar.advanced(
-                [intern_row(row) for row in added], [intern_row(row) for row in removed]
-            )
-        else:
-            self.watch()
-            self._columnar = ColumnarView([intern_row(row) for row in self._rows], table)
-            self._columnar_table = table
-        self._columnar_generation = self._generation
+        self._columnar = ColumnarView([table.intern_row(row) for row in self._rows], table)
+        self._columnar_table = table
+        self._pending = {}
         return self._columnar

@@ -15,7 +15,6 @@ from repro.engine.reference import reference_fixpoint
 from repro.errors import EvaluationBudgetExceeded, EvaluationError, ModelError
 from repro.model import Fact, Instance, graph_instance, pack, path, unary_instance
 from repro.parser import parse_program, parse_rule
-from repro.storage import Relation
 
 
 class TestRuleEvaluation:
@@ -158,24 +157,17 @@ class TestResidentFixpoint:
         assert default.value.limit_name == reference.value.limit_name
         assert str(default.value) == str(reference.value)
 
-    def _watched_closure(self):
+    def test_a_watched_relation_logs_the_rows_the_fixpoint_added(self):
         current = graph_instance("R", self.EDGES)
         current.ensure_relation("T")
-        mark = current.storage("T").watch()
-        evaluate_stratum(parse_program(self.CLOSURE).strata[0], current, copy=False)
-        return current, mark
-
-    def test_a_watched_relation_logs_the_rows_the_fixpoint_added(self):
-        current, mark = self._watched_closure()
-        assert len(current.relation("T")) == 16
-        assert current.storage("T").changes_since(mark) == (current.relation("T"), frozenset())
-
-    def test_a_batch_past_the_log_limit_voids_the_log(self, monkeypatch):
-        monkeypatch.setattr(Relation, "LOG_LIMIT", 5)
-        current, mark = self._watched_closure()
+        table = current.term_table()
         storage = current.storage("T")
-        assert storage.changes_since(mark) is None
-        assert storage.changes_since(storage.generation) == (frozenset(), frozenset())
+        storage.columnar(table)
+        evaluate_stratum(parse_program(self.CLOSURE).strata[0], current, copy=False)
+        assert len(current.relation("T")) == 16
+        assert storage._pending == {}  # every batch advanced the view itself
+        view = storage.columnar(table)
+        assert view.id_row_set == {table.intern_row(row) for row in current.relation("T")}
 
     def test_a_batch_of_the_wrong_arity_is_refused_like_a_fact(self):
         instance = Instance({"R": [("a", "b")]})
@@ -194,4 +186,4 @@ class TestResidentFixpoint:
         for name in instance.relation_names:
             storage = instance.storage(name)
             assert storage._columnar is None
-            assert storage.changes_since(0) is None  # nobody started a change log either
+            assert storage._pending is None  # nor a pending delta for one

@@ -1,7 +1,7 @@
 """Tests for the serving behaviour of QuerySession.
 
 Covers the maintained-materialization path (memoized full fixpoints,
-incremental updates, out-of-band change absorption), the ``served_by``
+incremental updates, out-of-band mutations dropping the memo), the ``served_by``
 bookkeeping, and the fallback contracts: ``fallback_reason`` on goal-mode
 budget breaches and unsupported rewritings, maintenance fallbacks with
 recorded reasons, and the plan-cache counters across repeated ``run()``
@@ -11,6 +11,7 @@ calls.
 import pytest
 
 from repro.engine import EvaluationLimits, EvaluationStatistics, ProgramQuery, QueryResult
+from repro.engine.reasons import OUT_OF_BAND_MUTATION, reason_code
 from repro.errors import EvaluationError, SubgoalTableError
 from repro.model import Fact, Instance, path, unary_instance
 from repro.parser import parse_program
@@ -177,39 +178,74 @@ class TestSessionUpdate:
 
 
 class TestOutOfBandMutations:
-    def test_absorbed_through_the_change_log(self):
+    """A mutation of the pinned instance that bypasses ``update`` drops what
+    the session memoized; the next answer is a scratch evaluation."""
+
+    def test_a_mutation_drops_the_materialization(self, oracle_output):
+        query = pair_query()
         instance = line_instance()
-        session = pair_query().session(instance)
+        session = query.session(instance)
         session.run()
         instance.add("E", path("n2"), path("a"))  # bypasses session.update
         result = session.run(binding={0: "n2"})
-        assert result.served_by == "maintained"
-        assert result.output == pair_query().run(instance.copy(), binding={0: "n2"}).output
+        assert result.served_by == "full"
+        assert reason_code(session.last_maintenance_fallback) == OUT_OF_BAND_MUTATION
+        assert result.output == oracle_output(query, instance, {0: "n2"})
+        assert session.run(binding={0: "n2"}).served_by == "maintained"
 
-    def test_update_absorbs_pending_out_of_band_drift(self):
-        # An out-of-band mutation followed by session.update must not bury
-        # the drift under the basis sync: both deltas have to reach the
-        # materialization.
+    def test_an_update_after_drift_is_unmaintained(self, oracle_output):
+        # An out-of-band mutation followed by session.update must not be
+        # buried under the basis the update records: the update reports
+        # that nothing was maintained, and why.
+        query = pair_query()
         instance = line_instance()
-        session = pair_query().session(instance)
+        session = query.session(instance)
         session.run()
         instance.add("E", path("n3"), path("a"))  # out-of-band
         update = session.update(additions=[edge("n4", "n1")])  # in-band
-        assert update.maintained
+        assert not update.maintained
+        assert reason_code(update.fallback_reason) == OUT_OF_BAND_MUTATION
+        assert update.fallback_reason == session.last_maintenance_fallback
+        assert update.added == {edge("n4", "n1")}
         result = session.run(binding={0: "n3"})
-        assert result.served_by == "maintained"
-        assert result.output == pair_query().run(instance.copy(), binding={0: "n3"}).output
+        assert result.served_by == "full"
+        assert result.output == oracle_output(query, instance, {0: "n3"})
+        follow_up = session.update(retractions=[edge("n4", "n1")])
+        assert follow_up.maintained and follow_up.fallback_reason is None
 
-    def test_wholesale_rewrite_forces_reevaluation(self):
+    def test_wholesale_rewrite_forces_reevaluation(self, oracle_output):
+        query = pair_query()
         instance = line_instance()
-        session = pair_query().session(instance)
+        session = query.session(instance)
         session.run()
         rows = set(instance.relation("E"))
         rows.add((path("n2"), path("a")))
-        instance.storage("E").set_rows(rows)  # voids the change log
+        instance.storage("E").set_rows(rows)
         result = session.run(binding={0: "a"})
-        assert result.served_by in ("maintained", "full")
-        assert result.output == pair_query().run(instance.copy(), binding={0: "a"}).output
+        assert result.served_by == "full"
+        assert reason_code(session.last_maintenance_fallback) == OUT_OF_BAND_MUTATION
+        assert result.output == oracle_output(query, instance, {0: "a"})
+
+    @pytest.mark.parametrize("mutation", ["retract", "drop_relation", "new_relation", "no_net"])
+    def test_every_kind_of_drift_is_caught(self, oracle_output, mutation):
+        query = pair_query()
+        instance = line_instance(3)
+        session = query.session(instance)
+        session.run()
+        if mutation == "retract":
+            instance.discard_fact(edge("a", "n1"))
+        elif mutation == "drop_relation":
+            for fact in list(instance.facts()):
+                instance.discard_fact(fact)  # the last one takes "E" away
+        elif mutation == "new_relation":
+            instance.ensure_relation("F")
+        else:
+            instance.add("E", path("n2"), path("a"))
+            instance.discard_fact(edge("n2", "a"))
+        result = session.run()
+        assert result.served_by == "full"
+        assert reason_code(session.last_maintenance_fallback) == OUT_OF_BAND_MUTATION
+        assert result.output == oracle_output(query, instance)
 
 
 class TestGoalFallbackContract:

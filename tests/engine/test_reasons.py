@@ -32,6 +32,7 @@ from repro.engine.reasons import (
     LOWERING_UNSAFE_NEGATION,
     MAINTENANCE_BUDGET_EXCEEDED,
     MAINTENANCE_UNSUPPORTED,
+    OUT_OF_BAND_MUTATION,
     REASON_CODES,
     REWRITE_UNSUPPORTED,
     SERVICE_CAPACITY,
@@ -152,6 +153,21 @@ class TestEmittedReasonsAreRegistered:
         assert not update.maintained
         assert_registered(update.fallback_reason, MAINTENANCE_BUDGET_EXCEEDED)
         assert_registered(session.last_maintenance_fallback, MAINTENANCE_BUDGET_EXCEEDED)
+
+    def test_out_of_band_mutation(self):
+        # A mutation that bypasses session.update drops the memo; the query
+        # that finds it, and an update that finds it, both say so.
+        instance = line_instance()
+        session = pair_query().session(instance)
+        session.run()
+        instance.add("E", path("n5"), path("a"))
+        assert session.run().served_by == "full"
+        assert_registered(session.last_maintenance_fallback, OUT_OF_BAND_MUTATION)
+        assert session.last_maintenance_fallback == "out_of_band_mutation: E"
+        instance.discard_fact(edge("n5", "a"))
+        update = session.update(additions=[edge("n5", "n1")])
+        assert not update.maintained
+        assert_registered(update.fallback_reason, OUT_OF_BAND_MUTATION)
 
     def test_snapshot_table_eviction(self):
         # A snapshot entry is serve-only: an update touching a relation its

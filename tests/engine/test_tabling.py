@@ -12,6 +12,7 @@ rewriting.
 import pytest
 
 from repro.engine import AnswerTable, ProgramQuery, TableEntry
+from repro.engine.reasons import OUT_OF_BAND_MUTATION, reason_code
 from repro.errors import SubgoalTableError
 from repro.model import Fact, Instance, path
 from repro.parser import parse_program
@@ -144,15 +145,17 @@ class TestSessionTabling:
         assert result.served_by == "tabled"
         assert result.output == query.run(instance.copy(), binding={0: "a"}).output
 
-    def test_out_of_band_drift_reaches_tabled_entries(self):
+    def test_out_of_band_drift_reaches_tabled_entries(self, oracle_output):
         instance = line_instance()
         query = pair_query()
         session = query.session(instance)
         session.run(binding={0: "a"}, mode="goal")
         instance.add("E", path("n5"), path("a"))  # bypasses session.update
         result = session.run(binding={0: "a"}, mode="goal")
-        assert result.served_by == "tabled"
-        assert result.output == query.run(instance.copy(), binding={0: "a"}).output
+        assert result.served_by == "goal"  # the entry was dropped, not served stale
+        assert reason_code(session.last_maintenance_fallback) == OUT_OF_BAND_MUTATION
+        assert result.output == oracle_output(query, instance, {0: "a"})
+        assert session.run(binding={0: "a"}, mode="goal").served_by == "tabled"
 
     def test_update_through_a_negated_relation_maintains_the_entry(self):
         # set_difference negates the EDB relation Q: an update touching Q

@@ -1,9 +1,9 @@
 """Tests for the HTTP boundary: the dict-level router and the stdlib server.
 
 Most coverage drives :meth:`ServiceApp.dispatch` directly — it is the
-transport-independent surface both servers and the benchmark share.  One
-test exercises the real ``asyncio.start_server`` transport over a socket
-(keep-alive, error statuses, malformed bodies).
+transport-independent surface both servers and the benchmark share.  The
+stdlib-server tests exercise the real ``asyncio.start_server`` transport
+over a socket (keep-alive, error statuses, malformed and hostile requests).
 """
 
 import asyncio
@@ -310,5 +310,43 @@ class TestStdlibServer:
                 server.close()
                 await server.wait_closed()
                 app.close()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize(
+        "raw, half_close",
+        [
+            (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", False),
+            (b"GET /v1/healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n", False),
+            (b"POST /v1/sessions HTTP/1.1\r\nContent-Length: 100\r\n\r\n{}", True),
+        ],
+        ids=["request_line_over_the_limit", "header_line_over_the_limit", "short_body"],
+    )
+    def test_hostile_requests_are_a_400_and_never_escape_the_handler(self, raw, half_close):
+        async def scenario():
+            escaped = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: escaped.append(context)
+            )
+            server, app = await serve(port=0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                writer.write(raw)
+                if half_close:
+                    writer.write_eof()
+                await writer.drain()
+                response = await reader.read()  # the server closes after a 400
+                head, _, body = response.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 400 ")
+                assert b"Connection: close" in head
+                assert json.loads(body)["error"]["code"] == "bad_request"
+                await asyncio.sleep(0.05)  # let the handler task finish
+            finally:
+                writer.close()
+                server.close()
+                await server.wait_closed()
+                app.close()
+            assert escaped == []
 
         asyncio.run(scenario())

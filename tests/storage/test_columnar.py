@@ -1,9 +1,10 @@
 """The columnar view of a relation advances by the delta, in both directions.
 
 A :class:`~repro.storage.Relation` keeps one id-space view alive across its
-generations: additions and removals patch what the view has built instead of
-rebuilding it.  Whatever the relation went through, the advanced view must
-be indistinguishable from one built from scratch over the current rows.
+generations: the additions and removals pending since the last read patch
+what the view has built instead of rebuilding it.  Whatever the relation went
+through, and however many operations the view fell behind, the advanced view
+must be indistinguishable from one built from scratch over the current rows.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -19,13 +20,18 @@ ROWS = st.tuples(st.sampled_from(PATHS), st.sampled_from(PATHS))
 #: What a step may ask the live view to build (and the check then compares).
 STRUCTURES = ("row_set", "columns", "groups", "element_groups", "element_joins")
 
+#: ``(operation, read the view after it?, structures to build and compare)``:
+#: a step that skips the read lets the view fall behind by its delta.
 STEPS = st.lists(
     st.tuples(
         st.one_of(
             st.tuples(st.just("add"), ROWS),
             st.tuples(st.just("discard"), ROWS),
             st.tuples(st.just("add_rows"), st.sets(ROWS, min_size=1, max_size=4)),
+            st.tuples(st.just("set_rows"), st.sets(ROWS, max_size=4)),
+            st.tuples(st.just("clear"), st.none()),
         ),
+        st.booleans(),
         st.sets(st.sampled_from(STRUCTURES)),
     ),
     min_size=1,
@@ -74,17 +80,34 @@ def test_the_advanced_view_equals_a_rebuilt_one_after_every_step(steps):
     table = Instance().term_table()
     relation = Relation()
     relation.columnar(table)
-    for (verb, argument), structures in steps:
-        if verb == "add":
-            relation.add(argument)
-        elif verb == "discard":
-            relation.discard(argument)
-        else:
+    for (verb, argument), read, structures in steps:
+        if verb == "add_rows":
             fresh = argument - relation.rows
             if fresh:
                 relation.add_rows(fresh, [table.intern_row(row) for row in fresh], table)
-        assert_same(relation.columnar(table), relation, table, structures)
+        elif verb == "clear":
+            relation.clear()
+        else:
+            getattr(relation, verb)(argument)
+        if read:
+            assert_same(relation.columnar(table), relation, table, structures)
     assert_same(relation.columnar(table), relation, table, STRUCTURES)
+
+
+def test_a_view_read_after_every_single_row_change_is_never_rebuilt():
+    """However long a relation lives, single-row changes keep advancing its
+    one view: no count of changes makes the next read start over."""
+    table = Instance().term_table()
+    relation = Relation([(Path((f"r{index}",)),) for index in range(50)])
+    known = relation.columnar(table).id_row_set
+    extra = [(Path((f"x{index}",)),) for index in range(5)]
+    for step in range(8200):
+        if step % 2:
+            relation.discard(extra[step // 2 % 5])
+        else:
+            relation.add(extra[step // 2 % 5])
+        assert relation.columnar(table).id_row_set is known
+    assert known == {table.intern_row(row) for row in relation.rows}
 
 
 def test_a_removal_keeps_what_was_built_and_the_old_snapshot():
@@ -115,18 +138,6 @@ def test_a_relation_refilled_at_another_arity_starts_its_view_over():
     assert rows_by_key(view, view.groups(0)) == {table.intern(PATHS[3]): set(view.id_rows)}
 
 
-def test_a_batch_past_the_log_limit_falls_back_to_a_rebuild(monkeypatch):
-    monkeypatch.setattr(Relation, "LOG_LIMIT", 4)
-    table = Instance().term_table()
-    relation = Relation([(PATHS[0], PATHS[0])])
-    known = relation.columnar(table).id_row_set
-    # seven rows and no id rows: the view is left stale and the log is voided
-    relation.add_rows({(path, PATHS[1]) for path in PATHS})
-    view = relation.columnar(table)
-    assert view.id_row_set is not known  # nothing carried over
-    assert_same(view, relation, table, STRUCTURES)
-
-
 def test_a_second_term_table_gets_a_view_of_its_own():
     table, other = Instance().term_table(), TermTable([PATHS[6], PATHS[5]])
     relation = Relation([(path, PATHS[1]) for path in PATHS])
@@ -136,6 +147,14 @@ def test_a_second_term_table_gets_a_view_of_its_own():
     assert second.table is other and second is not first
     assert_same(second, relation, other, STRUCTURES)
     assert_same(relation.columnar(table), relation, table, STRUCTURES)  # and back: rebuilt again
+
+
+def replay(relation, operations):
+    for verb, argument in operations:
+        if verb == "rewrite":
+            relation.set_rows(argument)
+        else:
+            getattr(relation, verb)(argument)
 
 
 @given(
@@ -149,27 +168,26 @@ def test_a_second_term_table_gets_a_view_of_its_own():
 )
 @settings(max_examples=150, deadline=None)
 def test_changes_since_is_the_net_difference_from_every_mark(operations):
-    """Bisecting to the mark answers what replaying the whole log would: the
+    """Whenever the view was last read — its mark — the pending delta is the
     difference between the rows now and the rows at the mark, with a row's
-    alternating operations netted out — and ``None`` below the floor a
-    wholesale rewrite leaves."""
-    relation = Relation()
-    relation.watch()
-    states = {relation.generation: frozenset()}
-    floor = relation.generation
-    for verb, argument in operations:
-        if verb == "rewrite":
-            relation.set_rows(argument)
-            floor = relation.generation
+    alternating operations netted out; a wholesale rewrite after the mark
+    leaves no delta, because it dropped the view."""
+    table = Instance().term_table()
+    for mark in range(len(operations) + 1):
+        relation = Relation()
+        replay(relation, operations[:mark])
+        relation.columnar(table)
+        rows = frozenset(relation.rows)
+        replay(relation, operations[mark:])
+        now = frozenset(relation.rows)
+        pending = relation._pending
+        if any(verb == "rewrite" for verb, _ in operations[mark:]):
+            assert pending is None
         else:
-            getattr(relation, verb)(argument)
-        states[relation.generation] = frozenset(relation.rows)
-    now = frozenset(relation.rows)
-    for mark, rows in states.items():
-        if mark < floor:
-            assert relation.changes_since(mark) is None
-        else:
-            assert relation.changes_since(mark) == (now - rows, rows - now)
+            added = {row for row, is_added in pending.items() if is_added}
+            removed = {row for row, is_added in pending.items() if not is_added}
+            assert (added, removed) == (now - rows, rows - now)
+        assert_same(relation.columnar(table), relation, table, ("row_set",))
 
 
 def test_the_table_packs_and_wraps_values_as_canonical_ids():

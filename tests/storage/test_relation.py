@@ -78,15 +78,34 @@ class TestViews:
         assert edges.view() == frozenset()
 
 
+def pending_delta(relation):
+    """The relation's pending delta as ``(added, removed)``; ``None`` with no view."""
+    if relation._pending is None:
+        return None
+    return (
+        {row for row, added in relation._pending.items() if added},
+        {row for row, added in relation._pending.items() if not added},
+    )
+
+
 class TestChangeLog:
+    """The change log is the columnar view's pending delta: the net rows added
+    and removed since the view was last read, kept only while a view is."""
+
     def test_changes_since_unknown_without_watch(self, edges):
-        assert edges.changes_since(0) is None
+        assert pending_delta(edges) is None
+        edges.add((path("q"), path("q")))
+        assert pending_delta(edges) is None  # nothing is kept for a view nobody built
 
     def test_equal_generation_is_always_empty(self, edges):
-        assert edges.changes_since(edges.generation) == (frozenset(), frozenset())
+        table = Instance().term_table()
+        view = edges.columnar(table)
+        assert pending_delta(edges) == (set(), set())
+        assert edges.columnar(table) is view
 
     def test_net_changes_fold_adds_and_removes(self, edges):
-        mark = edges.watch()
+        table = Instance().term_table()
+        known = edges.columnar(table).id_row_set
         row_a = (path("q"), path("q"))
         row_b = (path("r"), path("r"))
         existing = next(iter(edges.rows))
@@ -94,54 +113,63 @@ class TestChangeLog:
         edges.add(row_b)
         edges.discard(row_b)  # add then remove: no net change
         edges.discard(existing)
-        added, removed = edges.changes_since(mark)
-        assert added == {row_a}
-        assert removed == {existing}
+        assert pending_delta(edges) == ({row_a}, {existing})
+        assert edges.columnar(table).id_row_set is known  # advanced by the delta
+        assert known == {table.intern_row(row) for row in edges.rows}
+        assert pending_delta(edges) == (set(), set())
 
     def test_remove_then_readd_nets_out(self, edges):
-        mark = edges.watch()
+        table = Instance().term_table()
+        view = edges.columnar(table)
         existing = next(iter(edges.rows))
         edges.discard(existing)
         edges.add(existing)
-        assert edges.changes_since(mark) == (frozenset(), frozenset())
+        assert pending_delta(edges) == (set(), set())
+        assert edges.columnar(table) is view
 
     def test_ineffective_mutations_are_not_logged(self, edges):
-        mark = edges.watch()
+        table = Instance().term_table()
+        view = edges.columnar(table)
+        generation = edges.generation
         edges.add(next(iter(edges.rows)))
         edges.discard((path("missing"), path("missing")))
-        assert edges.changes_since(mark) == (frozenset(), frozenset())
+        assert edges.generation == generation
+        assert pending_delta(edges) == (set(), set())
+        assert edges.columnar(table) is view
 
     def test_wholesale_rewrite_voids_the_log(self, edges):
-        mark = edges.watch()
+        table = Instance().term_table()
+        known = edges.columnar(table).id_row_set
         edges.set_rows({(path("a"), path("b"))})
-        assert edges.changes_since(mark) is None
-        # But a fresh mark taken after the rewrite works again.
-        mark = edges.generation
+        assert pending_delta(edges) is None
+        rebuilt = edges.columnar(table).id_row_set
+        assert rebuilt is not known and rebuilt == {table.intern_row((path("a"), path("b")))}
+        # But the view rebuilt after the rewrite keeps a delta again.
         edges.add((path("c"), path("d")))
-        assert edges.changes_since(mark) == ({(path("c"), path("d"))}, frozenset())
+        assert pending_delta(edges) == ({(path("c"), path("d"))}, set())
 
     def test_clear_voids_the_log(self, edges):
-        mark = edges.watch()
+        table = Instance().term_table()
+        edges.columnar(table)
         edges.clear()
-        assert edges.changes_since(mark) is None
-
-    def test_overflow_advances_the_floor(self):
-        relation = Relation()
-        mark = relation.watch()
-        for index in range(Relation.LOG_LIMIT + 1):
-            relation.add((path(f"n{index}"),))
-        assert relation.changes_since(mark) is None
+        assert pending_delta(edges) is None
+        assert len(edges.columnar(table)) == 0
 
     def test_copy_does_not_inherit_the_log(self, edges):
-        mark = edges.watch()
+        table = Instance().term_table()
+        edges.columnar(table)
+        edges.add((path("q"), path("q")))
         clone = edges.copy()
-        assert clone.changes_since(mark) is None
+        assert pending_delta(clone) is None
+        assert pending_delta(edges) == ({(path("q"), path("q"))}, set())
+        assert clone.columnar(table).id_row_set == {table.intern_row(row) for row in edges.rows}
 
     def test_marks_before_watch_are_unknown(self, edges):
+        table = Instance().term_table()
         edges.add((path("q"), path("q")))
-        generation_before_watch = edges.generation - 1
-        edges.watch()
-        assert edges.changes_since(generation_before_watch) is None
+        view = edges.columnar(table)  # built over the change, which is not pending
+        assert pending_delta(edges) == (set(), set())
+        assert table.intern_row((path("q"), path("q"))) in view.id_row_set
 
 
 class TestMutationPathAudit:
@@ -270,15 +298,19 @@ class TestBatchAdds:
     """``add_rows``: what ``add`` does row by row, plus the id rows for the view."""
 
     def test_a_batch_counts_and_logs_like_single_adds(self, edges):
+        table = Instance().term_table()
         single, batch = edges.copy(), edges.copy()
-        marks = single.watch(), batch.watch()
+        known = [relation.columnar(table).id_row_set for relation in (single, batch)]
+        generation = batch.generation
         new = rows_of((("d",), ("x",)), (("e",), ("y",)))
         for row in new:
             single.add(row)
         batch.add_rows(set(new))
         assert batch.rows == single.rows
-        assert batch.generation == single.generation
-        assert batch.changes_since(marks[1]) == single.changes_since(marks[0]) == (new, frozenset())
+        assert batch.generation == generation + 1
+        for relation, row_set in zip((single, batch), known):
+            assert relation.columnar(table).id_row_set is row_set  # advanced, not rebuilt
+            assert row_set == {table.intern_row(row) for row in relation.rows}
 
     def test_a_row_already_held_is_refused(self, edges):
         with pytest.raises(ModelError):
@@ -303,8 +335,11 @@ class TestBatchAdds:
         rows = list(rows_of((("a",),), (("b",),)))
         id_rows = [table.intern_row(row) for row in rows]
         relation.add_rows(set(rows), id_rows, table)
-        assert relation.columnar(table).id_rows is id_rows
-        assert relation.changes_since(0) is None
+        view = relation.columnar(table)
+        assert view.id_rows is id_rows
+        known = view.id_row_set
+        relation.discard(rows[0])
+        assert relation.columnar(table).id_row_set is known == {table.intern_row(rows[1])}
 
     def test_a_stale_view_is_left_to_catch_up_from_the_log(self, edges):
         table = Instance().term_table()
