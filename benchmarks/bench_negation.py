@@ -7,21 +7,15 @@ the exact shape every fast path used to refuse (goal mode fell back to full
 evaluation, and maintenance raised on any update that could reach the
 negated relation).
 
-Two gates, one per lifted restriction, both on the same program and graph:
-
-* **goal-directed** — a bound-source goal runs on the goal pipeline
-  (``mode == "goal"``, no ``fallback_reason``) and attempts at least
-  ``GOAL_PRUNING_FACTOR``× fewer valuation extensions than full evaluation,
-  with identical answers (deterministic, always checked);
-* **maintained** — an update stream through ``Blocklist`` (both signed
-  directions: additions retract downstream, retractions rederive) stays
-  incrementally maintained with answers identical to a scratch rebuild at
-  every step, and attempts at least ``MAINTENANCE_PRUNING_FACTOR``× fewer
-  extensions than per-step re-evaluation (deterministic, always checked).
-
-With ``--json`` the harness writes ``BENCH_negation.json``; wall times are
-recorded beside them, the deterministic counter ratios are the portable
-evidence.
+Two measurements, one per lifted restriction, both on the same program and
+graph: a bound-source goal on the goal pipeline against full evaluation, and
+an update stream through ``Blocklist`` (both signed directions: additions
+retract downstream, retractions rederive) maintained against per-step
+re-evaluation.  This file reports the wall times and the counters; the
+deterministic gate on the same workload — no fallback, answers identical to
+scratch, at least 3× fewer extension attempts on both — is
+``tests/engine/test_negated_streams.py``.  With ``--json`` the harness
+writes the measured numbers to ``BENCH_negation.json``.
 """
 
 import time
@@ -29,8 +23,9 @@ import time
 import pytest
 
 from repro.engine import EvaluationStatistics, ProgramQuery, evaluate_program
+from repro.model import Fact
 from repro.parser import parse_program
-from repro.workloads import as_edge_pairs, layered_graph_instance, update_stream
+from repro.workloads import as_edge_pairs, layered_graph_instance
 
 BLOCKED_REACHABILITY = """
 Blocked(@x) :- Blocklist(@x).
@@ -41,12 +36,6 @@ T(@x, @z) :- T(@x, @y), E(@y, @z), not Blocked(@z).
 GRAPH = dict(layers=10, width=12, edges_per_node=2, seed=2)
 STEPS = 4
 SOURCES = ["a", "l1n0", "l2n1", "l3n2", "l5n5"]
-#: A bound-source goal must attempt at least this many × fewer extensions
-#: than full evaluation of the same program.
-GOAL_PRUNING_FACTOR = 3
-#: The maintained stream must attempt at least this many × fewer extensions
-#: than re-evaluating from scratch at every step.
-MAINTENANCE_PRUNING_FACTOR = 3
 
 
 def _workload():
@@ -63,16 +52,14 @@ def _workload():
 
 
 def _blocklist_steps(instance):
-    return list(
-        update_stream(
-            instance,
-            relation="Blocklist",
-            steps=STEPS,
-            additions_per_step=1,
-            retractions_per_step=1,
-            seed=13,
-        )
-    )
+    """Each step blocks one more node and unblocks one blocked from the start."""
+    nodes = sorted({row[0] for row in instance.relation("E")}, key=repr)
+    blocked = sorted(instance.relation("Blocklist"), key=repr)
+    fresh = [node for node in nodes[9::13] if (node,) not in instance.relation("Blocklist")]
+    return [
+        ([Fact("Blocklist", (fresh[index],))], [Fact("Blocklist", blocked[index])])
+        for index in range(STEPS)
+    ]
 
 
 def test_goal_directed_negation_takes_the_fast_path(bench_report):
@@ -82,15 +69,6 @@ def test_goal_directed_negation_takes_the_fast_path(bench_report):
     started = time.perf_counter()
     goal = query.run(instance.copy(), binding={0: SOURCES[0]}, mode="goal")
     goal_seconds = time.perf_counter() - started
-    assert goal.mode == "goal" and goal.fallback_reason is None
-    assert goal.output == full.output
-    assert (
-        goal.statistics.extension_attempts * GOAL_PRUNING_FACTOR
-        <= full.statistics.extension_attempts
-    ), (
-        f"goal mode attempted {goal.statistics.extension_attempts} extensions "
-        f"vs full's {full.statistics.extension_attempts}"
-    )
     bench_report(
         "negation",
         workload=(
@@ -106,7 +84,7 @@ def test_goal_directed_negation_takes_the_fast_path(bench_report):
         f"goal-directed negation: {goal.statistics.extension_attempts} extension "
         f"attempts vs full's {full.statistics.extension_attempts} "
         f"({full.statistics.extension_attempts / max(1, goal.statistics.extension_attempts):.1f}× "
-        f"pruned), no fallback, identical answers"
+        f"pruned), fallback {goal.fallback_reason}, identical answers: {goal.output == full.output}"
     )
 
 
@@ -123,12 +101,9 @@ def test_updates_through_the_negated_relation_stay_maintained(bench_report):
     started = time.perf_counter()
     for additions, retractions in steps:
         update = session.update(additions, retractions)
-        assert update.maintained and update.fallback_reason is None
         incremental_attempts += update.statistics.extension_attempts
         for source in SOURCES:
-            result = session.run(binding={0: source})
-            assert result.served_by == "maintained"
-            maintained_answers.append(result.output.relation("T"))
+            maintained_answers.append(session.run(binding={0: source}).output.relation("T"))
     incremental_seconds = time.perf_counter() - started
 
     scratch_attempts = 0
@@ -154,9 +129,6 @@ def test_updates_through_the_negated_relation_stay_maintained(bench_report):
             )
     scratch_seconds = time.perf_counter() - started
 
-    assert maintained_answers == scratch_answers
-    assert incremental_attempts * MAINTENANCE_PRUNING_FACTOR <= scratch_attempts
-
     bench_report(
         "negation",
         maintained_seconds=incremental_seconds,
@@ -169,7 +141,7 @@ def test_updates_through_the_negated_relation_stay_maintained(bench_report):
         f"Blocklist stream ({STEPS} steps): maintained {incremental_attempts} "
         f"extension attempts vs per-step re-evaluation {scratch_attempts} "
         f"({scratch_attempts / max(1, incremental_attempts):.1f}× pruned), "
-        f"answers match scratch at every step"
+        f"answers match scratch at every step: {maintained_answers == scratch_answers}"
     )
 
 

@@ -13,13 +13,12 @@ filters and split-plan binding steps for the equations
 (:mod:`repro.engine.compiled`, :mod:`repro.storage.columnar`,
 :mod:`repro.engine.match`).  Everything it answers — one application
 (:meth:`~RuleEvaluator.derive`), the derivation counts of counting
-maintenance (:meth:`~RuleEvaluator.derivation_counts`), the head-restricted
-join of delete–rederive (:meth:`~RuleEvaluator.derivable`) and a join
-pivoted on a negated literal (:meth:`~RuleEvaluator.pivoted`) — runs that
-plan; the semi-naive loop of :mod:`repro.engine.fixpoint` drives it without
-leaving id space.  Only an unsafe rule does not lower, and evaluating one
-raises :class:`~repro.errors.UnsafeRuleError` with the registered reason
-(:attr:`RuleEvaluator.lowering_refusal`).
+maintenance (:meth:`~RuleEvaluator.derivation_counts`) and a join pivoted
+on a negated literal (:meth:`~RuleEvaluator.pivoted`) — runs that plan; the
+semi-naive loop of :mod:`repro.engine.fixpoint` and delete–rederive drive
+it without leaving id space.  Only an unsafe rule does not lower, and
+evaluating one raises :class:`~repro.errors.UnsafeRuleError` with the
+registered reason (:attr:`RuleEvaluator.lowering_refusal`).
 
 The valuation-level semantics survives, on purpose, in exactly one place:
 :mod:`repro.engine.reference`, the naive full-scan oracle the agreement
@@ -32,7 +31,7 @@ tracer (``benchmarks/e2e/tracing.py``) resolves it by name (ROADMAP item 1).
 
 from __future__ import annotations
 
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.engine.compiled import CompiledRule, lower_rule
 from repro.engine.limits import DEFAULT_LIMITS, EvaluationLimits
@@ -338,26 +337,3 @@ class RuleEvaluator:
         return self.compiled_plan.derivation_counts(
             instance, frontier, self.limits, statistics, negative_sources
         )
-
-    def derivable(
-        self, instance: Instance, facts: "Collection[Fact]", statistics=None
-    ) -> set[Fact]:
-        """The subset of the head *facts* this rule derives from *instance* in one application.
-
-        Delete–rederive asks this of everything it over-deleted, set at a
-        time.  The body only ever reads *instance*: a fact of *facts* supports
-        nothing, itself included, unless *instance* holds it.  The rule runs
-        its ordinary join led by one extra step over the head rows
-        (:meth:`~repro.engine.compiled.CompiledRule.derivable_rows`).
-        """
-        head = self.rule.head
-        intern_row = instance.term_table().intern_row
-        by_row = {
-            intern_row(fact.paths): fact
-            for fact in facts
-            if fact.relation == head.name and fact.arity == head.arity
-        }
-        id_rows = self.compiled_plan.derivable_rows(
-            instance, list(by_row), self.limits, statistics
-        )
-        return {by_row[row] for row in id_rows}

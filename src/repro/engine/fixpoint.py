@@ -40,7 +40,6 @@ __all__ = [
     "evaluate_stratum",
     "evaluate_program",
     "propagate_delta",
-    "rederivable",
 ]
 
 
@@ -234,38 +233,6 @@ def propagate_delta(
     return _propagate_resident(
         evaluators, current, delta, limits, statistics, iterations_before, collect
     )
-
-
-def rederivable(
-    evaluators: list[RuleEvaluator],
-    instance: Instance,
-    facts: "Iterable[Fact]",
-    statistics: EvaluationStatistics,
-) -> set:
-    """The facts among *facts* that one rule application derives from *instance*.
-
-    The rederivation step of delete–rederive
-    (:mod:`repro.engine.maintenance`): *facts* is the over-deleted set,
-    *instance* the state without it, and each rule is asked once about all
-    the facts of its head relation that no earlier rule supported
-    (:meth:`RuleEvaluator.derivable`) — one ``rederivation_attempts`` per
-    fact asked about.  Nothing is added here, so no answer depends on
-    another: a fact whose support is itself rederived comes back through the
-    :func:`propagate_delta` the caller runs from the returned facts.
-    """
-    pending: "dict[str, set]" = {}
-    for fact in facts:
-        pending.setdefault(fact.relation, set()).add(fact)
-    found: set = set()
-    for evaluator in evaluators:
-        candidates = pending.get(evaluator.rule.head.name)
-        if not candidates:
-            continue
-        statistics.rederivation_attempts += len(candidates)
-        derived = evaluator.derivable(instance, candidates, statistics)
-        candidates -= derived
-        found |= derived
-    return found
 
 
 def evaluate_stratum(

@@ -18,15 +18,18 @@ drifts instead of recomputing it:
 * **Delete–rederive** (recursive strata): deletions are first *over-deleted*
   (everything derivable through a deleted fact, to a fixpoint, evaluated
   against the old state); then the over-deleted set is *rederived* set at a
-  time — each rule is asked once which of those facts it still derives from
-  the surviving ones (:func:`~repro.engine.fixpoint.rederivable`, one
-  head-restricted join per rule via
-  :meth:`~repro.engine.evaluation.RuleEvaluator.derivable`) and the
+  time — each rule is asked once which of those rows it still derives from
+  the surviving ones (one head-restricted join per rule,
+  :meth:`~repro.engine.compiled.CompiledRule.derivable_rows`) and the
   survivors are re-added together; and finally insertions propagate through
   the ordinary semi-naive core
   (:func:`~repro.engine.fixpoint.propagate_delta`) shared with full
   evaluation, which also brings back facts whose support was itself
-  rederived.
+  rederived.  The old state of a changed relation is a read-only snapshot
+  of the view it had before the update
+  (:meth:`~repro.storage.Relation.snapshot`), and the over-deleted rows stay
+  id rows until they leave the materialization, so a retraction interns
+  and decodes in proportion to its delta, not to the relations it reads.
 
 Both algorithms propagate **signed** deltas through stratified negation.  A
 negated literal ``not N(t̄)`` is an indicator that flips when ``N`` changes,
@@ -61,7 +64,6 @@ from repro.engine.fixpoint import (
     ProgramEvaluators,
     evaluate_stratum,
     propagate_delta,
-    rederivable,
 )
 from repro.engine.limits import DEFAULT_LIMITS, EvaluationLimits
 from repro.errors import EvaluationError, MaintenanceUnsupportedError
@@ -128,17 +130,14 @@ class _ChangeSet:
         self.removed: dict[str, set] = {}
         self.added_overlay = Instance()
         self.removed_overlay = Instance()
+        #: Read-only snapshots, taken before the update mutates a relation
+        #: (:meth:`Instance.hold_snapshots`).
         self.old_overlay = Instance()
 
     def record(
-        self,
-        name: str,
-        added_rows: "set | frozenset",
-        removed_rows: "set | frozenset",
-        old_rows: "Iterable | None",
+        self, name: str, added_rows: "set | frozenset", removed_rows: "set | frozenset"
     ) -> None:
-        """Register *name* as changed; *old_rows* may be ``None`` when no
-        later consumer will read the old state (final stratum)."""
+        """Register *name* as changed (its old state is already held)."""
         if not added_rows and not removed_rows:
             return
         self.names.add(name)
@@ -146,8 +145,6 @@ class _ChangeSet:
         self.removed[name] = set(removed_rows)
         self.added_overlay.set_relation_rows(name, added_rows)
         self.removed_overlay.set_relation_rows(name, removed_rows)
-        if old_rows is not None:
-            self.old_overlay.set_relation_rows(name, old_rows)
 
     def facts(self, source: dict, wanted: "frozenset[str] | set[str]") -> set[Fact]:
         """The added/removed facts whose relation is in *wanted*."""
@@ -443,24 +440,27 @@ class MaintainedFixpoint:
         # inconsistent with the support state, so poison the fixpoint.
         try:
             changes = _ChangeSet()
+            changes.old_overlay.hold_snapshots(self.materialized, touched)
             for name in touched:
                 added_rows = {f.paths for f in added_facts if f.relation == name}
                 removed_rows = {f.paths for f in removed_facts if f.relation == name}
-                storage = self.materialized.storage(name)
-                old_rows = set(storage.rows) if storage is not None else set()
                 for fact in removed_facts:
                     if fact.relation == name:
                         self.materialized.discard_fact(fact, keep_empty=True)
                 for fact in added_facts:
                     if fact.relation == name:
                         self.materialized.add_fact(fact)
-                changes.record(name, added_rows, removed_rows, old_rows)
+                changes.record(name, added_rows, removed_rows)
             statistics.facts_retracted += len(removed_facts)
 
             for index, (stratum, state) in enumerate(zip(self.program.strata, self._states)):
-                last = index == len(self.program.strata) - 1
                 if not (changes.names & stratum.body_relation_names()):
                     continue
+                if index < len(self.program.strata) - 1:
+                    # Later strata read this one's heads as they were.
+                    changes.old_overlay.hold_snapshots(
+                        self.materialized, stratum.head_relation_names()
+                    )
                 if state.recursive:
                     net_added, net_removed = self._maintain_dred_stratum(
                         stratum, state, changes, statistics
@@ -472,7 +472,7 @@ class MaintainedFixpoint:
                 statistics.facts_retracted += len(net_removed)
                 result_added |= net_added
                 result_removed |= net_removed
-                self._commit_stratum_changes(changes, net_added, net_removed, last)
+                self._commit_stratum_changes(changes, net_added, net_removed)
             self.limits.check_fact_count(self.materialized.fact_count())
         except Exception:
             self._valid = False
@@ -501,12 +501,9 @@ class MaintainedFixpoint:
                 f"re-evaluate from scratch (or drop the stray facts) instead"
             )
 
+    @staticmethod
     def _commit_stratum_changes(
-        self,
-        changes: _ChangeSet,
-        net_added: "set[Fact]",
-        net_removed: "set[Fact]",
-        last: bool,
+        changes: _ChangeSet, net_added: "set[Fact]", net_removed: "set[Fact]"
     ) -> None:
         """Fold a stratum's net changes into the running change set."""
         by_name: dict[str, tuple[set, set]] = {}
@@ -515,14 +512,7 @@ class MaintainedFixpoint:
         for fact in net_removed:
             by_name.setdefault(fact.relation, (set(), set()))[1].add(fact.paths)
         for name, (added_rows, removed_rows) in by_name.items():
-            old_rows = None
-            if not last:
-                # Old state for later strata: current rows minus what this
-                # update added, plus what it removed.
-                storage = self.materialized.storage(name)
-                current_rows = set(storage.rows) if storage is not None else set()
-                old_rows = (current_rows - added_rows) | removed_rows
-            changes.record(name, added_rows, removed_rows, old_rows)
+            changes.record(name, added_rows, removed_rows)
 
     # -- counting maintenance ----------------------------------------------------------
 
@@ -691,12 +681,15 @@ class MaintainedFixpoint:
             kill_seeds = self._negation_seeds(
                 evaluators, head_names, state, changes, statistics, killed=True
             )
-        overdeleted = self._overdelete(
-            evaluators, head_names, state, changes, statistics, extra_seeds=kill_seeds
-        )
+        overdeleted_rows = self._overdelete(evaluators, state, changes, statistics, kill_seeds)
+        overdeleted = {
+            Fact._from_trusted(name, row)
+            for name, rows in overdeleted_rows.items()
+            for row in rows.values()
+        }
         for fact in overdeleted:
             self.materialized.discard_fact(fact, keep_empty=True)
-        rederived = self._rederive(evaluators, overdeleted, statistics)
+        rederived = self._rederive(evaluators, overdeleted_rows, statistics)
 
         gained: set[Fact] = set()
         if negated_changed:
@@ -791,46 +784,57 @@ class MaintainedFixpoint:
     def _overdelete(
         self,
         evaluators: list[RuleEvaluator],
-        head_names: frozenset[str],
         state: _StratumState,
         changes: _ChangeSet,
         statistics: EvaluationStatistics,
-        extra_seeds: "set[Fact] | None" = None,
-    ) -> set[Fact]:
+        kill_seeds: "set[Fact]",
+    ) -> "dict[str, dict[tuple, tuple]]":
         """Everything derivable through a deleted fact, to a fixpoint.
 
         Evaluation runs against the *old* database: the stratum's own facts
         are still physically present, positions over earlier-changed
-        relations are overlaid with their pre-update rows, and changed
-        *negated* positions read the old overlay via ``negative_sources``.
-        *extra_seeds* pre-loads the cascade with facts killed through
-        negated literals (enumerated by :meth:`_negation_seeds`).
+        relations read the old overlay, and so do changed *negated*
+        positions, via ``negative_sources``.  *kill_seeds* pre-load the
+        cascade with facts killed through negated literals (enumerated by
+        :meth:`_negation_seeds`).  The cascade stays in id space: each
+        round's head id rows are filtered against the live relation's id
+        row set and the pinned rows, and only the rows new to the cascade
+        decode, once, to found the next frontier.  Returns each relation's
+        over-deleted rows as id row → row.
         """
-        overdeleted: set[Fact] = set(extra_seeds or ())
-        frontier_facts = changes.facts(
-            changes.removed, {name for ev in evaluators for name in ev.body_relation_names}
-        )
-        frontier_facts |= overdeleted
-        frontier_instance = Instance()
+        table = self.materialized.term_table()
+        intern_row = table.intern_row
+        pinned = {(fact.relation, intern_row(fact.paths)) for fact in state.pinned}
+        frontier: "dict[str, dict[tuple, tuple]]" = {}
+        for fact in kill_seeds:
+            frontier.setdefault(fact.relation, {})[intern_row(fact.paths)] = fact.paths
+        overdeleted = {name: dict(rows) for name, rows in frontier.items()}
+        for name in changes.names & {n for ev in evaluators for n in ev.body_relation_names}:
+            frontier[name] = {intern_row(row): row for row in changes.removed[name]}
         rounds = 0
-        while frontier_facts:
+        while frontier := {name: rows for name, rows in frontier.items() if rows}:
             rounds += 1
             self.limits.check_iterations(rounds)
             statistics.maintenance_rounds += 1
-            new_deleted: set[Fact] = set()
-            frontier_instance.replace_with(frontier_facts)
-            frontier_names = {fact.relation for fact in frontier_facts}
+            frontier_instance = self.materialized.restricted(())
+            for name, rows in frontier.items():
+                frontier_instance.add_rows(name, set(rows.values()), list(rows))
+            found: "dict[str, set[tuple]]" = {}
             for evaluator in evaluators:
-                if not (evaluator.body_relation_names & frontier_names):
+                head = evaluator.rule.head.name
+                live = self.materialized.storage(head)
+                if not (evaluator.body_relation_names & frontier.keys()) or not live:
                     continue
                 statistics.rule_applications += 1
+                present = live.columnar(table).id_row_set
+                known = overdeleted.get(head, {})
                 positions = evaluator.positions_in_order
                 negative_old = (
                     dict.fromkeys(_changed_negations(evaluator, changes), changes.old_overlay)
                     or None
                 )
                 for pivot, name in positions:
-                    if name not in frontier_names:
+                    if name not in frontier:
                         continue
                     overrides = {
                         position: changes.old_overlay
@@ -838,45 +842,65 @@ class MaintainedFixpoint:
                         if position != pivot and other in changes.names
                     }
                     statistics.delta_restricted_applications += 1
-                    frontier = {pivot: frontier_instance, **overrides}
-                    for fact in evaluator.derive(
+                    derived = evaluator.compiled_plan.head_rows(
                         self.materialized,
-                        frontier=frontier,
-                        statistics=statistics,
-                        negative_sources=negative_old,
-                    ):
-                        if (
-                            fact.relation in head_names
-                            and fact not in overdeleted
-                            and fact not in state.pinned
-                            and fact in self.materialized
-                        ):
-                            new_deleted.add(fact)
-            overdeleted |= new_deleted
-            frontier_facts = new_deleted
+                        {pivot: frontier_instance, **overrides},
+                        self.limits,
+                        statistics,
+                        negative_old,
+                    )
+                    found.setdefault(head, set()).update(
+                        row
+                        for row in derived & present
+                        if row not in known and (head, row) not in pinned
+                    )
+            frontier = {}
+            for name, ids in found.items():
+                id_rows = list(ids)
+                frontier[name] = dict(zip(id_rows, table.decode_rows(id_rows)))
+                overdeleted.setdefault(name, {}).update(frontier[name])
         return overdeleted
 
     def _rederive(
         self,
         evaluators: list[RuleEvaluator],
-        overdeleted: set[Fact],
+        overdeleted: "dict[str, dict[tuple, tuple]]",
         statistics: EvaluationStatistics,
     ) -> set[Fact]:
-        """Re-add the over-deleted facts that still have a derivation.
+        """Re-add the over-deleted rows that still have a derivation.
 
-        Set at a time (:func:`~repro.engine.fixpoint.rederivable`): every
-        rule is asked once which of the over-deleted facts it derives from
-        the post-deletion state, and the survivors are added afterwards, so
-        no answer depends on the order of asking.  One sweep is enough: a
-        fact whose support only comes back through another rederived fact is
-        recovered by the semi-naive propagation that follows (the rederived
-        facts seed it).
+        Set at a time: every rule is asked once — one head-led join over id
+        rows (:meth:`~repro.engine.compiled.CompiledRule.derivable_rows`),
+        one ``rederivation_attempts`` per row asked about — which of the
+        over-deleted rows no earlier rule supported it derives from the
+        post-deletion state, and the survivors are added afterwards, so no
+        answer depends on the order of asking.
+        One sweep is enough: a fact whose support only comes back through
+        another rederived fact is recovered by the semi-naive propagation
+        that follows (the rederived facts seed it).
         """
         if not overdeleted:
             return set()
         statistics.maintenance_rounds += 1
-        rederived = rederivable(evaluators, self.materialized, overdeleted, statistics)
-        for fact in rederived:
-            self.materialized.add_fact(fact)
+        pending = {name: set(rows) for name, rows in overdeleted.items()}
+        found: "dict[str, set[tuple]]" = {}
+        for evaluator in evaluators:
+            name = evaluator.rule.head.name
+            candidates = pending.get(name)
+            if not candidates:
+                continue
+            statistics.rederivation_attempts += len(candidates)
+            derived = evaluator.compiled_plan.derivable_rows(
+                self.materialized, list(candidates), self.limits, statistics
+            )
+            candidates -= derived
+            found.setdefault(name, set()).update(derived)
+        rederived: set[Fact] = set()
+        for name, ids in found.items():
+            if ids:
+                id_rows = list(ids)
+                rows = [overdeleted[name][row] for row in id_rows]
+                self.materialized.add_rows(name, set(rows), id_rows)
+                rederived.update(Fact._from_trusted(name, row) for row in rows)
         statistics.facts_derived += len(rederived)
         return rederived

@@ -264,27 +264,26 @@ class CommitRecord:
 
 
 def _merge_batches(
-    batches: "Iterable[_PendingUpdate]",
-) -> "tuple[list[Fact], list[Fact], int]":
-    """Fold queued batches, in arrival order, into one additions/retractions pair.
+    batches: "Iterable[tuple[Iterable[Fact], Iterable[Fact]]]",
+) -> "tuple[list[Fact], list[Fact]]":
+    """Fold ``(additions, retractions)`` batches, in order, into one pair.
 
     Set semantics make the fold exact: the EDB membership of a fact after
     applying the batches serially is decided by the last batch that touched
-    it, so a later retraction cancels a queued addition of the same fact
-    (and vice versa) instead of both being applied.
+    it, so a later retraction cancels an earlier addition of the same fact
+    (and vice versa) instead of both being applied.  Queued requests fold
+    into one pass this way, and so does a replayed log tail.
     """
     additions: "dict[Fact, None]" = {}
     retractions: "dict[Fact, None]" = {}
-    count = 0
-    for pending in batches:
-        count += 1
-        for fact in pending.retractions:
+    for added, retracted in batches:
+        for fact in retracted:
             additions.pop(fact, None)
             retractions[fact] = None
-        for fact in pending.additions:
+        for fact in added:
             retractions.pop(fact, None)
             additions[fact] = None
-    return list(additions), list(retractions), count
+    return list(additions), list(retractions)
 
 
 def _fail(batches: "Iterable[_PendingUpdate]", error: Exception) -> None:
@@ -437,14 +436,15 @@ class SessionHandle:
         self._commit_view()
 
     async def _replay(self, records: "list[dict]") -> None:
-        """Apply logged commit records through the normal maintenance path."""
+        """Apply logged commit records through the normal maintenance path.
+
+        The records fold into one update (:func:`_merge_batches`), so a tail
+        costs one maintenance pass; every generation is still recorded.
+        """
         commits = [decode_commit(record) for record in records]
-
-        def run() -> None:
-            for _generation, additions, retractions, _batches in commits:
-                self.session.update(additions, retractions)
-
-        await self._run_in_executor(run)
+        if commits:
+            additions, retractions = _merge_batches((a, r) for _, a, r, _ in commits)
+            await self._run_in_executor(partial(self.session.update, additions, retractions))
         self._apply_commits(commits)
 
     def _edb_size(self) -> int:
@@ -532,7 +532,10 @@ class SessionHandle:
                 async with self._lock:
                     taken = list(self._pending)
                     self._pending.clear()
-                    additions, retractions, batch_count = _merge_batches(taken)
+                    additions, retractions = _merge_batches(
+                        (pending.additions, pending.retractions) for pending in taken
+                    )
+                    batch_count = len(taken)
                     generation = self.generation + 1
                     durability = self.durability
 
@@ -662,10 +665,10 @@ class SessionHandle:
     async def refresh_standby(self) -> dict:
         """Apply every newly durable primary commit (warm-standby catch-up).
 
-        Records are applied through the normal maintenance path, so the
-        standby's materialization, tables, and committed view advance exactly
-        as the primary's did; reads between refreshes are stale-bounded by
-        the refresh cadence.
+        The new records fold into one pass of the normal maintenance path,
+        so the standby's materialization, generation and committed view land
+        exactly where the primary's did; reads between refreshes are
+        stale-bounded by the refresh cadence.
         """
         self._ensure_open()
         if not self.standby or self._tailer is None:
@@ -727,10 +730,16 @@ class SessionHandle:
 
     # -- queries (committed reads, concurrent with maintenance) ------------------------
 
-    def _normalise_binding(self, binding: "Mapping[int, object] | None") -> "dict[int, Path]":
+    def _normalise_binding(
+        self, binding: "Mapping[int, object] | None", relation: "str | None"
+    ) -> "dict[int, Path]":
+        """*binding* with path values, checked against the arity of the relation read."""
         if not binding:
             return {}
-        arity = self.query.output_arity
+        if relation is None:
+            relation, arity = self.query.output_relation, self.query.output_arity
+        else:  # a relation the program never mentions has no position to bind
+            arity = self.query.program.relation_arities().get(relation, 0)
         normalised: "dict[int, Path]" = {}
         for position, value in binding.items():
             position = int(position)
@@ -738,7 +747,8 @@ class SessionHandle:
                 raise ServiceError(
                     400,
                     "bad_binding",
-                    f"binding position {position} is outside the output arity {arity}",
+                    f"binding position {position} is outside the arity {arity} "
+                    f"of relation {relation!r}",
                 )
             normalised[position] = as_path(value)
         return normalised
@@ -775,7 +785,7 @@ class SessionHandle:
                 f"session {self.session_id} already has {self._active_queries} "
                 f"queries in flight (limit {self.admission.max_concurrent_queries})",
             )
-        normalised = self._normalise_binding(binding)
+        normalised = self._normalise_binding(binding, relation)
         output_relation = relation or self.query.output_relation
         self._active_queries += 1
         try:
@@ -1127,7 +1137,7 @@ class SessionRegistry:
     ) -> SessionHandle:
         """Bring a persisted session back: snapshot restore + log-tail replay.
 
-        The tail is replayed through the normal maintenance path
+        The tail is folded into one pass of the normal maintenance path
         (:meth:`QuerySession.update`), so the restored handle's generation,
         commit log, and committed view line up exactly with what the dead
         primary had acked.  With ``standby=True`` the log is *not* reopened
@@ -1166,8 +1176,11 @@ class SessionRegistry:
         handle.persist_name = name
         handle.generation = recovered.generation
         handle.commit_log_base = recovered.generation
+        # The session holds what it needs of the decoded snapshot: free the
+        # rest before the replayed tail's one pass allocates its own peak.
+        tail, recovered = recovered.tail, None
         try:
-            await handle._replay(recovered.tail)
+            await handle._replay(tail)
         except SequenceDatalogError as error:
             session.close()
             raise ServiceError(

@@ -24,7 +24,8 @@ relation keeps its *pending delta*: the net rows added and removed since the
 view was last brought up to date, each row's alternating ``add`` /
 ``discard`` cancelling out.  The next read advances the view by that delta
 instead of rebuilding it; a wholesale rewrite (:meth:`set_rows`,
-:meth:`clear`) drops the view instead.
+:meth:`clear`) drops the view instead.  A read-only :meth:`snapshot` shares
+both views, which is how maintenance reads a relation as it was.
 """
 
 from __future__ import annotations
@@ -191,6 +192,22 @@ class Relation:
     def copy(self) -> "Relation":
         """Return a copy sharing no mutable state (indexes and views are not copied)."""
         return Relation(self._rows)
+
+    def snapshot(self, table: TermTable) -> "Relation":
+        """A read-only relation over this generation's :meth:`view` and columnar view.
+
+        Reading it interns nothing when a columnar view against *table* is
+        cached: the snapshot shares it.  A later advance of this relation
+        takes over the groupings built meanwhile, and the shared view stays a
+        valid snapshot (:meth:`ColumnarView.advanced`).  Without a cached
+        view the snapshot builds its own on first read.
+        """
+        frozen = Relation()
+        frozen._rows = self.view()  # type: ignore[assignment]
+        if self._columnar_table is table:
+            frozen._columnar, frozen._columnar_table = self.columnar(table), table
+            frozen._pending = {}
+        return frozen
 
     # -- cached read views -------------------------------------------------------------
 

@@ -9,8 +9,10 @@ keeps the wall-clock report beside it.
 """
 
 from repro.engine import EvaluationStatistics, ProgramEvaluators, ProgramQuery, evaluate_program
-from repro.model import path
+from repro.engine.reference import reference_fixpoint
+from repro.model import Fact, path
 from repro.parser import parse_program
+from repro.storage import TermTable
 from repro.workloads import as_edge_pairs, churn_stream, layered_graph_instance, update_stream
 
 REACHABILITY_PAIRS = """
@@ -76,6 +78,70 @@ def test_maintained_serving_attempts_5x_fewer_extensions_than_reevaluation():
     assert all(len(added) + len(removed) <= churn for added, removed in steps)
     maintained, scratch = serve_stream(query, instance, steps, SOURCES)
     assert maintained * 5 <= scratch
+
+
+def test_a_retraction_interns_in_proportion_to_its_delta(monkeypatch):
+    """The old state of ``E`` is the view it already had, and the over-deleted
+    rows stay id rows: retracting one edge interns rows by the over-deleted
+    set, not by re-reading ``E`` (which the old-state rebuild did)."""
+    query = ProgramQuery(
+        parse_program(REACHABILITY_PAIRS), {"E": 2}, "T", require_monadic=False
+    )
+    instance = as_edge_pairs(layered_graph_instance(layers=4, width=200, seed=5))
+    edges = len(instance.relation("E"))
+    assert edges >= 1000
+    session = query.session(instance.copy())
+    session.run()
+    interned = []
+    intern_row = TermTable.intern_row
+
+    def counting_intern_row(table, row):
+        interned.append(row)
+        return intern_row(table, row)
+
+    monkeypatch.setattr(TermTable, "intern_row", counting_intern_row)
+    retracted = Fact("E", min(instance.relation("E"), key=repr))
+    update = session.update([], [retracted])
+    assert update.maintained and retracted in update.removed
+    asked = update.statistics.rederivation_attempts
+    assert 0 < asked and len(interned) <= 3 * asked + 1 < edges // 4
+
+
+#: A recursive stratum joining ``E`` twice, then strata that read ``E`` again
+#: — after the first stratum advanced the live relation past its old view.
+TWICE_JOINED = """
+T(@x, @y) :- E(@x, @y).
+T(@x, @z) :- E(@x, @y), T(@y, @w), E(@w, @z).
+S(@x, @y) :- T(@x, @y), E(@y, @x).
+R(@x, @y) :- S(@x, @y).
+R(@x, @z) :- R(@x, @y), E(@y, @z), not T(@z, @x).
+"""
+
+
+def test_old_and_new_reads_of_one_relation_agree_with_the_oracle():
+    program = parse_program(TWICE_JOINED)
+    query = ProgramQuery(program, {"E": 2}, "R", require_monadic=False)
+    instance = as_edge_pairs(layered_graph_instance(layers=3, width=3, seed=4))
+    # Back edges make the graph cyclic, so S and R are not empty.
+    for source, target in (("b", "a"), ("l1n1", "a"), ("b", "l1n2")):
+        instance.add("E", source, target)
+    session = query.session(instance.copy())
+    session.run()
+    current = instance.copy()
+    stream = churn_stream(
+        instance, relation="E", steps=12, retractions_per_step=2, additions_per_step=2, seed=3
+    )
+    for additions, retractions in stream:
+        assert session.update(additions, retractions).maintained
+        delta = current.begin_delta()
+        for fact in additions:
+            delta.add_fact(fact)
+        for fact in retractions:
+            delta.retract_fact(fact)
+        delta.apply()
+        expected = reference_fixpoint(program, current, query.limits)
+        for name in ("T", "S", "R"):
+            assert session.materialized.relation(name) == expected.relation(name), name
 
 
 def test_deletion_heavy_churn_stays_maintained():

@@ -229,7 +229,7 @@ class TestEmittedReasonsAreRegistered:
         for evaluate in (
             lambda: evaluator.derive(instance),
             lambda: evaluator.derivation_counts(instance),
-            lambda: evaluator.derivable(instance, [Fact("T", [path("a")])]),
+            lambda: evaluator.compiled_plan.derivable_rows(instance, [(0,)]),
         ):
             with pytest.raises(UnsafeRuleError) as caught:
                 evaluate()

@@ -19,7 +19,7 @@ from repro.engine import ProgramQuery
 from repro.io.serialization import path_to_text, rows_to_json
 from repro.model import Fact, Instance, path
 from repro.parser import parse_program
-from repro.service import SessionHandle
+from repro.service import ServiceApp, SessionHandle
 
 REACHABILITY_PAIRS = """
 T(@x, @y) :- E(@x, @y).
@@ -127,6 +127,31 @@ def test_held_views_answer_their_generation_in_wire_order(
         # Read when held, and again after every later commit.
         assert first_reads == expected, f"generation {view.generation} read when held"
         assert read_all(view) == expected, f"generation {view.generation} read later"
+
+
+def test_a_binding_is_checked_against_the_arity_of_the_relation_read():
+    """``relation=`` may name a relation narrower than the output: a position
+    past *its* arity is a 400 ``bad_binding``, not a 500 from the view."""
+    app = ServiceApp()
+    upload = {
+        "program": "B(@x) :- E(@x, @y).\nT(@x, @y) :- E(@x, @y), B(@y).",
+        "instance": "E(a, b). E(b, c). E(c, d).",
+        "output_relation": "T",
+    }
+
+    async def scenario():
+        status, created = await app.dispatch("POST", "/v1/sessions", upload)
+        assert status == 201
+        route = f"/v1/sessions/{created['session']}/query"
+        status, error = await app.dispatch("POST", route, {"relation": "B", "binding": {"1": "c"}})
+        assert (status, error["error"]["code"]) == (400, "bad_binding")
+        status, answer = await app.dispatch("POST", route, {"relation": "B", "binding": {"0": "c"}})
+        assert status == 200 and answer["answers"] == {"B": [["c"]]}
+        status, answer = await app.dispatch("POST", route, {"binding": {"1": "c"}})
+        assert status == 200 and answer["answers"] == {"T": [["b", "c"]]}
+        app.registry.close_all()
+
+    asyncio.run(scenario())
 
 
 def test_a_repeated_bound_read_of_an_unchanged_view_renders_no_path(monkeypatch):

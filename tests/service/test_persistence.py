@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.engine import QuerySession
 from repro.io.durability import KEEP_SNAPSHOTS
 from repro.io.serialization import instance_from_text, instance_to_text, rows_from_json
 from repro.model import Fact, Instance, path
@@ -77,6 +78,48 @@ class TestRegistryPersistence:
             replacement.close_all()
 
         asyncio.run(scenario())
+
+    def test_a_log_tail_restores_in_one_maintenance_pass(
+        self, tmp_path, monkeypatch, oracle_output
+    ):
+        """The tail folds into one update: the fact added and retracted over
+        and over nets out, every generation is still recorded."""
+        flapping = edge("n3", "a")
+
+        async def write():
+            primary = SessionRegistry(persist_root=tmp_path)
+            handle = await create_persisted(primary, "alpha")
+            for index in range(30):
+                await handle.enqueue_update([flapping, edge(f"u{index}", "a")], [])
+                await handle.enqueue_update([], [flapping, edge(f"u{index // 2}", "a")])
+            assert handle.stats()["records_logged"] == 60
+            primary.close_all()
+            return handle.query, edb_facts(handle)
+
+        query, edb = asyncio.run(write())
+        passes = []
+        update = QuerySession.update
+
+        def counting_update(session, *args, **kwargs):
+            passes.append(args)
+            return update(session, *args, **kwargs)
+
+        monkeypatch.setattr(QuerySession, "update", counting_update)
+
+        async def restore():
+            replacement = SessionRegistry(persist_root=tmp_path)
+            (revived,) = await replacement.restore_all()
+            answer = await revived.run_query()
+            generations = [record.generation for record in revived.commit_log]
+            replacement.close_all()
+            return revived, answer, generations
+
+        revived, answer, generations = asyncio.run(restore())
+        assert len(passes) == 1
+        assert revived.generation == 60 and generations == list(range(1, 61))
+        assert edb_facts(revived) == edb and flapping not in edb
+        expected = oracle_output(query, Instance(edb)).relation("T")
+        assert set(rows_from_json(answer["answers"]["T"])) == set(expected)
 
     def test_create_on_a_persisted_directory_restores_ignoring_the_upload(
         self, tmp_path
