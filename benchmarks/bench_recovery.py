@@ -1,26 +1,25 @@
 """RECOVERY — durability economics: restore-vs-rebuild and WAL overhead.
 
 Not a paper experiment: this benchmark prices the durability layer
-(:mod:`repro.io.durability`), checking what is deterministic and reporting
-what is wall time:
+(:mod:`repro.io.durability`) and reports its wall time on two workloads:
 
-* **Restore lands on the same serving state** — a persisted session over a
-  layered graph is brought back by ``restore_all`` (snapshot load + WAL-tail
-  replay, no fixpoint evaluation, thanks to
-  :meth:`MaintainedFixpoint.from_support`) with identical answers and every
-  tail commit replayed; restore and scratch-rebuild seconds are reported.
+* **Restore against rebuild** — a persisted session over a layered graph
+  is brought back by ``restore_all`` (snapshot load + WAL-tail replay, no
+  fixpoint evaluation, thanks to :meth:`MaintainedFixpoint.from_support`);
+  restore and scratch-rebuild seconds are reported.
 
-* **One WAL record per coalesced pass** — an update-heavy closed-loop mix
-  (400 single-fact batches from 16 clients) runs against a plain session
-  and against a persisted one (fsync-on-commit), best-of-3 each: the same
-  answers, every batch committed, and exactly one append (write + fsync)
-  per maintenance pass, not per request batch; both throughputs and their
-  ratio are reported.
+* **WAL overhead** — an update-heavy closed-loop mix (400 single-fact
+  batches from 16 clients) runs against a plain session and against a
+  persisted one (fsync-on-commit), best-of-3 each; both throughputs, their
+  ratio and the records logged are reported.
 
-With ``--json`` the measured numbers land in ``BENCH_recovery.json``.  The
-wall-time side is measured end to end by ``benchmarks/e2e`` (``serve_write``:
-``io.durability.restore_s``, ``io.durability.sync_ms``); no wall-clock bar is
-asserted here.
+The deterministic gate on the same workloads — restored answers equal the
+answers before the restart with every tail commit replayed; one record per
+pass, every batch committed, answers equal to the plain session's — is
+``tests/service/test_durable_serving.py``.  With ``--json`` the measured
+numbers land in ``BENCH_recovery.json``.  The wall-time side is measured end
+to end by ``benchmarks/e2e`` (``serve_write``: ``io.durability.restore_s``,
+``io.durability.sync_ms``); no wall-clock bar is asserted here.
 """
 
 import asyncio
@@ -68,7 +67,7 @@ def _update_batches(seed_rows):
 
 
 def test_restore_lands_on_the_persisted_serving_state(bench_report, tmp_path):
-    """Snapshot + tail replay restores the answers a scratch rebuild gives."""
+    """Snapshot + tail replay against a scratch rebuild, in seconds."""
     text = _graph_text(RESTORE_GRAPH)
 
     async def build_and_persist():
@@ -85,12 +84,11 @@ def test_restore_lands_on_the_persisted_serving_state(bench_report, tmp_path):
             await handle.enqueue_update(
                 [Fact("E", (path(f"t{index}"), path(f"t{index + 1}")))], []
             )
-        answers = (await handle.run_query())["answers"]
         edb_facts = handle.stats()["edb_facts"]
         registry.close_all()
-        return scratch_seconds, answers, edb_facts
+        return scratch_seconds, edb_facts
 
-    scratch_seconds, answers, edb_facts = asyncio.run(build_and_persist())
+    scratch_seconds, edb_facts = asyncio.run(build_and_persist())
 
     async def restore():
         registry = SessionRegistry(persist_root=tmp_path)
@@ -98,15 +96,10 @@ def test_restore_lands_on_the_persisted_serving_state(bench_report, tmp_path):
         (handle,) = await registry.restore_all()
         restore_seconds = time.perf_counter() - started
         assert registry.restore_errors == []
-        restored = (await handle.run_query())["answers"]
-        generation = handle.generation
         registry.close_all()
-        return restore_seconds, restored, generation
+        return restore_seconds
 
-    restore_seconds, restored, generation = asyncio.run(restore())
-    # Identical serving state: same answers, every tail commit replayed.
-    assert restored == answers
-    assert generation == TAIL_COMMITS
+    restore_seconds = asyncio.run(restore())
 
     speedup = scratch_seconds / max(restore_seconds, 1e-9)
     bench_report(
@@ -124,12 +117,12 @@ def test_restore_lands_on_the_persisted_serving_state(bench_report, tmp_path):
     print(
         f"restore: {restore_seconds:.3f}s (snapshot + {TAIL_COMMITS}-commit tail) "
         f"vs {scratch_seconds:.3f}s scratch rebuild — {speedup:.1f}× "
-        f"({edb_facts} EDB facts, identical answers)"
+        f"({edb_facts} EDB facts)"
     )
 
 
 def test_wal_append_is_one_record_per_coalesced_pass(bench_report, tmp_path):
-    """fsync-on-commit costs one append per maintenance pass, not per batch."""
+    """fsync-on-commit throughput against a plain session, best-of-N."""
     text = _graph_text(SERVING_GRAPH)
 
     async def run_mode(durable, trial):
@@ -149,26 +142,18 @@ def test_wal_append_is_one_record_per_coalesced_pass(bench_report, tmp_path):
         started = time.perf_counter()
         await asyncio.gather(*(client() for _ in range(UPDATE_CLIENTS)))
         elapsed = time.perf_counter() - started
-        answers = (await handle.run_query())["answers"]
-        committed = handle.batches_committed
-        passes = handle.maintenance_passes
         records = handle.stats()["records_logged"]
         registry.close_all()
-        return elapsed, answers, committed, passes, records
+        return elapsed, records
 
     def best_of(durable):
         samples = [
             asyncio.run(run_mode(durable, trial)) for trial in range(THROUGHPUT_TRIALS)
         ]
-        elapsed = min(sample[0] for sample in samples)
-        return (elapsed, *samples[-1][1:])
+        return min(sample[0] for sample in samples), samples[-1][1]
 
-    plain_seconds, plain_answers, plain_committed, _, _ = best_of(False)
-    durable_seconds, durable_answers, durable_committed, passes, records = best_of(True)
-
-    assert plain_committed == durable_committed == UPDATE_BATCHES
-    assert durable_answers == plain_answers
-    assert records == passes <= UPDATE_BATCHES  # one append per coalesced pass
+    plain_seconds, _ = best_of(False)
+    durable_seconds, records = best_of(True)
 
     plain_throughput = UPDATE_BATCHES / max(plain_seconds, 1e-9)
     durable_throughput = UPDATE_BATCHES / max(durable_seconds, 1e-9)

@@ -117,6 +117,16 @@ class SnapshotUnsupportedError(SequenceDatalogError):
     """
 
 
+class DirectoryInUseError(SequenceDatalogError):
+    """Raised when a session directory already has a writer.
+
+    A :class:`~repro.io.durability.SessionDurability` that initializes or
+    reopens a directory takes an exclusive lock on it first; a second
+    opener — another registry, in this process or any other — is refused
+    with this error instead of writing a log the first one also writes.
+    """
+
+
 class UnificationError(SequenceDatalogError):
     """Raised for invalid inputs to the associative unification engine."""
 

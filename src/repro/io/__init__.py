@@ -4,7 +4,6 @@ codec shared by the serving layer and its tests, and the durability layer
 
 from repro.io.durability import (
     FileSystemShim,
-    LogTailer,
     RecoveredState,
     SessionDurability,
     WriteAheadLog,
@@ -32,7 +31,6 @@ from repro.io.serialization import (
 
 __all__ = [
     "FileSystemShim",
-    "LogTailer",
     "RecoveredState",
     "SessionDurability",
     "WriteAheadLog",

@@ -35,14 +35,14 @@ makes the session state *durable* with the classic two-file scheme:
   correct under every compaction crash interleaving without depending on
   the pruning deletions having completed.
 
-* **Warm standby** (:class:`LogTailer`) — a second process (or registry)
-  points at the same directory, restores the snapshot, and *tails* the log:
-  :meth:`LogTailer.poll` incrementally reads newly fsynced records (per-file
-  offset, tolerating a torn tail by simply not advancing past it, following
-  the primary's log rotations) so the standby can apply them through its own
-  maintenance path and serve stale-bounded reads — promotable by re-opening
-  the log for append once the primary is known dead.  The scheme assumes a
-  single writer per directory; nothing here arbitrates two live primaries.
+* **Ownership** — one writer per directory, enforced: the writer holds an
+  exclusive ``flock`` on the directory's ``LOCK`` file from
+  :meth:`SessionDurability.initialize` or
+  :meth:`SessionDurability.open_for_append` until
+  :meth:`SessionDurability.close`, and a second opener is refused with
+  :class:`~repro.errors.DirectoryInUseError`.  The kernel drops the lock
+  with the process's descriptors, so a killed writer's directory restores.
+  :meth:`SessionDurability.recover` only reads and takes no lock.
 
 Every filesystem mutation goes through an injectable :class:`FileSystemShim`
 (``write``/``fsync``/``replace``), which is the seam the fault-injection
@@ -52,6 +52,7 @@ every interesting point and assert recovery lands on an acked-prefix state.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import struct
@@ -60,13 +61,12 @@ from pathlib import Path
 from typing import IO, Iterable, Mapping
 
 from repro.engine.reasons import SNAPSHOT_UNSUPPORTED, reason
-from repro.errors import SequenceDatalogError, SnapshotUnsupportedError
+from repro.errors import DirectoryInUseError, SequenceDatalogError, SnapshotUnsupportedError
 from repro.io.serialization import fact_from_json, fact_to_json
 from repro.model.instance import Fact
 
 __all__ = [
     "FileSystemShim",
-    "LogTailer",
     "RecoveredState",
     "SessionDurability",
     "WriteAheadLog",
@@ -92,6 +92,9 @@ DEFAULT_SNAPSHOT_WAL_BYTES = 1 << 20
 #: the previous snapshot when the newest is unreadable, and the log files its
 #: tail needs are retained alongside it.
 KEEP_SNAPSHOTS = 2
+
+#: The file whose exclusive ``flock`` makes its holder the directory's writer.
+LOCK_FILE = "LOCK"
 
 
 class FileSystemShim:
@@ -320,14 +323,16 @@ class SessionDurability:
 
     The log file is named by the snapshot generation it extends, so the pair
     a recovery needs is self-describing.  Construction only binds the
-    directory; the three entry modes are explicit:
+    directory; the two writer entry modes are explicit, and both take the
+    directory's writer lock:
 
     * :meth:`initialize` — fresh session: write the initial snapshot and
-      open a fresh log (the primary's create path);
-    * :meth:`recover` + :meth:`open_for_append` — restart: load state, then
-      resume logging where the previous primary stopped;
-    * :meth:`recover` alone — warm standby: load state and tail the log
-      with a :class:`LogTailer` instead of opening it for append.
+      open a fresh log (the create path);
+    * :meth:`open_for_append` + :meth:`recover` — restart: claim the
+      directory, load state, then resume logging where the previous writer
+      stopped.
+
+    :meth:`recover` alone is a lock-free read.
     """
 
     def __init__(
@@ -344,6 +349,7 @@ class SessionDurability:
         self.fsync = fsync
         self.snapshot_wal_bytes = snapshot_wal_bytes
         self._wal: "WriteAheadLog | None" = None
+        self._lock: "IO[bytes] | None" = None
         #: Counters surfaced by the service stats endpoint.
         self.snapshots_written = 0
         self.records_logged = 0
@@ -372,11 +378,35 @@ class SessionDurability:
     def wal_bytes(self) -> int:
         return self._wal.size if self._wal is not None else 0
 
-    # -- primary side -------------------------------------------------------------------
+    # -- writer side --------------------------------------------------------------------
+
+    def _claim(self) -> None:
+        """Take the directory's writer lock, or raise :class:`DirectoryInUseError`.
+
+        A non-blocking exclusive ``flock``, held until :meth:`close`; taking
+        it twice is a no-op.  Two opens of the lock file conflict even within
+        one process, and the kernel releases it when the holder dies.
+        """
+        if self._lock is not None:
+            return
+        handle = open(self.directory / LOCK_FILE, "ab")
+        try:
+            fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            handle.close()
+            raise DirectoryInUseError(
+                f"{self.directory} already has a writer (its {LOCK_FILE} is held)"
+            ) from None
+        self._lock = handle
 
     def initialize(self, config: dict, state: dict, generation: int = 0) -> None:
-        """Persist a fresh session: initial snapshot + empty log."""
-        self._write_snapshot(config, state, generation)
+        """Claim the directory and persist a fresh session: initial snapshot + empty log."""
+        self._claim()
+        try:
+            self._write_snapshot(config, state, generation)
+        except BaseException:
+            self.close()
+            raise
 
     def log_commit(
         self,
@@ -495,8 +525,8 @@ class SessionDurability:
     def _tail_after(self, generation: int) -> "list[dict]":
         """Records past *generation*, collected across all logs, contiguous.
 
-        Pruning may or may not have run; duplicate generations (impossible
-        under single-writer, defended anyway) keep the first occurrence.
+        Pruning may or may not have run; duplicate generations (the writer
+        lock rules them out; defended anyway) keep the first occurrence.
         """
         records: "dict[int, dict]" = {}
         for _base, path in self.wal_paths():
@@ -512,14 +542,16 @@ class SessionDurability:
         return tail
 
     def open_for_append(self) -> None:
-        """Resume logging after :meth:`recover` (restart or promotion).
+        """Claim the directory and resume logging (restart).
 
         Attaches to the newest log file — truncating its torn tail — or
         creates one at the newest snapshot's generation when the rotation
-        crashed between snapshot and log creation.
+        crashed between snapshot and log creation.  Called before
+        :meth:`recover`, so a refused opener reads nothing.
         """
         if self._wal is not None:
             return
+        self._claim()
         wals = self.wal_paths()
         if wals:
             path = wals[-1][1]
@@ -530,70 +562,11 @@ class SessionDurability:
         self._wal = WriteAheadLog(path, shim=self.shim, fsync=self.fsync)
 
     def close(self) -> None:
+        """Close the log and release the writer lock."""
         if self._wal is not None:
             self._wal.close()
             self._wal = None
+        if self._lock is not None:
+            self._lock.close()  # closing the descriptor drops the flock
+            self._lock = None
 
-
-class LogTailer:
-    """Incremental reader of a primary's log directory, for warm standbys.
-
-    Tracks a per-file byte offset, so each :meth:`poll` reads only newly
-    appended bytes; a torn tail (the primary mid-append) simply does not
-    advance the offset and is retried next poll.  Log rotations (the primary
-    compacted) are followed once every record of the current file has been
-    applied.  Records are returned strictly in generation order, contiguous
-    from the construction-time ``generation`` — the standby applies them
-    through its normal maintenance path.
-    """
-
-    def __init__(self, directory: "Path | str", *, generation: int = 0):
-        self.directory = Path(directory)
-        #: The last generation handed out; the next record must be +1.
-        self.generation = generation
-        self._base: "int | None" = None
-        self._offset = 0
-
-    def _wal_files(self) -> "list[tuple[int, Path]]":
-        found = []
-        for path in self.directory.glob("wal-*.log"):
-            base = _generation_of(path, "wal-")
-            if base is not None:
-                found.append((base, path))
-        return sorted(found)
-
-    def poll(self) -> "list[dict]":
-        """Every newly durable record since the last poll, in order."""
-        applied: "list[dict]" = []
-        while True:
-            files = self._wal_files()
-            if not files:
-                return applied
-            by_base = dict(files)
-            if self._base is None or self._base not in by_base:
-                candidates = [base for base, _path in files if base <= self.generation]
-                self._base = max(candidates) if candidates else files[0][0]
-                self._offset = 0
-            data = by_base[self._base].read_bytes()[self._offset :]
-            records, valid = _scan_frames(data)
-            self._offset += valid
-            progressed = False
-            for record in records:
-                record_generation = int(record.get("generation", -1))
-                if record_generation <= self.generation:
-                    continue
-                if record_generation != self.generation + 1:
-                    return applied  # a gap: wait for the missing record
-                applied.append(record)
-                self.generation = record_generation
-                progressed = True
-            # Follow a rotation once the current file is drained: a newer
-            # file whose base we have already reached is the continuation.
-            switched = False
-            for base, _path in files:
-                if base > self._base and base <= self.generation:
-                    self._base = base
-                    self._offset = 0
-                    switched = True
-            if not progressed and not switched:
-                return applied

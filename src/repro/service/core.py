@@ -18,8 +18,8 @@ It turns one :class:`~repro.engine.query.QuerySession` into a
   lock is held (batches that arrive while a tabled query or a snapshot
   holds it share the next pass), and every request is acked individually
   after *its own* pass's fsync, with the committed generation and how many
-  batches shared the pass.  Flush, standby refresh and restore record a
-  committed pass through one applier (:meth:`SessionHandle._apply_commits`).
+  batches shared the pass.  Flush and restore record a committed pass
+  through one applier (:meth:`SessionHandle._apply_commits`).
 
 * **Concurrent reads during maintenance** — every committed maintenance
   pass publishes a :class:`CommittedView`: zero-copy frozenset views of the
@@ -65,13 +65,13 @@ from repro.engine.reasons import (
     TENANT_CAPACITY,
 )
 from repro.errors import (
+    DirectoryInUseError,
     EvaluationBudgetExceeded,
     SequenceDatalogError,
     SnapshotUnsupportedError,
 )
 from repro.io.durability import (
     DEFAULT_SNAPSHOT_WAL_BYTES,
-    LogTailer,
     SessionDurability,
     decode_commit,
 )
@@ -346,11 +346,6 @@ class SessionHandle:
         self.durability: "SessionDurability | None" = None
         self.persist_config: "dict | None" = None
         self.persist_name: "str | None" = None
-        #: Warm standby: ``True`` while this handle only *tails* another
-        #: primary's log — writes are refused with 409 ``standby_read_only``
-        #: until :meth:`promote`.
-        self.standby = False
-        self._tailer: "LogTailer | None" = None
         self.closed = False
         self._lock = asyncio.Lock()
         self._pending: "deque[_PendingUpdate]" = deque()
@@ -489,13 +484,6 @@ class SessionHandle:
         how many request batches shared the pass.
         """
         self._ensure_open()
-        if self.standby:
-            raise ServiceError(
-                409,
-                "standby_read_only",
-                f"session {self.session_id} is a warm standby tailing another "
-                f"primary's log; promote it before writing",
-            )
         additions = list(additions)
         retractions = list(retractions)
         if len(self._pending) >= self.admission.max_pending_updates:
@@ -612,7 +600,7 @@ class SessionHandle:
             return ServiceError(400, "update_rejected", str(error))
         return error
 
-    # -- durability (WAL + snapshots + standby) ----------------------------------------
+    # -- durability (WAL + snapshots) -------------------------------------------------
 
     async def enable_durability(self, durability: SessionDurability, config: dict) -> None:
         """Attach a durable directory: write the initial snapshot, open the log.
@@ -643,10 +631,6 @@ class SessionHandle:
             raise ServiceError(
                 409, "not_durable", f"session {self.session_id} has no durability attached"
             )
-        if self.standby:
-            raise ServiceError(
-                409, "standby_read_only", "a warm standby cannot snapshot; promote it first"
-            )
         async with self._lock:
             generation = self.generation
             state = await self._run_in_executor(self.session.export_state)
@@ -661,38 +645,6 @@ class SessionHandle:
             "wal_bytes": self.durability.wal_bytes,
             "snapshots_written": self.durability.snapshots_written,
         }
-
-    async def refresh_standby(self) -> dict:
-        """Apply every newly durable primary commit (warm-standby catch-up).
-
-        The new records fold into one pass of the normal maintenance path,
-        so the standby's materialization, generation and committed view land
-        exactly where the primary's did; reads between refreshes are
-        stale-bounded by the refresh cadence.
-        """
-        self._ensure_open()
-        if not self.standby or self._tailer is None:
-            raise ServiceError(
-                409, "not_standby", f"session {self.session_id} is not a warm standby"
-            )
-        async with self._lock:
-            records = await self._run_in_executor(self._tailer.poll)
-            if records:
-                await self._replay(records)
-        return {"generation": self.generation, "applied": len(records)}
-
-    async def promote(self) -> dict:
-        """Promote a warm standby to primary: drain the tail, reopen the log.
-
-        The caller asserts the old primary is dead — nothing here arbitrates
-        two live writers on one directory (single-writer assumption).
-        """
-        await self.refresh_standby()
-        async with self._lock:
-            await self._run_in_executor(self.durability.open_for_append)
-            self.standby = False
-            self._tailer = None
-        return {"generation": self.generation, "promoted": True}
 
     # -- the bounded commit log --------------------------------------------------------
 
@@ -851,7 +803,6 @@ class SessionHandle:
             "table_capacity": self.session.table_capacity,
             "persist": self.persist_name,
             "durable": self.durability is not None,
-            "standby": self.standby,
             "wal_bytes": self.durability.wal_bytes if self.durability is not None else None,
             "snapshots_written": (
                 self.durability.snapshots_written if self.durability is not None else None
@@ -960,6 +911,8 @@ class SessionRegistry:
         instead (snapshot + log-tail replay) and the uploaded program and
         instance text are ignored — the persisted config is authoritative.
         """
+        if options is not None and not isinstance(options, Mapping):
+            raise ServiceError(400, "bad_upload", f"options are a JSON object, got {options!r}")
         options = dict(options or {})
         budget = self.budget_for(tenant)
         persist = options.get("persist")
@@ -967,7 +920,6 @@ class SessionRegistry:
         if persist is not None:
             persist = str(persist)
             directory = self._persist_directory(tenant, persist)
-            self._check_persist_free(tenant, persist)
             if any(directory.glob("snapshot-*.json")):
                 return await self._restore_session(tenant, persist, directory, budget=budget)
         try:
@@ -1028,6 +980,8 @@ class SessionRegistry:
                 self.drop(session_id)
                 if isinstance(error, ServiceError):
                     raise
+                if isinstance(error, DirectoryInUseError):
+                    raise ServiceError(409, "persist_in_use", str(error)) from error
                 raise ServiceError(500, "persist_failed", str(error)) from error
             except Exception:
                 self.drop(session_id)
@@ -1088,7 +1042,7 @@ class SessionRegistry:
         )
         return query, dict(table_capacity=table_capacity)
 
-    # -- persistence (restore, re-attach, warm standby) --------------------------------
+    # -- persistence (restore, re-attach) ----------------------------------------------
 
     def _persist_directory(self, tenant: str, name: str) -> "pathlib.Path":
         if self.persist_root is None:
@@ -1103,20 +1057,6 @@ class SessionRegistry:
                     400, "bad_persist_name", f"invalid persistence path component {part!r}"
                 )
         return self.persist_root / tenant / name
-
-    def _check_persist_free(self, tenant: str, name: str) -> None:
-        for handle in self._sessions.values():
-            if (
-                handle.tenant == tenant
-                and handle.persist_name == name
-                and not handle.closed
-                and not handle.standby
-            ):
-                raise ServiceError(
-                    409,
-                    "persist_in_use",
-                    f"session {handle.session_id} already serves {tenant}/{name}",
-                )
 
     def _durability_for(self, directory: "pathlib.Path") -> SessionDurability:
         return SessionDurability(
@@ -1133,72 +1073,65 @@ class SessionRegistry:
         directory: "pathlib.Path",
         *,
         budget: "TenantBudget | None" = None,
-        standby: bool = False,
     ) -> SessionHandle:
         """Bring a persisted session back: snapshot restore + log-tail replay.
 
-        The tail is folded into one pass of the normal maintenance path
+        The directory is claimed first (409 ``persist_in_use`` when another
+        writer holds it), so a refused opener does no restore work.  The
+        tail is folded into one pass of the normal maintenance path
         (:meth:`QuerySession.update`), so the restored handle's generation,
         commit log, and committed view line up exactly with what the dead
-        primary had acked.  With ``standby=True`` the log is *not* reopened
-        for append — the handle tails it read-only until :meth:`promote`.
+        writer had acked.  Every failure releases the claim.
         """
         budget = budget if budget is not None else self.budget_for(tenant)
         durability = self._durability_for(directory)
         try:
-            recovered = durability.recover()
-        except SnapshotUnsupportedError as error:
-            raise ServiceError(409, "snapshot_unsupported", str(error)) from error
-        except SequenceDatalogError as error:
-            raise ServiceError(500, "restore_failed", str(error)) from error
-        if recovered is None:
-            raise ServiceError(
-                404, "nothing_to_restore", f"no snapshot found in {directory}"
-            )
-        config = recovered.config
-        options = dict(config.get("options") or {})
-        try:
-            parsed_program = parse_program(config["program"])
-            query, session_kwargs = self._build_query(
-                parsed_program, config["output_relation"], options, budget
-            )
-            session = QuerySession.restore(query, recovered.state, **session_kwargs)
-        except ServiceError:
+            try:
+                durability.open_for_append()
+                recovered = durability.recover()
+                if recovered is None:
+                    raise ServiceError(
+                        404, "nothing_to_restore", f"no snapshot found in {directory}"
+                    )
+                config = recovered.config
+                options = dict(config.get("options") or {})
+                parsed_program = parse_program(config["program"])
+                query, session_kwargs = self._build_query(
+                    parsed_program, config["output_relation"], options, budget
+                )
+                session = QuerySession.restore(query, recovered.state, **session_kwargs)
+            except ServiceError:
+                raise
+            except DirectoryInUseError as error:
+                raise ServiceError(409, "persist_in_use", str(error)) from error
+            except SnapshotUnsupportedError as error:
+                raise ServiceError(409, "snapshot_unsupported", str(error)) from error
+            except (KeyError, OSError, SequenceDatalogError) as error:
+                raise ServiceError(
+                    500, "restore_failed", f"cannot restore {directory}: {error}"
+                ) from error
+        except BaseException:
+            durability.close()
             raise
-        except SnapshotUnsupportedError as error:
-            raise ServiceError(409, "snapshot_unsupported", str(error)) from error
-        except (KeyError, SequenceDatalogError) as error:
-            raise ServiceError(
-                500, "restore_failed", f"cannot restore {directory}: {error}"
-            ) from error
         session_id = f"s{next(self._ids)}"
         handle = SessionHandle(session_id, tenant, query, session, admission=budget.admission)
         handle.persist_name = name
         handle.generation = recovered.generation
         handle.commit_log_base = recovered.generation
+        handle.durability = durability
+        handle.persist_config = dict(config)
         # The session holds what it needs of the decoded snapshot: free the
         # rest before the replayed tail's one pass allocates its own peak.
         tail, recovered = recovered.tail, None
         try:
             await handle._replay(tail)
-        except SequenceDatalogError as error:
-            session.close()
-            raise ServiceError(
-                500, "restore_failed", f"log replay failed for {directory}: {error}"
-            ) from error
-        handle.durability = durability
-        handle.persist_config = dict(config)
-        if standby:
-            handle.standby = True
-            handle._tailer = LogTailer(directory, generation=handle.generation)
-        else:
-            try:
-                durability.open_for_append()
-            except Exception as error:  # noqa: BLE001 — surfaced as 500
-                session.close()
+        except BaseException as error:
+            handle.close()  # releases the claim with the session
+            if isinstance(error, SequenceDatalogError):
                 raise ServiceError(
-                    500, "restore_failed", f"cannot reopen the log in {directory}: {error}"
+                    500, "restore_failed", f"log replay failed for {directory}: {error}"
                 ) from error
+            raise
         self._admit(tenant, budget)
         self._sessions[session_id] = handle
         return handle
@@ -1224,17 +1157,6 @@ class SessionRegistry:
                 except (ServiceError, SequenceDatalogError) as error:
                     self.restore_errors.append((str(directory), str(error)))
         return restored
-
-    async def attach_standby(self, *, tenant: str = "default", name: str) -> SessionHandle:
-        """Attach a warm standby tailing the persisted session ``tenant/name``.
-
-        The standby serves (stale-bounded) reads from its own restored state,
-        advances via :meth:`SessionHandle.refresh_standby`, and takes over
-        writes after :meth:`SessionHandle.promote` — intended for a *second*
-        registry/process pointing at the same directory as the primary.
-        """
-        directory = self._persist_directory(tenant, name)
-        return await self._restore_session(tenant, name, directory, standby=True)
 
     def _admit(self, tenant: str, budget: TenantBudget) -> None:
         """Evict sessions until the new one fits both scopes.

@@ -20,15 +20,13 @@ DELETE    /v1/sessions/{id}               close and forget a session
 POST      /v1/sessions/{id}/query         ``{"binding": {"0": "a"}, "mode": "goal"}``
 POST      /v1/sessions/{id}/update        ``{"add": [["E","a","b"]], "retract": []}``
 POST      /v1/sessions/{id}/snapshot      snapshot + compact now (persisted sessions)
-POST      /v1/sessions/{id}/refresh       apply the primary's new commits (standby)
-POST      /v1/sessions/{id}/promote       promote a warm standby to primary
-POST      /v1/standby                     ``{"tenant": ..., "name": ...}`` — attach a standby
 ========  ==============================  =======================================
 
 Sessions created with ``options.persist`` write-ahead-log every commit and
 snapshot into the registry's ``persist_root``; restarting the server with
 the same ``--data-dir`` restores them (see :meth:`SessionRegistry.restore_all`,
-wired into :func:`serve` via ``data_dir``).
+wired into :func:`serve` via ``data_dir``).  A directory has one writer: a
+second server or registry opening it is refused with 409 ``persist_in_use``.
 
 Admission-control refusals surface as status 429 with an ``error.code`` of
 ``too_many_pending_updates`` / ``too_many_concurrent_queries`` /
@@ -48,6 +46,8 @@ __all__ = ["ServiceApp", "serve", "run"]
 
 #: Maximum accepted request body, a defence against accidental huge uploads.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+#: Maximum header lines in one request; past it the request is a 400.
+MAX_HEADER_LINES = 100
 
 
 class ServiceApp:
@@ -61,6 +61,10 @@ class ServiceApp:
     ) -> "tuple[int, dict]":
         """Handle one request; never raises — errors become status + body."""
         try:
+            if body is not None and not isinstance(body, Mapping):
+                raise ServiceError(
+                    400, "bad_json", f"a request body is a JSON object, got {type(body).__name__}"
+                )
             return await self._route(method.upper(), path, body or {})
         except ServiceError as error:
             return error.status, error.to_json()
@@ -115,23 +119,6 @@ class ServiceApp:
                 return 200, ack
             if action == "snapshot" and method == "POST":
                 return 200, await self.registry.get(session_id).snapshot_now()
-            if action == "refresh" and method == "POST":
-                return 200, await self.registry.get(session_id).refresh_standby()
-            if action == "promote" and method == "POST":
-                return 200, await self.registry.get(session_id).promote()
-        if parts == ["standby"] and method == "POST":
-            name = body.get("name")
-            if not isinstance(name, str) or not name:
-                raise ServiceError(400, "bad_persist_name", "a 'name' string is required")
-            handle = await self.registry.attach_standby(
-                tenant=str(body.get("tenant", "default")), name=name
-            )
-            return 201, {
-                "session": handle.session_id,
-                "tenant": handle.tenant,
-                "generation": handle.generation,
-                "standby": True,
-            }
         raise ServiceError(404, "not_found", f"no route for {method} {path}")
 
     async def _create_session(self, body: "Mapping[str, object]") -> "tuple[int, dict]":
@@ -205,7 +192,7 @@ async def _read_request(
     except ValueError as error:
         raise ServiceError(400, "bad_request", "malformed request line") from error
     headers: dict[str, str] = {}
-    while True:
+    for _ in range(MAX_HEADER_LINES + 1):  # the last read must be the blank line
         try:
             line = await reader.readline()
         except ValueError as error:
@@ -214,6 +201,8 @@ async def _read_request(
             break
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
+    else:
+        raise ServiceError(400, "bad_request", f"more than {MAX_HEADER_LINES} header lines")
     declared = headers.get("content-length") or "0"
     if not declared.isascii() or not declared.isdigit():  # also refuses "-1", "+1", "1e3"
         raise ServiceError(400, "bad_request", f"malformed Content-Length {declared!r}")

@@ -2,20 +2,18 @@
 
 The write-ahead log's framing (length + CRC32, torn tail truncated on
 open), the snapshot container's atomicity and version handshake, recovery's
-snapshot-then-tail composition under compaction, and the standby tailer's
-incremental reads.  The crash sweep in ``test_crash_recovery.py`` drives
-the same machinery through injected failures; here each piece is pinned in
-isolation.
+snapshot-then-tail composition under compaction, and the writer lock.  The
+crash sweep in ``test_crash_recovery.py`` drives the same machinery through
+injected failures; here each piece is pinned in isolation.
 """
 
 import json
 
 import pytest
 
-from repro.errors import SequenceDatalogError, SnapshotUnsupportedError
+from repro.errors import DirectoryInUseError, SequenceDatalogError, SnapshotUnsupportedError
 from repro.io.durability import (
     KEEP_SNAPSHOTS,
-    LogTailer,
     SessionDurability,
     WriteAheadLog,
     load_snapshot,
@@ -241,45 +239,21 @@ class TestSessionDurability:
         assert [r["generation"] for r in recovered.tail] == [1]
 
 
-class TestLogTailer:
-    def test_incremental_polls_and_rotation(self, tmp_path):
-        durability = SessionDurability(tmp_path, snapshot_wal_bytes=1 << 30)
-        durability.initialize({}, {}, generation=0)
-        tailer = LogTailer(tmp_path, generation=0)
-        assert tailer.poll() == []
-        durability.log_commit(1, [edge("a1", "b")], [], 1)
-        durability.log_commit(2, [edge("a2", "b")], [], 1)
-        assert [r["generation"] for r in tailer.poll()] == [1, 2]
-        assert tailer.poll() == []
-        # The primary compacts (rotation) and keeps committing.
-        durability.snapshot({}, {}, 2)
-        durability.log_commit(3, [edge("a3", "b")], [], 1)
-        assert [r["generation"] for r in tailer.poll()] == [3]
-        durability.close()
 
-    def test_torn_tail_is_retried_not_skipped(self, tmp_path):
-        durability = SessionDurability(tmp_path)
-        durability.initialize({}, {}, generation=0)
-        durability.log_commit(1, [edge("a1", "b")], [], 1)
-        durability.close()
-        wal_path = durability.wal_paths()[-1][1]
-        intact = wal_path.read_bytes()
-        wal_path.write_bytes(intact + b"\x20\x00")  # primary mid-append
-        tailer = LogTailer(tmp_path, generation=0)
-        assert [r["generation"] for r in tailer.poll()] == [1]
-        # The append completes: the record must surface on the next poll.
-        wal_path.write_bytes(intact)
-        reopened = SessionDurability(tmp_path)
-        reopened.open_for_append()
-        reopened.log_commit(2, [edge("a2", "b")], [], 1)
-        reopened.close()
-        assert [r["generation"] for r in tailer.poll()] == [2]
-
-    def test_late_tailer_starts_from_requested_generation(self, tmp_path):
-        durability = SessionDurability(tmp_path)
-        durability.initialize({}, {}, generation=0)
-        for generation in (1, 2, 3):
-            durability.log_commit(generation, [edge(f"a{generation}", "b")], [], 1)
-        durability.close()
-        tailer = LogTailer(tmp_path, generation=2)
-        assert [r["generation"] for r in tailer.poll()] == [3]
+class TestWriterLock:
+    def test_one_writer_per_directory_and_readers_take_no_lock(self, tmp_path):
+        writer = SessionDurability(tmp_path)
+        writer.initialize({}, {}, generation=0)
+        writer.open_for_append()  # already the writer: a no-op
+        writer.log_commit(1, [edge("a", "b")], [], 1)
+        rival = SessionDurability(tmp_path)
+        with pytest.raises(DirectoryInUseError):
+            rival.open_for_append()
+        with pytest.raises(DirectoryInUseError):
+            rival.initialize({}, {}, generation=0)
+        assert [r["generation"] for r in rival.recover().tail] == [1]
+        writer.close()
+        rival.open_for_append()
+        rival.log_commit(2, [edge("b", "c")], [], 1)
+        rival.close()
+        assert [r["generation"] for r in SessionDurability(tmp_path).recover().tail] == [1, 2]

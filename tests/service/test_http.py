@@ -180,6 +180,28 @@ class TestDispatch:
         asyncio.run(scenario())
         app.close()
 
+    def test_a_body_or_options_that_is_not_an_object_is_a_400(self):
+        app = ServiceApp()
+
+        async def scenario():
+            for path_, body in [
+                ("/v1/sessions", [1, 2]),
+                ("/v1/sessions", "text"),
+                ("/v1/standby", [1]),
+                ("/v1/healthz", 7),
+            ]:
+                status, error = await app.dispatch("POST", path_, body)
+                assert (status, error["error"]["code"]) == (400, "bad_json"), body
+            for options in ([1], "persist", 3):
+                status, error = await app.dispatch(
+                    "POST", "/v1/sessions", create_body(options=options)
+                )
+                assert (status, error["error"]["code"]) == (400, "bad_upload"), options
+            assert len(app.registry) == 0
+
+        asyncio.run(scenario())
+        app.close()
+
     def test_dispatch_never_raises(self):
         class Exploding(SessionRegistry):
             def get(self, session_id):
@@ -288,6 +310,25 @@ class TestStdlibServer:
 
         asyncio.run(scenario())
 
+    def test_a_json_body_that_is_not_an_object_is_a_400_over_a_socket(self):
+        async def scenario():
+            server, app = await serve(port=0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                status, error = await self._request(reader, writer, "POST", "/v1/sessions", [1, 2])
+                assert (status, error["error"]["code"]) == (400, "bad_json")
+                # A request-level refusal: the connection stays usable.
+                status, payload = await self._request(reader, writer, "GET", "/v1/healthz")
+                assert status == 200 and payload["sessions"] == 0
+            finally:
+                writer.close()
+                server.close()
+                await server.wait_closed()
+                app.close()
+
+        asyncio.run(scenario())
+
     @pytest.mark.parametrize("declared", ["abc", "-5", "1e3", "+4", "٣"])
     def test_malformed_content_length_is_a_400_not_a_dropped_connection(self, declared):
         async def scenario():
@@ -319,8 +360,14 @@ class TestStdlibServer:
             (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", False),
             (b"GET /v1/healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n", False),
             (b"POST /v1/sessions HTTP/1.1\r\nContent-Length: 100\r\n\r\n{}", True),
+            (b"GET /v1/healthz HTTP/1.1\r\n" + b"X-Many: 1\r\n" * 2_000 + b"\r\n", False),
         ],
-        ids=["request_line_over_the_limit", "header_line_over_the_limit", "short_body"],
+        ids=[
+            "request_line_over_the_limit",
+            "header_line_over_the_limit",
+            "short_body",
+            "header_lines_over_the_limit",
+        ],
     )
     def test_hostile_requests_are_a_400_and_never_escape_the_handler(self, raw, half_close):
         async def scenario():
@@ -336,7 +383,8 @@ class TestStdlibServer:
                 if half_close:
                     writer.write_eof()
                 await writer.drain()
-                response = await reader.read()  # the server closes after a 400
+                # The server closes after a 400; a hang is a failure, not a stall.
+                response = await asyncio.wait_for(reader.read(), 30)
                 head, _, body = response.partition(b"\r\n\r\n")
                 assert head.startswith(b"HTTP/1.1 400 ")
                 assert b"Connection: close" in head

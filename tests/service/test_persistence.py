@@ -1,19 +1,28 @@
-"""Service-level durability: persisted sessions, restart restore, warm
-standby/promote, the bounded commit log, and the HTTP routes over them.
+"""Service-level durability: persisted sessions, restart restore, one
+writer per directory, the bounded commit log, and the HTTP routes over them.
 
-Two registries pointing at the same ``persist_root`` model two processes;
-"the primary dies" is ``close_all()`` on the first.  The crash sweep in
+Two registries pointing at the same ``persist_root`` model two processes
+(one test spawns a real second process); "the writer dies" is
+``close_all()`` on the first.  The crash sweep in
 ``tests/io/test_crash_recovery.py`` covers mid-write deaths; here the
 lifecycle is orderly and the focus is the serving behaviour around it.
 """
 
 import asyncio
+import gc
 import json
+import os
+import select
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.engine import QuerySession
-from repro.io.durability import KEEP_SNAPSHOTS
+from repro.io.durability import KEEP_SNAPSHOTS, FileSystemShim, SessionDurability
 from repro.io.serialization import instance_from_text, instance_to_text, rows_from_json
 from repro.model import Fact, Instance, path
 from repro.service import ServiceApp, SessionRegistry
@@ -47,6 +56,42 @@ async def create_persisted(registry, name, **options):
         instance=line_text(),
         options={"persist": name, **options},
     )
+
+
+#: A writer process: creates ``alpha`` under ``argv[1]``, prints each acked
+#: generation, then blocks until it is killed.
+WRITER_PROCESS = f"""
+import asyncio, sys
+from repro.model import Fact, path
+from repro.service import SessionRegistry
+
+async def main():
+    registry = SessionRegistry(persist_root=sys.argv[1])
+    handle = await registry.create(
+        program={REACHABILITY_PAIRS!r}, instance={line_text()!r}, options={{"persist": "alpha"}}
+    )
+    for generation in range(1, 5):
+        fact = Fact("E", (path(f"u{{generation}}"), path("a")))
+        print((await handle.enqueue_update([fact], []))["generation"], flush=True)
+    print("ready", flush=True)
+    await asyncio.sleep(600)
+
+asyncio.run(main())
+"""
+
+
+def _read_acks(child, timeout=60.0):
+    """The generations *child* printed before ``ready``."""
+    buffered = b""
+    deadline = time.monotonic() + timeout
+    while b"ready\n" not in buffered:
+        remaining = deadline - time.monotonic()
+        assert remaining > 0, f"the writer process never got ready: {buffered!r}"
+        readable, _, _ = select.select([child.stdout], [], [], remaining)
+        chunk = os.read(child.stdout.fileno(), 4096) if readable else b""
+        assert chunk or readable == [], f"the writer process exited: {buffered!r}"
+        buffered += chunk
+    return [int(line) for line in buffered.split(b"\n") if line.isdigit()]
 
 
 class TestRegistryPersistence:
@@ -210,10 +255,6 @@ class TestRegistryPersistence:
             with pytest.raises(ServiceError) as caught:
                 await create_persisted(registry, "alpha")
             assert (caught.value.status, caught.value.code) == (409, "persist_in_use")
-
-            with pytest.raises(ServiceError) as caught:
-                await registry.attach_standby(name="missing")
-            assert (caught.value.status, caught.value.code) == (404, "nothing_to_restore")
             registry.close_all()
 
         asyncio.run(scenario())
@@ -240,6 +281,106 @@ class TestRegistryPersistence:
             replacement.close_all()
 
         asyncio.run(scenario())
+
+
+class TestOneWriterPerDirectory:
+    def test_a_second_registry_is_refused_and_no_acked_write_is_lost(self, tmp_path):
+        async def scenario():
+            first = SessionRegistry(persist_root=tmp_path)
+            second = SessionRegistry(persist_root=tmp_path)
+            handle = await create_persisted(first, "alpha")
+            with pytest.raises(ServiceError) as caught:
+                await create_persisted(second, "alpha")
+            assert (caught.value.status, caught.value.code) == (409, "persist_in_use")
+            assert await second.restore_all() == []
+            assert "already has a writer" in second.restore_errors[0][1]
+            # A writer that has not written its first snapshot yet refuses too.
+            claimed = SessionDurability(tmp_path / "default" / "beta")
+            claimed.open_for_append()
+            with pytest.raises(ServiceError) as caught:
+                await create_persisted(second, "beta")
+            assert (caught.value.status, caught.value.code) == (409, "persist_in_use")
+            claimed.close()
+            acked = []
+            for index in range(3):
+                ack = await handle.enqueue_update([edge(f"u{index}", "a")], [])
+                acked.append(ack["generation"])
+            assert acked == [1, 2, 3]
+            first.close_all()
+
+            restorer = SessionRegistry(persist_root=tmp_path)
+            (revived,) = await restorer.restore_all()
+            assert revived.generation == 3
+            assert {edge(f"u{index}", "a") for index in range(3)} <= edb_facts(revived)
+            restorer.close_all()
+
+        asyncio.run(scenario())
+
+    def test_a_killed_writer_process_leaves_a_restorable_directory(self, tmp_path):
+        child = subprocess.Popen(
+            [sys.executable, "-c", WRITER_PROCESS, str(tmp_path)],
+            stdout=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1])),
+        )
+        try:
+            acked = _read_acks(child)
+            assert acked == [1, 2, 3, 4]
+
+            async def refused():
+                registry = SessionRegistry(persist_root=tmp_path)
+                with pytest.raises(ServiceError) as caught:
+                    await create_persisted(registry, "alpha")
+                assert (caught.value.status, caught.value.code) == (409, "persist_in_use")
+
+            asyncio.run(refused())
+        finally:
+            child.kill()  # SIGKILL: the kernel drops the child's lock with its descriptors
+            child.wait()
+            child.stdout.close()
+
+        async def restore():
+            registry = SessionRegistry(persist_root=tmp_path)
+            (revived,) = await registry.restore_all()
+            assert revived.generation == acked[-1]
+            assert {edge(f"u{g}", "a") for g in acked} <= edb_facts(revived)
+            registry.close_all()
+
+        asyncio.run(restore())
+
+    def test_failure_paths_release_the_directory_without_the_collector(self, tmp_path):
+        class DeadDisk(FileSystemShim):
+            def write(self, handle, data):
+                raise OSError("the disk died")
+
+        async def scenario():
+            crashing = SessionRegistry(persist_root=tmp_path)
+            crashing.durability_shim = DeadDisk()
+            with pytest.raises(OSError) as crashed:
+                await create_persisted(crashing, "alpha")  # initialize dies at its first write
+            claimant = SessionRegistry(persist_root=tmp_path)
+            handle = await create_persisted(claimant, "alpha")
+            await handle.enqueue_update([edge("u1", "a")], [])
+            claimant.close_all()
+
+            directory = tmp_path / "default" / "alpha"
+            (newest,) = sorted(directory.glob("snapshot-*.json"))[-1:]
+            document = json.loads(newest.read_text())
+            document["version"] = 99
+            newest.write_text(json.dumps(document))
+            with pytest.raises(ServiceError) as refused:
+                await create_persisted(SessionRegistry(persist_root=tmp_path), "alpha")
+            assert refused.value.code == "snapshot_unsupported"
+            claimer = SessionDurability(directory)
+            claimer.open_for_append()  # raises if the refused restore still held the lock
+            claimer.close()
+            # Both failures are still referenced, so nothing was freed for us.
+            return crashed, refused
+
+        gc.disable()
+        try:
+            asyncio.run(scenario())
+        finally:
+            gc.enable()
 
 
 class TestBoundedCommitLog:
@@ -292,83 +433,18 @@ class TestBoundedCommitLog:
         asyncio.run(scenario())
 
 
-class TestWarmStandby:
-    def test_standby_tails_refreshes_and_promotes(self, tmp_path):
-        async def scenario():
-            primary_registry = SessionRegistry(persist_root=tmp_path)
-            primary = await create_persisted(primary_registry, "alpha")
-            for index in range(3):
-                await primary.enqueue_update([edge(f"u{index}", "a")], [])
-
-            standby_registry = SessionRegistry(persist_root=tmp_path)
-            standby = await standby_registry.attach_standby(name="alpha")
-            assert standby.standby and standby.generation == 3
-            assert (await standby.run_query())["answers"] == (
-                await primary.run_query()
-            )["answers"]
-            with pytest.raises(ServiceError) as caught:
-                await standby.enqueue_update([edge("nope", "a")], [])
-            assert (caught.value.status, caught.value.code) == (409, "standby_read_only")
-            with pytest.raises(ServiceError) as caught:
-                await standby.snapshot_now()
-            assert caught.value.code == "standby_read_only"
-
-            # The primary keeps committing — including a compaction, which
-            # rotates the log file under the tailer.
-            await primary.enqueue_update([edge("u3", "a")], [])
-            await primary.snapshot_now()
-            await primary.enqueue_update([edge("u4", "a")], [])
-            refresh = await standby.refresh_standby()
-            assert refresh == {"generation": 5, "applied": 2}
-            assert (await standby.run_query())["answers"] == (
-                await primary.run_query()
-            )["answers"]
-
-            # The primary dies; the standby takes over the directory.
-            primary_registry.close_all()
-            promoted = await standby.promote()
-            assert promoted["promoted"] is True and not standby.standby
-            ack = await standby.enqueue_update([edge("failover", "a")], [])
-            assert ack["generation"] == 6
-            assert ["failover", "a"] in (await standby.run_query())["answers"]["T"]
-            standby_registry.close_all()
-
-            # The promoted writes are durable: a third process sees them.
-            third = SessionRegistry(persist_root=tmp_path)
-            (revived,) = await third.restore_all()
-            assert revived.generation == 6
-            assert edge("failover", "a") in edb_facts(revived)
-            third.close_all()
-
-        asyncio.run(scenario())
-
-    def test_refresh_and_promote_require_a_standby(self, tmp_path):
-        async def scenario():
-            registry = SessionRegistry(persist_root=tmp_path)
-            handle = await create_persisted(registry, "alpha")
-            with pytest.raises(ServiceError) as caught:
-                await handle.refresh_standby()
-            assert (caught.value.status, caught.value.code) == (409, "not_standby")
-            registry.close_all()
-
-        asyncio.run(scenario())
-
-
 class TestHttpPersistence:
-    def test_snapshot_standby_and_promote_routes(self, tmp_path):
+    def test_snapshot_route_and_one_writer_over_http(self, tmp_path):
         primary_app = ServiceApp(SessionRegistry(persist_root=tmp_path))
-        standby_app = ServiceApp(SessionRegistry(persist_root=tmp_path))
+        rival_app = ServiceApp(SessionRegistry(persist_root=tmp_path))
+        body = {
+            "program": REACHABILITY_PAIRS,
+            "instance": line_text(),
+            "options": {"persist": "web"},
+        }
 
         async def scenario():
-            status, created = await primary_app.dispatch(
-                "POST",
-                "/v1/sessions",
-                {
-                    "program": REACHABILITY_PAIRS,
-                    "instance": line_text(),
-                    "options": {"persist": "web"},
-                },
-            )
+            status, created = await primary_app.dispatch("POST", "/v1/sessions", body)
             assert status == 201
             session = created["session"]
             await primary_app.dispatch(
@@ -382,49 +458,33 @@ class TestHttpPersistence:
             assert status == 200 and snapped["generation"] == 1
             assert snapped["snapshots_written"] >= 2
 
-            status, attached = await standby_app.dispatch(
-                "POST", "/v1/standby", {"name": "web"}
-            )
-            assert status == 201 and attached["standby"] is True
-            mirror = attached["session"]
-            status, error = await standby_app.dispatch(
-                "POST",
-                f"/v1/sessions/{mirror}/update",
-                {"add": [["E", "z", "zz"]]},
-            )
-            assert status == 409 and error["error"]["code"] == "standby_read_only"
-
-            await primary_app.dispatch(
-                "POST",
-                f"/v1/sessions/{session}/update",
-                {"add": [["E", "z", "zz"]], "retract": []},
-            )
-            status, refreshed = await standby_app.dispatch(
-                "POST", f"/v1/sessions/{mirror}/refresh"
-            )
-            assert status == 200 and refreshed["generation"] == 2
-            status, answer = await standby_app.dispatch(
-                "POST", f"/v1/sessions/{mirror}/query", {"binding": {"0": "a"}}
-            )
-            assert status == 200 and ["a", "zz"] in answer["answers"]["T"]
-
+            status, error = await rival_app.dispatch("POST", "/v1/sessions", body)
+            assert status == 409 and error["error"]["code"] == "persist_in_use"
             primary_app.close()
-            status, promoted = await standby_app.dispatch(
-                "POST", f"/v1/sessions/{mirror}/promote"
-            )
-            assert status == 200 and promoted["promoted"] is True
-            status, ack = await standby_app.dispatch(
-                "POST",
-                f"/v1/sessions/{mirror}/update",
-                {"add": [["E", "zz", "zzz"]], "retract": []},
-            )
-            assert status == 200 and ack["generation"] == 3
-
-            status, error = await standby_app.dispatch("POST", "/v1/standby", {})
-            assert status == 400 and error["error"]["code"] == "bad_persist_name"
+            status, revived = await rival_app.dispatch("POST", "/v1/sessions", body)
+            assert status == 201 and revived["generation"] == 1
 
         asyncio.run(scenario())
-        standby_app.close()
+        rival_app.close()
+
+    def test_the_retired_standby_routes_are_not_found(self, tmp_path):
+        app = ServiceApp(SessionRegistry(persist_root=tmp_path))
+
+        async def scenario():
+            body = {"program": REACHABILITY_PAIRS, "options": {"persist": "web"}}
+            status, created = await app.dispatch("POST", "/v1/sessions", body)
+            assert status == 201
+            session = created["session"]
+            for path_, payload in [
+                ("/v1/standby", {"name": "web"}),
+                (f"/v1/sessions/{session}/refresh", None),
+                (f"/v1/sessions/{session}/promote", None),
+            ]:
+                status, error = await app.dispatch("POST", path_, payload)
+                assert (status, error["error"]["code"]) == (404, "not_found"), path_
+
+        asyncio.run(scenario())
+        app.close()
 
     def test_serve_with_data_dir_restores_on_startup(self, tmp_path):
         from repro.service import serve
