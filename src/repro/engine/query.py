@@ -220,24 +220,21 @@ def _restrict_output(full: Instance, relation: str, binding: Binding) -> Instanc
 
     Bound positions are looked up through the storage layer's exact-argument
     index (the smallest bucket), so a selective binding never scans the whole
-    output relation.
+    output relation.  Stored rows are already valid, so they are taken as
+    they are, not re-validated fact by fact.
     """
     if not binding:
         output = full.restricted([relation])
         output.ensure_relation(relation)
         return output
-    output = Instance()
-    output.ensure_relation(relation)
     storage = full.storage(relation)
-    if storage is None or not storage:
-        return output
-    rows = min(
-        (storage.rows_with_path(position, value) for position, value in binding.items()),
-        key=len,
+    rows = ()
+    if storage:
+        rows = min((storage.rows_with_path(p, value) for p, value in binding.items()), key=len)
+    output = Instance()
+    output.set_relation_rows(
+        relation, [row for row in rows if all(row[p] == value for p, value in binding.items())]
     )
-    for row in rows:
-        if all(row[position] == value for position, value in binding.items()):
-            output.add_fact(Fact(relation, row))
     return output
 
 
@@ -620,7 +617,7 @@ class QuerySession:
     ) -> "tuple[MaintainedFixpoint, ServedBy]":
         """The maintained full fixpoint, synced with the pinned instance.
 
-        Out-of-band drift has already been checked by :meth:`run`; this
+        Out-of-band drift has already been checked by :meth:`lookup`; this
         either serves the live materialization or (re)builds it from
         scratch.  The second component says how the caller's answer was
         produced.
@@ -741,43 +738,69 @@ class QuerySession:
 
     # -- queries -----------------------------------------------------------------------
 
+    def _request(
+        self, binding: "Mapping[int, object] | None", mode: "QueryMode | None"
+    ) -> "tuple[QueryMode, Binding]":
+        """The validated mode and normalised binding of one request."""
+        query = self.query
+        wanted_mode: QueryMode = mode if mode is not None else query.mode
+        if wanted_mode not in ("full", "goal"):
+            raise EvaluationError(f"unknown query mode {wanted_mode!r}; use 'full' or 'goal'")
+        return wanted_mode, _normalise_binding(binding, query.output_arity, query.output_relation)
+
+    def lookup(
+        self,
+        *,
+        binding: "Mapping[int, object] | None" = None,
+        mode: "QueryMode | None" = None,
+    ) -> "QueryResult | None":
+        """The answer the session already holds for this request, or ``None``.
+
+        A synced materialization answers any request, and a tabled entry
+        subsuming a goal-mode call answers that; neither evaluates anything.
+        """
+        wanted_mode, normalised = self._request(binding, mode)
+        if not self._memoize:
+            return None
+        self._drop_drifted_artifacts()
+        statistics = EvaluationStatistics()
+        key = tuple(sorted(normalised))
+        if self._maintained is not None:
+            # A goal-mode request keeps its identity and the compile-time
+            # fallback reason a cold run would have hit.
+            fallback = self.query._goal_program_for_key(key)[1] if wanted_mode == "goal" else None
+            materialized = self._maintained.materialized
+            return self._answer(
+                materialized, normalised, statistics, wanted_mode, "maintained", fallback
+            )
+        entry = self._tables.lookup(key, normalised, statistics) if wanted_mode == "goal" else None
+        if entry is None:
+            return None
+        return self._answer(entry.answers, normalised, statistics, "goal", "tabled")
+
     def run(
         self,
         *,
         binding: "Mapping[int, object] | None" = None,
         mode: "QueryMode | None" = None,
+        looked_up: bool = False,
     ) -> QueryResult:
-        """Run the query against the session's instance."""
-        query = self.query
-        wanted_mode: QueryMode = mode if mode is not None else query.mode
-        if wanted_mode not in ("full", "goal"):
-            raise EvaluationError(f"unknown query mode {wanted_mode!r}; use 'full' or 'goal'")
-        normalised = _normalise_binding(binding, query.output_arity, query.output_relation)
-        statistics = EvaluationStatistics()
-        if self._memoize:
-            self._drop_drifted_artifacts()
+        """Run the query against the session's instance.
 
+        What :meth:`lookup` finds is served first; ``looked_up=True`` says
+        the caller has just had ``None`` from it for this request, so
+        evaluation starts at once and the table is not probed twice.
+        """
+        held = None if looked_up else self.lookup(binding=binding, mode=mode)
+        if held is not None:
+            return held
+        wanted_mode, normalised = self._request(binding, mode)
+        statistics = EvaluationStatistics()
         fallback_reason: "str | None" = None
         if wanted_mode == "goal":
-            key = tuple(sorted(normalised))
-            if self._memoize and self._maintained is not None:
-                # A maintained full materialization is already warm: reading
-                # it beats even a goal-directed run.  The request keeps its
-                # goal identity (mode stays "goal"), and the compile-time
-                # fallback reason — what a cold run would have hit — is
-                # threaded through so callers still see it.
-                _compiled, fallback_reason = query._goal_program_for_key(key)
-                return self._serve_from_materialization(
-                    normalised,
-                    statistics=statistics,
-                    mode="goal",
-                    fallback_reason=fallback_reason,
-                )
-            if self._memoize:
-                entry = self._tables.lookup(key, normalised, statistics)
-                if entry is not None:
-                    return self._serve_from_entry(entry, normalised, statistics)
-            compiled, fallback_reason = query._goal_program_for_key(key)
+            compiled, fallback_reason = self.query._goal_program_for_key(
+                tuple(sorted(normalised))
+            )
             if compiled is not None and self._memoize:
                 too_large = self._generalization_guard(compiled, normalised)
                 if too_large is not None:
@@ -792,10 +815,9 @@ class QuerySession:
         # Full-mode requests, and goal-mode requests that genuinely fell back
         # to full evaluation (refused rewriting, budget breach): the answer
         # is computed as a full query, and mode records that.
-        return self._serve_from_materialization(
-            normalised,
-            statistics=statistics,
-            fallback_reason=fallback_reason,
+        maintained, served_by = self._materialization(statistics)
+        return self._answer(
+            maintained.materialized, normalised, statistics, "full", served_by, fallback_reason
         )
 
     def _generalization_guard(self, compiled, normalised: Binding) -> "str | None":
@@ -858,7 +880,6 @@ class QuerySession:
         evaluation breached its budget and the caller must fall back to full
         evaluation.
         """
-        query = self.query
         seed_binding = {
             position: normalised[position]
             for position in compiled.adornment.bound_positions
@@ -878,19 +899,7 @@ class QuerySession:
                 f"goal-directed evaluation exceeded the limits ({error}); "
                 f"fell back to full evaluation",
             )
-        output = _restrict_output(full, query.output_relation, normalised)
-        return (
-            QueryResult(
-                output=output,
-                full_instance=full,
-                statistics=statistics,
-                output_relation=query.output_relation,
-                binding=normalised,
-                mode="goal",
-                served_by="goal",
-            ),
-            None,
-        )
+        return self._answer(full, normalised, statistics, "goal", "goal"), None
 
     def _table_entry_for(
         self,
@@ -902,6 +911,11 @@ class QuerySession:
         """Evaluate *compiled* from *seed* into a (preferably maintained) entry."""
         positions = tuple(compiled.adornment.bound_positions)
         values = tuple(seed_binding[position] for position in positions)
+        # Intern the base relations the magic program reads once, on the
+        # session's instance: every entry's working copy shares these views.
+        table = self.instance.term_table()
+        for name in compiled.program.edb_relation_names() & self.instance.relation_names:
+            self.instance.storage(name).columnar(table)  # type: ignore[union-attr]
         try:
             fixpoint = MaintainedFixpoint.evaluate(
                 compiled.program,
@@ -930,46 +944,23 @@ class QuerySession:
             fixpoint=fixpoint,
         )
 
-    def _serve_from_entry(
-        self, entry: TableEntry, normalised: Binding, statistics: EvaluationStatistics
-    ) -> QueryResult:
-        """Answer a goal-mode call from a subsuming tabled goal."""
-        output = _restrict_output(entry.answers, self.query.output_relation, normalised)
-        return QueryResult(
-            output=output,
-            full_instance=entry.answers,
-            statistics=statistics,
-            output_relation=self.query.output_relation,
-            binding=normalised,
-            mode="goal",
-            served_by="tabled",
-        )
-
-    def _serve_from_materialization(
+    def _answer(
         self,
+        full: Instance,
         normalised: Binding,
-        *,
-        statistics: "EvaluationStatistics | None" = None,
-        mode: QueryMode = "full",
+        statistics: EvaluationStatistics,
+        mode: QueryMode,
+        served_by: ServedBy,
         fallback_reason: "str | None" = None,
     ) -> QueryResult:
-        """Answer a query from the (synced) materialization.
-
-        *mode* carries the request's identity: a goal-mode request served
-        here keeps ``mode == "goal"`` (with ``served_by`` saying how the
-        answer was actually produced).
-        """
-        if statistics is None:
-            statistics = EvaluationStatistics()
-        maintained, served_by = self._materialization(statistics)
-        output = _restrict_output(
-            maintained.materialized, self.query.output_relation, normalised
-        )
+        """The result answering *normalised* from the state *full*; *mode* is
+        the request's, *served_by* how the answer was actually produced."""
+        output_relation = self.query.output_relation
         return QueryResult(
-            output=output,
-            full_instance=maintained.materialized,
+            output=_restrict_output(full, output_relation, normalised),
+            full_instance=full,
             statistics=statistics,
-            output_relation=self.query.output_relation,
+            output_relation=output_relation,
             binding=normalised,
             mode=mode,
             fallback_reason=fallback_reason,

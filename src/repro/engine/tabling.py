@@ -166,7 +166,10 @@ class AnswerTable:
         if max_entries < 1:
             raise SubgoalTableError("an answer table needs room for at least one entry")
         self.max_entries = max_entries
-        self._entries: list[TableEntry] = []
+        #: Entries by seed ``(positions, values)``, in insertion order, and
+        #: how many entries each bound-position shape has.
+        self._entries: "dict[tuple[tuple[int, ...], tuple[Path, ...]], TableEntry]" = {}
+        self._shapes: "dict[tuple[int, ...], int]" = {}
         self._clock = 0
         #: ``(entry description, reason)`` pairs dropped because an update
         #: could not be maintained through them — a bounded introspection
@@ -178,10 +181,17 @@ class AnswerTable:
         return len(self._entries)
 
     def __iter__(self) -> Iterator[TableEntry]:
-        return iter(self._entries)
+        return iter(self._entries.values())
 
     def clear(self) -> None:
         self._entries.clear()
+        self._shapes.clear()
+
+    def _remove(self, entry: TableEntry) -> None:
+        del self._entries[entry.positions, entry.values]
+        self._shapes[entry.positions] -= 1
+        if not self._shapes[entry.positions]:
+            del self._shapes[entry.positions]
 
     def _touch(self, entry: TableEntry) -> None:
         self._clock += 1
@@ -197,14 +207,21 @@ class AnswerTable:
 
         A hit counts as a *detected repeated subsumed call*: the statistics
         counter ``subgoal_table_hits`` records it, and the caller serves the
-        answer by filtering the entry — no evaluation.
+        answer by filtering the entry — no evaluation.  The lookup is one
+        probe per tabled shape the call binds, most specific first (the
+        older entry wins a tie, as in insertion order).
         """
+        wanted = set(positions)
         best: "TableEntry | None" = None
-        for entry in self._entries:
-            if not entry.subsumes(positions, binding):
+        for shape in sorted(self._shapes, key=len, reverse=True):
+            if best is not None and len(shape) < len(best.positions):
+                break
+            if not wanted.issuperset(shape):
                 continue
-            if best is None or len(entry.positions) > len(best.positions):
-                best = entry
+            entry = self._entries.get((shape, tuple(binding.get(p) for p in shape)))
+            if entry is not None and best is not None:
+                entry = next(e for e in self._entries.values() if e is entry or e is best)
+            best = entry or best
         if best is not None:
             best.hits += 1
             self._touch(best)
@@ -221,16 +238,16 @@ class AnswerTable:
         """
         absorbed = [
             existing
-            for existing in self._entries
+            for existing in self._entries.values()
             if entry.subsumes(existing.positions, existing.seed_binding())
         ]
         for existing in absorbed:
-            self._entries.remove(existing)
-        self._entries.append(entry)
+            self._remove(existing)
+        self._entries[entry.positions, entry.values] = entry
+        self._shapes[entry.positions] = self._shapes.get(entry.positions, 0) + 1
         self._touch(entry)
         while len(self._entries) > self.max_entries:
-            coldest = min(self._entries, key=lambda candidate: candidate.last_used)
-            self._entries.remove(coldest)
+            self._remove(min(self._entries.values(), key=lambda candidate: candidate.last_used))
         return absorbed
 
     # -- maintenance --------------------------------------------------------------------
@@ -256,7 +273,7 @@ class AnswerTable:
         if not additions and not retractions:
             return []
         evicted: list[tuple[TableEntry, str]] = []
-        for entry in list(self._entries):
+        for entry in list(self._entries.values()):
             relevant_added = [f for f in additions if f.relation in entry.known_relations]
             relevant_removed = [
                 f for f in retractions if f.relation in entry.known_relations
@@ -273,7 +290,7 @@ class AnswerTable:
                         ),
                     )
                 )
-                self._entries.remove(entry)
+                self._remove(entry)
                 continue
             try:
                 entry.fixpoint.update(
@@ -281,7 +298,7 @@ class AnswerTable:
                 )
             except EvaluationError as error:
                 evicted.append((entry, maintenance_reason(error)))
-                self._entries.remove(entry)
+                self._remove(entry)
         self.evictions.extend((repr(entry), reason) for entry, reason in evicted)
         del self.evictions[:-EVICTION_LOG_LIMIT]
         return evicted

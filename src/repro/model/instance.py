@@ -364,10 +364,14 @@ class Instance:
         The term table is *shared*, not copied: it is append-only, so ids
         minted while evaluating the copy stay valid for the original (and
         vice versa), which is what keeps ids stable across the working copies
-        a session makes.
+        a session makes.  So is each relation's columnar view already cached
+        against it (:meth:`~repro.storage.Relation.copy`): a working copy
+        joins over the original's interned rows.
         """
         clone = Instance()
-        clone._relations = {name: stored.copy() for name, stored in self._relations.items()}
+        clone._relations = {
+            name: stored.copy(self._terms) for name, stored in self._relations.items()
+        }
         clone._terms = self._terms
         return clone
 

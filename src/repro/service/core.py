@@ -28,9 +28,9 @@ It turns one :class:`~repro.engine.query.QuerySession` into a
   Queries that a warm materialization can answer are served from the last
   committed view *on the event loop*, without touching the
   :class:`QuerySession` — so they never wait behind a maintenance pass
-  running in the executor thread.  Only cold evaluations (no
-  materialization yet, or an explicitly tabled call) take the per-session
-  lock.
+  running in the executor thread.  The loop serves what is already
+  computed (a committed view; a table entry, under the per-session lock);
+  the executor computes.
 
 * **Admission control** — per-session queue-depth limits for updates, an
   in-flight cap for queries, and an EDB budget checked against the
@@ -299,7 +299,8 @@ class SessionHandle:
     All engine work (builds, maintenance passes, cold evaluations) runs in
     the event loop's default executor under ``_lock`` — the
     :class:`QuerySession` itself is single-threaded by contract.  Reads that
-    a committed view can answer bypass both the lock and the executor.
+    a committed view can answer bypass both; one the session already holds
+    (:meth:`QuerySession.lookup`) is served on the loop under the lock.
     """
 
     def __init__(
@@ -721,7 +722,9 @@ class SessionHandle:
         ``"tabled"`` forces the engine path so the session's subsumption
         table serves/records the call.  Reads from the committed view carry
         the generation they observed; they run entirely on the event loop
-        and never wait for an in-flight maintenance pass.
+        and never wait for an in-flight maintenance pass.  A *relation*
+        other than the output is read off the full materialization (built
+        like a cold full query when there is none).
         """
         self._ensure_open()
         self.last_used = time.time()
@@ -739,27 +742,45 @@ class SessionHandle:
             )
         normalised = self._normalise_binding(binding, relation)
         output_relation = relation or self.query.output_relation
+        reads_other = output_relation != self.query.output_relation
         self._active_queries += 1
         try:
             view = self.committed
-            if mode in ("full", "goal") and view is not None:
+            served_by = "maintained"
+            if view is None and reads_other:
+                async with self._lock:
+                    result: QueryResult = await self._run_in_executor(
+                        partial(self.session.run, mode="full")
+                    )
+                    if self.committed is None:
+                        self._commit_view()
+                # A materialization maintenance cannot own is read once, unpublished.
+                view = self.committed or CommittedView.capture(
+                    self.generation, result.full_instance
+                )
+                served_by = result.served_by
+            if view is not None and (mode != "tabled" or reads_other):
                 self.queries_served += 1
                 self.queries_from_view += 1
                 return {
                     "generation": view.generation,
                     "mode": mode,
-                    "served_by": "maintained",
+                    "served_by": served_by,
                     "fallback_reason": None,
                     "output_relation": output_relation,
                     "answers": {
                         output_relation: rows_to_json(view.select(output_relation, normalised))
                     },
                 }
+            # Only a miss hops to the executor, and does not probe the table again.
             engine_mode = "goal" if mode == "tabled" else mode
+            session = self.session
             async with self._lock:
-                result: QueryResult = await self._run_in_executor(
-                    partial(self.session.run, binding=normalised, mode=engine_mode)
-                )
+                result = session.lookup(binding=normalised, mode=engine_mode)
+                if result is None:
+                    result = await self._run_in_executor(
+                        partial(session.run, binding=normalised, mode=engine_mode, looked_up=True)
+                    )
                 # A cold full run just built the materialization; publish it
                 # so later reads skip the lock.
                 if self.committed is None:
@@ -768,10 +789,6 @@ class SessionHandle:
             self.queries_from_engine += 1
             encoded = query_result_to_json(result)
             encoded["generation"] = self.generation
-            if relation is not None:
-                encoded["answers"] = {
-                    relation: rows_to_json(result.full_instance.relation(relation))
-                }
             return encoded
         except ServiceError:
             raise

@@ -25,7 +25,9 @@ view was last brought up to date, each row's alternating ``add`` /
 ``discard`` cancelling out.  The next read advances the view by that delta
 instead of rebuilding it; a wholesale rewrite (:meth:`set_rows`,
 :meth:`clear`) drops the view instead.  A read-only :meth:`snapshot` shares
-both views, which is how maintenance reads a relation as it was.
+both views, which is how maintenance reads a relation as it was, and a
+:meth:`copy` shares the columnar one, which is how a working copy of a
+session's base relation joins without re-interning it.
 """
 
 from __future__ import annotations
@@ -189,9 +191,19 @@ class Relation:
     def __repr__(self) -> str:
         return f"Relation({len(self._rows)} rows, generation {self._generation})"
 
-    def copy(self) -> "Relation":
-        """Return a copy sharing no mutable state (indexes and views are not copied)."""
-        return Relation(self._rows)
+    def copy(self, table: "TermTable | None" = None) -> "Relation":
+        """A copy of the rows that shares the columnar view cached against *table*.
+
+        The view is shared, never built: the copy takes the source's pending
+        delta as its own, and whichever relation advances the view first
+        leaves the other a valid snapshot (:meth:`ColumnarView.advanced`),
+        as :meth:`snapshot` does.  Nothing else is shared.
+        """
+        clone = Relation(self._rows)
+        if table is not None and self._columnar_table is table:
+            clone._columnar, clone._columnar_table = self._columnar, table
+            clone._pending = dict(self._pending)  # type: ignore[arg-type]
+        return clone
 
     def snapshot(self, table: TermTable) -> "Relation":
         """A read-only relation over this generation's :meth:`view` and columnar view.

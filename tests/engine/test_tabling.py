@@ -1,22 +1,32 @@
 """Tests for subsumption-based tabling of adorned subgoals.
 
 Covers the table mechanics (seed subsumption ordering, absorption by more
-general entries, the LRU bound), the session integration (tabled serving,
-incremental maintenance of entries, eviction on unsupported updates), and
-the relaxed expanding-magic-recursion boundary: a recursive single-source
-reachability goal whose adornment used to record an expanding-recursion
-``fallback_reason`` now runs goal-directed through a generalized, tabled
-rewriting.
+general entries, the LRU bound, the seed index agreeing with a scan), the
+session integration (tabled serving, incremental maintenance of entries,
+eviction on unsupported updates), the relaxed expanding-magic-recursion
+boundary — a recursive single-source reachability goal whose adornment used
+to record an expanding-recursion ``fallback_reason`` now runs goal-directed
+through a generalized, tabled rewriting — and the counter gate on repeated
+overlapping goal streams against per-goal magic evaluation.
 """
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import AnswerTable, ProgramQuery, TableEntry
 from repro.engine.reasons import OUT_OF_BAND_MUTATION, reason_code
 from repro.errors import SubgoalTableError
 from repro.model import Fact, Instance, path
 from repro.parser import parse_program
-from repro.workloads import prefix_tree_instance
+from repro.workloads import (
+    as_edge_pairs,
+    layered_graph_instance,
+    low_overlap_goal_stream,
+    prefix_tree_instance,
+)
 
 REACHABILITY_PAIRS = """
 T(@x, @y) :- E(@x, @y).
@@ -176,6 +186,27 @@ class TestSessionTabling:
         second = session.run(binding={0: path(*"ab")}, mode="goal")
         assert second.served_by == "tabled" and second.paths() == frozenset()
 
+    def test_a_second_miss_interns_no_base_row(self, monkeypatch):
+        from repro.storage.columnar import TermTable
+
+        instance = line_instance()
+        edges = set(instance.relation("E"))
+        interned = []
+        intern_row = TermTable.intern_row
+
+        def counting_intern_row(table, row):
+            interned.append(row)
+            return intern_row(table, row)
+
+        monkeypatch.setattr(TermTable, "intern_row", counting_intern_row)
+        session = pair_query().session(instance)
+        assert session.run(binding={0: "a"}, mode="goal").served_by == "goal"
+        assert sum(row in edges for row in interned) == len(edges)  # once, on the base
+        interned.clear()
+        second = session.run(binding={0: "n2"}, mode="goal")
+        assert second.served_by == "goal" and len(session._tables) == 2
+        assert not [row for row in interned if row in edges]
+
     def test_one_shot_sessions_do_not_table(self):
         session = pair_query().session(line_instance(), memoize=False)
         assert session.run(binding={0: "a"}, mode="goal").served_by == "goal"
@@ -308,3 +339,144 @@ class TestGeneralizationCostModel:
         result = session.run(binding={0: path("a", "b")}, mode="goal")
         assert result.mode == "goal" and result.fallback_reason is None
 
+
+
+def scan_lookup(table, positions, binding):
+    """The entry a linear scan picks: the first most specific one subsuming the call."""
+    best = None
+    for entry in table:
+        if entry.subsumes(positions, binding):
+            if best is None or len(entry.positions) > len(best.positions):
+                best = entry
+    return best
+
+
+SHAPES = [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+VALUES = [path("a"), path("b")]
+PROBE_VALUES = [(path("a"),) * 3, (path("b"),) * 3, (path("a"), path("b"), path("a"))]
+
+seeds = st.tuples(
+    st.sampled_from(SHAPES), st.lists(st.sampled_from(VALUES), min_size=3, max_size=3)
+)
+steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), seeds, st.sampled_from(["E", "F"])),
+        st.tuples(st.just("lookup"), seeds),
+        st.tuples(st.just("update"), st.sampled_from(["E", "F"])),
+        st.tuples(st.just("clear")),
+    ),
+    max_size=30,
+)
+
+
+class TestSeedIndex:
+    """The seed index answers every lookup as the scan it replaced did."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(steps, st.integers(min_value=1, max_value=4))
+    def test_the_index_agrees_with_a_scan(self, operations, capacity):
+        table = AnswerTable(max_entries=capacity)
+        for operation in operations:
+            kind = operation[0]
+            if kind == "insert":
+                (shape, values), relation = operation[1], operation[2]
+                entry = snapshot_entry(shape, tuple(values[position] for position in shape))
+                entry.known_relations = frozenset({relation})
+                table.insert(entry)
+                assert len(table) <= capacity
+            elif kind == "lookup":
+                shape, values = operation[1]
+                binding = {position: values[position] for position in shape}
+                expected = scan_lookup(table, shape, binding)
+                assert table.lookup(shape, binding) is expected
+            elif kind == "update":
+                table.apply_update([Fact(operation[1], (path("a"),))], [])
+            else:
+                table.clear()
+            entries = list(table)
+            assert table._entries == {(e.positions, e.values): e for e in entries}
+            assert table._shapes == Counter(e.positions for e in entries)
+            for shape in SHAPES:
+                for values in PROBE_VALUES:
+                    binding = {position: values[position] for position in shape}
+                    expected = scan_lookup(table, shape, binding)
+                    assert table.lookup(shape, binding) is expected
+
+    def test_a_tie_between_equally_specific_shapes_goes_to_the_older_entry(self):
+        table = AnswerTable()
+        older = snapshot_entry((1,), (path("b"),))
+        table.insert(older)
+        table.insert(snapshot_entry((0,), (path("a"),)))
+        assert table.lookup((0, 1), {0: path("a"), 1: path("b")}) is older
+
+
+#: The repeated overlapping goal stream: hot sources of a layered graph, each
+#: asked for its reachable set again and again.
+STREAM_GRAPH = dict(layers=10, width=10, edges_per_node=2, seed=2)
+SOURCES = ["a", "l1n0", "l1n5", "l2n3", "l3n2", "l0n4"]
+REPEATS = 5
+
+
+def stream_workload():
+    query = pair_query()
+    return query, as_edge_pairs(layered_graph_instance(**STREAM_GRAPH))
+
+
+def run_stream(session, stream):
+    """``(answers, served_by, extension_attempts, subgoal_table_hits)`` of *stream*."""
+    answers, served_by, attempts, hits = [], [], 0, 0
+    for source in stream:
+        result = session.run(binding={0: source}, mode="goal")
+        assert result.mode == "goal" and result.fallback_reason is None
+        answers.append(result.output.relation("T"))
+        served_by.append(result.served_by)
+        attempts += result.statistics.extension_attempts
+        hits += result.statistics.subgoal_table_hits
+    return answers, served_by, attempts, hits
+
+
+class TestOverlappingGoalStreams:
+    """Tabled serving against per-goal magic evaluation, on counters."""
+
+    def test_tabled_stream_prunes_at_least_3x(self):
+        query, instance = stream_workload()
+        stream = [source for _ in range(REPEATS) for source in SOURCES]
+        baseline = run_stream(query.session(instance, memoize=False), stream)
+        assert set(baseline[1]) == {"goal"}
+        answers, served_by, attempts, hits = run_stream(query.session(instance), stream)
+        assert answers == baseline[0]
+        # One evaluation per distinct source; every repeat is a table hit.
+        assert served_by.count("goal") == len(SOURCES)
+        assert served_by.count("tabled") == len(stream) - len(SOURCES)
+        assert hits == len(stream) - len(SOURCES)
+        assert attempts * 3 <= baseline[2]
+
+    def test_low_overlap_stream_degrades_gracefully(self):
+        """Every goal binds a different source: nothing to hit, nothing lost."""
+        query, instance = stream_workload()
+        stream = low_overlap_goal_stream(instance, relation="E", position=0, goals=24, seed=9)
+        assert len(set(stream)) == len(stream)  # genuinely zero overlap
+        baseline = run_stream(query.session(instance, memoize=False), stream)
+        assert set(baseline[1]) == {"goal"}
+        capacity = 8
+        session = query.session(instance, table_capacity=capacity)
+        answers, _served_by, attempts, hits = run_stream(session, stream)
+        assert answers == baseline[0]
+        assert hits == 0
+        assert len(session._tables) <= capacity
+        assert attempts <= 2 * baseline[2]
+
+    def test_tables_are_maintained_through_updates(self):
+        query, instance = stream_workload()
+        session = query.session(instance)
+        for source in SOURCES:
+            assert session.run(binding={0: source}, mode="goal").served_by == "goal"
+        update = session.update(additions=[Fact("E", (path("l1n0"), path("l2n3")))])
+        assert update.maintained and update.fallback_reason is None
+        hits = 0
+        for source in SOURCES:
+            result = session.run(binding={0: source}, mode="goal")
+            assert result.served_by == "tabled"
+            assert result.output == query.run(instance.copy(), binding={0: source}).output
+            hits += result.statistics.subgoal_table_hits
+        assert hits == len(SOURCES)

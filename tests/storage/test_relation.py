@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ModelError
 from repro.model import Instance, Path, path
 from repro.storage import Relation
+from repro.storage.columnar import ColumnarView
 
 
 def rows_of(*paths_per_row):
@@ -350,3 +351,62 @@ class TestBatchAdds:
         view = edges.columnar(table)
         assert view.id_row_set == {table.intern_row(row) for row in edges.rows}
         assert len(view) == len(edges) == 7
+
+
+def assert_view_is_fresh(relation, table):
+    """*relation*'s columnar view holds exactly a fresh interning of its rows."""
+    view = relation.columnar(table)
+    fresh = ColumnarView([table.intern_row(row) for row in relation.rows], table)
+    assert sorted(view.id_rows) == sorted(fresh.id_rows)
+    assert view.id_row_set == fresh.id_row_set
+    for position in range(2):
+        grouped, expected = (
+            {key: {built.id_rows[i] for i in rows} for key, rows in built.groups(position).items()}
+            for built in (view, fresh)
+        )
+        assert grouped == expected
+
+
+class TestSharedViewsOnCopy:
+    """A copy shares the cached columnar view, and either side may move on."""
+
+    ADDED = (path("n"), path("m"))
+
+    @pytest.mark.parametrize(
+        "changed", [("source",), ("copy",), ("source", "copy"), ("copy", "source")]
+    )
+    def test_both_sides_stay_fresh_after_changes(self, edges, changed):
+        instance = Instance()
+        for row in edges.rows:
+            instance.add("E", *row)
+        table = instance.term_table()
+        source = instance.storage("E")
+        source.columnar(table).groups(0)  # something built, to be moved by an advance
+        clone = instance.copy()
+        copy = clone.storage("E")
+        assert copy._columnar is source._columnar  # shared, not rebuilt
+        removed = (path("a", "b"), path("x"))
+        for side in changed:
+            relation = source if side == "source" else copy
+            relation.add(self.ADDED)
+            relation.discard(removed)
+            assert_view_is_fresh(relation, table)
+        assert_view_is_fresh(source, table)
+        assert_view_is_fresh(copy, table)
+        assert (removed in source) == ("source" not in changed)
+        assert (removed in copy) == ("copy" not in changed)
+
+    def test_a_stale_view_is_shared_with_its_pending_delta(self, edges):
+        table = Instance().term_table()
+        edges.columnar(table)
+        edges.add(self.ADDED)  # the view is now one row behind
+        copy = edges.copy(table)
+        assert copy._columnar is edges._columnar
+        assert_view_is_fresh(copy, table)
+        assert_view_is_fresh(edges, table)
+
+    def test_a_copy_builds_no_view_on_its_source(self, edges):
+        table = Instance().term_table()
+        copy = edges.copy(table)
+        assert edges._columnar is None and copy._columnar is None
+        assert edges._pending is None and copy._pending is None
