@@ -8,11 +8,12 @@ evaluation materialises the all-pairs transitive closure and then filters;
 goal-directed evaluation (``mode="goal"``) seeds a magic fact for the source
 and derives only the demanded slice.
 
-Both modes must return identical answers; the goal-directed mode must attempt
-at least 5× fewer valuation extensions (the ``extension_attempts`` counter).
-The compiled-plan statistics are reported alongside: repeated queries through
-a :class:`~repro.engine.QuerySession` stop replanning in the inner loop
-(``plan_cache_hits`` dominating ``plans_compiled``).
+This file reports the wall-clock ratio, the ``extension_attempts`` and
+``facts_derived`` counters of both modes, and the compiled-plan statistics of
+repeated queries through a :class:`~repro.engine.QuerySession`.  The
+deterministic gate on the same workload — identical answers, at least 5×
+fewer extension attempts and derived facts, warm sessions mostly hitting the
+plan cache — is ``tests/engine/test_goal_directed.py::TestSelectiveReachability``.
 """
 
 import time
@@ -51,8 +52,8 @@ def test_single_source_reachability(benchmark, mode):
     assert result.mode == mode and result.fallback_reason is None
 
 
-def test_goal_directed_prunes_at_least_5x(bench_report):
-    """The acceptance bar: ≥5× fewer extension attempts, identical answers."""
+def test_goal_directed_pruning(bench_report):
+    """Report how much goal-directed evaluation prunes (gated in tier-1)."""
     query, instance = _workload()
     started = time.perf_counter()
     full = query.run(instance, binding={0: SOURCE}, mode="full")
@@ -60,11 +61,6 @@ def test_goal_directed_prunes_at_least_5x(bench_report):
     started = time.perf_counter()
     goal = query.run(instance, binding={0: SOURCE}, mode="goal")
     goal_seconds = time.perf_counter() - started
-
-    assert goal.mode == "goal" and goal.fallback_reason is None
-    assert goal.output == full.output
-    assert goal.statistics.extension_attempts * 5 <= full.statistics.extension_attempts
-    assert goal.statistics.facts_derived * 5 <= full.statistics.facts_derived
 
     ratio = full.statistics.extension_attempts / max(1, goal.statistics.extension_attempts)
     bench_report(
@@ -86,8 +82,8 @@ def test_goal_directed_prunes_at_least_5x(bench_report):
     )
 
 
-def test_session_reuse_keeps_plans_compiled():
-    """Repeated queries through one session mostly reuse compiled plans."""
+def test_session_plan_reuse():
+    """Report plans compiled vs cache hits of repeated session queries (gated in tier-1)."""
     query, instance = _workload()
     session = query.session(instance)
     sources = [SOURCE] + [f"l1n{i}" for i in range(5)]
@@ -95,11 +91,7 @@ def test_session_reuse_keeps_plans_compiled():
     hits = []
     for source in sources:
         result = session.run(binding={0: source}, mode="goal")
-        assert result.mode == "goal"
         compiled.append(result.statistics.plans_compiled)
         hits.append(result.statistics.plan_cache_hits)
-    # After the first query the evaluators are warm: later queries replan
-    # only on cardinality-regime changes and mostly hit the cache.
-    assert sum(hits[1:]) > sum(compiled[1:])
     print()
     print(f"plans compiled per query: {compiled}; plan cache hits per query: {hits}")

@@ -64,6 +64,7 @@ from repro.engine.reasons import (
     SERVICE_CAPACITY,
     TENANT_CAPACITY,
 )
+from repro.engine.tabling import EVICTION_LOG_LIMIT
 from repro.errors import (
     DirectoryInUseError,
     EvaluationBudgetExceeded,
@@ -222,16 +223,6 @@ class _PendingUpdate:
     future: "asyncio.Future"
 
 
-#: How many :class:`CommitRecord` entries a handle keeps in memory.  The log
-#: is a debugging/property-testing artifact, not the durability story (that
-#: is the write-ahead log) — so it is bounded: once it overflows (or a
-#: durable snapshot makes a prefix redundant) the oldest records are folded
-#: into the handle's *base EDB* and dropped, and ``commit_log_truncated`` /
-#: ``commit_log_base`` let replayers start from the folded base instead of
-#: generation zero.
-DEFAULT_COMMIT_LOG_LIMIT = 512
-
-
 class _WalAppendFailed(Exception):
     """Internal: the WAL append at the commit point failed.
 
@@ -245,22 +236,6 @@ class _WalAppendFailed(Exception):
     def __init__(self, error: Exception):
         super().__init__(str(error))
         self.error = error
-
-
-@dataclass(frozen=True)
-class CommitRecord:
-    """One committed maintenance pass, as recorded in the session's log.
-
-    ``additions`` / ``retractions`` are the *merged* batch actually handed
-    to :meth:`QuerySession.update`; ``batches`` is how many request batches
-    the pass coalesced.  The property tests replay this log against scratch
-    rebuilds to prove serializability.
-    """
-
-    generation: int
-    additions: "tuple[Fact, ...]"
-    retractions: "tuple[Fact, ...]"
-    batches: int
 
 
 def _merge_batches(
@@ -311,7 +286,6 @@ class SessionHandle:
         session: QuerySession,
         *,
         admission: "AdmissionLimits | None" = None,
-        commit_log_limit: int = DEFAULT_COMMIT_LOG_LIMIT,
     ):
         self.session_id = session_id
         self.tenant = tenant
@@ -324,24 +298,6 @@ class SessionHandle:
         #: each committed pass increments it.
         self.generation = 0
         self.committed: "CommittedView | None" = None
-        self.commit_log: "list[CommitRecord]" = []
-        self.commit_log_limit = commit_log_limit
-        #: Generation the bounded commit log replays *from*: records with
-        #: generations ``commit_log_base+1 … generation`` are in
-        #: ``commit_log``; everything older has been folded into
-        #: :meth:`base_edb_facts`.
-        self.commit_log_base = 0
-        #: How many commit records have been folded away so far.
-        self.commit_log_truncated = 0
-        #: The EDB at ``commit_log_base``, as facts — the replay base the
-        #: serializability property tests start from.
-        self._log_base_edb: "set[Fact]" = {
-            Fact(name, row)
-            for name in (
-                session.instance.relation_names & query.input_schema.relation_names
-            )
-            for row in session.instance.relation(name)
-        }
         #: Durability (attached by the registry's persistence path): the
         #: write-ahead log + snapshot directory this handle commits through.
         self.durability: "SessionDurability | None" = None
@@ -413,7 +369,7 @@ class SessionHandle:
             self.committed = CommittedView.capture(self.generation, materialized, self.committed)
 
     def _apply_commits(self, commits: "Iterable[tuple[int, list[Fact], list[Fact], int]]") -> None:
-        """Record committed passes and publish the state they produced.
+        """Count committed passes and publish the state they produced.
 
         *commits* are ``(generation, additions, retractions, batches)`` in
         order (:func:`decode_commit`'s shape), each already applied by
@@ -421,21 +377,17 @@ class SessionHandle:
         the maintenance thread quiescent.  A replayed log tail is handed
         over whole and pays for one view capture.
         """
-        for generation, additions, retractions, batches in commits:
+        for generation, _, _, batches in commits:
             self.generation = generation
             self.maintenance_passes += 1
             self.batches_committed += batches
-            self.commit_log.append(
-                CommitRecord(generation, tuple(additions), tuple(retractions), batches)
-            )
-        self._truncate_commit_log()
         self._commit_view()
 
     async def _replay(self, records: "list[dict]") -> None:
         """Apply logged commit records through the normal maintenance path.
 
         The records fold into one update (:func:`_merge_batches`), so a tail
-        costs one maintenance pass; every generation is still recorded.
+        costs one maintenance pass; every generation is still counted.
         """
         commits = [decode_commit(record) for record in records]
         if commits:
@@ -620,13 +572,7 @@ class SessionHandle:
             self.persist_config = dict(config)
 
     async def snapshot_now(self) -> dict:
-        """Snapshot the full session state and rotate the log (compaction).
-
-        Also folds the in-memory commit log up to the snapshotted generation
-        into the replay base — the snapshot supersedes those records for
-        durability, and :attr:`commit_log_base` / :meth:`base_edb_facts`
-        supersede them for replay-based testing.
-        """
+        """Snapshot the full session state and rotate the log (compaction)."""
         self._ensure_open()
         if self.durability is None:
             raise ServiceError(
@@ -640,46 +586,11 @@ class SessionHandle:
                     self.durability.snapshot, self.persist_config or {}, state, generation
                 )
             )
-            self._truncate_commit_log(up_to=generation)
         return {
             "generation": generation,
             "wal_bytes": self.durability.wal_bytes,
             "snapshots_written": self.durability.snapshots_written,
         }
-
-    # -- the bounded commit log --------------------------------------------------------
-
-    def base_edb_facts(self) -> "frozenset[Fact]":
-        """The EDB at :attr:`commit_log_base`, the replay base for the log.
-
-        Applying ``commit_log`` in order to an instance holding exactly these
-        facts reproduces the handle's current EDB — the serializability
-        property tests replay from here instead of generation zero once
-        truncation has folded old records away.
-        """
-        return frozenset(self._log_base_edb)
-
-    def _truncate_commit_log(self, up_to: "int | None" = None) -> None:
-        """Fold away commit records ≤ *up_to* and any overflow past the limit."""
-        drop = 0
-        if up_to is not None:
-            while drop < len(self.commit_log) and self.commit_log[drop].generation <= up_to:
-                drop += 1
-        overflow = len(self.commit_log) - drop - self.commit_log_limit
-        if overflow > 0:
-            drop += overflow
-        if drop <= 0:
-            return
-        for record in self.commit_log[:drop]:
-            # Merged batches keep additions and retractions disjoint, so the
-            # application order within one record does not matter.
-            for fact in record.retractions:
-                self._log_base_edb.discard(fact)
-            for fact in record.additions:
-                self._log_base_edb.add(fact)
-            self.commit_log_base = record.generation
-        del self.commit_log[:drop]
-        self.commit_log_truncated += drop
 
     # -- queries (committed reads, concurrent with maintenance) ------------------------
 
@@ -732,6 +643,8 @@ class SessionHandle:
             mode = self.query.mode
         if mode not in ("full", "goal", "tabled"):
             raise ServiceError(400, "bad_mode", f"unknown query mode {mode!r}")
+        if relation is not None and not isinstance(relation, str):
+            raise ServiceError(400, "bad_request", f"a relation name is a string, got {relation!r}")
         if self._active_queries >= self.admission.max_concurrent_queries:
             self.shed_queries += 1
             raise ServiceError(
@@ -827,9 +740,6 @@ class SessionHandle:
             "records_logged": (
                 self.durability.records_logged if self.durability is not None else None
             ),
-            "commit_log_length": len(self.commit_log),
-            "commit_log_base": self.commit_log_base,
-            "commit_log_truncated": self.commit_log_truncated,
         }
 
 
@@ -874,6 +784,7 @@ class SessionRegistry:
         self.tenant_budgets = dict(tenant_budgets or {})
         self._sessions: "OrderedDict[str, SessionHandle]" = OrderedDict()
         self._ids = itertools.count(1)
+        #: ``(session id, reason)`` of the last :data:`EVICTION_LOG_LIMIT` evictions.
         self.evictions: "list[tuple[str, str]]" = []
         #: Root directory for persisted sessions (``persist_root/tenant/name``);
         #: ``None`` disables the ``persist`` creation option.
@@ -930,6 +841,10 @@ class SessionRegistry:
         """
         if options is not None and not isinstance(options, Mapping):
             raise ServiceError(400, "bad_upload", f"options are a JSON object, got {options!r}")
+        if output_relation is not None and not isinstance(output_relation, str):
+            raise ServiceError(
+                400, "bad_upload", f"output_relation is a string, got {output_relation!r}"
+            )
         options = dict(options or {})
         budget = self.budget_for(tenant)
         persist = options.get("persist")
@@ -1134,7 +1049,6 @@ class SessionRegistry:
         handle = SessionHandle(session_id, tenant, query, session, admission=budget.admission)
         handle.persist_name = name
         handle.generation = recovered.generation
-        handle.commit_log_base = recovered.generation
         handle.durability = durability
         handle.persist_config = dict(config)
         # The session holds what it needs of the decoded snapshot: free the
@@ -1232,6 +1146,7 @@ class SessionRegistry:
         if handle is not None:
             handle.close()
             self.evictions.append((session_id, reason))
+            del self.evictions[:-EVICTION_LOG_LIMIT]
 
     def get(self, session_id: str) -> SessionHandle:
         """Look a session up and mark it most-recently-used."""

@@ -10,13 +10,7 @@ layers above it read:
   structures so they can be invalidated lazily instead of eagerly;
 * a cached **read view** (:meth:`view`): repeated reads between mutations
   return the *same* ``frozenset`` object, so hot loops pay for one snapshot
-  per generation instead of one per call;
-* one **lazy per-argument index**, built on first use and dropped when the
-  generation moves on: *exact path* (:meth:`rows_with_path`) — rows whose
-  ``i``-th argument is a given ground path, which is how a query binding
-  restricts an output relation (:mod:`repro.engine.query`).  The joins of
-  the engine do not read it: they probe the hash groupings of the relation's
-  columnar view.
+  per generation instead of one per call.
 
 The relation's **columnar view** (:meth:`columnar`, the id-space form the
 engine joins over) stays alive across generations.  While one is cached the
@@ -47,7 +41,7 @@ Row = "tuple[Path, ...]"
 
 
 class Relation:
-    """Rows of one relation, with cached views and a lazy exact-path index."""
+    """Rows of one relation, with cached views and a pending columnar delta."""
 
     __slots__ = (
         "_rows",
@@ -56,8 +50,6 @@ class Relation:
         "_view_generation",
         "_unary_view",
         "_unary_view_generation",
-        "_index_generation",
-        "_by_path",
         "_columnar",
         "_columnar_table",
         "_pending",
@@ -70,8 +62,6 @@ class Relation:
         self._view_generation = -1
         self._unary_view: frozenset[Path] | None = None
         self._unary_view_generation = -1
-        self._index_generation = -1
-        self._by_path: dict[int, dict[Path, set]] = {}
         self._columnar: "ColumnarView | None" = None
         self._columnar_table: "TermTable | None" = None
         #: Row → ``True`` (added) / ``False`` (removed) since the columnar
@@ -246,21 +236,6 @@ class Relation:
             self._unary_view = frozenset(paths)
             self._unary_view_generation = self._generation
         return self._unary_view  # type: ignore[return-value]
-
-    # -- lazy index ---------------------------------------------------------------------
-
-    def rows_with_path(self, position: int, path: Path) -> "set | frozenset":
-        """Rows whose argument at *position* equals the ground *path*."""
-        if self._index_generation != self._generation:
-            self._by_path = {}
-            self._index_generation = self._generation
-        index = self._by_path.get(position)
-        if index is None:
-            index = {}
-            for row in self._rows:
-                index.setdefault(row[position], set()).add(row)
-            self._by_path[position] = index
-        return index.get(path, EMPTY_ROWS)
 
     # -- columnar id-space view ----------------------------------------------------------
 

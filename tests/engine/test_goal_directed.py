@@ -7,7 +7,7 @@ from repro.engine import EvaluationLimits, EvaluationStatistics, QueryResult, Qu
 from repro.errors import EvaluationError
 from repro.model import path, unary_instance
 from repro.queries import get_query
-from repro.workloads import as_edge_pairs, random_graph_instance
+from repro.workloads import as_edge_pairs, layered_graph_instance, random_graph_instance
 
 REACHABILITY_PAIRS = """
 T(@x, @y) :- E(@x, @y).
@@ -147,6 +147,41 @@ class TestQuerySession:
         session = QuerySession(query, instance)
         assert session.boolean() is True
         assert session.boolean(mode="goal") is True
+
+
+class TestSelectiveReachability:
+    """Single-source reachability on a layered DAG (``bench_magic_sets``'s workload).
+
+    Full evaluation materialises the all-pairs closure and filters; goal
+    mode derives only the slice the source demands.
+    """
+
+    GRAPH = dict(layers=10, width=10, edges_per_node=2, seed=2)
+
+    def workload(self):
+        return pair_query(), as_edge_pairs(layered_graph_instance(**self.GRAPH))
+
+    def test_goal_mode_prunes_at_least_5x_with_identical_answers(self):
+        query, instance = self.workload()
+        full = query.run(instance, binding={0: "a"}, mode="full")
+        goal = query.run(instance, binding={0: "a"}, mode="goal")
+        assert goal.mode == "goal" and goal.fallback_reason is None
+        assert goal.output == full.output
+        assert goal.statistics.extension_attempts * 5 <= full.statistics.extension_attempts
+        assert goal.statistics.facts_derived * 5 <= full.statistics.facts_derived
+
+    def test_session_reuse_keeps_plans_compiled(self):
+        query, instance = self.workload()
+        session = query.session(instance)
+        compiled, hits = [], []
+        for source in ["a"] + [f"l1n{i}" for i in range(5)]:
+            result = session.run(binding={0: source}, mode="goal")
+            assert result.mode == "goal"
+            compiled.append(result.statistics.plans_compiled)
+            hits.append(result.statistics.plan_cache_hits)
+        # After the first query the evaluators are warm: later queries replan
+        # only on cardinality-regime changes and mostly hit the cache.
+        assert sum(hits[1:]) > sum(compiled[1:])
 
 
 class TestQueryResultPaths:

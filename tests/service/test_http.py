@@ -101,6 +101,29 @@ class TestDispatch:
         asyncio.run(scenario())
         app.close()
 
+    @pytest.mark.parametrize("name", [["T"], {"x": 1}, 5])
+    def test_a_non_string_relation_name_is_a_400(self, name):
+        app = ServiceApp()
+
+        async def scenario():
+            status, error = await app.dispatch(
+                "POST", "/v1/sessions", create_body(output_relation=name)
+            )
+            assert status == 400 and error["error"]["code"] == "bad_upload"
+            status, created = await app.dispatch("POST", "/v1/sessions", create_body())
+            assert status == 201
+            route = f"/v1/sessions/{created['session']}/query"
+            for body in (
+                {"relation": name},
+                {"relation": name, "binding": {"0": "a"}},
+                {"relation": name, "mode": "tabled"},
+            ):
+                status, error = await app.dispatch("POST", route, body)
+                assert status == 400 and error["error"]["code"] == "bad_request"
+
+        asyncio.run(scenario())
+        app.close()
+
     @pytest.mark.parametrize(
         "option", ["max_facts", "max_iterations", "table_capacity", "materialize"]
     )

@@ -155,13 +155,14 @@ class TestRegistryPersistence:
             replacement = SessionRegistry(persist_root=tmp_path)
             (revived,) = await replacement.restore_all()
             answer = await revived.run_query()
-            generations = [record.generation for record in revived.commit_log]
+            stats = revived.stats()
             replacement.close_all()
-            return revived, answer, generations
+            return revived, answer, stats
 
-        revived, answer, generations = asyncio.run(restore())
+        revived, answer, stats = asyncio.run(restore())
         assert len(passes) == 1
-        assert revived.generation == 60 and generations == list(range(1, 61))
+        assert revived.generation == 60 and stats["generation"] == 60
+        assert stats["maintenance_passes"] == 60 and stats["batches_committed"] == 60
         assert edb_facts(revived) == edb and flapping not in edb
         expected = oracle_output(query, Instance(edb)).relation("T")
         assert set(rows_from_json(answer["answers"]["T"])) == set(expected)
@@ -381,56 +382,6 @@ class TestOneWriterPerDirectory:
             asyncio.run(scenario())
         finally:
             gc.enable()
-
-
-class TestBoundedCommitLog:
-    def test_overflow_folds_into_a_replayable_base(self, tmp_path):
-        async def scenario():
-            registry = SessionRegistry()
-            handle = await registry.create(
-                program=REACHABILITY_PAIRS, instance=line_text()
-            )
-            handle.commit_log_limit = 4
-            for index in range(9):
-                await handle.enqueue_update([edge(f"u{index}", "a")], [])
-            await handle.enqueue_update([], [edge("u0", "a")])  # retraction too
-            stats = handle.stats()
-            assert stats["commit_log_length"] == 4
-            assert stats["commit_log_base"] == 6
-            assert stats["commit_log_truncated"] == 6
-            assert [r.generation for r in handle.commit_log] == [7, 8, 9, 10]
-            # Replaying the log from the folded base reproduces the EDB.
-            replayed = set(handle.base_edb_facts())
-            for record in handle.commit_log:
-                replayed -= set(record.retractions)
-                replayed |= set(record.additions)
-            assert replayed == edb_facts(handle)
-            registry.close_all()
-
-        asyncio.run(scenario())
-
-    def test_snapshot_folds_everything_up_to_its_generation(self, tmp_path):
-        async def scenario():
-            registry = SessionRegistry(persist_root=tmp_path)
-            handle = await create_persisted(registry, "alpha")
-            for index in range(3):
-                await handle.enqueue_update([edge(f"u{index}", "a")], [])
-            result = await handle.snapshot_now()
-            assert result["generation"] == 3
-            assert handle.commit_log == []
-            assert handle.commit_log_base == 3
-            assert handle.stats()["commit_log_truncated"] == 3
-            assert set(handle.base_edb_facts()) == edb_facts(handle)
-            # Replay-from-base still works for commits after the snapshot.
-            await handle.enqueue_update([edge("late", "a")], [])
-            replayed = set(handle.base_edb_facts())
-            for record in handle.commit_log:
-                replayed -= set(record.retractions)
-                replayed |= set(record.additions)
-            assert replayed == edb_facts(handle)
-            registry.close_all()
-
-        asyncio.run(scenario())
 
 
 class TestHttpPersistence:

@@ -11,6 +11,7 @@ import threading
 import pytest
 
 from repro.engine import EvaluationLimits, ProgramQuery
+from repro.engine.tabling import EVICTION_LOG_LIMIT
 from repro.io.durability import FileSystemShim
 from repro.io.serialization import instance_to_text, rows_from_json
 from repro.model import Fact, Instance, path
@@ -24,6 +25,7 @@ from repro.service import (
     SessionRegistry,
     TenantBudget,
 )
+from repro.service.core import _merge_batches
 
 REACHABILITY_PAIRS = """
 T(@x, @y) :- E(@x, @y).
@@ -129,20 +131,37 @@ class TestCoalescing:
         async def scenario():
             await handle.ensure_materialized()
             baseline = set(handle.committed.select("T", {}))
-            await asyncio.gather(
+            acks = await asyncio.gather(
                 handle.enqueue_update(additions=[edge("b", "c")]),
                 handle.enqueue_update(retractions=[edge("b", "c")]),
             )
-            return baseline
+            return baseline, acks
 
-        baseline = asyncio.run(scenario())
+        baseline, acks = asyncio.run(scenario())
         assert handle.maintenance_passes == 1
-        [record] = handle.commit_log
-        assert record.batches == 2
-        assert record.additions == ()  # the retraction cancelled it in the merge
-        assert record.retractions == (edge("b", "c"),)
+        assert acks[0] == acks[1]
+        assert acks[0]["generation"] == 1 and acks[0]["coalesced_batches"] == 2
+        # The retraction cancelled the addition in the merge: the pass
+        # changed nothing (an addition left in would have been applied).
+        assert acks[0]["update"]["added"] == [] and acks[0]["update"]["removed"] == []
         assert set(handle.committed.select("T", {})) == baseline
         handle.close()
+
+    def test_merge_batches_folds_in_order_over_fact_space(self):
+        ab, bc, cd, de = edge("a", "b"), edge("b", "c"), edge("c", "d"), edge("d", "e")
+        additions, retractions = _merge_batches(
+            [
+                ([ab, bc], []),
+                ([], [ab]),  # add then retract: the addition cancels
+                ([], [cd]),
+                ([cd, de], []),  # retract then add: the retraction cancels
+                ([], [de, bc]),
+                ([de], []),
+            ]
+        )
+        assert additions == [cd, de]  # first-seen order of the survivors
+        assert retractions == [ab, bc]
+        assert not set(additions) & set(retractions)
 
     def test_acks_carry_the_merged_update_result(self):
         handle = make_handle(line_instance(3))
@@ -506,7 +525,7 @@ class TestHandleLifecycle:
         for error in errors:
             assert isinstance(error, ServiceError)
             assert error.status == 503 and error.code == "session_evicted"
-        assert handle.generation == 0 and handle.commit_log == []
+        assert handle.generation == 0 and handle.maintenance_passes == 0
 
 
 class TestRegistry:
@@ -581,6 +600,27 @@ class TestRegistry:
         with pytest.raises(ServiceError) as gone:
             registry.get(second.session_id)
         assert gone.value.status == 404
+        registry.close_all()
+
+    def test_the_eviction_log_keeps_only_the_newest_entries(self):
+        registry = SessionRegistry(max_sessions=1)
+
+        async def scenario():
+            created = []
+            for _ in range(EVICTION_LOG_LIMIT + 3):
+                handle = await registry.create(
+                    program=self.PROGRAM,
+                    instance=self.instance_text(2),
+                    options={"materialize": False},
+                )
+                created.append(handle.session_id)
+            return created
+
+        created = asyncio.run(scenario())
+        # Every session but the last was evicted; only the newest reasons stay.
+        assert registry.evictions == [
+            (session_id, "service_capacity") for session_id in created[-EVICTION_LOG_LIMIT - 1 : -1]
+        ]
         registry.close_all()
 
     def test_tenant_budget_evicts_within_the_tenant_only(self):

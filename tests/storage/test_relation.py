@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.engine import ProgramQuery
 from repro.errors import ModelError
-from repro.model import Instance, Path, path
+from repro.model import Fact, Instance, Path, path
+from repro.parser import parse_program
 from repro.storage import Relation
 from repro.storage.columnar import ColumnarView
 
@@ -27,21 +29,65 @@ def edges():
     return relation
 
 
-class TestIndexesAgreeWithFullScans:
-    def test_exact_path_index(self, edges):
-        for position in (0, 1):
-            seen_keys = {row[position] for row in edges.rows}
-            for key in seen_keys | {path("q", "q")}:
-                expected = {row for row in edges.rows if row[position] == key}
-                assert set(edges.rows_with_path(position, key)) == expected
+def copy_query():
+    """``T`` is a copy of the binary ``E``: a binding filters ``T``'s stored rows."""
+    return ProgramQuery(
+        parse_program("T($x, $y) :- E($x, $y)."), {"E": 2}, "T", require_monadic=False
+    )
 
-    def test_indexes_refresh_after_mutation(self, edges):
-        assert len(edges.rows_with_path(1, path("x"))) == 3
+
+def edge_instance(edges):
+    instance = Instance()
+    for row in edges.rows:
+        instance.add("E", *row)
+    return instance
+
+
+def scanned(rows, binding):
+    return {row for row in rows if all(row[p] == value for p, value in binding.items())}
+
+
+class TestBindingFilterAgreesWithFullScans:
+    """A query binding restricts the output relation exactly as a full scan does."""
+
+    def test_one_bound_position(self, edges):
+        query = copy_query()
+        instance = edge_instance(edges)
+        for position in (0, 1):
+            for key in {row[position] for row in edges.rows}:
+                result = query.run(instance, binding={position: key})
+                assert result.output.relation("T") == scanned(edges.rows, {position: key})
+
+    def test_two_bound_positions(self, edges):
+        query = copy_query()
+        instance = edge_instance(edges)
+        for source in {row[0] for row in edges.rows}:
+            for target in {row[1] for row in edges.rows}:
+                binding = {0: source, 1: target}
+                result = query.run(instance, binding=binding)
+                assert result.output.relation("T") == scanned(edges.rows, binding)
+
+    def test_an_unseen_value_matches_nothing_and_interns_nothing(self, edges):
+        session = copy_query().session(edge_instance(edges))
+        full = session.run().full_instance
+        table = full.term_table()
+        for binding in ({0: path("q", "q")}, {0: path("a", "b"), 1: path("q")}):
+            before = len(table)
+            result = session.run(binding=binding)
+            assert result.full_instance.term_table() is table
+            assert result.output.relation("T") == frozenset()
+            assert len(table) == before
+
+    def test_filter_follows_add_and_discard(self, edges):
+        session = copy_query().session(edge_instance(edges))
+        assert len(session.run(binding={1: path("x")}).output.relation("T")) == 3
         new_row = (path("a", "z"), path("x"))
-        edges.add(new_row)
-        assert new_row in edges.rows_with_path(1, path("x"))
-        edges.discard(new_row)
-        assert new_row not in edges.rows_with_path(1, path("x"))
+        session.update([Fact("E", new_row)])
+        assert new_row in session.run(binding={1: path("x")}).output.relation("T")
+        session.update(retractions=[Fact("E", new_row)])
+        after = session.run(binding={1: path("x")}).output.relation("T")
+        assert after == scanned(edges.rows, {1: path("x")})
+        assert session.run().served_by == "maintained"
 
 
 class TestViews:
@@ -176,24 +222,19 @@ class TestChangeLog:
 class TestMutationPathAudit:
     """Every mutation path must bump generations and drop cached views."""
 
-    def test_discard_invalidates_views_and_indexes(self, edges):
+    def test_discard_invalidates_views(self, edges):
         view = edges.view()
         row = next(iter(edges.rows))
-        bucket_before = set(edges.rows_with_path(0, row[0]))
         assert edges.discard(row) is True
         assert edges.view() is not view
         assert row not in edges.view()
-        assert row not in edges.rows_with_path(0, row[0])
-        assert set(edges.rows_with_path(0, row[0])) == bucket_before - {row}
 
-    def test_set_rows_invalidates_views_and_indexes(self, edges):
+    def test_set_rows_invalidates_views(self, edges):
         view = edges.view()
         new_row = (path("z", "z"), path("z"))
         edges.set_rows({new_row})
         assert edges.view() is not view
         assert edges.view() == {new_row}
-        assert set(edges.rows_with_path(0, path("z", "z"))) == {new_row}
-        assert edges.rows_with_path(0, path("a", "b")) == frozenset()
 
     def test_clear_invalidates_unary_view(self):
         relation = Relation()
@@ -271,13 +312,13 @@ class TestInstanceIntegration:
         first = instance.paths("R")
         assert instance.paths("R") is first
 
-    def test_storage_exposes_indexes(self):
+    def test_storage_exposes_relations(self):
         instance = Instance()
         instance.add("R", path("a", "b"))
         instance.add("R", path("b", "c"))
         storage = instance.storage("R")
         assert storage is not None
-        assert set(storage.rows_with_path(0, path("a", "b"))) == {(path("a", "b"),)}
+        assert storage.view() == {(path("a", "b"),), (path("b", "c"),)}
         assert instance.storage("missing") is None
 
     def test_replace_with_reuses_relation_storage(self):
