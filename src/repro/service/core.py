@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import json
 import pathlib
 import time
 from collections import OrderedDict, deque
@@ -144,6 +145,22 @@ class TenantBudget:
     admission: AdmissionLimits = field(default_factory=AdmissionLimits)
 
 
+class EncodedAnswer(list):
+    """A read's wire rows (``rows_to_json`` of them) with their JSON text.
+
+    A list, so it compares equal to the plain answer and ``json.dumps``
+    encodes it as one; the HTTP layer splices :attr:`text` into the reply
+    instead.  Read-only, like ``Relation.rows``: a committed view shares it
+    between every read of its generation.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, rows: "list[list[str]]"):
+        super().__init__(rows)
+        self.text = json.dumps(rows)
+
+
 class CommittedView:
     """An immutable snapshot of a materialization at one committed generation.
 
@@ -153,12 +170,18 @@ class CommittedView:
     Binding-restricted reads go through per-position groupings built lazily —
     only ever on the event loop thread, so no locking is needed — and kept in
     wire order (the key ``rows_to_json`` sorts by), so a read bound at one
-    position is a dict probe whose rows encode without reordering.  They are
+    position is a dict probe whose rows encode without reordering.  The
+    encoded answer of a read bound at one position (or unbound) is memoised
+    per value, so a repeated read encodes nothing; a value with no rows
+    shares one empty answer, so unseen values never grow the memo.  Both are
     inherited from the previous view for relations whose frozenset is
     identical (the common case: a small update touches few relations).
     """
 
-    __slots__ = ("generation", "relations", "_indexes")
+    __slots__ = ("generation", "relations", "_indexes", "_answers")
+
+    #: The answer to every read with no rows (never stored in a memo).
+    _NO_ROWS = EncodedAnswer([])
 
     def __init__(
         self,
@@ -169,10 +192,15 @@ class CommittedView:
         self.generation = generation
         self.relations = relations
         self._indexes: "dict[tuple[str, int], dict[Path, tuple]]" = {}
+        self._answers: "dict[tuple[str, int | None], dict[Path | None, EncodedAnswer]]" = {}
         if previous is not None:
-            for (name, position), index in previous._indexes.items():
-                if relations.get(name) is previous.relations.get(name):
-                    self._indexes[(name, position)] = index
+            for mine, theirs in (
+                (self._indexes, previous._indexes),
+                (self._answers, previous._answers),
+            ):
+                for key, grouping in theirs.items():
+                    if relations.get(key[0]) is previous.relations.get(key[0]):
+                        mine[key] = grouping
 
     @staticmethod
     def capture(
@@ -212,6 +240,21 @@ class CommittedView:
             for row in candidates
             if all(row[position] == value for position, value in binding.items())
         )
+
+    def answer(self, name: str, binding: "Mapping[int, Path]") -> list:
+        """``rows_to_json(self.select(name, binding))``, memoised unless two or
+        more positions are bound (those are filtered and encoded per read)."""
+        if len(binding) > 1:
+            return rows_to_json(self.select(name, binding))
+        position, value = next(iter(binding.items()), (None, None))
+        answer = self._answers.get((name, position), {}).get(value)
+        if answer is None:
+            rows = rows_to_json(self.select(name, binding))
+            if not rows:
+                return self._NO_ROWS
+            answer = EncodedAnswer(rows)
+            self._answers.setdefault((name, position), {})[value] = answer
+        return answer
 
 
 @dataclass
@@ -681,9 +724,7 @@ class SessionHandle:
                     "served_by": served_by,
                     "fallback_reason": None,
                     "output_relation": output_relation,
-                    "answers": {
-                        output_relation: rows_to_json(view.select(output_relation, normalised))
-                    },
+                    "answers": {output_relation: view.answer(output_relation, normalised)},
                 }
             # Only a miss hops to the executor, and does not probe the table again.
             engine_mode = "goal" if mode == "tabled" else mode

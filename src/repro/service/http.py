@@ -40,7 +40,7 @@ import asyncio
 import json
 from typing import Mapping
 
-from repro.service.core import ServiceError, SessionRegistry
+from repro.service.core import EncodedAnswer, ServiceError, SessionRegistry
 
 __all__ = ["ServiceApp", "serve", "run"]
 
@@ -48,6 +48,9 @@ __all__ = ["ServiceApp", "serve", "run"]
 MAX_BODY_BYTES = 64 * 1024 * 1024
 #: Maximum header lines in one request; past it the request is a 400.
 MAX_HEADER_LINES = 100
+#: Seconds one request may take to arrive, idle keep-alive wait included;
+#: past it the request is a 408 and the connection closes.
+REQUEST_TIMEOUT_S = 60
 
 
 class ServiceApp:
@@ -152,6 +155,7 @@ _REASONS = {
     201: "Created",
     400: "Bad Request",
     404: "Not Found",
+    408: "Request Timeout",
     409: "Conflict",
     410: "Gone",
     413: "Payload Too Large",
@@ -161,8 +165,28 @@ _REASONS = {
 }
 
 
+def _dumps(payload: dict) -> str:
+    """``json.dumps(payload)``, splicing in the memoised text of a read's answer.
+
+    A committed read's reply ends in ``"answers": {relation: EncodedAnswer}``;
+    any other payload is encoded whole.
+    """
+    answers = payload.get("answers")
+    if (
+        len(payload) > 1
+        and next(reversed(payload)) == "answers"
+        and isinstance(answers, dict)
+        and len(answers) == 1
+    ):
+        ((name, rows),) = answers.items()
+        if isinstance(rows, EncodedAnswer):
+            head = json.dumps({key: value for key, value in payload.items() if key != "answers"})
+            return f'{head[:-1]}, "answers": {{{json.dumps(name)}: {rows.text}}}}}'
+    return json.dumps(payload)
+
+
 def _encode_response(status: int, payload: dict, *, keep_alive: bool) -> bytes:
-    body = json.dumps(payload).encode("utf-8")
+    body = _dumps(payload).encode("utf-8")
     reason = _REASONS.get(status, "OK")
     headers = [
         f"HTTP/1.1 {status} {reason}",
@@ -200,7 +224,12 @@ async def _read_request(
         if not line or line in (b"\r\n", b"\n"):
             break
         name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
+        name = name.strip().lower()
+        # Framing must be unambiguous: a second length or a transfer coding
+        # would let the rest of the stream be read as another request.
+        if name == "transfer-encoding" or (name == "content-length" and name in headers):
+            raise ServiceError(400, "bad_request", f"unsupported request framing ({name})")
+        headers[name] = value.strip()
     else:
         raise ServiceError(400, "bad_request", f"more than {MAX_HEADER_LINES} header lines")
     declared = headers.get("content-length") or "0"
@@ -231,8 +260,13 @@ async def _handle_connection(
     try:
         while True:
             try:
-                request = await _read_request(reader)
-            except ServiceError as error:
+                async with asyncio.timeout(REQUEST_TIMEOUT_S):
+                    request = await _read_request(reader)
+            except (ServiceError, TimeoutError) as error:
+                if isinstance(error, TimeoutError):  # a stalled or idle client
+                    error = ServiceError(
+                        408, "request_timeout", f"no complete request within {REQUEST_TIMEOUT_S} s"
+                    )
                 writer.write(_encode_response(error.status, error.to_json(), keep_alive=False))
                 await writer.drain()
                 break

@@ -11,9 +11,9 @@ import json
 
 import pytest
 
-from repro.io.serialization import instance_to_text, rows_from_json
+from repro.io.serialization import instance_to_text, path_to_text, rows_from_json
 from repro.model import Instance, path
-from repro.service import ServiceApp, SessionRegistry, serve
+from repro.service import ServiceApp, SessionRegistry, http, serve
 
 REACHABILITY_PAIRS = """
 T(@x, @y) :- E(@x, @y).
@@ -239,9 +239,28 @@ class TestDispatch:
         assert status == 500 and payload["error"]["code"] == "internal"
 
 
+def _smuggling_request():
+    """A POST whose two lengths disagree: the whole tail, or just ``{}``.
+
+    Read with the second length, the tail is a second request (a ``GET``)."""
+    tail = b"{}GET /v1/healthz HTTP/1.1\r\n\r\n"
+    return (
+        f"POST /v1/sessions HTTP/1.1\r\nContent-Length: {len(tail)}\r\n"
+        f"Content-Length: 2\r\n\r\n"
+    ).encode() + tail
+
+
+SMUGGLED_BY_A_SECOND_LENGTH = _smuggling_request()
+
+
 class TestStdlibServer:
+    @classmethod
+    async def _request(cls, reader, writer, method, target, body=None):
+        status, raw = await cls._raw_request(reader, writer, method, target, body)
+        return status, json.loads(raw)
+
     @staticmethod
-    async def _request(reader, writer, method, target, body=None):
+    async def _raw_request(reader, writer, method, target, body=None):
         payload = b""
         if body is not None:
             payload = json.dumps(body).encode()
@@ -261,7 +280,7 @@ class TestStdlibServer:
             name, _, value = line.decode().partition(":")
             if name.strip().lower() == "content-length":
                 length = int(value)
-        return status, json.loads(await reader.readexactly(length))
+        return status, await reader.readexactly(length)
 
     def test_full_round_trip_over_a_socket(self):
         async def scenario():
@@ -352,6 +371,66 @@ class TestStdlibServer:
 
         asyncio.run(scenario())
 
+    def test_a_view_read_is_sent_as_the_json_of_its_dispatched_payload(self):
+        """A committed read's memoised text is spliced into the reply, and the
+        body stays byte for byte ``json.dumps`` of what dispatch returns — on
+        a memo miss and on its hit, before and after a commit."""
+        nodes = ["a", "b", "x y", "x'y z", "\u00fc"]
+        instance = Instance()
+        for source, target in zip(nodes, nodes[1:]):
+            instance.add("E", source, target)
+        upload = {
+            "program": REACHABILITY_PAIRS + "S(@x) :- E(@x, @y).\n",
+            "instance": instance_to_text(instance),
+            "output_relation": "T",
+        }
+        reads = [
+            {},
+            {"binding": {"0": "a"}},
+            {"binding": {"1": path_to_text(path("x y"))}},
+            {"binding": {"0": "a", "1": path_to_text(path("x'y z"))}},
+            {"binding": {"0": "unseen"}},
+            {"relation": "S", "binding": {"0": "b"}},
+            {"relation": "E"},
+        ]
+
+        async def scenario():
+            server, app = await serve(port=0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                status, created = await self._request(reader, writer, "POST", "/v1/sessions", upload)
+                assert status == 201
+                route = f"/v1/sessions/{created['session']}/query"
+
+                async def read_all():
+                    sent = []
+                    for body in reads:
+                        status, raw = await self._raw_request(reader, writer, "POST", route, body)
+                        assert status == 200, raw
+                        status, payload = await app.dispatch("POST", route, body)
+                        assert raw == json.dumps(payload).encode("utf-8"), body
+                        sent.append(json.loads(raw))
+                    return sent
+
+                first = await read_all()  # memo misses
+                assert await read_all() == first  # their hits
+                update = {"add": [["E", path_to_text(path("\u00fc")), "a"]]}
+                status, _ = await self._request(
+                    reader, writer, "POST", route.replace("query", "update"), update
+                )
+                assert status == 200
+                after = await read_all()
+                assert after != first
+                assert [path_to_text(path("\u00fc")), "a"] in after[0]["answers"]["T"]
+            finally:
+                writer.close()
+                server.close()
+                await server.wait_closed()
+                app.close()
+
+        asyncio.run(scenario())
+
     @pytest.mark.parametrize("declared", ["abc", "-5", "1e3", "+4", "٣"])
     def test_malformed_content_length_is_a_400_not_a_dropped_connection(self, declared):
         async def scenario():
@@ -384,12 +463,20 @@ class TestStdlibServer:
             (b"GET /v1/healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n", False),
             (b"POST /v1/sessions HTTP/1.1\r\nContent-Length: 100\r\n\r\n{}", True),
             (b"GET /v1/healthz HTTP/1.1\r\n" + b"X-Many: 1\r\n" * 2_000 + b"\r\n", False),
+            (SMUGGLED_BY_A_SECOND_LENGTH, True),
+            (
+                b"POST /v1/sessions HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b"2\r\n{}\r\n0\r\n\r\n",
+                True,
+            ),
         ],
         ids=[
             "request_line_over_the_limit",
             "header_line_over_the_limit",
             "short_body",
             "header_lines_over_the_limit",
+            "duplicate_content_length",
+            "transfer_encoding",
         ],
     )
     def test_hostile_requests_are_a_400_and_never_escape_the_handler(self, raw, half_close):
@@ -412,6 +499,37 @@ class TestStdlibServer:
                 assert head.startswith(b"HTTP/1.1 400 ")
                 assert b"Connection: close" in head
                 assert json.loads(body)["error"]["code"] == "bad_request"
+                await asyncio.sleep(0.05)  # let the handler task finish
+            finally:
+                writer.close()
+                server.close()
+                await server.wait_closed()
+                app.close()
+            assert escaped == []
+
+        asyncio.run(scenario())
+
+    def test_a_stalled_request_is_a_408_and_never_escapes_the_handler(self, monkeypatch):
+        monkeypatch.setattr(http, "REQUEST_TIMEOUT_S", 0.2)
+
+        async def scenario():
+            escaped = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: escaped.append(context)
+            )
+            server, app = await serve(port=0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                status, _ = await self._request(reader, writer, "GET", "/v1/healthz")
+                assert status == 200  # a prompt request keeps the connection
+                writer.write(b"GET /v1/healthz HTTP/1.1\r\nHost: t")  # then stalls mid-line
+                await writer.drain()
+                response = await asyncio.wait_for(reader.read(), 30)  # up to EOF
+                head, _, body = response.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 408 ")
+                assert b"Connection: close" in head
+                assert json.loads(body)["error"]["code"] == "request_timeout"
                 await asyncio.sleep(0.05)  # let the handler task finish
             finally:
                 writer.close()
