@@ -25,8 +25,8 @@ import time
 import pytest
 
 from repro.engine import (
+    CompiledProgram,
     EvaluationStatistics,
-    ProgramEvaluators,
     ProgramQuery,
     evaluate_program,
 )
@@ -88,11 +88,11 @@ def test_maintained_serving_beats_reevaluation_5x(bench_report):
     # Baseline: the pre-maintenance behaviour — re-evaluate the fixpoint for
     # every query (kept as strong as possible: shared compiled plans).
     scratch_instance = instance.copy()
-    evaluators = ProgramEvaluators(query.limits)
+    compiled = CompiledProgram(program)
     scratch_stats = EvaluationStatistics()
     scratch_answers = []
     started = time.perf_counter()
-    evaluate_program(program, scratch_instance, statistics=scratch_stats, evaluators=evaluators)
+    evaluate_program(program, scratch_instance, statistics=scratch_stats, compiled=compiled)
     for additions, retractions in steps:
         delta = scratch_instance.begin_delta()
         for fact in additions:
@@ -102,7 +102,7 @@ def test_maintained_serving_beats_reevaluation_5x(bench_report):
         delta.apply()
         for source in SOURCES:
             full = evaluate_program(
-                program, scratch_instance, statistics=scratch_stats, evaluators=evaluators
+                program, scratch_instance, statistics=scratch_stats, compiled=compiled
             )
             source_path = path(source)
             scratch_answers.append(

@@ -179,7 +179,7 @@ def sips_order(rule: Rule, bound: "Iterable[Variable]" = ()) -> list[Literal]:
     positive predicate with the most bound argument components (ties: fewest
     new variables, then original body position) binds all its variables.
     Safe rules always admit such an order (the same argument as for
-    :func:`repro.engine.evaluation.plan_body_order`); otherwise
+    :func:`repro.syntax.rules.plan_body_order`); otherwise
     :class:`UnsafeRuleError` is raised.
     """
     bound_now: set[Variable] = set(bound)

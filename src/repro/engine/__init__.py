@@ -1,14 +1,9 @@
 """Evaluation engine: matching, rule evaluation, stratified fixpoints, queries."""
 
-from repro.engine.evaluation import (
-    RuleEvaluator,
-    evaluate_rule,
-    plan_body_order,
-    plan_literal_sequence,
-)
+from repro.engine.compiled import CompiledProgram, CompiledRule, evaluate_rule
+from repro.engine.evaluation import plan_literal_sequence
 from repro.engine.fixpoint import (
     EvaluationStatistics,
-    ProgramEvaluators,
     evaluate_program,
     evaluate_stratum,
     propagate_delta,
@@ -29,16 +24,16 @@ from repro.engine.valuation import Valuation
 __all__ = [
     "DEFAULT_LIMITS",
     "AnswerTable",
+    "CompiledProgram",
+    "CompiledRule",
     "EvaluationLimits",
     "EvaluationStatistics",
     "MaintainedFixpoint",
     "MaintenanceResult",
-    "ProgramEvaluators",
     "ProgramQuery",
     "QueryMode",
     "QueryResult",
     "QuerySession",
-    "RuleEvaluator",
     "TableEntry",
     "UpdateResult",
     "Valuation",
@@ -48,7 +43,6 @@ __all__ = [
     "match_components",
     "match_expression",
     "match_fact",
-    "plan_body_order",
     "plan_literal_sequence",
     "propagate_delta",
 ]

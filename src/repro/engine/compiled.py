@@ -1,6 +1,6 @@
 """Id-space rule plans: how every rule is executed.
 
-Every safe rule lowers once into a :class:`CompiledRule` (:func:`lower_rule`).
+Every safe rule lowers once into a :class:`CompiledRule`.
 Applying one runs hash joins over the dense integer ids of a per-instance
 :class:`~repro.storage.columnar.TermTable` instead of threading
 :class:`~repro.engine.valuation.Valuation` dictionaries through per-row
@@ -52,22 +52,28 @@ delete–rederive).  Heads in their constructing role, negated predicates and
 bound equation sides only *construct*, with any number of path variables and
 with packing built from variables
 (:meth:`~repro.storage.columnar.TermTable.pack`).  Only an unsafe rule does
-not lower, and :func:`lower_rule` returns the registered reason
-(:mod:`repro.engine.reasons`) instead of a plan;
-:class:`~repro.engine.evaluation.RuleEvaluator` raises it when the rule is
+not lower: its plan keeps the registered reason
+(:attr:`CompiledRule.lowering_refusal`, :mod:`repro.engine.reasons`) and
+raises it as :class:`~repro.errors.UnsafeRuleError` when the rule is
 evaluated.  The agreement suites hold these plans to
 :mod:`repro.engine.reference`.
 
 Frontier dictionaries (semi-naive deltas, the telescoped maintenance joins)
 are honoured position-by-position: each body step sources its relation from
 ``frontier[position]`` when present, in the static position space of
-:func:`~repro.engine.evaluation.plan_body_order`.
+:func:`~repro.syntax.rules.plan_body_order`.
+
+A program lowers into one :class:`CompiledProgram`: per stratum, its rules'
+plans and whether the stratum is recursive.  Neither holds limits — every
+method of a plan takes them per call — so one compiled program serves every
+evaluation of its program, which is how
+:class:`~repro.engine.query.ProgramQuery` shares it across its sessions.
 """
 
 from collections import Counter
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.engine.limits import DEFAULT_LIMITS, EvaluationLimits
 from repro.engine.match import lower_pattern
@@ -77,14 +83,16 @@ from repro.engine.reasons import (
     LOWERING_UNSAFE_NEGATION,
     reason,
 )
+from repro.errors import EvaluationError, UnsafeRuleError
 from repro.model.instance import Fact, Instance
 from repro.model.terms import Packed
 from repro.storage.columnar import ColumnarView
 from repro.syntax.expressions import AtomVariable, PathExpression, PathVariable
 from repro.syntax.literals import Equation, Literal, Predicate
-from repro.syntax.rules import bind_equations
+from repro.syntax.programs import Program, Stratum
+from repro.syntax.rules import Rule, bind_equations, plan_body_order
 
-__all__ = ["CompiledRule", "decode_rows", "lower_rule"]
+__all__ = ["CompiledProgram", "CompiledRule", "CompiledStratum", "decode_rows", "evaluate_rule"]
 
 # Candidate-check op tags (first tuple element of every op):
 _LEN = 0  # (0, pos, n, exact)        — length of the path at pos
@@ -131,7 +139,7 @@ def _destructures(kind, payload) -> bool:
     Constructing (head, negation, the bound side of an equation) works for
     any component; destructuring a stored row is only deterministic with at
     most one path-variable occurrence and nothing to match inside a packed
-    value.  :func:`lower_rule` turns any other matched component into a
+    value.  :func:`_lower` turns any other matched component into a
     binding equation, whose :class:`~repro.engine.match.MatchPlan` has the
     choice points.
     """
@@ -224,7 +232,7 @@ class _Equation:
         self.components = tuple(_classify(side) for side in self.sides)
         self.variables = tuple(side.variables() for side in self.sides)
         #: The variables something else in the rule mentions (set by
-        #: :func:`lower_rule`); binding any other would only be interning.
+        #: :func:`_lower`); binding any other would only be interning.
         self.keep: frozenset = frozenset()
         #: (index of the open side, its bound variables) → lowered pattern.
         self.plans: dict = {}
@@ -329,19 +337,24 @@ def decode_rows(table, id_rows, limits: EvaluationLimits = DEFAULT_LIMITS) -> li
 
 
 class CompiledRule:
-    """The id-space execution plan of one rule.
+    """A rule lowered once to its id-space plan, evaluated repeatedly.
 
-    The plan fixes *what* each step checks (constants, repeated variables,
-    atomicity, splice cuts) when the rule is lowered; the join *order* is
-    chosen greedily from the live relation sizes — smallest probeable source
-    first — and cached per delta position until a source changes its size
-    regime.  Equations
-    have no source: each runs as soon as the steps before it have bound one
-    of its sides (:func:`~repro.syntax.rules.bind_equations`), a nonequality
-    as soon as they have bound both.
+    Built from a :class:`~repro.syntax.rules.Rule`: the static body order
+    (:func:`~repro.syntax.rules.plan_body_order`, the position space delta
+    frontiers and the telescoped maintenance joins index into) is fixed and
+    lowered once.  The plan fixes *what* each step checks (constants,
+    repeated variables, atomicity, splice cuts); the join *order* is chosen
+    greedily from the live relation sizes — smallest probeable source first
+    — and cached per delta position and size regime of the sources.
+    Equations have no source: each runs as soon as the steps before it have
+    bound one of its sides (:func:`~repro.syntax.rules.bind_equations`), a
+    nonequality as soon as they have bound both.
     """
 
     __slots__ = (
+        "rule",
+        "order",
+        "lowering_refusal",
         "head_name",
         "head_components",
         "head_vars",
@@ -350,41 +363,72 @@ class CompiledRule:
         "steps",
         "equations",
         "negations",
+        "predicate_positions",
+        "positions_in_order",
         "_head_index",
         "_orders",
+        "_pivoted",
     )
 
-    def __init__(
-        self, head_name, head_components, steps, negations, head_step, head_equations, equations
-    ):
-        #: frontier key → (cardinality signature, step order).
-        self._orders: dict = {}
-        self.head_name = head_name
-        self.head_components = head_components
+    def __init__(self, rule: Rule, order: "Sequence[Literal] | None" = None):
+        self.rule = rule
+        #: The static body order; *order* overrides it (a pivoted plan).
+        self.order = tuple(plan_body_order(rule) if order is None else order)
+        lowered = _lower(rule.head, self.order)
+        refused = isinstance(lowered, str)
+        #: The registered reason an unsafe rule has no plan, else ``None``;
+        #: evaluating the rule raises it.
+        self.lowering_refusal: "str | None" = lowered if refused else None
         #: The head as a *matching* step over given head rows — what
         #: :meth:`derivable_rows` leads the join with — and the binding
         #: equations that take apart the head components it could only bind
-        #: whole (normalised like a body component, see :func:`lower_rule`).
-        self.head_step = head_step
-        self.head_equations = head_equations
-        self.steps = steps
-        self.equations = equations
-        self.negations = negations
+        #: whole (normalised like a body component, see :func:`_lower`).
+        self.steps, self.negations, self.equations, self.head_step, self.head_equations = (
+            ((), (), (), None, ()) if refused else lowered
+        )
+        #: (frontier key, size buckets of the sources) → step order.
+        self._orders: dict = {}
+        #: Negated position → the plan with that literal flipped positive.
+        self._pivoted: "dict[int, CompiledRule]" = {}
+        self.head_name = rule.head.name
+        self.head_components = tuple(_classify(component) for component in rule.head.components)
         # The distinct head variables in first-appearance order: result rows
         # are projected onto them (and deduplicated) before a constructing
         # head concatenates anything.  ``None`` for a head of lone variables,
         # whose rows are that projection itself.
         head_vars: list = []
-        for kind, payload in head_components:
+        for kind, payload in self.head_components:
             for variable in _component_variables(kind, payload):
                 if variable not in head_vars:
                     head_vars.append(variable)
         self.head_vars = tuple(head_vars)
         self._head_index = (
             None
-            if all(kind == "var" for kind, _ in head_components)
+            if all(kind == "var" for kind, _ in self.head_components)
             else {variable: index for index, variable in enumerate(head_vars)}
         )
+        #: Every positive-predicate ``(position, relation name)`` pair in
+        #: static order, and the same positions by relation name.
+        self.positions_in_order = tuple((step.position, step.name) for step in self.steps)
+        self.predicate_positions: "dict[str, list[int]]" = {}
+        for position, name in self.positions_in_order:
+            self.predicate_positions.setdefault(name, []).append(position)
+
+    def pivoted(self, position: int) -> "CompiledRule":
+        """The plan of the body with the negated literal at *position* flipped positive.
+
+        Signed maintenance pivots on a changed negated relation: the flipped
+        literal is restricted, through the frontier at the same static
+        *position*, to the delta rows of that relation, and what the join
+        derives (or counts) enters with the opposite sign.  Lowered on first
+        use, once per position.
+        """
+        plan = self._pivoted.get(position)
+        if plan is None:
+            flipped = list(self.order)
+            flipped[position] = flipped[position].negated()
+            plan = self._pivoted[position] = CompiledRule(self.rule, flipped)
+        return plan
 
     # -- per-call step resolution --------------------------------------------------------
 
@@ -568,7 +612,10 @@ class CompiledRule:
         overridden static position reads that instance.  *every_variable*
         makes the binding equations keep the variables nothing else reads, so
         the result has one row per valuation of all the rule's variables.
+        An unsafe rule raises its :attr:`lowering_refusal` here.
         """
+        if self.lowering_refusal is not None:
+            raise UnsafeRuleError(self.lowering_refusal)
         table = instance.term_table()
         atomic = table.atomic_flags
         concat = table.concat
@@ -588,22 +635,20 @@ class CompiledRule:
                 return None
             views[step] = storage.columnar(table)
 
-        # The join order is cached per frontier key and reused while every
-        # source stays in its power-of-two size bucket.
-        key = tuple(sorted(frontier)) if frontier else ()
-        if head_view is not None:
-            key = ("head",)
-        signature = tuple(len(view.id_rows).bit_length() for view in views.values())
-        cached = self._orders.get(key)
-        if cached is not None and cached[0] == signature:
-            order = cached[1]
+        # The join order is cached per frontier key and size regime: the
+        # power-of-two size bucket of every source.
+        key = (
+            "head" if head_view is not None else tuple(sorted(frontier)) if frontier else (),
+            tuple(len(view.id_rows).bit_length() for view in views.values()),
+        )
+        order = self._orders.get(key)
+        if order is not None:
             if statistics is not None:
                 statistics.plan_cache_hits += 1
         else:
-            order = self._join_order(
+            order = self._orders[key] = self._join_order(
                 {step: len(view.id_rows) for step, view in views.items()}, head_view is not None
             )
-            self._orders[key] = (signature, order)
             if statistics is not None:
                 statistics.plans_compiled += 1
         if head_view is not None:
@@ -1013,15 +1058,16 @@ def _normalised(predicate: Predicate, tag: str) -> "tuple[tuple, list[_Equation]
     return tuple(components), equations
 
 
-def lower_rule(head: Predicate, order: Sequence[Literal]) -> "CompiledRule | str":
-    """Lower *head* ``:-`` *order* into id-space form, or say why not.
+def _lower(head: Predicate, order: Sequence[Literal]):
+    """Lower *head* ``:-`` *order* into id-space parts, or say why not.
 
-    *order* is the rule's static body order (the frontier position space of
-    :class:`~repro.engine.evaluation.RuleEvaluator`); step positions index
-    into it.  Every literal of the language lowers; what comes back as a
-    string is a registered reason (:mod:`repro.engine.reasons`) naming a
-    variable no positive predicate or equation binds — the evaluator raises
-    it as :class:`~repro.errors.UnsafeRuleError` when the rule is evaluated.
+    *order* is the rule's static body order (:attr:`CompiledRule.order`);
+    step positions index into it.  Returns ``(steps, negations, equations,
+    head step, head equations)``.  Every literal of the language lowers;
+    what comes back as a string is a registered reason
+    (:mod:`repro.engine.reasons`) naming a variable no positive predicate or
+    equation binds — :class:`CompiledRule` raises it as
+    :class:`~repro.errors.UnsafeRuleError` when the rule is evaluated.
     """
     steps = []
     negations = []
@@ -1074,12 +1120,61 @@ def lower_rule(head: Predicate, order: Sequence[Literal]) -> "CompiledRule | str
     for equation in head_equations:
         equation.keep = frozenset(equation.atom.variables())
 
-    return CompiledRule(
-        head.name,
-        tuple(_classify(component) for component in head.components),
+    return (
         tuple(steps),
         tuple(negations),
+        tuple(equations),
         _Step(-1, head, head_components),
         tuple(head_equations),
-        tuple(equations),
     )
+
+
+def evaluate_rule(
+    rule: Rule, instance: Instance, limits: EvaluationLimits = DEFAULT_LIMITS
+) -> "set[Fact]":
+    """Return the head facts derivable from *instance* by a single application of *rule*."""
+    return CompiledRule(rule).derive(instance, limits=limits)
+
+
+class CompiledStratum(NamedTuple):
+    """One stratum of a :class:`CompiledProgram`.
+
+    ``recursive`` — a head relation of the stratum is read by one of its
+    bodies — picks how maintenance keeps it: counting derivations when it
+    is not, delete–rederive when it is.
+    """
+
+    stratum: Stratum
+    rules: "tuple[CompiledRule, ...]"
+    recursive: bool
+
+
+class CompiledProgram:
+    """A program lowered once: one :class:`CompiledStratum` per stratum, in order.
+
+    It holds no limits, so the same compiled program serves every
+    evaluation of :attr:`program`, under any limits, and keeps the join
+    orders its plans cached warm between them.
+    """
+
+    __slots__ = ("program", "strata")
+
+    def __init__(self, program: Program):
+        self.program = program
+        self.strata = tuple(
+            CompiledStratum(
+                stratum,
+                tuple(CompiledRule(rule) for rule in stratum),
+                bool(stratum.head_relation_names() & stratum.body_relation_names()),
+            )
+            for stratum in program.strata
+        )
+
+    @staticmethod
+    def of(program: Program, compiled: "CompiledProgram | None" = None) -> "CompiledProgram":
+        """*compiled*, checked to lower *program*; a fresh lowering when ``None``."""
+        if compiled is None:
+            return CompiledProgram(program)
+        if compiled.program is not program:
+            raise EvaluationError("the CompiledProgram was lowered from a different program")
+        return compiled

@@ -24,19 +24,15 @@ this loop against; nothing here imports it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from repro.engine.compiled import decode_rows
-from repro.engine.evaluation import RuleEvaluator
+from repro.engine.compiled import CompiledProgram, CompiledRule, decode_rows
 from repro.engine.limits import DEFAULT_LIMITS, EvaluationLimits
-from repro.errors import EvaluationError
 from repro.model.instance import Fact, Instance
 from repro.syntax.programs import Program, Stratum
-from repro.syntax.rules import Rule
 
 __all__ = [
     "EvaluationStatistics",
-    "ProgramEvaluators",
     "evaluate_stratum",
     "evaluate_program",
     "propagate_delta",
@@ -93,33 +89,8 @@ class EvaluationStatistics:
         self.iterations += iterations
 
 
-class ProgramEvaluators:
-    """A cache of :class:`RuleEvaluator` objects, keyed by rule.
-
-    Rule evaluators carry the lowered plans and their join orders; reusing
-    them across strata, rounds, and — through
-    :class:`~repro.engine.query.QuerySession` — repeated queries keeps
-    lowering and ordering out of the evaluation inner loop.
-    """
-
-    def __init__(self, limits: EvaluationLimits = DEFAULT_LIMITS):
-        self.limits = limits
-        self._evaluators: dict[Rule, RuleEvaluator] = {}
-
-    def evaluator(self, rule: Rule) -> RuleEvaluator:
-        """The cached evaluator for *rule* (built on first use)."""
-        found = self._evaluators.get(rule)
-        if found is None:
-            found = self._evaluators[rule] = RuleEvaluator(rule, self.limits)
-        return found
-
-    def for_stratum(self, stratum: Stratum) -> list[RuleEvaluator]:
-        """Evaluators for every rule of *stratum*, in order."""
-        return [self.evaluator(rule) for rule in stratum]
-
-
 def _resident_round(
-    evaluators: list[RuleEvaluator],
+    compiled: Sequence[CompiledRule],
     current: Instance,
     delta: "Instance | None",
     limits: EvaluationLimits,
@@ -140,24 +111,22 @@ def _resident_round(
     table = current.term_table()
     #: (head relation, arity) → new id rows; a batch decodes as one arity.
     fresh: "dict[tuple[str, int], set]" = {}
-    for evaluator in evaluators:
+    for plan in compiled:
         if delta is None:
             frontiers: list = [None]
         else:
             frontiers = [
                 {position: delta}
-                for name in evaluator.predicate_positions.keys() & delta.relation_names
-                for position in evaluator.predicate_positions[name]
+                for name in plan.predicate_positions.keys() & delta.relation_names
+                for position in plan.predicate_positions[name]
             ]
             if not frontiers:
                 continue
             statistics.delta_restricted_applications += len(frontiers)
         statistics.rule_applications += 1
-        head = evaluator.rule.head
+        head = plan.rule.head
         for frontier in frontiers:
-            derived = evaluator.compiled_plan.head_rows(
-                current, frontier, evaluator.limits, statistics
-            )
+            derived = plan.head_rows(current, frontier, limits, statistics)
             storage = current.storage(head.name)
             if derived and storage:
                 derived -= storage.columnar(table).id_row_set
@@ -181,7 +150,7 @@ def _resident_round(
 
 
 def _propagate_resident(
-    evaluators: list[RuleEvaluator],
+    compiled: Sequence[CompiledRule],
     current: Instance,
     delta: Instance,
     limits: EvaluationLimits,
@@ -196,13 +165,13 @@ def _propagate_resident(
         iterations += 1
         limits.check_iterations(iterations)
         delta = _resident_round(
-            evaluators, current, delta, limits, statistics, added if collect else None
+            compiled, current, delta, limits, statistics, added if collect else None
         )
     return iterations - iterations_before, added
 
 
 def propagate_delta(
-    evaluators: list[RuleEvaluator],
+    compiled: Sequence[CompiledRule],
     current: Instance,
     delta_facts: "set[Fact]",
     limits: EvaluationLimits = DEFAULT_LIMITS,
@@ -211,7 +180,7 @@ def propagate_delta(
     iterations_before: int = 0,
     collect: bool = False,
 ) -> tuple[int, set]:
-    """Close *current* under *evaluators*, starting from already-applied deltas.
+    """Close *current* under the *compiled* rules, starting from already-applied deltas.
 
     This is the semi-naive core shared by full evaluation
     (:func:`evaluate_stratum` runs the same rounds after its first one) and
@@ -231,7 +200,7 @@ def propagate_delta(
     delta = Instance()
     delta.replace_with(delta_facts)
     return _propagate_resident(
-        evaluators, current, delta, limits, statistics, iterations_before, collect
+        compiled, current, delta, limits, statistics, iterations_before, collect
     )
 
 
@@ -241,40 +210,32 @@ def evaluate_stratum(
     limits: EvaluationLimits = DEFAULT_LIMITS,
     *,
     statistics: EvaluationStatistics | None = None,
-    evaluators: ProgramEvaluators | None = None,
+    compiled: "Sequence[CompiledRule] | None" = None,
     copy: bool = True,
 ) -> Instance:
     """Compute the fixpoint of one stratum, returning the enlarged instance.
 
     The input *instance* is not modified unless ``copy=False``, which lets
     :func:`evaluate_program` grow one working copy across chained strata
-    instead of re-copying the ever-larger instance per stratum.  A shared
-    :class:`ProgramEvaluators` carries the lowered rule plans across calls.
+    instead of re-copying the ever-larger instance per stratum.  *compiled*
+    are the stratum's rules already lowered (a
+    :class:`~repro.engine.compiled.CompiledStratum`'s ``rules``); without
+    them the rules are lowered for this call.
     """
     if statistics is None:
         statistics = EvaluationStatistics()
     current = instance.copy() if copy else instance
     for rule in stratum:
         current.ensure_relation(rule.head.name)
-
-    if evaluators is not None:
-        # The evaluators carry their own limits; a caller passing conflicting
-        # ones would silently get the cache's.
-        if evaluators.limits != limits:
-            raise EvaluationError(
-                f"the supplied ProgramEvaluators were built with limits "
-                f"{evaluators.limits}, but this call asks for limits {limits}"
-            )
-        stratum_evaluators = evaluators.for_stratum(stratum)
-    else:
-        stratum_evaluators = [RuleEvaluator(rule, limits) for rule in stratum]
+    if compiled is None:
+        compiled = [CompiledRule(rule) for rule in stratum]
 
     # First round: all rules against the full instance.
     iterations = 1
     limits.check_iterations(iterations)
-    delta = _resident_round(stratum_evaluators, current, None, limits, statistics)
+    delta = _resident_round(compiled, current, None, limits, statistics)
     rounds, _ = _propagate_resident(
-        stratum_evaluators, current, delta, limits, statistics, iterations, False
+        compiled, current, delta, limits, statistics, iterations, False
     )
     statistics.merge_stratum(iterations + rounds)
     return current
@@ -287,7 +248,7 @@ def evaluate_program(
     *,
     statistics: EvaluationStatistics | None = None,
     seed_facts: "Iterable[Fact] | None" = None,
-    evaluators: ProgramEvaluators | None = None,
+    compiled: "CompiledProgram | None" = None,
 ) -> Instance:
     """Evaluate *program* on *instance*, returning EDB plus all IDB relations.
 
@@ -299,23 +260,23 @@ def evaluate_program(
 
     *seed_facts* are injected into the working copy before the first stratum
     — this is how goal-directed evaluation plants the magic fact describing
-    the query's bindings (see :mod:`repro.transform.magic`).  *evaluators*
-    optionally shares lowered rule plans across calls (repeated queries over
-    the same program reuse both the plans and their cached join orders).
+    the query's bindings (see :mod:`repro.transform.magic`).  *compiled*
+    optionally supplies the program already lowered
+    (:class:`~repro.engine.compiled.CompiledProgram`): repeated evaluations
+    of the same program reuse both the plans and their cached join orders.
     """
+    compiled = CompiledProgram.of(program, compiled)
     current = instance.copy()
     if seed_facts is not None:
         for fact in seed_facts:
             current.add_fact(fact)
-    if evaluators is None:
-        evaluators = ProgramEvaluators(limits)
-    for stratum in program.strata:
+    for stratum in compiled.strata:
         current = evaluate_stratum(
-            stratum,
+            stratum.stratum,
             current,
             limits,
             statistics=statistics,
-            evaluators=evaluators,
+            compiled=stratum.rules,
             copy=False,
         )
     for name in program.idb_relation_names():

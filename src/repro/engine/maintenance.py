@@ -9,7 +9,7 @@ drifts instead of recomputing it:
 * **Counting** (non-recursive strata): every derived fact carries the number
   of distinct ``(rule, body valuation)`` derivations supporting it — a
   valuation of *all* the rule's variables, tallied in id space
-  (:meth:`~repro.engine.evaluation.RuleEvaluator.derivation_counts`).  An
+  (:meth:`~repro.engine.compiled.CompiledRule.derivation_counts`).  An
   update changes the counts by the telescoped delta joins
   ``new⁽<i⁾ ⊗ Δi ⊗ old⁽>i⁾`` (one term per body position over a changed
   relation), which count each gained and lost derivation exactly once;
@@ -35,7 +35,7 @@ Both algorithms propagate **signed** deltas through stratified negation.  A
 negated literal ``not N(t̄)`` is an indicator that flips when ``N`` changes,
 so the telescoped joins gain one extra pivot per changed negated position:
 the literal is flipped positive
-(:meth:`~repro.engine.evaluation.RuleEvaluator.pivoted`, one more lowered
+(:meth:`~repro.engine.compiled.CompiledRule.pivoted`, one more lowered
 plan in the same position space), restricted to the delta rows of ``N``, and
 its contribution enters with the *opposite* sign (an addition to ``N``
 retracts downstream derivations, a retraction adds them).  Delete–rederive
@@ -58,17 +58,12 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable
 
-from repro.engine.evaluation import RuleEvaluator
-from repro.engine.fixpoint import (
-    EvaluationStatistics,
-    ProgramEvaluators,
-    evaluate_stratum,
-    propagate_delta,
-)
+from repro.engine.compiled import CompiledProgram, CompiledRule, CompiledStratum
+from repro.engine.fixpoint import EvaluationStatistics, evaluate_stratum, propagate_delta
 from repro.engine.limits import DEFAULT_LIMITS, EvaluationLimits
 from repro.errors import EvaluationError, MaintenanceUnsupportedError
 from repro.model.instance import Fact, Instance
-from repro.syntax.programs import Program, Stratum
+from repro.syntax.programs import Program
 
 __all__ = ["MaintainedFixpoint", "MaintenanceResult"]
 
@@ -100,16 +95,16 @@ class MaintenanceResult:
 class _StratumState:
     """Per-stratum maintenance state.
 
-    ``counts`` (counting strata only) maps each derived fact to its number
-    of distinct ``(rule, body valuation)`` derivations.  ``pinned`` holds
-    facts of this stratum's head relations that were already present in the
-    *input* instance: they are axioms, never retracted by maintenance.
+    ``counts`` (counting strata only, ``None`` for a recursive one) maps
+    each derived fact to its number of distinct ``(rule, body valuation)``
+    derivations.  ``pinned`` holds facts of this stratum's head relations
+    that were already present in the *input* instance: they are axioms,
+    never retracted by maintenance.
     """
 
-    __slots__ = ("recursive", "counts", "pinned")
+    __slots__ = ("counts", "pinned")
 
     def __init__(self, recursive: bool, pinned: frozenset[Fact]):
-        self.recursive = recursive
         self.counts: "dict[Fact, int] | None" = None if recursive else {}
         self.pinned = pinned
 
@@ -155,12 +150,12 @@ class _ChangeSet:
         }
 
 
-def _changed_negations(evaluator: RuleEvaluator, changes: _ChangeSet) -> "dict[int, str]":
+def _changed_negations(plan: CompiledRule, changes: _ChangeSet) -> "dict[int, str]":
     """Static position → relation name of the negated predicates over a changed relation."""
     return {
-        position: literal.atom.name  # type: ignore[union-attr]
-        for position, literal in enumerate(evaluator.order)
-        if literal.negative and literal.is_predicate() and literal.atom.name in changes.names
+        negation.position: negation.name
+        for negation in plan.negations
+        if negation.name in changes.names
     }
 
 
@@ -182,12 +177,12 @@ class MaintainedFixpoint:
         materialized: Instance,
         states: list[_StratumState],
         limits: EvaluationLimits,
-        evaluators: ProgramEvaluators,
+        compiled: CompiledProgram,
     ):
         self.program = program
         self.materialized = materialized
         self.limits = limits
-        self.evaluators = evaluators
+        self.compiled = compiled
         self._states = states
         self._idb = program.idb_relation_names()
         self._known = program.relation_names()
@@ -203,7 +198,7 @@ class MaintainedFixpoint:
         limits: EvaluationLimits = DEFAULT_LIMITS,
         *,
         statistics: "EvaluationStatistics | None" = None,
-        evaluators: "ProgramEvaluators | None" = None,
+        compiled: "CompiledProgram | None" = None,
         seed_facts: "Iterable[Fact] | None" = None,
     ) -> "MaintainedFixpoint":
         """Materialize *program* over a copy of *instance*, with support state.
@@ -225,8 +220,6 @@ class MaintainedFixpoint:
         """
         if statistics is None:
             statistics = EvaluationStatistics()
-        if evaluators is None:
-            evaluators = ProgramEvaluators(limits)
         seen_heads: set[str] = set()
         for index, stratum in enumerate(program.strata):
             heads = stratum.head_relation_names()
@@ -254,36 +247,34 @@ class MaintainedFixpoint:
                 )
             defined_so_far |= stratum.head_relation_names()
 
+        compiled = CompiledProgram.of(program, compiled)
         current = instance.copy()
         if seed_facts is not None:
             for fact in seed_facts:
                 current.add_fact(fact)
         states: list[_StratumState] = []
-        for index, stratum in enumerate(program.strata):
-            recursive = bool(stratum.head_relation_names() & stratum.body_relation_names())
+        for stratum in compiled.strata:
             pinned = frozenset(
                 Fact(name, row)
-                for name in stratum.head_relation_names()
+                for name in stratum.stratum.head_relation_names()
                 for row in current.relation(name)
             )
-            state = _StratumState(recursive, pinned)
-            if recursive:
+            state = _StratumState(stratum.recursive, pinned)
+            if stratum.recursive:
                 evaluate_stratum(
-                    stratum,
+                    stratum.stratum,
                     current,
                     limits,
                     statistics=statistics,
-                    evaluators=evaluators,
+                    compiled=stratum.rules,
                     copy=False,
                 )
             else:
-                cls._evaluate_counting_stratum(
-                    stratum, current, state, limits, statistics, evaluators
-                )
+                cls._evaluate_counting_stratum(stratum, current, state, limits, statistics)
             states.append(state)
         for name in program.idb_relation_names():
             current.ensure_relation(name)
-        return cls(program, current, states, limits, evaluators)
+        return cls(program, current, states, limits, compiled)
 
     # -- durability (support-state export / restore) -----------------------------------
 
@@ -297,11 +288,11 @@ class MaintainedFixpoint:
         """
         return [
             (
-                state.recursive,
+                stratum.recursive,
                 None if state.counts is None else dict(state.counts),
                 state.pinned,
             )
-            for state in self._states
+            for stratum, state in zip(self.compiled.strata, self._states)
         ]
 
     @classmethod
@@ -311,17 +302,18 @@ class MaintainedFixpoint:
         materialized: Instance,
         support: "Iterable[tuple[bool, dict[Fact, int] | None, Iterable[Fact]]]",
         limits: EvaluationLimits,
-        evaluators: ProgramEvaluators,
+        compiled: CompiledProgram,
     ) -> "MaintainedFixpoint":
         """Rebuild a maintained fixpoint from exported support state.
 
         The inverse of :meth:`support_state` + :attr:`materialized`: no
         evaluation happens — which is what makes restore-from-snapshot
         fast.  The support must match the program's strata (count and
-        recursive flags, which are recomputed here); a mismatch means the
-        snapshot was taken for a different program shape and is refused
-        with :class:`~repro.errors.MaintenanceUnsupportedError`.
+        the recursive flags of *compiled*); a mismatch means the snapshot
+        was taken for a different program shape and is refused with
+        :class:`~repro.errors.MaintenanceUnsupportedError`.
         """
+        compiled = CompiledProgram.of(program, compiled)
         states: list[_StratumState] = []
         triples = list(support)
         if len(triples) != len(program.strata):
@@ -329,8 +321,8 @@ class MaintainedFixpoint:
                 f"support state covers {len(triples)} strata but the program has "
                 f"{len(program.strata)}; the snapshot matches a different program"
             )
-        for stratum, (recursive, counts, pinned) in zip(program.strata, triples):
-            expected = bool(stratum.head_relation_names() & stratum.body_relation_names())
+        for stratum, (recursive, counts, pinned) in zip(compiled.strata, triples):
+            expected = stratum.recursive
             if bool(recursive) != expected:
                 raise MaintenanceUnsupportedError(
                     f"support state marks a stratum recursive={bool(recursive)} but "
@@ -341,16 +333,15 @@ class MaintainedFixpoint:
             if not expected:
                 state.counts = dict(counts or {})
             states.append(state)
-        return cls(program, materialized, states, limits, evaluators)
+        return cls(program, materialized, states, limits, compiled)
 
     @staticmethod
     def _evaluate_counting_stratum(
-        stratum: Stratum,
+        stratum: CompiledStratum,
         current: Instance,
         state: _StratumState,
         limits: EvaluationLimits,
         statistics: EvaluationStatistics,
-        evaluators: ProgramEvaluators,
     ) -> None:
         """One counting pass over a non-recursive stratum.
 
@@ -358,14 +349,14 @@ class MaintainedFixpoint:
         round reaches the fixpoint; the derived facts are applied after
         every rule was counted, so the read views stay stable.
         """
-        for rule in stratum:
-            current.ensure_relation(rule.head.name)
+        for plan in stratum.rules:
+            current.ensure_relation(plan.head_name)
         limits.check_iterations(1)
         counts = state.counts
         assert counts is not None
-        for evaluator in evaluators.for_stratum(stratum):
+        for plan in stratum.rules:
             statistics.rule_applications += 1
-            for fact, count in evaluator.derivation_counts(current, statistics=statistics).items():
+            for fact, count in plan.derivation_counts(current, None, limits, statistics).items():
                 counts[fact] = counts.get(fact, 0) + count
         new_facts = 0
         for fact in counts:
@@ -453,15 +444,15 @@ class MaintainedFixpoint:
                 changes.record(name, added_rows, removed_rows)
             statistics.facts_retracted += len(removed_facts)
 
-            for index, (stratum, state) in enumerate(zip(self.program.strata, self._states)):
-                if not (changes.names & stratum.body_relation_names()):
+            for index, (stratum, state) in enumerate(zip(self.compiled.strata, self._states)):
+                if not (changes.names & stratum.stratum.body_relation_names()):
                     continue
-                if index < len(self.program.strata) - 1:
+                if index < len(self.compiled.strata) - 1:
                     # Later strata read this one's heads as they were.
                     changes.old_overlay.hold_snapshots(
-                        self.materialized, stratum.head_relation_names()
+                        self.materialized, stratum.stratum.head_relation_names()
                     )
-                if state.recursive:
+                if stratum.recursive:
                     net_added, net_removed = self._maintain_dred_stratum(
                         stratum, state, changes, statistics
                     )
@@ -518,7 +509,7 @@ class MaintainedFixpoint:
 
     def _maintain_counting_stratum(
         self,
-        stratum: Stratum,
+        stratum: CompiledStratum,
         state: _StratumState,
         changes: _ChangeSet,
         statistics: EvaluationStatistics,
@@ -547,13 +538,12 @@ class MaintainedFixpoint:
         assert state.counts is not None
         delta_counts: "Counter[Fact]" = Counter()
         gain, lose = delta_counts.update, delta_counts.subtract
-        for evaluator in self.evaluators.for_stratum(stratum):
-            read_names = evaluator.body_relation_names | evaluator.negated_relation_names
-            if not (read_names & changes.names):
+        for plan in stratum.rules:
+            if not (plan.rule.body_relation_names() & changes.names):
                 continue
             statistics.rule_applications += 1
-            positions = evaluator.positions_in_order
-            changed_negations = _changed_negations(evaluator, changes)
+            positions = plan.positions_in_order
+            changed_negations = _changed_negations(plan, changes)
             # Negations follow every positive predicate in the static order,
             # so at any positive pivot every changed negated position reads
             # the pre-update overlay.
@@ -574,11 +564,12 @@ class MaintainedFixpoint:
                         continue
                     statistics.delta_restricted_applications += 1
                     tally(
-                        evaluator.derivation_counts(
+                        plan.derivation_counts(
                             self.materialized,
-                            frontier={pivot: overlay, **overrides},
-                            statistics=statistics,
-                            negative_sources=negative_old,
+                            {pivot: overlay, **overrides},
+                            self.limits,
+                            statistics,
+                            negative_old,
                         )
                     )
             for pivot, name in changed_negations.items():
@@ -600,7 +591,7 @@ class MaintainedFixpoint:
                         continue
                     statistics.delta_restricted_applications += 1
                     tally(
-                        evaluator.pivoted(pivot).derivation_counts(
+                        plan.pivoted(pivot).derivation_counts(
                             self.materialized,
                             {pivot: overlay},
                             self.limits,
@@ -656,7 +647,7 @@ class MaintainedFixpoint:
 
     def _maintain_dred_stratum(
         self,
-        stratum: Stratum,
+        stratum: CompiledStratum,
         state: _StratumState,
         changes: _ChangeSet,
         statistics: EvaluationStatistics,
@@ -673,15 +664,15 @@ class MaintainedFixpoint:
         propagation.  Stratification makes both exact — the negated
         relation's delta is final before this stratum runs.
         """
-        evaluators = self.evaluators.for_stratum(stratum)
-        head_names = stratum.head_relation_names()
-        negated_changed = changes.names & stratum.negated_relation_names()
+        plans = stratum.rules
+        head_names = stratum.stratum.head_relation_names()
+        negated_changed = changes.names & stratum.stratum.negated_relation_names()
         kill_seeds = set()
         if negated_changed:
             kill_seeds = self._negation_seeds(
-                evaluators, head_names, state, changes, statistics, killed=True
+                plans, head_names, state, changes, statistics, killed=True
             )
-        overdeleted_rows = self._overdelete(evaluators, state, changes, statistics, kill_seeds)
+        overdeleted_rows = self._overdelete(plans, state, changes, statistics, kill_seeds)
         overdeleted = {
             Fact._from_trusted(name, row)
             for name, rows in overdeleted_rows.items()
@@ -689,7 +680,7 @@ class MaintainedFixpoint:
         }
         for fact in overdeleted:
             self.materialized.discard_fact(fact, keep_empty=True)
-        rederived = self._rederive(evaluators, overdeleted_rows, statistics)
+        rederived = self._rederive(plans, overdeleted_rows, statistics)
 
         gained: set[Fact] = set()
         if negated_changed:
@@ -698,7 +689,7 @@ class MaintainedFixpoint:
             # applied), land in the materialization directly, and seed the
             # propagation below like any other insertion.
             gained = self._negation_seeds(
-                evaluators, head_names, state, changes, statistics, killed=False
+                plans, head_names, state, changes, statistics, killed=False
             )
             gained = {fact for fact in gained if fact not in self.materialized}
             for fact in gained:
@@ -709,9 +700,11 @@ class MaintainedFixpoint:
         # rederived facts re-support other over-deleted facts (rederivation
         # ran against the state without any of them) and the update's added
         # facts derive genuinely new ones.
-        seeds = changes.facts(changes.added, stratum.body_relation_names()) | rederived | gained
+        seeds = (
+            changes.facts(changes.added, stratum.stratum.body_relation_names()) | rederived | gained
+        )
         rounds, inserted = propagate_delta(
-            evaluators,
+            plans,
             self.materialized,
             seeds,
             self.limits,
@@ -726,7 +719,7 @@ class MaintainedFixpoint:
 
     def _negation_seeds(
         self,
-        evaluators: list[RuleEvaluator],
+        plans: "tuple[CompiledRule, ...]",
         head_names: frozenset[str],
         state: _StratumState,
         changes: _ChangeSet,
@@ -747,8 +740,8 @@ class MaintainedFixpoint:
         """
         seeds: set[Fact] = set()
         delta = changes.removed if not killed else changes.added
-        for evaluator in evaluators:
-            changed_negations = _changed_negations(evaluator, changes)
+        for plan in plans:
+            changed_negations = _changed_negations(plan, changes)
             for pivot, name in changed_negations.items():
                 rows = delta.get(name)
                 if not rows:
@@ -758,7 +751,7 @@ class MaintainedFixpoint:
                 if killed:
                     frontier = {
                         position: changes.old_overlay
-                        for position, other_name in evaluator.positions_in_order
+                        for position, other_name in plan.positions_in_order
                         if other_name in changes.names
                     }
                     negative_sources = {
@@ -770,7 +763,7 @@ class MaintainedFixpoint:
                 part.set_relation_rows(name, rows)
                 frontier[pivot] = part
                 statistics.delta_restricted_applications += 1
-                derived = evaluator.pivoted(pivot).derive(
+                derived = plan.pivoted(pivot).derive(
                     self.materialized, frontier, self.limits, statistics, negative_sources
                 )
                 for fact in derived:
@@ -783,7 +776,7 @@ class MaintainedFixpoint:
 
     def _overdelete(
         self,
-        evaluators: list[RuleEvaluator],
+        plans: "tuple[CompiledRule, ...]",
         state: _StratumState,
         changes: _ChangeSet,
         statistics: EvaluationStatistics,
@@ -809,7 +802,7 @@ class MaintainedFixpoint:
         for fact in kill_seeds:
             frontier.setdefault(fact.relation, {})[intern_row(fact.paths)] = fact.paths
         overdeleted = {name: dict(rows) for name, rows in frontier.items()}
-        for name in changes.names & {n for ev in evaluators for n in ev.body_relation_names}:
+        for name in changes.names & {n for plan in plans for n in plan.predicate_positions}:
             frontier[name] = {intern_row(row): row for row in changes.removed[name]}
         rounds = 0
         while frontier := {name: rows for name, rows in frontier.items() if rows}:
@@ -820,17 +813,17 @@ class MaintainedFixpoint:
             for name, rows in frontier.items():
                 frontier_instance.add_rows(name, set(rows.values()), list(rows))
             found: "dict[str, set[tuple]]" = {}
-            for evaluator in evaluators:
-                head = evaluator.rule.head.name
+            for plan in plans:
+                head = plan.head_name
                 live = self.materialized.storage(head)
-                if not (evaluator.body_relation_names & frontier.keys()) or not live:
+                if not (plan.predicate_positions.keys() & frontier.keys()) or not live:
                     continue
                 statistics.rule_applications += 1
                 present = live.columnar(table).id_row_set
                 known = overdeleted.get(head, {})
-                positions = evaluator.positions_in_order
+                positions = plan.positions_in_order
                 negative_old = (
-                    dict.fromkeys(_changed_negations(evaluator, changes), changes.old_overlay)
+                    dict.fromkeys(_changed_negations(plan, changes), changes.old_overlay)
                     or None
                 )
                 for pivot, name in positions:
@@ -842,7 +835,7 @@ class MaintainedFixpoint:
                         if position != pivot and other in changes.names
                     }
                     statistics.delta_restricted_applications += 1
-                    derived = evaluator.compiled_plan.head_rows(
+                    derived = plan.head_rows(
                         self.materialized,
                         {pivot: frontier_instance, **overrides},
                         self.limits,
@@ -863,7 +856,7 @@ class MaintainedFixpoint:
 
     def _rederive(
         self,
-        evaluators: list[RuleEvaluator],
+        plans: "tuple[CompiledRule, ...]",
         overdeleted: "dict[str, dict[tuple, tuple]]",
         statistics: EvaluationStatistics,
     ) -> set[Fact]:
@@ -884,13 +877,13 @@ class MaintainedFixpoint:
         statistics.maintenance_rounds += 1
         pending = {name: set(rows) for name, rows in overdeleted.items()}
         found: "dict[str, set[tuple]]" = {}
-        for evaluator in evaluators:
-            name = evaluator.rule.head.name
+        for plan in plans:
+            name = plan.head_name
             candidates = pending.get(name)
             if not candidates:
                 continue
             statistics.rederivation_attempts += len(candidates)
-            derived = evaluator.compiled_plan.derivable_rows(
+            derived = plan.derivable_rows(
                 self.materialized, list(candidates), self.limits, statistics
             )
             candidates -= derived

@@ -30,8 +30,9 @@ Both modes return identical answers by construction; the goal mode merely
 avoids work (`benchmarks/bench_magic_sets.py` measures how much).
 
 :class:`QuerySession` pins an instance and reuses the compiled artifacts —
-magic rewritings per adornment and rule evaluators with their compiled join
-plans — across repeated queries, which is the intended entry point for
+magic rewritings per adornment, each program lowered once to a
+:class:`~repro.engine.compiled.CompiledProgram` whose plans keep their join
+orders — across repeated queries, which is the intended entry point for
 query-heavy serving workloads.  The session additionally *memoizes the full
 fixpoint as a maintained materialization*
 (:class:`~repro.engine.maintenance.MaintainedFixpoint`): repeated full-mode
@@ -67,7 +68,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 from typing import Literal as TypingLiteral
 
-from repro.engine.fixpoint import EvaluationStatistics, ProgramEvaluators, evaluate_program
+from repro.engine.compiled import CompiledProgram
+from repro.engine.fixpoint import EvaluationStatistics, evaluate_program
 from repro.engine.limits import DEFAULT_LIMITS, EvaluationLimits
 from repro.engine.maintenance import MaintainedFixpoint
 from repro.engine.reasons import (
@@ -273,9 +275,18 @@ class ProgramQuery:
         self.name = name or output_relation
         self._validate(require_monadic)
         self.output_arity: int = self.program.relation_arities()[output_relation]
-        #: Per-adornment magic rewritings (or the reason they are unavailable),
-        #: keyed by the tuple of bound positions.  Shared by every session.
-        self._goal_programs: dict[tuple[int, ...], "object"] = {}
+        self._compiled: "CompiledProgram | None" = None
+        #: Per-adornment magic rewritings, each next to its compiled program
+        #: (or the reason they are unavailable), keyed by the tuple of bound
+        #: positions.  Shared by every session.
+        self._goal_programs: dict[tuple[int, ...], "tuple | str"] = {}
+
+    @property
+    def compiled(self) -> CompiledProgram:
+        """The program lowered once, on first use, and shared by every session."""
+        if self._compiled is None:
+            self._compiled = CompiledProgram(self.program)
+        return self._compiled
 
     def _validate(self, require_monadic: bool) -> None:
         if require_monadic and not self.input_schema.is_monadic():
@@ -317,10 +328,13 @@ class ProgramQuery:
         answers down to the requested binding.
         """
         normalised = _normalise_binding(binding, self.output_arity, self.output_relation)
-        return self._goal_program_for_key(tuple(sorted(normalised)))
+        goal, refusal = self._goal_program_for_key(tuple(sorted(normalised)))
+        return (None if goal is None else goal[0]), refusal
 
     def _goal_program_for_key(self, key: tuple[int, ...]):
-        """As :meth:`goal_program`, keyed by already-validated bound positions."""
+        """As :meth:`goal_program`, keyed by already-validated bound positions,
+        with the rewriting's compiled program: ``((MagicProgram,
+        CompiledProgram) | None, reason | None)``."""
         # Imported lazily: repro.transform depends on the engine package.
         from repro.analysis.adornment import Adornment
         from repro.transform.magic import magic_rewrite
@@ -328,12 +342,13 @@ class ProgramQuery:
         cached = self._goal_programs.get(key)
         if cached is None:
             try:
-                cached = magic_rewrite(
+                magic = magic_rewrite(
                     self.program,
                     self.output_relation,
                     Adornment.from_positions(self.output_arity, key),
                     on_expanding="generalize",
                 )
+                cached = (magic, CompiledProgram(magic.program))
             except MagicSetUnsupportedError as error:
                 cached = reason(REWRITE_UNSUPPORTED, str(error))
             self._goal_programs[key] = cached
@@ -446,10 +461,9 @@ class QuerySession:
     """Repeated (possibly goal-directed) queries over one pinned instance.
 
     The session validates the instance once, then caches the evaluation
-    machinery that is worth keeping warm between queries: one
-    :class:`ProgramEvaluators` per evaluated program (the full program and
-    each magic rewriting), whose rule evaluators hold the compiled join
-    plans, a subgoal :class:`~repro.engine.tabling.AnswerTable` for
+    machinery that is worth keeping warm between queries (the compiled
+    programs are the query's, shared by its sessions): a subgoal
+    :class:`~repro.engine.tabling.AnswerTable` for
     goal-mode calls, and — once a full-mode evaluation has happened — the
     full fixpoint itself as a
     :class:`~repro.engine.maintenance.MaintainedFixpoint`.
@@ -502,7 +516,6 @@ class QuerySession:
         #: instead of building and memoizing maintenance support state, and
         #: goal-mode runs bypass the subgoal answer table.
         self._memoize = memoize
-        self._evaluators: dict[int, ProgramEvaluators] = {}
         self._maintained: "MaintainedFixpoint | None" = None
         #: Tabled goal-mode calls, by call subsumption.  The LRU capacity is
         #: a serving knob: sessions pinning many overlapping goals can raise
@@ -528,25 +541,19 @@ class QuerySession:
         #: maintained incrementally, if it could not.
         self.last_maintenance_fallback: "str | None" = None
 
-    def _evaluators_for(self, program: Program) -> ProgramEvaluators:
-        found = self._evaluators.get(id(program))
-        if found is None:
-            found = self._evaluators[id(program)] = ProgramEvaluators(self.query.limits)
-        return found
-
     def _evaluate(
         self,
-        program: Program,
+        compiled: CompiledProgram,
         statistics: EvaluationStatistics,
         seed_facts: "Iterable[Fact] | None" = None,
     ) -> Instance:
         return evaluate_program(
-            program,
+            compiled.program,
             self.instance,
             self.query.limits,
             statistics=statistics,
             seed_facts=seed_facts,
-            evaluators=self._evaluators_for(program),
+            compiled=compiled,
         )
 
     # -- maintained artifacts (materialization + subgoal tables) -----------------------
@@ -643,7 +650,7 @@ class QuerySession:
                 self.instance,
                 self.query.limits,
                 statistics=statistics,
-                evaluators=self._evaluators_for(self.query.program),
+                compiled=self.query.compiled,
             )
         except EvaluationError as error:
             if isinstance(error, EvaluationBudgetExceeded):
@@ -661,13 +668,9 @@ class QuerySession:
 
     def _plain_materialization(self, statistics: EvaluationStatistics) -> MaintainedFixpoint:
         """A one-shot full evaluation wrapped for serving, with no memo state."""
-        full = self._evaluate(self.query.program, statistics)
+        full = self._evaluate(self.query.compiled, statistics)
         return MaintainedFixpoint(
-            self.query.program,
-            full,
-            [],
-            self.query.limits,
-            self._evaluators_for(self.query.program),
+            self.query.program, full, [], self.query.limits, self.query.compiled
         )
 
     # -- updates -----------------------------------------------------------------------
@@ -809,17 +812,13 @@ class QuerySession:
         statistics = EvaluationStatistics()
         fallback_reason: "str | None" = None
         if wanted_mode == "goal":
-            compiled, fallback_reason = self.query._goal_program_for_key(
-                tuple(sorted(normalised))
-            )
-            if compiled is not None and self._memoize:
-                too_large = self._generalization_guard(compiled, normalised)
+            goal, fallback_reason = self.query._goal_program_for_key(tuple(sorted(normalised)))
+            if goal is not None and self._memoize:
+                too_large = self._generalization_guard(goal[0], normalised)
                 if too_large is not None:
-                    compiled, fallback_reason = None, too_large
-            if compiled is not None:
-                result, fallback_reason = self._evaluate_goal(
-                    compiled, normalised, statistics
-                )
+                    goal, fallback_reason = None, too_large
+            if goal is not None:
+                result, fallback_reason = self._evaluate_goal(*goal, normalised, statistics)
                 if result is not None:
                     return result
 
@@ -831,7 +830,7 @@ class QuerySession:
             maintained.materialized, normalised, statistics, "full", served_by, fallback_reason
         )
 
-    def _generalization_guard(self, compiled, normalised: Binding) -> "str | None":
+    def _generalization_guard(self, magic, normalised: Binding) -> "str | None":
         """The tabling cost model: refuse oversized generalized entries.
 
         A generalized rewriting (``on_expanding="generalize"``) drops bound
@@ -853,9 +852,9 @@ class QuerySession:
         later call.
         """
         limit = self.generalization_limit
-        if limit is None or not compiled.generalized:
+        if limit is None or not magic.generalized:
             return None
-        edb = compiled.program.edb_relation_names() - {compiled.magic_seed_relation}
+        edb = magic.program.edb_relation_names() - {magic.magic_seed_relation}
         bound_values = list(normalised.values())
         total = 0
         touching = 0
@@ -873,15 +872,16 @@ class QuerySession:
         return reason(
             GENERALIZATION_TOO_LARGE,
             f"tabling the generalized goal "
-            f"({compiled.adornment.suffix() or 'g'} for requested "
-            f"{compiled.requested_adornment.suffix() or 'g'}) would sweep "
+            f"({magic.adornment.suffix() or 'g'} for requested "
+            f"{magic.requested_adornment.suffix() or 'g'}) would sweep "
             f"~{total} EDB rows against a requested slice touching ~{touching} "
             f"(ratio {ratio:.0f} > limit {limit:g}); fell back to full evaluation",
         )
 
     def _evaluate_goal(
         self,
-        compiled,
+        magic,
+        compiled: CompiledProgram,
         normalised: Binding,
         statistics: EvaluationStatistics,
     ) -> "tuple[QueryResult | None, str | None]":
@@ -893,17 +893,17 @@ class QuerySession:
         """
         seed_binding = {
             position: normalised[position]
-            for position in compiled.adornment.bound_positions
+            for position in magic.adornment.bound_positions
         }
-        seed = compiled.seed_fact(seed_binding)
+        seed = magic.seed_fact(seed_binding)
         try:
             if self._memoize:
-                entry = self._table_entry_for(compiled, seed_binding, seed, statistics)
+                entry = self._table_entry_for(magic, compiled, seed_binding, seed, statistics)
                 self._tables.insert(entry)
                 self._record_basis()
                 full = entry.answers
             else:
-                full = self._evaluate(compiled.program, statistics, seed_facts=(seed,))
+                full = self._evaluate(compiled, statistics, seed_facts=(seed,))
         except EvaluationBudgetExceeded as error:
             return None, reason(
                 GOAL_BUDGET_EXCEEDED,
@@ -914,44 +914,45 @@ class QuerySession:
 
     def _table_entry_for(
         self,
-        compiled,
+        magic,
+        compiled: CompiledProgram,
         seed_binding: Binding,
         seed: Fact,
         statistics: EvaluationStatistics,
     ) -> TableEntry:
-        """Evaluate *compiled* from *seed* into a (preferably maintained) entry."""
-        positions = tuple(compiled.adornment.bound_positions)
+        """Evaluate the *magic* program from *seed* into a (preferably maintained) entry."""
+        positions = tuple(magic.adornment.bound_positions)
         values = tuple(seed_binding[position] for position in positions)
         # Intern the base relations the magic program reads once, on the
         # session's instance: every entry's working copy shares these views.
         table = self.instance.term_table()
-        for name in compiled.program.edb_relation_names() & self.instance.relation_names:
+        for name in magic.program.edb_relation_names() & self.instance.relation_names:
             self.instance.storage(name).columnar(table)  # type: ignore[union-attr]
         try:
             fixpoint = MaintainedFixpoint.evaluate(
-                compiled.program,
+                magic.program,
                 self.instance,
                 self.query.limits,
                 statistics=statistics,
-                evaluators=self._evaluators_for(compiled.program),
+                compiled=compiled,
                 seed_facts=(seed,),
             )
         except MaintenanceUnsupportedError:
             # The magic program cannot be maintained; table a plain snapshot
             # (served until the first update that touches its relations).
-            snapshot = self._evaluate(compiled.program, statistics, seed_facts=(seed,))
+            snapshot = self._evaluate(compiled, statistics, seed_facts=(seed,))
             return TableEntry(
                 self.query.output_relation,
                 positions,
                 values,
-                compiled,
+                magic,
                 snapshot=snapshot,
             )
         return TableEntry(
             self.query.output_relation,
             positions,
             values,
-            compiled,
+            magic,
             fixpoint=fixpoint,
         )
 
@@ -1141,25 +1142,26 @@ class QuerySession:
                 materialized,
                 support,
                 query.limits,
-                session._evaluators_for(query.program),
+                query.compiled,
             )
         for stored in state.get("table") or ():
             positions = tuple(int(position) for position in stored["positions"])
             values = tuple(path_from_text(text) for text in stored["values"])
-            compiled, _refusal = query._goal_program_for_key(positions)
-            if compiled is None:
+            goal, _refusal = query._goal_program_for_key(positions)
+            if goal is None:
                 continue
-            if tuple(compiled.adornment.bound_positions) != positions:
+            magic = goal[0]
+            if tuple(magic.adornment.bound_positions) != positions:
                 continue
             answers = _answers_from_json(stored["answers"])
-            for name in compiled.program.idb_relation_names():
+            for name in magic.program.idb_relation_names():
                 answers.ensure_relation(name)
             session._tables.insert(
                 TableEntry(
                     query.output_relation,
                     positions,
                     values,
-                    compiled,
+                    magic,
                     snapshot=answers,
                 )
             )

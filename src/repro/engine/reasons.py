@@ -59,7 +59,7 @@ Codes
     victim, keeping well-behaved tenants resident under a hostile load.
 ``lowering_unsafe_head`` / ``lowering_unsafe_negation`` / ``lowering_unsafe_equation``
     Why a rule has no id-space plan
-    (:attr:`~repro.engine.evaluation.RuleEvaluator.lowering_refusal`, raised
+    (:attr:`~repro.engine.compiled.CompiledRule.lowering_refusal`, raised
     as :class:`~repro.errors.UnsafeRuleError` when the rule is evaluated): a
     variable of the head, or of a negated predicate, is bound by no positive
     predicate or equation, or no side of an equation ever becomes bound.

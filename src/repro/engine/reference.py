@@ -4,7 +4,7 @@ Everything :mod:`repro.engine` runs in production goes through one lowered
 id-space plan.  This module is the independent second opinion the agreement
 suites compare it against — and nothing else: no production module imports
 it.  It shares only the definitional pieces with the engine (the static body
-order of :func:`~repro.engine.evaluation.plan_body_order`, the associative
+order of :func:`~repro.syntax.rules.plan_body_order`, the associative
 matcher of :mod:`repro.engine.match`, :class:`~repro.engine.valuation.Valuation`)
 and none of its machinery:
 
@@ -24,14 +24,13 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.engine.evaluation import plan_body_order
 from repro.engine.limits import DEFAULT_LIMITS, EvaluationLimits
 from repro.engine.match import lower_pattern
 from repro.engine.valuation import Valuation
 from repro.model.instance import Fact, Instance
 from repro.syntax.literals import Literal
 from repro.syntax.programs import Program
-from repro.syntax.rules import Rule
+from repro.syntax.rules import Rule, plan_body_order
 
 __all__ = ["reference_fixpoint"]
 

@@ -49,7 +49,8 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 #: Maximum header lines in one request; past it the request is a 400.
 MAX_HEADER_LINES = 100
 #: Seconds one request may take to arrive, idle keep-alive wait included;
-#: past it the request is a 408 and the connection closes.
+#: past it the request is a 408 and the connection closes.  A reply that
+#: cannot be sent within it closes the connection too.
 REQUEST_TIMEOUT_S = 60
 
 
@@ -254,6 +255,19 @@ async def _read_request(
     return method, path, body
 
 
+async def _drain(writer: asyncio.StreamWriter) -> None:
+    """``writer.drain()``, raising ``TimeoutError`` after :data:`REQUEST_TIMEOUT_S`.
+
+    Only a buffered reply can block, on a client that does not read it; an
+    empty buffer drains at once and skips the timer.
+    """
+    if not writer.transport.get_write_buffer_size():
+        await writer.drain()
+        return
+    async with asyncio.timeout(REQUEST_TIMEOUT_S):
+        await writer.drain()
+
+
 async def _handle_connection(
     app: ServiceApp, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
 ) -> None:
@@ -268,14 +282,17 @@ async def _handle_connection(
                         408, "request_timeout", f"no complete request within {REQUEST_TIMEOUT_S} s"
                     )
                 writer.write(_encode_response(error.status, error.to_json(), keep_alive=False))
-                await writer.drain()
+                await _drain(writer)
                 break
             if request is None:
                 break
             method, path, body = request
             status, payload = await app.dispatch(method, path, body)
             writer.write(_encode_response(status, payload, keep_alive=True))
-            await writer.drain()
+            await _drain(writer)
+    except TimeoutError:
+        # The client stopped reading its replies: drop them with the connection.
+        writer.transport.abort()
     finally:
         # No wait_closed(): drain() already ran per response, and awaiting
         # the transport teardown here races server shutdown's task

@@ -16,7 +16,7 @@ from repro.syntax.expressions import (
 from repro.syntax.literals import Atom, Equation, Literal, Predicate, eq, neg, pos, pred
 from repro.syntax.naming import FreshNames
 from repro.syntax.programs import Program, Stratum, stratify_rules
-from repro.syntax.rules import Rule, fact_rule, rule
+from repro.syntax.rules import Rule, fact_rule, plan_body_order, rule
 from repro.syntax.substitution import Substitution
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "packed",
     "path_var",
     "pexpr",
+    "plan_body_order",
     "pos",
     "pred",
     "rule",

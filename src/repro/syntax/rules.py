@@ -20,7 +20,7 @@ from repro.syntax.expressions import PathExpression, Variable
 from repro.syntax.literals import Atom, Equation, Literal, Predicate, pos
 from repro.syntax.substitution import Substitution
 
-__all__ = ["Rule", "rule", "fact_rule", "bind_equations"]
+__all__ = ["Rule", "rule", "fact_rule", "bind_equations", "plan_body_order"]
 
 
 def bind_equations(pending: "list[Literal]", bound: "set[Variable]") -> "list[Literal]":
@@ -37,8 +37,7 @@ def bind_equations(pending: "list[Literal]", bound: "set[Variable]") -> "list[Li
     both is ordered like its literal.
 
     This is the one ordering of equations: the limited variables below, the
-    static body order of :func:`repro.engine.evaluation.plan_body_order`,
-    the join order of :class:`repro.engine.compiled.CompiledRule` and the
+    static body order of :func:`plan_body_order`, the join order of :class:`repro.engine.compiled.CompiledRule` and the
     elimination order of Lemma 4.5 (:mod:`repro.transform.equations`).
     """
     ordered: list[Literal] = []
@@ -55,6 +54,49 @@ def bind_equations(pending: "list[Literal]", bound: "set[Variable]") -> "list[Li
                 bound.update(equation.variables())
                 progressed = True
     return ordered
+
+
+def plan_body_order(rule: "Rule") -> list[Literal]:
+    """Return the rule's body literals in a safe-to-evaluate static order.
+
+    Positive predicates come first (smaller number of variables first, a
+    cheap join-ordering heuristic), then positive equations in an order in
+    which each has at least one side bound when reached, then all negated
+    literals.  Raises :class:`UnsafeRuleError` with the registered
+    ``lowering_unsafe_equation`` reason if no such order exists, which for
+    safe rules cannot happen.
+
+    This is the canonical *position space* that delta frontiers refer to
+    (:class:`repro.engine.compiled.CompiledRule`); the id-space plan chooses
+    its own join order per evaluation.
+    """
+    positive_predicates = [
+        literal for literal in rule.body if literal.positive and literal.is_predicate()
+    ]
+    positive_equations = [
+        literal for literal in rule.body if literal.positive and literal.is_equation()
+    ]
+    negatives = [literal for literal in rule.body if literal.negative]
+
+    positive_predicates.sort(key=lambda literal: len(literal.variables()))
+
+    bound: set = set()
+    for literal in positive_predicates:
+        bound.update(literal.variables())
+
+    ordered_equations = bind_equations(positive_equations, bound)
+    if positive_equations:
+        # Imported here: the engine package imports this module.
+        from repro.engine.reasons import LOWERING_UNSAFE_EQUATION, reason
+
+        raise UnsafeRuleError(
+            reason(
+                LOWERING_UNSAFE_EQUATION,
+                f"cannot order the equations of rule {rule}: no side becomes fully bound",
+            )
+        )
+
+    return positive_predicates + ordered_equations + negatives
 
 
 def _as_literal(item: "Literal | Atom") -> Literal:

@@ -3,18 +3,18 @@
 import pytest
 
 from repro.engine import (
+    CompiledProgram,
     EvaluationLimits,
-    ProgramEvaluators,
     ProgramQuery,
     evaluate_program,
     evaluate_rule,
     evaluate_stratum,
-    plan_body_order,
 )
 from repro.engine.reference import reference_fixpoint
 from repro.errors import EvaluationBudgetExceeded, EvaluationError, ModelError
 from repro.model import Fact, Instance, graph_instance, pack, path, unary_instance
 from repro.parser import parse_program, parse_rule
+from repro.syntax.rules import plan_body_order
 
 
 class TestRuleEvaluation:
@@ -133,11 +133,10 @@ class TestResidentFixpoint:
     EDGES = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
 
     def test_the_default_lowers_these_programs(self):
-        evaluators = ProgramEvaluators()
         for text in (self.EXAMPLE_23, self.CLOSURE):
-            for stratum in parse_program(text).strata:
-                assert all(e.lowering_refusal is None for e in evaluators.for_stratum(stratum))
-                assert all(e.compiled_plan.head_step for e in evaluators.for_stratum(stratum))
+            for stratum in CompiledProgram(parse_program(text)).strata:
+                assert all(plan.lowering_refusal is None for plan in stratum.rules)
+                assert all(plan.head_step for plan in stratum.rules)
 
     @pytest.mark.parametrize(
         "limits",

@@ -8,7 +8,7 @@ extensions than re-evaluating the program for every query.  The benchmark
 keeps the wall-clock report beside it.
 """
 
-from repro.engine import EvaluationStatistics, ProgramEvaluators, ProgramQuery, evaluate_program
+from repro.engine import CompiledProgram, EvaluationStatistics, ProgramQuery, evaluate_program
 from repro.engine.reference import reference_fixpoint
 from repro.model import Fact, path
 from repro.parser import parse_program
@@ -44,9 +44,9 @@ def serve_stream(query, instance, steps, sources):
     session = query.session(instance.copy())
     assert session.run(binding={0: sources[0]}).served_by == "full"
     scratch = instance.copy()
-    evaluators = ProgramEvaluators(query.limits)
+    compiled = CompiledProgram(query.program)
     initial = EvaluationStatistics()
-    evaluate_program(query.program, scratch, statistics=initial, evaluators=evaluators)
+    evaluate_program(query.program, scratch, statistics=initial, compiled=compiled)
     maintained_attempts, scratch_attempts = 0, initial.extension_attempts
     for additions, retractions in steps:
         update = session.update(additions, retractions)
@@ -59,9 +59,7 @@ def serve_stream(query, instance, steps, sources):
             delta.retract_fact(fact)
         delta.apply()
         statistics = EvaluationStatistics()
-        full = evaluate_program(
-            query.program, scratch, statistics=statistics, evaluators=evaluators
-        )
+        full = evaluate_program(query.program, scratch, statistics=statistics, compiled=compiled)
         scratch_attempts += statistics.extension_attempts * len(sources)
         for source in sources:
             result = session.run(binding={0: source})

@@ -4,8 +4,8 @@ import pytest
 
 from repro.engine import (
     EvaluationStatistics,
+    CompiledRule,
     MaintainedFixpoint,
-    RuleEvaluator,
     evaluate_program,
 )
 from repro.engine.reference import reference_fixpoint
@@ -349,21 +349,21 @@ class TestIdSpaceCounting:
     def test_counts_under_a_binding_equation(self):
         rule = parse_rule("S($x) :- R($x), $x = $u·a·$v.")
         instance = instance_from_text("R(a·b·a). R(b). R(a·a·a).")
-        evaluator = RuleEvaluator(rule)
-        counts = {str(fact): n for fact, n in evaluator.derivation_counts(instance).items()}
+        plan = CompiledRule(rule)
+        counts = {str(fact): n for fact, n in plan.derivation_counts(instance).items()}
         assert counts == {"S(a·b·a)": 2, "S(a·a·a)": 3}
         # One application derives each fact once, however many valuations.
-        assert {str(fact) for fact in evaluator.derive(instance)} == set(counts)
+        assert {str(fact) for fact in plan.derive(instance)} == set(counts)
         # A frontier restricts the count like it restricts the join.
         delta = instance_from_text("R(a·a·a).")
-        (position,) = evaluator.predicate_positions["R"]
-        restricted = evaluator.derivation_counts(instance, frontier={position: delta})
+        (position,) = plan.predicate_positions["R"]
+        restricted = plan.derivation_counts(instance, frontier={position: delta})
         assert {str(fact): n for fact, n in restricted.items()} == {"S(a·a·a)": 3}
 
     def test_a_constructing_head_sums_the_valuations_it_collapses(self):
         rule = parse_rule("T($u·$v) :- A($u), B($v).")
         instance = instance_from_text("A(a). A(a·b). B(b·c). B(c).")
-        counts = RuleEvaluator(rule).derivation_counts(instance)
+        counts = CompiledRule(rule).derivation_counts(instance)
         assert {str(fact): n for fact, n in counts.items()} == {
             "T(a·b·c)": 2,  # a + b·c and a·b + c
             "T(a·c)": 1,
@@ -386,7 +386,7 @@ class TestIdSpaceCounting:
 
 class TestNegatedPivots:
     """A changed negated relation is a pivot of its own: the literal flipped
-    positive (``RuleEvaluator.pivoted``), restricted to the delta rows."""
+    positive (``CompiledRule.pivoted``), restricted to the delta rows."""
 
     TWO_NEGATIONS = "S($x) :- R($x), not P($x), not Q($x)."
 
@@ -432,17 +432,18 @@ class TestNegatedPivots:
             assert counts_of(maintained) == counts
 
     def test_the_pivoted_plan_is_lowered_once_per_position(self):
-        evaluator = RuleEvaluator(parse_rule(self.TWO_NEGATIONS))
+        plan = CompiledRule(parse_rule(self.TWO_NEGATIONS))
         first, second = [
             position
-            for position, literal in enumerate(evaluator.order)
+            for position, literal in enumerate(plan.order)
             if literal.negative
         ]
-        assert evaluator.pivoted(first) is evaluator.pivoted(first)
-        assert evaluator.pivoted(first) is not evaluator.pivoted(second)
+        assert [negation.position for negation in plan.negations] == [first, second]
+        assert plan.pivoted(first) is plan.pivoted(first)
+        assert plan.pivoted(first) is not plan.pivoted(second)
         # The flipped literal is a join step at its own static position.
-        assert first in {step.position for step in evaluator.pivoted(first).steps}
-        assert first not in {step.position for step in evaluator.compiled_plan.steps}
+        assert first in {step.position for step in plan.pivoted(first).steps}
+        assert first not in {step.position for step in plan.steps}
 
     def test_kill_seeds_read_the_other_negation_before_the_update(self):
         """Delete–rederive: T(b, c) held before both blockers arrived.  The kill
@@ -468,7 +469,7 @@ class TestHeadLedRederivation:
     def test_derivable_takes_a_head_of_two_path_variables_apart(self):
         """``T($u·$v)`` does not destructure deterministically: the head step
         binds the argument whole and a binding equation tries every split."""
-        plan = RuleEvaluator(parse_rule("T($u·$v) :- A($u), B($v).")).compiled_plan
+        plan = CompiledRule(parse_rule("T($u·$v) :- A($u), B($v)."))
         assert plan.head_step is not None
         assert len(plan.head_equations) == 1
         instance = instance_from_text("A(a). A(a·b). B(b·c). B(c).")

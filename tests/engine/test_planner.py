@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.engine import evaluate_rule, plan_body_order, plan_literal_sequence
+from repro.engine import evaluate_rule, plan_literal_sequence
 from repro.engine.reasons import LOWERING_UNSAFE_NEGATION
 from repro.errors import UnsafeRuleError
 from repro.model import Instance, path, unary_instance
 from repro.parser import parse_rule
+from repro.syntax.rules import plan_body_order
 
 
 def plan_of(rule_text, instance, frontier=None):

@@ -10,9 +10,17 @@ calls.
 
 import pytest
 
-from repro.engine import EvaluationLimits, EvaluationStatistics, ProgramQuery, QueryResult
+from repro.engine import (
+    CompiledProgram,
+    EvaluationLimits,
+    EvaluationStatistics,
+    ProgramQuery,
+    QueryResult,
+    evaluate_program,
+)
 from repro.engine.reasons import OUT_OF_BAND_MUTATION, reason_code
-from repro.errors import EvaluationError, SubgoalTableError
+from repro.engine.reference import reference_fixpoint
+from repro.errors import EvaluationBudgetExceeded, EvaluationError, SubgoalTableError
 from repro.model import Fact, Instance, path, unary_instance
 from repro.parser import parse_program
 from repro.queries import get_query
@@ -312,6 +320,44 @@ class TestPlanCacheCounters:
         update = session.update(additions=[edge("n9", "n2")])
         assert update.maintained
         assert update.statistics.plan_cache_hits >= update.statistics.plans_compiled
+
+
+class TestCompiledProgramSharing:
+    """A query lowers each program it evaluates once; its sessions share the plans."""
+
+    def test_a_second_session_reuses_the_first_sessions_plans(self):
+        query = pair_query()
+        instance = line_instance()
+        first = query.session(instance).run()
+        assert first.statistics.plans_compiled > 0
+        second = query.session(instance).run()
+        assert second.served_by == "full"
+        assert second.statistics.plans_compiled == 0
+        assert second.output == first.output
+
+    def test_sessions_share_the_goal_programs_plans_too(self):
+        query = pair_query()
+        instance = line_instance()
+        query.session(instance).run(binding={0: "a"}, mode="goal")
+        second = query.session(instance).run(binding={0: "a"}, mode="goal")
+        assert second.served_by == "goal"
+        assert second.statistics.plans_compiled == 0
+
+    def test_one_compiled_program_serves_any_limits(self):
+        """No limits live in a compiled program: each evaluation brings its own."""
+        program = parse_program(REACHABILITY_PAIRS)
+        compiled = CompiledProgram(program)
+        instance = line_instance()
+        with pytest.raises(EvaluationBudgetExceeded):
+            evaluate_program(program, instance, EvaluationLimits(max_iterations=2), compiled=compiled)
+        assert evaluate_program(program, instance, compiled=compiled) == reference_fixpoint(
+            program, instance
+        )
+
+    def test_a_compiled_program_of_another_program_is_refused(self):
+        compiled = CompiledProgram(parse_program(REACHABILITY_PAIRS))
+        with pytest.raises(EvaluationError, match="different program"):
+            evaluate_program(parse_program(REACHABILITY_PAIRS), line_instance(), compiled=compiled)
 
 
 class TestPathsAmbiguityMessage:

@@ -21,8 +21,7 @@ from repro.engine import (
     ProgramQuery,
     TableEntry,
 )
-from repro.engine.compiled import lower_rule
-from repro.engine.evaluation import RuleEvaluator
+from repro.engine.compiled import CompiledRule, evaluate_rule
 from repro.engine.reasons import (
     ADMISSION_PRESSURE,
     GENERALIZATION_TOO_LARGE,
@@ -222,28 +221,36 @@ class TestEmittedReasonsAreRegistered:
     )
     def test_lowering_refusals(self, rule_text, code):
         """Why a rule has no id-space plan: only an unsafe rule has none; the
-        evaluator keeps the reason and raises it when the rule is evaluated."""
-        evaluator = RuleEvaluator(parse_rule(rule_text))
-        assert_registered(evaluator.lowering_refusal, code)
+        plan keeps the reason and raises it when the rule is evaluated."""
+        plan = CompiledRule(parse_rule(rule_text))
+        assert_registered(plan.lowering_refusal, code)
         instance = unary_instance("R", ["a"])
         for evaluate in (
-            lambda: evaluator.derive(instance),
-            lambda: evaluator.derivation_counts(instance),
-            lambda: evaluator.compiled_plan.derivable_rows(instance, [(0,)]),
+            lambda: plan.head_rows(instance),
+            lambda: plan.derive(instance),
+            lambda: plan.derivation_counts(instance),
+            lambda: plan.derivable_rows(instance, [(0,)]),
         ):
             with pytest.raises(UnsafeRuleError) as caught:
                 evaluate()
             assert_registered(str(caught.value), code)
         # A safe rule is not refused.
-        safe = RuleEvaluator(parse_rule("T($x) :- R($x), $x != $x.a."))
-        assert safe.compiled_plan is not None and safe.lowering_refusal is None
+        safe = CompiledRule(parse_rule("T($x) :- R($x), $x != $x.a."))
+        assert safe.head_step is not None and safe.lowering_refusal is None
+
+    def test_an_unorderable_equation_is_refused_with_a_registered_reason(self):
+        """No side of ``$y = $z`` is ever bound, so the rule has no static body
+        order; evaluating it raises the registered reason, detail kept."""
+        with pytest.raises(UnsafeRuleError) as caught:
+            evaluate_rule(parse_rule("T($x) :- R($x), $y = $z."), unary_instance("R", ["a"]))
+        assert_registered(str(caught.value), LOWERING_UNSAFE_EQUATION)
+        assert "no side becomes fully bound" in str(caught.value)
 
     def test_an_equation_no_side_of_which_gets_bound_is_refused(self):
-        """``plan_body_order`` raises on this rule before any evaluator is
-        built, so the reason is read off the lowering itself."""
+        """Lowered in the order given, the same rule names the equation."""
         rule = parse_rule("T($x) :- R($x), $y = $z.")
-        order = list(rule.body)
-        assert_registered(lower_rule(rule.head, order), LOWERING_UNSAFE_EQUATION)
+        plan = CompiledRule(rule, rule.body)
+        assert_registered(plan.lowering_refusal, LOWERING_UNSAFE_EQUATION)
 
     def test_service_eviction_reasons(self):
         registry = SessionRegistry(

@@ -88,18 +88,22 @@ def test_one_evaluator_in_production_and_the_oracle_off_its_import_path():
 
     # ... and with one evaluator there is no mode left to name on a signature.
     from repro.engine import (
+        CompiledProgram,
+        CompiledRule,
         MaintainedFixpoint,
-        ProgramEvaluators,
         ProgramQuery,
-        RuleEvaluator,
         evaluate_program,
         evaluate_stratum,
         propagate_delta,
     )
 
     callables = [
-        RuleEvaluator.__init__,
-        ProgramEvaluators.__init__,
+        CompiledRule.__init__,
+        CompiledRule.head_rows,
+        CompiledRule.derive,
+        CompiledRule.derivation_counts,
+        CompiledRule.derivable_rows,
+        CompiledProgram.__init__,
         evaluate_stratum,
         evaluate_program,
         propagate_delta,

@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine import (
     EvaluationLimits,
+    CompiledProgram,
+    CompiledRule,
     EvaluationStatistics,
-    ProgramEvaluators,
     evaluate_program,
     propagate_delta,
 )
@@ -46,8 +47,8 @@ def test_random_positive_programs_agree(program_seed, instance_seed):
     first, *rest = all_variants(program, instance)
     assert all(result == first for result in rest)
     # Every drawn rule shape lowers, and its head can lead a rederivation join.
-    for evaluator in map(ProgramEvaluators().evaluator, program.rules()):
-        assert evaluator.compiled_plan.head_step is not None
+    for evaluator in map(CompiledRule, program.rules()):
+        assert evaluator.head_step is not None
 
 
 @given(seed=st.integers(0, 100))
@@ -203,11 +204,10 @@ def test_directed_cases_cover_resident_and_mixed_strata():
     """Every rule of the table lowers, heads included: none is refused, and
     each can lead its join with the head (delete–rederive needs that)."""
     for name, (program_text, _) in DIRECTED_CASES.items():
-        evaluators = ProgramEvaluators()
-        for stratum in parse_program(program_text).strata:
-            for evaluator in evaluators.for_stratum(stratum):
+        for stratum in CompiledProgram(parse_program(program_text)).strata:
+            for evaluator in stratum.rules:
                 assert evaluator.lowering_refusal is None, (name, str(evaluator.rule))
-                assert evaluator.compiled_plan.head_step is not None
+                assert evaluator.head_step is not None
 
 
 @pytest.mark.parametrize("case", ["head_relation_holds_edb_rows", "mixed_stratum"])
@@ -216,14 +216,14 @@ def test_propagate_delta_collects_exactly_the_facts_added(case):
     program = parse_program(program_text)
     instance = instance_from_text(CHAIN + " R(a·b).")
     seeds = {Fact("E", [path("d"), path("e")]), Fact("R", [path("a", "a", "c")])}
-    evaluators = ProgramEvaluators()
-    current = evaluate_program(program, instance, evaluators=evaluators)
+    compiled = CompiledProgram(program)
+    current = evaluate_program(program, instance, compiled=compiled)
     for fact in seeds:
         current.add_fact(fact)
     before = set(current.facts())
     statistics = EvaluationStatistics()
     rounds, added = propagate_delta(
-        evaluators.for_stratum(program.strata[0]), current, set(seeds), statistics=statistics,
+        compiled.strata[0].rules, current, set(seeds), statistics=statistics,
         collect=True,
     )
     assert rounds >= 1

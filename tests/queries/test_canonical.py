@@ -160,7 +160,7 @@ def test_every_canonical_rule_lowers_to_an_id_space_plan():
     process_compliance), several path variables in one body component
     (reversal_no_arity, three_occurrences) and packing built from variables
     (three_occurrences) included."""
-    from repro.engine.evaluation import RuleEvaluator
+    from repro.engine.compiled import CompiledRule
 
     rules = [
         (name, rule)
@@ -172,7 +172,7 @@ def test_every_canonical_rule_lowers_to_an_id_space_plan():
     refused = [
         (name, str(rule))
         for name, rule in rules
-        if RuleEvaluator(rule).lowering_refusal is not None
-        or RuleEvaluator(rule).compiled_plan.head_step is None
+        if CompiledRule(rule).lowering_refusal is not None
+        or CompiledRule(rule).head_step is None
     ]
     assert refused == []

@@ -539,3 +539,59 @@ class TestStdlibServer:
             assert escaped == []
 
         asyncio.run(scenario())
+
+    def test_a_client_that_never_reads_its_replies_is_dropped(self, monkeypatch):
+        """Pipelined reads whose replies are never read fill every buffer, and
+        the handler's drain waits on them; after ``REQUEST_TIMEOUT_S`` the
+        connection is dropped and the handler ends, raising nothing."""
+        monkeypatch.setattr(http, "REQUEST_TIMEOUT_S", 0.2)
+        instance = Instance()
+        for index in range(3000):
+            instance.add("E", f"source{index}", f"target{index}")
+        upload = {
+            "program": "S(@x, @y) :- E(@x, @y).",
+            "instance": instance_to_text(instance),
+            "output_relation": "S",
+        }
+
+        def handlers():
+            return [
+                task
+                for task in asyncio.all_tasks()
+                if task.get_coro().__qualname__ == "_handle_connection"
+            ]
+
+        async def scenario():
+            escaped = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: escaped.append(context)
+            )
+            server, app = await serve(port=0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            status, created = await self._request(reader, writer, "POST", "/v1/sessions", upload)
+            assert status == 201
+            writer.close()
+            route = f"/v1/sessions/{created['session']}/query"
+            body = b"{}"
+            read = (
+                f"POST {route} HTTP/1.1\r\nHost: t\r\nContent-Length: {len(body)}\r\n\r\n"
+            ).encode() + body
+            # A small reader limit: the client stops taking bytes off the socket.
+            _, stalled = await asyncio.open_connection("127.0.0.1", port, limit=1024)
+            try:
+                stalled.write(read * 400)
+                await stalled.drain()
+                for _ in range(200):
+                    await asyncio.sleep(0.05)
+                    if not handlers():
+                        break
+                assert handlers() == []
+            finally:
+                stalled.close()
+                server.close()
+                await server.wait_closed()
+                app.close()
+            assert escaped == []
+
+        asyncio.run(scenario())
