@@ -220,34 +220,21 @@ def _normalise_binding(
 def _restrict_output(full: Instance, relation: str, binding: Binding) -> Instance:
     """The output sub-instance: the relation's rows that match the binding.
 
-    Bound values are probed in the relation's columnar view: the smallest
-    ``groups`` bucket of a bound position, the other positions filtered in
-    id space, so a selective binding never scans the whole output relation.
-    A value the term table has never seen matches nothing.  Stored rows are
-    already valid, so they are decoded as they are, not re-validated.
+    Bound values are probed in the relation's columnar view
+    (:meth:`~repro.storage.columnar.ColumnarView.select`, the filter a
+    committed read uses too), so a selective binding never scans the whole
+    output relation.  Stored rows are already valid, so they are decoded as
+    they are, not re-validated.
     """
     if not binding:
         output = full.restricted([relation])
         output.ensure_relation(relation)
         return output
     storage = full.storage(relation)
-    rows: "list[tuple]" = []
-    if storage:
-        table = full.term_table()
-        view = storage.columnar(table)  # interns the stored rows, if not yet
-        ids = {p: table.id_of(value) for p, value in binding.items()}
-        if None not in ids.values():
-            bucket = min((view.groups(p).get(ident, ()) for p, ident in ids.items()), key=len)
-            id_rows = view.id_rows
-            rows = table.decode_rows(
-                [
-                    row
-                    for row in map(id_rows.__getitem__, bucket)
-                    if all(row[p] == ident for p, ident in ids.items())
-                ]
-            )
     output = Instance()
-    output.set_relation_rows(relation, rows)
+    output.set_relation_rows(
+        relation, storage.columnar(full.term_table()).select(binding) if storage else ()
+    )
     return output
 
 

@@ -22,12 +22,11 @@ It turns one :class:`~repro.engine.query.QuerySession` into a
   through one applier (:meth:`SessionHandle._apply_commits`).
 
 * **Concurrent reads during maintenance** — every committed maintenance
-  pass publishes a :class:`CommittedView`: zero-copy frozenset views of the
-  materialization's relations (the storage layer's generation-invalidated
-  views make the captured frozensets immutable snapshots by construction).
-  Queries that a warm materialization can answer are served from the last
-  committed view *on the event loop*, without touching the
-  :class:`QuerySession` — so they never wait behind a maintenance pass
+  pass publishes a :class:`CommittedView` of the materialization's columnar
+  views, which later passes advance into new views without mutating the
+  published ones.  Queries that a warm materialization can answer are
+  served from the last committed view *on the event loop*, without touching
+  the :class:`QuerySession` — so they never wait behind a maintenance pass
   running in the executor thread.  The loop serves what is already
   computed (a committed view; a table entry, under the per-session lock);
   the executor computes.
@@ -56,7 +55,7 @@ import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.engine.limits import DEFAULT_LIMITS, EvaluationLimits
 from repro.engine.query import ProgramQuery, QueryResult, QuerySession, UpdateResult
@@ -81,7 +80,6 @@ from repro.io.serialization import (
     fact_from_json,
     instance_from_text,
     path_from_text,
-    path_to_text,
     query_result_to_json,
     rows_to_json,
     update_result_to_json,
@@ -89,6 +87,7 @@ from repro.io.serialization import (
 from repro.model.instance import Fact, Instance
 from repro.model.terms import Path, as_path
 from repro.parser.parser import parse_program
+from repro.storage.columnar import ColumnarView
 
 __all__ = [
     "AdmissionLimits",
@@ -164,21 +163,20 @@ class EncodedAnswer(list):
 class CommittedView:
     """An immutable snapshot of a materialization at one committed generation.
 
-    The snapshot is zero-copy: each relation is captured as the storage
-    layer's cached frozenset view, which a later maintenance pass *replaces*
-    (generation-invalidated caches build a new frozenset) but never mutates.
-    Binding-restricted reads go through per-position groupings built lazily —
-    only ever on the event loop thread, so no locking is needed — and kept in
-    wire order (the key ``rows_to_json`` sorts by), so a read bound at one
-    position is a dict probe whose rows encode without reordering.  The
+    Per relation, the snapshot is the columnar view the materialization
+    keeps current; :meth:`capture` groups every position of it, which later
+    passes copy forward instead of mutating
+    (:meth:`~repro.storage.columnar.ColumnarView.advanced`), so publishing
+    costs O(delta) and a read on the event loop probes prebuilt groupings
+    while the next pass advances the same relations in the executor.  The
     encoded answer of a read bound at one position (or unbound) is memoised
     per value, so a repeated read encodes nothing; a value with no rows
-    shares one empty answer, so unseen values never grow the memo.  Both are
-    inherited from the previous view for relations whose frozenset is
-    identical (the common case: a small update touches few relations).
+    shares one empty answer, so unseen values never grow the memo.  The memo
+    is inherited from the previous view for relations whose columnar view
+    is identical (the common case: a small update touches few relations).
     """
 
-    __slots__ = ("generation", "relations", "_indexes", "_answers")
+    __slots__ = ("generation", "relations", "_answers")
 
     #: The answer to every read with no rows (never stored in a memo).
     _NO_ROWS = EncodedAnswer([])
@@ -186,60 +184,35 @@ class CommittedView:
     def __init__(
         self,
         generation: int,
-        relations: "dict[str, frozenset]",
+        relations: "dict[str, ColumnarView]",
         previous: "CommittedView | None" = None,
     ):
         self.generation = generation
         self.relations = relations
-        self._indexes: "dict[tuple[str, int], dict[Path, tuple]]" = {}
         self._answers: "dict[tuple[str, int | None], dict[Path | None, EncodedAnswer]]" = {}
         if previous is not None:
-            for mine, theirs in (
-                (self._indexes, previous._indexes),
-                (self._answers, previous._answers),
-            ):
-                for key, grouping in theirs.items():
-                    if relations.get(key[0]) is previous.relations.get(key[0]):
-                        mine[key] = grouping
+            for key, memo in previous._answers.items():
+                if relations.get(key[0]) is previous.relations.get(key[0]):
+                    self._answers[key] = memo
 
     @staticmethod
     def capture(
         generation: int, instance: Instance, previous: "CommittedView | None" = None
     ) -> "CommittedView":
-        """Snapshot *instance* (a materialization) at *generation*."""
-        relations = {name: instance.relation(name) for name in instance.relation_names}
+        """Snapshot *instance* (a materialization) at *generation*; called with
+        the maintenance thread quiescent, so readers on the loop build nothing."""
+        table = instance.term_table()
+        relations = {}
+        for name in instance.relation_names:
+            view = relations[name] = instance.storage(name).columnar(table)
+            for position in range(len(view.id_rows[0]) if view.id_rows else 0):
+                view.groups(position)
         return CommittedView(generation, relations, previous)
 
-    def _index(self, name: str, position: int) -> "dict[Path, tuple]":
-        key = (name, position)
-        index = self._indexes.get(key)
-        if index is None:
-            grouped: "dict[Path, list]" = {}
-            for row in sorted(self.relations.get(name, ()), key=lambda r: [*map(path_to_text, r)]):
-                grouped.setdefault(row[position], []).append(row)
-            index = {value: tuple(rows) for value, rows in grouped.items()}
-            self._indexes[key] = index
-        return index
-
-    def select(self, name: str, binding: "Mapping[int, Path]") -> "tuple[tuple, ...]":
+    def select(self, name: str, binding: "Mapping[int, Path]") -> "Sequence[tuple]":
         """The rows of *name* matching *binding* (all rows when unbound)."""
-        rows = self.relations.get(name)
-        if rows is None:
-            return ()
-        if not binding:
-            return tuple(rows)
-        if len(binding) == 1:
-            ((position, value),) = binding.items()
-            return self._index(name, position).get(value, ())
-        candidates = min(
-            (self._index(name, position).get(value, ()) for position, value in binding.items()),
-            key=len,
-        )
-        return tuple(
-            row
-            for row in candidates
-            if all(row[position] == value for position, value in binding.items())
-        )
+        view = self.relations.get(name)
+        return () if view is None else view.select(binding)
 
     def answer(self, name: str, binding: "Mapping[int, Path]") -> list:
         """``rows_to_json(self.select(name, binding))``, memoised unless two or
@@ -710,10 +683,11 @@ class SessionHandle:
                     )
                     if self.committed is None:
                         self._commit_view()
-                # A materialization maintenance cannot own is read once, unpublished.
-                view = self.committed or CommittedView.capture(
-                    self.generation, result.full_instance
-                )
+                    # A materialization maintenance cannot own is read once,
+                    # unpublished (captured here, while no pass can run).
+                    view = self.committed or CommittedView.capture(
+                        self.generation, result.full_instance
+                    )
                 served_by = result.served_by
             if view is not None and (mode != "tabled" or reads_other):
                 self.queries_served += 1

@@ -20,10 +20,13 @@ here:
   element), all built on first use.  A relation caches one view per term
   table and brings it up to date by *advancing it by the net delta* pending
   since its last read (:meth:`ColumnarView.advanced`): rows added and rows
-  removed patch the membership set, the columns and the groupings the old
-  view had built, so a maintenance pass that changes a handful of rows of a
-  large relation interns and regroups only those.  Only a wholesale rewrite
-  or another term table packs a fresh view.
+  removed patch the membership set and the columns the old view had built,
+  and copies of its groupings, so a maintenance pass that changes a handful
+  of rows of a large relation interns and regroups only those.  Only a
+  wholesale rewrite or another term table packs a fresh view.  The old view
+  keeps its rows and groupings, unmutated, so a published view answers
+  :meth:`ColumnarView.select` on one thread while its relation advances on
+  another (:mod:`repro.service.core`).
 
 Ids never leak past the engine: the resident semi-naive loop
 (:mod:`repro.engine.fixpoint`) keeps its deltas as id rows between rounds and
@@ -34,7 +37,7 @@ decodes each new row once, when it enters the relation; everything above
 
 from array import array
 from itertools import count
-from typing import TYPE_CHECKING, Collection, Iterable, Iterator
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping
 
 from repro.model.terms import Packed, Path, as_path
 
@@ -205,13 +208,24 @@ class TermTable:
         return f"TermTable({len(self._paths)} terms)"
 
 
-def _group_into(grouped: dict, pairs: "Iterable[tuple[int, int]]") -> None:
-    """Append each value of *pairs* to the ``array('q')`` bucket of its key."""
+def _group_into(grouped: dict, pairs: "Iterable[tuple[int, int]]") -> dict:
+    """*grouped*, each value of *pairs* appended to the ``array('q')`` bucket of its key;
+    a bucket it held is replaced by an extended copy, not extended in place."""
+    added: dict = {}
     for key, value in pairs:
-        bucket = grouped.get(key)
+        bucket = added.get(key)
         if bucket is None:
-            grouped[key] = bucket = array("q")
+            added[key] = bucket = array("q")
         bucket.append(value)
+    for key, bucket in added.items():
+        old = grouped.get(key)
+        grouped[key] = bucket if old is None else old + bucket
+    return grouped
+
+
+def _copied(groupings: dict) -> dict:
+    """A shallow copy of each grouping of *groupings*: the buckets are shared."""
+    return {key: dict(grouped) for key, grouped in groupings.items()}
 
 
 class ColumnarView:
@@ -225,7 +239,8 @@ class ColumnarView:
     (negation, fully bound join steps, the fixpoint's known-row
     subtraction).  Instances are snapshots — when its generation changes the
     owning relation swaps in the view :meth:`advanced` by the net delta,
-    which takes everything built so far with it.
+    which takes the membership set and the columns with it and copies the
+    groupings, so this view keeps answering :meth:`select` for its rows.
     """
 
     __slots__ = (
@@ -244,10 +259,7 @@ class ColumnarView:
     def __init__(self, id_rows: "list[tuple]", table: TermTable):
         self.table = table
         self.id_rows = id_rows
-        self._forget()
-
-    def _forget(self) -> None:
-        """Hold nothing but the rows; every structure below builds on first use."""
+        # Nothing but the rows: every structure below builds on first use.
         self._columns: "dict[int, array]" = {}
         self._decomposed: "dict[int, list]" = {}
         self._groups: "dict[int, dict]" = {}
@@ -270,29 +282,29 @@ class ColumnarView:
         or a semi-naive round changes a handful of rows of a large relation,
         and rebuilding the view would re-intern and regroup every unchanged
         row.  *added* must be disjoint from the rows held and *removed* a
-        subset of them (callers advance by a net delta).  Everything built so
-        far — the membership set, the columns, every grouping — *moves* to
-        the new view and is patched by the delta, so advancing costs one copy
-        of the row list plus work proportional to the delta; this view stays
-        a valid snapshot and rebuilds whatever it is asked for again.
+        subset of them (callers advance by a net delta).  The membership set
+        and the columns *move* to the new view and are patched; each grouping
+        is copied and the buckets the delta touches are replaced, so this
+        view keeps its rows and groupings unmutated.  Advancing costs one copy
+        of the row list and of each grouping's key map plus work proportional
+        to the delta.
         """
         view = ColumnarView(self.id_rows.copy(), self.table)
         view._columns, view._decomposed = self._columns, self._decomposed
-        view._groups, view._element_joins = self._groups, self._element_joins
-        view._first_groups, view._last_groups = self._first_groups, self._last_groups
         view._row_set, view._index = self._row_set, self._index
-        self._forget()  # what was built is the new view's alone from here on
+        self._columns, self._decomposed, self._row_set, self._index = {}, {}, None, None
+        view._groups = _copied(self._groups)
         if removed:
-            # Swap-removal moves rows: only what is keyed by row index
-            # position by position is patched, the element-level groupings
-            # are dropped and rebuild on first use.
-            view._first_groups = {}
-            view._last_groups = {}
-            view._element_joins = {}
+            # Swap-removal moves rows: the whole-argument groupings are
+            # patched row by row, the element-level ones rebuild on first use.
             for row in removed:
                 view._remove(row)
-            if not view.id_rows:
-                view._forget()  # emptied: the rows that follow may have another arity
+            if not view.id_rows:  # emptied: the rows that follow may have another arity
+                view = ColumnarView([], self.table)
+        else:
+            view._first_groups = _copied(self._first_groups)
+            view._last_groups = _copied(self._last_groups)
+            view._element_joins = _copied(self._element_joins)
         if added:
             view._extend(added)
         return view
@@ -322,9 +334,9 @@ class ColumnarView:
     def _remove(self, row: tuple) -> None:
         """Drop the held *row*; the last row takes over its index.
 
-        The swap keeps row indexes dense, so columns and the whole-argument
-        groupings are patched in place (the caller has dropped the
-        element-level groupings).
+        The swap keeps row indexes dense, so columns are patched in place and
+        the whole-argument groupings by replacing the (at most two) buckets
+        that change (the caller has dropped the element-level groupings).
         """
         id_rows = self.id_rows
         index = self._index
@@ -343,13 +355,16 @@ class ColumnarView:
             if at != last:
                 parallel[at] = tail
         for position, grouped in self._groups.items():
-            bucket = grouped[row[position]]
+            bucket = grouped[row[position]][:]
             bucket.remove(at)
-            if not bucket:
+            if bucket:
+                grouped[row[position]] = bucket
+            else:
                 del grouped[row[position]]
             if at != last:
-                bucket = grouped[moved[position]]
+                bucket = grouped[moved[position]][:]
                 bucket[bucket.index(last)] = at
+                grouped[moved[position]] = bucket
 
     def column(self, position: int) -> array:
         """The packed int array of ids at *position*, one entry per row."""
@@ -395,9 +410,31 @@ class ColumnarView:
         """Id-space hash index: id at *position* → array of row indexes."""
         grouped = self._groups.get(position)
         if grouped is None:
-            grouped = self._groups[position] = {}
-            _group_into(grouped, self._whole_pairs(position, 0))
+            grouped = self._groups[position] = _group_into({}, self._whole_pairs(position, 0))
         return grouped
+
+    def select(self, binding: "Mapping[int, Path]") -> "list[tuple]":
+        """The rows matching *binding* (position → path), decoded; all rows when unbound.
+
+        A value the term table has never seen matches nothing; otherwise the
+        smallest :meth:`groups` bucket of a bound position is checked in id
+        space at the other positions.  With those groupings built it builds
+        nothing, so a published view is read while its relation advances.
+        """
+        table = self.table
+        if not binding or not self.id_rows:
+            return table.decode_rows(self.id_rows)
+        ids = {position: table.id_of(value) for position, value in binding.items()}
+        if None in ids.values():
+            return []
+        bucket = min((self.groups(p).get(ident, ()) for p, ident in ids.items()), key=len)
+        return table.decode_rows(
+            [
+                row
+                for row in map(self.id_rows.__getitem__, bucket)
+                if all(row[p] == ident for p, ident in ids.items())
+            ]
+        )
 
     def first_groups(self, position: int) -> dict:
         """Group rows by the *first element* id of the path at *position*.

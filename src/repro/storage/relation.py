@@ -200,9 +200,10 @@ class Relation:
 
         Reading it interns nothing when a columnar view against *table* is
         cached: the snapshot shares it.  A later advance of this relation
-        takes over the groupings built meanwhile, and the shared view stays a
-        valid snapshot (:meth:`ColumnarView.advanced`).  Without a cached
-        view the snapshot builds its own on first read.
+        takes over the membership set and columns built meanwhile and copies
+        the groupings; the shared view keeps its groupings and stays a valid
+        snapshot (:meth:`ColumnarView.advanced`).  Without a cached view the
+        snapshot builds its own on first read.
         """
         frozen = Relation()
         frozen._rows = self.view()  # type: ignore[assignment]
@@ -246,7 +247,7 @@ class Relation:
         rows added *and* rows removed (:meth:`ColumnarView.advanced`;
         :meth:`add_rows` advances the view itself) — so only the changed
         rows are interned and every grouping the old view had built is
-        patched, not rebuilt.  A wholesale rewrite or a different term table
+        copied forward and patched, not rebuilt.  A wholesale rewrite or a different term table
         rebuilds the whole view, which is how a relation's terms first enter
         an instance's id space.
         """

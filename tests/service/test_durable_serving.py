@@ -1,12 +1,12 @@
-"""Restore and WAL economics on the workload of ``benchmarks/bench_recovery.py``.
+"""Restore and WAL economics of a persisted session, as counts.
 
-The deterministic gate of that benchmark, run with the test suite.  A
-persisted session over a layered graph, restarted by ``restore_all``
+A persisted session over a layered graph, restarted by ``restore_all``
 (snapshot load + log-tail replay), serves the answers it served before the
 restart with every tail commit replayed.  With fsync on, a coalesced closed
 loop of single-fact batches logs exactly one record per maintenance pass,
-commits every batch and answers as a plain session does.  The benchmark
-keeps the wall-clock report beside it.
+commits every batch and answers as a plain session does.  The wall time of
+both is measured end to end by the ``serve_write`` workload of
+``benchmarks/e2e`` (``io.durability.restore_s``, ``io.durability.sync_ms``).
 """
 
 import asyncio

@@ -79,16 +79,35 @@ class TestCommittedView:
         assert view.select("Nope", {}) == ()
         handle.close()
 
-    def test_indexes_are_inherited_across_untouched_relations(self):
-        base = Instance()
-        base.add("E", "a", "b")
-        base.add("F", "x", "y")
-        first = CommittedView(0, {name: base.relation(name) for name in base.relation_names})
-        first.select("F", {0: path("x")})  # build the ("F", 0) index
-        changed = dict(first.relations)
-        changed["E"] = frozenset(changed["E"] | {(path("b"), path("c"))})
-        second = CommittedView(1, changed, first)
-        assert second._indexes[("F", 0)] is first._indexes[("F", 0)]
+    def test_memo_entries_are_kept_for_exactly_the_unchanged_relations(self):
+        """A commit drops the memoised answers of the relations it changed
+        and keeps every other relation's, entry for entry."""
+        program = REACHABILITY_PAIRS + "U(@x) :- F(@x).\n"
+        query = ProgramQuery(parse_program(program), {"E": 2, "F": 1}, "T", require_monadic=False)
+        instance = line_instance(3)  # a → n1 → n2
+        instance.add("F", "f")
+        handle = SessionHandle("s-memo", "tenant", query, query.session(instance))
+
+        async def scenario():
+            await handle.ensure_materialized()
+            memos = []
+            for additions in ([], [edge("a", "n2")], [edge("n2", "z")]):
+                if additions:
+                    await handle.enqueue_update(additions)
+                view = handle.committed
+                for name in ("E", "T", "U"):
+                    view.answer(name, {0: path("a") if name != "U" else path("f")})
+                    view.answer(name, {})
+                memos.append(dict(view._answers))
+            return memos
+
+        first, second, third = asyncio.run(scenario())
+        handle.close()
+        kept = lambda new, old: {key for key in new if new[key] is old.get(key)}  # noqa: E731
+        # E(a, n2) adds no pair T lacks: only E's view changed.
+        assert kept(second, first) == {("T", 0), ("T", None), ("U", 0), ("U", None)}
+        # E(n2, z) changes E and T: only U's entries survive.
+        assert kept(third, second) == {("U", 0), ("U", None)}
 
     def test_views_are_immutable_snapshots_across_updates(self):
         handle = make_handle(line_instance(3))

@@ -5,6 +5,9 @@ generations: the additions and removals pending since the last read patch
 what the view has built instead of rebuilding it.  Whatever the relation went
 through, and however many operations the view fell behind, the advanced view
 must be indistinguishable from one built from scratch over the current rows.
+And the view it advanced from must stay one over *its* rows: advancing moves
+the membership set and the columns but copies every grouping, replacing the
+buckets the delta touches instead of patching them in place.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -120,11 +123,91 @@ def test_a_removal_keeps_what_was_built_and_the_old_snapshot():
     relation.discard((PATHS[4], PATHS[1]))
     advanced = relation.columnar(table)
     assert advanced is not view
-    assert advanced.id_row_set is known and advanced.groups(1) is grouped  # moved, then patched
+    assert advanced.id_row_set is known  # moved, then patched
+    assert view.groups(1) is grouped and advanced.groups(1) is not grouped  # copied
     assert_same(advanced, relation, table, STRUCTURES)
     # the view it advanced from still describes the rows it was built over
     assert len(view) == len(PATHS) and view.id_row_set == set(view.id_rows)
     assert rows_by_key(view, view.groups(1)) == {table.intern(PATHS[1]): set(view.id_rows)}
+
+
+def all_groupings(view):
+    """Every grouping *view* has built, as ``(kind, key) → key → sorted bucket``."""
+    kinds = {
+        "groups": view._groups,
+        "first_groups": view._first_groups,
+        "last_groups": view._last_groups,
+        "element_join_groups": view._element_joins,
+    }
+    return {
+        (kind, key): {value: sorted(bucket) for value, bucket in grouped.items()}
+        for kind, built in kinds.items()
+        for key, grouped in built.items()
+    }
+
+
+def fresh_groupings(view, built):
+    """The groupings *built* names, each built afresh over *view*'s ``id_rows``."""
+    fresh = ColumnarView(list(view.id_rows), view.table)
+    rebuilt = {}
+    for kind, key in built:
+        grouped = getattr(fresh, kind)(*(key if isinstance(key, tuple) else (key,)))
+        rebuilt[kind, key] = {value: sorted(bucket) for value, bucket in grouped.items()}
+    return rebuilt
+
+
+#: Single-row and batch changes, emptying, and refills at arity 1 and 3.
+WIDE_ROWS = st.one_of(
+    ROWS, st.tuples(st.sampled_from(PATHS)), st.tuples(*[st.sampled_from(PATHS)] * 3)
+)
+
+
+@given(
+    operations=st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from(("add", "discard")), ROWS),
+            st.tuples(st.just("add_rows"), st.sets(ROWS, min_size=1, max_size=4)),
+            st.tuples(st.just("empty"), st.none()),
+            st.tuples(st.just("refill"), st.sets(WIDE_ROWS, min_size=1, max_size=3)),
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_every_earlier_view_keeps_the_groupings_of_its_own_rows(operations):
+    """Whatever advances follow, each view read on the way keeps its rows and
+    every grouping it had built, equal to a fresh build over those rows."""
+    table = Instance().term_table()
+    relation = Relation()
+    earlier = []
+    for verb, argument in operations:
+        if verb == "add_rows":
+            fresh = argument - relation.rows
+            if fresh and relation.arity() in (None, 2):
+                relation.add_rows(fresh, [table.intern_row(row) for row in fresh], table)
+        elif verb == "empty":
+            for row in list(relation.rows):
+                relation.discard(row)
+        elif verb == "refill":
+            arity = relation.arity()
+            for row in argument:
+                if arity is None or len(row) == arity:
+                    relation.add(row)
+                    arity = len(row)
+        else:
+            if verb == "discard" or relation.arity() in (None, 2):
+                getattr(relation, verb)(argument)
+        view = relation.columnar(table)
+        for position in range(len(view.id_rows[0]) if view.id_rows else 0):
+            view.groups(position)
+            view.first_groups(position)
+            view.last_groups(position)
+            view.element_join_groups(position, 2, 0, -1)
+        earlier.append((view, list(view.id_rows), all_groupings(view)))
+    for view, rows, built in earlier:
+        assert view.id_rows == rows
+        assert all_groupings(view) == built == fresh_groupings(view, built)
 
 
 def test_a_relation_refilled_at_another_arity_starts_its_view_over():
