@@ -27,7 +27,7 @@ Two evaluation modes are supported:
   full evaluation and records the reason on the result.
 
 Both modes return identical answers by construction; the goal mode merely
-avoids work (`benchmarks/bench_magic_sets.py` measures how much).
+avoids work (`tests/engine/test_goal_directed.py` gates how much).
 
 :class:`QuerySession` pins an instance and reuses the compiled artifacts —
 magic rewritings per adornment, each program lowered once to a
@@ -778,6 +778,15 @@ class QuerySession:
         if entry is None:
             return None
         return self._answer(entry.answers, normalised, statistics, "goal", "tabled")
+
+    def lookup_entry(
+        self, binding: Binding, statistics: EvaluationStatistics
+    ) -> "TableEntry | None":
+        """:meth:`lookup`'s table probe for goal call *binding* (normalised)
+        on a session with no materialization, counted in *statistics*; the
+        caller reads the answer off the entry, and evaluates on ``None``."""
+        self._drop_drifted_artifacts()
+        return self._tables.lookup(tuple(sorted(binding)), binding, statistics)
 
     def run(
         self,

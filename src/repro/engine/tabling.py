@@ -70,6 +70,10 @@ class TableEntry:
     materialization of the magic program evaluated from that seed, when
     maintenance can own it; ``snapshot`` the plain materialized instance
     otherwise.  Exactly one of the two is set.
+
+    ``encoded`` memoises the encoded answer to the seed itself, the call a
+    hot goal repeats (:meth:`encoded_answer`); :meth:`AnswerTable.apply_update`
+    resets it whenever it advances the entry.
     """
 
     __slots__ = (
@@ -80,6 +84,7 @@ class TableEntry:
         "fixpoint",
         "snapshot",
         "known_relations",
+        "encoded",
         "hits",
         "last_used",
     )
@@ -115,6 +120,7 @@ class TableEntry:
         self.known_relations: frozenset[str] = (
             compiled.program.relation_names() if compiled is not None else frozenset()
         )
+        self.encoded: "list | None" = None
         self.hits = 0
         self.last_used = 0
 
@@ -139,6 +145,22 @@ class TableEntry:
             binding.get(position) == value
             for position, value in zip(self.positions, self.values)
         )
+
+    def encoded_answer(self, binding: "Mapping[int, Path]") -> list:
+        """The encoded output rows matching *binding*, a call this entry
+        subsumes; memoised when *binding* is the seed and matches a row."""
+        from repro.io.serialization import encode_answer  # it imports the engine
+
+        seed = len(binding) == len(self.positions)
+        if seed and self.encoded:
+            return self.encoded
+        storage = self.answers.storage(self.output_relation)
+        answer = encode_answer(
+            storage.columnar(self.answers.term_table()).select(binding) if storage else ()
+        )
+        if seed and answer:
+            self.encoded = answer
+        return answer
 
     def seed_binding(self) -> "dict[int, Path]":
         """The entry's seed as a binding mapping."""
@@ -262,7 +284,8 @@ class AnswerTable:
 
         Maintained entries are updated incrementally through their magic
         fixpoints, with the delta filtered to the relations each entry's
-        program mentions (an unmentioned relation cannot move its answers).
+        program mentions (an unmentioned relation cannot move its answers);
+        an entry whose fixpoint update ran drops its encoded seed answer.
         Snapshot entries survive deltas that miss their relations and are
         evicted otherwise; maintained entries whose update fails (budget
         breach, stray relations, …) are evicted with the reason recorded.
@@ -292,6 +315,7 @@ class AnswerTable:
                 )
                 self._remove(entry)
                 continue
+            entry.encoded = None
             try:
                 entry.fixpoint.update(
                     relevant_added, relevant_removed, statistics=statistics

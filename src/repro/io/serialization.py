@@ -19,6 +19,7 @@ the answer slice, not the whole materialization).
 
 from __future__ import annotations
 
+import json
 from dataclasses import fields as dataclass_fields
 from functools import lru_cache
 from pathlib import Path as FilePath
@@ -47,6 +48,8 @@ __all__ = [
     "fact_from_json",
     "rows_to_json",
     "rows_from_json",
+    "EncodedAnswer",
+    "encode_answer",
     "statistics_to_json",
     "statistics_from_json",
     "query_result_to_json",
@@ -210,6 +213,32 @@ def fact_from_json(data: "list[str]") -> Fact:
 def rows_to_json(rows: "Iterable[tuple[Path, ...]]") -> list[list[str]]:
     """Encode relation rows as sorted lists of path texts (stable output)."""
     return sorted([path_to_text(path) for path in row] for row in rows)
+
+
+class EncodedAnswer(list):
+    """A read's wire rows (``rows_to_json`` of them) with their JSON text.
+
+    A list, so it compares equal to the plain answer and ``json.dumps``
+    encodes it as one; the HTTP layer splices :attr:`text` into the reply
+    instead.  Read-only, like ``Relation.rows``: a memo shares it between
+    every read it answers.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, rows: "list[list[str]]"):
+        super().__init__(rows)
+        self.text = json.dumps(rows)
+
+
+#: The one answer to every read with no rows, which no memo stores.
+NO_ROWS = EncodedAnswer([])
+
+
+def encode_answer(rows: "Iterable[tuple[Path, ...]]") -> EncodedAnswer:
+    """``rows_to_json(rows)`` with its JSON text; :data:`NO_ROWS` when empty."""
+    encoded = rows_to_json(rows)
+    return EncodedAnswer(encoded) if encoded else NO_ROWS
 
 
 def rows_from_json(data: "Iterable[Iterable[str]]") -> list[tuple[Path, ...]]:

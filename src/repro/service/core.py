@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import json
 import pathlib
 import time
 from collections import OrderedDict, deque
@@ -57,6 +56,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
+from repro.engine.fixpoint import EvaluationStatistics
 from repro.engine.limits import DEFAULT_LIMITS, EvaluationLimits
 from repro.engine.query import ProgramQuery, QueryResult, QuerySession, UpdateResult
 from repro.engine.reasons import (
@@ -77,11 +77,15 @@ from repro.io.durability import (
     decode_commit,
 )
 from repro.io.serialization import (
+    EncodedAnswer,
+    encode_answer,
     fact_from_json,
     instance_from_text,
     path_from_text,
+    path_to_text,
     query_result_to_json,
     rows_to_json,
+    statistics_to_json,
     update_result_to_json,
 )
 from repro.model.instance import Fact, Instance
@@ -144,22 +148,6 @@ class TenantBudget:
     admission: AdmissionLimits = field(default_factory=AdmissionLimits)
 
 
-class EncodedAnswer(list):
-    """A read's wire rows (``rows_to_json`` of them) with their JSON text.
-
-    A list, so it compares equal to the plain answer and ``json.dumps``
-    encodes it as one; the HTTP layer splices :attr:`text` into the reply
-    instead.  Read-only, like ``Relation.rows``: a committed view shares it
-    between every read of its generation.
-    """
-
-    __slots__ = ("text",)
-
-    def __init__(self, rows: "list[list[str]]"):
-        super().__init__(rows)
-        self.text = json.dumps(rows)
-
-
 class CommittedView:
     """An immutable snapshot of a materialization at one committed generation.
 
@@ -177,9 +165,6 @@ class CommittedView:
     """
 
     __slots__ = ("generation", "relations", "_answers")
-
-    #: The answer to every read with no rows (never stored in a memo).
-    _NO_ROWS = EncodedAnswer([])
 
     def __init__(
         self,
@@ -222,11 +207,9 @@ class CommittedView:
         position, value = next(iter(binding.items()), (None, None))
         answer = self._answers.get((name, position), {}).get(value)
         if answer is None:
-            rows = rows_to_json(self.select(name, binding))
-            if not rows:
-                return self._NO_ROWS
-            answer = EncodedAnswer(rows)
-            self._answers.setdefault((name, position), {})[value] = answer
+            answer = encode_answer(self.select(name, binding))
+            if answer:
+                self._answers.setdefault((name, position), {})[value] = answer
         return answer
 
 
@@ -642,22 +625,25 @@ class SessionHandle:
     ) -> dict:
         """Answer one query request, JSON-encoded at the boundary.
 
-        ``mode`` is ``"full"``, ``"goal"``, or ``"tabled"``; the first two
-        are served from the last committed view whenever one exists (a warm
-        materialization answers any binding — this is exactly what
-        :class:`QuerySession` does in-process, lifted to a lock-free read),
-        ``"tabled"`` forces the engine path so the session's subsumption
-        table serves/records the call.  Reads from the committed view carry
-        the generation they observed; they run entirely on the event loop
-        and never wait for an in-flight maintenance pass.  A *relation*
-        other than the output is read off the full materialization (built
-        like a cold full query when there is none).
+        ``mode`` is ``"full"`` or ``"goal"`` (``"tabled"`` is its alias);
+        either is served from the last committed view whenever one exists (a
+        warm materialization answers any binding — this is exactly what
+        :class:`QuerySession` does in-process, lifted to a lock-free read).
+        Reads from the committed view carry the generation they observed;
+        they run entirely on the event loop and never wait for an in-flight
+        maintenance pass.  Without one, a goal the subsumption table holds is
+        a memo read on the loop, under the lock, in the shape
+        :func:`query_result_to_json` gives its lookup.  A *relation* other
+        than the output is read off the full materialization (built like a
+        cold full query when there is none).
         """
         self._ensure_open()
         self.last_used = time.time()
         if mode is None:
             mode = self.query.mode
-        if mode not in ("full", "goal", "tabled"):
+        if mode == "tabled":
+            mode = "goal"
+        if mode not in ("full", "goal"):
             raise ServiceError(400, "bad_mode", f"unknown query mode {mode!r}")
         if relation is not None and not isinstance(relation, str):
             raise ServiceError(400, "bad_request", f"a relation name is a string, got {relation!r}")
@@ -689,7 +675,7 @@ class SessionHandle:
                         self.generation, result.full_instance
                     )
                 served_by = result.served_by
-            if view is not None and (mode != "tabled" or reads_other):
+            if view is not None:
                 self.queries_served += 1
                 self.queries_from_view += 1
                 return {
@@ -701,13 +687,18 @@ class SessionHandle:
                     "answers": {output_relation: view.answer(output_relation, normalised)},
                 }
             # Only a miss hops to the executor, and does not probe the table again.
-            engine_mode = "goal" if mode == "tabled" else mode
             session = self.session
+            statistics = EvaluationStatistics()
+            answer = result = None
             async with self._lock:
-                result = session.lookup(binding=normalised, mode=engine_mode)
-                if result is None:
+                if mode == "goal" and session.materialized is None:
+                    entry = session.lookup_entry(normalised, statistics)
+                    answer = None if entry is None else entry.encoded_answer(normalised)
+                else:
+                    result = session.lookup(binding=normalised, mode=mode)
+                if answer is None and result is None:
                     result = await self._run_in_executor(
-                        partial(session.run, binding=normalised, mode=engine_mode, looked_up=True)
+                        partial(session.run, binding=normalised, mode=mode, looked_up=True)
                     )
                 # A cold full run just built the materialization; publish it
                 # so later reads skip the lock.
@@ -715,6 +706,18 @@ class SessionHandle:
                     self._commit_view()
             self.queries_served += 1
             self.queries_from_engine += 1
+            if answer is not None:
+                return {
+                    "kind": "query_result",
+                    "output_relation": output_relation,
+                    "binding": {str(p): path_to_text(value) for p, value in normalised.items()},
+                    "mode": "goal",
+                    "served_by": "tabled",
+                    "fallback_reason": None,
+                    "statistics": statistics_to_json(statistics),
+                    "generation": self.generation,
+                    "answers": {output_relation: answer},
+                }
             encoded = query_result_to_json(result)
             encoded["generation"] = self.generation
             return encoded

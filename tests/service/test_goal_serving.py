@@ -8,16 +8,19 @@ oracle (or a committed view of the full materialization) answers.
 """
 
 import asyncio
+import json
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import ProgramQuery
-from repro.io.serialization import rows_to_json
-from repro.model import Instance, path
+from repro.io.serialization import NO_ROWS, query_result_to_json, rows_to_json
+from repro.model import Fact, Instance, path
 from repro.parser import parse_program
 from repro.service import ServiceApp, SessionHandle
+from repro.service.core import EncodedAnswer
+from repro.service.http import _dumps
 
 REACHABILITY_PAIRS = """
 T(@x, @y) :- E(@x, @y).
@@ -160,3 +163,109 @@ def test_a_relation_read_answers_as_the_committed_view(mode, materialize, relati
     assert expected["served_by"] == "maintained"
     assert answer["answers"] == expected["answers"]
     assert list(answer["answers"]) == [relation]
+
+
+UNRELATED = REACHABILITY_PAIRS + "U(@x) :- F(@x).\n"
+
+
+def goal_handle(program=REACHABILITY_PAIRS, schema=None):
+    query = ProgramQuery(
+        parse_program(program), schema or {"E": 2}, "T", require_monadic=False
+    )
+    return SessionHandle("s-goal", "tenant", query, query.session(instance_from_edges(SEED_EDGES)))
+
+
+def ask(handle, bindings):
+    """Goal queries on *handle*, in order; each binding maps positions to nodes."""
+
+    async def scenario():
+        return [await handle.run_query(mode="tabled", binding=b) for b in bindings]
+
+    return asyncio.run(scenario())
+
+
+@pytest.fixture
+def expected(oracle_output):
+    """``(handle, edges, binding)`` → the oracle's encoded ``T`` rows."""
+
+    def rows(handle, edges, binding):
+        output = oracle_output(handle.query, instance_from_edges(edges), binding)
+        return rows_to_json(output.relation("T"))
+
+    return rows
+
+
+class TestTabledHitMemo:
+    """A tabled hit on its entry's seed is a memo read; anything else is filtered."""
+
+    def test_seed_hits_share_one_encoded_answer(self, expected):
+        handle = goal_handle()
+        miss, first, second = ask(handle, [{0: "a"}] * 3)
+        assert miss["served_by"] == "goal"
+        assert first["served_by"] == second["served_by"] == "tabled"
+        answer = first["answers"]["T"]
+        assert isinstance(answer, EncodedAnswer) and second["answers"]["T"] is answer
+        assert answer == expected(handle, SEED_EDGES, {0: "a"}) == miss["answers"]["T"]
+        assert [entry.encoded for entry in handle.session._tables] == [answer]
+        handle.close()
+
+    def test_the_reply_body_is_byte_identical_to_json_dumps(self):
+        handle = goal_handle()
+        *_, hit = ask(handle, [{0: "b"}, {0: "b"}])
+        assert hit["served_by"] == "tabled" and isinstance(hit["answers"]["T"], EncodedAnswer)
+        assert list(hit)[-1] == "answers"
+        assert _dumps(hit) == json.dumps(hit)
+        handle.close()
+
+    def test_a_subsumed_binding_is_filtered_and_adds_no_memo(self, expected):
+        handle = goal_handle()
+        miss, narrow, both, wide = ask(handle, [{}, {0: "b"}, {0: "a", 1: "d"}, {}])
+        assert miss["served_by"] == "goal"
+        [entry] = handle.session._tables
+        assert entry.positions == ()
+        assert narrow["served_by"] == both["served_by"] == "tabled"
+        assert narrow["answers"]["T"] == expected(handle, SEED_EDGES, {0: "b"})
+        assert both["answers"]["T"] == expected(handle, SEED_EDGES, {0: "a", 1: "d"})
+        # Only the seed read (the all-free call itself) memoised its answer.
+        assert entry.encoded is wide["answers"]["T"]
+        assert wide["answers"]["T"] == expected(handle, SEED_EDGES, {})
+        (again,) = ask(handle, [{0: "b"}])
+        assert again["answers"]["T"] == narrow["answers"]["T"]
+        assert again["answers"]["T"] is not narrow["answers"]["T"]
+        assert entry.encoded is wide["answers"]["T"]
+        handle.close()
+
+    def test_an_empty_hit_is_the_shared_empty_answer(self):
+        handle = goal_handle()
+        miss, hit = ask(handle, [{0: "e"}, {0: "e"}])
+        assert miss["served_by"] == "goal" and hit["served_by"] == "tabled"
+        assert hit["answers"]["T"] is NO_ROWS
+        assert [entry.encoded for entry in handle.session._tables] == [None]
+        handle.close()
+
+    def test_an_update_resets_the_memo_only_of_entries_it_touches(self, expected):
+        handle = goal_handle(UNRELATED, {"E": 2, "F": 1})
+        _, before = ask(handle, [{0: "a"}, {0: "a"}])
+
+        async def update(additions):
+            await handle.enqueue_update(additions)
+            return await handle.run_query(mode="tabled", binding={0: "a"})
+
+        untouched = asyncio.run(update([Fact("F", (path("a"),))]))
+        assert untouched["served_by"] == "tabled"
+        assert untouched["answers"]["T"] is before["answers"]["T"]
+        moved = asyncio.run(update([Fact("E", (path("e"), path("f")))]))
+        assert moved["served_by"] == "tabled"
+        assert moved["answers"]["T"] is not before["answers"]["T"]
+        assert moved["answers"]["T"] == expected(handle, SEED_EDGES + (("e", "f"),), {0: "a"})
+        handle.close()
+
+    @pytest.mark.parametrize("binding", [{0: "a"}, {0: "a", 1: "c"}, {1: "d"}, {}])
+    def test_a_hit_replies_what_the_library_lookup_encodes(self, binding):
+        handle = goal_handle()
+        _, hit = ask(handle, [binding, binding])
+        assert hit["served_by"] == "tabled"
+        assert hit["statistics"]["subgoal_table_hits"] == 1
+        library = query_result_to_json(handle.session.lookup(binding=binding, mode="goal"))
+        assert hit == {**library, "generation": handle.generation}
+        handle.close()

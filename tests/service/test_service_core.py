@@ -475,17 +475,24 @@ class TestConcurrentReads:
         assert handle.queries_from_view == len(observed)
         handle.close()
 
-    def test_tabled_mode_takes_the_engine_path(self):
-        handle = make_handle()
+    def test_tabled_mode_is_goal_mode_and_reads_the_view(self):
+        handle, engine = make_handle(), make_handle()
 
         async def scenario():
             await handle.ensure_materialized()
-            return await handle.run_query(mode="tabled", binding={0: path("a")})
+            read = await handle.run_query(mode="tabled", binding={0: path("a")})
+            # No materialization: the engine path evaluates the goal.
+            evaluated = await engine.run_query(mode="tabled", binding={0: path("a")})
+            return read, evaluated
 
-        response = asyncio.run(scenario())
-        assert handle.queries_from_engine == 1
-        assert answered(response) == expected_pairs(line_instance(), {0: path("a")})
+        read, evaluated = asyncio.run(scenario())
+        assert handle.queries_from_view == 1 and handle.queries_from_engine == 0
+        assert engine.queries_from_engine == 1 and evaluated["served_by"] == "goal"
+        assert read["mode"] == evaluated["mode"] == "goal"
+        assert read["answers"] == evaluated["answers"]
+        assert answered(read) == expected_pairs(line_instance(), {0: path("a")})
         handle.close()
+        engine.close()
 
     def test_bad_binding_and_bad_mode_are_client_errors(self):
         handle = make_handle()
