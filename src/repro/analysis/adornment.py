@@ -91,10 +91,6 @@ class Adornment:
         """The free argument positions, in order."""
         return tuple(i for i, bound in enumerate(self.pattern) if not bound)
 
-    def has_bound(self) -> bool:
-        """Return ``True`` if at least one position is bound."""
-        return any(self.pattern)
-
     def subsumes(self, other: "Adornment") -> bool:
         """Whether a goal with this adornment subsumes one with *other*.
 
@@ -158,10 +154,6 @@ class AdornedRule:
     head_adornment: Adornment
     order: tuple[Literal, ...]
     body_adornments: tuple["Adornment | None", ...]
-
-    def bound_head_variables(self) -> frozenset[Variable]:
-        """The variables bound by matching the head's bound components."""
-        return _bound_component_variables(self.rule.head, self.head_adornment)
 
 
 def _bound_component_variables(predicate: Predicate, adornment: Adornment) -> frozenset[Variable]:

@@ -406,10 +406,6 @@ class ProgramQuery:
         """Run the query and interpret the (nullary) output relation as a boolean."""
         return self.run(instance, binding=binding, mode=mode).boolean()
 
-    def answers_on(self, instances: Iterable[Instance]) -> list[frozenset[Path]]:
-        """Run the query on several instances."""
-        return [self.answer(instance) for instance in instances]
-
     # -- introspection ----------------------------------------------------------------------------
 
     def features(self):

@@ -71,9 +71,9 @@ class TableEntry:
     maintenance can own it; ``snapshot`` the plain materialized instance
     otherwise.  Exactly one of the two is set.
 
-    ``encoded`` memoises the encoded answer to the seed itself, the call a
-    hot goal repeats (:meth:`encoded_answer`); :meth:`AnswerTable.apply_update`
-    resets it whenever it advances the entry.
+    :meth:`encoded_answer` memoises each encoded answer on the columnar view
+    of the output rows it encodes; an update that moves those rows yields a
+    new view, so nothing here is ever reset.
     """
 
     __slots__ = (
@@ -84,7 +84,6 @@ class TableEntry:
         "fixpoint",
         "snapshot",
         "known_relations",
-        "encoded",
         "hits",
         "last_used",
     )
@@ -120,7 +119,6 @@ class TableEntry:
         self.known_relations: frozenset[str] = (
             compiled.program.relation_names() if compiled is not None else frozenset()
         )
-        self.encoded: "list | None" = None
         self.hits = 0
         self.last_used = 0
 
@@ -148,19 +146,15 @@ class TableEntry:
 
     def encoded_answer(self, binding: "Mapping[int, Path]") -> list:
         """The encoded output rows matching *binding*, a call this entry
-        subsumes; memoised when *binding* is the seed and matches a row."""
-        from repro.io.serialization import encode_answer  # it imports the engine
+        subsumes, memoised on the output relation's columnar view
+        (:func:`~repro.io.serialization.memoised_answer`)."""
+        from repro.io.serialization import NO_ROWS, memoised_answer  # it imports the engine
 
-        seed = len(binding) == len(self.positions)
-        if seed and self.encoded:
-            return self.encoded
         storage = self.answers.storage(self.output_relation)
-        answer = encode_answer(
-            storage.columnar(self.answers.term_table()).select(binding) if storage else ()
-        )
-        if seed and answer:
-            self.encoded = answer
-        return answer
+        if not storage:
+            return NO_ROWS
+        view = storage.columnar(self.answers.term_table())
+        return memoised_answer(view.answers, binding, view.select)
 
     def seed_binding(self) -> "dict[int, Path]":
         """The entry's seed as a binding mapping."""
@@ -284,8 +278,9 @@ class AnswerTable:
 
         Maintained entries are updated incrementally through their magic
         fixpoints, with the delta filtered to the relations each entry's
-        program mentions (an unmentioned relation cannot move its answers);
-        an entry whose fixpoint update ran drops its encoded seed answer.
+        program mentions (an unmentioned relation cannot move its answers).
+        An entry's encoded answers live on the columnar views they encode,
+        which an update that moves rows replaces, so none is reset here.
         Snapshot entries survive deltas that miss their relations and are
         evicted otherwise; maintained entries whose update fails (budget
         breach, stray relations, …) are evicted with the reason recorded.
@@ -315,7 +310,6 @@ class AnswerTable:
                 )
                 self._remove(entry)
                 continue
-            entry.encoded = None
             try:
                 entry.fixpoint.update(
                     relevant_added, relevant_removed, statistics=statistics

@@ -88,10 +88,6 @@ class Valuation(Mapping[Variable, object]):
         """The variables this valuation is defined on."""
         return frozenset(self._bindings)
 
-    def is_appropriate_for(self, variables: Iterable[Variable]) -> bool:
-        """Return ``True`` if all *variables* are in the domain."""
-        return set(variables) <= set(self._bindings)
-
     # -- extension ------------------------------------------------------------------------
 
     def bind(self, variable: Variable, value: object) -> "Valuation":
@@ -182,10 +178,6 @@ class Valuation(Mapping[Variable, object]):
             predicate.name,
             tuple([self.apply_to_expression(component) for component in predicate.components]),
         )
-
-    def can_evaluate(self, expression: PathExpression) -> bool:
-        """Return ``True`` if all variables of *expression* are bound."""
-        return expression.variables() <= self.domain
 
     # -- equality and rendering --------------------------------------------------------------
 

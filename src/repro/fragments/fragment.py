@@ -67,11 +67,6 @@ class Fragment(frozenset):
         return Fragment(feature for feature in self
                         if feature not in (Feature.ARITY, Feature.PACKING))
 
-    def with_feature(self, feature: "Feature | str") -> "Fragment":
-        """Return the fragment extended with one feature."""
-        added = feature if isinstance(feature, Feature) else Feature.from_letter(feature)
-        return Fragment(set(self) | {added})
-
     def without_feature(self, feature: "Feature | str") -> "Fragment":
         """Return the fragment with one feature removed."""
         removed = feature if isinstance(feature, Feature) else Feature.from_letter(feature)

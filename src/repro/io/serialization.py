@@ -23,7 +23,7 @@ import json
 from dataclasses import fields as dataclass_fields
 from functools import lru_cache
 from pathlib import Path as FilePath
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from repro.engine.fixpoint import EvaluationStatistics
 from repro.engine.query import QueryResult, UpdateResult
@@ -50,6 +50,7 @@ __all__ = [
     "rows_from_json",
     "EncodedAnswer",
     "encode_answer",
+    "memoised_answer",
     "statistics_to_json",
     "statistics_from_json",
     "query_result_to_json",
@@ -239,6 +240,28 @@ def encode_answer(rows: "Iterable[tuple[Path, ...]]") -> EncodedAnswer:
     """``rows_to_json(rows)`` with its JSON text; :data:`NO_ROWS` when empty."""
     encoded = rows_to_json(rows)
     return EncodedAnswer(encoded) if encoded else NO_ROWS
+
+
+def memoised_answer(
+    memo: dict,
+    binding: "Mapping[int, Path]",
+    select: "Callable[[Mapping[int, Path]], Iterable[tuple[Path, ...]]]",
+) -> EncodedAnswer:
+    """``encode_answer(select(binding))``, memoised in *memo* under the binding.
+
+    *memo* is the ``answers`` dict of the columnar view *select* reads.  A
+    view's rows never change (every change of rows yields a new view, with an
+    empty memo), so an entry never goes stale.  Only non-empty answers are
+    stored: per bound-position shape there are at most as many as the view
+    has rows, and a value with no rows leaves the memo as it was.
+    """
+    key = frozenset(binding.items())
+    answer = memo.get(key)
+    if answer is None:
+        answer = encode_answer(select(binding))
+        if answer:
+            memo[key] = answer
+    return answer
 
 
 def rows_from_json(data: "Iterable[Iterable[str]]") -> list[tuple[Path, ...]]:

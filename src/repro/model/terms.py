@@ -206,10 +206,6 @@ class Path:
                 depth = max(depth, element.packing_depth())
         return depth
 
-    def is_single_value(self) -> bool:
-        """Return ``True`` if the path has length exactly one."""
-        return len(self._elements) == 1
-
     def is_atomic(self) -> bool:
         """Return ``True`` if the path is a single atomic value."""
         return len(self._elements) == 1 and is_atomic_value(self._elements[0])

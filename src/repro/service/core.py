@@ -58,7 +58,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.engine.fixpoint import EvaluationStatistics
 from repro.engine.limits import DEFAULT_LIMITS, EvaluationLimits
-from repro.engine.query import ProgramQuery, QueryResult, QuerySession, UpdateResult
+from repro.engine.query import ProgramQuery, QuerySession, UpdateResult
 from repro.engine.reasons import (
     ADMISSION_PRESSURE,
     SERVICE_CAPACITY,
@@ -77,14 +77,15 @@ from repro.io.durability import (
     decode_commit,
 )
 from repro.io.serialization import (
+    NO_ROWS,
     EncodedAnswer,
-    encode_answer,
     fact_from_json,
     instance_from_text,
+    memoised_answer,
     path_from_text,
     path_to_text,
     query_result_to_json,
-    rows_to_json,
+    rows_to_json,  # noqa: F401 - benchmarks/e2e/tracing.py patches it here
     statistics_to_json,
     update_result_to_json,
 )
@@ -157,33 +158,19 @@ class CommittedView:
     (:meth:`~repro.storage.columnar.ColumnarView.advanced`), so publishing
     costs O(delta) and a read on the event loop probes prebuilt groupings
     while the next pass advances the same relations in the executor.  The
-    encoded answer of a read bound at one position (or unbound) is memoised
-    per value, so a repeated read encodes nothing; a value with no rows
-    shares one empty answer, so unseen values never grow the memo.  The memo
-    is inherited from the previous view for relations whose columnar view
-    is identical (the common case: a small update touches few relations).
+    encoded answer of a read is memoised on the relation's columnar view,
+    so a repeated read encodes nothing, and a relation no pass changed
+    keeps its view, and with it its answers, from one generation to the next.
     """
 
-    __slots__ = ("generation", "relations", "_answers")
+    __slots__ = ("generation", "relations")
 
-    def __init__(
-        self,
-        generation: int,
-        relations: "dict[str, ColumnarView]",
-        previous: "CommittedView | None" = None,
-    ):
+    def __init__(self, generation: int, relations: "dict[str, ColumnarView]"):
         self.generation = generation
         self.relations = relations
-        self._answers: "dict[tuple[str, int | None], dict[Path | None, EncodedAnswer]]" = {}
-        if previous is not None:
-            for key, memo in previous._answers.items():
-                if relations.get(key[0]) is previous.relations.get(key[0]):
-                    self._answers[key] = memo
 
     @staticmethod
-    def capture(
-        generation: int, instance: Instance, previous: "CommittedView | None" = None
-    ) -> "CommittedView":
+    def capture(generation: int, instance: Instance) -> "CommittedView":
         """Snapshot *instance* (a materialization) at *generation*; called with
         the maintenance thread quiescent, so readers on the loop build nothing."""
         table = instance.term_table()
@@ -192,25 +179,20 @@ class CommittedView:
             view = relations[name] = instance.storage(name).columnar(table)
             for position in range(len(view.id_rows[0]) if view.id_rows else 0):
                 view.groups(position)
-        return CommittedView(generation, relations, previous)
+        return CommittedView(generation, relations)
 
     def select(self, name: str, binding: "Mapping[int, Path]") -> "Sequence[tuple]":
         """The rows of *name* matching *binding* (all rows when unbound)."""
         view = self.relations.get(name)
         return () if view is None else view.select(binding)
 
-    def answer(self, name: str, binding: "Mapping[int, Path]") -> list:
-        """``rows_to_json(self.select(name, binding))``, memoised unless two or
-        more positions are bound (those are filtered and encoded per read)."""
-        if len(binding) > 1:
-            return rows_to_json(self.select(name, binding))
-        position, value = next(iter(binding.items()), (None, None))
-        answer = self._answers.get((name, position), {}).get(value)
-        if answer is None:
-            answer = encode_answer(self.select(name, binding))
-            if answer:
-                self._answers.setdefault((name, position), {})[value] = answer
-        return answer
+    def answer(self, name: str, binding: "Mapping[int, Path]") -> EncodedAnswer:
+        """``encode_answer(self.select(name, binding))``, memoised on the view
+        of *name* (:func:`~repro.io.serialization.memoised_answer`)."""
+        view = self.relations.get(name)
+        if view is None:
+            return NO_ROWS
+        return memoised_answer(view.answers, binding, partial(self.select, name))
 
 
 @dataclass
@@ -273,8 +255,8 @@ class SessionHandle:
     All engine work (builds, maintenance passes, cold evaluations) runs in
     the event loop's default executor under ``_lock`` — the
     :class:`QuerySession` itself is single-threaded by contract.  Reads that
-    a committed view can answer bypass both; one the session already holds
-    (:meth:`QuerySession.lookup`) is served on the loop under the lock.
+    a committed view can answer bypass both; a goal the answer table holds
+    (:meth:`QuerySession.lookup_entry`) is served on the loop under the lock.
     """
 
     def __init__(
@@ -365,7 +347,7 @@ class SessionHandle:
         if materialized is None:
             self.committed = None
         else:
-            self.committed = CommittedView.capture(self.generation, materialized, self.committed)
+            self.committed = CommittedView.capture(self.generation, materialized)
 
     def _apply_commits(self, commits: "Iterable[tuple[int, list[Fact], list[Fact], int]]") -> None:
         """Count committed passes and publish the state they produced.
@@ -631,11 +613,13 @@ class SessionHandle:
         :class:`QuerySession` does in-process, lifted to a lock-free read).
         Reads from the committed view carry the generation they observed;
         they run entirely on the event loop and never wait for an in-flight
-        maintenance pass.  Without one, a goal the subsumption table holds is
-        a memo read on the loop, under the lock, in the shape
-        :func:`query_result_to_json` gives its lookup.  A *relation* other
-        than the output is read off the full materialization (built like a
-        cold full query when there is none).
+        maintenance pass.  Without one, the request takes the session lock
+        once: a view published while it waited is read as above; otherwise a
+        goal the subsumption table holds is a memo read on the loop, in the
+        shape :func:`query_result_to_json` gives its lookup, and anything
+        else is one run in the executor.  A *relation* other than the output
+        is read off the full materialization (built like a cold full query
+        when there is none).
         """
         self._ensure_open()
         self.last_used = time.time()
@@ -662,21 +646,34 @@ class SessionHandle:
         try:
             view = self.committed
             served_by = "maintained"
-            if view is None and reads_other:
+            answer = result = None
+            if view is None:
+                session = self.session
+                statistics = EvaluationStatistics()
                 async with self._lock:
-                    result: QueryResult = await self._run_in_executor(
-                        partial(self.session.run, mode="full")
-                    )
-                    if self.committed is None:
+                    view = self.committed
+                    if view is None and mode == "goal" and not reads_other:
+                        entry = session.lookup_entry(normalised, statistics)
+                        answer = None if entry is None else entry.encoded_answer(normalised)
+                    if view is None and answer is None:
+                        run = partial(session.run, mode="full")
+                        if not reads_other:  # a goal miss was probed above: not again
+                            run = partial(
+                                session.run, binding=normalised, mode=mode, looked_up=mode == "goal"
+                            )
+                        result = await self._run_in_executor(run)
+                        # A run that built the materialization publishes it,
+                        # so later reads skip the lock.
                         self._commit_view()
-                    # A materialization maintenance cannot own is read once,
-                    # unpublished (captured here, while no pass can run).
-                    view = self.committed or CommittedView.capture(
-                        self.generation, result.full_instance
-                    )
-                served_by = result.served_by
+                        if reads_other:
+                            # A materialization maintenance cannot own is read
+                            # once, unpublished (captured while no pass can run).
+                            view = self.committed or CommittedView.capture(
+                                self.generation, result.full_instance
+                            )
+                            served_by = result.served_by
+            self.queries_served += 1
             if view is not None:
-                self.queries_served += 1
                 self.queries_from_view += 1
                 return {
                     "generation": view.generation,
@@ -686,25 +683,6 @@ class SessionHandle:
                     "output_relation": output_relation,
                     "answers": {output_relation: view.answer(output_relation, normalised)},
                 }
-            # Only a miss hops to the executor, and does not probe the table again.
-            session = self.session
-            statistics = EvaluationStatistics()
-            answer = result = None
-            async with self._lock:
-                if mode == "goal" and session.materialized is None:
-                    entry = session.lookup_entry(normalised, statistics)
-                    answer = None if entry is None else entry.encoded_answer(normalised)
-                else:
-                    result = session.lookup(binding=normalised, mode=mode)
-                if answer is None and result is None:
-                    result = await self._run_in_executor(
-                        partial(session.run, binding=normalised, mode=mode, looked_up=True)
-                    )
-                # A cold full run just built the materialization; publish it
-                # so later reads skip the lock.
-                if self.committed is None:
-                    self._commit_view()
-            self.queries_served += 1
             self.queries_from_engine += 1
             if answer is not None:
                 return {

@@ -254,11 +254,16 @@ class ColumnarView:
         "_element_joins",
         "_row_set",
         "_index",
+        "answers",
     )
 
     def __init__(self, id_rows: "list[tuple]", table: TermTable):
         self.table = table
         self.id_rows = id_rows
+        #: Encoded answers to reads of these rows, by binding
+        #: (:func:`repro.io.serialization.memoised_answer`); never reset,
+        #: since the rows never change: a change of rows makes a new view.
+        self.answers: dict = {}
         # Nothing but the rows: every structure below builds on first use.
         self._columns: "dict[int, array]" = {}
         self._decomposed: "dict[int, list]" = {}

@@ -50,16 +50,6 @@ class FreshNames:
             variables.update(rule.variables())
         return FreshNames(relations, variables)
 
-    # -- reservation -------------------------------------------------------------------
-
-    def reserve_relation(self, name: str) -> None:
-        """Mark *name* as used so it will never be handed out."""
-        self._used_relations.add(name)
-
-    def reserve_variable(self, variable: Variable) -> None:
-        """Mark *variable*'s name as used."""
-        self._used_variable_names.add(variable.name)
-
     # -- generation ---------------------------------------------------------------------
 
     def relation(self, base: str = "Aux") -> str:

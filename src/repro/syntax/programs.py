@@ -227,10 +227,6 @@ class Program:
                     record(literal.atom)  # type: ignore[arg-type]
         return Schema(arities)
 
-    def edb_schema(self) -> Schema:
-        """The schema of the EDB relation names."""
-        return self.relation_arities().restricted(self.edb_relation_names())
-
     def is_over(self, schema: Schema) -> bool:
         """Return ``True`` if the program is *over* the given schema (Section 2.3).
 
@@ -326,32 +322,6 @@ class Program:
                     f"stratum {index} negates relation(s) {names} that are defined in "
                     f"this stratum or a later one"
                 )
-
-    # -- rewriting -----------------------------------------------------------------------------------
-
-    def map_rules(self, function) -> "Program":
-        """Return a program with *function* applied to every rule, keeping strata."""
-        return Program(
-            [Stratum([function(rule) for rule in stratum]) for stratum in self._strata]
-        )
-
-    def merged_into_single_stratum(self) -> "Program":
-        """Return the same rules as a single stratum (only valid if semipositive)."""
-        return Program.single_stratum(self.rules())
-
-    def restratified(self) -> "Program":
-        """Recompute a valid stratification of the program's rules."""
-        return Program.from_rules(self.rules())
-
-    def with_extra_stratum(self, rules: Iterable[Rule], *, position: int | None = None) -> "Program":
-        """Return the program with an extra stratum inserted at *position* (default: end)."""
-        strata = list(self._strata)
-        new = Stratum(rules)
-        if position is None:
-            strata.append(new)
-        else:
-            strata.insert(position, new)
-        return Program(strata)
 
     # -- equality and rendering --------------------------------------------------------------------------
 

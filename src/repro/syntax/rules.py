@@ -135,14 +135,6 @@ class Rule:
 
     # -- body views --------------------------------------------------------------------
 
-    def positive_literals(self) -> Iterator[Literal]:
-        """Iterate over the positive literals of the body."""
-        return (literal for literal in self._body if literal.positive)
-
-    def negative_literals(self) -> Iterator[Literal]:
-        """Iterate over the negated literals of the body."""
-        return (literal for literal in self._body if literal.negative)
-
     def positive_predicates(self) -> Iterator[Predicate]:
         """Iterate over the positive body predicates."""
         return (
@@ -167,14 +159,6 @@ class Rule:
             if literal.positive and literal.is_equation()
         )
 
-    def negative_equations(self) -> Iterator[Equation]:
-        """Iterate over the negated body equations (nonequalities)."""
-        return (
-            literal.atom  # type: ignore[misc]
-            for literal in self._body
-            if literal.negative and literal.is_equation()
-        )
-
     def body_relation_names(self) -> frozenset[str]:
         """Relation names used (positively or negatively) in the body."""
         return frozenset(
@@ -182,10 +166,6 @@ class Rule:
             for literal in self._body
             if literal.is_predicate()
         )
-
-    def positive_body_relation_names(self) -> frozenset[str]:
-        """Relation names used positively in the body."""
-        return frozenset(predicate.name for predicate in self.positive_predicates())
 
     def negative_body_relation_names(self) -> frozenset[str]:
         """Relation names used under negation in the body."""
@@ -283,14 +263,6 @@ class Rule:
             self._head.substitute(substitution),
             tuple(literal.substitute(substitution) for literal in self._body),
         )
-
-    def with_head(self, head: Predicate) -> "Rule":
-        """Return the same rule with a different head."""
-        return Rule(head, self._body)
-
-    def with_body(self, body: Iterable["Literal | Atom"]) -> "Rule":
-        """Return the same rule with a different body."""
-        return Rule(self._head, body)
 
     def with_extra_literals(self, extra: Iterable["Literal | Atom"]) -> "Rule":
         """Return the rule with additional body literals appended."""

@@ -82,13 +82,6 @@ class Substitution(Mapping[Variable, PathExpression]):
         """The set of variables this substitution is defined on."""
         return frozenset(self._mapping)
 
-    def is_identity(self) -> bool:
-        """Return ``True`` if the substitution maps nothing (or maps variables to themselves)."""
-        return all(
-            len(image.items) == 1 and image.items[0] == variable
-            for variable, image in self._mapping.items()
-        )
-
     # -- application ------------------------------------------------------------------
 
     def apply_to_expression(self, expression: PathExpression) -> PathExpression:

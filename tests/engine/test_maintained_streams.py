@@ -1,11 +1,11 @@
-"""A maintained session on the serving streams of ``benchmarks/bench_incremental.py``.
+"""A maintained session on the layered-graph serving streams, against re-evaluation.
 
-The deterministic gate of that benchmark, run with the test suite: every
-update of an addition-balanced stream and of a deletion-heavy churn stream is
-maintained with no fallback, every answer equals a scratch evaluation, and
-over the balanced stream the maintained path attempts at least 5× fewer
-extensions than re-evaluating the program for every query.  The benchmark
-keeps the wall-clock report beside it.
+Every update of an addition-balanced stream and of a deletion-heavy churn
+stream is maintained with no fallback, every answer equals a scratch
+evaluation, and over the balanced stream the maintained path attempts at
+least 5× fewer extensions than re-evaluating the program for every query.
+The last wall-clock report on these streams, from the deleted
+``benchmarks/bench_incremental.py``, is kept in ``benchmarks/history/``.
 """
 
 from repro.engine import CompiledProgram, EvaluationStatistics, ProgramQuery, evaluate_program

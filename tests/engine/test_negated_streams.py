@@ -1,6 +1,5 @@
-"""Negation inside the recursion on the workload of ``benchmarks/bench_negation.py``.
+"""Negation inside the recursion: reachability avoiding blocked nodes.
 
-The deterministic gate of that benchmark, run with the test suite.
 ``Blocked`` is an IDB relation read under negation inside the recursion.  A
 bound-source goal stays on the goal pipeline and attempts at least
 ``GOAL_PRUNING_FACTOR``× fewer extensions than full evaluation.  Every update
@@ -8,7 +7,8 @@ of a ``Blocklist`` stream (additions kill derivations through the negated
 literal, retractions admit them) is maintained with no fallback, every answer
 equals a scratch evaluation, and the stream attempts at least
 ``MAINTENANCE_PRUNING_FACTOR``× fewer extensions than re-evaluating at every
-step.  The benchmark keeps the wall-clock report beside it.
+step.  The last wall-clock report on this workload, from the deleted
+``benchmarks/bench_negation.py``, is kept in ``benchmarks/history/``.
 """
 
 from repro.engine import EvaluationStatistics, ProgramQuery, evaluate_program

@@ -141,9 +141,10 @@ def test_held_views_answer_their_generation_in_wire_order(
 def test_held_views_memoise_their_own_generation(
     seed, batches, hold_mask, oracle_output, acked_edb_states
 ):
-    """A memo entry is inherited only while its relation is unchanged: every
-    memoised read of a held view — and the text spliced into its reply —
-    is its generation's answer, read when held and again after later commits."""
+    """A memo entry lives on the columnar view it encodes, which a relation
+    keeps only while it is unchanged: every memoised read of a held view —
+    and the text spliced into its reply — is its generation's answer, read
+    when held and again after later commits."""
     held, acks = drive(seed, batches, hold_mask, read=answer_all)
     states = acked_edb_states(seed, batches, acks)
     query = pair_query()
@@ -166,7 +167,7 @@ def test_reads_of_unseen_values_do_not_grow_the_memo():
             view = handle.committed
 
             def memo_size():
-                return len(view._answers), sum(len(memo) for memo in view._answers.values())
+                return {name: len(columnar.answers) for name, columnar in view.relations.items()}
 
             before = memo_size()
             for index in range(1_000):
@@ -174,7 +175,7 @@ def test_reads_of_unseen_values_do_not_grow_the_memo():
                 assert read["answers"] == {"T": []}
             read = await handle.run_query(relation="Unknown")
             assert read["answers"] == {"Unknown": []}
-            assert handle.committed is view and memo_size() == before == (1, 1)
+            assert handle.committed is view and memo_size() == before == {"E": 0, "T": 1}
         finally:
             handle.close()
 

@@ -184,6 +184,17 @@ def ask(handle, bindings):
     return asyncio.run(scenario())
 
 
+def view_memo(entry):
+    """The encoded answers memoised on the columnar view of *entry*'s output rows."""
+    answers = entry.answers
+    storage = answers.storage("T")
+    return storage.columnar(answers.term_table()).answers if storage else {}
+
+
+def memo_key(binding):
+    return frozenset((position, path(node)) for position, node in binding.items())
+
+
 @pytest.fixture
 def expected(oracle_output):
     """``(handle, edges, binding)`` → the oracle's encoded ``T`` rows."""
@@ -196,7 +207,7 @@ def expected(oracle_output):
 
 
 class TestTabledHitMemo:
-    """A tabled hit on its entry's seed is a memo read; anything else is filtered."""
+    """A tabled hit is a memo read off the view of its entry's output rows."""
 
     def test_seed_hits_share_one_encoded_answer(self, expected):
         handle = goal_handle()
@@ -206,7 +217,9 @@ class TestTabledHitMemo:
         answer = first["answers"]["T"]
         assert isinstance(answer, EncodedAnswer) and second["answers"]["T"] is answer
         assert answer == expected(handle, SEED_EDGES, {0: "a"}) == miss["answers"]["T"]
-        assert [entry.encoded for entry in handle.session._tables] == [answer]
+        [entry] = handle.session._tables
+        assert view_memo(entry) == {memo_key({0: "a"}): answer}
+        assert view_memo(entry)[memo_key({0: "a"})] is answer
         handle.close()
 
     def test_the_reply_body_is_byte_identical_to_json_dumps(self):
@@ -217,22 +230,20 @@ class TestTabledHitMemo:
         assert _dumps(hit) == json.dumps(hit)
         handle.close()
 
-    def test_a_subsumed_binding_is_filtered_and_adds_no_memo(self, expected):
+    def test_a_subsumed_read_is_memoised_on_the_entry_view(self, expected):
+        bindings = [{0: "b"}, {0: "a", 1: "d"}, {}]
         handle = goal_handle()
-        miss, narrow, both, wide = ask(handle, [{}, {0: "b"}, {0: "a", 1: "d"}, {}])
+        miss, *hits = ask(handle, [{}, *bindings])
         assert miss["served_by"] == "goal"
         [entry] = handle.session._tables
         assert entry.positions == ()
-        assert narrow["served_by"] == both["served_by"] == "tabled"
-        assert narrow["answers"]["T"] == expected(handle, SEED_EDGES, {0: "b"})
-        assert both["answers"]["T"] == expected(handle, SEED_EDGES, {0: "a", 1: "d"})
-        # Only the seed read (the all-free call itself) memoised its answer.
-        assert entry.encoded is wide["answers"]["T"]
-        assert wide["answers"]["T"] == expected(handle, SEED_EDGES, {})
+        for binding, hit in zip(bindings, hits):
+            assert hit["served_by"] == "tabled"
+            assert hit["answers"]["T"] == expected(handle, SEED_EDGES, binding)
+            assert view_memo(entry)[memo_key(binding)] is hit["answers"]["T"]
+        assert len(view_memo(entry)) == len(bindings)
         (again,) = ask(handle, [{0: "b"}])
-        assert again["answers"]["T"] == narrow["answers"]["T"]
-        assert again["answers"]["T"] is not narrow["answers"]["T"]
-        assert entry.encoded is wide["answers"]["T"]
+        assert again["answers"]["T"] is hits[0]["answers"]["T"]
         handle.close()
 
     def test_an_empty_hit_is_the_shared_empty_answer(self):
@@ -240,7 +251,7 @@ class TestTabledHitMemo:
         miss, hit = ask(handle, [{0: "e"}, {0: "e"}])
         assert miss["served_by"] == "goal" and hit["served_by"] == "tabled"
         assert hit["answers"]["T"] is NO_ROWS
-        assert [entry.encoded for entry in handle.session._tables] == [None]
+        assert [view_memo(entry) for entry in handle.session._tables] == [{}]
         handle.close()
 
     def test_an_update_resets_the_memo_only_of_entries_it_touches(self, expected):

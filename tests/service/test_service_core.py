@@ -98,7 +98,13 @@ class TestCommittedView:
                 for name in ("E", "T", "U"):
                     view.answer(name, {0: path("a") if name != "U" else path("f")})
                     view.answer(name, {})
-                memos.append(dict(view._answers))
+                memos.append(
+                    {
+                        (name, min((position for position, _ in key), default=None)): answer
+                        for name, columnar in view.relations.items()
+                        for key, answer in columnar.answers.items()
+                    }
+                )
             return memos
 
         first, second, third = asyncio.run(scenario())

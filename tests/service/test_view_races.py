@@ -110,19 +110,22 @@ def test_held_views_answer_their_generation_while_passes_advance_them(oracle_out
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
+    readers = [threading.Thread(target=read, args=(index,)) for index in range(READERS)]
     try:
-        readers = [threading.Thread(target=read, args=(index,)) for index in range(READERS)]
         for reader in readers:
             reader.start()
         for generation, (additions, retractions) in enumerate(batches, start=1):
             session.update(additions, retractions)
-            published.append(CommittedView.capture(generation, session.materialized, published[-1]))
+            published.append(CommittedView.capture(generation, session.materialized))
+    finally:
+        # Also when a pass raises: a reader left spinning would hang the suite.
         done.set()
         for reader in readers:
-            reader.join()
-    finally:
+            if reader.is_alive():
+                reader.join(timeout=60)
         sys.setswitchinterval(interval)
         session.close()
+    assert not any(reader.is_alive() for reader in readers)
     assert failures == []
     for view in published:  # and once more, with every pass done
         for name, binding in READS:

@@ -12,6 +12,7 @@ buckets the delta touches instead of patching them in place.
 
 from hypothesis import given, settings, strategies as st
 
+from repro.io.serialization import encode_answer, memoised_answer
 from repro.model import Instance, Path
 from repro.storage import ColumnarView, Relation, TermTable
 
@@ -219,6 +220,38 @@ def test_a_relation_refilled_at_another_arity_starts_its_view_over():
     view = relation.columnar(table)
     assert view.id_rows == [table.intern_row((PATHS[3],))]
     assert rows_by_key(view, view.groups(0)) == {table.intern(PATHS[3]): set(view.id_rows)}
+
+
+def test_every_new_view_starts_with_an_empty_memo_and_an_old_one_keeps_its_own():
+    """The encoded-answer memo needs no reset: every change of rows is a new view."""
+    table = Instance().term_table()
+    relation = Relation([(PATHS[1], PATHS[2]), (PATHS[2], PATHS[3])])
+    row = (PATHS[1], PATHS[5])
+    changes = {
+        "advanced by an addition": lambda: relation.add((PATHS[3], PATHS[4])),
+        "advanced by a removal": lambda: relation.discard((PATHS[1], PATHS[2])),
+        "emptied": lambda: [relation.discard(held) for held in list(relation.rows)],
+        "advanced from empty": lambda: relation.add((PATHS[4], PATHS[6])),
+        "rebuilt": lambda: relation.set_rows({(PATHS[1], PATHS[2]), (PATHS[1], PATHS[3])}),
+        "founded": lambda: (
+            relation.clear(),
+            relation.add_rows({row}, [table.intern_row(row)], table),
+        ),
+    }
+    held = []
+    for change in [None, *changes]:
+        if change is not None:
+            changes[change]()
+        view = relation.columnar(table)
+        assert all(view is not old for old, _ in held), change
+        assert view.answers == {}, change
+        for binding in ({}, {0: PATHS[1]}, {1: PATHS[0]}):
+            memoised_answer(view.answers, binding, view.select)
+        held.append((view, dict(view.answers)))
+    for view, memo in held:
+        assert view.answers == memo
+        for key, answer in memo.items():
+            assert answer == encode_answer(view.select(dict(key)))
 
 
 def test_a_second_term_table_gets_a_view_of_its_own():
