@@ -17,6 +17,10 @@ loops:
   iff its id carries the atomic flag (mirroring
   :func:`repro.engine.match.match_expression` semantics), and a single
   ``$x`` binds the spliced middle as its own interned id;
+* each step's checks are a list of ops that one general loop runs per
+  candidate row; the only specialised loop is the binary join over whole
+  arguments (probe one bound position, emit one free one) that the graph
+  programs run — every sequence pattern takes the general loop;
 * an equation is a step without a source (:class:`_Equation`).  Once the
   steps before it have put both of its sides in registers it — or its
   negation — is a *filter*: both sides are constructed like a head and
@@ -563,7 +567,7 @@ class CompiledRule:
                 groups = view.last_groups(position)
             lo, hi = drop
             ops = ops[:lo] + ops[hi:]
-            probe = (groups, key_spec, grouping, position)
+            probe = (groups, key_spec)
         return probe, ops
 
     # -- execution ------------------------------------------------------------------------
@@ -692,22 +696,18 @@ class CompiledRule:
             out: list = []
             attempts = 0
 
-            groups = key_kind = key_payload = grouping = probe_position = None
+            groups = key_kind = key_payload = None
             if probe is not None:
-                groups, (key_kind, key_payload), grouping, probe_position = probe
+                groups, (key_kind, key_payload) = probe
                 if key_kind == 2 and all(t == 0 for t, _ in key_payload):
                     key_kind, key_payload = 0, concat(
                         tuple(p for _, p in key_payload)
                     )
 
-            if (
-                probe is not None
-                and key_kind == 1
-                and len(ops) == 1
-                and ops[0][0] == _WFREE
-            ):
-                # Fast path: binary-join shape over whole arguments — probe
-                # one bound position, emit one free position.
+            if key_kind == 1 and len(ops) == 1 and ops[0][0] == _WFREE:
+                # The one specialisation: a binary join over whole arguments
+                # probes one bound position and emits one free position, with
+                # no per-row op dispatch.  Every other shape runs the op loop.
                 _, position, needs_atomic = ops[0]
                 column = view.column(position)
                 slot = key_payload
@@ -728,83 +728,6 @@ class CompiledRule:
                         )
                     else:
                         extend([current + (column[index],) for index in bucket])
-                if max_derivations is not None:
-                    limits.check_derivations(len(out))
-            elif (
-                probe is not None
-                and key_kind == 1
-                and grouping in ("first", "last")
-                and len(ops) == 2
-                and ops[0][0] == _LEN
-                and ops[0][3]
-                and ops[1][0] == _EFREE
-                and ops[0][1] == ops[1][1] == probe_position
-            ):
-                # Fast path: sequence-destructure join — probe one bound
-                # element, emit one free element (the unary-reachability
-                # inner loop).  The prejoined view index has already
-                # filtered length and atomicity, so each probe is one dict
-                # lookup plus appends.
-                n = ops[0][2]
-                index = ops[1][2]
-                pairs = view.element_join_groups(
-                    probe_position, n, 0 if grouping == "first" else -1, index
-                )
-                slot = key_payload
-                lookup = pairs.get
-                extend = out.extend
-                for current in rows:
-                    bucket = lookup(current[slot])
-                    if bucket is None:
-                        continue
-                    attempts += len(bucket)
-                    extend([current + (ident,) for ident in bucket])
-                if max_derivations is not None:
-                    limits.check_derivations(len(out))
-            elif (
-                probe is None
-                and len(ops) >= 2
-                and ops[0][0] == _LEN
-                and ops[0][3]
-                and all(op[0] == _EFREE and op[1] == ops[0][1] for op in ops[1:])
-            ):
-                # Fast path: full destructure scan — one fixed-length
-                # sequence pattern binding only fresh atomic elements (the
-                # leading delta scan of a unary rule).  No per-row op
-                # dispatch; just length and atomicity tests.
-                n = ops[0][2]
-                indexes = tuple(op[2] for op in ops[1:])
-                decomposed_column = view.decomposed(ops[0][1])
-                append = out.append
-                extend = out.extend
-                attempts += len(rows) * len(decomposed_column)
-                if len(indexes) == 2:
-                    first, second = indexes
-                    for current in rows:
-                        extend(
-                            [
-                                current + (decomposed[first], decomposed[second])
-                                for decomposed in decomposed_column
-                                if len(decomposed) == n
-                                and atomic[decomposed[first]]
-                                and atomic[decomposed[second]]
-                            ]
-                        )
-                else:
-                    for current in rows:
-                        for decomposed in decomposed_column:
-                            if len(decomposed) != n:
-                                continue
-                            new = []
-                            ok = True
-                            for index in indexes:
-                                ident = decomposed[index]
-                                if not atomic[ident]:
-                                    ok = False
-                                    break
-                                new.append(ident)
-                            if ok:
-                                append(current + tuple(new))
                 if max_derivations is not None:
                     limits.check_derivations(len(out))
             else:

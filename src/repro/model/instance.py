@@ -260,11 +260,14 @@ class Instance:
         return relation.view()
 
     def paths(self, name: str) -> frozenset[Path]:
-        """Return the set of paths of a unary (or nullary) relation *name*."""
+        """Return the set of paths of a unary relation *name* (empty if absent)."""
         relation = self._relations.get(name)
         if relation is None:
             return frozenset()
-        return relation.unary_view(name)
+        try:
+            return frozenset(path for (path,) in relation.view())
+        except ValueError:
+            raise ModelError(f"relation {name!r} is not unary") from None
 
     def storage(self, name: str) -> "Relation | None":
         """Return the :class:`~repro.storage.Relation` storing *name*, if present."""

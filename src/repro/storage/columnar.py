@@ -13,12 +13,13 @@ here:
 
 * :class:`ColumnarView` — a packed, read-only view of one
   :class:`~repro.storage.relation.Relation` generation: one int array per
-  argument position, the id-rows as tuples for random access, and the hash
-  indexes the joins probe, as ``dict[int, array]`` groupings
+  argument position, the id-rows as tuples for random access, and the three
+  hash indexes the joins probe, as ``dict[int, array]`` groupings
   (``groups(position)`` maps the id at a position to the indexes of the rows
   carrying it; ``first_groups`` / ``last_groups`` key on the first / last
-  element), all built on first use.  A relation caches one view per term
-  table and brings it up to date by *advancing it by the net delta* pending
+  element), all built on first use.  Nothing is indexed by length or
+  atomicity: the join checks those per row.  A relation caches one view per
+  term table and brings it up to date by *advancing it by the net delta* pending
   since its last read (:meth:`ColumnarView.advanced`): rows added and rows
   removed patch the membership set and the columns the old view had built,
   and copies of its groupings, so a maintenance pass that changes a handful
@@ -251,7 +252,6 @@ class ColumnarView:
         "_groups",
         "_first_groups",
         "_last_groups",
-        "_element_joins",
         "_row_set",
         "_index",
         "answers",
@@ -270,7 +270,6 @@ class ColumnarView:
         self._groups: "dict[int, dict]" = {}
         self._first_groups: "dict[int, dict]" = {}
         self._last_groups: "dict[int, dict]" = {}
-        self._element_joins: "dict[tuple, dict]" = {}
         self._row_set: "set | None" = None
         #: row → its index in :attr:`id_rows`; built by the first removal.
         self._index: "dict[tuple, int] | None" = None
@@ -309,7 +308,6 @@ class ColumnarView:
         else:
             view._first_groups = _copied(self._first_groups)
             view._last_groups = _copied(self._last_groups)
-            view._element_joins = _copied(self._element_joins)
         if added:
             view._extend(added)
         return view
@@ -333,8 +331,6 @@ class ColumnarView:
             _group_into(grouped, self._element_pairs(position, 0, start))
         for position, grouped in self._last_groups.items():
             _group_into(grouped, self._element_pairs(position, -1, start))
-        for key, grouped in self._element_joins.items():
-            _group_into(grouped, self._join_pairs(*key, start))
 
     def _remove(self, row: tuple) -> None:
         """Drop the held *row*; the last row takes over its index.
@@ -405,12 +401,6 @@ class ColumnarView:
             if parts:
                 yield parts[end], index
 
-    def _join_pairs(self, position: int, length: int, key_index: int, emit_index: int, start: int):
-        atomic = self.table.atomic_flags
-        for parts in self.decomposed(position)[start:]:
-            if len(parts) == length and atomic[parts[emit_index]]:
-                yield parts[key_index], parts[emit_index]
-
     def groups(self, position: int) -> dict:
         """Id-space hash index: id at *position* → array of row indexes."""
         grouped = self._groups.get(position)
@@ -459,26 +449,6 @@ class ColumnarView:
         if grouped is None:
             grouped = self._last_groups[position] = {}
             _group_into(grouped, self._element_pairs(position, -1, 0))
-        return grouped
-
-    def element_join_groups(
-        self, position: int, length: int, key_index: int, emit_index: int
-    ) -> dict:
-        """Prejoined element index for the two-atom destructure pattern.
-
-        Maps the element id at *key_index* to the ``array('q')`` of element
-        ids at *emit_index*, over exactly the rows whose path at *position*
-        has exactly *length* elements and whose emitted element is atomic.
-        Length and atomicity are checked once at build time, so the inner
-        loop of a compiled sequence join (probe one element, emit another —
-        the unary-reachability shape) degenerates to one dict lookup and an
-        array extend per probe.
-        """
-        key = (position, length, key_index, emit_index)
-        grouped = self._element_joins.get(key)
-        if grouped is None:
-            grouped = self._element_joins[key] = {}
-            _group_into(grouped, self._join_pairs(*key, 0))
         return grouped
 
     @property

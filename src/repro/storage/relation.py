@@ -48,8 +48,6 @@ class Relation:
         "_generation",
         "_view",
         "_view_generation",
-        "_unary_view",
-        "_unary_view_generation",
         "_columnar",
         "_columnar_table",
         "_pending",
@@ -60,8 +58,6 @@ class Relation:
         self._generation = 0
         self._view: frozenset[tuple[Path, ...]] | None = None
         self._view_generation = -1
-        self._unary_view: frozenset[Path] | None = None
-        self._unary_view_generation = -1
         self._columnar: "ColumnarView | None" = None
         self._columnar_table: "TermTable | None" = None
         #: Row → ``True`` (added) / ``False`` (removed) since the columnar
@@ -225,18 +221,6 @@ class Relation:
             self._view = frozenset(self._rows) if self._rows else EMPTY_ROWS
             self._view_generation = self._generation
         return self._view  # type: ignore[return-value]
-
-    def unary_view(self, label: str = "relation") -> frozenset:
-        """The cached set of paths of a unary relation (``row[0]`` of each row)."""
-        if self._unary_view_generation != self._generation:
-            paths = set()
-            for row in self._rows:
-                if len(row) != 1:
-                    raise ModelError(f"relation {label!r} is not unary")
-                paths.add(row[0])
-            self._unary_view = frozenset(paths)
-            self._unary_view_generation = self._generation
-        return self._unary_view  # type: ignore[return-value]
 
     # -- columnar id-space view ----------------------------------------------------------
 

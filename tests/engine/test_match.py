@@ -135,21 +135,27 @@ def _expressions(depth=2):
     return st.lists(items, max_size=8).map(PathExpression)
 
 
+# Built once: a strategy rebuilt on every draw costs more than the oracle.
+PATHS_1, PATHS_2 = _paths(1), _paths()
+EXPRESSION_LISTS = st.lists(_expressions(), min_size=1, max_size=2)
+VARIABLE_SETS = st.sets(st.sampled_from(VARIABLES))
+
+
 @st.composite
 def _match_cases(draw):
     """``(expressions, paths, partial valuation)`` — biased towards cases that do match."""
-    expressions = draw(st.lists(_expressions(), min_size=1, max_size=2))
+    expressions = draw(EXPRESSION_LISTS)
     total = Valuation(
         {
-            variable: draw(ATOMS if isinstance(variable, AtomVariable) else _paths(1))
+            variable: draw(ATOMS if isinstance(variable, AtomVariable) else PATHS_1)
             for variable in VARIABLES
         }
     )
     paths = [
-        total.apply_to_expression(expression) if draw(st.booleans()) else draw(_paths())
+        total.apply_to_expression(expression) if draw(st.booleans()) else draw(PATHS_2)
         for expression in expressions
     ]
-    partial = total.restricted(draw(st.sets(st.sampled_from(VARIABLES))))
+    partial = total.restricted(draw(VARIABLE_SETS))
     return expressions, paths, partial
 
 
@@ -194,7 +200,7 @@ def test_plan_matcher_agrees_with_brute_force(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_match_cases(), st.sets(st.sampled_from(VARIABLES)))
+@given(_match_cases(), VARIABLE_SETS)
 def test_id_space_driver_agrees_with_the_valuation_matcher(case, dropped):
     """``MatchPlan.extend_id_rows`` (what a lowered binding equation runs) finds
     the matches of ``MatchPlan.match``: same walk, ids in and ids out, and the

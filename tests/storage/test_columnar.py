@@ -22,7 +22,7 @@ PATHS = [
 ]
 ROWS = st.tuples(st.sampled_from(PATHS), st.sampled_from(PATHS))
 #: What a step may ask the live view to build (and the check then compares).
-STRUCTURES = ("row_set", "columns", "groups", "element_groups", "element_joins")
+STRUCTURES = ("row_set", "columns", "groups", "element_groups")
 
 #: ``(operation, read the view after it?, structures to build and compare)``:
 #: a step that skips the read lets the view fall behind by its delta.
@@ -70,12 +70,6 @@ def assert_same(view, relation, table, structures):
                 assert rows_by_key(view, getattr(view, grouping)(position)) == rows_by_key(
                     rebuilt, getattr(rebuilt, grouping)(position)
                 )
-        if "element_joins" in structures:
-            joined = view.element_join_groups(position, 2, 0, -1)
-            expected = rebuilt.element_join_groups(position, 2, 0, -1)
-            assert {key: sorted(bucket) for key, bucket in joined.items()} == {
-                key: sorted(bucket) for key, bucket in expected.items()
-            }
 
 
 @given(steps=STEPS)
@@ -138,7 +132,6 @@ def all_groupings(view):
         "groups": view._groups,
         "first_groups": view._first_groups,
         "last_groups": view._last_groups,
-        "element_join_groups": view._element_joins,
     }
     return {
         (kind, key): {value: sorted(bucket) for value, bucket in grouped.items()}
@@ -152,7 +145,7 @@ def fresh_groupings(view, built):
     fresh = ColumnarView(list(view.id_rows), view.table)
     rebuilt = {}
     for kind, key in built:
-        grouped = getattr(fresh, kind)(*(key if isinstance(key, tuple) else (key,)))
+        grouped = getattr(fresh, kind)(key)
         rebuilt[kind, key] = {value: sorted(bucket) for value, bucket in grouped.items()}
     return rebuilt
 
@@ -204,7 +197,6 @@ def test_every_earlier_view_keeps_the_groupings_of_its_own_rows(operations):
             view.groups(position)
             view.first_groups(position)
             view.last_groups(position)
-            view.element_join_groups(position, 2, 0, -1)
         earlier.append((view, list(view.id_rows), all_groupings(view)))
     for view, rows, built in earlier:
         assert view.id_rows == rows

@@ -107,15 +107,18 @@ class TestViews:
         assert edges.add(row) is False
         assert edges.view() is first
 
-    def test_unary_view(self):
-        relation = Relation()
-        relation.add((path("a", "b"),))
-        relation.add((path("c"),))
-        assert relation.unary_view() == {path("a", "b"), path("c")}
+    def test_instance_paths_of_a_unary_relation(self):
+        instance = Instance()
+        instance.add("R", path("a", "b"))
+        instance.add("R", path("c"))
+        assert instance.paths("R") == {path("a", "b"), path("c")}
+        assert instance.paths("S") == frozenset()
 
-    def test_unary_view_rejects_binary_rows(self, edges):
-        with pytest.raises(ModelError):
-            edges.unary_view("E")
+    def test_instance_paths_rejects_binary_rows(self):
+        instance = Instance()
+        instance.add("E", path("a"), path("b"))
+        with pytest.raises(ModelError, match="'E' is not unary"):
+            instance.paths("E")
 
     def test_set_rows_and_clear(self, edges):
         edges.set_rows({(path("a"), path("b"))})
@@ -236,12 +239,13 @@ class TestMutationPathAudit:
         assert edges.view() is not view
         assert edges.view() == {new_row}
 
-    def test_clear_invalidates_unary_view(self):
-        relation = Relation()
-        relation.add((path("a"),))
-        assert relation.unary_view() == {path("a")}
+    def test_clear_empties_instance_paths(self):
+        instance = Instance()
+        instance.add("R", path("a"))
+        assert instance.paths("R") == {path("a")}
+        relation = instance.storage("R")
         relation.clear()
-        assert relation.unary_view() == frozenset()
+        assert instance.paths("R") == frozenset()
         assert relation.generation > 0
 
     def test_instance_discard_fact_drops_cached_relation_view(self):
@@ -306,11 +310,13 @@ class TestInstanceIntegration:
         assert instance.relation("R") is not first
         assert instance.relation("R") == {(path("a"),), (path("b"),)}
 
-    def test_paths_view_is_cached(self):
+    def test_paths_follow_every_mutation(self):
         instance = Instance()
         instance.add("R", path("a"))
         first = instance.paths("R")
-        assert instance.paths("R") is first
+        instance.add("R", path("b"))
+        assert instance.paths("R") == {path("a"), path("b")}
+        assert first == {path("a")}
 
     def test_storage_exposes_relations(self):
         instance = Instance()
