@@ -6,7 +6,6 @@ from repro.engine.fixpoint import (
     EvaluationStatistics,
     evaluate_program,
     evaluate_stratum,
-    propagate_delta,
 )
 from repro.engine.limits import DEFAULT_LIMITS, EvaluationLimits
 from repro.engine.maintenance import MaintainedFixpoint, MaintenanceResult
@@ -44,5 +43,4 @@ __all__ = [
     "match_expression",
     "match_fact",
     "plan_literal_sequence",
-    "propagate_delta",
 ]

@@ -64,7 +64,10 @@ evaluated.  The agreement suites hold these plans to
 
 Frontier dictionaries (semi-naive deltas, the telescoped maintenance joins)
 are honoured position-by-position: each body step sources its relation from
-``frontier[position]`` when present, in the static position space of
+``frontier[position]`` when present — an instance, or
+:class:`~repro.storage.RowSources` of read-only id-row sources (a columnar
+view, or delete–rederive's survivors, a
+:class:`~repro.storage.MaskedView`) — in the static position space of
 :func:`~repro.syntax.rules.plan_body_order`.
 
 A program lowers into one :class:`CompiledProgram`: per stratum, its rules'
@@ -739,7 +742,7 @@ class CompiledRule:
                 if probe is not None and key_kind == 0:
                     shared = groups.get(key_payload)
                     shared = () if shared is None else shared
-                scan = range(len(id_rows)) if probe is None else None
+                scan = view.indexes() if probe is None else None
                 for current in rows:
                     if probe is None:
                         bucket = scan
@@ -882,6 +885,7 @@ class CompiledRule:
         id_rows: "list[tuple]",
         limits: EvaluationLimits = DEFAULT_LIMITS,
         statistics=None,
+        frontier=None,
     ) -> set:
         """The subset of the head *id_rows* one application derives from *instance*.
 
@@ -889,13 +893,15 @@ class CompiledRule:
         it over-deleted): :attr:`head_step` matches the head against
         *id_rows* and nothing else, so every result row's head is one of them
         by construction and a fact the body needs is only ever read from
-        *instance*, never from the set being tested.
+        *instance* — or from the *frontier* source of its position (the
+        survivors of a relation with hidden rows, a semi-naive delta) —
+        never from the set being tested.
         """
         if not id_rows:
             return set()
         head_view = ColumnarView(id_rows, instance.term_table())
         return self._head_stage(
-            instance, self._join(instance, None, limits, statistics, head_view)
+            instance, self._join(instance, frontier, limits, statistics, head_view)
         )
 
     def _head_stage(self, instance: Instance, joined) -> set:

@@ -35,7 +35,6 @@ __all__ = [
     "EvaluationStatistics",
     "evaluate_stratum",
     "evaluate_program",
-    "propagate_delta",
 ]
 
 
@@ -57,10 +56,12 @@ class EvaluationStatistics:
 
     The maintenance counters belong to incremental view maintenance
     (:mod:`repro.engine.maintenance`): ``maintenance_rounds`` counts the
-    delta-propagation rounds run across the counting, overdeletion,
-    rederivation, and insertion phases; ``rederivation_attempts`` the
-    (over-deleted fact, rule of its head relation) pairs the delete–rederive
-    step asked about; and
+    delta-propagation rounds of a pass — one per counting stratum, and in a
+    delete–rederive stratum one per overdeletion round, one for the
+    head-led rederivation ask, one per semi-naive rederivation round and
+    one per insertion round; ``rederivation_attempts`` the (over-deleted
+    row, rule of its head relation) pairs the head-led ask asked about — a
+    row once per rule until one derives it; and
     ``facts_retracted`` the facts that net-disappeared from a maintained
     materialization (EDB retractions plus derived facts that lost their last
     support).
@@ -95,7 +96,6 @@ def _resident_round(
     delta: "Instance | None",
     limits: EvaluationLimits,
     statistics: EvaluationStatistics,
-    collected: "set | None" = None,
 ) -> Instance:
     """One round, kept in id space; returns the next delta.
 
@@ -106,7 +106,7 @@ def _resident_round(
     view; what is left is decoded once, joins *current* as one batch per
     relation (which advances that view), and becomes the next delta — an
     instance sharing the term table, with views built from the very id
-    rows.  *collected* receives the added facts.
+    rows.
     """
     table = current.term_table()
     #: (head relation, arity) → new id rows; a batch decodes as one arity.
@@ -142,66 +142,9 @@ def _resident_round(
         rows = set(decode_rows(table, id_rows, limits))
         current.add_rows(name, rows, id_rows)
         following.add_rows(name, rows, id_rows)
-        if collected is not None:
-            collected.update([Fact._from_trusted(name, row) for row in rows])
     statistics.facts_derived += following.fact_count()
     limits.check_fact_count(current.fact_count())
     return following
-
-
-def _propagate_resident(
-    compiled: Sequence[CompiledRule],
-    current: Instance,
-    delta: Instance,
-    limits: EvaluationLimits,
-    statistics: EvaluationStatistics,
-    iterations_before: int,
-    collect: bool,
-) -> tuple[int, set]:
-    """:func:`propagate_delta` from a delta instance: rounds until the delta is empty."""
-    iterations = iterations_before
-    added: set = set()
-    while delta:
-        iterations += 1
-        limits.check_iterations(iterations)
-        delta = _resident_round(
-            compiled, current, delta, limits, statistics, added if collect else None
-        )
-    return iterations - iterations_before, added
-
-
-def propagate_delta(
-    compiled: Sequence[CompiledRule],
-    current: Instance,
-    delta_facts: "set[Fact]",
-    limits: EvaluationLimits = DEFAULT_LIMITS,
-    statistics: "EvaluationStatistics | None" = None,
-    *,
-    iterations_before: int = 0,
-    collect: bool = False,
-) -> tuple[int, set]:
-    """Close *current* under the *compiled* rules, starting from already-applied deltas.
-
-    This is the semi-naive core shared by full evaluation
-    (:func:`evaluate_stratum` runs the same rounds after its first one) and
-    incremental maintenance (the insertion phase seeds it with the update's
-    added facts).  *delta_facts* must already be present in *current*; the
-    loop repeatedly evaluates the rules whose bodies mention the delta's
-    relations, restricted to the delta, until no new fact is derived.
-
-    Returns ``(rounds run, facts added)`` — the added set is only
-    accumulated when *collect* is true (maintenance needs it; the full-
-    evaluation hot path should not pay an extra union per round).
-    *iterations_before* offsets the iteration-budget check so a caller that
-    already ran rounds against the same budget keeps one coherent count.
-    """
-    if statistics is None:
-        statistics = EvaluationStatistics()
-    delta = Instance()
-    delta.replace_with(delta_facts)
-    return _propagate_resident(
-        compiled, current, delta, limits, statistics, iterations_before, collect
-    )
 
 
 def evaluate_stratum(
@@ -230,14 +173,16 @@ def evaluate_stratum(
     if compiled is None:
         compiled = [CompiledRule(rule) for rule in stratum]
 
-    # First round: all rules against the full instance.
+    # First round: all rules against the full instance; then each round's
+    # rules restricted to the previous round's delta, until it is empty.
     iterations = 1
     limits.check_iterations(iterations)
     delta = _resident_round(compiled, current, None, limits, statistics)
-    rounds, _ = _propagate_resident(
-        compiled, current, delta, limits, statistics, iterations, False
-    )
-    statistics.merge_stratum(iterations + rounds)
+    while delta:
+        iterations += 1
+        limits.check_iterations(iterations)
+        delta = _resident_round(compiled, current, delta, limits, statistics)
+    statistics.merge_stratum(iterations)
     return current
 
 

@@ -15,21 +15,14 @@ drifts instead of recomputing it:
   relation), which count each gained and lost derivation exactly once;
   a fact appears when its count leaves zero and disappears when it returns
   there.
-* **Delete–rederive** (recursive strata): deletions are first *over-deleted*
-  (everything derivable through a deleted fact, to a fixpoint, evaluated
-  against the old state); then the over-deleted set is *rederived* set at a
-  time — each rule is asked once which of those rows it still derives from
-  the surviving ones (one head-restricted join per rule,
-  :meth:`~repro.engine.compiled.CompiledRule.derivable_rows`) and the
-  survivors are re-added together; and finally insertions propagate through
-  the ordinary semi-naive core
-  (:func:`~repro.engine.fixpoint.propagate_delta`) shared with full
-  evaluation, which also brings back facts whose support was itself
-  rederived.  The old state of a changed relation is a read-only snapshot
-  of the view it had before the update
-  (:meth:`~repro.storage.Relation.snapshot`), and the over-deleted rows stay
-  id rows until they leave the materialization, so a retraction interns
-  and decodes in proportion to its delta, not to the relations it reads.
+* **Delete–rederive** (recursive strata), in id space: deletions are
+  *over-deleted* (everything derivable through a deleted fact, to a
+  fixpoint, against the old state: the columnar views the changed relations
+  had).  The over-deleted rows are *hidden*, not deleted; rederivation and
+  insertion read each head relation's *survivors*, a
+  :class:`~repro.storage.MaskedView`, and show again the rows they bring
+  back.  Only the rows still hidden are discarded, and only they and the
+  new rows decode, so a retraction pays for its net change.
 
 Both algorithms propagate **signed** deltas through stratified negation.  A
 negated literal ``not N(t̄)`` is an indicator that flips when ``N`` changes,
@@ -58,11 +51,12 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable
 
-from repro.engine.compiled import CompiledProgram, CompiledRule, CompiledStratum
-from repro.engine.fixpoint import EvaluationStatistics, evaluate_stratum, propagate_delta
+from repro.engine.compiled import CompiledProgram, CompiledRule, CompiledStratum, decode_rows
+from repro.engine.fixpoint import EvaluationStatistics, evaluate_stratum
 from repro.engine.limits import DEFAULT_LIMITS, EvaluationLimits
 from repro.errors import EvaluationError, MaintenanceUnsupportedError
 from repro.model.instance import Fact, Instance
+from repro.storage import ColumnarView, MaskedView, Relation, RowSources
 from repro.syntax.programs import Program
 
 __all__ = ["MaintainedFixpoint", "MaintenanceResult"]
@@ -112,9 +106,9 @@ class _StratumState:
 class _ChangeSet:
     """The update's running per-relation delta, threaded through the strata.
 
-    Keeps three overlay instances the telescoped joins and overdeletion use
-    as frontier sources: the added rows, the removed rows, and the *old*
-    rows (pre-update state) of every changed relation.
+    Keeps three overlays the telescoped joins and overdeletion use as
+    frontier sources: the added rows, the removed rows, and the *old* rows
+    (pre-update state) of every changed relation.
     """
 
     __slots__ = ("names", "added", "removed", "added_overlay", "removed_overlay", "old_overlay")
@@ -125,9 +119,15 @@ class _ChangeSet:
         self.removed: dict[str, set] = {}
         self.added_overlay = Instance()
         self.removed_overlay = Instance()
-        #: Read-only snapshots, taken before the update mutates a relation
-        #: (:meth:`Instance.hold_snapshots`).
-        self.old_overlay = Instance()
+        #: The columnar views the changed relations had before the update
+        #: mutated them (:meth:`hold`); a view handed out never changes.
+        self.old_overlay = RowSources()
+
+    def hold(self, instance: Instance, names: "Iterable[str]") -> None:
+        """Hold *instance*'s relations *names*, read-only, as they are now."""
+        table = instance.term_table()
+        for name in names:
+            self.old_overlay[name] = (instance.storage(name) or Relation()).columnar(table)
 
     def record(
         self, name: str, added_rows: "set | frozenset", removed_rows: "set | frozenset"
@@ -140,14 +140,6 @@ class _ChangeSet:
         self.removed[name] = set(removed_rows)
         self.added_overlay.set_relation_rows(name, added_rows)
         self.removed_overlay.set_relation_rows(name, removed_rows)
-
-    def facts(self, source: dict, wanted: "frozenset[str] | set[str]") -> set[Fact]:
-        """The added/removed facts whose relation is in *wanted*."""
-        return {
-            Fact(name, row)
-            for name in self.names & set(wanted)
-            for row in source.get(name, ())
-        }
 
 
 def _changed_negations(plan: CompiledRule, changes: _ChangeSet) -> "dict[int, str]":
@@ -423,7 +415,6 @@ class MaintainedFixpoint:
         result_added: set[Fact] = set(added_facts)
         result_removed: set[Fact] = set(removed_facts)
         touched = {fact.relation for fact in added_facts | removed_facts}
-        self._check_supported(touched)
         if not touched:
             return MaintenanceResult(frozenset(), frozenset(), statistics)
 
@@ -431,7 +422,7 @@ class MaintainedFixpoint:
         # inconsistent with the support state, so poison the fixpoint.
         try:
             changes = _ChangeSet()
-            changes.old_overlay.hold_snapshots(self.materialized, touched)
+            changes.hold(self.materialized, touched)
             for name in touched:
                 added_rows = {f.paths for f in added_facts if f.relation == name}
                 removed_rows = {f.paths for f in removed_facts if f.relation == name}
@@ -449,9 +440,7 @@ class MaintainedFixpoint:
                     continue
                 if index < len(self.compiled.strata) - 1:
                     # Later strata read this one's heads as they were.
-                    changes.old_overlay.hold_snapshots(
-                        self.materialized, stratum.stratum.head_relation_names()
-                    )
+                    changes.hold(self.materialized, stratum.stratum.head_relation_names())
                 if stratum.recursive:
                     net_added, net_removed = self._maintain_dred_stratum(
                         stratum, state, changes, statistics
@@ -469,28 +458,6 @@ class MaintainedFixpoint:
             self._valid = False
             raise
         return MaintenanceResult(frozenset(result_added), frozenset(result_removed), statistics)
-
-    def _check_supported(self, touched: "set[str]") -> None:
-        """Refuse updates the maintainer cannot give meaning to.
-
-        Historically this also refused any update whose closure could reach
-        a relation used under negation; signed counting and negation-aware
-        delete–rederive now maintain those exactly (stratification seals a
-        negated relation before its readers run), so the only remaining
-        refusal is a touched relation the program has never heard of.  That
-        one is a caller error, not a no-op: silently accepting it would let
-        the materialization drift from what re-evaluating the program on
-        the updated base would produce.  Unstratifiable stratum lists —
-        the genuinely unsupported shape — are refused at build time in
-        :meth:`evaluate`.
-        """
-        unknown = touched - self._known
-        if unknown:
-            raise MaintenanceUnsupportedError(
-                f"the update names relation(s) {sorted(unknown)} that the program "
-                f"never mentions; maintenance cannot decide what they affect — "
-                f"re-evaluate from scratch (or drop the stray facts) instead"
-            )
 
     @staticmethod
     def _commit_stratum_changes(
@@ -652,102 +619,177 @@ class MaintainedFixpoint:
         changes: _ChangeSet,
         statistics: EvaluationStatistics,
     ) -> tuple[set, set]:
-        """Classic DRed: over-delete, rederive survivors, propagate insertions.
+        """DRed in id space: over-delete, rederive, insert, then discard the rest.
 
-        Stratified negated reads extend both halves with the opposite sign.
-        Rows *added* to a negated relation become kill seeds: derivations
-        they newly block are enumerated against the old state (the negated
-        literal flipped positive and restricted to the added rows) and
-        pre-seed the overdeletion cascade.  Rows *removed* from a negated
-        relation become insertion seeds: derivations they newly admit are
-        enumerated against the new state and join the semi-naive insertion
-        propagation.  Stratification makes both exact — the negated
-        relation's delta is final before this stratum runs.
+        The over-deleted rows are hidden: the stratum reads each head
+        relation's live view without them, its *survivors*.  Rederivation is
+        DRed's fixpoint — one head-led ask per rule over the hidden rows of
+        its head, then semi-naive rounds through the rows brought back,
+        counting only rows still hidden.  Insertion runs semi-naive rounds
+        over the survivors from the update's added rows; a hidden row it
+        derives is shown again, an absent one added.  Only the rows still
+        hidden then leave the relation.  A changed negated relation seeds
+        both halves with the opposite sign (:meth:`_negation_seeds`).
         """
         plans = stratum.rules
-        head_names = stratum.stratum.head_relation_names()
-        negated_changed = changes.names & stratum.stratum.negated_relation_names()
-        kill_seeds = set()
-        if negated_changed:
-            kill_seeds = self._negation_seeds(
-                plans, head_names, state, changes, statistics, killed=True
+        heads = stratum.stratum.head_relation_names()
+        negated = changes.names & stratum.stratum.negated_relation_names()
+        table = self.materialized.term_table()
+        seeds = self._negation_seeds(plans, heads, state, changes, statistics) if negated else {}
+        hidden = self._overdelete(plans, state, changes, statistics, seeds)
+        added: set[Fact] = set()
+
+        def survivors(plan: CompiledRule, pivot: int = -1) -> dict:
+            """The frontier reading *plan*'s head-relation positions from the survivors."""
+            live = RowSources()
+            for name in heads & plan.predicate_positions.keys():
+                stored = self.materialized.storage(name)
+                if stored:
+                    view = stored.columnar(table)
+                    live[name] = MaskedView(view, hidden[name]) if hidden.get(name) else view
+            return {p: live for name in live for p in plan.predicate_positions[name]}
+
+        if hidden:
+            # Every rule asks once, all against the same survivors, so no
+            # answer depends on the order of asking.
+            statistics.maintenance_rounds += 1
+            kept: "dict[str, set]" = {}
+            for plan in plans:
+                asked = hidden.get(plan.head_name, set()) - kept.get(plan.head_name, set())
+                if asked:
+                    statistics.rederivation_attempts += len(asked)
+                    kept.setdefault(plan.head_name, set()).update(
+                        plan.derivable_rows(
+                            self.materialized, list(asked), self.limits, statistics, survivors(plan)
+                        )
+                    )
+            self._rounds(
+                plans,
+                self._absorb(kept, hidden, added),
+                statistics,
+                survivors,
+                lambda found: self._absorb(
+                    {name: rows & hidden[name] for name, rows in found.items()}, hidden, added
+                ),
+                lambda plan: hidden.get(plan.head_name),
             )
-        overdeleted_rows = self._overdelete(plans, state, changes, statistics, kill_seeds)
-        overdeleted = {
-            Fact._from_trusted(name, row)
-            for name, rows in overdeleted_rows.items()
-            for row in rows.values()
+        delta = {
+            name: set(map(table.intern_row, changes.added[name]))
+            for name in changes.names & stratum.stratum.body_relation_names()
         }
-        for fact in overdeleted:
-            self.materialized.discard_fact(fact, keep_empty=True)
-        rederived = self._rederive(plans, overdeleted_rows, statistics)
+        if negated:
+            gains = self._negation_seeds(plans, heads, state, changes, statistics, survivors)
+            delta.update(self._absorb(gains, hidden, added))
+        self._rounds(
+            plans, delta, statistics, survivors, lambda found: self._absorb(found, hidden, added)
+        )
 
-        gained: set[Fact] = set()
-        if negated_changed:
-            # Derivations newly admitted by rows leaving a negated relation.
-            # They probe the *new* state (the stratum's deletions are already
-            # applied), land in the materialization directly, and seed the
-            # propagation below like any other insertion.
-            gained = self._negation_seeds(
-                plans, head_names, state, changes, statistics, killed=False
+        removed: set[Fact] = set()
+        for name, rows in hidden.items():
+            for fact in (Fact._from_trusted(name, row) for row in table.decode_rows(list(rows))):
+                removed.add(fact)
+                self.materialized.discard_fact(fact, keep_empty=True)
+        statistics.facts_derived += len(added)
+        return added, removed
+
+    def _absorb(
+        self, found: "dict[str, set]", hidden: "dict[str, set]", added: "set[Fact]"
+    ) -> "dict[str, set]":
+        """Make the head id rows *found* present — a hidden row shown again, an absent
+        one decoded, added and recorded in *added* — and return those that were not."""
+        table = self.materialized.term_table()
+        delta: "dict[str, set]" = {}
+        for name, rows in found.items():
+            back = rows & hidden.get(name, set())
+            hidden.get(name, set()).difference_update(back)
+            stored = self.materialized.storage(name)
+            new = rows - stored.columnar(table).id_row_set if stored else rows
+            if new:
+                id_rows = list(new)
+                decoded = decode_rows(table, id_rows, self.limits)
+                self.materialized.add_rows(name, set(decoded), id_rows)
+                added.update(Fact._from_trusted(name, row) for row in decoded)
+            delta[name] = back | new
+        return delta
+
+    def _rounds(
+        self,
+        plans: "tuple[CompiledRule, ...]",
+        delta: "dict[str, set]",
+        statistics: EvaluationStatistics,
+        around,
+        take,
+        asks=None,
+        negative=None,
+    ) -> None:
+        """Semi-naive rounds from the id rows *delta*, until a round takes nothing.
+
+        Each rule reading a delta relation (and passing *asks*) runs once per
+        such position, restricted there to the delta; its other positions
+        read ``around(plan, pivot)`` or the materialization, its negated ones
+        ``negative(plan)``.  ``take`` turns a round's head rows into the next delta.
+        """
+        table = self.materialized.term_table()
+        rounds = 0
+        while delta := {name: rows for name, rows in delta.items() if rows}:
+            rounds += 1
+            self.limits.check_iterations(rounds)
+            statistics.maintenance_rounds += 1
+            sources = RowSources(
+                {name: ColumnarView(list(rows), table) for name, rows in delta.items()}
             )
-            gained = {fact for fact in gained if fact not in self.materialized}
-            for fact in gained:
-                self.materialized.add_fact(fact)
-            statistics.facts_derived += len(gained)
-
-        # One semi-naive propagation finishes both halves of the update: the
-        # rederived facts re-support other over-deleted facts (rederivation
-        # ran against the state without any of them) and the update's added
-        # facts derive genuinely new ones.
-        seeds = (
-            changes.facts(changes.added, stratum.stratum.body_relation_names()) | rederived | gained
-        )
-        rounds, inserted = propagate_delta(
-            plans,
-            self.materialized,
-            seeds,
-            self.limits,
-            statistics,
-            collect=True,
-        )
-        statistics.maintenance_rounds += rounds
-
-        net_added = (inserted | gained) - overdeleted
-        net_removed = {fact for fact in overdeleted if fact not in self.materialized}
-        return net_added, net_removed
+            found: "dict[str, set]" = {}
+            for plan in plans:
+                pivots = [
+                    position
+                    for name in plan.predicate_positions.keys() & delta.keys()
+                    for position in plan.predicate_positions[name]
+                ]
+                if not pivots or (asks is not None and not asks(plan)):
+                    continue
+                statistics.rule_applications += 1
+                for pivot in pivots:
+                    statistics.delta_restricted_applications += 1
+                    found.setdefault(plan.head_name, set()).update(
+                        plan.head_rows(
+                            self.materialized,
+                            {**around(plan, pivot), pivot: sources},
+                            self.limits,
+                            statistics,
+                            negative and negative(plan),
+                        )
+                    )
+            delta = take(found)
 
     def _negation_seeds(
         self,
         plans: "tuple[CompiledRule, ...]",
-        head_names: frozenset[str],
+        heads: "frozenset[str]",
         state: _StratumState,
         changes: _ChangeSet,
         statistics: EvaluationStatistics,
-        *,
-        killed: bool,
-    ) -> set[Fact]:
-        """Derivations a negated relation's delta kills (or newly admits).
+        survivors=None,
+    ) -> "dict[str, set]":
+        """Head id rows a negated relation's delta kills (or, over *survivors*, admits).
 
         The flip trick: the negated literal becomes a positive pivot
-        restricted to the delta rows.  With ``killed=True`` the pivot reads
-        the *added* rows and every other changed position (positive via the
-        frontier overlay, negated via ``negative_sources``) reads the
-        pre-update state — these are derivations that held before and are
-        blocked now.  With ``killed=False`` the pivot reads the *removed*
-        rows against the current (new) state — derivations admitted now
-        that were blocked before.
+        restricted to the delta rows.  Without *survivors* it reads the
+        *added* rows and every other changed position reads the old state —
+        derivations blocked now, of present, unpinned rows.  With *survivors*
+        it reads the *removed* rows against the new state — derivations
+        admitted now.
         """
-        seeds: set[Fact] = set()
-        delta = changes.removed if not killed else changes.added
+        table = self.materialized.term_table()
+        pinned = _pinned_rows(state, table)
+        killed = survivors is None
+        seeds: "dict[str, set]" = {}
         for plan in plans:
             changed_negations = _changed_negations(plan, changes)
             for pivot, name in changed_negations.items():
-                rows = delta.get(name)
+                rows = (changes.added if killed else changes.removed).get(name)
                 if not rows:
                     continue
-                frontier: dict[int, Instance] = {}
-                negative_sources = None
+                negative_sources = frontier = None
                 if killed:
                     frontier = {
                         position: changes.old_overlay
@@ -759,19 +801,22 @@ class MaintainedFixpoint:
                         for position in changed_negations
                         if position != pivot
                     } or None
-                part = Instance()
-                part.set_relation_rows(name, rows)
-                frontier[pivot] = part
+                else:
+                    frontier = survivors(plan)
+                frontier[pivot] = RowSources(
+                    {name: ColumnarView(list(map(table.intern_row, rows)), table)}
+                )
                 statistics.delta_restricted_applications += 1
-                derived = plan.pivoted(pivot).derive(
+                derived = plan.pivoted(pivot).head_rows(
                     self.materialized, frontier, self.limits, statistics, negative_sources
                 )
-                for fact in derived:
-                    if fact.relation not in head_names or fact in state.pinned:
-                        continue
-                    if killed and fact not in self.materialized:
-                        continue
-                    seeds.add(fact)
+                head = plan.head_name
+                if killed:
+                    stored = self.materialized.storage(head)
+                    derived &= stored.columnar(table).id_row_set if stored else set()
+                seeds.setdefault(head, set()).update(
+                    row for row in derived if (head, row) not in pinned
+                )
         return seeds
 
     def _overdelete(
@@ -780,120 +825,55 @@ class MaintainedFixpoint:
         state: _StratumState,
         changes: _ChangeSet,
         statistics: EvaluationStatistics,
-        kill_seeds: "set[Fact]",
-    ) -> "dict[str, dict[tuple, tuple]]":
-        """Everything derivable through a deleted fact, to a fixpoint.
+        seeds: "dict[str, set]",
+    ) -> "dict[str, set]":
+        """Everything derivable through a deleted fact (or *seeds*), to a fixpoint, as id rows.
 
         Evaluation runs against the *old* database: the stratum's own facts
-        are still physically present, positions over earlier-changed
-        relations read the old overlay, and so do changed *negated*
-        positions, via ``negative_sources``.  *kill_seeds* pre-load the
-        cascade with facts killed through negated literals (enumerated by
-        :meth:`_negation_seeds`).  The cascade stays in id space: each
-        round's head id rows are filtered against the live relation's id
-        row set and the pinned rows, and only the rows new to the cascade
-        decode, once, to found the next frontier.  Returns each relation's
-        over-deleted rows as id row → row.
+        are still present, and changed relations — negated ones too — read
+        the old overlay.  A round's head rows count when the live relation
+        holds them, unpinned and not over-deleted yet; nothing decodes.
         """
         table = self.materialized.term_table()
-        intern_row = table.intern_row
-        pinned = {(fact.relation, intern_row(fact.paths)) for fact in state.pinned}
-        frontier: "dict[str, dict[tuple, tuple]]" = {}
-        for fact in kill_seeds:
-            frontier.setdefault(fact.relation, {})[intern_row(fact.paths)] = fact.paths
-        overdeleted = {name: dict(rows) for name, rows in frontier.items()}
+        pinned = _pinned_rows(state, table)
+        overdeleted = {name: set(rows) for name, rows in seeds.items()}
+
+        def take(found: "dict[str, set]") -> "dict[str, set]":
+            fresh = {}
+            for head, rows in found.items():
+                stored = self.materialized.storage(head)
+                present = stored.columnar(table).id_row_set if stored else set()
+                known = overdeleted.setdefault(head, set())
+                fresh[head] = {
+                    row for row in rows & present if row not in known and (head, row) not in pinned
+                }
+                known |= fresh[head]
+            return fresh
+
+        def old(plan: CompiledRule, pivot: int) -> dict:
+            return {
+                position: changes.old_overlay
+                for position, other in plan.positions_in_order
+                if position != pivot and other in changes.names
+            }
+
+        delta = {name: set(rows) for name, rows in seeds.items()}
         for name in changes.names & {n for plan in plans for n in plan.predicate_positions}:
-            frontier[name] = {intern_row(row): row for row in changes.removed[name]}
-        rounds = 0
-        while frontier := {name: rows for name, rows in frontier.items() if rows}:
-            rounds += 1
-            self.limits.check_iterations(rounds)
-            statistics.maintenance_rounds += 1
-            frontier_instance = self.materialized.restricted(())
-            for name, rows in frontier.items():
-                frontier_instance.add_rows(name, set(rows.values()), list(rows))
-            found: "dict[str, set[tuple]]" = {}
-            for plan in plans:
-                head = plan.head_name
-                live = self.materialized.storage(head)
-                if not (plan.predicate_positions.keys() & frontier.keys()) or not live:
-                    continue
-                statistics.rule_applications += 1
-                present = live.columnar(table).id_row_set
-                known = overdeleted.get(head, {})
-                positions = plan.positions_in_order
-                negative_old = (
-                    dict.fromkeys(_changed_negations(plan, changes), changes.old_overlay)
-                    or None
-                )
-                for pivot, name in positions:
-                    if name not in frontier:
-                        continue
-                    overrides = {
-                        position: changes.old_overlay
-                        for position, other in positions
-                        if position != pivot and other in changes.names
-                    }
-                    statistics.delta_restricted_applications += 1
-                    derived = plan.head_rows(
-                        self.materialized,
-                        {pivot: frontier_instance, **overrides},
-                        self.limits,
-                        statistics,
-                        negative_old,
-                    )
-                    found.setdefault(head, set()).update(
-                        row
-                        for row in derived & present
-                        if row not in known and (head, row) not in pinned
-                    )
-            frontier = {}
-            for name, ids in found.items():
-                id_rows = list(ids)
-                frontier[name] = dict(zip(id_rows, table.decode_rows(id_rows)))
-                overdeleted.setdefault(name, {}).update(frontier[name])
-        return overdeleted
-
-    def _rederive(
-        self,
-        plans: "tuple[CompiledRule, ...]",
-        overdeleted: "dict[str, dict[tuple, tuple]]",
-        statistics: EvaluationStatistics,
-    ) -> set[Fact]:
-        """Re-add the over-deleted rows that still have a derivation.
-
-        Set at a time: every rule is asked once — one head-led join over id
-        rows (:meth:`~repro.engine.compiled.CompiledRule.derivable_rows`),
-        one ``rederivation_attempts`` per row asked about — which of the
-        over-deleted rows no earlier rule supported it derives from the
-        post-deletion state, and the survivors are added afterwards, so no
-        answer depends on the order of asking.
-        One sweep is enough: a fact whose support only comes back through
-        another rederived fact is recovered by the semi-naive propagation
-        that follows (the rederived facts seed it).
-        """
-        if not overdeleted:
-            return set()
-        statistics.maintenance_rounds += 1
-        pending = {name: set(rows) for name, rows in overdeleted.items()}
-        found: "dict[str, set[tuple]]" = {}
-        for plan in plans:
-            name = plan.head_name
-            candidates = pending.get(name)
-            if not candidates:
-                continue
-            statistics.rederivation_attempts += len(candidates)
-            derived = plan.derivable_rows(
-                self.materialized, list(candidates), self.limits, statistics
+            delta[name] = set(map(table.intern_row, changes.removed[name]))
+        self._rounds(
+            plans,
+            delta,
+            statistics,
+            old,
+            take,
+            negative=lambda plan: dict.fromkeys(
+                _changed_negations(plan, changes), changes.old_overlay
             )
-            candidates -= derived
-            found.setdefault(name, set()).update(derived)
-        rederived: set[Fact] = set()
-        for name, ids in found.items():
-            if ids:
-                id_rows = list(ids)
-                rows = [overdeleted[name][row] for row in id_rows]
-                self.materialized.add_rows(name, set(rows), id_rows)
-                rederived.update(Fact._from_trusted(name, row) for row in rows)
-        statistics.facts_derived += len(rederived)
-        return rederived
+            or None,
+        )
+        return {name: rows for name, rows in overdeleted.items() if rows}
+
+
+def _pinned_rows(state: _StratumState, table) -> "set[tuple[str, tuple]]":
+    """The stratum's pinned facts as ``(relation, id row)`` pairs."""
+    return {(fact.relation, table.intern_row(fact.paths)) for fact in state.pinned}

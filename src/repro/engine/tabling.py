@@ -85,7 +85,6 @@ class TableEntry:
         "snapshot",
         "known_relations",
         "hits",
-        "last_used",
     )
 
     def __init__(
@@ -120,7 +119,6 @@ class TableEntry:
             compiled.program.relation_names() if compiled is not None else frozenset()
         )
         self.hits = 0
-        self.last_used = 0
 
     @property
     def answers(self) -> Instance:
@@ -182,11 +180,12 @@ class AnswerTable:
         if max_entries < 1:
             raise SubgoalTableError("an answer table needs room for at least one entry")
         self.max_entries = max_entries
-        #: Entries by seed ``(positions, values)``, in insertion order, and
-        #: how many entries each bound-position shape has.
+        #: Entries by seed ``(positions, values)``: in insertion order, in
+        #: use order (least recently used first), and by bound-position shape
+        #: then values.
         self._entries: "dict[tuple[tuple[int, ...], tuple[Path, ...]], TableEntry]" = {}
-        self._shapes: "dict[tuple[int, ...], int]" = {}
-        self._clock = 0
+        self._recent: "dict[tuple[tuple[int, ...], tuple[Path, ...]], TableEntry]" = {}
+        self._shapes: "dict[tuple[int, ...], dict[tuple[Path, ...], TableEntry]]" = {}
         #: ``(entry description, reason)`` pairs dropped because an update
         #: could not be maintained through them — a bounded introspection
         #: log (:data:`EVICTION_LOG_LIMIT`); the entries themselves are
@@ -201,17 +200,21 @@ class AnswerTable:
 
     def clear(self) -> None:
         self._entries.clear()
+        self._recent.clear()
         self._shapes.clear()
 
     def _remove(self, entry: TableEntry) -> None:
         del self._entries[entry.positions, entry.values]
-        self._shapes[entry.positions] -= 1
-        if not self._shapes[entry.positions]:
+        del self._recent[entry.positions, entry.values]
+        group = self._shapes[entry.positions]
+        del group[entry.values]
+        if not group:
             del self._shapes[entry.positions]
 
     def _touch(self, entry: TableEntry) -> None:
-        self._clock += 1
-        entry.last_used = self._clock
+        key = (entry.positions, entry.values)
+        self._recent.pop(key, None)
+        self._recent[key] = entry
 
     def lookup(
         self,
@@ -234,7 +237,7 @@ class AnswerTable:
                 break
             if not wanted.issuperset(shape):
                 continue
-            entry = self._entries.get((shape, tuple(binding.get(p) for p in shape)))
+            entry = self._shapes[shape].get(tuple(binding.get(p) for p in shape))
             if entry is not None and best is not None:
                 entry = next(e for e in self._entries.values() if e is entry or e is best)
             best = entry or best
@@ -251,19 +254,31 @@ class AnswerTable:
         Returns the absorbed entries.  An absorbed entry's answers are a
         subset of the new one's, so every call it could serve is served by
         the new entry instead — keeping both would only grow the table.
+        Only the shapes binding every position the new entry binds can hold
+        one: of its own shape, the entry with its values; of a larger shape,
+        those agreeing with it there.  Beyond ``max_entries`` the least
+        recently used entries go, first in use order.
         """
-        absorbed = [
-            existing
-            for existing in self._entries.values()
-            if entry.subsumes(existing.positions, existing.seed_binding())
-        ]
+        bound = set(entry.positions)
+        absorbed: "list[TableEntry]" = []
+        for shape, group in self._shapes.items():
+            if shape == entry.positions:
+                existing = group.get(entry.values)
+                if existing is not None:
+                    absorbed.append(existing)
+            elif bound.issubset(shape):
+                absorbed += [
+                    existing
+                    for existing in group.values()
+                    if entry.subsumes(existing.positions, existing.seed_binding())
+                ]
         for existing in absorbed:
             self._remove(existing)
         self._entries[entry.positions, entry.values] = entry
-        self._shapes[entry.positions] = self._shapes.get(entry.positions, 0) + 1
+        self._shapes.setdefault(entry.positions, {})[entry.values] = entry
         self._touch(entry)
         while len(self._entries) > self.max_entries:
-            self._remove(min(self._entries.values(), key=lambda candidate: candidate.last_used))
+            self._remove(next(iter(self._recent.values())))
         return absorbed
 
     # -- maintenance --------------------------------------------------------------------

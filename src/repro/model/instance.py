@@ -198,18 +198,6 @@ class Instance:
         else:
             relation.set_rows(rows)
 
-    def hold_snapshots(self, source: "Instance", names: Iterable[str]) -> None:
-        """Hold *source*'s relations *names*, read-only, as they are now.
-
-        The old-state overlay of incremental maintenance: each relation is a
-        :meth:`~repro.storage.Relation.snapshot` against *source*'s term
-        table, so a join over it re-interns nothing *source* had interned.
-        """
-        table = source.term_table()
-        for name in names:
-            stored = source._relations.get(name)
-            self._relations[name] = Relation() if stored is None else stored.snapshot(table)
-
     def begin_delta(self) -> "InstanceDelta":
         """Open a transactional batch of additions and retractions.
 

@@ -10,12 +10,14 @@ relation generation, with the hash groupings that join steps and committed
 reads probe.  See DESIGN.md for the storage layout.
 """
 
-from repro.storage.columnar import ColumnarView, TermTable
+from repro.storage.columnar import ColumnarView, MaskedView, RowSources, TermTable
 from repro.storage.relation import EMPTY_ROWS, Relation
 
 __all__ = [
     "EMPTY_ROWS",
     "ColumnarView",
+    "MaskedView",
     "Relation",
+    "RowSources",
     "TermTable",
 ]

@@ -45,7 +45,7 @@ from repro.model.terms import Packed, Path, as_path
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.model.terms import Value
 
-__all__ = ["ColumnarView", "TermTable"]
+__all__ = ["ColumnarView", "MaskedView", "RowSources", "TermTable"]
 
 
 class TermTable:
@@ -277,6 +277,21 @@ class ColumnarView:
     def __len__(self) -> int:
         return len(self.id_rows)
 
+    # A view is also a read-only id-row source: a join reads it where it
+    # reads a stored relation (:class:`RowSources`).
+
+    def columnar(self, table: "TermTable | None" = None) -> "ColumnarView":
+        """This view: its own id-space form."""
+        return self
+
+    def arity(self) -> "int | None":
+        """The arity of the rows, or ``None`` when there are none."""
+        return len(self.id_rows[0]) if self.id_rows else None
+
+    def indexes(self) -> range:
+        """The indexes of the rows a full scan visits."""
+        return range(len(self.id_rows))
+
     def advanced(
         self, added: "list[tuple]", removed: "Collection[tuple]" = ()
     ) -> "ColumnarView":
@@ -458,3 +473,70 @@ class ColumnarView:
         if rows is None:
             rows = self._row_set = set(self.id_rows)
         return rows
+
+
+class _Visible:
+    """A grouping or the row set of a :class:`MaskedView`, probed without its hidden rows."""
+
+    __slots__ = ("_inner", "_id_rows", "_hidden")
+
+    def __init__(self, inner, view: "MaskedView"):
+        self._inner, self._id_rows, self._hidden = inner, view.id_rows, view.hidden
+
+    def get(self, key):
+        bucket = self._inner.get(key)
+        hidden, id_rows = self._hidden, self._id_rows
+        return None if bucket is None else [i for i in bucket if id_rows[i] not in hidden]
+
+    def __contains__(self, row) -> bool:
+        return row in self._inner and row not in self._hidden
+
+
+class MaskedView:
+    """A :class:`ColumnarView` read without the rows of *hidden*, a subset of its rows.
+
+    It answers what a join reads of a view and leaves each hidden row out
+    where it is probed: a bucket is filtered when it is read, a membership
+    test checks *hidden* too.  So hiding builds nothing and reading costs in
+    proportion to the rows probed, never to the view.  *hidden* is shared:
+    a row its owner discards from it shows again.
+    """
+
+    __slots__ = ("view", "hidden", "id_rows", "column", "decomposed")
+
+    def __init__(self, view: ColumnarView, hidden: set):
+        self.view, self.hidden = view, hidden
+        self.id_rows, self.column, self.decomposed = view.id_rows, view.column, view.decomposed
+
+    def __len__(self) -> int:
+        return len(self.view) - len(self.hidden)
+
+    def columnar(self, table: "TermTable | None" = None) -> "MaskedView":
+        return self
+
+    def arity(self) -> "int | None":
+        return self.view.arity()
+
+    def indexes(self) -> list:
+        return [index for index, row in enumerate(self.id_rows) if row not in self.hidden]
+
+    def groups(self, position: int) -> _Visible:
+        return _Visible(self.view.groups(position), self)
+
+    def first_groups(self, position: int) -> _Visible:
+        return _Visible(self.view.first_groups(position), self)
+
+    def last_groups(self, position: int) -> _Visible:
+        return _Visible(self.view.last_groups(position), self)
+
+    @property
+    def id_row_set(self) -> _Visible:
+        return _Visible(self.view.id_row_set, self)
+
+
+class RowSources(dict):
+    """Relation name → read-only id-row source (a :class:`ColumnarView` or a
+    :class:`MaskedView`), read by a join as it reads an instance's relations:
+    :meth:`storage` returns the source of a name, ``None`` for an absent one."""
+
+    storage = dict.get

@@ -18,10 +18,10 @@ relation keeps its *pending delta*: the net rows added and removed since the
 view was last brought up to date, each row's alternating ``add`` /
 ``discard`` cancelling out.  The next read advances the view by that delta
 instead of rebuilding it; a wholesale rewrite (:meth:`set_rows`,
-:meth:`clear`) drops the view instead.  A read-only :meth:`snapshot` shares
-both views, which is how maintenance reads a relation as it was, and a
-:meth:`copy` shares the columnar one, which is how a working copy of a
-session's base relation joins without re-interning it.
+:meth:`clear`) drops the view instead.  A view handed out stays as it was,
+which is how maintenance reads a relation's old state (the view itself, a
+read-only id-row source), and a :meth:`copy` shares it, which is how a
+working copy of a session's base relation joins without re-interning it.
 """
 
 from __future__ import annotations
@@ -182,31 +182,14 @@ class Relation:
 
         The view is shared, never built: the copy takes the source's pending
         delta as its own, and whichever relation advances the view first
-        leaves the other a valid snapshot (:meth:`ColumnarView.advanced`),
-        as :meth:`snapshot` does.  Nothing else is shared.
+        leaves the other a valid snapshot (:meth:`ColumnarView.advanced`).
+        Nothing else is shared.
         """
         clone = Relation(self._rows)
         if table is not None and self._columnar_table is table:
             clone._columnar, clone._columnar_table = self._columnar, table
             clone._pending = dict(self._pending)  # type: ignore[arg-type]
         return clone
-
-    def snapshot(self, table: TermTable) -> "Relation":
-        """A read-only relation over this generation's :meth:`view` and columnar view.
-
-        Reading it interns nothing when a columnar view against *table* is
-        cached: the snapshot shares it.  A later advance of this relation
-        takes over the membership set and columns built meanwhile and copies
-        the groupings; the shared view keeps its groupings and stays a valid
-        snapshot (:meth:`ColumnarView.advanced`).  Without a cached view the
-        snapshot builds its own on first read.
-        """
-        frozen = Relation()
-        frozen._rows = self.view()  # type: ignore[assignment]
-        if self._columnar_table is table:
-            frozen._columnar, frozen._columnar_table = self.columnar(table), table
-            frozen._pending = {}
-        return frozen
 
     # -- cached read views -------------------------------------------------------------
 

@@ -6,6 +6,7 @@ from repro.engine import (
     EvaluationStatistics,
     CompiledRule,
     MaintainedFixpoint,
+    ProgramQuery,
     evaluate_program,
 )
 from repro.engine.reference import reference_fixpoint
@@ -13,6 +14,7 @@ from repro.errors import EvaluationError, MaintenanceUnsupportedError
 from repro.io import instance_from_text
 from repro.model import Fact, Instance, path, unary_instance
 from repro.parser import parse_program, parse_rule
+from repro.storage import Relation
 from repro.syntax.programs import Program
 from repro.workloads import as_edge_pairs, layered_graph_instance, update_stream
 
@@ -340,6 +342,100 @@ def facts_of(text):
 def counts_of(maintained, stratum=0):
     """The support counts of one counting stratum, keyed by the fact's text."""
     return {str(fact): count for fact, count in maintained.support_state()[stratum][1].items()}
+
+
+def edges_instance(*pairs):
+    instance = Instance()
+    for source, target in pairs:
+        instance.add_fact(edge(source, target))
+    return instance
+
+
+class TestHiddenNotDeleted:
+    """Delete–rederive hides its over-deleted rows and touches only its net
+    change: a row that ends up present is never discarded or re-added."""
+
+    def maintain(self, monkeypatch, base, additions, retractions):
+        program = parse_program(REACHABILITY_PAIRS)
+        maintained = MaintainedFixpoint.evaluate(program, base.copy())
+        reached = maintained.materialized.storage("T")
+        generation, view = reached.generation, reached.columnar(
+            maintained.materialized.term_table()
+        )
+        touched = []
+        discard, add_rows = Relation.discard, Relation.add_rows
+
+        def spy_discard(relation, row):
+            if relation is reached:
+                touched.append(("discard", row))
+            return discard(relation, row)
+
+        def spy_add_rows(relation, rows, *args):
+            if relation is reached:
+                touched.extend(("add", row) for row in rows)
+            return add_rows(relation, rows, *args)
+
+        monkeypatch.setattr(Relation, "discard", spy_discard)
+        monkeypatch.setattr(Relation, "add_rows", spy_add_rows)
+        statistics = EvaluationStatistics()
+        result = maintained.update(additions, retractions, statistics=statistics)
+        for fact in retractions:
+            base.discard_fact(fact)
+        for fact in additions:
+            base.add_fact(fact)
+        return maintained, reached, generation, view, touched, result, statistics
+
+    def test_a_retraction_whose_rows_all_come_back_leaves_the_head_unmutated(
+        self, monkeypatch, oracle_output
+    ):
+        """A diamond a→b→d / a→c→d plus a parallel path a→e→b: retracting
+        E(a, b) over-deletes T(a, b) and T(a, d), and both are rederived —
+        from the survivors, not from themselves."""
+        base = edges_instance(
+            ("a", "b"), ("a", "e"), ("e", "b"), ("b", "d"), ("a", "c"), ("c", "d")
+        )
+        maintained, reached, generation, view, touched, result, statistics = self.maintain(
+            monkeypatch, base, [], [edge("a", "b")]
+        )
+        assert statistics.rederivation_attempts >= 2  # T(a, b) and T(a, d) were asked about
+        assert touched == []
+        assert reached.generation == generation
+        assert reached.columnar(maintained.materialized.term_table()) is view
+        assert result.removed == {edge("a", "b")} and not result.added
+        query = ProgramQuery(
+            parse_program(REACHABILITY_PAIRS), {"E": 2}, "T", require_monadic=False
+        )
+        assert Instance({"T": reached.rows}) == oracle_output(query, base)
+        # Retracting E(e, b) too: T(e, b) and T(e, d) lose their last
+        # support, and T(e, d) must not lean on the hidden T(e, b).
+        result = maintained.update([], [edge("e", "b")])
+        base.discard_fact(edge("e", "b"))
+        assert Instance({"T": reached.rows}) == oracle_output(query, base)
+        assert {fact for fact in result.removed if fact.relation == "T"} == {
+            Fact("T", (path("e"), path(t))) for t in ("b", "d")
+        } | {Fact("T", (path("a"), path("b")))}
+
+    def test_only_the_net_change_is_discarded_or_added(self, monkeypatch, oracle_output):
+        """Retracting E(a, b) while adding a detour a→c→b: T(a, b) and T(a, d)
+        are over-deleted and only the insertion brings them back — shown
+        again, not discarded and re-added — while T(a, c), T(c, b) and
+        T(c, d) are new."""
+        base = edges_instance(("a", "b"), ("b", "d"), ("x", "d"))
+        maintained, reached, _, _, touched, result, _ = self.maintain(
+            monkeypatch, base, [edge("a", "c"), edge("c", "b")], [edge("a", "b"), edge("x", "d")]
+        )
+        new = {("a", "c"), ("c", "b"), ("c", "d")}
+        assert sorted(touched, key=repr) == sorted(
+            [("add", (path(s), path(t))) for s, t in new] + [("discard", (path("x"), path("d")))],
+            key=repr,
+        )
+        assert {fact for fact in result.added if fact.relation == "T"} == {
+            Fact("T", (path(s), path(t))) for s, t in new
+        }
+        query = ProgramQuery(
+            parse_program(REACHABILITY_PAIRS), {"E": 2}, "T", require_monadic=False
+        )
+        assert Instance({"T": reached.rows}) == oracle_output(query, base)
 
 
 class TestIdSpaceCounting:

@@ -351,6 +351,42 @@ def scan_lookup(table, positions, binding):
     return best
 
 
+def key(entry):
+    return entry.positions, entry.values
+
+
+class ScanTable:
+    """The answer table as a scan: an insert tries every entry for absorption,
+    an eviction takes the entry with the smallest use stamp."""
+
+    def __init__(self, capacity):
+        self.capacity, self.entries, self.used, self.clock = capacity, [], {}, 0
+
+    def touch(self, entry):
+        self.clock += 1
+        self.used[key(entry)] = self.clock
+
+    def insert(self, seed):
+        entry = snapshot_entry(*seed)
+        absorbed = [e for e in self.entries if entry.subsumes(e.positions, e.seed_binding())]
+        for gone in absorbed:
+            self.entries.remove(gone)
+            del self.used[key(gone)]
+        self.entries.append(entry)
+        self.touch(entry)
+        while len(self.entries) > self.capacity:
+            coldest = min(self.entries, key=lambda e: self.used[key(e)])
+            self.entries.remove(coldest)
+            del self.used[key(coldest)]
+        return absorbed
+
+    def lookup(self, positions, binding):
+        best = scan_lookup(self.entries, positions, binding)
+        if best is not None:
+            self.touch(best)
+        return best
+
+
 SHAPES = [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
 VALUES = [path("a"), path("b")]
 PROBE_VALUES = [(path("a"),) * 3, (path("b"),) * 3, (path("a"), path("b"), path("a"))]
@@ -395,12 +431,38 @@ class TestSeedIndex:
                 table.clear()
             entries = list(table)
             assert table._entries == {(e.positions, e.values): e for e in entries}
-            assert table._shapes == Counter(e.positions for e in entries)
+            assert Counter({shape: len(group) for shape, group in table._shapes.items()}) == (
+                Counter(e.positions for e in entries)
+            )
+            assert all(
+                group[e.values] is e for e in entries for group in [table._shapes[e.positions]]
+            )
             for shape in SHAPES:
                 for values in PROBE_VALUES:
                     binding = {position: values[position] for position in shape}
                     expected = scan_lookup(table, shape, binding)
                     assert table.lookup(shape, binding) is expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(steps, st.integers(min_value=1, max_value=4))
+    def test_insert_absorbs_and_evicts_as_a_scan_did(self, operations, capacity):
+        """Absorption, the tie-break toward the older entry and LRU order of
+        the indexed table are those of :class:`ScanTable`: each insert tried
+        every entry, each eviction took the smallest use stamp."""
+        table, model = AnswerTable(max_entries=capacity), ScanTable(capacity)
+        for operation in operations:
+            if operation[0] == "insert":
+                shape, values = operation[1]
+                seed = (shape, tuple(values[position] for position in shape))
+                absorbed = table.insert(snapshot_entry(*seed))
+                assert {key(e) for e in absorbed} == {key(e) for e in model.insert(seed)}
+            elif operation[0] == "lookup":
+                shape, values = operation[1]
+                binding = {position: values[position] for position in shape}
+                hit, expected = table.lookup(shape, binding), model.lookup(shape, binding)
+                assert (hit and key(hit)) == (expected and key(expected))
+            assert [key(e) for e in table] == [key(e) for e in model.entries]
+            assert list(table._recent) == sorted(model.used, key=model.used.get)
 
     def test_a_tie_between_equally_specific_shapes_goes_to_the_older_entry(self):
         table = AnswerTable()

@@ -94,7 +94,6 @@ def test_one_evaluator_in_production_and_the_oracle_off_its_import_path():
         ProgramQuery,
         evaluate_program,
         evaluate_stratum,
-        propagate_delta,
     )
 
     callables = [
@@ -106,7 +105,6 @@ def test_one_evaluator_in_production_and_the_oracle_off_its_import_path():
         CompiledProgram.__init__,
         evaluate_stratum,
         evaluate_program,
-        propagate_delta,
         MaintainedFixpoint.__init__,
         MaintainedFixpoint.evaluate,
         MaintainedFixpoint.from_support,

@@ -17,12 +17,11 @@ from repro.engine import (
     CompiledRule,
     EvaluationStatistics,
     evaluate_program,
-    propagate_delta,
 )
 from repro.engine.reference import reference_fixpoint
 from repro.errors import EvaluationBudgetExceeded
 from repro.io import instance_from_text
-from repro.model import Fact, Instance, path
+from repro.model import path
 from repro.parser import parse_program
 from repro.queries import get_query
 from repro.transform import eliminate_equations
@@ -208,28 +207,6 @@ def test_directed_cases_cover_resident_and_mixed_strata():
             for evaluator in stratum.rules:
                 assert evaluator.lowering_refusal is None, (name, str(evaluator.rule))
                 assert evaluator.head_step is not None
-
-
-@pytest.mark.parametrize("case", ["head_relation_holds_edb_rows", "mixed_stratum"])
-def test_propagate_delta_collects_exactly_the_facts_added(case):
-    program_text = DIRECTED_CASES[case][0]
-    program = parse_program(program_text)
-    instance = instance_from_text(CHAIN + " R(a·b).")
-    seeds = {Fact("E", [path("d"), path("e")]), Fact("R", [path("a", "a", "c")])}
-    compiled = CompiledProgram(program)
-    current = evaluate_program(program, instance, compiled=compiled)
-    for fact in seeds:
-        current.add_fact(fact)
-    before = set(current.facts())
-    statistics = EvaluationStatistics()
-    rounds, added = propagate_delta(
-        compiled.strata[0].rules, current, set(seeds), statistics=statistics,
-        collect=True,
-    )
-    assert rounds >= 1
-    assert added == set(current.facts()) - before
-    assert added and statistics.facts_derived == len(added)
-    assert current == reference_fixpoint(program, instance.union(Instance(seeds)))
 
 
 def test_derivation_limit_trips_inside_a_binding_equation():
