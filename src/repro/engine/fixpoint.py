@@ -7,14 +7,15 @@ instance containing ``I`` and satisfying all rules of ``P``.
 
 One loop computes it, semi-naively and **resident in id space**: the first
 round evaluates every rule of the stratum against the full instance; each
-later round evaluates only the rules whose body mentions a relation that
-changed in the previous round, once per such body position with that position
-restricted to the newly derived facts.  Every round's head rows stay id
-tuples (:meth:`~repro.engine.compiled.CompiledRule.head_rows`), the rows the
-head relation already holds are subtracted from its columnar view's row set,
-each genuinely new row is decoded to paths exactly once — where it enters
-the relation, which is also where the path-length limit is checked — and the
-next round's delta view is built from those same id rows.
+later round (:func:`semi_naive_rounds`, which delete–rederive maintenance
+runs too) evaluates only the rules whose body mentions a relation that
+changed in the previous round, once per such body position with that
+position restricted to a view of the newly derived id rows.  Every round's
+head rows stay id tuples (:meth:`~repro.engine.compiled.CompiledRule.head_rows`),
+the rows the head relation already holds are subtracted from its columnar
+view's row set, and each genuinely new row is decoded to paths exactly once,
+where it enters the relation (:func:`admit_rows`), which is also where the
+path-length limit is checked.
 
 The naive, valuation-level definition of the same fixpoint is kept apart in
 :mod:`repro.engine.reference` as the oracle the agreement suites compare
@@ -24,11 +25,13 @@ this loop against; nothing here imports it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.engine.compiled import CompiledProgram, CompiledRule, decode_rows
 from repro.engine.limits import DEFAULT_LIMITS, EvaluationLimits
+from repro.errors import ModelError
 from repro.model.instance import Fact, Instance
+from repro.storage import ColumnarView, RowSources
 from repro.syntax.programs import Program, Stratum
 
 __all__ = [
@@ -90,61 +93,73 @@ class EvaluationStatistics:
         self.iterations += iterations
 
 
-def _resident_round(
-    compiled: Sequence[CompiledRule],
-    current: Instance,
-    delta: "Instance | None",
+def admit_rows(instance: Instance, name: str, rows: set, limits: EvaluationLimits) -> set:
+    """Add to relation *name* of *instance* the head id rows *rows* it lacks; return them.
+
+    What the relation holds is subtracted from its columnar view's row set;
+    the rest decode once — where the path-length limit is checked — and
+    enter as one batch, which advances that view by the same id rows.
+    """
+    table = instance.term_table()
+    stored = instance.storage(name)
+    new = rows - stored.columnar(table).id_row_set if stored else rows
+    if new:
+        id_rows = list(new)
+        instance.add_rows(name, set(decode_rows(table, id_rows, limits)), id_rows)
+    return new
+
+
+def semi_naive_rounds(
+    plans: Sequence[CompiledRule],
+    instance: Instance,
+    delta: "dict[str, set]",
+    take: "Callable[[dict[str, set]], dict[str, set]]",
     limits: EvaluationLimits,
     statistics: EvaluationStatistics,
-) -> Instance:
-    """One round, kept in id space; returns the next delta.
+    *,
+    around=None,
+    asks=None,
+    negative=None,
+    rounds: int = 0,
+) -> int:
+    """Semi-naive rounds from the id rows *delta* until a round takes nothing.
 
-    With *delta* ``None`` — the first round — every rule runs against
-    *current*; otherwise each rule whose body mentions a relation of *delta*
-    runs once per such position, restricted there to *delta*.  Head id rows
-    lose the rows their relation already holds by set difference against its
-    view; what is left is decoded once, joins *current* as one batch per
-    relation (which advances that view), and becomes the next delta — an
-    instance sharing the term table, with views built from the very id
-    rows.
+    Each rule reading a delta relation (and passing *asks*, when given) runs
+    once per such body position, restricted there to a view of the delta's
+    rows; its other positions read ``around(plan, pivot)`` where given, else
+    *instance*, and its negated ones ``negative(plan)``.  ``take`` turns a
+    round's head id rows, per relation, into the next delta.  The rounds are
+    numbered on from *rounds*, the iteration limit is checked before each,
+    and the last number is returned.
     """
-    table = current.term_table()
-    #: (head relation, arity) → new id rows; a batch decodes as one arity.
-    fresh: "dict[tuple[str, int], set]" = {}
-    for plan in compiled:
-        if delta is None:
-            frontiers: list = [None]
-        else:
-            frontiers = [
-                {position: delta}
-                for name in plan.predicate_positions.keys() & delta.relation_names
+    table = instance.term_table()
+    while delta := {name: rows for name, rows in delta.items() if rows}:
+        rounds += 1
+        limits.check_iterations(rounds)
+        sources = RowSources(
+            {name: ColumnarView(list(rows), table) for name, rows in delta.items()}
+        )
+        found: "dict[str, set]" = {}
+        for plan in plans:
+            pivots = [
+                position
+                for name in plan.predicate_positions.keys() & delta.keys()
                 for position in plan.predicate_positions[name]
             ]
-            if not frontiers:
+            if not pivots or (asks is not None and not asks(plan)):
                 continue
-            statistics.delta_restricted_applications += len(frontiers)
-        statistics.rule_applications += 1
-        head = plan.rule.head
-        for frontier in frontiers:
-            derived = plan.head_rows(current, frontier, limits, statistics)
-            storage = current.storage(head.name)
-            if derived and storage:
-                derived -= storage.columnar(table).id_row_set
-            if derived:
-                key = (head.name, head.arity)
-                if key in fresh:
-                    fresh[key] |= derived
-                else:
-                    fresh[key] = derived
-    following = current.restricted(())
-    for (name, _), id_set in fresh.items():
-        id_rows = list(id_set)
-        rows = set(decode_rows(table, id_rows, limits))
-        current.add_rows(name, rows, id_rows)
-        following.add_rows(name, rows, id_rows)
-    statistics.facts_derived += following.fact_count()
-    limits.check_fact_count(current.fact_count())
-    return following
+            statistics.rule_applications += 1
+            for pivot in pivots:
+                statistics.delta_restricted_applications += 1
+                frontier = around(plan, pivot) if around else {}
+                frontier[pivot] = sources
+                found.setdefault(plan.head_name, set()).update(
+                    plan.head_rows(
+                        instance, frontier, limits, statistics, negative and negative(plan)
+                    )
+                )
+        delta = take(found)
+    return rounds
 
 
 def evaluate_stratum(
@@ -154,36 +169,44 @@ def evaluate_stratum(
     *,
     statistics: EvaluationStatistics | None = None,
     compiled: "Sequence[CompiledRule] | None" = None,
-    copy: bool = True,
 ) -> Instance:
-    """Compute the fixpoint of one stratum, returning the enlarged instance.
+    """Grow *instance* in place to the fixpoint of one stratum, and return it.
 
-    The input *instance* is not modified unless ``copy=False``, which lets
-    :func:`evaluate_program` grow one working copy across chained strata
-    instead of re-copying the ever-larger instance per stratum.  *compiled*
-    are the stratum's rules already lowered (a
+    *compiled* are the stratum's rules already lowered (a
     :class:`~repro.engine.compiled.CompiledStratum`'s ``rules``); without
     them the rules are lowered for this call.
     """
     if statistics is None:
         statistics = EvaluationStatistics()
-    current = instance.copy() if copy else instance
+    # A round's head rows decode as one batch per relation, so of one arity.
+    heads = {(rule.head.name, rule.head.arity) for rule in stratum}
+    if len(heads) > len(stratum.head_relation_names()):
+        raise ModelError("the stratum derives one relation at two arities")
     for rule in stratum:
-        current.ensure_relation(rule.head.name)
+        instance.ensure_relation(rule.head.name)
     if compiled is None:
         compiled = [CompiledRule(rule) for rule in stratum]
 
-    # First round: all rules against the full instance; then each round's
-    # rules restricted to the previous round's delta, until it is empty.
-    iterations = 1
-    limits.check_iterations(iterations)
-    delta = _resident_round(compiled, current, None, limits, statistics)
-    while delta:
-        iterations += 1
-        limits.check_iterations(iterations)
-        delta = _resident_round(compiled, current, delta, limits, statistics)
+    def take(found: "dict[str, set]") -> "dict[str, set]":
+        fresh = {name: admit_rows(instance, name, rows, limits) for name, rows in found.items()}
+        statistics.facts_derived += sum(map(len, fresh.values()))
+        limits.check_fact_count(instance.fact_count())
+        return fresh
+
+    # The first round runs every rule against the full instance; its new
+    # rows are the first delta of the semi-naive rounds.
+    limits.check_iterations(1)
+    found: "dict[str, set]" = {}
+    for plan in compiled:
+        statistics.rule_applications += 1
+        found.setdefault(plan.head_name, set()).update(
+            plan.head_rows(instance, None, limits, statistics)
+        )
+    iterations = semi_naive_rounds(
+        compiled, instance, take(found), take, limits, statistics, rounds=1
+    )
     statistics.merge_stratum(iterations)
-    return current
+    return instance
 
 
 def evaluate_program(
@@ -216,13 +239,8 @@ def evaluate_program(
         for fact in seed_facts:
             current.add_fact(fact)
     for stratum in compiled.strata:
-        current = evaluate_stratum(
-            stratum.stratum,
-            current,
-            limits,
-            statistics=statistics,
-            compiled=stratum.rules,
-            copy=False,
+        evaluate_stratum(
+            stratum.stratum, current, limits, statistics=statistics, compiled=stratum.rules
         )
     for name in program.idb_relation_names():
         current.ensure_relation(name)

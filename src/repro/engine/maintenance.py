@@ -22,7 +22,12 @@ drifts instead of recomputing it:
   insertion read each head relation's *survivors*, a
   :class:`~repro.storage.MaskedView`, and show again the rows they bring
   back.  Only the rows still hidden are discarded, and only they and the
-  new rows decode, so a retraction pays for its net change.
+  new rows decode, so a retraction pays for its net change.  All three
+  phases run :func:`~repro.engine.fixpoint.semi_naive_rounds`.
+
+An update's running delta is id rows per changed relation: EDB rows are
+interned once, as they enter, and each stratum hands on its net change as id
+rows, so nothing is re-interned to read it.
 
 Both algorithms propagate **signed** deltas through stratified negation.  A
 negated literal ``not N(t̄)`` is an indicator that flips when ``N`` changes,
@@ -49,14 +54,16 @@ through negated literals.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from repro.engine.compiled import CompiledProgram, CompiledRule, CompiledStratum, decode_rows
-from repro.engine.fixpoint import EvaluationStatistics, evaluate_stratum
+from repro.engine.compiled import CompiledProgram, CompiledRule, CompiledStratum
+from repro.engine.fixpoint import (
+    EvaluationStatistics, admit_rows, evaluate_stratum, semi_naive_rounds
+)
 from repro.engine.limits import DEFAULT_LIMITS, EvaluationLimits
 from repro.errors import EvaluationError, MaintenanceUnsupportedError
 from repro.model.instance import Fact, Instance
-from repro.storage import ColumnarView, MaskedView, Relation, RowSources
+from repro.storage import ColumnarView, MaskedView, Relation, RowSources, TermTable
 from repro.syntax.programs import Program
 
 __all__ = ["MaintainedFixpoint", "MaintenanceResult"]
@@ -104,21 +111,24 @@ class _StratumState:
 
 
 class _ChangeSet:
-    """The update's running per-relation delta, threaded through the strata.
+    """The update's running per-relation delta in id space, threaded through the strata.
 
-    Keeps three overlays the telescoped joins and overdeletion use as
-    frontier sources: the added rows, the removed rows, and the *old* rows
-    (pre-update state) of every changed relation.
+    Per changed relation: its added and removed id rows, views of them
+    (``added_overlay`` / ``removed_overlay``) and the view it had before the
+    update (``old_overlay``), the frontier sources of the delta joins.
     """
 
-    __slots__ = ("names", "added", "removed", "added_overlay", "removed_overlay", "old_overlay")
+    __slots__ = (
+        "table", "names", "added", "removed", "added_overlay", "removed_overlay", "old_overlay"
+    )
 
-    def __init__(self) -> None:
+    def __init__(self, table: TermTable) -> None:
+        self.table = table
         self.names: set[str] = set()
         self.added: dict[str, set] = {}
         self.removed: dict[str, set] = {}
-        self.added_overlay = Instance()
-        self.removed_overlay = Instance()
+        self.added_overlay = RowSources()
+        self.removed_overlay = RowSources()
         #: The columnar views the changed relations had before the update
         #: mutated them (:meth:`hold`); a view handed out never changes.
         self.old_overlay = RowSources()
@@ -129,17 +139,14 @@ class _ChangeSet:
         for name in names:
             self.old_overlay[name] = (instance.storage(name) or Relation()).columnar(table)
 
-    def record(
-        self, name: str, added_rows: "set | frozenset", removed_rows: "set | frozenset"
-    ) -> None:
-        """Register *name* as changed (its old state is already held)."""
+    def record(self, name: str, added_rows: set, removed_rows: set) -> None:
+        """Register *name* as changed by the id rows given (its old state is already held)."""
         if not added_rows and not removed_rows:
             return
         self.names.add(name)
-        self.added[name] = set(added_rows)
-        self.removed[name] = set(removed_rows)
-        self.added_overlay.set_relation_rows(name, added_rows)
-        self.removed_overlay.set_relation_rows(name, removed_rows)
+        self.added[name], self.removed[name] = added_rows, removed_rows
+        self.added_overlay[name] = ColumnarView(list(added_rows), self.table)
+        self.removed_overlay[name] = ColumnarView(list(removed_rows), self.table)
 
 
 def _changed_negations(plan: CompiledRule, changes: _ChangeSet) -> "dict[int, str]":
@@ -254,12 +261,7 @@ class MaintainedFixpoint:
             state = _StratumState(stratum.recursive, pinned)
             if stratum.recursive:
                 evaluate_stratum(
-                    stratum.stratum,
-                    current,
-                    limits,
-                    statistics=statistics,
-                    compiled=stratum.rules,
-                    copy=False,
+                    stratum.stratum, current, limits, statistics=statistics, compiled=stratum.rules
                 )
             else:
                 cls._evaluate_counting_stratum(stratum, current, state, limits, statistics)
@@ -421,18 +423,21 @@ class MaintainedFixpoint:
         # From here on the materialization mutates; any failure leaves it
         # inconsistent with the support state, so poison the fixpoint.
         try:
-            changes = _ChangeSet()
+            table = self.materialized.term_table()
+            changes = _ChangeSet(table)
             changes.hold(self.materialized, touched)
             for name in touched:
                 added_rows = {f.paths for f in added_facts if f.relation == name}
                 removed_rows = {f.paths for f in removed_facts if f.relation == name}
-                for fact in removed_facts:
-                    if fact.relation == name:
-                        self.materialized.discard_fact(fact, keep_empty=True)
-                for fact in added_facts:
-                    if fact.relation == name:
-                        self.materialized.add_fact(fact)
-                changes.record(name, added_rows, removed_rows)
+                added_ids = set(map(table.intern_row, added_rows))
+                removed_ids = set(map(table.intern_row, removed_rows))
+                if removed_rows:
+                    self.materialized.storage(name).discard_rows(  # type: ignore[union-attr]
+                        removed_rows, list(removed_ids), table
+                    )
+                if added_rows:
+                    self.materialized.add_rows(name, added_rows, list(added_ids))
+                changes.record(name, added_ids, removed_ids)
             statistics.facts_retracted += len(removed_facts)
 
             for index, (stratum, state) in enumerate(zip(self.compiled.strata, self._states)):
@@ -442,35 +447,19 @@ class MaintainedFixpoint:
                     # Later strata read this one's heads as they were.
                     changes.hold(self.materialized, stratum.stratum.head_relation_names())
                 if stratum.recursive:
-                    net_added, net_removed = self._maintain_dred_stratum(
-                        stratum, state, changes, statistics
-                    )
+                    net = self._maintain_dred_stratum(stratum, state, changes, statistics)
                 else:
-                    net_added, net_removed = self._maintain_counting_stratum(
-                        stratum, state, changes, statistics
-                    )
-                statistics.facts_retracted += len(net_removed)
-                result_added |= net_added
-                result_removed |= net_removed
-                self._commit_stratum_changes(changes, net_added, net_removed)
+                    net = self._maintain_counting_stratum(stratum, state, changes, statistics)
+                for name, (added_ids, removed_ids) in net.items():
+                    changes.record(name, added_ids, removed_ids)
+                    result_added.update(_facts(table, name, added_ids))
+                    result_removed.update(_facts(table, name, removed_ids))
+                    statistics.facts_retracted += len(removed_ids)
             self.limits.check_fact_count(self.materialized.fact_count())
         except Exception:
             self._valid = False
             raise
         return MaintenanceResult(frozenset(result_added), frozenset(result_removed), statistics)
-
-    @staticmethod
-    def _commit_stratum_changes(
-        changes: _ChangeSet, net_added: "set[Fact]", net_removed: "set[Fact]"
-    ) -> None:
-        """Fold a stratum's net changes into the running change set."""
-        by_name: dict[str, tuple[set, set]] = {}
-        for fact in net_added:
-            by_name.setdefault(fact.relation, (set(), set()))[0].add(fact.paths)
-        for fact in net_removed:
-            by_name.setdefault(fact.relation, (set(), set()))[1].add(fact.paths)
-        for name, (added_rows, removed_rows) in by_name.items():
-            changes.record(name, added_rows, removed_rows)
 
     # -- counting maintenance ----------------------------------------------------------
 
@@ -480,7 +469,7 @@ class MaintainedFixpoint:
         state: _StratumState,
         changes: _ChangeSet,
         statistics: EvaluationStatistics,
-    ) -> tuple[set, set]:
+    ) -> "dict[str, tuple[set, set]]":
         """Adjust derivation counts by the telescoped delta joins.
 
         For a body with positive-predicate positions ``p1 < … < pn`` the
@@ -527,7 +516,7 @@ class MaintainedFixpoint:
                     (changes.added_overlay, gain),
                     (changes.removed_overlay, lose),
                 ):
-                    if not overlay.relation(name):
+                    if not overlay[name]:
                         continue
                     statistics.delta_restricted_applications += 1
                     tally(
@@ -554,7 +543,7 @@ class MaintainedFixpoint:
                     (changes.added_overlay, lose),
                     (changes.removed_overlay, gain),
                 ):
-                    if not overlay.relation(name):
+                    if not overlay[name]:
                         continue
                     statistics.delta_restricted_applications += 1
                     tally(
@@ -574,16 +563,17 @@ class MaintainedFixpoint:
         delta_counts: "dict[Fact, int]",
         state: _StratumState,
         statistics: EvaluationStatistics,
-    ) -> tuple[set, set]:
+    ) -> "dict[str, tuple[set, set]]":
         """Fold signed derivation-count deltas into the stratum's count state.
 
         A fact whose support count crosses zero materializes (or retracts);
-        pinned facts stay present regardless.
+        pinned facts stay present regardless.  Returns the net change as id
+        rows, added and removed, per relation.
         """
         counts = state.counts
         assert counts is not None
-        net_added: set[Fact] = set()
-        net_removed: set[Fact] = set()
+        intern_row = self.materialized.term_table().intern_row
+        net: "dict[str, tuple[set, set]]" = {}
         for fact, change in delta_counts.items():
             if change == 0:
                 continue
@@ -603,12 +593,12 @@ class MaintainedFixpoint:
             present_after = pinned or after > 0
             if present_after and not present_before:
                 self.materialized.add_fact(fact)
-                net_added.add(fact)
+                net.setdefault(fact.relation, (set(), set()))[0].add(intern_row(fact.paths))
             elif present_before and not present_after:
                 self.materialized.discard_fact(fact, keep_empty=True)
-                net_removed.add(fact)
-        statistics.facts_derived += len(net_added)
-        return net_added, net_removed
+                net.setdefault(fact.relation, (set(), set()))[1].add(intern_row(fact.paths))
+        statistics.facts_derived += sum(len(added) for added, _ in net.values())
+        return net
 
     # -- delete-rederive maintenance ---------------------------------------------------
 
@@ -618,7 +608,7 @@ class MaintainedFixpoint:
         state: _StratumState,
         changes: _ChangeSet,
         statistics: EvaluationStatistics,
-    ) -> tuple[set, set]:
+    ) -> "dict[str, tuple[set, set]]":
         """DRed in id space: over-delete, rederive, insert, then discard the rest.
 
         The over-deleted rows are hidden: the stratum reads each head
@@ -629,7 +619,8 @@ class MaintainedFixpoint:
         over the survivors from the update's added rows; a hidden row it
         derives is shown again, an absent one added.  Only the rows still
         hidden then leave the relation.  A changed negated relation seeds
-        both halves with the opposite sign (:meth:`_negation_seeds`).
+        both halves with the opposite sign (:meth:`_negation_seeds`).  Returns
+        the net change as id rows, added and removed, per relation.
         """
         plans = stratum.rules
         heads = stratum.stratum.head_relation_names()
@@ -637,7 +628,7 @@ class MaintainedFixpoint:
         table = self.materialized.term_table()
         seeds = self._negation_seeds(plans, heads, state, changes, statistics) if negated else {}
         hidden = self._overdelete(plans, state, changes, statistics, seeds)
-        added: set[Fact] = set()
+        added: "dict[str, set]" = {}
 
         def survivors(plan: CompiledRule, pivot: int = -1) -> dict:
             """The frontier reading *plan*'s head-relation positions from the survivors."""
@@ -663,103 +654,61 @@ class MaintainedFixpoint:
                             self.materialized, list(asked), self.limits, statistics, survivors(plan)
                         )
                     )
-            self._rounds(
+            statistics.maintenance_rounds += semi_naive_rounds(
                 plans,
+                self.materialized,
                 self._absorb(kept, hidden, added),
-                statistics,
-                survivors,
                 lambda found: self._absorb(
                     {name: rows & hidden[name] for name, rows in found.items()}, hidden, added
                 ),
-                lambda plan: hidden.get(plan.head_name),
+                self.limits,
+                statistics,
+                around=survivors,
+                asks=lambda plan: hidden.get(plan.head_name),
             )
         delta = {
-            name: set(map(table.intern_row, changes.added[name]))
+            name: changes.added[name]
             for name in changes.names & stratum.stratum.body_relation_names()
         }
         if negated:
             gains = self._negation_seeds(plans, heads, state, changes, statistics, survivors)
             delta.update(self._absorb(gains, hidden, added))
-        self._rounds(
-            plans, delta, statistics, survivors, lambda found: self._absorb(found, hidden, added)
+        statistics.maintenance_rounds += semi_naive_rounds(
+            plans,
+            self.materialized,
+            delta,
+            lambda found: self._absorb(found, hidden, added),
+            self.limits,
+            statistics,
+            around=survivors,
         )
 
-        removed: set[Fact] = set()
         for name, rows in hidden.items():
-            for fact in (Fact._from_trusted(name, row) for row in table.decode_rows(list(rows))):
-                removed.add(fact)
-                self.materialized.discard_fact(fact, keep_empty=True)
-        statistics.facts_derived += len(added)
-        return added, removed
+            if rows:
+                id_rows = list(rows)
+                self.materialized.storage(name).discard_rows(  # type: ignore[union-attr]
+                    set(table.decode_rows(id_rows)), id_rows, table
+                )
+        statistics.facts_derived += sum(map(len, added.values()))
+        return {
+            name: (added.get(name, set()), hidden.get(name, set()))
+            for name in added.keys() | hidden.keys()
+        }
 
     def _absorb(
-        self, found: "dict[str, set]", hidden: "dict[str, set]", added: "set[Fact]"
+        self, found: "dict[str, set]", hidden: "dict[str, set]", added: "dict[str, set]"
     ) -> "dict[str, set]":
         """Make the head id rows *found* present — a hidden row shown again, an absent
-        one decoded, added and recorded in *added* — and return those that were not."""
-        table = self.materialized.term_table()
+        one added and recorded in *added* — and return those that were not."""
         delta: "dict[str, set]" = {}
         for name, rows in found.items():
             back = rows & hidden.get(name, set())
             hidden.get(name, set()).difference_update(back)
-            stored = self.materialized.storage(name)
-            new = rows - stored.columnar(table).id_row_set if stored else rows
+            new = admit_rows(self.materialized, name, rows, self.limits)
             if new:
-                id_rows = list(new)
-                decoded = decode_rows(table, id_rows, self.limits)
-                self.materialized.add_rows(name, set(decoded), id_rows)
-                added.update(Fact._from_trusted(name, row) for row in decoded)
+                added.setdefault(name, set()).update(new)
             delta[name] = back | new
         return delta
-
-    def _rounds(
-        self,
-        plans: "tuple[CompiledRule, ...]",
-        delta: "dict[str, set]",
-        statistics: EvaluationStatistics,
-        around,
-        take,
-        asks=None,
-        negative=None,
-    ) -> None:
-        """Semi-naive rounds from the id rows *delta*, until a round takes nothing.
-
-        Each rule reading a delta relation (and passing *asks*) runs once per
-        such position, restricted there to the delta; its other positions
-        read ``around(plan, pivot)`` or the materialization, its negated ones
-        ``negative(plan)``.  ``take`` turns a round's head rows into the next delta.
-        """
-        table = self.materialized.term_table()
-        rounds = 0
-        while delta := {name: rows for name, rows in delta.items() if rows}:
-            rounds += 1
-            self.limits.check_iterations(rounds)
-            statistics.maintenance_rounds += 1
-            sources = RowSources(
-                {name: ColumnarView(list(rows), table) for name, rows in delta.items()}
-            )
-            found: "dict[str, set]" = {}
-            for plan in plans:
-                pivots = [
-                    position
-                    for name in plan.predicate_positions.keys() & delta.keys()
-                    for position in plan.predicate_positions[name]
-                ]
-                if not pivots or (asks is not None and not asks(plan)):
-                    continue
-                statistics.rule_applications += 1
-                for pivot in pivots:
-                    statistics.delta_restricted_applications += 1
-                    found.setdefault(plan.head_name, set()).update(
-                        plan.head_rows(
-                            self.materialized,
-                            {**around(plan, pivot), pivot: sources},
-                            self.limits,
-                            statistics,
-                            negative and negative(plan),
-                        )
-                    )
-            delta = take(found)
 
     def _negation_seeds(
         self,
@@ -782,12 +731,12 @@ class MaintainedFixpoint:
         table = self.materialized.term_table()
         pinned = _pinned_rows(state, table)
         killed = survivors is None
+        delta = changes.added_overlay if killed else changes.removed_overlay
         seeds: "dict[str, set]" = {}
         for plan in plans:
             changed_negations = _changed_negations(plan, changes)
             for pivot, name in changed_negations.items():
-                rows = (changes.added if killed else changes.removed).get(name)
-                if not rows:
+                if not delta[name]:
                     continue
                 negative_sources = frontier = None
                 if killed:
@@ -803,9 +752,7 @@ class MaintainedFixpoint:
                     } or None
                 else:
                     frontier = survivors(plan)
-                frontier[pivot] = RowSources(
-                    {name: ColumnarView(list(map(table.intern_row, rows)), table)}
-                )
+                frontier[pivot] = delta
                 statistics.delta_restricted_applications += 1
                 derived = plan.pivoted(pivot).head_rows(
                     self.materialized, frontier, self.limits, statistics, negative_sources
@@ -859,13 +806,15 @@ class MaintainedFixpoint:
 
         delta = {name: set(rows) for name, rows in seeds.items()}
         for name in changes.names & {n for plan in plans for n in plan.predicate_positions}:
-            delta[name] = set(map(table.intern_row, changes.removed[name]))
-        self._rounds(
+            delta[name] = changes.removed[name]
+        statistics.maintenance_rounds += semi_naive_rounds(
             plans,
+            self.materialized,
             delta,
-            statistics,
-            old,
             take,
+            self.limits,
+            statistics,
+            around=old,
             negative=lambda plan: dict.fromkeys(
                 _changed_negations(plan, changes), changes.old_overlay
             )
@@ -877,3 +826,8 @@ class MaintainedFixpoint:
 def _pinned_rows(state: _StratumState, table) -> "set[tuple[str, tuple]]":
     """The stratum's pinned facts as ``(relation, id row)`` pairs."""
     return {(fact.relation, table.intern_row(fact.paths)) for fact in state.pinned}
+
+
+def _facts(table: TermTable, name: str, id_rows: set) -> "Iterator[Fact]":
+    """The id rows *id_rows* of relation *name* as facts."""
+    return (Fact._from_trusted(name, row) for row in table.decode_rows(list(id_rows)))

@@ -188,9 +188,9 @@ class Instance:
     def set_relation_rows(self, name: str, rows: "Iterable[tuple[Path, ...]]") -> None:
         """Create or wholesale-replace the rows of relation *name*.
 
-        Rows are taken as-is (no per-fact validation); this is the overlay
-        primitive of incremental maintenance, which rebuilds small transient
-        instances (deltas, old-state overlays) from already-validated rows.
+        Rows are taken as-is (no per-fact validation), for rows already
+        validated: a decoded query output or a relation read back from a
+        snapshot.
         """
         relation = self._relations.get(name)
         if relation is None:

@@ -122,6 +122,31 @@ class Relation:
             if pending.pop(row, None) is None:
                 pending[row] = True
 
+    def discard_rows(
+        self, rows: "set[tuple[Path, ...]]", id_rows: "list[tuple]", table: TermTable
+    ) -> None:
+        """Remove the batch *rows*, all of them present, as one mutation.
+
+        The mirror of :meth:`add_rows`: *id_rows*, the same rows as id tuples
+        against *table*, advance a columnar view that is current against
+        *table* in step, so a row leaves without being re-interned.
+        Otherwise the rows join the pending delta of whatever view is cached.
+        """
+        before = len(self._rows)
+        self._rows -= rows
+        if len(self._rows) != before - len(rows):
+            raise ModelError("discard_rows takes only rows the relation holds")
+        self._generation += 1
+        pending = self._pending
+        if pending is None:
+            return
+        if self._columnar_table is table and not pending:
+            self._columnar = self._columnar.advanced([], id_rows)  # type: ignore[union-attr]
+            return
+        for row in rows:
+            if pending.pop(row, None) is None:
+                pending[row] = False
+
     def set_rows(self, rows: "Iterable[tuple[Path, ...]]") -> None:
         """Replace the entire contents with *rows* (used by incremental deltas).
 

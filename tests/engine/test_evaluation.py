@@ -14,6 +14,7 @@ from repro.engine.reference import reference_fixpoint
 from repro.errors import EvaluationBudgetExceeded, EvaluationError, ModelError
 from repro.model import Fact, Instance, graph_instance, pack, path, unary_instance
 from repro.parser import parse_program, parse_rule
+from repro.syntax.programs import Stratum
 from repro.syntax.rules import plan_body_order
 
 
@@ -162,7 +163,7 @@ class TestResidentFixpoint:
         table = current.term_table()
         storage = current.storage("T")
         storage.columnar(table)
-        evaluate_stratum(parse_program(self.CLOSURE).strata[0], current, copy=False)
+        evaluate_stratum(parse_program(self.CLOSURE).strata[0], current)
         assert len(current.relation("T")) == 16
         assert storage._pending == {}  # every batch advanced the view itself
         view = storage.columnar(table)
@@ -176,6 +177,12 @@ class TestResidentFixpoint:
             instance.add_rows("R", {(path("c"),)})
         assert str(batch.value) == str(single.value)
         assert instance.relation("R") == {(path("a"), path("b"))}
+
+    def test_a_stratum_deriving_one_relation_at_two_arities_is_refused(self):
+        stratum = Stratum([parse_rule("T(@x) :- R(@x)."), parse_rule("T(@x, @y) :- E(@x, @y).")])
+        instance = Instance({"R": [("a",)], "E": [("b", "c")]})
+        with pytest.raises(ModelError):
+            evaluate_stratum(stratum, instance)
 
     def test_a_run_leaves_nothing_on_the_input_instance(self):
         instance = graph_instance("R", self.EDGES)

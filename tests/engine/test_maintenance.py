@@ -364,6 +364,7 @@ class TestHiddenNotDeleted:
         )
         touched = []
         discard, add_rows = Relation.discard, Relation.add_rows
+        discard_rows = Relation.discard_rows
 
         def spy_discard(relation, row):
             if relation is reached:
@@ -375,8 +376,14 @@ class TestHiddenNotDeleted:
                 touched.extend(("add", row) for row in rows)
             return add_rows(relation, rows, *args)
 
+        def spy_discard_rows(relation, rows, *args):
+            if relation is reached:
+                touched.extend(("discard", row) for row in rows)
+            return discard_rows(relation, rows, *args)
+
         monkeypatch.setattr(Relation, "discard", spy_discard)
         monkeypatch.setattr(Relation, "add_rows", spy_add_rows)
+        monkeypatch.setattr(Relation, "discard_rows", spy_discard_rows)
         statistics = EvaluationStatistics()
         result = maintained.update(additions, retractions, statistics=statistics)
         for fact in retractions:

@@ -343,7 +343,8 @@ class TestInstanceIntegration:
 
 
 class TestBatchAdds:
-    """``add_rows``: what ``add`` does row by row, plus the id rows for the view."""
+    """``add_rows``: what ``add`` does row by row, plus the id rows for the view;
+    ``discard_rows`` is its mirror."""
 
     def test_a_batch_counts_and_logs_like_single_adds(self, edges):
         table = Instance().term_table()
@@ -398,6 +399,26 @@ class TestBatchAdds:
         view = edges.columnar(table)
         assert view.id_row_set == {table.intern_row(row) for row in edges.rows}
         assert len(view) == len(edges) == 7
+
+    def test_discard_rows_advances_the_cached_view_by_the_id_rows(self, edges):
+        table = Instance().term_table()
+        view = edges.columnar(table)
+        known = view.id_row_set
+        generation = edges.generation
+        gone = sorted(edges.rows, key=repr)[:2]
+        edges.discard_rows(set(gone), [table.intern_row(row) for row in gone], table)
+        assert edges._pending == {}  # advanced in step, nothing queued to re-intern
+        assert edges.generation == generation + 1
+        advanced = edges.columnar(table)
+        assert advanced.id_row_set is known == {table.intern_row(row) for row in edges.rows}
+        assert len(advanced) == len(edges) == 3 and len(view) == 5  # the old snapshot holds
+        assert_view_is_fresh(edges, table)
+
+    def test_discard_rows_refuses_a_row_not_held(self, edges):
+        table = Instance().term_table()
+        absent = next(iter(rows_of((("d",), ("x",)))))
+        with pytest.raises(ModelError):
+            edges.discard_rows({absent}, [table.intern_row(absent)], table)
 
 
 def assert_view_is_fresh(relation, table):
