@@ -488,11 +488,19 @@ class QuerySession:
     ):
         if check_flat and not instance.is_flat():
             raise ModelError("queries are defined on flat instances (no packed values)")
-        unknown = instance.relation_names - query.input_schema.relation_names
+        schema = query.input_schema
+        unknown = instance.relation_names - schema.relation_names
         if unknown:
             raise EvaluationError(
                 f"instance uses relations {sorted(unknown)} outside the input schema"
             )
+        for name in sorted(instance.relation_names):
+            arity = instance.arity_of(name)
+            if arity not in (None, schema[name]):
+                raise EvaluationError(
+                    f"relation {name!r} holds tuples of arity {arity}, but the input "
+                    f"schema {schema!r} gives it arity {schema[name]}"
+                )
         self.query = query
         self.instance = instance
         #: When ``False`` (one-shot queries), full-mode runs evaluate plainly
@@ -615,8 +623,8 @@ class QuerySession:
 
     def _materialization(
         self, statistics: EvaluationStatistics
-    ) -> "tuple[MaintainedFixpoint, ServedBy]":
-        """The maintained full fixpoint, synced with the pinned instance.
+    ) -> "tuple[Instance, ServedBy]":
+        """The full fixpoint, synced with the pinned instance.
 
         Out-of-band drift has already been checked by :meth:`lookup`; this
         either serves the live materialization or (re)builds it from
@@ -624,9 +632,9 @@ class QuerySession:
         produced.
         """
         if not self._memoize:
-            return self._plain_materialization(statistics), "full"
+            return self._evaluate(self.query.compiled, statistics), "full"
         if self._maintained is not None:
-            return self._maintained, "maintained"
+            return self._maintained.materialized, "maintained"
         try:
             maintained = MaintainedFixpoint.evaluate(
                 self.query.program,
@@ -641,20 +649,13 @@ class QuerySession:
             # The program cannot be maintained (e.g. a relation defined in
             # several strata): evaluate plainly and serve without a memo.
             self.last_maintenance_fallback = maintenance_reason(error)
-            return self._plain_materialization(statistics), "full"
+            return self._evaluate(self.query.compiled, statistics), "full"
         self._maintained = maintained
         # The materialization subsumes every tabled subgoal; keeping the
         # entries alive would only make later updates maintain dead state.
         self._tables.clear()
         self._record_basis()
-        return maintained, "full"
-
-    def _plain_materialization(self, statistics: EvaluationStatistics) -> MaintainedFixpoint:
-        """A one-shot full evaluation wrapped for serving, with no memo state."""
-        full = self._evaluate(self.query.compiled, statistics)
-        return MaintainedFixpoint(
-            self.query.program, full, [], self.query.limits, self.query.compiled
-        )
+        return maintained.materialized, "full"
 
     # -- updates -----------------------------------------------------------------------
 
@@ -682,13 +683,13 @@ class QuerySession:
         delta is applied and the result carries the ``out_of_band_mutation``
         reason.
         """
+        schema = self.query.input_schema
         delta = self.instance.begin_delta()
         for verb, facts in (("add", additions), ("retract", retractions)):
             for fact in facts:
-                if fact.relation not in self.query.input_schema:
+                if schema.get(fact.relation) != fact.arity:
                     raise EvaluationError(
-                        f"cannot {verb} facts of relation {fact.relation!r}: it is "
-                        f"outside the input schema {self.query.input_schema!r}"
+                        f"cannot {verb} {fact}: it is outside the input schema {schema!r}"
                     )
                 if verb == "add":
                     delta.add_fact(fact)
@@ -780,7 +781,9 @@ class QuerySession:
     ) -> "TableEntry | None":
         """:meth:`lookup`'s table probe for goal call *binding* (normalised)
         on a session with no materialization, counted in *statistics*; the
-        caller reads the answer off the entry, and evaluates on ``None``."""
+        caller reads the answer off the entry's
+        :attr:`~repro.engine.tabling.TableEntry.answers`, and runs
+        :meth:`evaluate_request` on ``None``."""
         self._drop_drifted_artifacts()
         return self._tables.lookup(tuple(sorted(binding)), binding, statistics)
 
@@ -789,38 +792,45 @@ class QuerySession:
         *,
         binding: "Mapping[int, object] | None" = None,
         mode: "QueryMode | None" = None,
-        looked_up: bool = False,
     ) -> QueryResult:
-        """Run the query against the session's instance.
-
-        What :meth:`lookup` finds is served first; ``looked_up=True`` says
-        the caller has just had ``None`` from it for this request, so
-        evaluation starts at once and the table is not probed twice.
-        """
-        held = None if looked_up else self.lookup(binding=binding, mode=mode)
+        """Run the query against the session's instance: what :meth:`lookup`
+        finds is served first, anything else by :meth:`evaluate_request`."""
+        held = self.lookup(binding=binding, mode=mode)
         if held is not None:
             return held
         wanted_mode, normalised = self._request(binding, mode)
         statistics = EvaluationStatistics()
-        fallback_reason: "str | None" = None
-        if wanted_mode == "goal":
-            goal, fallback_reason = self.query._goal_program_for_key(tuple(sorted(normalised)))
-            if goal is not None and self._memoize:
-                too_large = self._generalization_guard(goal[0], normalised)
-                if too_large is not None:
-                    goal, fallback_reason = None, too_large
-            if goal is not None:
-                result, fallback_reason = self._evaluate_goal(*goal, normalised, statistics)
-                if result is not None:
-                    return result
-
-        # Full-mode requests, and goal-mode requests that genuinely fell back
-        # to full evaluation (refused rewriting, budget breach): the answer
-        # is computed as a full query, and mode records that.
-        maintained, served_by = self._materialization(statistics)
-        return self._answer(
-            maintained.materialized, normalised, statistics, "full", served_by, fallback_reason
+        answered, served_mode, served_by, fallback_reason = self.evaluate_request(
+            normalised, wanted_mode, statistics
         )
+        return self._answer(
+            answered, normalised, statistics, served_mode, served_by, fallback_reason
+        )
+
+    def evaluate_request(
+        self, binding: Binding, mode: QueryMode, statistics: EvaluationStatistics
+    ) -> "tuple[Instance, QueryMode, ServedBy, str | None]":
+        """Evaluate a request :meth:`lookup` (or :meth:`lookup_entry`) found no
+        answer for, counted in *statistics*.
+
+        Returns the instance whose output relation, restricted by *binding*
+        (normalised), answers the request — a goal call's new table entry's
+        :attr:`~repro.engine.tabling.TableEntry.answers` (the plain magic
+        fixpoint when not memoizing), or the full fixpoint — with the
+        result's ``mode``, ``served_by`` and ``fallback_reason``.  A goal
+        call whose rewriting is refused, whose generalized entry is
+        oversized or which breaches the budget (its partial work stays
+        counted) falls back to the full fixpoint, evaluated once, and the
+        mode records that.
+        """
+        fallback_reason: "str | None" = None
+        if mode == "goal":
+            answered = self._evaluate_goal(binding, statistics)
+            if not isinstance(answered, str):
+                return answered, "goal", "goal", None
+            fallback_reason = answered
+        full, served_by = self._materialization(statistics)
+        return full, "full", served_by, fallback_reason
 
     def _generalization_guard(self, magic, normalised: Binding) -> "str | None":
         """The tabling cost model: refuse oversized generalized entries.
@@ -871,82 +881,59 @@ class QuerySession:
         )
 
     def _evaluate_goal(
-        self,
-        magic,
-        compiled: CompiledProgram,
-        normalised: Binding,
-        statistics: EvaluationStatistics,
-    ) -> "tuple[QueryResult | None, str | None]":
-        """Evaluate one goal-directed call, tabling its answers when memoizing.
-
-        Returns ``(result, None)`` on success and ``(None, reason)`` when the
-        evaluation breached its budget and the caller must fall back to full
-        evaluation.
-        """
-        seed_binding = {
-            position: normalised[position]
-            for position in magic.adornment.bound_positions
-        }
-        seed = magic.seed_fact(seed_binding)
+        self, binding: Binding, statistics: EvaluationStatistics
+    ) -> "Instance | str":
+        """The answer state of goal call *binding* — a new table entry's when
+        memoizing — or the registered reason it falls back for."""
+        goal, refusal = self.query._goal_program_for_key(tuple(sorted(binding)))
+        if goal is None:
+            return refusal
+        magic, compiled = goal
+        too_large = self._generalization_guard(magic, binding) if self._memoize else None
+        if too_large is not None:
+            return too_large
+        positions = tuple(magic.adornment.bound_positions)
+        values = tuple(binding[position] for position in positions)
+        seed = magic.seed_fact(dict(zip(positions, values)))
         try:
-            if self._memoize:
-                entry = self._table_entry_for(magic, compiled, seed_binding, seed, statistics)
-                self._tables.insert(entry)
-                self._record_basis()
-                full = entry.answers
-            else:
-                full = self._evaluate(compiled, statistics, seed_facts=(seed,))
+            if not self._memoize:
+                return self._evaluate(compiled, statistics, seed_facts=(seed,))
+            # Intern the base relations the magic program reads once, on the
+            # session's instance: every entry's working copy shares these views.
+            table = self.instance.term_table()
+            for name in magic.program.edb_relation_names() & self.instance.relation_names:
+                self.instance.storage(name).columnar(table)  # type: ignore[union-attr]
+            fixpoint = snapshot = None
+            try:
+                fixpoint = MaintainedFixpoint.evaluate(
+                    magic.program,
+                    self.instance,
+                    self.query.limits,
+                    statistics=statistics,
+                    compiled=compiled,
+                    seed_facts=(seed,),
+                )
+            except MaintenanceUnsupportedError:
+                # The magic program cannot be maintained; table a plain snapshot
+                # (served until the first update that touches its relations).
+                snapshot = self._evaluate(compiled, statistics, seed_facts=(seed,))
         except EvaluationBudgetExceeded as error:
-            return None, reason(
+            return reason(
                 GOAL_BUDGET_EXCEEDED,
                 f"goal-directed evaluation exceeded the limits ({error}); "
                 f"fell back to full evaluation",
             )
-        return self._answer(full, normalised, statistics, "goal", "goal"), None
-
-    def _table_entry_for(
-        self,
-        magic,
-        compiled: CompiledProgram,
-        seed_binding: Binding,
-        seed: Fact,
-        statistics: EvaluationStatistics,
-    ) -> TableEntry:
-        """Evaluate the *magic* program from *seed* into a (preferably maintained) entry."""
-        positions = tuple(magic.adornment.bound_positions)
-        values = tuple(seed_binding[position] for position in positions)
-        # Intern the base relations the magic program reads once, on the
-        # session's instance: every entry's working copy shares these views.
-        table = self.instance.term_table()
-        for name in magic.program.edb_relation_names() & self.instance.relation_names:
-            self.instance.storage(name).columnar(table)  # type: ignore[union-attr]
-        try:
-            fixpoint = MaintainedFixpoint.evaluate(
-                magic.program,
-                self.instance,
-                self.query.limits,
-                statistics=statistics,
-                compiled=compiled,
-                seed_facts=(seed,),
-            )
-        except MaintenanceUnsupportedError:
-            # The magic program cannot be maintained; table a plain snapshot
-            # (served until the first update that touches its relations).
-            snapshot = self._evaluate(compiled, statistics, seed_facts=(seed,))
-            return TableEntry(
-                self.query.output_relation,
-                positions,
-                values,
-                magic,
-                snapshot=snapshot,
-            )
-        return TableEntry(
+        entry = TableEntry(
             self.query.output_relation,
             positions,
             values,
             magic,
             fixpoint=fixpoint,
+            snapshot=snapshot,
         )
+        self._tables.insert(entry)
+        self._record_basis()
+        return entry.answers
 
     def _answer(
         self,

@@ -71,9 +71,11 @@ class TableEntry:
     maintenance can own it; ``snapshot`` the plain materialized instance
     otherwise.  Exactly one of the two is set.
 
-    :meth:`encoded_answer` memoises each encoded answer on the columnar view
-    of the output rows it encodes; an update that moves those rows yields a
-    new view, so nothing here is ever reset.
+    A call the entry answers — the goal miss that tabled it, and every hit it
+    subsumes — is encoded from :attr:`answers` like any engine reply
+    (:func:`~repro.io.serialization.relation_answer`), memoised on the output
+    relation's columnar view; an update that moves those rows yields a new
+    view, so nothing here is ever reset.
     """
 
     __slots__ = (
@@ -141,18 +143,6 @@ class TableEntry:
             binding.get(position) == value
             for position, value in zip(self.positions, self.values)
         )
-
-    def encoded_answer(self, binding: "Mapping[int, Path]") -> list:
-        """The encoded output rows matching *binding*, a call this entry
-        subsumes, memoised on the output relation's columnar view
-        (:func:`~repro.io.serialization.memoised_answer`)."""
-        from repro.io.serialization import NO_ROWS, memoised_answer  # it imports the engine
-
-        storage = self.answers.storage(self.output_relation)
-        if not storage:
-            return NO_ROWS
-        view = storage.columnar(self.answers.term_table())
-        return memoised_answer(view.answers, binding, view.select)
 
     def seed_binding(self) -> "dict[int, Path]":
         """The entry's seed as a binding mapping."""

@@ -51,6 +51,7 @@ __all__ = [
     "EncodedAnswer",
     "encode_answer",
     "memoised_answer",
+    "relation_answer",
     "statistics_to_json",
     "statistics_from_json",
     "query_result_to_json",
@@ -262,6 +263,23 @@ def memoised_answer(
         if answer:
             memo[key] = answer
     return answer
+
+
+def relation_answer(
+    instance: Instance, relation: str, binding: "Mapping[int, Path]"
+) -> EncodedAnswer:
+    """The encoded rows of *relation* in *instance* matching *binding*.
+
+    The answer of every reply the engine serves — a tabled hit or the miss
+    that tabled it, read off the entry's answers, and a full run or a goal's
+    fallback, read off the full materialization — memoised on the relation's
+    columnar view (:func:`memoised_answer`).
+    """
+    storage = instance.storage(relation)
+    if not storage:
+        return NO_ROWS
+    view = storage.columnar(instance.term_table())
+    return memoised_answer(view.answers, binding, view.select)
 
 
 def rows_from_json(data: "Iterable[Iterable[str]]") -> list[tuple[Path, ...]]:

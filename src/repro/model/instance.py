@@ -208,27 +208,6 @@ class Instance:
         """
         return InstanceDelta(self)
 
-    def replace_with(self, facts: Iterable[Fact]) -> None:
-        """Replace the entire contents with *facts*, reusing relation storage.
-
-        This is the incremental-delta primitive of semi-naive evaluation: the
-        fixpoint loop keeps one delta instance alive across rounds and swaps
-        its per-relation row sets in place instead of building a fresh
-        :class:`Instance` (and re-validating every fact) each iteration.
-        """
-        grouped: dict[str, set[tuple[Path, ...]]] = {}
-        for fact in facts:
-            grouped.setdefault(fact.relation, set()).add(fact.paths)
-        for name in list(self._relations):
-            if name not in grouped:
-                del self._relations[name]
-        for name, rows in grouped.items():
-            relation = self._relations.get(name)
-            if relation is None:
-                self._relations[name] = Relation(rows)
-            else:
-                relation.set_rows(rows)
-
     # -- access --------------------------------------------------------------------
 
     @property

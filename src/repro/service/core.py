@@ -84,7 +84,7 @@ from repro.io.serialization import (
     memoised_answer,
     path_from_text,
     path_to_text,
-    query_result_to_json,
+    relation_answer,
     rows_to_json,  # noqa: F401 - benchmarks/e2e/tracing.py patches it here
     statistics_to_json,
     update_result_to_json,
@@ -254,9 +254,14 @@ class SessionHandle:
 
     All engine work (builds, maintenance passes, cold evaluations) runs in
     the event loop's default executor under ``_lock`` — the
-    :class:`QuerySession` itself is single-threaded by contract.  Reads that
-    a committed view can answer bypass both; a goal the answer table holds
-    (:meth:`QuerySession.lookup_entry`) is served on the loop under the lock.
+    :class:`QuerySession` itself is single-threaded by contract, and the lock
+    serialises table probes, goal misses, write passes and snapshots.  Reads
+    that a committed view can answer bypass both.  Otherwise the engine
+    answers: a goal the answer table holds
+    (:meth:`QuerySession.lookup_entry`) on the loop under the lock, and a
+    goal miss, its fallback or a cold full run
+    (:meth:`QuerySession.evaluate_request`) in the executor.  All of them
+    reply in one shape, encoded from the instance that answered.
     """
 
     def __init__(
@@ -411,15 +416,27 @@ class SessionHandle:
     ) -> dict:
         """Queue one update batch and await its committed acknowledgement.
 
-        The batch is admitted (queue depth, EDB budget), queued, and merged
-        with every other batch pending when the flusher takes its next pass;
-        the returned ack carries the committed generation, the pass's merged
-        :class:`UpdateResult` (JSON-encoded), and ``coalesced_batches`` —
-        how many request batches shared the pass.
+        The batch is admitted (flat additions, queue depth, EDB budget),
+        queued, and merged with every other batch pending when the flusher
+        takes its next pass; the returned ack carries the committed
+        generation, the pass's merged :class:`UpdateResult` (JSON-encoded),
+        and ``coalesced_batches`` — how many request batches shared the pass.
+        An addition holding a packed value is refused with 400
+        ``update_rejected`` before anything is queued or logged: queries are
+        defined on flat instances, and a session that held one could not be
+        restored from its snapshot.
         """
         self._ensure_open()
         additions = list(additions)
         retractions = list(retractions)
+        packed = next((fact for fact in additions if not fact.is_flat()), None)
+        if packed is not None:
+            raise ServiceError(
+                400,
+                "update_rejected",
+                f"cannot add {packed}: queries are defined on flat instances "
+                f"(no packed values)",
+            )
         if len(self._pending) >= self.admission.max_pending_updates:
             self.shed_updates += 1
             raise ServiceError(
@@ -615,11 +632,15 @@ class SessionHandle:
         they run entirely on the event loop and never wait for an in-flight
         maintenance pass.  Without one, the request takes the session lock
         once: a view published while it waited is read as above; otherwise a
-        goal the subsumption table holds is a memo read on the loop, in the
-        shape :func:`query_result_to_json` gives its lookup, and anything
-        else is one run in the executor.  A *relation* other than the output
-        is read off the full materialization (built like a cold full query
-        when there is none).
+        goal the subsumption table holds is answered on the loop from that
+        entry, and anything else is evaluated once in the executor
+        (:meth:`QuerySession.evaluate_request`).  Every such engine reply has
+        the keys and values of the library result's encoding, then
+        ``generation`` and ``answers``, encoded from the instance that
+        answered — the entry, or the full materialization — by
+        :func:`~repro.io.serialization.relation_answer`.  A *relation* other
+        than the output is read off the full materialization (built like a
+        cold full query when there is none).
         """
         self._ensure_open()
         self.last_used = time.time()
@@ -642,26 +663,29 @@ class SessionHandle:
         normalised = self._normalise_binding(binding, relation)
         output_relation = relation or self.query.output_relation
         reads_other = output_relation != self.query.output_relation
+        wanted = "full" if reads_other else mode  # what the engine evaluates
         self._active_queries += 1
         try:
             view = self.committed
             served_by = "maintained"
-            answer = result = None
             if view is None:
-                session = self.session
                 statistics = EvaluationStatistics()
                 async with self._lock:
                     view = self.committed
-                    if view is None and mode == "goal" and not reads_other:
-                        entry = session.lookup_entry(normalised, statistics)
-                        answer = None if entry is None else entry.encoded_answer(normalised)
-                    if view is None and answer is None:
-                        run = partial(session.run, mode="full")
-                        if not reads_other:  # a goal miss was probed above: not again
-                            run = partial(
-                                session.run, binding=normalised, mode=mode, looked_up=mode == "goal"
-                            )
-                        result = await self._run_in_executor(run)
+                    entry = None
+                    if view is None and wanted == "goal":
+                        entry = self.session.lookup_entry(normalised, statistics)
+                    if entry is not None:
+                        answered, answered_mode, served_by, fallback = (
+                            entry.answers, "goal", "tabled", None
+                        )
+                    elif view is None:
+                        evaluate = partial(
+                            self.session.evaluate_request, normalised, wanted, statistics
+                        )
+                        answered, answered_mode, served_by, fallback = (
+                            await self._run_in_executor(evaluate)
+                        )
                         # A run that built the materialization publishes it,
                         # so later reads skip the lock.
                         self._commit_view()
@@ -669,9 +693,11 @@ class SessionHandle:
                             # A materialization maintenance cannot own is read
                             # once, unpublished (captured while no pass can run).
                             view = self.committed or CommittedView.capture(
-                                self.generation, result.full_instance
+                                self.generation, answered
                             )
-                            served_by = result.served_by
+                    if view is None:
+                        # Encoded under the lock, so no pass moves the rows.
+                        answer = relation_answer(answered, output_relation, normalised)
             self.queries_served += 1
             if view is not None:
                 self.queries_from_view += 1
@@ -684,21 +710,17 @@ class SessionHandle:
                     "answers": {output_relation: view.answer(output_relation, normalised)},
                 }
             self.queries_from_engine += 1
-            if answer is not None:
-                return {
-                    "kind": "query_result",
-                    "output_relation": output_relation,
-                    "binding": {str(p): path_to_text(value) for p, value in normalised.items()},
-                    "mode": "goal",
-                    "served_by": "tabled",
-                    "fallback_reason": None,
-                    "statistics": statistics_to_json(statistics),
-                    "generation": self.generation,
-                    "answers": {output_relation: answer},
-                }
-            encoded = query_result_to_json(result)
-            encoded["generation"] = self.generation
-            return encoded
+            return {
+                "kind": "query_result",
+                "output_relation": output_relation,
+                "binding": {str(p): path_to_text(value) for p, value in normalised.items()},
+                "mode": answered_mode,
+                "served_by": served_by,
+                "fallback_reason": fallback,
+                "statistics": statistics_to_json(statistics),
+                "generation": self.generation,
+                "answers": {output_relation: answer},
+            }
         except ServiceError:
             raise
         except SequenceDatalogError as error:

@@ -16,6 +16,7 @@ from repro.engine import (
     EvaluationStatistics,
     ProgramQuery,
     QueryResult,
+    QuerySession,
     evaluate_program,
 )
 from repro.engine.reasons import OUT_OF_BAND_MUTATION, reason_code
@@ -115,6 +116,15 @@ class TestServedBy:
         assert result.served_by == "full"
 
 
+def test_an_instance_contradicting_the_schema_arities_is_refused():
+    with pytest.raises(EvaluationError, match="arity 1"):
+        pair_query().session(Instance({"E": [("a",)]}))
+    # An empty relation has no arity to contradict.
+    empty = Instance()
+    empty.ensure_relation("E")
+    assert pair_query().session(empty).run().paths() == frozenset()
+
+
 class TestSessionUpdate:
     def test_update_maintains_and_serves_incrementally(self):
         instance = line_instance()
@@ -138,6 +148,17 @@ class TestSessionUpdate:
         session = pair_query().session(line_instance())
         with pytest.raises(EvaluationError, match="outside"):
             session.update(additions=[Fact("Unknown", [path("a")])])
+
+    def test_an_addition_contradicting_the_schema_arity_is_rejected(self):
+        # Even into a relation with no rows left to contradict: a session
+        # holding it could not be restored from its exported state.
+        session = pair_query().session(line_instance(2))
+        session.update(retractions=[edge("a", "n1")])
+        with pytest.raises(EvaluationError, match="outside the input schema"):
+            session.update(additions=[Fact("E", (path("a"),))])
+        assert session.instance.relation("E") == frozenset()
+        restored = QuerySession.restore(pair_query(), session.export_state())
+        assert restored.run().output.relation("T") == frozenset()
 
     def test_retractions_outside_schema_are_rejected_before_applying(self):
         instance = line_instance()

@@ -9,18 +9,27 @@ oracle (or a committed view of the full materialization) answers.
 
 import asyncio
 import json
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import ProgramQuery
+from repro.engine import EvaluationLimits, ProgramQuery, QuerySession
+from repro.engine.reasons import (
+    GENERALIZATION_TOO_LARGE,
+    GOAL_BUDGET_EXCEEDED,
+    REWRITE_UNSUPPORTED,
+    reason_code,
+)
 from repro.io.serialization import NO_ROWS, query_result_to_json, rows_to_json
-from repro.model import Fact, Instance, path
+from repro.model import Fact, Instance, path, unary_instance
 from repro.parser import parse_program
+from repro.queries import get_query
 from repro.service import ServiceApp, SessionHandle
 from repro.service.core import EncodedAnswer
 from repro.service.http import _dumps
+from repro.workloads import prefix_tree_instance
 
 REACHABILITY_PAIRS = """
 T(@x, @y) :- E(@x, @y).
@@ -280,3 +289,106 @@ class TestTabledHitMemo:
         library = query_result_to_json(handle.session.lookup(binding=binding, mode="goal"))
         assert hit == {**library, "generation": handle.generation}
         handle.close()
+
+
+DESCENDANTS = """
+D($t, $t) :- N($t).
+D($s, $t) :- D($s.a, $t).
+D($s, $t) :- D($s.b, $t).
+"""
+
+
+def pair_query(**options):
+    return ProgramQuery(
+        parse_program(REACHABILITY_PAIRS), {"E": 2}, "T", require_monadic=False, **options
+    )
+
+
+def engine_reply(make_query, instance, binding, mode, monkeypatch):
+    """A fresh unmaterialised handle's reply to one query, the library's result
+    for it from a session on a query of its own (cold plans on both sides),
+    and the calls the reply made to the session's evaluation steps."""
+    calls = []
+    for name in ("evaluate_request", "_evaluate_goal", "_materialization"):
+        method = getattr(QuerySession, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            calls.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(QuerySession, name, counted)
+    query = make_query()
+    handle = SessionHandle("s-engine", "tenant", query, query.session(instance.copy()))
+    reply = asyncio.run(handle.run_query(mode=mode, binding=binding))
+    handle.close()
+    monkeypatch.undo()
+    library = make_query().session(instance.copy()).run(binding=binding, mode=mode)
+    return reply, library, calls
+
+
+class TestEngineReplies:
+    """Every engine-served reply — a miss, a cold full run and each goal
+    fallback, like the hits above — is what the library's result encodes plus
+    the generation, with ``answers`` last so the HTTP layer splices it."""
+
+    def assert_library_shape(self, reply, library):
+        assert reply == {**query_result_to_json(library), "generation": 0}
+        assert list(reply)[-1] == "answers"
+        assert _dumps(reply) == json.dumps(reply)
+
+    @pytest.mark.parametrize("binding", [{0: "a"}, {0: "a", 1: "c"}, {1: "d"}, {}])
+    def test_a_miss_replies_what_the_library_run_encodes(self, binding, monkeypatch):
+        reply, library, calls = engine_reply(
+            pair_query, instance_from_edges(SEED_EDGES), binding, "goal", monkeypatch
+        )
+        assert reply["served_by"] == "goal"
+        assert calls == ["evaluate_request", "_evaluate_goal"]
+        self.assert_library_shape(reply, library)
+
+    @pytest.mark.parametrize("binding", [{0: "a"}, {}])
+    def test_a_cold_full_run_replies_what_the_library_run_encodes(self, binding, monkeypatch):
+        reply, library, calls = engine_reply(
+            pair_query, instance_from_edges(SEED_EDGES), binding, "full", monkeypatch
+        )
+        assert (reply["mode"], reply["served_by"]) == ("full", "full")
+        assert calls == ["evaluate_request", "_materialization"]
+        self.assert_library_shape(reply, library)
+
+    def test_a_refused_rewriting_falls_back_once(self, monkeypatch):
+        reply, library, calls = engine_reply(
+            get_query("only_as_air").make_query,
+            unary_instance("R", ["aa", "ab"]),
+            {},
+            "goal",
+            monkeypatch,
+        )
+        assert reason_code(reply["fallback_reason"]) == REWRITE_UNSUPPORTED
+        assert calls == ["evaluate_request", "_evaluate_goal", "_materialization"]
+        self.assert_library_shape(reply, library)
+
+    def test_an_oversized_generalization_falls_back_once(self, monkeypatch):
+        make_query = partial(
+            ProgramQuery, parse_program(DESCENDANTS), {"N": 1}, "D", require_monadic=False
+        )
+        binding = {0: path("b", "b", "b", "b", "a", "b", "b", "b", "b")}
+        reply, library, calls = engine_reply(
+            make_query, prefix_tree_instance(depth=9, seed=3), binding, "goal", monkeypatch
+        )
+        assert reason_code(reply["fallback_reason"]) == GENERALIZATION_TOO_LARGE
+        assert calls == ["evaluate_request", "_evaluate_goal", "_materialization"]
+        self.assert_library_shape(reply, library)
+
+    def test_a_budget_breach_falls_back_once_and_counts_the_goal_attempt(self, monkeypatch):
+        # The magic program needs one round more than the full program.
+        instance = instance_from_edges(SEED_EDGES)
+        full_rounds = pair_query().run(instance).statistics.iterations
+        make_query = partial(pair_query, limits=EvaluationLimits(max_iterations=full_rounds))
+        reply, library, calls = engine_reply(make_query, instance, {0: "a"}, "goal", monkeypatch)
+        assert reason_code(reply["fallback_reason"]) == GOAL_BUDGET_EXCEEDED
+        assert calls == ["evaluate_request", "_evaluate_goal", "_materialization"]
+        self.assert_library_shape(reply, library)
+        full_only = make_query().session(instance.copy()).run(mode="full").statistics
+        # A stratum's rounds count once it converges; its rule firings as they run.
+        assert reply["statistics"]["iterations"] == full_only.iterations
+        assert reply["statistics"]["rule_applications"] > full_only.rule_applications
+        assert reply["statistics"]["facts_derived"] > full_only.facts_derived

@@ -218,6 +218,46 @@ class TestRegistryPersistence:
         assert set(rows_from_json(before["answers"]["T"])) == set(expected)
         assert after["answers"] == before["answers"]
 
+    def test_a_packed_addition_is_refused_and_the_session_still_restores(self, tmp_path):
+        async def scenario():
+            app = ServiceApp(SessionRegistry(persist_root=tmp_path))
+            status, created = await app.dispatch(
+                "POST",
+                "/v1/sessions",
+                {
+                    "program": REACHABILITY_PAIRS,
+                    "instance": line_text(),
+                    "options": {"persist": "alpha"},
+                },
+            )
+            assert status == 201
+            route = f"/v1/sessions/{created['session']}"
+            status, refused = await app.dispatch(
+                "POST", f"{route}/update", {"add": [["E", "b", "<c>"]]}
+            )
+            assert status == 400 and refused["error"]["code"] == "update_rejected"
+            stats = app.registry.get(created["session"]).stats()
+            assert (stats["generation"], stats["pending_updates"], stats["records_logged"]) == (
+                0,
+                0,
+                0,
+            )
+            status, _ = await app.dispatch("POST", f"{route}/snapshot", {})
+            assert status == 200
+            status, before = await app.dispatch("POST", f"{route}/query", {})
+            assert status == 200
+            app.close()
+
+            replacement = SessionRegistry(persist_root=tmp_path)
+            (revived,) = await replacement.restore_all()
+            assert replacement.restore_errors == []
+            after = await revived.run_query()
+            replacement.close_all()
+            return before, after
+
+        before, after = asyncio.run(scenario())
+        assert after["answers"] == before["answers"]
+
     def test_wal_growth_triggers_snapshot_compaction(self, tmp_path):
         async def scenario():
             registry = SessionRegistry(persist_root=tmp_path, snapshot_wal_bytes=256)

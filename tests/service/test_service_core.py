@@ -616,6 +616,18 @@ class TestRegistry:
         asyncio.run(scenario())
         assert len(registry) == 0
 
+    def test_an_instance_contradicting_the_program_arities_is_400(self):
+        registry = SessionRegistry()
+
+        async def scenario():
+            with pytest.raises(ServiceError) as refused:
+                await registry.create(program=self.PROGRAM, instance="E(a).")
+            assert (refused.value.status, refused.value.code) == (400, "bad_upload")
+            assert "arity 1" in str(refused.value)
+
+        asyncio.run(scenario())
+        assert len(registry) == 0
+
     def test_service_capacity_evicts_the_least_recently_used(self):
         registry = SessionRegistry(max_sessions=2)
 

@@ -280,16 +280,6 @@ class TestMutationPathAudit:
         assert instance.storage("R") is storage
         assert instance.relation("R") == frozenset()
 
-    def test_replace_with_invalidates_cached_views(self):
-        from repro.model import Fact
-
-        instance = Instance()
-        instance.add("T", path("a"))
-        view = instance.relation("T")
-        instance.replace_with([Fact("T", [path("b")])])
-        assert instance.relation("T") is not view
-        assert instance.paths("T") == {path("b")}
-
     def test_set_relation_rows_creates_and_replaces(self):
         instance = Instance()
         instance.set_relation_rows("R", {(path("a"),)})
@@ -326,20 +316,6 @@ class TestInstanceIntegration:
         assert storage is not None
         assert storage.view() == {(path("a", "b"),), (path("b", "c"),)}
         assert instance.storage("missing") is None
-
-    def test_replace_with_reuses_relation_storage(self):
-        from repro.model import Fact
-
-        instance = Instance()
-        instance.add("T", path("a"))
-        before = instance.storage("T")
-        instance.replace_with([Fact("T", [path("b")]), Fact("U", [path("c")])])
-        assert instance.storage("T") is before
-        assert instance.paths("T") == {path("b")}
-        assert instance.paths("U") == {path("c")}
-        instance.replace_with([Fact("U", [path("d")])])
-        assert instance.storage("T") is None
-        assert instance.paths("U") == {path("d")}
 
 
 class TestBatchAdds:
