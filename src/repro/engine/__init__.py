@@ -8,7 +8,7 @@ from repro.engine.fixpoint import (
     evaluate_stratum,
 )
 from repro.engine.limits import DEFAULT_LIMITS, EvaluationLimits
-from repro.engine.maintenance import MaintainedFixpoint, MaintenanceResult
+from repro.engine.maintenance import MaintainedFixpoint
 from repro.engine.match import match_components, match_expression, match_fact
 from repro.engine.query import (
     ProgramQuery,
@@ -28,7 +28,6 @@ __all__ = [
     "EvaluationLimits",
     "EvaluationStatistics",
     "MaintainedFixpoint",
-    "MaintenanceResult",
     "ProgramQuery",
     "QueryMode",
     "QueryResult",

@@ -38,10 +38,11 @@ loops:
   (:meth:`CompiledRule.head_rows`); the resident semi-naive loop of
   :mod:`repro.engine.fixpoint` works on those sets directly,
   :meth:`CompiledRule.derive` is the same join followed by
-  :func:`decode_rows` for callers that traffic in
+  :func:`decode_rows`, the one call that returns
   :class:`~repro.model.instance.Fact` objects, and
-  :meth:`CompiledRule.derivation_counts` tallies the join's rows per head
-  instead of collapsing them — the support counts of counting maintenance.
+  :meth:`CompiledRule.derivation_counts` tallies the join's rows per head id
+  row instead of collapsing them — the support counts of counting
+  maintenance.
 
 What lowers: the whole language.  A component a join step can take apart
 deterministically — a lone variable, a ground path, or a sequence of atoms,
@@ -939,14 +940,14 @@ class CompiledRule:
         limits: EvaluationLimits = DEFAULT_LIMITS,
         statistics=None,
         negative_sources=None,
-    ) -> "dict[Fact, int]":
-        """Each derived fact with its number of derivations in this application.
+    ) -> Counter:
+        """Each derived head id row with its number of derivations in this application.
 
         A derivation is a valuation of *all* the rule's variables satisfying
-        the body — what counting maintenance keeps per fact — so the join
-        runs with every equation variable kept, its result rows (one per
-        valuation) are tallied by the head id row each constructs, and each
-        distinct head is decoded once.
+        the body — what counting maintenance keeps per row — so the join
+        runs with every equation variable kept and its result rows (one per
+        valuation) are tallied by the head id row each constructs.  Nothing
+        decodes: a row is decoded where it enters its relation.
         """
         joined = self._join(
             instance,
@@ -957,16 +958,11 @@ class CompiledRule:
             every_variable=True,
         )
         if joined is None:
-            return {}
+            return Counter()
         rows, slots = joined
         table = instance.term_table()
         spec = _target_spec(self.head_components, slots, table)
-        counts = Counter(_target_rows(spec, rows, table))
-        name = self.head_name
-        decoded = decode_rows(table, list(counts), limits)
-        return {
-            Fact._from_trusted(name, row): count for row, count in zip(decoded, counts.values())
-        }
+        return Counter(_target_rows(spec, rows, table))
 
 
 def _normalised(predicate: Predicate, tag: str) -> "tuple[tuple, list[_Equation]]":

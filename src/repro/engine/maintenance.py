@@ -6,15 +6,15 @@ keeps a program's materialized fixpoint — the result of
 :func:`~repro.engine.fixpoint.evaluate_program` — *maintained* under such
 drifts instead of recomputing it:
 
-* **Counting** (non-recursive strata): every derived fact carries the number
+* **Counting** (non-recursive strata): every derived row carries the number
   of distinct ``(rule, body valuation)`` derivations supporting it — a
-  valuation of *all* the rule's variables, tallied in id space
+  valuation of *all* the rule's variables, tallied per head id row
   (:meth:`~repro.engine.compiled.CompiledRule.derivation_counts`).  An
   update changes the counts by the telescoped delta joins
   ``new⁽<i⁾ ⊗ Δi ⊗ old⁽>i⁾`` (one term per body position over a changed
   relation), which count each gained and lost derivation exactly once;
-  a fact appears when its count leaves zero and disappears when it returns
-  there.
+  a row enters its relation when its count leaves zero and leaves when it
+  returns there.
 * **Delete–rederive** (recursive strata), in id space: deletions are
   *over-deleted* (everything derivable through a deleted fact, to a
   fixpoint, against the old state: the columnar views the changed relations
@@ -25,9 +25,12 @@ drifts instead of recomputing it:
   new rows decode, so a retraction pays for its net change.  All three
   phases run :func:`~repro.engine.fixpoint.semi_naive_rounds`.
 
-An update's running delta is id rows per changed relation: EDB rows are
-interned once, as they enter, and each stratum hands on its net change as id
-rows, so nothing is re-interned to read it.
+Both keep one row form, id rows: EDB rows are interned as they enter, support
+counts and pinned rows are keyed by ``(relation, id row)``, and each stratum
+hands on its net change as id rows.  A row enters a relation through
+:func:`~repro.engine.fixpoint.admit_rows` (its one decode, where the
+path-length limit is checked) and leaves through ``Relation.discard_rows``.
+Only :meth:`MaintainedFixpoint.support_state` builds facts.
 
 Both algorithms propagate **signed** deltas through stratified negation.  A
 negated literal ``not N(t̄)`` is an indicator that flips when ``N`` changes,
@@ -54,7 +57,7 @@ through negated literals.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.engine.compiled import CompiledProgram, CompiledRule, CompiledStratum
 from repro.engine.fixpoint import (
@@ -66,47 +69,23 @@ from repro.model.instance import Fact, Instance
 from repro.storage import ColumnarView, MaskedView, Relation, RowSources, TermTable
 from repro.syntax.programs import Program
 
-__all__ = ["MaintainedFixpoint", "MaintenanceResult"]
-
-
-class MaintenanceResult:
-    """The net effect one :meth:`MaintainedFixpoint.update` had.
-
-    ``added`` and ``removed`` are the facts (EDB and derived alike) that
-    appeared in / disappeared from the materialization; ``statistics``
-    accumulates the evaluation counters of the maintenance run.
-    """
-
-    __slots__ = ("added", "removed", "statistics")
-
-    def __init__(
-        self,
-        added: frozenset[Fact],
-        removed: frozenset[Fact],
-        statistics: EvaluationStatistics,
-    ):
-        self.added = added
-        self.removed = removed
-        self.statistics = statistics
-
-    def __repr__(self) -> str:
-        return f"MaintenanceResult(+{len(self.added)}, -{len(self.removed)})"
+__all__ = ["MaintainedFixpoint"]
 
 
 class _StratumState:
-    """Per-stratum maintenance state.
+    """Per-stratum maintenance state, keyed by ``(relation, id row)``.
 
     ``counts`` (counting strata only, ``None`` for a recursive one) maps
-    each derived fact to its number of distinct ``(rule, body valuation)``
-    derivations.  ``pinned`` holds facts of this stratum's head relations
+    each derived row to its number of distinct ``(rule, body valuation)``
+    derivations.  ``pinned`` holds the rows of this stratum's head relations
     that were already present in the *input* instance: they are axioms,
     never retracted by maintenance.
     """
 
     __slots__ = ("counts", "pinned")
 
-    def __init__(self, recursive: bool, pinned: frozenset[Fact]):
-        self.counts: "dict[Fact, int] | None" = None if recursive else {}
+    def __init__(self, recursive: bool, pinned: "frozenset[tuple[str, tuple]]"):
+        self.counts: "dict[tuple[str, tuple], int] | None" = None if recursive else {}
         self.pinned = pinned
 
 
@@ -251,12 +230,13 @@ class MaintainedFixpoint:
         if seed_facts is not None:
             for fact in seed_facts:
                 current.add_fact(fact)
+        table = current.term_table()
         states: list[_StratumState] = []
         for stratum in compiled.strata:
             pinned = frozenset(
-                Fact(name, row)
+                (name, table.intern_row(row))
                 for name in stratum.stratum.head_relation_names()
-                for row in current.relation(name)
+                for row in current.storage(name) or ()
             )
             state = _StratumState(stratum.recursive, pinned)
             if stratum.recursive:
@@ -280,11 +260,19 @@ class MaintainedFixpoint:
         :meth:`update` reads, so a snapshot carrying it can be restored by
         :meth:`from_support` without re-evaluating anything.
         """
+        path = self.materialized.term_table().path
+
+        def fact(key: "tuple[str, tuple]") -> Fact:
+            name, row = key
+            return Fact._from_trusted(name, tuple(map(path, row)))
+
         return [
             (
                 stratum.recursive,
-                None if state.counts is None else dict(state.counts),
-                state.pinned,
+                None
+                if state.counts is None
+                else {fact(key): count for key, count in state.counts.items()},
+                frozenset(map(fact, state.pinned)),
             )
             for stratum, state in zip(self.compiled.strata, self._states)
         ]
@@ -308,6 +296,11 @@ class MaintainedFixpoint:
         :class:`~repro.errors.MaintenanceUnsupportedError`.
         """
         compiled = CompiledProgram.of(program, compiled)
+        intern_row = materialized.term_table().intern_row
+
+        def key(fact: Fact) -> "tuple[str, tuple]":
+            return fact.relation, intern_row(fact.paths)
+
         states: list[_StratumState] = []
         triples = list(support)
         if len(triples) != len(program.strata):
@@ -323,9 +316,9 @@ class MaintainedFixpoint:
                     f"this build classifies it recursive={expected}; the snapshot "
                     f"matches a different program"
                 )
-            state = _StratumState(expected, frozenset(pinned))
+            state = _StratumState(expected, frozenset(map(key, pinned)))
             if not expected:
-                state.counts = dict(counts or {})
+                state.counts = {key(fact): count for fact, count in (counts or {}).items()}
             states.append(state)
         return cls(program, materialized, states, limits, compiled)
 
@@ -340,7 +333,7 @@ class MaintainedFixpoint:
         """One counting pass over a non-recursive stratum.
 
         No head relation is read by any body in the stratum, so a single
-        round reaches the fixpoint; the derived facts are applied after
+        round reaches the fixpoint; the counted rows are admitted after
         every rule was counted, so the read views stay stable.
         """
         for plan in stratum.rules:
@@ -348,16 +341,17 @@ class MaintainedFixpoint:
         limits.check_iterations(1)
         counts = state.counts
         assert counts is not None
+        found: "dict[str, set]" = {}
         for plan in stratum.rules:
             statistics.rule_applications += 1
-            for fact, count in plan.derivation_counts(current, None, limits, statistics).items():
-                counts[fact] = counts.get(fact, 0) + count
-        new_facts = 0
-        for fact in counts:
-            if fact not in current:
-                current.add_fact(fact)
-                new_facts += 1
-        statistics.facts_derived += new_facts
+            name = plan.head_name
+            tally = plan.derivation_counts(current, None, limits, statistics)
+            for row, count in tally.items():
+                counts[name, row] = counts.get((name, row), 0) + count
+            found.setdefault(name, set()).update(tally)
+        statistics.facts_derived += sum(
+            len(admit_rows(current, name, rows, limits)) for name, rows in found.items()
+        )
         limits.check_fact_count(current.fact_count())
         statistics.merge_stratum(1)
 
@@ -369,7 +363,7 @@ class MaintainedFixpoint:
         retractions: Iterable[Fact] = (),
         *,
         statistics: "EvaluationStatistics | None" = None,
-    ) -> MaintenanceResult:
+    ) -> EvaluationStatistics:
         """Apply an EDB delta and maintain every derived relation.
 
         *additions* and *retractions* must target EDB relations (relations
@@ -379,6 +373,7 @@ class MaintainedFixpoint:
         any state — when the update names a relation the program has never
         heard of.  Updates that reach relations read under (stratified)
         negation are maintained exactly via signed delta propagation.
+        Returns *statistics* (a fresh one when not given), counted into.
         """
         if not self._valid:
             raise EvaluationError(
@@ -414,11 +409,9 @@ class MaintainedFixpoint:
             for fact in retractions
             if fact not in added_set and fact in self.materialized
         }
-        result_added: set[Fact] = set(added_facts)
-        result_removed: set[Fact] = set(removed_facts)
         touched = {fact.relation for fact in added_facts | removed_facts}
         if not touched:
-            return MaintenanceResult(frozenset(), frozenset(), statistics)
+            return statistics
 
         # From here on the materialization mutates; any failure leaves it
         # inconsistent with the support state, so poison the fixpoint.
@@ -431,10 +424,8 @@ class MaintainedFixpoint:
                 removed_rows = {f.paths for f in removed_facts if f.relation == name}
                 added_ids = set(map(table.intern_row, added_rows))
                 removed_ids = set(map(table.intern_row, removed_rows))
-                if removed_rows:
-                    self.materialized.storage(name).discard_rows(  # type: ignore[union-attr]
-                        removed_rows, list(removed_ids), table
-                    )
+                if removed_ids:
+                    self._discard(name, removed_ids)
                 if added_rows:
                     self.materialized.add_rows(name, added_rows, list(added_ids))
                 changes.record(name, added_ids, removed_ids)
@@ -452,14 +443,12 @@ class MaintainedFixpoint:
                     net = self._maintain_counting_stratum(stratum, state, changes, statistics)
                 for name, (added_ids, removed_ids) in net.items():
                     changes.record(name, added_ids, removed_ids)
-                    result_added.update(_facts(table, name, added_ids))
-                    result_removed.update(_facts(table, name, removed_ids))
                     statistics.facts_retracted += len(removed_ids)
             self.limits.check_fact_count(self.materialized.fact_count())
         except Exception:
             self._valid = False
             raise
-        return MaintenanceResult(frozenset(result_added), frozenset(result_removed), statistics)
+        return statistics
 
     # -- counting maintenance ----------------------------------------------------------
 
@@ -492,12 +481,13 @@ class MaintainedFixpoint:
         """
         statistics.maintenance_rounds += 1
         assert state.counts is not None
-        delta_counts: "Counter[Fact]" = Counter()
-        gain, lose = delta_counts.update, delta_counts.subtract
+        delta_counts: "dict[str, Counter]" = {}
         for plan in stratum.rules:
             if not (plan.rule.body_relation_names() & changes.names):
                 continue
             statistics.rule_applications += 1
+            delta = delta_counts.setdefault(plan.head_name, Counter())
+            gain, lose = delta.update, delta.subtract
             positions = plan.positions_in_order
             changed_negations = _changed_negations(plan, changes)
             # Negations follow every positive predicate in the static order,
@@ -560,45 +550,58 @@ class MaintainedFixpoint:
 
     def _apply_count_deltas(
         self,
-        delta_counts: "dict[Fact, int]",
+        delta_counts: "dict[str, Counter]",
         state: _StratumState,
         statistics: EvaluationStatistics,
     ) -> "dict[str, tuple[set, set]]":
-        """Fold signed derivation-count deltas into the stratum's count state.
+        """Fold signed derivation-count deltas, per head relation, into the stratum's counts.
 
-        A fact whose support count crosses zero materializes (or retracts);
-        pinned facts stay present regardless.  Returns the net change as id
-        rows, added and removed, per relation.
+        A row whose support count leaves zero enters its relation, one whose
+        count returns there leaves it; pinned rows stay present regardless.
+        Returns the net change as id rows, added and removed, per relation.
         """
         counts = state.counts
         assert counts is not None
-        intern_row = self.materialized.term_table().intern_row
         net: "dict[str, tuple[set, set]]" = {}
-        for fact, change in delta_counts.items():
-            if change == 0:
-                continue
-            before = counts.get(fact, 0)
-            after = before + change
-            if after < 0:
-                raise EvaluationError(
-                    f"maintenance drove the support count of {fact} below zero; "
-                    f"the counting state is corrupt"
-                )
-            if after:
-                counts[fact] = after
-            else:
-                counts.pop(fact, None)
-            pinned = fact in state.pinned
-            present_before = pinned or before > 0
-            present_after = pinned or after > 0
-            if present_after and not present_before:
-                self.materialized.add_fact(fact)
-                net.setdefault(fact.relation, (set(), set()))[0].add(intern_row(fact.paths))
-            elif present_before and not present_after:
-                self.materialized.discard_fact(fact, keep_empty=True)
-                net.setdefault(fact.relation, (set(), set()))[1].add(intern_row(fact.paths))
-        statistics.facts_derived += sum(len(added) for added, _ in net.values())
+        for name, deltas in delta_counts.items():
+            gained, lost = set(), set()
+            for row, change in deltas.items():
+                if not change:
+                    continue
+                key = (name, row)
+                before = counts.get(key, 0)
+                after = before + change
+                if after < 0:
+                    raise EvaluationError(
+                        f"maintenance drove the support count of a row of {name!r} below "
+                        f"zero; the counting state is corrupt"
+                    )
+                if after:
+                    counts[key] = after
+                else:
+                    del counts[key]
+                if key in state.pinned:
+                    continue
+                if not before:
+                    gained.add(row)
+                elif not after:
+                    lost.add(row)
+            if gained:
+                gained = admit_rows(self.materialized, name, gained, self.limits)
+                statistics.facts_derived += len(gained)
+            if lost:
+                self._discard(name, lost)
+            if gained or lost:
+                net[name] = (gained, lost)
         return net
+
+    def _discard(self, name: str, rows: set) -> None:
+        """Remove the id rows *rows*, all present, from relation *name*."""
+        table = self.materialized.term_table()
+        id_rows = list(rows)
+        self.materialized.storage(name).discard_rows(  # type: ignore[union-attr]
+            set(table.decode_rows(id_rows)), id_rows, table
+        )
 
     # -- delete-rederive maintenance ---------------------------------------------------
 
@@ -685,10 +688,7 @@ class MaintainedFixpoint:
 
         for name, rows in hidden.items():
             if rows:
-                id_rows = list(rows)
-                self.materialized.storage(name).discard_rows(  # type: ignore[union-attr]
-                    set(table.decode_rows(id_rows)), id_rows, table
-                )
+                self._discard(name, rows)
         statistics.facts_derived += sum(map(len, added.values()))
         return {
             name: (added.get(name, set()), hidden.get(name, set()))
@@ -729,7 +729,6 @@ class MaintainedFixpoint:
         admitted now.
         """
         table = self.materialized.term_table()
-        pinned = _pinned_rows(state, table)
         killed = survivors is None
         delta = changes.added_overlay if killed else changes.removed_overlay
         seeds: "dict[str, set]" = {}
@@ -762,7 +761,7 @@ class MaintainedFixpoint:
                     stored = self.materialized.storage(head)
                     derived &= stored.columnar(table).id_row_set if stored else set()
                 seeds.setdefault(head, set()).update(
-                    row for row in derived if (head, row) not in pinned
+                    row for row in derived if (head, row) not in state.pinned
                 )
         return seeds
 
@@ -782,7 +781,6 @@ class MaintainedFixpoint:
         holds them, unpinned and not over-deleted yet; nothing decodes.
         """
         table = self.materialized.term_table()
-        pinned = _pinned_rows(state, table)
         overdeleted = {name: set(rows) for name, rows in seeds.items()}
 
         def take(found: "dict[str, set]") -> "dict[str, set]":
@@ -792,7 +790,7 @@ class MaintainedFixpoint:
                 present = stored.columnar(table).id_row_set if stored else set()
                 known = overdeleted.setdefault(head, set())
                 fresh[head] = {
-                    row for row in rows & present if row not in known and (head, row) not in pinned
+                    row for row in rows & present if row not in known and (head, row) not in state.pinned
                 }
                 known |= fresh[head]
             return fresh
@@ -821,13 +819,3 @@ class MaintainedFixpoint:
             or None,
         )
         return {name: rows for name, rows in overdeleted.items() if rows}
-
-
-def _pinned_rows(state: _StratumState, table) -> "set[tuple[str, tuple]]":
-    """The stratum's pinned facts as ``(relation, id row)`` pairs."""
-    return {(fact.relation, table.intern_row(fact.paths)) for fact in state.pinned}
-
-
-def _facts(table: TermTable, name: str, id_rows: set) -> "Iterator[Fact]":
-    """The id rows *id_rows* of relation *name* as facts."""
-    return (Fact._from_trusted(name, row) for row in table.decode_rows(list(id_rows)))

@@ -503,6 +503,7 @@ class QuerySession:
                 )
         self.query = query
         self.instance = instance
+        self._check_flat = check_flat
         #: When ``False`` (one-shot queries), full-mode runs evaluate plainly
         #: instead of building and memoizing maintenance support state, and
         #: goal-mode runs bypass the subgoal answer table.
@@ -681,20 +682,15 @@ class QuerySession:
         materialization when one existed, otherwise surviving table entries.
         After an out-of-band mutation there is nothing left to maintain: the
         delta is applied and the result carries the ``out_of_band_mutation``
-        reason.
+        reason.  :meth:`check_update` runs before anything mutates.
         """
-        schema = self.query.input_schema
+        additions, retractions = list(additions), list(retractions)
+        self.check_update(additions, retractions)
         delta = self.instance.begin_delta()
-        for verb, facts in (("add", additions), ("retract", retractions)):
-            for fact in facts:
-                if schema.get(fact.relation) != fact.arity:
-                    raise EvaluationError(
-                        f"cannot {verb} {fact}: it is outside the input schema {schema!r}"
-                    )
-                if verb == "add":
-                    delta.add_fact(fact)
-                else:
-                    delta.retract_fact(fact)
+        for fact in additions:
+            delta.add_fact(fact)
+        for fact in retractions:
+            delta.retract_fact(fact)
         # Drift must be checked before the delta mutates the instance, or
         # the basis recorded below would bury it.
         drift = self._drop_drifted_artifacts()
@@ -733,6 +729,27 @@ class QuerySession:
             fallback_reason=fallback,
             statistics=statistics,
         )
+
+    def check_update(
+        self, additions: Iterable[Fact] = (), retractions: Iterable[Fact] = ()
+    ) -> None:
+        """Refuse a delta :meth:`update` cannot take: a fact outside the input
+        schema or of a wrong arity (:class:`~repro.errors.EvaluationError`),
+        or, with ``check_flat``, a packed addition (:class:`~repro.errors.ModelError`:
+        a session holding one could not be restored).  Reads only the facts
+        and the query, so it is safe beside a running update."""
+        schema = self.query.input_schema
+        for verb, facts in (("add", additions), ("retract", retractions)):
+            for fact in facts:
+                if schema.get(fact.relation) != fact.arity:
+                    raise EvaluationError(
+                        f"cannot {verb} {fact}: it is outside the input schema {schema!r}"
+                    )
+                if verb == "add" and self._check_flat and not fact.is_flat():
+                    raise ModelError(
+                        f"cannot add {fact}: queries are defined on flat instances "
+                        f"(no packed values)"
+                    )
 
     # -- queries -----------------------------------------------------------------------
 

@@ -416,27 +416,23 @@ class SessionHandle:
     ) -> dict:
         """Queue one update batch and await its committed acknowledgement.
 
-        The batch is admitted (flat additions, queue depth, EDB budget),
-        queued, and merged with every other batch pending when the flusher
-        takes its next pass; the returned ack carries the committed
-        generation, the pass's merged :class:`UpdateResult` (JSON-encoded),
-        and ``coalesced_batches`` — how many request batches shared the pass.
-        An addition holding a packed value is refused with 400
-        ``update_rejected`` before anything is queued or logged: queries are
-        defined on flat instances, and a session that held one could not be
-        restored from its snapshot.
+        The batch is admitted (:meth:`QuerySession.check_update`, queue
+        depth, EDB budget), queued, and merged with every other batch pending
+        when the flusher takes its next pass; the returned ack carries the
+        committed generation, the pass's merged :class:`UpdateResult`
+        (JSON-encoded), and ``coalesced_batches`` — how many request batches
+        shared the pass.  A batch the session's check refuses (a relation
+        outside the input schema, a wrong arity, a packed addition) gets 400
+        ``update_rejected`` before anything is queued or logged, so it never
+        fails the batches it would have been merged with.
         """
         self._ensure_open()
         additions = list(additions)
         retractions = list(retractions)
-        packed = next((fact for fact in additions if not fact.is_flat()), None)
-        if packed is not None:
-            raise ServiceError(
-                400,
-                "update_rejected",
-                f"cannot add {packed}: queries are defined on flat instances "
-                f"(no packed values)",
-            )
+        try:
+            self.session.check_update(additions, retractions)
+        except SequenceDatalogError as error:
+            raise ServiceError(400, "update_rejected", str(error)) from error
         if len(self._pending) >= self.admission.max_pending_updates:
             self.shed_updates += 1
             raise ServiceError(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine import (
+    EvaluationLimits,
     EvaluationStatistics,
     CompiledRule,
     MaintainedFixpoint,
@@ -10,7 +11,7 @@ from repro.engine import (
     evaluate_program,
 )
 from repro.engine.reference import reference_fixpoint
-from repro.errors import EvaluationError, MaintenanceUnsupportedError
+from repro.errors import EvaluationBudgetExceeded, EvaluationError, MaintenanceUnsupportedError
 from repro.io import instance_from_text
 from repro.model import Fact, Instance, path, unary_instance
 from repro.parser import parse_program, parse_rule
@@ -44,6 +45,14 @@ def line_instance(*nodes):
 
 def assert_maintained_matches_scratch(maintained, program, base):
     assert maintained.materialized == reference_fixpoint(program, base)
+
+
+def net_change(maintained, additions=(), retractions=(), **options):
+    """Run one update; return the facts it added to and removed from the materialization."""
+    before = set(maintained.materialized.facts())
+    maintained.update(additions, retractions, **options)
+    after = set(maintained.materialized.facts())
+    return after - before, before - after
 
 
 class TestInitialEvaluation:
@@ -203,9 +212,9 @@ class TestStratifiedNegationMaintenance:
         base.add("B", path("b"))
         maintained = MaintainedFixpoint.evaluate(program, base.copy())
         assert maintained.materialized.contains("S", path("a"))
-        result = maintained.update(additions=[Fact("B", [path("a")])])
+        _, removed = net_change(maintained, additions=[Fact("B", [path("a")])])
         base.add("B", path("a"))
-        assert Fact("S", (path("a"),)) in result.removed
+        assert Fact("S", (path("a"),)) in removed
         assert not maintained.materialized.contains("S", path("a"))
         assert_maintained_matches_scratch(maintained, program, base)
 
@@ -314,11 +323,13 @@ class TestUnsupportedAndErrors:
         program = parse_program(REACHABILITY_PAIRS)
         base = line_instance("a", "b")
         maintained = MaintainedFixpoint.evaluate(program, base)
-        result = maintained.update(
+        before = set(maintained.materialized.facts())
+        statistics = maintained.update(
             additions=[edge("a", "b")],  # already present
             retractions=[edge("x", "y")],  # absent
         )
-        assert not result.added and not result.removed
+        assert statistics == EvaluationStatistics()
+        assert set(maintained.materialized.facts()) == before
 
 
 class TestPinnedFacts:
@@ -385,7 +396,7 @@ class TestHiddenNotDeleted:
         monkeypatch.setattr(Relation, "add_rows", spy_add_rows)
         monkeypatch.setattr(Relation, "discard_rows", spy_discard_rows)
         statistics = EvaluationStatistics()
-        result = maintained.update(additions, retractions, statistics=statistics)
+        result = net_change(maintained, additions, retractions, statistics=statistics)
         for fact in retractions:
             base.discard_fact(fact)
         for fact in additions:
@@ -408,17 +419,17 @@ class TestHiddenNotDeleted:
         assert touched == []
         assert reached.generation == generation
         assert reached.columnar(maintained.materialized.term_table()) is view
-        assert result.removed == {edge("a", "b")} and not result.added
+        assert result == (set(), {edge("a", "b")})
         query = ProgramQuery(
             parse_program(REACHABILITY_PAIRS), {"E": 2}, "T", require_monadic=False
         )
         assert Instance({"T": reached.rows}) == oracle_output(query, base)
         # Retracting E(e, b) too: T(e, b) and T(e, d) lose their last
         # support, and T(e, d) must not lean on the hidden T(e, b).
-        result = maintained.update([], [edge("e", "b")])
+        _, removed = net_change(maintained, [], [edge("e", "b")])
         base.discard_fact(edge("e", "b"))
         assert Instance({"T": reached.rows}) == oracle_output(query, base)
-        assert {fact for fact in result.removed if fact.relation == "T"} == {
+        assert {fact for fact in removed if fact.relation == "T"} == {
             Fact("T", (path("e"), path(t))) for t in ("b", "d")
         } | {Fact("T", (path("a"), path("b")))}
 
@@ -436,13 +447,23 @@ class TestHiddenNotDeleted:
             [("add", (path(s), path(t))) for s, t in new] + [("discard", (path("x"), path("d")))],
             key=repr,
         )
-        assert {fact for fact in result.added if fact.relation == "T"} == {
+        added, _ = result
+        assert {fact for fact in added if fact.relation == "T"} == {
             Fact("T", (path(s), path(t))) for s, t in new
         }
         query = ProgramQuery(
             parse_program(REACHABILITY_PAIRS), {"E": 2}, "T", require_monadic=False
         )
         assert Instance({"T": reached.rows}) == oracle_output(query, base)
+
+
+def decoded_counts(plan, instance, **options):
+    """``plan.derivation_counts``, its head id rows decoded to the facts' text."""
+    path_of = instance.term_table().path
+    return {
+        str(Fact(plan.head_name, tuple(map(path_of, row)))): count
+        for row, count in plan.derivation_counts(instance, **options).items()
+    }
 
 
 class TestIdSpaceCounting:
@@ -453,21 +474,20 @@ class TestIdSpaceCounting:
         rule = parse_rule("S($x) :- R($x), $x = $u·a·$v.")
         instance = instance_from_text("R(a·b·a). R(b). R(a·a·a).")
         plan = CompiledRule(rule)
-        counts = {str(fact): n for fact, n in plan.derivation_counts(instance).items()}
+        counts = decoded_counts(plan, instance)
         assert counts == {"S(a·b·a)": 2, "S(a·a·a)": 3}
         # One application derives each fact once, however many valuations.
         assert {str(fact) for fact in plan.derive(instance)} == set(counts)
         # A frontier restricts the count like it restricts the join.
         delta = instance_from_text("R(a·a·a).")
         (position,) = plan.predicate_positions["R"]
-        restricted = plan.derivation_counts(instance, frontier={position: delta})
-        assert {str(fact): n for fact, n in restricted.items()} == {"S(a·a·a)": 3}
+        restricted = decoded_counts(plan, instance, frontier={position: delta})
+        assert restricted == {"S(a·a·a)": 3}
 
     def test_a_constructing_head_sums_the_valuations_it_collapses(self):
         rule = parse_rule("T($u·$v) :- A($u), B($v).")
         instance = instance_from_text("A(a). A(a·b). B(b·c). B(c).")
-        counts = CompiledRule(rule).derivation_counts(instance)
-        assert {str(fact): n for fact, n in counts.items()} == {
+        assert decoded_counts(CompiledRule(rule), instance) == {
             "T(a·b·c)": 2,  # a + b·c and a·b + c
             "T(a·c)": 1,
             "T(a·b·b·c)": 1,
@@ -484,6 +504,41 @@ class TestIdSpaceCounting:
         assert counts_of(maintained) == {"S(a·a)": 2, "S(a·b·a)": 2}
         assert_maintained_matches_scratch(
             maintained, program, instance_from_text("R(a·a). R(b). R(a·b·a).")
+        )
+
+
+class TestCountingAdmission:
+    """A counted row enters its relation where every derived row does
+    (``fixpoint.admit_rows``): decoded once, its path length checked there,
+    and the relation's columnar view advanced by the id rows."""
+
+    def test_a_head_path_over_the_limit_is_refused_at_build_and_on_update(self):
+        program = parse_program("S($x.$x) :- R($x).")
+        limits = EvaluationLimits(max_path_length=4)
+        with pytest.raises(EvaluationBudgetExceeded) as built:
+            MaintainedFixpoint.evaluate(program, instance_from_text("R(a·b·c)."), limits)
+        assert built.value.limit_name == "max_path_length"
+        maintained = MaintainedFixpoint.evaluate(program, instance_from_text("R(a·b)."), limits)
+        assert maintained.materialized.contains("S", path("a", "b", "a", "b"))
+        with pytest.raises(EvaluationBudgetExceeded) as updated:
+            maintained.update(facts_of("R(a·b·c)."))
+        assert updated.value.limit_name == "max_path_length"
+
+    def test_the_head_relation_keeps_no_pending_path_rows(self):
+        program = parse_program("S($u, $v) :- R($x), $x = $u.a.$v.")
+        base = instance_from_text("R(b·a·b). R(a·a).")
+        maintained = MaintainedFixpoint.evaluate(program, base.copy())
+        materialized = maintained.materialized
+        table = materialized.term_table()
+        storage = materialized.storage("S")
+        assert storage._pending == {}  # the build founded the view with its id rows
+        storage.columnar(table)
+        maintained.update(facts_of("R(b·a)."), facts_of("R(b·a·b)."))
+        assert storage._pending == {}  # rows entered and left by their id rows
+        view = storage.columnar(table)
+        assert view.id_row_set == {table.intern_row(row) for row in materialized.relation("S")}
+        assert_maintained_matches_scratch(
+            maintained, program, instance_from_text("R(a·a). R(b·a).")
         )
 
 

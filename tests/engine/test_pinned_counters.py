@@ -5,11 +5,14 @@ the benchmark's per-layer report, so a refactor of either must leave every
 :class:`~repro.engine.EvaluationStatistics` field — and the fact count —
 exactly where it was.  The table covers a cold evaluation of each
 ``eval_sequences`` program of :mod:`repro.queries.canonical`, the three
-graph programs, and a maintained stream of mixed batches on both graph
-programs (delete–rederive, and counting for ``Blocked``).  Inputs come from
-the seeded generators of :mod:`repro.workloads`.
+graph programs, and a maintained stream of mixed batches on two graph
+programs (delete–rederive, and counting for ``Blocked``) and on the two
+counting shapes of ``benchmarks/history/pr46_counting.txt``: a two-hop join
+under negation and a one-rule sequence program with a binding equation.
+Inputs come from the seeded generators of :mod:`repro.workloads`.
 """
 
+import random
 from dataclasses import astuple
 
 import pytest
@@ -27,6 +30,7 @@ from repro.workloads import (
     random_event_log_instance,
     random_nfa_instance,
     random_string_instance,
+    random_word,
     update_stream,
 )
 
@@ -40,6 +44,10 @@ Blocked(@x) :- Blocklist(@x).
 T(@x, @y) :- E(@x, @y), not Blocked(@y).
 T(@x, @z) :- T(@x, @y), E(@y, @z), not Blocked(@z).
 """
+
+TWO_HOP_NEGATION = "H(@x, @z) :- E(@x, @y), E(@y, @z), not B(@z)."
+
+SEQUENCE_BINDING_EQUATION = "S($u, $v) :- R($x), $x = $u.a.$v."
 
 SEQUENCE_PROGRAMS = (
     "nfa_acceptance",
@@ -69,12 +77,16 @@ def layered_edges():
     return as_edge_pairs(layered_graph_instance(layers=5, width=5, seed=46))
 
 
-def blocked_input():
+def blocked_input(relation="Blocklist"):
     instance = layered_edges()
-    instance.ensure_relation("Blocklist")
+    instance.ensure_relation(relation)
     for node in ("l2n1", "l3n3"):
-        instance.add("Blocklist", path(node))
+        instance.add(relation, path(node))
     return instance
+
+
+def words_input():
+    return random_string_instance(paths=20, max_length=8, seed=46)
 
 
 GRAPH_INPUTS = {
@@ -84,6 +96,13 @@ GRAPH_INPUTS = {
     ),
     "reachability_layered": (REACHABILITY, layered_edges),
     "blocked_reachability": (BLOCKED_REACHABILITY, blocked_input),
+}
+
+MAINTAINED_INPUTS = {
+    "reachability_layered": GRAPH_INPUTS["reachability_layered"],
+    "blocked_reachability": GRAPH_INPUTS["blocked_reachability"],
+    "two_hop_negation": (TWO_HOP_NEGATION, lambda: blocked_input("B")),
+    "sequence_binding_equation": (SEQUENCE_BINDING_EQUATION, words_input),
 }
 
 
@@ -97,9 +116,29 @@ def evaluated(program, instance, limits=DEFAULT_LIMITS):
     return pinned(statistics, evaluate_program(program, instance, limits, statistics=statistics))
 
 
+#: The negated relation a graph stream toggles nodes of.
+TOGGLED = {"blocked_reachability": "Blocklist", "two_hop_negation": "B"}
+
+
+def word_batches(instance):
+    """*STREAM_BATCHES* batches, each adding a random word and retracting one held."""
+    generator = random.Random(46)
+    held = sorted(instance.relation("R"), key=repr)
+    stream = []
+    for _ in range(STREAM_BATCHES):
+        word = (random_word(generator, ("a", "b"), 8),)
+        gone = held.pop(generator.randrange(len(held)))
+        held.append(word)
+        stream.append(([Fact("R", word)], [Fact("R", gone)]))
+    return stream
+
+
 def batches(name, instance):
-    """*STREAM_BATCHES* mixed batches; on the blocked program every fourth
-    also toggles a blocked node, so negation seeds both DRed phases."""
+    """*STREAM_BATCHES* mixed batches; on a program with negation every
+    fourth also toggles a node of the negated relation, so negation seeds
+    both DRed phases, or pivots a counting join."""
+    if name == "sequence_binding_equation":
+        return word_batches(instance)
     stream = list(
         update_stream(
             instance,
@@ -110,9 +149,9 @@ def batches(name, instance):
             seed=46,
         )
     )
-    if name != "blocked_reachability":
+    if name not in TOGGLED:
         return stream
-    toggled = [Fact("Blocklist", [path(node)]) for node in ("l1n2", "l2n1", "l3n0")]
+    toggled = [Fact(TOGGLED[name], [path(node)]) for node in ("l1n2", "l2n1", "l3n0")]
     mixed = []
     for index, (additions, retractions) in enumerate(stream):
         if index % 4 == 1:
@@ -145,6 +184,14 @@ MAINTAINED = {
         (171, 6, 7, 4, 132, 302, 4, 2, 0, 0, 0, 0, [1, 5]),
         (116, 0, 483, 529, 348, 14876, 35, 572, 444, 2187, 490, 0, []),
     ),
+    "two_hop_negation": (
+        (81, 1, 1, 0, 42, 94, 1, 0, 0, 0, 0, 0, [1]),
+        (83, 0, 40, 179, 196, 881, 5, 174, 40, 0, 281, 0, []),
+    ),
+    "sequence_binding_equation": (
+        (44, 1, 1, 0, 30, 14, 1, 0, 0, 0, 0, 0, [1]),
+        (34, 0, 39, 67, 64, 67, 1, 66, 39, 0, 105, 0, []),
+    ),
 }
 
 
@@ -162,7 +209,7 @@ def test_graph_program_counters(name):
 
 @pytest.mark.parametrize("name", sorted(MAINTAINED))
 def test_maintained_stream_counters(name):
-    text, make = GRAPH_INPUTS[name]
+    text, make = MAINTAINED_INPUTS[name]
     instance = make()
     build = EvaluationStatistics()
     maintained = MaintainedFixpoint.evaluate(parse_program(text), instance, statistics=build)

@@ -21,7 +21,8 @@ from repro.engine import (
 )
 from repro.engine.reasons import OUT_OF_BAND_MUTATION, reason_code
 from repro.engine.reference import reference_fixpoint
-from repro.errors import EvaluationBudgetExceeded, EvaluationError, SubgoalTableError
+from repro.errors import EvaluationBudgetExceeded, EvaluationError, ModelError, SubgoalTableError
+from repro.io.serialization import fact_from_json
 from repro.model import Fact, Instance, path, unary_instance
 from repro.parser import parse_program
 from repro.queries import get_query
@@ -159,6 +160,16 @@ class TestSessionUpdate:
         assert session.instance.relation("E") == frozenset()
         restored = QuerySession.restore(pair_query(), session.export_state())
         assert restored.run().output.relation("T") == frozenset()
+
+    def test_a_packed_addition_is_refused_and_the_state_still_restores(self):
+        session = pair_query().session(line_instance(3))
+        session.run()
+        exported = session.export_state()
+        with pytest.raises(ModelError, match="flat instances"):
+            session.update(additions=[edge("n2", "c"), fact_from_json(["E", "b", "<c>"])])
+        assert session.export_state() == exported
+        restored = QuerySession.restore(pair_query(), session.export_state())
+        assert restored.run().output == session.run().output
 
     def test_retractions_outside_schema_are_rejected_before_applying(self):
         instance = line_instance()

@@ -13,7 +13,7 @@ import pytest
 from repro.engine import EvaluationLimits, ProgramQuery
 from repro.engine.tabling import EVICTION_LOG_LIMIT
 from repro.io.durability import FileSystemShim
-from repro.io.serialization import instance_to_text, rows_from_json
+from repro.io.serialization import fact_from_json, instance_to_text, rows_from_json
 from repro.model import Fact, Instance, path
 from repro.parser import parse_program
 from repro.storage import Relation
@@ -370,6 +370,30 @@ class TestAdmission:
             (path("x0"), path("x2")),
             (path("x1"), path("x2")),
         }
+        handle.close()
+
+    @pytest.mark.parametrize(
+        "refused", [["F", "x"], ["E", "x"], ["E", "b", "<c>"]], ids=["schema", "arity", "packed"]
+    )
+    def test_a_refused_batch_fails_alone_beside_a_batch_that_commits(self, refused):
+        """The session's update check runs per batch at admission, so a batch
+        outside the input schema, of a wrong arity or packed gets its 400
+        before it could be merged with — and fail — the batch beside it."""
+        handle = make_handle(line_instance(3))
+
+        async def scenario():
+            await handle.ensure_materialized()
+            return await asyncio.gather(
+                handle.enqueue_update([edge("n2", "c")]),
+                handle.enqueue_update([fact_from_json(refused)]),
+                return_exceptions=True,
+            )
+
+        ack, error = asyncio.run(scenario())
+        assert isinstance(error, ServiceError)
+        assert (error.status, error.code) == (400, "update_rejected")
+        assert ack["generation"] == 1 and ack["coalesced_batches"] == 1
+        assert (path("a"), path("c")) in set(handle.committed.select("T", {}))
         handle.close()
 
     def test_query_concurrency_cap_sheds_with_429(self):
