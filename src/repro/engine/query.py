@@ -39,14 +39,13 @@ fixpoint as a maintained materialization*
 queries — and binding-only changes in goal mode, once a full run happened —
 are answered from the materialization without re-evaluating anything
 (``QueryResult.served_by == "maintained"``), and :meth:`QuerySession.update`
-applies fact-level additions/retractions to both the pinned instance and the
-materialization incrementally (counting / delete–rederive, see
-:mod:`repro.engine.maintenance`).  An answer is the program's fixpoint over
-the *current* instance, so a mutation of the pinned instance made behind the
-session's back simply drops what the session memoized (reason
-``out_of_band_mutation``) and the next query evaluates from scratch; updates
-maintenance cannot cover fall back the same way with their own recorded
-reason, mirroring the goal-mode fallback contract.
+applies fact-level additions/retractions to both the session's instance and
+the materialization incrementally (counting / delete–rederive, see
+:mod:`repro.engine.maintenance`).  The session owns its instance — it pins a
+copy of the one it is given — so :meth:`QuerySession.update` is the only way
+the instance changes; updates maintenance cannot cover drop what the session
+memoized with a recorded reason, and the next query evaluates from scratch,
+mirroring the goal-mode fallback contract.
 
 Until a full materialization exists, goal-mode answers are *tabled* by call
 subsumption (:mod:`repro.engine.tabling`): every evaluated goal's answers
@@ -75,7 +74,6 @@ from repro.engine.maintenance import MaintainedFixpoint
 from repro.engine.reasons import (
     GENERALIZATION_TOO_LARGE,
     GOAL_BUDGET_EXCEEDED,
-    OUT_OF_BAND_MUTATION,
     REWRITE_UNSUPPORTED,
     SNAPSHOT_UNSUPPORTED,
     maintenance_reason,
@@ -86,7 +84,6 @@ from repro.errors import (
     EvaluationBudgetExceeded,
     EvaluationError,
     MagicSetUnsupportedError,
-    MaintenanceUnsupportedError,
     ModelError,
     SnapshotUnsupportedError,
 )
@@ -354,7 +351,8 @@ class ProgramQuery:
         table_capacity: "int | None" = None,
         generalization_limit: "float | None" = DEFAULT_GENERALIZATION_LIMIT,
     ) -> "QuerySession":
-        """Open a :class:`QuerySession` for repeated queries over *instance*.
+        """Open a :class:`QuerySession` for repeated queries over a copy of
+        *instance*: later changes to *instance* do not reach the session.
 
         ``table_capacity`` is the subgoal answer table's LRU bound and
         ``generalization_limit`` the cost model gating generalized tabling
@@ -443,7 +441,10 @@ class UpdateResult:
 class QuerySession:
     """Repeated (possibly goal-directed) queries over one pinned instance.
 
-    The session validates the instance once, then caches the evaluation
+    The session validates the instance once and pins a copy of it (the copy
+    shares the term table and the columnar views, not the row sets), so the
+    caller's instance and the session's never alias: :meth:`update` is the
+    only way the session's instance changes.  It then caches the evaluation
     machinery that is worth keeping warm between queries (the compiled
     programs are the query's, shared by its sessions): a subgoal
     :class:`~repro.engine.tabling.AnswerTable` for
@@ -465,12 +466,7 @@ class QuerySession:
     materialization *and* every tabled subgoal incrementally; anything
     maintenance cannot cover falls back to re-evaluation with a recorded
     reason (table entries degrade individually: an entry whose update cannot
-    be maintained is evicted and re-evaluates on next demand).  A mutation
-    of the pinned instance that did not go through :meth:`update` is caught
-    by comparing each relation's storage object and generation with those
-    the session's own writes left: it drops the materialization and every
-    table entry (reason ``out_of_band_mutation``), and the next demand
-    rebuilds them from scratch.
+    be maintained is evicted and re-evaluates on next demand).
 
     Results served from the materialization or the table share their
     ``full_instance`` with the session; treat it as read-only.
@@ -502,7 +498,7 @@ class QuerySession:
                     f"schema {schema!r} gives it arity {schema[name]}"
                 )
         self.query = query
-        self.instance = instance
+        self.instance = instance.copy()
         self._check_flat = check_flat
         #: When ``False`` (one-shot queries), full-mode runs evaluate plainly
         #: instead of building and memoizing maintenance support state, and
@@ -525,12 +521,8 @@ class QuerySession:
         #: the model (always table); exactly-adorned rewritings are never
         #: affected.
         self.generalization_limit = generalization_limit
-        #: Relation name → (storage object, generation) after the session's
-        #: own last write, which is what the maintained artifacts
-        #: (materialization and table entries) describe.
-        self._basis: "dict[str, tuple[object, int]]" = {}
-        #: Why the last update (or out-of-band change) could not be
-        #: maintained incrementally, if it could not.
+        #: Why the last update could not be maintained incrementally, if it
+        #: could not.
         self.last_maintenance_fallback: "str | None" = None
 
     def _evaluate(
@@ -549,47 +541,6 @@ class QuerySession:
         )
 
     # -- maintained artifacts (materialization + subgoal tables) -----------------------
-
-    def _has_artifacts(self) -> bool:
-        """Whether any maintained state (materialization or table entries) exists."""
-        return self._maintained is not None or len(self._tables) > 0
-
-    def _record_basis(self) -> None:
-        self._basis = {}
-        for name in self.instance.relation_names:
-            storage = self.instance.storage(name)
-            self._basis[name] = (storage, storage.generation)
-
-    def _drop_drifted_artifacts(self) -> "str | None":
-        """Drop every maintained artifact if the pinned instance drifted.
-
-        Drift is any difference from the basis the session's own writes
-        recorded — a changed generation, a replaced storage object, a
-        relation added or gone.  The artifacts no longer describe the
-        instance, and the scratch evaluation the next demand runs is the
-        answer by definition, so nothing tries to reconstruct the missed
-        delta.  Returns the recorded reason, or ``None`` when nothing drifted.
-        """
-        if not self._has_artifacts():
-            return None
-        instance = self.instance
-        names = instance.relation_names
-        basis = self._basis
-        drifted = list(basis.keys() - names)
-        for name in names:
-            storage = instance.storage(name)
-            entry = basis.get(name)
-            if entry is None or entry[0] is not storage or entry[1] != storage.generation:
-                drifted.append(name)
-        if not drifted:
-            return None
-        self._maintained = None
-        self._tables.clear()
-        self._basis = {}
-        self.last_maintenance_fallback = reason(
-            OUT_OF_BAND_MUTATION, ", ".join(sorted(drifted))
-        )
-        return self.last_maintenance_fallback
 
     def _maintain_main(
         self,
@@ -625,12 +576,9 @@ class QuerySession:
     def _materialization(
         self, statistics: EvaluationStatistics
     ) -> "tuple[Instance, ServedBy]":
-        """The full fixpoint, synced with the pinned instance.
-
-        Out-of-band drift has already been checked by :meth:`lookup`; this
-        either serves the live materialization or (re)builds it from
-        scratch.  The second component says how the caller's answer was
-        produced.
+        """The full fixpoint over the pinned instance: the live
+        materialization, or one (re)built from scratch.  The second
+        component says how the caller's answer was produced.
         """
         if not self._memoize:
             return self._evaluate(self.query.compiled, statistics), "full"
@@ -655,7 +603,6 @@ class QuerySession:
         # The materialization subsumes every tabled subgoal; keeping the
         # entries alive would only make later updates maintain dead state.
         self._tables.clear()
-        self._record_basis()
         return maintained.materialized, "full"
 
     # -- updates -----------------------------------------------------------------------
@@ -680,9 +627,7 @@ class QuerySession:
         re-evaluates on next demand.  ``UpdateResult.maintained`` reports
         whether the session still holds incrementally updated state — the
         materialization when one existed, otherwise surviving table entries.
-        After an out-of-band mutation there is nothing left to maintain: the
-        delta is applied and the result carries the ``out_of_band_mutation``
-        reason.  :meth:`check_update` runs before anything mutates.
+        :meth:`check_update` runs before anything mutates.
         """
         additions, retractions = list(additions), list(retractions)
         self.check_update(additions, retractions)
@@ -691,15 +636,12 @@ class QuerySession:
             delta.add_fact(fact)
         for fact in retractions:
             delta.retract_fact(fact)
-        # Drift must be checked before the delta mutates the instance, or
-        # the basis recorded below would bury it.
-        drift = self._drop_drifted_artifacts()
         applied = delta.apply()
 
         statistics = EvaluationStatistics()
         had_entries = len(self._tables) > 0
         maintained = False
-        fallback = drift
+        fallback = None
         if self._maintained is not None:
             try:
                 self._maintain_main(applied.added, applied.removed, statistics=statistics)
@@ -717,10 +659,6 @@ class QuerySession:
                 maintained = True
             elif evicted:
                 fallback = evicted[0][1]
-        if self._has_artifacts():
-            self._record_basis()
-        else:
-            self._basis = {}
         self.last_maintenance_fallback = fallback
         return UpdateResult(
             added=applied.added,
@@ -777,7 +715,6 @@ class QuerySession:
         wanted_mode, normalised = self._request(binding, mode)
         if not self._memoize:
             return None
-        self._drop_drifted_artifacts()
         statistics = EvaluationStatistics()
         key = tuple(sorted(normalised))
         if self._maintained is not None:
@@ -801,7 +738,6 @@ class QuerySession:
         caller reads the answer off the entry's
         :attr:`~repro.engine.tabling.TableEntry.answers`, and runs
         :meth:`evaluate_request` on ``None``."""
-        self._drop_drifted_artifacts()
         return self._tables.lookup(tuple(sorted(binding)), binding, statistics)
 
     def run(
@@ -920,36 +856,22 @@ class QuerySession:
             table = self.instance.term_table()
             for name in magic.program.edb_relation_names() & self.instance.relation_names:
                 self.instance.storage(name).columnar(table)  # type: ignore[union-attr]
-            fixpoint = snapshot = None
-            try:
-                fixpoint = MaintainedFixpoint.evaluate(
-                    magic.program,
-                    self.instance,
-                    self.query.limits,
-                    statistics=statistics,
-                    compiled=compiled,
-                    seed_facts=(seed,),
-                )
-            except MaintenanceUnsupportedError:
-                # The magic program cannot be maintained; table a plain snapshot
-                # (served until the first update that touches its relations).
-                snapshot = self._evaluate(compiled, statistics, seed_facts=(seed,))
+            fixpoint = MaintainedFixpoint.evaluate(
+                magic.program,
+                self.instance,
+                self.query.limits,
+                statistics=statistics,
+                compiled=compiled,
+                seed_facts=(seed,),
+            )
         except EvaluationBudgetExceeded as error:
             return reason(
                 GOAL_BUDGET_EXCEEDED,
                 f"goal-directed evaluation exceeded the limits ({error}); "
                 f"fell back to full evaluation",
             )
-        entry = TableEntry(
-            self.query.output_relation,
-            positions,
-            values,
-            magic,
-            fixpoint=fixpoint,
-            snapshot=snapshot,
-        )
+        entry = TableEntry(self.query.output_relation, positions, values, magic, fixpoint)
         self._tables.insert(entry)
-        self._record_basis()
         return entry.answers
 
     def _answer(
@@ -1008,19 +930,14 @@ class QuerySession:
     def export_state(self) -> dict:
         """The session's full serving state as a JSON-serializable document.
 
-        Everything a :meth:`restore` needs to come back serving without
-        re-evaluating: the pinned EDB, the maintained materialization plus
-        its per-stratum support state (:meth:`MaintainedFixpoint.support_state`),
-        and every tabled goal's seed and answers.  The document is stamped
-        with :data:`SESSION_STATE_VERSION`.
+        What a :meth:`restore` needs to come back serving: the pinned EDB,
+        the maintained materialization plus its per-stratum support state
+        (:meth:`MaintainedFixpoint.support_state`), and every tabled goal's
+        seed — not its answers, which the restore re-evaluates.  The document
+        is stamped with :data:`SESSION_STATE_VERSION`.
         """
         # Imported lazily: repro.io.serialization depends on this module.
-        from repro.io.serialization import (
-            _answers_to_json,
-            fact_to_json,
-            path_to_text,
-            rows_to_json,
-        )
+        from repro.io.serialization import fact_to_json, path_to_text, rows_to_json
 
         state: dict = {
             "version": SESSION_STATE_VERSION,
@@ -1055,7 +972,6 @@ class QuerySession:
                 {
                     "positions": list(entry.positions),
                     "values": [path_to_text(value) for value in entry.values],
-                    "answers": _answers_to_json(entry.answers),
                 }
             )
         return state
@@ -1072,25 +988,19 @@ class QuerySession:
         """Rebuild a session from an :meth:`export_state` document.
 
         The restored session serves identically to the one that exported
-        the state — same materialization, same maintenance support, same
-        tabled answers — without evaluating anything, which is what makes
-        restore-from-snapshot fast.  Tabled goals come back as serve-only
-        snapshot entries (their magic rewriting is re-derived from the
-        program; an entry whose adornment this build rewrites differently
-        is dropped rather than restored wrong, and any snapshot entry is
-        evicted by the first update that touches it).  A state written by
-        an incompatible build — a different :data:`SESSION_STATE_VERSION`
-        — is refused with :class:`~repro.errors.SnapshotUnsupportedError`.
-        Keys this build does not know are ignored, so a state exported by
-        an older build that recorded more reads the same.
+        the state: its materialization and maintenance support come back
+        without evaluating anything.  Without a materialization, each
+        tabled seed is evaluated again (at most ``table_capacity`` goals),
+        as a goal miss would be, into a maintained entry; the ``answers``
+        older builds wrote beside a seed are ignored.  A state
+        written by an incompatible build — a different
+        :data:`SESSION_STATE_VERSION` — is refused with
+        :class:`~repro.errors.SnapshotUnsupportedError`.  Keys this build
+        does not know are ignored, so a state exported by an older build
+        that recorded more reads the same.
         """
         # Imported lazily: repro.io.serialization depends on this module.
-        from repro.io.serialization import (
-            _answers_from_json,
-            fact_from_json,
-            path_from_text,
-            rows_from_json,
-        )
+        from repro.io.serialization import fact_from_json, path_from_text, rows_from_json
 
         version = state.get("version")
         if version != SESSION_STATE_VERSION:
@@ -1140,28 +1050,12 @@ class QuerySession:
                 query.limits,
                 query.compiled,
             )
-        for stored in state.get("table") or ():
-            positions = tuple(int(position) for position in stored["positions"])
-            values = tuple(path_from_text(text) for text in stored["values"])
-            goal, _refusal = query._goal_program_for_key(positions)
-            if goal is None:
-                continue
-            magic = goal[0]
-            if tuple(magic.adornment.bound_positions) != positions:
-                continue
-            answers = _answers_from_json(stored["answers"])
-            for name in magic.program.idb_relation_names():
-                answers.ensure_relation(name)
-            session._tables.insert(
-                TableEntry(
-                    query.output_relation,
-                    positions,
-                    values,
-                    magic,
-                    snapshot=answers,
-                )
-            )
-        session._record_basis()
+        # A materialization subsumes every tabled goal (see _materialization).
+        seeds = () if session._maintained is not None else state.get("table") or ()
+        for stored in seeds:
+            positions = (int(position) for position in stored["positions"])
+            values = (path_from_text(text) for text in stored["values"])
+            session._evaluate_goal(dict(zip(positions, values)), EvaluationStatistics())
         return session
 
     def close(self) -> None:

@@ -34,15 +34,6 @@ Codes
 ``maintenance_budget_exceeded``
     Maintenance itself breached the evaluation limits mid-update; the
     half-updated artifact is dropped rather than served inconsistent.
-``out_of_band_mutation``
-    The session's pinned instance changed behind its back (not through
-    ``QuerySession.update``): the materialization and every table entry are
-    dropped, and the next demand evaluates from scratch.  The detail names
-    the relations that drifted.
-``snapshot_not_maintained``
-    A snapshot table entry (one whose magic program could not be
-    maintained) was reached by an update; snapshots are serve-only, so the
-    entry is evicted and re-evaluates on next demand.
 ``snapshot_unsupported``
     A persisted session snapshot parsed but declared a format or version
     this build does not understand; the restore is refused with
@@ -73,8 +64,6 @@ GOAL_BUDGET_EXCEEDED = "goal_budget_exceeded"
 GENERALIZATION_TOO_LARGE = "generalization_too_large"
 MAINTENANCE_UNSUPPORTED = "maintenance_unsupported"
 MAINTENANCE_BUDGET_EXCEEDED = "maintenance_budget_exceeded"
-OUT_OF_BAND_MUTATION = "out_of_band_mutation"
-SNAPSHOT_NOT_MAINTAINED = "snapshot_not_maintained"
 SNAPSHOT_UNSUPPORTED = "snapshot_unsupported"
 TENANT_CAPACITY = "tenant_capacity"
 SERVICE_CAPACITY = "service_capacity"
@@ -92,8 +81,6 @@ REASON_CODES = frozenset(
         GENERALIZATION_TOO_LARGE,
         MAINTENANCE_UNSUPPORTED,
         MAINTENANCE_BUDGET_EXCEEDED,
-        OUT_OF_BAND_MUTATION,
-        SNAPSHOT_NOT_MAINTAINED,
         SNAPSHOT_UNSUPPORTED,
         TENANT_CAPACITY,
         SERVICE_CAPACITY,

@@ -27,8 +27,8 @@ Each entry's answers are kept as a
 :class:`~repro.engine.maintenance.MaintainedFixpoint` of the magic program
 with the seed planted, so :meth:`~repro.engine.query.QuerySession.update`
 maintains every tabled subgoal incrementally alongside the session's full
-materialization; entries whose magic program maintenance cannot own are
-stored as plain snapshots and evicted on the first update that touches them.
+materialization.  An entry is a cache: only its seed is persisted, and a
+restored session re-evaluates it.
 
 The table is also what makes the *relaxed* expanding-magic-recursion
 boundary viable: a call whose adornment is refused as expanding is rewritten
@@ -44,7 +44,7 @@ from typing import Iterable, Iterator, Mapping
 
 from repro.engine.fixpoint import EvaluationStatistics
 from repro.engine.maintenance import MaintainedFixpoint
-from repro.engine.reasons import SNAPSHOT_NOT_MAINTAINED, maintenance_reason, reason
+from repro.engine.reasons import maintenance_reason
 from repro.errors import EvaluationError, SubgoalTableError
 from repro.model.instance import Fact, Instance
 from repro.model.terms import Path
@@ -67,9 +67,7 @@ class TableEntry:
 
     ``positions``/``values`` are the call's bound output positions and their
     concrete paths (the seed).  ``fixpoint`` is the maintained
-    materialization of the magic program evaluated from that seed, when
-    maintenance can own it; ``snapshot`` the plain materialized instance
-    otherwise.  Exactly one of the two is set.
+    materialization of the magic program evaluated from that seed.
 
     A call the entry answers — the goal miss that tabled it, and every hit it
     subsumes — is encoded from :attr:`answers` like any engine reply
@@ -84,7 +82,6 @@ class TableEntry:
         "values",
         "compiled",
         "fixpoint",
-        "snapshot",
         "known_relations",
         "hits",
     )
@@ -95,9 +92,7 @@ class TableEntry:
         positions: "tuple[int, ...]",
         values: "tuple[Path, ...]",
         compiled,
-        *,
-        fixpoint: "MaintainedFixpoint | None" = None,
-        snapshot: "Instance | None" = None,
+        fixpoint: MaintainedFixpoint,
     ):
         if len(positions) != len(values):
             raise SubgoalTableError(
@@ -105,16 +100,11 @@ class TableEntry:
             )
         if tuple(sorted(positions)) != tuple(positions):
             raise SubgoalTableError(f"bound positions {positions!r} must be sorted")
-        if (fixpoint is None) == (snapshot is None):
-            raise SubgoalTableError(
-                "a table entry holds either a maintained fixpoint or a plain snapshot"
-            )
         self.output_relation = output_relation
         self.positions = positions
         self.values = values
         self.compiled = compiled
         self.fixpoint = fixpoint
-        self.snapshot = snapshot
         #: Relations the entry's magic program mentions: the only ones whose
         #: base-instance changes can move this entry's answers.
         self.known_relations: frozenset[str] = (
@@ -125,15 +115,7 @@ class TableEntry:
     @property
     def answers(self) -> Instance:
         """The materialized answer state (magic program fixpoint)."""
-        if self.fixpoint is not None:
-            return self.fixpoint.materialized
-        assert self.snapshot is not None
-        return self.snapshot
-
-    @property
-    def maintained(self) -> bool:
-        """Whether updates can advance this entry in place."""
-        return self.fixpoint is not None
+        return self.fixpoint.materialized
 
     def subsumes(self, positions: "tuple[int, ...]", binding: "Mapping[int, Path]") -> bool:
         """Whether this entry's call subsumes the call ``(positions, binding)``."""
@@ -152,8 +134,7 @@ class TableEntry:
         seed = ", ".join(
             f"{position}={value}" for position, value in zip(self.positions, self.values)
         )
-        kind = "maintained" if self.maintained else "snapshot"
-        return f"TableEntry({self.output_relation}[{seed or 'all-free'}], {kind}, hits={self.hits})"
+        return f"TableEntry({self.output_relation}[{seed or 'all-free'}], hits={self.hits})"
 
 
 class AnswerTable:
@@ -281,15 +262,13 @@ class AnswerTable:
     ) -> "list[tuple[TableEntry, str]]":
         """Advance every entry past a base-instance delta.
 
-        Maintained entries are updated incrementally through their magic
-        fixpoints, with the delta filtered to the relations each entry's
-        program mentions (an unmentioned relation cannot move its answers).
-        An entry's encoded answers live on the columnar views they encode,
+        Entries are updated incrementally through their magic fixpoints,
+        with the delta filtered to the relations each entry's program
+        mentions (an unmentioned relation cannot move its answers).  An
+        entry's encoded answers live on the columnar views they encode,
         which an update that moves rows replaces, so none is reset here.
-        Snapshot entries survive deltas that miss their relations and are
-        evicted otherwise; maintained entries whose update fails (budget
-        breach, stray relations, …) are evicted with the reason recorded.
-        Returns this call's evictions.
+        An entry whose update fails (budget breach, stray relations, …) is
+        evicted with the reason recorded.  Returns this call's evictions.
         """
         additions = list(additions)
         retractions = list(retractions)
@@ -302,18 +281,6 @@ class AnswerTable:
                 f for f in retractions if f.relation in entry.known_relations
             ]
             if not relevant_added and not relevant_removed:
-                continue
-            if entry.fixpoint is None:
-                evicted.append(
-                    (
-                        entry,
-                        reason(
-                            SNAPSHOT_NOT_MAINTAINED,
-                            "snapshot entries cannot be maintained",
-                        ),
-                    )
-                )
-                self._remove(entry)
                 continue
             try:
                 entry.fixpoint.update(

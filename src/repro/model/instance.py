@@ -170,9 +170,7 @@ class Instance:
 
         By default a relation whose last row is removed disappears from the
         instance entirely; ``keep_empty=True`` keeps it present (but empty),
-        which preserves its storage object — and with it the generation
-        counter serving sessions compare against to tell their own writes
-        from out-of-band ones.
+        with its storage object.
         """
         relation = self._relations.get(fact.relation)
         if relation is not None:

@@ -47,10 +47,13 @@ class TestAdornment:
     def test_subsumption_mirrors_the_table_seed_ordering(self):
         # Adornment.subsumes is the adornment half of the answer tables'
         # seed subsumption: entry positions ⊆ call positions.
+        from types import SimpleNamespace
+
         from repro.engine import TableEntry
         from repro.model import Instance, path
 
-        entry = TableEntry("S", (0,), (path("a"),), None, snapshot=Instance())
+        stand_in = SimpleNamespace(materialized=Instance())  # the entry's fixpoint
+        entry = TableEntry("S", (0,), (path("a"),), None, stand_in)
         general = adornment_from_binding(2, {0: "a"})
         specific = adornment_from_binding(2, {0: "a", 1: "b"})
         assert general.subsumes(specific)

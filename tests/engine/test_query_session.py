@@ -1,7 +1,7 @@
 """Tests for the serving behaviour of QuerySession.
 
 Covers the maintained-materialization path (memoized full fixpoints,
-incremental updates, out-of-band mutations dropping the memo), the ``served_by``
+incremental updates, a session owning a copy of its instance), the ``served_by``
 bookkeeping, and the fallback contracts: ``fallback_reason`` on goal-mode
 budget breaches and unsupported rewritings, maintenance fallbacks with
 recorded reasons, and the plan-cache counters across repeated ``run()``
@@ -19,7 +19,6 @@ from repro.engine import (
     QuerySession,
     evaluate_program,
 )
-from repro.engine.reasons import OUT_OF_BAND_MUTATION, reason_code
 from repro.engine.reference import reference_fixpoint
 from repro.errors import EvaluationBudgetExceeded, EvaluationError, ModelError, SubgoalTableError
 from repro.io.serialization import fact_from_json
@@ -129,15 +128,18 @@ def test_an_instance_contradicting_the_schema_arities_is_refused():
 class TestSessionUpdate:
     def test_update_maintains_and_serves_incrementally(self):
         instance = line_instance()
+        expected = instance.copy()
         session = pair_query().session(instance)
         session.run()
         update = session.update(additions=[edge("n2", "a")], retractions=[edge("a", "n1")])
+        expected.discard_fact(edge("a", "n1"))
+        expected.add_fact(edge("n2", "a"))
         assert update.maintained and update.fallback_reason is None
         assert update.added == {edge("n2", "a")}
         assert update.removed == {edge("a", "n1")}
         result = session.run(binding={0: "a"})
         assert result.served_by == "maintained"
-        assert result.output == pair_query().run(instance.copy(), binding={0: "a"}).output
+        assert result.output == pair_query().run(expected, binding={0: "a"}).output
 
     def test_update_before_any_run_is_not_maintained(self):
         session = pair_query().session(line_instance())
@@ -189,103 +191,89 @@ class TestSessionUpdate:
         query = get_query("black_neighbours").make_query()
         instance = random_graph_instance(nodes=6, edges=10, seed=3)
         instance.add("B", path("a"))
+        expected = instance.copy()
         session = query.session(instance)
         baseline = session.run()
         assert baseline.served_by == "full"
         update = session.update(retractions=[Fact("B", [path("a")])])
+        expected.discard_fact(Fact("B", [path("a")]))
         assert update.maintained and update.fallback_reason is None
         assert session.last_maintenance_fallback is None
         result = session.run()
         assert result.served_by == "maintained"
-        assert result.output == query.run(instance.copy()).output
+        assert result.output == query.run(expected).output
 
     def test_maintenance_covers_both_sides_of_a_negation(self):
         # set_difference negates Q: updates to R and to Q both maintain, in
         # either direction, and keep agreeing with a scratch run.
         query = get_query("set_difference").make_query()
         instance = Instance({"R": ["a", "b"], "Q": ["b"]})
+        expected = instance.copy()
         session = query.session(instance)
         session.run()
         update = session.update(additions=[Fact("Q", [path("a")])])
+        expected.add_fact(Fact("Q", [path("a")]))
         assert update.maintained and path("a") not in session.run().paths()
         update = session.update(additions=[Fact("R", [path("c")])])
+        expected.add_fact(Fact("R", [path("c")]))
         assert update.maintained
         update = session.update(retractions=[Fact("Q", [path("b")])])
+        expected.discard_fact(Fact("Q", [path("b")]))
         assert update.maintained and path("b") in session.run().paths()
         result = session.run()
         assert result.served_by == "maintained"
-        assert result.paths() == query.run(instance.copy()).paths()
+        assert result.paths() == query.run(expected).paths()
 
 
-class TestOutOfBandMutations:
-    """A mutation of the pinned instance that bypasses ``update`` drops what
-    the session memoized; the next answer is a scratch evaluation."""
+def mutate(instance, kind):
+    """Change *instance* in place behind any session opened over it."""
+    if kind == "add":
+        instance.add("E", path("n2"), path("a"))
+    elif kind == "retract":
+        instance.discard_fact(edge("a", "n1"))
+    elif kind == "rewrite":
+        instance.storage("E").set_rows(set(instance.relation("E")) | {(path("n2"), path("a"))})
+    elif kind == "drop_relation":
+        for fact in list(instance.facts()):
+            instance.discard_fact(fact)  # the last one takes "E" away
+    elif kind == "new_relation":
+        instance.ensure_relation("F")
+    else:  # no net change
+        instance.add("E", path("n2"), path("a"))
+        instance.discard_fact(edge("n2", "a"))
 
-    def test_a_mutation_drops_the_materialization(self, oracle_output):
-        query = pair_query()
-        instance = line_instance()
-        session = query.session(instance)
-        session.run()
-        instance.add("E", path("n2"), path("a"))  # bypasses session.update
-        result = session.run(binding={0: "n2"})
-        assert result.served_by == "full"
-        assert reason_code(session.last_maintenance_fallback) == OUT_OF_BAND_MUTATION
-        assert result.output == oracle_output(query, instance, {0: "n2"})
-        assert session.run(binding={0: "n2"}).served_by == "maintained"
 
-    def test_an_update_after_drift_is_unmaintained(self, oracle_output):
-        # An out-of-band mutation followed by session.update must not be
-        # buried under the basis the update records: the update reports
-        # that nothing was maintained, and why.
-        query = pair_query()
-        instance = line_instance()
-        session = query.session(instance)
-        session.run()
-        instance.add("E", path("n3"), path("a"))  # out-of-band
-        update = session.update(additions=[edge("n4", "n1")])  # in-band
-        assert not update.maintained
-        assert reason_code(update.fallback_reason) == OUT_OF_BAND_MUTATION
-        assert update.fallback_reason == session.last_maintenance_fallback
-        assert update.added == {edge("n4", "n1")}
-        result = session.run(binding={0: "n3"})
-        assert result.served_by == "full"
-        assert result.output == oracle_output(query, instance, {0: "n3"})
-        follow_up = session.update(retractions=[edge("n4", "n1")])
-        assert follow_up.maintained and follow_up.fallback_reason is None
+class TestSessionOwnsItsInstance:
+    """A session pins a copy of the instance it is given; only ``update``
+    changes what it answers."""
 
-    def test_wholesale_rewrite_forces_reevaluation(self, oracle_output):
-        query = pair_query()
-        instance = line_instance()
-        session = query.session(instance)
-        session.run()
-        rows = set(instance.relation("E"))
-        rows.add((path("n2"), path("a")))
-        instance.storage("E").set_rows(rows)
-        result = session.run(binding={0: "a"})
-        assert result.served_by == "full"
-        assert reason_code(session.last_maintenance_fallback) == OUT_OF_BAND_MUTATION
-        assert result.output == oracle_output(query, instance, {0: "a"})
-
-    @pytest.mark.parametrize("mutation", ["retract", "drop_relation", "new_relation", "no_net"])
-    def test_every_kind_of_drift_is_caught(self, oracle_output, mutation):
+    @pytest.mark.parametrize(
+        "kind", ["add", "retract", "rewrite", "drop_relation", "new_relation", "no_net"]
+    )
+    @pytest.mark.parametrize("mode", ["full", "goal"])
+    def test_mutating_the_given_instance_leaves_the_session_serving(
+        self, oracle_output, mode, kind
+    ):
         query = pair_query()
         instance = line_instance(3)
+        original = instance.copy()
         session = query.session(instance)
+        session.run(binding={0: "a"}, mode=mode)
+        mutate(instance, kind)
+        result = session.run(binding={0: "a"}, mode=mode)
+        assert result.served_by == ("maintained" if mode == "full" else "tabled")
+        assert result.output == oracle_output(query, original, {0: "a"})
+        assert session.instance == original
+        assert session.last_maintenance_fallback is None
+
+    def test_an_update_leaves_the_given_instance_alone(self):
+        instance = line_instance(3)
+        original = instance.copy()
+        session = pair_query().session(instance)
         session.run()
-        if mutation == "retract":
-            instance.discard_fact(edge("a", "n1"))
-        elif mutation == "drop_relation":
-            for fact in list(instance.facts()):
-                instance.discard_fact(fact)  # the last one takes "E" away
-        elif mutation == "new_relation":
-            instance.ensure_relation("F")
-        else:
-            instance.add("E", path("n2"), path("a"))
-            instance.discard_fact(edge("n2", "a"))
-        result = session.run()
-        assert result.served_by == "full"
-        assert reason_code(session.last_maintenance_fallback) == OUT_OF_BAND_MUTATION
-        assert result.output == oracle_output(query, instance)
+        update = session.update(additions=[edge("n2", "a")], retractions=[edge("a", "n1")])
+        assert update.maintained
+        assert instance == original
 
 
 class TestGoalFallbackContract:

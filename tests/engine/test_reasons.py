@@ -11,16 +11,10 @@ registering it in :mod:`repro.engine.reasons` fails here by construction.
 """
 
 import asyncio
-from types import SimpleNamespace
 
 import pytest
 
-from repro.engine import (
-    AnswerTable,
-    EvaluationLimits,
-    ProgramQuery,
-    TableEntry,
-)
+from repro.engine import EvaluationLimits, ProgramQuery
 from repro.engine.compiled import CompiledRule, evaluate_rule
 from repro.engine.reasons import (
     ADMISSION_PRESSURE,
@@ -31,11 +25,9 @@ from repro.engine.reasons import (
     LOWERING_UNSAFE_NEGATION,
     MAINTENANCE_BUDGET_EXCEEDED,
     MAINTENANCE_UNSUPPORTED,
-    OUT_OF_BAND_MUTATION,
     REASON_CODES,
     REWRITE_UNSUPPORTED,
     SERVICE_CAPACITY,
-    SNAPSHOT_NOT_MAINTAINED,
     SNAPSHOT_UNSUPPORTED,
     TENANT_CAPACITY,
     maintenance_reason,
@@ -152,34 +144,6 @@ class TestEmittedReasonsAreRegistered:
         assert not update.maintained
         assert_registered(update.fallback_reason, MAINTENANCE_BUDGET_EXCEEDED)
         assert_registered(session.last_maintenance_fallback, MAINTENANCE_BUDGET_EXCEEDED)
-
-    def test_out_of_band_mutation(self):
-        # A mutation that bypasses session.update drops the memo; the query
-        # that finds it, and an update that finds it, both say so.
-        instance = line_instance()
-        session = pair_query().session(instance)
-        session.run()
-        instance.add("E", path("n5"), path("a"))
-        assert session.run().served_by == "full"
-        assert_registered(session.last_maintenance_fallback, OUT_OF_BAND_MUTATION)
-        assert session.last_maintenance_fallback == "out_of_band_mutation: E"
-        instance.discard_fact(edge("n5", "a"))
-        update = session.update(additions=[edge("n5", "n1")])
-        assert not update.maintained
-        assert_registered(update.fallback_reason, OUT_OF_BAND_MUTATION)
-
-    def test_snapshot_table_eviction(self):
-        # A snapshot entry is serve-only: an update touching a relation its
-        # program mentions evicts it with the reason logged on the table.
-        table = AnswerTable()
-        compiled = SimpleNamespace(program=parse_program(REACHABILITY_PAIRS))
-        table.insert(
-            TableEntry("T", (0,), (path("a"),), compiled, snapshot=Instance())
-        )
-        evicted = table.apply_update([edge("x", "y")], [])
-        assert len(evicted) == 1
-        assert_registered(evicted[0][1], SNAPSHOT_NOT_MAINTAINED)
-        assert_registered(table.evictions[-1][1], SNAPSHOT_NOT_MAINTAINED)
 
     def test_snapshot_version_refusal(self, tmp_path):
         """Both version guards — in-memory state and on-disk snapshot —

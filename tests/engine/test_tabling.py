@@ -16,9 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import AnswerTable, ProgramQuery, TableEntry
-from repro.engine.reasons import OUT_OF_BAND_MUTATION, reason_code
-from repro.errors import SubgoalTableError
+from repro.engine import AnswerTable, ProgramQuery, QuerySession, TableEntry
+from repro.errors import MaintenanceUnsupportedError, SubgoalTableError
 from repro.model import Fact, Instance, path
 from repro.parser import parse_program
 from repro.workloads import (
@@ -66,66 +65,75 @@ def edge(source, target):
     return Fact("E", (path(source), path(target)))
 
 
-def snapshot_entry(positions, values, relation="T"):
-    return TableEntry(relation, positions, values, None, snapshot=Instance())
+class StubFixpoint:
+    """A fixpoint stand-in for the table mechanics: no answers, and no
+    maintenance, so an update that reaches its entry evicts it."""
+
+    def __init__(self):
+        self.materialized = Instance()
+
+    def update(self, additions, retractions, statistics=None):
+        raise MaintenanceUnsupportedError("a stand-in fixpoint is not maintained")
+
+
+def stub_entry(positions, values, relation="T"):
+    return TableEntry(relation, positions, values, None, StubFixpoint())
 
 
 class TestTableMechanics:
     def test_exact_repeat_is_a_hit(self):
         table = AnswerTable()
-        table.insert(snapshot_entry((0,), (path("a"),)))
+        table.insert(stub_entry((0,), (path("a"),)))
         hit = table.lookup((0,), {0: path("a")})
         assert hit is not None and hit.hits == 1
         assert table.lookup((0,), {0: path("b")}) is None
 
     def test_more_general_entry_serves_more_specific_calls(self):
         table = AnswerTable()
-        table.insert(snapshot_entry((0,), (path("a"),)))
+        table.insert(stub_entry((0,), (path("a"),)))
         # Bound goal {0: a} subsumes {0: a, 1: b} but not {0: b, 1: b}.
         assert table.lookup((0, 1), {0: path("a"), 1: path("b")}) is not None
         assert table.lookup((0, 1), {0: path("b"), 1: path("b")}) is None
         # The all-free entry subsumes everything.
-        table.insert(snapshot_entry((), ()))
+        table.insert(stub_entry((), ()))
         assert table.lookup((0, 1), {0: path("b"), 1: path("b")}) is not None
 
     def test_lookup_prefers_the_most_specific_subsuming_entry(self):
         table = AnswerTable()
-        table.insert(snapshot_entry((), ()))
-        specific = snapshot_entry((0,), (path("a"),))
+        table.insert(stub_entry((), ()))
+        specific = stub_entry((0,), (path("a"),))
         table.insert(specific)
         assert table.lookup((0, 1), {0: path("a"), 1: path("b")}) is specific
 
     def test_general_entry_absorbs_the_entries_it_subsumes(self):
         table = AnswerTable()
-        table.insert(snapshot_entry((0,), (path("a"),)))
-        table.insert(snapshot_entry((0,), (path("b"),)))
-        table.insert(snapshot_entry((0, 1), (path("a"), path("c"))))
-        absorbed = table.insert(snapshot_entry((), ()))
+        table.insert(stub_entry((0,), (path("a"),)))
+        table.insert(stub_entry((0,), (path("b"),)))
+        table.insert(stub_entry((0, 1), (path("a"), path("c"))))
+        absorbed = table.insert(stub_entry((), ()))
         assert len(absorbed) == 3 and len(table) == 1
 
     def test_incomparable_seeds_coexist(self):
         table = AnswerTable()
-        table.insert(snapshot_entry((0,), (path("a"),)))
-        absorbed = table.insert(snapshot_entry((0,), (path("b"),)))
+        table.insert(stub_entry((0,), (path("a"),)))
+        absorbed = table.insert(stub_entry((0,), (path("b"),)))
         assert not absorbed and len(table) == 2
 
     def test_lru_bound_evicts_the_coldest_entry(self):
         table = AnswerTable(max_entries=2)
-        table.insert(snapshot_entry((0,), (path("a"),)))
-        table.insert(snapshot_entry((0,), (path("b"),)))
+        table.insert(stub_entry((0,), (path("a"),)))
+        table.insert(stub_entry((0,), (path("b"),)))
         table.lookup((0,), {0: path("a")})  # touch "a": "b" is now coldest
-        table.insert(snapshot_entry((0,), (path("c"),)))
+        table.insert(stub_entry((0,), (path("c"),)))
         assert len(table) == 2
         assert table.lookup((0,), {0: path("b")}) is None
         assert table.lookup((0,), {0: path("a")}) is not None
 
     def test_invalid_entries_are_rejected(self):
         with pytest.raises(SubgoalTableError, match="line up"):
-            snapshot_entry((0, 1), (path("a"),))
+            stub_entry((0, 1), (path("a"),))
         with pytest.raises(SubgoalTableError, match="sorted"):
-            snapshot_entry((1, 0), (path("a"), path("b")))
-        with pytest.raises(SubgoalTableError, match="either"):
-            TableEntry("T", (), (), None)
+            stub_entry((1, 0), (path("a"), path("b")))
         with pytest.raises(SubgoalTableError, match="room"):
             AnswerTable(max_entries=0)
 
@@ -144,28 +152,48 @@ class TestSessionTabling:
 
     def test_entries_are_maintained_through_updates(self):
         instance = line_instance()
+        expected = instance.copy()
         query = pair_query()
         session = query.session(instance)
         assert session.run(binding={0: "a"}, mode="goal").served_by == "goal"
         update = session.update(
             additions=[edge("n3", "a")], retractions=[edge("a", "n1")]
         )
+        expected.discard_fact(edge("a", "n1"))
+        expected.add_fact(edge("n3", "a"))
         assert update.maintained and update.fallback_reason is None
         result = session.run(binding={0: "a"}, mode="goal")
         assert result.served_by == "tabled"
-        assert result.output == query.run(instance.copy(), binding={0: "a"}).output
+        assert result.output == query.run(expected, binding={0: "a"}).output
 
-    def test_out_of_band_drift_reaches_tabled_entries(self, oracle_output):
+    def test_a_restored_entry_is_maintained_through_updates(self, oracle_output):
         instance = line_instance()
+        expected = instance.copy()
         query = pair_query()
         session = query.session(instance)
         session.run(binding={0: "a"}, mode="goal")
-        instance.add("E", path("n5"), path("a"))  # bypasses session.update
-        result = session.run(binding={0: "a"}, mode="goal")
-        assert result.served_by == "goal"  # the entry was dropped, not served stale
-        assert reason_code(session.last_maintenance_fallback) == OUT_OF_BAND_MUTATION
-        assert result.output == oracle_output(query, instance, {0: "a"})
-        assert session.run(binding={0: "a"}, mode="goal").served_by == "tabled"
+        state = session.export_state()
+        restored = QuerySession.restore(query, state)
+        update = restored.update(additions=[edge("n3", "a")], retractions=[edge("a", "n1")])
+        expected.discard_fact(edge("a", "n1"))
+        expected.add_fact(edge("n3", "a"))
+        assert update.maintained and update.fallback_reason is None
+        result = restored.run(binding={0: "a"}, mode="goal")
+        assert result.served_by == "tabled"
+        assert result.output == oracle_output(query, expected, {0: "a"})
+        assert restored._tables.evictions == []
+        assert [sorted(stored) for stored in state["table"]] == [["positions", "values"]]
+
+    def test_a_restored_materialization_re_tables_no_seed(self):
+        query = pair_query()
+        tabled = query.session(line_instance())
+        tabled.run(binding={0: "a"}, mode="goal")
+        materialized = query.session(line_instance())
+        materialized.run()
+        state = {**materialized.export_state(), "table": tabled.export_state()["table"]}
+        restored = QuerySession.restore(query, state)
+        assert len(restored._tables) == 0
+        assert restored.run(binding={0: "a"}, mode="goal").served_by == "maintained"
 
     def test_update_through_a_negated_relation_maintains_the_entry(self):
         # set_difference negates the EDB relation Q: an update touching Q
@@ -367,7 +395,7 @@ class ScanTable:
         self.used[key(entry)] = self.clock
 
     def insert(self, seed):
-        entry = snapshot_entry(*seed)
+        entry = stub_entry(*seed)
         absorbed = [e for e in self.entries if entry.subsumes(e.positions, e.seed_binding())]
         for gone in absorbed:
             self.entries.remove(gone)
@@ -416,7 +444,7 @@ class TestSeedIndex:
             kind = operation[0]
             if kind == "insert":
                 (shape, values), relation = operation[1], operation[2]
-                entry = snapshot_entry(shape, tuple(values[position] for position in shape))
+                entry = stub_entry(shape, tuple(values[position] for position in shape))
                 entry.known_relations = frozenset({relation})
                 table.insert(entry)
                 assert len(table) <= capacity
@@ -454,7 +482,7 @@ class TestSeedIndex:
             if operation[0] == "insert":
                 shape, values = operation[1]
                 seed = (shape, tuple(values[position] for position in shape))
-                absorbed = table.insert(snapshot_entry(*seed))
+                absorbed = table.insert(stub_entry(*seed))
                 assert {key(e) for e in absorbed} == {key(e) for e in model.insert(seed)}
             elif operation[0] == "lookup":
                 shape, values = operation[1]
@@ -466,9 +494,9 @@ class TestSeedIndex:
 
     def test_a_tie_between_equally_specific_shapes_goes_to_the_older_entry(self):
         table = AnswerTable()
-        older = snapshot_entry((1,), (path("b"),))
+        older = stub_entry((1,), (path("b"),))
         table.insert(older)
-        table.insert(snapshot_entry((0,), (path("a"),)))
+        table.insert(stub_entry((0,), (path("a"),)))
         assert table.lookup((0, 1), {0: path("a"), 1: path("b")}) is older
 
 
@@ -530,15 +558,17 @@ class TestOverlappingGoalStreams:
 
     def test_tables_are_maintained_through_updates(self):
         query, instance = stream_workload()
+        expected = instance.copy()
         session = query.session(instance)
         for source in SOURCES:
             assert session.run(binding={0: source}, mode="goal").served_by == "goal"
         update = session.update(additions=[Fact("E", (path("l1n0"), path("l2n3")))])
+        expected.add_fact(Fact("E", (path("l1n0"), path("l2n3"))))
         assert update.maintained and update.fallback_reason is None
         hits = 0
         for source in SOURCES:
             result = session.run(binding={0: source}, mode="goal")
             assert result.served_by == "tabled"
-            assert result.output == query.run(instance.copy(), binding={0: source}).output
+            assert result.output == query.run(expected, binding={0: source}).output
             hits += result.statistics.subgoal_table_hits
         assert hits == len(SOURCES)

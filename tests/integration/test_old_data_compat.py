@@ -13,8 +13,11 @@ written by commit af2d02c, the last one whose sessions took a ``coalesce``
 option (``false`` ran one maintenance pass per request batch).
 ``QUOTED_PERSISTED_SNAPSHOT`` was written by commit b9a3807, before
 constants holding a ``'`` gained a double-quoted spelling: its ``it's`` and
-``'x y'`` must read back as the same constants.  Each test fails if a reader
-starts rejecting (or misreading) the old documents.
+``'x y'`` must read back as the same constants.  ``GOAL_ANSWERS_STATE`` was
+written by commit 675c2dd, the last one that persisted a tabled goal's
+``answers`` beside its seed: they are read and ignored, and the seed is
+evaluated again into a maintained entry.  Each test fails if a reader starts
+rejecting (or misreading) the old documents.
 """
 
 import asyncio
@@ -149,6 +152,17 @@ QUOTED_PERSISTED_SNAPSHOT = (
     '["it\'s","b"]]},'
     '"strata":[{"counts":null,"pinned":[],"recursive":true}],"table":[],"version":1},'
     '"version":1}'
+)
+
+#: ``export_state()`` of a session over ``E(a, b). E(b, c). E(b, e). E(c, d).
+#: Blocklist(e).`` that only ever answered the goal ``T(a, ?)``.
+GOAL_ANSWERS_STATE = (
+    '{"edb":{"Blocklist":[["e"]],"E":[["a","b"],["b","c"],["b","e"],["c","d"]]},'
+    '"materialization":null,"strata":null,'
+    '"table":[{"answers":{"Blocked":[["e"]],"Blocklist":[["e"]],'
+    '"E":[["a","b"],["b","c"],["b","e"],["c","d"]],"Magic_T_bf":[["a"]],'
+    '"T":[["a","b"],["a","c"],["a","d"]],"T_bf":[["a","b"],["a","c"],["a","d"]]},'
+    '"positions":[0],"values":["a"]}],"version":1}'
 )
 
 
@@ -361,3 +375,25 @@ def test_a_snapshot_with_quoted_constants_restores_to_identical_answers(tmp_path
             registry.close_all()
 
     asyncio.run(scenario())
+
+
+def test_a_tabled_goals_persisted_answers_restore_into_a_maintained_entry(oracle_output):
+    state = json.loads(GOAL_ANSWERS_STATE)
+    (stored,) = state["table"]
+    assert stored["answers"]["T"] and state["materialization"] is None
+    binding = {0: path("a")}
+    expected = edb_of(state)
+    with QuerySession.restore(build_query(), state) as restored:
+        served = restored.run(binding=binding, mode="goal")
+        assert served.served_by == "tabled"
+        assert served.output == oracle_output(build_query(), expected, binding)
+        # Both sides of the negation: e is unblocked and d closes a cycle.
+        added, retracted = fact_from_json(["E", "d", "a"]), fact_from_json(["Blocklist", "e"])
+        update = restored.update([added], [retracted])
+        expected.discard_fact(retracted)
+        expected.add_fact(added)
+        assert update.maintained and update.fallback_reason is None
+        served = restored.run(binding=binding, mode="goal")
+        assert served.served_by == "tabled"
+        assert served.output == oracle_output(build_query(), expected, binding)
+        assert restored._tables.evictions == []

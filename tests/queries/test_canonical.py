@@ -1,12 +1,14 @@
 """Every canonical query must agree with its independent reference implementation."""
 
 import json
+from itertools import combinations
 
 import pytest
 
 from repro.engine import MaintainedFixpoint, QuerySession
+from repro.engine.reasons import REWRITE_UNSUPPORTED, reason_code
 from repro.engine.reference import reference_fixpoint
-from repro.model import Fact, Instance, string_path
+from repro.model import Fact, Instance, path, string_path
 from repro.queries import CANONICAL_QUERIES, get_query, query_names
 from repro.workloads import (
     random_event_log_instance,
@@ -176,3 +178,35 @@ def test_every_canonical_rule_lowers_to_an_id_space_plan():
         or CompiledRule(rule).head_step is None
     ]
     assert refused == []
+
+
+def test_every_accepted_goal_rewriting_is_maintainable():
+    """A tabled goal is a maintained fixpoint: every magic program the goal
+    rewriting accepts for a canonical query, over every adornment of its
+    output, is one :meth:`MaintainedFixpoint.evaluate` takes with the seed
+    planted.  The rest are refused at rewriting, before any evaluation."""
+    accepted, refused = 0, set()
+    for name in query_names():
+        query = get_query(name).make_query()
+        instance = instance_for(name, 0)
+        for bound in range(query.output_arity + 1):
+            for positions in combinations(range(query.output_arity), bound):
+                binding = {position: path("a") for position in positions}
+                magic, refusal = query.goal_program(binding)
+                if magic is None:
+                    assert reason_code(refusal) == REWRITE_UNSUPPORTED
+                    refused.add((name, positions))
+                    continue
+                seed = magic.seed_fact(binding)
+                MaintainedFixpoint.evaluate(
+                    magic.program, instance, query.limits, seed_facts=(seed,)
+                )
+                accepted += 1
+    assert refused == {
+        ("nfa_acceptance", ()),
+        ("only_as_air", ()),
+        ("only_as_air", (0,)),
+        ("squaring", ()),
+        ("squaring", (0,)),
+    }
+    assert accepted == 19
