@@ -8,7 +8,7 @@ from repro.engine.fixpoint import (
     evaluate_stratum,
 )
 from repro.engine.limits import DEFAULT_LIMITS, EvaluationLimits
-from repro.engine.maintenance import MaintainedFixpoint
+from repro.engine.maintenance import MaintainedFixpoint, apply_delta
 from repro.engine.match import match_components, match_expression, match_fact
 from repro.engine.query import (
     ProgramQuery,
@@ -35,6 +35,7 @@ __all__ = [
     "TableEntry",
     "UpdateResult",
     "Valuation",
+    "apply_delta",
     "evaluate_program",
     "evaluate_rule",
     "evaluate_stratum",

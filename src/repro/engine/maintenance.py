@@ -44,10 +44,17 @@ likewise seeds extra overdeletions from additions to negated relations
 (evaluated against the pre-update overlay) and extra insertions from
 retractions (evaluated against the new state).  Stratification makes this
 sound: a negated relation is always owned by an earlier stratum, so its net
-delta is final by the time any reader maintains.  Only updates naming
-relations the program has never heard of are refused upfront with
-:class:`~repro.errors.MaintenanceUnsupportedError` — plus, defensively,
-genuinely unstratifiable programs at build time.  The property tests in
+delta is final by the time any reader maintains.  Only genuinely
+unstratifiable programs are refused, at build time, with
+:class:`~repro.errors.MaintenanceUnsupportedError`.
+
+A fixpoint reads its base relations in place: its working instance holds the
+base instance's own relation objects and copies only the relations it writes
+(:meth:`~repro.model.instance.Instance.shared_copy`).  So an update is
+applied once, to the base, by :func:`apply_delta`, and every fixpoint built
+over that base is then maintained from the one :class:`ChangeSet` it
+returns (:meth:`MaintainedFixpoint.update`).  A relation the program never
+mentions changes in the base and moves nothing derived.  The property tests in
 ``tests/properties/test_maintenance_agreement.py`` assert that a maintained
 materialization stays extensionally identical to a from-scratch fixpoint of
 the reference evaluator, including retractions and retraction streams
@@ -64,12 +71,12 @@ from repro.engine.fixpoint import (
     EvaluationStatistics, admit_rows, evaluate_stratum, semi_naive_rounds
 )
 from repro.engine.limits import DEFAULT_LIMITS, EvaluationLimits
-from repro.errors import EvaluationError, MaintenanceUnsupportedError
+from repro.errors import EvaluationError, MaintenanceUnsupportedError, ModelError
 from repro.model.instance import Fact, Instance
 from repro.storage import ColumnarView, MaskedView, Relation, RowSources, TermTable
 from repro.syntax.programs import Program
 
-__all__ = ["MaintainedFixpoint"]
+__all__ = ["ChangeSet", "MaintainedFixpoint", "apply_delta"]
 
 
 class _StratumState:
@@ -89,20 +96,27 @@ class _StratumState:
         self.pinned = pinned
 
 
-class _ChangeSet:
-    """The update's running per-relation delta in id space, threaded through the strata.
+class ChangeSet:
+    """An update's running per-relation delta in id space, threaded through the strata.
 
-    Per changed relation: its added and removed id rows, views of them
-    (``added_overlay`` / ``removed_overlay``) and the view it had before the
-    update (``old_overlay``), the frontier sources of the delta joins.
+    ``added_facts`` / ``removed_facts`` are the net base facts the update
+    changed (:func:`apply_delta`).  Per changed relation: its added and
+    removed id rows, views of them (``added_overlay`` / ``removed_overlay``)
+    and the view it had before the update (``old_overlay``), the frontier
+    sources of the delta joins.
     """
 
     __slots__ = (
-        "table", "names", "added", "removed", "added_overlay", "removed_overlay", "old_overlay"
+        "table", "added_facts", "removed_facts", "names", "added", "removed",
+        "added_overlay", "removed_overlay", "old_overlay",
     )
 
-    def __init__(self, table: TermTable) -> None:
+    def __init__(
+        self, table: TermTable, added_facts: "frozenset[Fact]", removed_facts: "frozenset[Fact]"
+    ) -> None:
         self.table = table
+        self.added_facts = added_facts
+        self.removed_facts = removed_facts
         self.names: set[str] = set()
         self.added: dict[str, set] = {}
         self.removed: dict[str, set] = {}
@@ -127,8 +141,62 @@ class _ChangeSet:
         self.added_overlay[name] = ColumnarView(list(added_rows), self.table)
         self.removed_overlay[name] = ColumnarView(list(removed_rows), self.table)
 
+    def extended(self) -> "ChangeSet":
+        """A copy that one fixpoint extends with the changes of its derived relations."""
+        clone = ChangeSet(self.table, self.added_facts, self.removed_facts)
+        clone.names = set(self.names)
+        clone.added, clone.removed = dict(self.added), dict(self.removed)
+        clone.added_overlay = RowSources(self.added_overlay)
+        clone.removed_overlay = RowSources(self.removed_overlay)
+        clone.old_overlay = RowSources(self.old_overlay)
+        return clone
 
-def _changed_negations(plan: CompiledRule, changes: _ChangeSet) -> "dict[int, str]":
+
+def apply_delta(
+    instance: Instance, additions: Iterable[Fact] = (), retractions: Iterable[Fact] = ()
+) -> ChangeSet:
+    """Net a base delta against *instance*, apply it there once, and return the change.
+
+    Additions win over retractions of the same fact (retract-then-add nets
+    out), and facts already present or absent drop out.  Each changed
+    relation's old columnar view is held, its rows are interned once and
+    leave or enter by their id rows (``Relation.discard_rows`` /
+    :meth:`~repro.model.instance.Instance.add_rows`), so the view advances
+    in step; a relation that empties stays present.  An addition of the
+    wrong arity raises :class:`~repro.errors.ModelError` before anything
+    changes.  Every fixpoint built over *instance* is then maintained from
+    the returned change (:meth:`MaintainedFixpoint.update`).
+    """
+    added_set = set(additions)
+    added_facts = frozenset(fact for fact in added_set if fact not in instance)
+    removed_facts = frozenset(
+        fact for fact in retractions if fact not in added_set and fact in instance
+    )
+    rows: "dict[str, tuple[set, set]]" = {}
+    for facts, side in ((added_facts, 0), (removed_facts, 1)):
+        for fact in facts:
+            rows.setdefault(fact.relation, (set(), set()))[side].add(fact.paths)
+    for name, (added_rows, _removed) in rows.items():
+        arities = {len(row) for row in added_rows} | {instance.arity_of(name)} - {None}
+        if len(arities) > 1:
+            raise ModelError(f"the delta gives relation {name!r} arities {sorted(arities)}")
+    table = instance.term_table()
+    change = ChangeSet(table, added_facts, removed_facts)
+    change.hold(instance, rows)
+    for name, (added_rows, removed_rows) in rows.items():
+        added_ids = set(map(table.intern_row, added_rows))
+        removed_ids = set(map(table.intern_row, removed_rows))
+        if removed_ids:
+            instance.storage(name).discard_rows(  # type: ignore[union-attr]
+                removed_rows, list(removed_ids), table
+            )
+        if added_rows:
+            instance.add_rows(name, added_rows, list(added_ids))
+        change.record(name, added_ids, removed_ids)
+    return change
+
+
+def _changed_negations(plan: CompiledRule, changes: ChangeSet) -> "dict[int, str]":
     """Static position → relation name of the negated predicates over a changed relation."""
     return {
         negation.position: negation.name
@@ -163,7 +231,6 @@ class MaintainedFixpoint:
         self.compiled = compiled
         self._states = states
         self._idb = program.idb_relation_names()
-        self._known = program.relation_names()
         self._valid = True
 
     # -- construction ------------------------------------------------------------------
@@ -179,7 +246,7 @@ class MaintainedFixpoint:
         compiled: "CompiledProgram | None" = None,
         seed_facts: "Iterable[Fact] | None" = None,
     ) -> "MaintainedFixpoint":
-        """Materialize *program* over a copy of *instance*, with support state.
+        """Materialize *program* over *instance*, with support state.
 
         Equivalent to :func:`~repro.engine.fixpoint.evaluate_program` on the
         same inputs, but non-recursive strata are evaluated *counting* —
@@ -189,7 +256,18 @@ class MaintainedFixpoint:
         work) for programs whose strata the maintainer cannot own, e.g. a
         relation defined in several strata.
 
-        *seed_facts* are planted into the working copy before the first
+        The materialization reads *instance*'s relations in place and copies
+        only those it writes — the program's derived relations and the
+        relations of *seed_facts*
+        (:meth:`~repro.model.instance.Instance.shared_copy`; the term table
+        is created on *instance* if needed).  So *instance* changes with
+        every :meth:`update`, whose change :func:`apply_delta` applies to
+        it, and a change made to it any other way is not maintained.  Build
+        over an instance that already holds (possibly empty) every relation
+        a later update touches: a relation added to it afterwards is not
+        the materialization's.
+
+        *seed_facts* are planted into the working instance before the first
         stratum, exactly as in :func:`~repro.engine.fixpoint.evaluate_program`
         — this is how a goal-directed (magic) program's seed enters a
         maintained materialization.  Planted facts of derived relations are
@@ -226,10 +304,12 @@ class MaintainedFixpoint:
             defined_so_far |= stratum.head_relation_names()
 
         compiled = CompiledProgram.of(program, compiled)
-        current = instance.copy()
-        if seed_facts is not None:
-            for fact in seed_facts:
-                current.add_fact(fact)
+        seed_facts = list(seed_facts or ())
+        current = instance.shared_copy(
+            program.idb_relation_names() | {fact.relation for fact in seed_facts}
+        )
+        for fact in seed_facts:
+            current.add_fact(fact)
         table = current.term_table()
         states: list[_StratumState] = []
         for stratum in compiled.strata:
@@ -358,22 +438,18 @@ class MaintainedFixpoint:
     # -- updates -----------------------------------------------------------------------
 
     def update(
-        self,
-        additions: Iterable[Fact] = (),
-        retractions: Iterable[Fact] = (),
-        *,
-        statistics: "EvaluationStatistics | None" = None,
+        self, change: ChangeSet, *, statistics: "EvaluationStatistics | None" = None
     ) -> EvaluationStatistics:
-        """Apply an EDB delta and maintain every derived relation.
+        """Maintain every derived relation past *change*, already applied to the base.
 
-        *additions* and *retractions* must target EDB relations (relations
-        the program does not define); updating a derived relation directly
-        is a caller error.  Raises
-        :class:`~repro.errors.MaintenanceUnsupportedError` — before touching
-        any state — when the update names a relation the program has never
-        heard of.  Updates that reach relations read under (stratified)
-        negation are maintained exactly via signed delta propagation.
-        Returns *statistics* (a fresh one when not given), counted into.
+        *change* is what :func:`apply_delta` returned for the instance this
+        fixpoint was built over (or for :attr:`materialized`); it must change
+        only EDB relations — updating a relation the program derives is a
+        caller error, and leaves this fixpoint stale.  A relation the
+        program never mentions changes nothing derived.  Updates that reach
+        relations read under (stratified) negation are maintained exactly
+        via signed delta propagation.  Returns *statistics* (a fresh one
+        when not given), counted into.
         """
         if not self._valid:
             raise EvaluationError(
@@ -382,55 +458,20 @@ class MaintainedFixpoint:
             )
         if statistics is None:
             statistics = EvaluationStatistics()
-        additions = list(additions)
-        retractions = list(retractions)
-        for fact in (*additions, *retractions):
-            if fact.relation in self._idb:
-                raise EvaluationError(
-                    f"cannot update relation {fact.relation!r}: it is derived by the "
-                    f"program; update the EDB relations it depends on instead"
-                )
-            if fact.relation not in self._known:
-                # Checked on the *named* relations, before netting: even a
-                # no-op delta naming a stray relation is a caller error, not
-                # something to silently accept.
-                raise MaintenanceUnsupportedError(
-                    f"the update names relation {fact.relation!r}, which the program "
-                    f"never mentions; maintenance cannot decide what it affects — "
-                    f"re-evaluate from scratch (or drop the stray facts) instead"
-                )
-
-        # Net EDB delta against the current materialization.  Additions win
-        # over retractions of the same fact (retract-then-add nets out).
-        added_set = set(additions)
-        added_facts = {fact for fact in added_set if fact not in self.materialized}
-        removed_facts = {
-            fact
-            for fact in retractions
-            if fact not in added_set and fact in self.materialized
-        }
-        touched = {fact.relation for fact in added_facts | removed_facts}
-        if not touched:
+        if not change.names:
             return statistics
 
-        # From here on the materialization mutates; any failure leaves it
-        # inconsistent with the support state, so poison the fixpoint.
+        # The base already changed; any failure from here on leaves the
+        # materialization inconsistent with it, so poison the fixpoint.
         try:
-            table = self.materialized.term_table()
-            changes = _ChangeSet(table)
-            changes.hold(self.materialized, touched)
-            for name in touched:
-                added_rows = {f.paths for f in added_facts if f.relation == name}
-                removed_rows = {f.paths for f in removed_facts if f.relation == name}
-                added_ids = set(map(table.intern_row, added_rows))
-                removed_ids = set(map(table.intern_row, removed_rows))
-                if removed_ids:
-                    self._discard(name, removed_ids)
-                if added_rows:
-                    self.materialized.add_rows(name, added_rows, list(added_ids))
-                changes.record(name, added_ids, removed_ids)
-            statistics.facts_retracted += len(removed_facts)
-
+            derived = change.names & self._idb
+            if derived:
+                raise EvaluationError(
+                    f"cannot update relation {min(derived)!r}: it is derived by the "
+                    f"program; update the EDB relations it depends on instead"
+                )
+            changes = change.extended()
+            statistics.facts_retracted += len(change.removed_facts)
             for index, (stratum, state) in enumerate(zip(self.compiled.strata, self._states)):
                 if not (changes.names & stratum.stratum.body_relation_names()):
                     continue
@@ -456,7 +497,7 @@ class MaintainedFixpoint:
         self,
         stratum: CompiledStratum,
         state: _StratumState,
-        changes: _ChangeSet,
+        changes: ChangeSet,
         statistics: EvaluationStatistics,
     ) -> "dict[str, tuple[set, set]]":
         """Adjust derivation counts by the telescoped delta joins.
@@ -609,7 +650,7 @@ class MaintainedFixpoint:
         self,
         stratum: CompiledStratum,
         state: _StratumState,
-        changes: _ChangeSet,
+        changes: ChangeSet,
         statistics: EvaluationStatistics,
     ) -> "dict[str, tuple[set, set]]":
         """DRed in id space: over-delete, rederive, insert, then discard the rest.
@@ -715,7 +756,7 @@ class MaintainedFixpoint:
         plans: "tuple[CompiledRule, ...]",
         heads: "frozenset[str]",
         state: _StratumState,
-        changes: _ChangeSet,
+        changes: ChangeSet,
         statistics: EvaluationStatistics,
         survivors=None,
     ) -> "dict[str, set]":
@@ -769,7 +810,7 @@ class MaintainedFixpoint:
         self,
         plans: "tuple[CompiledRule, ...]",
         state: _StratumState,
-        changes: _ChangeSet,
+        changes: ChangeSet,
         statistics: EvaluationStatistics,
         seeds: "dict[str, set]",
     ) -> "dict[str, set]":

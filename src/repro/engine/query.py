@@ -39,11 +39,12 @@ fixpoint as a maintained materialization*
 queries — and binding-only changes in goal mode, once a full run happened —
 are answered from the materialization without re-evaluating anything
 (``QueryResult.served_by == "maintained"``), and :meth:`QuerySession.update`
-applies fact-level additions/retractions to both the session's instance and
-the materialization incrementally (counting / delete–rederive, see
+applies fact-level additions/retractions to the session's instance once and
+maintains the materialization incrementally (counting / delete–rederive, see
 :mod:`repro.engine.maintenance`).  The session owns its instance — it pins a
-copy of the one it is given — so :meth:`QuerySession.update` is the only way
-the instance changes; updates maintenance cannot cover drop what the session
+copy of the one it is given, and every fixpoint it keeps reads that copy's
+relations in place — so :meth:`QuerySession.update` is the only way the
+instance changes; updates maintenance cannot cover drop what the session
 memoized with a recorded reason, and the next query evaluates from scratch,
 mirroring the goal-mode fallback contract.
 
@@ -70,7 +71,7 @@ from typing import Literal as TypingLiteral
 from repro.engine.compiled import CompiledProgram
 from repro.engine.fixpoint import EvaluationStatistics, evaluate_program
 from repro.engine.limits import DEFAULT_LIMITS, EvaluationLimits
-from repro.engine.maintenance import MaintainedFixpoint
+from repro.engine.maintenance import MaintainedFixpoint, apply_delta
 from repro.engine.reasons import (
     GENERALIZATION_TOO_LARGE,
     GOAL_BUDGET_EXCEEDED,
@@ -423,8 +424,10 @@ class ProgramQuery:
 class UpdateResult:
     """The outcome of one :meth:`QuerySession.update`.
 
-    ``added`` / ``removed`` are the *effective* EDB changes (no-op additions
-    and retractions net out, see :class:`~repro.model.instance.DeltaResult`).
+    ``added`` / ``removed`` are the *effective* EDB changes: additions of
+    present facts and retractions of absent ones drop out, and a fact both
+    added and retracted counts as added (see
+    :func:`~repro.engine.maintenance.apply_delta`).
     ``maintained`` says whether the session's materialized fixpoint was
     updated incrementally; when it is ``False`` and ``fallback_reason`` is
     set, maintenance could not cover the update (or broke its budget) and the
@@ -442,9 +445,12 @@ class QuerySession:
     """Repeated (possibly goal-directed) queries over one pinned instance.
 
     The session validates the instance once and pins a copy of it (the copy
-    shares the term table and the columnar views, not the row sets), so the
-    caller's instance and the session's never alias: :meth:`update` is the
-    only way the session's instance changes.  It then caches the evaluation
+    shares the term table, not the row sets), with every relation of the
+    input schema present, so the caller's instance and the session's never
+    alias: :meth:`update` is the only way the session's instance changes.
+    That copy is the session's one base: every fixpoint the session keeps
+    reads its relations in place and copies only the relations it derives.
+    The session caches the evaluation
     machinery that is worth keeping warm between queries (the compiled
     programs are the query's, shared by its sessions): a subgoal
     :class:`~repro.engine.tabling.AnswerTable` for
@@ -461,9 +467,8 @@ class QuerySession:
     previously evaluated goal is served from that entry
     (``served_by == "tabled"``), and a fresh call evaluates its magic
     program as a maintained materialization of its own and tables it.
-    :meth:`update` mutates the pinned instance through a transactional
-    :class:`~repro.model.instance.InstanceDelta` and maintains the
-    materialization *and* every tabled subgoal incrementally; anything
+    :meth:`update` applies a delta to the pinned instance once and maintains
+    the materialization *and* every tabled subgoal incrementally; anything
     maintenance cannot cover falls back to re-evaluation with a recorded
     reason (table entries degrade individually: an entry whose update cannot
     be maintained is evicted and re-evaluates on next demand).
@@ -499,6 +504,9 @@ class QuerySession:
                 )
         self.query = query
         self.instance = instance.copy()
+        # Every fixpoint reads these relations in place, so none may appear later.
+        for name in schema.relation_names:
+            self.instance.ensure_relation(name)
         self._check_flat = check_flat
         #: When ``False`` (one-shot queries), full-mode runs evaluate plainly
         #: instead of building and memoizing maintenance support state, and
@@ -542,37 +550,6 @@ class QuerySession:
 
     # -- maintained artifacts (materialization + subgoal tables) -----------------------
 
-    def _maintain_main(
-        self,
-        additions: "Iterable[Fact]",
-        retractions: "Iterable[Fact]",
-        statistics: EvaluationStatistics,
-    ) -> None:
-        """Advance the main materialization past a base delta.
-
-        Facts of relations the program never mentions cannot affect any
-        derived relation — the maintainer refuses them as unknown — so they
-        are mirrored straight into the materialized instance instead, which
-        keeps ``full_instance`` a faithful copy of the base.  Raises
-        :class:`~repro.errors.EvaluationError` when maintenance cannot cover
-        the program-relevant part.
-        """
-        assert self._maintained is not None
-        additions = list(additions)
-        retractions = list(retractions)
-        known = self._maintained.program.relation_names()
-        self._maintained.update(
-            [fact for fact in additions if fact.relation in known],
-            [fact for fact in retractions if fact.relation in known],
-            statistics=statistics,
-        )
-        stray_removed = [fact for fact in retractions if fact.relation not in known]
-        stray_added = [fact for fact in additions if fact.relation not in known]
-        for fact in stray_removed:
-            self._maintained.materialized.discard_fact(fact, keep_empty=True)
-        for fact in stray_added:
-            self._maintained.materialized.add_fact(fact)
-
     def _materialization(
         self, statistics: EvaluationStatistics
     ) -> "tuple[Instance, ServedBy]":
@@ -614,29 +591,27 @@ class QuerySession:
     ) -> UpdateResult:
         """Apply an EDB delta to the pinned instance and maintain the fixpoint.
 
-        The delta is applied atomically through
-        :meth:`~repro.model.instance.Instance.begin_delta`; if a materialized
-        fixpoint exists it is maintained incrementally (counting for
-        non-recursive strata, delete–rederive for recursive ones, signed
-        deltas through stratified negation), and so is every tabled subgoal.
-        Updates maintenance cannot cover — budget breaches, stray relations
-        — drop the materialization and record the reason; the next query
+        :meth:`check_update` runs first; then the delta is netted, interned
+        and applied to the pinned instance once
+        (:func:`~repro.engine.maintenance.apply_delta`).  If a materialized
+        fixpoint exists it is maintained from that change incrementally
+        (counting for non-recursive strata, delete–rederive for recursive
+        ones, signed deltas through stratified negation), and so is every
+        tabled subgoal whose program mentions a changed relation.  A
+        relation the program never mentions changes in the base, which the
+        materialization shares, and moves nothing derived.  Updates
+        maintenance cannot cover — budget breaches — drop the
+        materialization and record the reason; the next query
         transparently re-evaluates from scratch.  Table entries degrade
         individually: an entry whose
         magic program cannot be maintained through the update is evicted and
         re-evaluates on next demand.  ``UpdateResult.maintained`` reports
         whether the session still holds incrementally updated state — the
         materialization when one existed, otherwise surviving table entries.
-        :meth:`check_update` runs before anything mutates.
         """
         additions, retractions = list(additions), list(retractions)
         self.check_update(additions, retractions)
-        delta = self.instance.begin_delta()
-        for fact in additions:
-            delta.add_fact(fact)
-        for fact in retractions:
-            delta.retract_fact(fact)
-        applied = delta.apply()
+        change = apply_delta(self.instance, additions, retractions)
 
         statistics = EvaluationStatistics()
         had_entries = len(self._tables) > 0
@@ -644,15 +619,13 @@ class QuerySession:
         fallback = None
         if self._maintained is not None:
             try:
-                self._maintain_main(applied.added, applied.removed, statistics=statistics)
+                self._maintained.update(change, statistics=statistics)
             except EvaluationError as error:
                 fallback = maintenance_reason(error)
                 self._maintained = None
             else:
                 maintained = True
-        evicted = self._tables.apply_update(
-            applied.added, applied.removed, statistics=statistics
-        )
+        evicted = self._tables.apply_update(change, statistics)
         if not maintained and fallback is None and had_entries:
             # Goal-only session: the tables are the maintained state.
             if len(self._tables) > 0:
@@ -661,8 +634,8 @@ class QuerySession:
                 fallback = evicted[0][1]
         self.last_maintenance_fallback = fallback
         return UpdateResult(
-            added=applied.added,
-            removed=applied.removed,
+            added=change.added_facts,
+            removed=change.removed_facts,
             maintained=maintained,
             fallback_reason=fallback,
             statistics=statistics,
@@ -851,11 +824,6 @@ class QuerySession:
         try:
             if not self._memoize:
                 return self._evaluate(compiled, statistics, seed_facts=(seed,))
-            # Intern the base relations the magic program reads once, on the
-            # session's instance: every entry's working copy shares these views.
-            table = self.instance.term_table()
-            for name in magic.program.edb_relation_names() & self.instance.relation_names:
-                self.instance.storage(name).columnar(table)  # type: ignore[union-attr]
             fixpoint = MaintainedFixpoint.evaluate(
                 magic.program,
                 self.instance,
@@ -1024,12 +992,12 @@ class QuerySession:
         materialization = state.get("materialization")
         strata = state.get("strata")
         if materialization is not None and strata is not None:
-            materialized = Instance()
-            for name, rows in dict(materialization).items():
-                materialized.ensure_relation(name)
-                materialized.set_relation_rows(name, rows_from_json(rows))
-            for name in query.program.idb_relation_names():
-                materialized.ensure_relation(name)
+            # Only the derived rows: the base rows there repeat "edb".
+            rows = dict(materialization)
+            derived = query.program.idb_relation_names()
+            materialized = session.instance.shared_copy(derived)
+            for name in derived:
+                materialized.set_relation_rows(name, rows_from_json(rows.get(name, ())))
             support = [
                 (
                     bool(stratum["recursive"]),

@@ -25,10 +25,12 @@ call, and inserting a more general entry *absorbs* the entries it subsumes
 
 Each entry's answers are kept as a
 :class:`~repro.engine.maintenance.MaintainedFixpoint` of the magic program
-with the seed planted, so :meth:`~repro.engine.query.QuerySession.update`
-maintains every tabled subgoal incrementally alongside the session's full
-materialization.  An entry is a cache: only its seed is persisted, and a
-restored session re-evaluates it.
+with the seed planted, built over the session's base instance: the entry
+reads the base relations in place and owns only the relations its program
+derives and its seed relation.  :meth:`~repro.engine.query.QuerySession.update`
+applies a delta to the base once and maintains, from that one change, every
+entry whose program mentions a changed relation.  An entry is a cache: only
+its seed is persisted, and a restored session re-evaluates it.
 
 The table is also what makes the *relaxed* expanding-magic-recursion
 boundary viable: a call whose adornment is refused as expanding is rewritten
@@ -40,13 +42,13 @@ repeated subsumed call and served from the table instead of re-deriving.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from repro.engine.fixpoint import EvaluationStatistics
-from repro.engine.maintenance import MaintainedFixpoint
+from repro.engine.maintenance import ChangeSet, MaintainedFixpoint
 from repro.engine.reasons import maintenance_reason
 from repro.errors import EvaluationError, SubgoalTableError
-from repro.model.instance import Fact, Instance
+from repro.model.instance import Instance
 from repro.model.terms import Path
 
 __all__ = ["DEFAULT_MAX_ENTRIES", "TableEntry", "AnswerTable"]
@@ -255,37 +257,24 @@ class AnswerTable:
     # -- maintenance --------------------------------------------------------------------
 
     def apply_update(
-        self,
-        additions: "Iterable[Fact]",
-        retractions: "Iterable[Fact]",
-        statistics: "EvaluationStatistics | None" = None,
+        self, change: ChangeSet, statistics: "EvaluationStatistics | None" = None
     ) -> "list[tuple[TableEntry, str]]":
-        """Advance every entry past a base-instance delta.
+        """Maintain every entry past *change*, already applied to the session's base.
 
-        Entries are updated incrementally through their magic fixpoints,
-        with the delta filtered to the relations each entry's program
-        mentions (an unmentioned relation cannot move its answers).  An
-        entry's encoded answers live on the columnar views they encode,
-        which an update that moves rows replaces, so none is reset here.
-        An entry whose update fails (budget breach, stray relations, …) is
-        evicted with the reason recorded.  Returns this call's evictions.
+        Only an entry whose program mentions a changed relation is updated
+        (:meth:`~repro.engine.maintenance.MaintainedFixpoint.update`); no
+        other can see its answers move.  An entry's encoded answers live on
+        the columnar views they encode, which an update that moves rows
+        replaces, so none is reset here.  An entry whose update fails
+        (budget breach, …) is evicted with the reason recorded.  Returns
+        this call's evictions.
         """
-        additions = list(additions)
-        retractions = list(retractions)
-        if not additions and not retractions:
-            return []
         evicted: list[tuple[TableEntry, str]] = []
         for entry in list(self._entries.values()):
-            relevant_added = [f for f in additions if f.relation in entry.known_relations]
-            relevant_removed = [
-                f for f in retractions if f.relation in entry.known_relations
-            ]
-            if not relevant_added and not relevant_removed:
+            if not change.names & entry.known_relations:
                 continue
             try:
-                entry.fixpoint.update(
-                    relevant_added, relevant_removed, statistics=statistics
-                )
+                entry.fixpoint.update(change, statistics=statistics)
             except EvaluationError as error:
                 evicted.append((entry, maintenance_reason(error)))
                 self._remove(entry)

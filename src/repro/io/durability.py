@@ -462,19 +462,36 @@ class SessionDurability:
         self.snapshots_written += 1
         self._prune()
 
+    def _covered_logs(self, generation: int) -> "list[Path]":
+        """The log files holding no record past *generation*.
+
+        A log's records lie at or below its successor's base generation
+        (the writer appends to the newest log only), so a log is covered
+        when its successor's base is ``<= generation``.  The newest log is
+        never covered.  A log's own base says nothing: a crash between a
+        snapshot and its rotation leaves the restarted writer appending to
+        an older log.
+        """
+        wals = self.wal_paths()
+        return [
+            path for (_base, path), (successor, _next) in zip(wals, wals[1:])
+            if successor <= generation
+        ]
+
     def _prune(self) -> None:
         """Best-effort deletion of snapshots/logs no recovery can need.
 
         Keeps the last :data:`KEEP_SNAPSHOTS` snapshots and every log file
-        whose records any kept snapshot's tail could still want.  Deletion
-        failures are ignored — a leftover file only wastes disk; recovery
-        filters by generation and never trusts pruning to have run.
+        whose records any kept snapshot's tail could still want: all but
+        those the oldest kept snapshot covers (:meth:`_covered_logs`).
+        Deletion failures are ignored — a leftover file only wastes disk;
+        recovery filters by generation and never trusts pruning to have run.
         """
         snapshots = self.snapshot_paths()
         kept = snapshots[-KEEP_SNAPSHOTS:]
         oldest_kept = kept[0][0] if kept else 0
         doomed = [path for generation, path in snapshots[:-KEEP_SNAPSHOTS]]
-        doomed += [path for generation, path in self.wal_paths() if generation < oldest_kept]
+        doomed += self._covered_logs(oldest_kept)
         doomed += list(self.directory.glob("*.tmp"))
         for path in doomed:
             try:
@@ -525,11 +542,15 @@ class SessionDurability:
     def _tail_after(self, generation: int) -> "list[dict]":
         """Records past *generation*, collected across all logs, contiguous.
 
+        A log the snapshot covers (:meth:`_covered_logs`) is not read.
         Pruning may or may not have run; duplicate generations (the writer
         lock rules them out; defended anyway) keep the first occurrence.
         """
+        covered = set(self._covered_logs(generation))
         records: "dict[int, dict]" = {}
         for _base, path in self.wal_paths():
+            if path in covered:
+                continue
             for record in WriteAheadLog.read(path):
                 record_generation = int(record.get("generation", -1))
                 if record_generation > generation:

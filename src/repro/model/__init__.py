@@ -9,7 +9,7 @@ from repro.model.builders import (
     unary_instance,
     word,
 )
-from repro.model.instance import DeltaResult, Fact, Instance, InstanceDelta
+from repro.model.instance import Fact, Instance
 from repro.model.schema import Schema
 from repro.model.terms import (
     EPSILON,
@@ -24,10 +24,8 @@ from repro.model.terms import (
 
 __all__ = [
     "EPSILON",
-    "DeltaResult",
     "Fact",
     "Instance",
-    "InstanceDelta",
     "Packed",
     "Path",
     "Schema",

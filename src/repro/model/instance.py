@@ -15,7 +15,6 @@ Extensional equality (same set of facts) is unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 from repro.errors import ModelError
@@ -23,7 +22,7 @@ from repro.model.schema import Schema
 from repro.model.terms import Path, Value, as_path
 from repro.storage import EMPTY_ROWS, Relation, TermTable
 
-__all__ = ["DeltaResult", "Fact", "Instance", "InstanceDelta"]
+__all__ = ["Fact", "Instance"]
 
 
 class Fact:
@@ -196,16 +195,6 @@ class Instance:
         else:
             relation.set_rows(rows)
 
-    def begin_delta(self) -> "InstanceDelta":
-        """Open a transactional batch of additions and retractions.
-
-        The returned :class:`InstanceDelta` buffers mutations and applies
-        them atomically on :meth:`InstanceDelta.apply`: all validation runs
-        before the first row is touched, so a rejected delta leaves the
-        instance exactly as it was.
-        """
-        return InstanceDelta(self)
-
     # -- access --------------------------------------------------------------------
 
     @property
@@ -242,8 +231,9 @@ class Instance:
         """The instance's lazily-created path interner (the id space joins run in).
 
         Created on first use; :meth:`copy`/:meth:`restricted` clones made
-        afterwards share it, so ids stay stable across the working copies a
-        session derives from the same data.
+        afterwards share it, and :meth:`shared_copy` creates it first, so ids
+        stay stable across the working instances a session derives from the
+        same data.
         """
         table = self._terms
         if table is None:
@@ -331,16 +321,31 @@ class Instance:
 
         The term table is *shared*, not copied: it is append-only, so ids
         minted while evaluating the copy stay valid for the original (and
-        vice versa), which is what keeps ids stable across the working copies
-        a session makes.  So is each relation's columnar view already cached
-        against it (:meth:`~repro.storage.Relation.copy`): a working copy
-        joins over the original's interned rows.
+        vice versa).  No columnar view is: the copy builds its own on first
+        read.
         """
         clone = Instance()
-        clone._relations = {
-            name: stored.copy(self._terms) for name, stored in self._relations.items()
-        }
+        clone._relations = {name: stored.copy() for name, stored in self._relations.items()}
         clone._terms = self._terms
+        return clone
+
+    def shared_copy(self, copied: Iterable[str]) -> "Instance":
+        """A new instance over this one's relations, of which only *copied* are copied.
+
+        Every other relation is the *same* :class:`~repro.storage.Relation`
+        object in both instances: a change to it through either is seen by
+        both, and so is its columnar view.  A relation named in *copied* is
+        the new instance's own, and one absent here is created there when
+        first written.  The term table is created here if needed and shared,
+        so every instance derived this way joins in one id space.
+        """
+        copied = set(copied)
+        clone = Instance()
+        clone._relations = {
+            name: stored.copy() if name in copied else stored
+            for name, stored in self._relations.items()
+        }
+        clone._terms = self.term_table()
         return clone
 
     def restricted(self, names: Iterable[str]) -> "Instance":
@@ -389,119 +394,6 @@ class Instance:
     def __str__(self) -> str:
         lines = sorted(str(fact) + "." for fact in self.facts())
         return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class DeltaResult:
-    """The *effective* changes an applied :class:`InstanceDelta` made.
-
-    ``added`` holds the facts that were genuinely absent before the delta
-    and are present after it; ``removed`` the facts that were present and no
-    longer are.  Additions of already-present facts, retractions of absent
-    facts, and retract-then-add of the same fact all net out to nothing —
-    exactly the delta an incremental view maintainer needs to propagate.
-    """
-
-    added: frozenset[Fact] = field(default_factory=frozenset)
-    removed: frozenset[Fact] = field(default_factory=frozenset)
-
-    def __bool__(self) -> bool:
-        return bool(self.added or self.removed)
-
-
-class InstanceDelta:
-    """A transactional batch of additions and retractions against one instance.
-
-    Mutations are buffered until :meth:`apply`, which validates the whole
-    batch (arity coherence of the additions against the post-retraction
-    state) before touching any row, applies retractions first and additions
-    second, and returns the net :class:`DeltaResult`.  Relations emptied by
-    retractions stay present (see ``keep_empty`` on
-    :meth:`Instance.discard_fact`) so serving-session caches keyed on their
-    storage survive.  A delta can be applied at most once.
-    """
-
-    __slots__ = ("_instance", "_additions", "_retractions", "_applied")
-
-    def __init__(self, instance: Instance):
-        self._instance = instance
-        self._additions: set[Fact] = set()
-        self._retractions: set[Fact] = set()
-        self._applied = False
-
-    # -- buffering ------------------------------------------------------------------
-
-    def add_fact(self, fact: Fact) -> "InstanceDelta":
-        """Buffer the insertion of *fact*; returns ``self`` for chaining."""
-        self._additions.add(fact)
-        return self
-
-    def add(self, relation: str, *paths: "Path | Value") -> "InstanceDelta":
-        """Buffer the insertion of ``relation(paths...)``."""
-        return self.add_fact(Fact(relation, paths))
-
-    def retract_fact(self, fact: Fact) -> "InstanceDelta":
-        """Buffer the removal of *fact*; returns ``self`` for chaining."""
-        self._retractions.add(fact)
-        return self
-
-    def retract(self, relation: str, *paths: "Path | Value") -> "InstanceDelta":
-        """Buffer the removal of ``relation(paths...)``."""
-        return self.retract_fact(Fact(relation, paths))
-
-    def __len__(self) -> int:
-        return len(self._additions) + len(self._retractions)
-
-    # -- validation and application --------------------------------------------------
-
-    def _validate(self) -> None:
-        by_relation: dict[str, set[Fact]] = {}
-        for fact in self._additions:
-            by_relation.setdefault(fact.relation, set()).add(fact)
-        retracted_rows: dict[str, int] = {}
-        for fact in self._retractions:
-            if self._instance.contains(fact.relation, *fact.paths):
-                retracted_rows[fact.relation] = retracted_rows.get(fact.relation, 0) + 1
-        for name, facts in by_relation.items():
-            arities = {fact.arity for fact in facts}
-            if len(arities) > 1:
-                raise ModelError(
-                    f"delta adds tuples of arities {sorted(arities)} to relation {name!r}"
-                )
-            arity = arities.pop()
-            storage = self._instance.storage(name)
-            if storage is None:
-                continue
-            existing = storage.arity()
-            if existing is None or existing == arity:
-                continue
-            # The relation currently holds rows of another arity; the delta is
-            # only coherent if it retracts all of them first.
-            if len(storage) - retracted_rows.get(name, 0) > 0:
-                raise ModelError(
-                    f"relation {name!r} holds tuples of arity {existing}; "
-                    f"cannot add a tuple of arity {arity}"
-                )
-
-    def apply(self) -> DeltaResult:
-        """Atomically apply the buffered changes; return the net delta."""
-        if self._applied:
-            raise ModelError("this delta has already been applied")
-        self._validate()
-        self._applied = True
-        removed: set[Fact] = set()
-        added: set[Fact] = set()
-        for fact in self._retractions:
-            if fact in self._additions:
-                continue  # retract-then-add of the same fact nets out
-            if fact in self._instance:
-                self._instance.discard_fact(fact, keep_empty=True)
-                removed.add(fact)
-        for fact in self._additions:
-            if fact not in self._instance:
-                self._instance.add_fact(fact)
-                added.add(fact)
-        return DeltaResult(added=frozenset(added), removed=frozenset(removed))
 
 
 def _as_row(row: object) -> tuple:

@@ -1,4 +1,4 @@
-"""A single stored relation: a row set, cached read views and a pending delta.
+"""A single stored relation: a row set and its cached read views.
 
 The evaluation semantics of the paper (Section 2.3) only ever needs set
 membership and iteration, and the seed implementation provided exactly that —
@@ -13,15 +13,16 @@ layers above it read:
   per generation instead of one per call.
 
 The relation's **columnar view** (:meth:`columnar`, the id-space form the
-engine joins over) stays alive across generations.  While one is cached the
-relation keeps its *pending delta*: the net rows added and removed since the
-view was last brought up to date, each row's alternating ``add`` /
-``discard`` cancelling out.  The next read advances the view by that delta
-instead of rebuilding it; a wholesale rewrite (:meth:`set_rows`,
-:meth:`clear`) drops the view instead.  A view handed out stays as it was,
-which is how maintenance reads a relation's old state (the view itself, a
-read-only id-row source), and a :meth:`copy` shares it, which is how a
-working copy of a session's base relation joins without re-interning it.
+engine joins over) moves one way: a batch given with its id rows against the
+view's term table (:meth:`add_rows`, :meth:`discard_rows`) advances it in
+step, so a row that entered or left in id space is never re-interned.  Every
+other mutation — a single :meth:`add` or :meth:`discard`, a batch without id
+rows or against another table, a wholesale rewrite — drops the view, and the
+next read rebuilds it.  A view handed out stays as it was, which is how
+maintenance reads a relation's old state (the view itself, a read-only
+id-row source).  Relations are shared, not copied, between the fixpoints of
+one session (:meth:`repro.model.instance.Instance.shared_copy`), so one
+advance serves every reader.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ Row = "tuple[Path, ...]"
 
 
 class Relation:
-    """Rows of one relation, with cached views and a pending columnar delta."""
+    """Rows of one relation, with cached read views."""
 
     __slots__ = (
         "_rows",
@@ -50,7 +51,6 @@ class Relation:
         "_view_generation",
         "_columnar",
         "_columnar_table",
-        "_pending",
     )
 
     def __init__(self, rows: "Iterable[tuple[Path, ...]] | None" = None):
@@ -60,9 +60,6 @@ class Relation:
         self._view_generation = -1
         self._columnar: "ColumnarView | None" = None
         self._columnar_table: "TermTable | None" = None
-        #: Row → ``True`` (added) / ``False`` (removed) since the columnar
-        #: view was last advanced; ``None`` while no view is cached.
-        self._pending: "dict[tuple[Path, ...], bool] | None" = None
 
     # -- mutation ----------------------------------------------------------------------
 
@@ -72,8 +69,7 @@ class Relation:
         self._rows.add(row)
         if len(self._rows) != before:
             self._generation += 1
-            if self._pending is not None and self._pending.pop(row, None) is None:
-                self._pending[row] = True
+            self._drop_columnar()
             return True
         return False
 
@@ -83,8 +79,7 @@ class Relation:
         self._rows.discard(row)
         if len(self._rows) != before:
             self._generation += 1
-            if self._pending is not None and self._pending.pop(row, None) is None:
-                self._pending[row] = False
+            self._drop_columnar()
             return True
         return False
 
@@ -96,11 +91,10 @@ class Relation:
     ) -> None:
         """Insert the batch *rows*, none of which is present, as one mutation.
 
-        *id_rows*, the same rows as id tuples against *table*, advance a
-        columnar view that is current against *table* in step — or found it,
-        when the relation was empty — so the resident fixpoint never
-        re-interns what it derived in id space.  Otherwise the rows join the
-        pending delta of whatever view is cached.
+        *id_rows*, the same rows as id tuples against *table*, advance the
+        columnar view cached against *table* in step — or found it, when the
+        relation was empty — so the resident fixpoint never re-interns what
+        it derived in id space.  Otherwise the cached view is dropped.
         """
         before = len(self._rows)
         self._rows |= rows
@@ -110,17 +104,10 @@ class Relation:
         if id_rows is not None and not before:
             self._columnar = ColumnarView(id_rows, table)  # type: ignore[arg-type]
             self._columnar_table = table
-            self._pending = {}
-            return
-        pending = self._pending
-        if pending is None:
-            return
-        if id_rows is not None and self._columnar_table is table and not pending:
+        elif id_rows is not None and self._columnar_table is table:
             self._columnar = self._columnar.advanced(id_rows)  # type: ignore[union-attr]
-            return
-        for row in rows:
-            if pending.pop(row, None) is None:
-                pending[row] = True
+        else:
+            self._drop_columnar()
 
     def discard_rows(
         self, rows: "set[tuple[Path, ...]]", id_rows: "list[tuple]", table: TermTable
@@ -128,24 +115,19 @@ class Relation:
         """Remove the batch *rows*, all of them present, as one mutation.
 
         The mirror of :meth:`add_rows`: *id_rows*, the same rows as id tuples
-        against *table*, advance a columnar view that is current against
-        *table* in step, so a row leaves without being re-interned.
-        Otherwise the rows join the pending delta of whatever view is cached.
+        against *table*, advance the columnar view cached against *table* in
+        step, so a row leaves without being re-interned.  Otherwise the
+        cached view is dropped.
         """
         before = len(self._rows)
         self._rows -= rows
         if len(self._rows) != before - len(rows):
             raise ModelError("discard_rows takes only rows the relation holds")
         self._generation += 1
-        pending = self._pending
-        if pending is None:
-            return
-        if self._columnar_table is table and not pending:
+        if self._columnar_table is table:
             self._columnar = self._columnar.advanced([], id_rows)  # type: ignore[union-attr]
-            return
-        for row in rows:
-            if pending.pop(row, None) is None:
-                pending[row] = False
+        else:
+            self._drop_columnar()
 
     def set_rows(self, rows: "Iterable[tuple[Path, ...]]") -> None:
         """Replace the entire contents with *rows* (used by incremental deltas).
@@ -167,7 +149,6 @@ class Relation:
     def _drop_columnar(self) -> None:
         self._columnar = None
         self._columnar_table = None
-        self._pending = None
 
     # -- plain access ------------------------------------------------------------------
 
@@ -202,19 +183,9 @@ class Relation:
     def __repr__(self) -> str:
         return f"Relation({len(self._rows)} rows, generation {self._generation})"
 
-    def copy(self, table: "TermTable | None" = None) -> "Relation":
-        """A copy of the rows that shares the columnar view cached against *table*.
-
-        The view is shared, never built: the copy takes the source's pending
-        delta as its own, and whichever relation advances the view first
-        leaves the other a valid snapshot (:meth:`ColumnarView.advanced`).
-        Nothing else is shared.
-        """
-        clone = Relation(self._rows)
-        if table is not None and self._columnar_table is table:
-            clone._columnar, clone._columnar_table = self._columnar, table
-            clone._pending = dict(self._pending)  # type: ignore[arg-type]
-        return clone
+    def copy(self) -> "Relation":
+        """A copy of the rows; no view is shared or copied."""
+        return Relation(self._rows)
 
     # -- cached read views -------------------------------------------------------------
 
@@ -235,25 +206,12 @@ class Relation:
     def columnar(self, table: TermTable) -> ColumnarView:
         """The packed id-space view of the current rows, against *table*.
 
-        A cached view against the same table advances by the pending delta —
-        rows added *and* rows removed (:meth:`ColumnarView.advanced`;
-        :meth:`add_rows` advances the view itself) — so only the changed
-        rows are interned and every grouping the old view had built is
-        copied forward and patched, not rebuilt.  A wholesale rewrite or a different term table
-        rebuilds the whole view, which is how a relation's terms first enter
-        an instance's id space.
+        A view cached against *table* is current (every mutation either
+        advanced it or dropped it) and is returned as it is.  Otherwise the
+        whole view is built, which is how a relation's terms first enter an
+        instance's id space.
         """
-        if self._columnar_table is table:
-            pending = self._pending
-            if pending:
-                intern_row = table.intern_row
-                self._columnar = self._columnar.advanced(  # type: ignore[union-attr]
-                    [intern_row(row) for row, added in pending.items() if added],
-                    [intern_row(row) for row, added in pending.items() if not added],
-                )
-                pending.clear()
-            return self._columnar  # type: ignore[return-value]
-        self._columnar = ColumnarView([table.intern_row(row) for row in self._rows], table)
-        self._columnar_table = table
-        self._pending = {}
-        return self._columnar
+        if self._columnar_table is not table:
+            self._columnar = ColumnarView([table.intern_row(row) for row in self._rows], table)
+            self._columnar_table = table
+        return self._columnar  # type: ignore[return-value]

@@ -391,7 +391,7 @@ def update_stream(
     Retractions are clamped so at least one row always survives (an emptied
     relation would starve the recombination pool), so a step may yield fewer
     retractions than *retractions_per_step* asks for.  The yielded facts are
-    ready for :meth:`~repro.model.instance.Instance.begin_delta` or
+    ready for :func:`~repro.engine.maintenance.apply_delta` or
     :meth:`~repro.engine.query.QuerySession.update`; the stream never
     mutates *instance* itself.
     """

@@ -165,7 +165,7 @@ class TestResidentFixpoint:
         storage.columnar(table)
         evaluate_stratum(parse_program(self.CLOSURE).strata[0], current)
         assert len(current.relation("T")) == 16
-        assert storage._pending == {}  # every batch advanced the view itself
+        assert storage._columnar_table is table  # every batch advanced the view itself
         view = storage.columnar(table)
         assert view.id_row_set == {table.intern_row(row) for row in current.relation("T")}
 
@@ -192,4 +192,3 @@ class TestResidentFixpoint:
         for name in instance.relation_names:
             storage = instance.storage(name)
             assert storage._columnar is None
-            assert storage._pending is None  # nor a pending delta for one

@@ -8,10 +8,13 @@ from repro.engine import (
     CompiledRule,
     MaintainedFixpoint,
     ProgramQuery,
+    apply_delta,
     evaluate_program,
 )
 from repro.engine.reference import reference_fixpoint
-from repro.errors import EvaluationBudgetExceeded, EvaluationError, MaintenanceUnsupportedError
+from repro.errors import (
+    EvaluationBudgetExceeded, EvaluationError, MaintenanceUnsupportedError, ModelError
+)
 from repro.io import instance_from_text
 from repro.model import Fact, Instance, path, unary_instance
 from repro.parser import parse_program, parse_rule
@@ -47,10 +50,16 @@ def assert_maintained_matches_scratch(maintained, program, base):
     assert maintained.materialized == reference_fixpoint(program, base)
 
 
+def update(maintained, additions=(), retractions=(), **options):
+    """Apply a delta to *maintained*'s instance once, then maintain the fixpoint."""
+    change = apply_delta(maintained.materialized, additions, retractions)
+    return maintained.update(change, **options)
+
+
 def net_change(maintained, additions=(), retractions=(), **options):
     """Run one update; return the facts it added to and removed from the materialization."""
     before = set(maintained.materialized.facts())
-    maintained.update(additions, retractions, **options)
+    update(maintained, additions, retractions, **options)
     after = set(maintained.materialized.facts())
     return after - before, before - after
 
@@ -91,7 +100,7 @@ class TestCountingMaintenance:
         maintained = MaintainedFixpoint.evaluate(program, base.copy())
         added = Fact("R", [path(*"baa")])
         removed = Fact("R", [path(*"aa")])
-        maintained.update(additions=[added], retractions=[removed])
+        update(maintained, additions=[added], retractions=[removed])
         base.add_fact(added)
         base.discard_fact(removed)
         assert_maintained_matches_scratch(maintained, program, base)
@@ -103,9 +112,9 @@ class TestCountingMaintenance:
         base.add("R1", path("a"))
         base.add("R2", path("a"))
         maintained = MaintainedFixpoint.evaluate(program, base.copy())
-        maintained.update(retractions=[Fact("R1", [path("a")])])
+        update(maintained, retractions=[Fact("R1", [path("a")])])
         assert maintained.materialized.contains("S", path("a"))
-        maintained.update(retractions=[Fact("R2", [path("a")])])
+        update(maintained, retractions=[Fact("R2", [path("a")])])
         assert not maintained.materialized.contains("S", path("a"))
 
     def test_multiple_body_occurrences_of_the_changed_relation(self):
@@ -114,7 +123,7 @@ class TestCountingMaintenance:
         program = parse_program("S($x.$y) :- R($x), R($y).")
         base = unary_instance("R", ["a", "b"])
         maintained = MaintainedFixpoint.evaluate(program, base.copy())
-        maintained.update(
+        update(maintained, 
             additions=[Fact("R", [path("c")])], retractions=[Fact("R", [path("a")])]
         )
         base.add("R", path("c"))
@@ -126,7 +135,7 @@ class TestCountingMaintenance:
         base = unary_instance("R", ["aa", "ab", "ba"])
         maintained = MaintainedFixpoint.evaluate(program, base.copy())
         statistics = EvaluationStatistics()
-        maintained.update(
+        update(maintained, 
             retractions=[Fact("R", [path(*"aa")])], statistics=statistics
         )
         assert statistics.maintenance_rounds > 0
@@ -139,7 +148,7 @@ class TestDeleteRederive:
         base = as_edge_pairs(layered_graph_instance(layers=5, width=4, seed=1))
         maintained = MaintainedFixpoint.evaluate(program, base.copy())
         victim = Fact("E", next(iter(base.relation("E"))))
-        maintained.update(retractions=[victim])
+        update(maintained, retractions=[victim])
         base.discard_fact(victim)
         assert_maintained_matches_scratch(maintained, program, base)
 
@@ -151,7 +160,7 @@ class TestDeleteRederive:
             base.add_fact(fact)
         maintained = MaintainedFixpoint.evaluate(program, base.copy())
         statistics = EvaluationStatistics()
-        maintained.update(retractions=[edge("a", "b")], statistics=statistics)
+        update(maintained, retractions=[edge("a", "b")], statistics=statistics)
         assert maintained.materialized.contains("T", path("a"), path("d"))
         assert not maintained.materialized.contains("T", path("a"), path("b"))
         assert statistics.rederivation_attempts > 0
@@ -162,7 +171,7 @@ class TestDeleteRederive:
         program = parse_program(REACHABILITY_PAIRS)
         base = line_instance("a", "b", "c", "a")  # a → b → c → a
         maintained = MaintainedFixpoint.evaluate(program, base.copy())
-        maintained.update(retractions=[edge("c", "a")])
+        update(maintained, retractions=[edge("c", "a")])
         base.discard_fact(edge("c", "a"))
         assert_maintained_matches_scratch(maintained, program, base)
         assert not maintained.materialized.contains("T", path("a"), path("a"))
@@ -171,7 +180,7 @@ class TestDeleteRederive:
         program = parse_program(REACHABILITY_PAIRS)
         base = line_instance("a", "b", "c", "d")
         maintained = MaintainedFixpoint.evaluate(program, base.copy())
-        maintained.update(additions=[edge("b", "d")], retractions=[edge("c", "d")])
+        update(maintained, additions=[edge("b", "d")], retractions=[edge("c", "d")])
         base.add_fact(edge("b", "d"))
         base.discard_fact(edge("c", "d"))
         assert_maintained_matches_scratch(maintained, program, base)
@@ -181,7 +190,7 @@ class TestDeleteRederive:
         base = as_edge_pairs(layered_graph_instance(layers=5, width=4, seed=3))
         maintained = MaintainedFixpoint.evaluate(program, base.copy())
         for additions, retractions in update_stream(base, relation="E", steps=6, seed=11):
-            maintained.update(additions, retractions)
+            update(maintained, additions, retractions)
             for fact in retractions:
                 base.discard_fact(fact)
             for fact in additions:
@@ -200,7 +209,7 @@ class TestStratifiedNegationMaintenance:
         base.add("B", path("b"))
         maintained = MaintainedFixpoint.evaluate(program, base.copy())
         assert not maintained.materialized.contains("S", path("b"))
-        maintained.update(retractions=[Fact("B", [path("b")])])
+        update(maintained, retractions=[Fact("B", [path("b")])])
         base.discard_fact(Fact("B", [path("b")]))
         assert maintained.materialized.contains("S", path("b"))
         assert_maintained_matches_scratch(maintained, program, base)
@@ -227,11 +236,11 @@ class TestStratifiedNegationMaintenance:
         base.add("Q", path("b"))
         maintained = MaintainedFixpoint.evaluate(program, base.copy())
         assert maintained.materialized.contains("S", path("b"))
-        maintained.update(additions=[Fact("R", [path("b")])])
+        update(maintained, additions=[Fact("R", [path("b")])])
         base.add("R", path("b"))
         assert not maintained.materialized.contains("S", path("b"))
         assert_maintained_matches_scratch(maintained, program, base)
-        maintained.update(retractions=[Fact("R", [path("b")])])
+        update(maintained, retractions=[Fact("R", [path("b")])])
         base.discard_fact(Fact("R", [path("b")]))
         assert maintained.materialized.contains("S", path("b"))
         assert_maintained_matches_scratch(maintained, program, base)
@@ -249,12 +258,12 @@ class TestStratifiedNegationMaintenance:
         maintained = MaintainedFixpoint.evaluate(program, base.copy())
         assert not maintained.materialized.contains("T", path("a"), path("d"))
         # Unblocking c revives the whole suffix of the chain...
-        maintained.update(retractions=[Fact("Block", [path("c")])])
+        update(maintained, retractions=[Fact("Block", [path("c")])])
         base.discard_fact(Fact("Block", [path("c")]))
         assert maintained.materialized.contains("T", path("a"), path("d"))
         assert_maintained_matches_scratch(maintained, program, base)
         # ...and re-blocking b kills it again through the kill seeds.
-        maintained.update(additions=[Fact("Block", [path("b")])])
+        update(maintained, additions=[Fact("Block", [path("b")])])
         base.add("Block", path("b"))
         assert not maintained.materialized.contains("T", path("a"), path("d"))
         assert_maintained_matches_scratch(maintained, program, base)
@@ -274,29 +283,30 @@ class TestStratifiedNegationMaintenance:
 class TestUnsupportedAndErrors:
     def test_updating_idb_relations_is_rejected(self):
         program = parse_program(REACHABILITY_PAIRS)
-        maintained = MaintainedFixpoint.evaluate(program, line_instance("a", "b"))
+        base = line_instance("a", "b")
+        maintained = MaintainedFixpoint.evaluate(program, base)
         with pytest.raises(EvaluationError, match="derived by the"):
-            maintained.update(additions=[Fact("T", (path("a"), path("b")))])
+            maintained.update(apply_delta(base, additions=[Fact("T", (path("a"), path("b")))]))
+        # The base changed before the refusal, so the fixpoint is stale.
+        with pytest.raises(EvaluationError, match="stale"):
+            update(maintained, additions=[edge("b", "c")])
 
-    def test_unknown_relation_is_refused_not_silently_accepted(self):
-        # Regression: facts of a relation the program never mentions used to
-        # be absorbed into the materialization without any maintenance,
-        # silently desynchronising it from a from-scratch evaluation.
+    def test_a_stray_relation_changes_in_the_base_and_moves_nothing_derived(self):
         program = parse_program(REACHABILITY_PAIRS)
-        maintained = MaintainedFixpoint.evaluate(program, line_instance("a", "b"))
-        snapshot = maintained.materialized.copy()
-        with pytest.raises(MaintenanceUnsupportedError, match="never mentions"):
-            maintained.update(additions=[Fact("Stray", [path("z")])])
-        # Refused upfront: no state was touched and later updates still work.
-        assert maintained.materialized == snapshot
-        maintained.update(additions=[edge("b", "c")])
-        assert maintained.materialized.contains("T", path("a"), path("c"))
-
-    def test_unknown_relation_retraction_is_refused(self):
-        program = parse_program(REACHABILITY_PAIRS)
-        maintained = MaintainedFixpoint.evaluate(program, line_instance("a", "b"))
-        with pytest.raises(MaintenanceUnsupportedError, match="never mentions"):
-            maintained.update(retractions=[Fact("Stray", [path("z")])])
+        base = line_instance("a", "b")
+        base.add("Stray", path("y"))
+        maintained = MaintainedFixpoint.evaluate(program, base)
+        change = apply_delta(
+            base,
+            additions=[Fact("Stray", [path("z")]), edge("b", "c")],
+            retractions=[Fact("Stray", [path("y")])],
+        )
+        maintained.update(change)
+        assert base.paths("Stray") == {path("z")}
+        assert maintained.materialized.storage("Stray") is base.storage("Stray")
+        expected = line_instance("a", "b", "c")
+        expected.add("Stray", path("z"))
+        assert_maintained_matches_scratch(maintained, program, expected)
 
     def test_chained_negation_propagates_the_signed_delta(self):
         # W reads A only under negation and S reads W only under negation:
@@ -313,7 +323,7 @@ class TestUnsupportedAndErrors:
         maintained = MaintainedFixpoint.evaluate(program, base.copy())
         assert maintained.materialized.contains("W", path("b"))
         assert not maintained.materialized.contains("S", path("b"))
-        maintained.update(additions=[Fact("R", [path("b")])])
+        update(maintained, additions=[Fact("R", [path("b")])])
         base.add("R", path("b"))
         assert not maintained.materialized.contains("W", path("b"))
         assert maintained.materialized.contains("S", path("b"))
@@ -324,7 +334,7 @@ class TestUnsupportedAndErrors:
         base = line_instance("a", "b")
         maintained = MaintainedFixpoint.evaluate(program, base)
         before = set(maintained.materialized.facts())
-        statistics = maintained.update(
+        statistics = update(maintained, 
             additions=[edge("a", "b")],  # already present
             retractions=[edge("x", "y")],  # absent
         )
@@ -340,7 +350,7 @@ class TestPinnedFacts:
         base = line_instance("a", "b", "c")
         base.add("T", path("q"), path("r"))
         maintained = MaintainedFixpoint.evaluate(program, base.copy())
-        maintained.update(retractions=[edge("a", "b")])
+        update(maintained, retractions=[edge("a", "b")])
         base.discard_fact(edge("a", "b"))
         assert maintained.materialized.contains("T", path("q"), path("r"))
         assert_maintained_matches_scratch(maintained, program, base)
@@ -498,9 +508,9 @@ class TestIdSpaceCounting:
         base = instance_from_text("R(a·b·a). R(b).")
         maintained = MaintainedFixpoint.evaluate(program, base)
         assert counts_of(maintained) == {"S(a·b·a)": 2}
-        maintained.update(facts_of("R(a·a)."), facts_of("R(a·b·a)."))
+        update(maintained, facts_of("R(a·a)."), facts_of("R(a·b·a)."))
         assert counts_of(maintained) == {"S(a·a)": 2}
-        maintained.update(facts_of("R(a·b·a)."), [])
+        update(maintained, facts_of("R(a·b·a)."), [])
         assert counts_of(maintained) == {"S(a·a)": 2, "S(a·b·a)": 2}
         assert_maintained_matches_scratch(
             maintained, program, instance_from_text("R(a·a). R(b). R(a·b·a).")
@@ -521,7 +531,7 @@ class TestCountingAdmission:
         maintained = MaintainedFixpoint.evaluate(program, instance_from_text("R(a·b)."), limits)
         assert maintained.materialized.contains("S", path("a", "b", "a", "b"))
         with pytest.raises(EvaluationBudgetExceeded) as updated:
-            maintained.update(facts_of("R(a·b·c)."))
+            update(maintained, facts_of("R(a·b·c)."))
         assert updated.value.limit_name == "max_path_length"
 
     def test_the_head_relation_keeps_no_pending_path_rows(self):
@@ -531,11 +541,11 @@ class TestCountingAdmission:
         materialized = maintained.materialized
         table = materialized.term_table()
         storage = materialized.storage("S")
-        assert storage._pending == {}  # the build founded the view with its id rows
-        storage.columnar(table)
-        maintained.update(facts_of("R(b·a)."), facts_of("R(b·a·b)."))
-        assert storage._pending == {}  # rows entered and left by their id rows
+        assert storage._columnar_table is table  # the build founded the view with its id rows
+        known = storage.columnar(table).id_row_set
+        update(maintained, facts_of("R(b·a)."), facts_of("R(b·a·b)."))
         view = storage.columnar(table)
+        assert view.id_row_set is known  # rows entered and left by their id rows
         assert view.id_row_set == {table.intern_row(row) for row in materialized.relation("S")}
         assert_maintained_matches_scratch(
             maintained, program, instance_from_text("R(a·a). R(b·a).")
@@ -556,7 +566,7 @@ class TestNegatedPivots:
         maintained = MaintainedFixpoint.evaluate(program, current)
         for additions, retractions in steps:
             added, removed = facts_of(additions), facts_of(retractions)
-            maintained.update(added, removed)
+            update(maintained, added, removed)
             for fact in removed:
                 current.discard_fact(fact, keep_empty=True)
             for fact in added:
@@ -639,3 +649,89 @@ class TestHeadLedRederivation:
             "T(a·c)",
         }
         assert plan.derivable_rows(instance, []) == set()
+
+
+class TestApplyDelta:
+    """``apply_delta`` nets a delta against the base and applies it there once."""
+
+    def test_the_change_holds_the_net_facts(self):
+        instance = unary_instance("R", ["a", "b"])
+        change = apply_delta(
+            instance,
+            additions=[Fact("R", [path("c")]), Fact("R", [path("a")]), Fact("R", [path("d")])],
+            retractions=[Fact("R", [path("b")]), Fact("R", [path("x")]), Fact("R", [path("d")])],
+        )
+        assert change.added_facts == {Fact("R", [path("c")]), Fact("R", [path("d")])}
+        assert change.removed_facts == {Fact("R", [path("b")])}
+        assert instance.paths("R") == {path("a"), path("c"), path("d")}
+        table = instance.term_table()
+        assert change.names == {"R"}
+        assert change.removed["R"] == {table.intern_row((path("b"),))}
+        assert instance.storage("R").columnar(table).id_row_set == {
+            table.intern_row(row) for row in instance.relation("R")
+        }
+
+    def test_a_wrong_arity_is_refused_before_anything_changes(self):
+        instance = unary_instance("R", ["a"])
+        instance.add("S", path("s"))
+        with pytest.raises(ModelError):
+            apply_delta(
+                instance,
+                additions=[Fact("S", [path("t")]), Fact("R", [path("b"), path("c")])],
+                retractions=[Fact("S", [path("s")])],
+            )
+        assert instance.paths("R") == {path("a")} and instance.paths("S") == {path("s")}
+
+    def test_an_emptied_relation_stays_present(self):
+        instance = unary_instance("R", ["a"])
+        storage = instance.storage("R")
+        apply_delta(instance, retractions=[Fact("R", [path("a")])])
+        assert instance.storage("R") is storage and not storage
+
+    def test_retract_then_add_of_the_same_fact_nets_out(self):
+        instance = unary_instance("R", ["a"])
+        generation = instance.storage("R").generation
+        fact = Fact("R", [path("a")])
+        change = apply_delta(instance, additions=[fact], retractions=[fact])
+        assert not change.added_facts and not change.removed_facts
+        assert not change.names
+        assert instance.contains("R", path("a"))
+        assert instance.storage("R").generation == generation
+
+    def test_mixed_arities_within_the_delta_are_refused(self):
+        instance = Instance()
+        with pytest.raises(ModelError):
+            apply_delta(
+                instance, additions=[Fact("S", [path("a")]), Fact("S", [path("a"), path("b")])]
+            )
+        assert len(instance) == 0
+
+    def test_an_addition_to_an_absent_relation_creates_it_with_a_fresh_view(self):
+        instance = unary_instance("R", ["a"])
+        change = apply_delta(instance, additions=[Fact("T", [path("t"), path("u")])])
+        table = instance.term_table()
+        assert change.names == {"T"}
+        assert change.added["T"] == {table.intern_row((path("t"), path("u")))}
+        assert instance.arity_of("T") == 2
+        assert instance.storage("T").columnar(table).id_row_set == change.added["T"]
+
+    def test_each_touched_relation_moves_once_and_others_not_at_all(self):
+        instance = unary_instance("R", ["a", "b"])
+        instance.add("S", path("s"))
+        generations = {name: instance.storage(name).generation for name in ("R", "S")}
+        apply_delta(
+            instance,
+            additions=[Fact("R", [path("c")]), Fact("R", [path("d")])],
+            retractions=[Fact("R", [path("a")])],
+        )
+        assert instance.storage("R").generation == generations["R"] + 2  # one discard, one add
+        assert instance.storage("S").generation == generations["S"]
+
+    def test_a_fixpoint_over_the_instance_is_maintained_from_the_change(self):
+        program = parse_program(REACHABILITY_PAIRS)
+        instance = instance_from_text("E(a, b). E(b, c).")
+        fixpoint = MaintainedFixpoint.evaluate(program, instance)
+        change = apply_delta(instance, additions=[edge("c", "d")], retractions=[edge("a", "b")])
+        fixpoint.update(change)
+        expected = instance_from_text("E(b, c). E(c, d).")
+        assert fixpoint.materialized == reference_fixpoint(program, expected)

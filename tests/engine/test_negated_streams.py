@@ -79,12 +79,10 @@ def test_updates_through_the_negated_relation_stay_maintained():
         update = session.update(additions, retractions)
         assert update.maintained and update.fallback_reason is None
         maintained_attempts += update.statistics.extension_attempts
-        delta = scratch.begin_delta()
-        for fact in additions:
-            delta.add_fact(fact)
         for fact in retractions:
-            delta.retract_fact(fact)
-        delta.apply()
+            scratch.discard_fact(fact)
+        for fact in additions:
+            scratch.add_fact(fact)
         statistics = EvaluationStatistics()
         rebuilt = evaluate_program(program, scratch, statistics=statistics)
         scratch_attempts += statistics.extension_attempts

@@ -17,7 +17,9 @@ from dataclasses import astuple
 
 import pytest
 
-from repro.engine import EvaluationStatistics, MaintainedFixpoint, evaluate_program
+from repro.engine import (
+    EvaluationStatistics, MaintainedFixpoint, apply_delta, evaluate_program
+)
 from repro.engine.limits import DEFAULT_LIMITS
 from repro.model import Fact, path
 from repro.parser import parse_program
@@ -216,5 +218,7 @@ def test_maintained_stream_counters(name):
     built = pinned(build, maintained.materialized)
     stream = EvaluationStatistics()
     for additions, retractions in batches(name, instance):
-        maintained.update(additions, retractions, statistics=stream)
+        maintained.update(
+            apply_delta(maintained.materialized, additions, retractions), statistics=stream
+        )
     assert (built, pinned(stream, maintained.materialized)) == MAINTAINED[name]

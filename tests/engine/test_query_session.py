@@ -8,6 +8,8 @@ recorded reasons, and the plan-cache counters across repeated ``run()``
 calls.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.engine import (
@@ -25,6 +27,7 @@ from repro.io.serialization import fact_from_json
 from repro.model import Fact, Instance, path, unary_instance
 from repro.parser import parse_program
 from repro.queries import get_query
+from repro.storage import Relation
 from repro.workloads import as_edge_pairs, random_graph_instance
 
 REACHABILITY_PAIRS = """
@@ -223,6 +226,83 @@ class TestSessionUpdate:
         result = session.run()
         assert result.served_by == "maintained"
         assert result.paths() == query.run(expected).paths()
+
+
+BLOCKED_PAIRS = """
+T(@x, @y) :- E(@x, @y), not B(@y).
+T(@x, @z) :- T(@x, @y), E(@y, @z), not B(@z).
+"""
+
+
+def blocked_query():
+    program = parse_program(BLOCKED_PAIRS)
+    return ProgramQuery(program, {"E": 2, "B": 1}, "T", require_monadic=False)
+
+
+def blocked_instance():
+    instance = line_instance()
+    instance.add("E", "n3", "n1")
+    instance.add("B", "n4")
+    return instance
+
+
+def goal_session(query, instance):
+    """A goal-only session holding two table entries."""
+    session = query.session(instance)
+    for source in ("a", "n2"):
+        assert session.run(binding={0: source}, mode="goal").served_by == "goal"
+    assert len(list(session._tables)) == 2
+    return session
+
+
+class TestSharedBaseRelations:
+    """Every fixpoint of a session reads the session's base relations in place."""
+
+    def test_every_table_entry_reads_the_base_relations(self):
+        session = goal_session(blocked_query(), blocked_instance())
+        for entry in session._tables:
+            for name in ("E", "B"):
+                assert entry.answers.storage(name) is session.instance.storage(name)
+
+    def test_a_fresh_and_a_restored_materialization_read_the_base_relations(self):
+        query = blocked_query()
+        session = query.session(blocked_instance())
+        session.run()
+        restored = QuerySession.restore(query, session.export_state())
+        for served in (session, restored):
+            for name in ("E", "B"):
+                assert served.materialized.storage(name) is served.instance.storage(name)
+        assert restored.materialized == session.materialized
+
+    def test_an_update_changes_each_touched_base_relation_once(self, monkeypatch):
+        query = blocked_query()
+        session = goal_session(query, blocked_instance())
+        watched = {
+            id(holder.storage(name)): name
+            for holder in (session.instance, *(entry.answers for entry in session._tables))
+            for name in ("E", "B")
+        }
+        calls = Counter()
+        for method in ("add", "discard", "add_rows", "discard_rows"):
+
+            def spy(relation, *args, _original=getattr(Relation, method), _method=method):
+                if id(relation) in watched:
+                    calls[watched[id(relation)], _method] += 1
+                return _original(relation, *args)
+
+            monkeypatch.setattr(Relation, method, spy)
+        session.update(
+            additions=[edge("n4", "a"), Fact("B", [path("n2")])], retractions=[edge("a", "n1")]
+        )
+        assert calls == {("E", "add_rows"): 1, ("E", "discard_rows"): 1, ("B", "add_rows"): 1}
+        expected = blocked_instance()
+        expected.add("E", "n4", "a")
+        expected.add("B", "n2")
+        expected.discard_fact(edge("a", "n1"))
+        for source in ("a", "n2"):
+            result = session.run(binding={0: source}, mode="goal")
+            assert result.served_by == "tabled"
+            assert result.output == query.run(expected, binding={0: source}).output
 
 
 def mutate(instance, kind):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import AnswerTable, ProgramQuery, QuerySession, TableEntry
+from repro.engine import AnswerTable, ProgramQuery, QuerySession, TableEntry, apply_delta
 from repro.errors import MaintenanceUnsupportedError, SubgoalTableError
 from repro.model import Fact, Instance, path
 from repro.parser import parse_program
@@ -72,7 +72,7 @@ class StubFixpoint:
     def __init__(self):
         self.materialized = Instance()
 
-    def update(self, additions, retractions, statistics=None):
+    def update(self, change, *, statistics=None):
         raise MaintenanceUnsupportedError("a stand-in fixpoint is not maintained")
 
 
@@ -454,7 +454,7 @@ class TestSeedIndex:
                 expected = scan_lookup(table, shape, binding)
                 assert table.lookup(shape, binding) is expected
             elif kind == "update":
-                table.apply_update([Fact(operation[1], (path("a"),))], [])
+                table.apply_update(apply_delta(Instance(), [Fact(operation[1], (path("a"),))]))
             else:
                 table.clear()
             entries = list(table)

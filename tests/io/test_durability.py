@@ -229,6 +229,57 @@ class TestSessionDurability:
         resumed.close()
         assert [r["generation"] for r in SessionDurability(tmp_path).recover().tail] == [2]
 
+    def test_a_log_written_past_an_unrotated_snapshot_is_kept_for_its_tail(self, tmp_path):
+        # Crash window: snapshot-3 written, the rotation to wal-3 lost, so the
+        # restarted writer appends 4..6 to wal-0.  Compaction at 6 must keep
+        # wal-0: snapshot-3, the fallback, needs those records.
+        durability = SessionDurability(tmp_path)
+        durability.initialize({}, {"stamp": 0}, generation=0)
+        for generation in (1, 2, 3):
+            durability.log_commit(generation, [edge(f"a{generation}", "b")], [], 1)
+        durability.snapshot({}, {"stamp": 3}, 3)
+        durability.close()
+        (tmp_path / f"wal-{3:012d}.log").unlink()
+        resumed = SessionDurability(tmp_path)
+        resumed.open_for_append()
+        assert resumed.recover().generation == 3
+        for generation in (4, 5, 6):
+            resumed.log_commit(generation, [edge(f"a{generation}", "b")], [], 1)
+        resumed.snapshot({}, {"stamp": 6}, 6)
+        resumed.log_commit(7, [edge("a7", "b")], [], 1)
+        resumed.close()
+        resumed.snapshot_paths()[-1][1].write_text("{ corrupt")
+        recovered = SessionDurability(tmp_path).recover()
+        assert recovered.generation == 3 and recovered.state == {"stamp": 3}
+        assert [r["generation"] for r in recovered.tail] == [4, 5, 6, 7]
+
+    def test_recovery_reads_no_log_its_snapshot_covers(self, tmp_path, monkeypatch):
+        durability = SessionDurability(tmp_path)
+        durability.initialize({}, {}, generation=0)
+        for generation in (1, 2):
+            durability.log_commit(generation, [edge(f"a{generation}", "b")], [], 1)
+        durability.snapshot({}, {}, 2)
+        durability.log_commit(3, [edge("a3", "b")], [], 1)
+        durability.close()
+        read = []
+        original = WriteAheadLog.read
+
+        def spy(log_path):
+            read.append(log_path.name)
+            return original(log_path)
+
+        monkeypatch.setattr(WriteAheadLog, "read", staticmethod(spy))
+        recovered = SessionDurability(tmp_path).recover()
+        assert recovered.generation == 2
+        assert [r["generation"] for r in recovered.tail] == [3]
+        assert read == [f"wal-{2:012d}.log"]
+        read.clear()
+        durability.snapshot_paths()[-1][1].write_text("{ corrupt")
+        recovered = SessionDurability(tmp_path).recover()
+        assert recovered.generation == 0
+        assert [r["generation"] for r in recovered.tail] == [1, 2, 3]
+        assert read == [f"wal-{0:012d}.log", f"wal-{2:012d}.log"]
+
     def test_tail_stops_at_a_generation_gap(self, tmp_path):
         durability = SessionDurability(tmp_path)
         durability.initialize({}, {}, generation=0)

@@ -111,71 +111,57 @@ class TestSchema:
         assert "R" in schema and "T" not in schema
 
 
-class TestInstanceDelta:
-    def test_apply_returns_effective_changes(self):
-        instance = unary_instance("R", ["a", "b"])
-        result = (
-            instance.begin_delta()
-            .add("R", path("c"))
-            .add("R", path("a"))  # already present: nets out
-            .retract("R", path("b"))
-            .retract("R", path("missing"))  # absent: nets out
-            .apply()
-        )
-        assert result.added == {Fact("R", [path("c")])}
-        assert result.removed == {Fact("R", [path("b")])}
-        assert instance.paths("R") == {path("a"), path("c")}
+class TestSharedCopy:
+    """``shared_copy`` reads the base's relations in place and copies only the named ones."""
 
-    def test_retract_then_add_of_the_same_fact_nets_out(self):
-        instance = unary_instance("R", ["a"])
-        fact = Fact("R", [path("a")])
-        result = instance.begin_delta().retract_fact(fact).add_fact(fact).apply()
-        assert not result
-        assert instance.contains("R", path("a"))
+    def test_unnamed_relations_are_the_same_objects(self):
+        base = unary_instance("R", ["a"])
+        base.add("S", path("b"))
+        clone = base.shared_copy(["S"])
+        assert clone.storage("R") is base.storage("R")
+        assert clone.storage("S") is not base.storage("S")
+        assert clone == base
 
-    def test_delta_is_atomic_on_arity_conflict(self):
-        instance = unary_instance("R", ["a"])
-        delta = instance.begin_delta()
-        delta.retract("R", path("x"))  # harmless retraction of an absent fact
-        delta.add("R", path("b"), path("c"))  # arity 2 into a unary relation
-        with pytest.raises(ModelError):
-            delta.apply()
-        # Nothing was applied: the harmless retraction did not run either.
-        assert instance.paths("R") == {path("a")}
+    def test_a_change_to_a_shared_relation_is_seen_through_both(self):
+        base = unary_instance("R", ["a"])
+        clone = base.shared_copy([])
+        clone.add("R", path("b"))
+        base.discard_fact(Fact("R", [path("a")]), keep_empty=True)
+        assert base.paths("R") == clone.paths("R") == {path("b")}
 
-    def test_delta_rejects_mixed_arities_within_itself(self):
-        instance = Instance()
-        delta = instance.begin_delta().add("S", path("a")).add("S", path("a"), path("b"))
-        with pytest.raises(ModelError):
-            delta.apply()
-        assert len(instance) == 0
+    def test_a_copied_relation_moves_alone(self):
+        base = unary_instance("R", ["a"])
+        clone = base.shared_copy(["R"])
+        clone.add("R", path("b"))
+        base.add("R", path("c"))
+        assert base.paths("R") == {path("a"), path("c")}
+        assert clone.paths("R") == {path("a"), path("b")}
 
-    def test_arity_change_allowed_when_all_rows_retracted(self):
-        instance = unary_instance("R", ["a"])
-        result = (
-            instance.begin_delta()
-            .retract("R", path("a"))
-            .add("R", path("b"), path("c"))
-            .apply()
-        )
-        assert result.added == {Fact("R", [path("b"), path("c")])}
-        assert instance.contains("R", path("b"), path("c"))
+    def test_a_relation_absent_from_the_base_is_written_only_in_the_copy(self):
+        base = unary_instance("R", ["a"])
+        clone = base.shared_copy(["T"])
+        assert "T" not in clone.relation_names
+        clone.add("T", path("t"))
+        assert "T" not in base.relation_names
+        assert clone.paths("T") == {path("t")}
 
-    def test_delta_applies_at_most_once(self):
-        instance = Instance()
-        delta = instance.begin_delta().add("R", path("a"))
-        delta.apply()
-        with pytest.raises(ModelError):
-            delta.apply()
+    def test_the_term_table_is_created_on_the_base_and_shared(self):
+        base = unary_instance("R", ["a"])
+        first, second = base.shared_copy([]), base.shared_copy(["R"])
+        table = base.term_table()
+        assert first.term_table() is table and second.term_table() is table
 
-    def test_emptied_relations_stay_present(self):
-        instance = unary_instance("R", ["a"])
-        storage = instance.storage("R")
-        instance.begin_delta().retract("R", path("a")).apply()
-        assert "R" in instance.relation_names
-        assert instance.storage("R") is storage
-        assert instance.relation("R") == frozenset()
+    def test_a_shared_relation_shares_its_columnar_view(self):
+        base = unary_instance("R", ["a", "b"])
+        clone = base.shared_copy([])
+        table = base.term_table()
+        view = base.storage("R").columnar(table)
+        assert clone.storage("R").columnar(clone.term_table()) is view
 
-    def test_len_counts_buffered_changes(self):
-        delta = Instance().begin_delta().add("R", path("a")).retract("R", path("b"))
-        assert len(delta) == 2
+    def test_a_plain_copy_shares_the_term_table_but_no_view(self):
+        base = unary_instance("R", ["a"])
+        table = base.term_table()
+        base.storage("R").columnar(table)
+        clone = base.copy()
+        assert clone.term_table() is table
+        assert clone.storage("R")._columnar is None

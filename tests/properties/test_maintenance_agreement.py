@@ -12,7 +12,7 @@ incremental-maintenance refactor, the analogue of
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import EvaluationStatistics, MaintainedFixpoint
+from repro.engine import EvaluationStatistics, MaintainedFixpoint, apply_delta
 from repro.engine.reference import reference_fixpoint
 from repro.io import instance_from_text
 from repro.model import Fact
@@ -44,7 +44,9 @@ def apply_steps_and_check(program, base, steps):
     retracted = []
     for additions, retractions in steps:
         statistics = EvaluationStatistics()
-        maintained.update(additions, retractions, statistics=statistics)
+        maintained.update(
+            apply_delta(maintained.materialized, additions, retractions), statistics=statistics
+        )
         for fact in retractions:
             current.discard_fact(fact)
         for fact in additions:

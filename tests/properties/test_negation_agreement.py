@@ -16,7 +16,7 @@ fixpoint (:mod:`repro.engine.reference`):
 
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import MaintainedFixpoint, ProgramQuery
+from repro.engine import MaintainedFixpoint, ProgramQuery, apply_delta
 from repro.engine.reference import reference_fixpoint
 from repro.model import Fact, path
 from repro.parser import parse_program
@@ -58,7 +58,7 @@ def apply_steps_and_check(program, base, steps):
     current = base.copy()
     assert maintained.materialized == reference_fixpoint(program, current)
     for additions, retractions in steps:
-        maintained.update(additions, retractions)
+        maintained.update(apply_delta(maintained.materialized, additions, retractions))
         for fact in retractions:
             current.discard_fact(fact)
         for fact in additions:

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from repro.engine import MaintainedFixpoint, QuerySession
+from repro.engine import MaintainedFixpoint, QuerySession, apply_delta
 from repro.engine.reasons import REWRITE_UNSUPPORTED, reason_code
 from repro.engine.reference import reference_fixpoint
 from repro.model import Fact, Instance, path, string_path
@@ -99,8 +99,8 @@ def _maintained_round_trip(query, instance):
     maintained = MaintainedFixpoint.evaluate(query.program(), instance, query.limits)
     for name in sorted(instance.relation_names):
         facts = [Fact(name, row) for row in instance.relation(name)]
-        maintained.update(retractions=facts)
-        maintained.update(additions=facts)
+        maintained.update(apply_delta(maintained.materialized, retractions=facts))
+        maintained.update(apply_delta(maintained.materialized, additions=facts))
     return _read(query, maintained.materialized)
 
 

@@ -93,17 +93,18 @@ def test_the_advanced_view_equals_a_rebuilt_one_after_every_step(steps):
 
 
 def test_a_view_read_after_every_single_row_change_is_never_rebuilt():
-    """However long a relation lives, single-row changes keep advancing its
-    one view: no count of changes makes the next read start over."""
+    """However long a relation lives, single-row changes by id rows keep
+    advancing its one view: no count of changes makes the next read start over."""
     table = Instance().term_table()
     relation = Relation([(Path((f"r{index}",)),) for index in range(50)])
     known = relation.columnar(table).id_row_set
     extra = [(Path((f"x{index}",)),) for index in range(5)]
     for step in range(8200):
+        row = extra[step // 2 % 5]
         if step % 2:
-            relation.discard(extra[step // 2 % 5])
+            relation.discard_rows({row}, [table.intern_row(row)], table)
         else:
-            relation.add(extra[step // 2 % 5])
+            relation.add_rows({row}, [table.intern_row(row)], table)
         assert relation.columnar(table).id_row_set is known
     assert known == {table.intern_row(row) for row in relation.rows}
 
@@ -114,8 +115,8 @@ def test_a_removal_keeps_what_was_built_and_the_old_snapshot():
     view = relation.columnar(table)
     known, grouped = view.id_row_set, view.groups(1)
     view.first_groups(0)
-    relation.discard((PATHS[0], PATHS[1]))
-    relation.discard((PATHS[4], PATHS[1]))
+    gone = [(PATHS[0], PATHS[1]), (PATHS[4], PATHS[1])]
+    relation.discard_rows(set(gone), [table.intern_row(row) for row in gone], table)
     advanced = relation.columnar(table)
     assert advanced is not view
     assert advanced.id_row_set is known  # moved, then patched
@@ -275,26 +276,18 @@ def replay(relation, operations):
     )
 )
 @settings(max_examples=150, deadline=None)
-def test_changes_since_is_the_net_difference_from_every_mark(operations):
-    """Whenever the view was last read — its mark — the pending delta is the
-    difference between the rows now and the rows at the mark, with a row's
-    alternating operations netted out; a wholesale rewrite after the mark
-    leaves no delta, because it dropped the view."""
+def test_a_change_by_paths_drops_the_view_and_the_next_read_is_fresh(operations):
+    """Whenever the view was last read — its mark — a later change by paths
+    that moves a row, or a wholesale rewrite, drops it; a relation whose rows
+    never moved keeps it.  Either way the next read holds exactly the rows."""
     table = Instance().term_table()
     for mark in range(len(operations) + 1):
         relation = Relation()
         replay(relation, operations[:mark])
-        relation.columnar(table)
-        rows = frozenset(relation.rows)
+        view = relation.columnar(table)
+        generation = relation.generation
         replay(relation, operations[mark:])
-        now = frozenset(relation.rows)
-        pending = relation._pending
-        if any(verb == "rewrite" for verb, _ in operations[mark:]):
-            assert pending is None
-        else:
-            added = {row for row, is_added in pending.items() if is_added}
-            removed = {row for row, is_added in pending.items() if not is_added}
-            assert (added, removed) == (now - rows, rows - now)
+        assert (relation._columnar is view) == (relation.generation == generation)
         assert_same(relation.columnar(table), relation, table, ("row_set",))
 
 

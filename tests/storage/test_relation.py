@@ -128,98 +128,58 @@ class TestViews:
         assert edges.view() == frozenset()
 
 
-def pending_delta(relation):
-    """The relation's pending delta as ``(added, removed)``; ``None`` with no view."""
-    if relation._pending is None:
-        return None
-    return (
-        {row for row, added in relation._pending.items() if added},
-        {row for row, added in relation._pending.items() if not added},
-    )
+class TestViewLifetime:
+    """The columnar view lives until a change it cannot follow by id rows."""
 
-
-class TestChangeLog:
-    """The change log is the columnar view's pending delta: the net rows added
-    and removed since the view was last read, kept only while a view is."""
-
-    def test_changes_since_unknown_without_watch(self, edges):
-        assert pending_delta(edges) is None
-        edges.add((path("q"), path("q")))
-        assert pending_delta(edges) is None  # nothing is kept for a view nobody built
-
-    def test_equal_generation_is_always_empty(self, edges):
-        table = Instance().term_table()
-        view = edges.columnar(table)
-        assert pending_delta(edges) == (set(), set())
-        assert edges.columnar(table) is view
-
-    def test_net_changes_fold_adds_and_removes(self, edges):
-        table = Instance().term_table()
-        known = edges.columnar(table).id_row_set
-        row_a = (path("q"), path("q"))
-        row_b = (path("r"), path("r"))
-        existing = next(iter(edges.rows))
-        edges.add(row_a)
-        edges.add(row_b)
-        edges.discard(row_b)  # add then remove: no net change
-        edges.discard(existing)
-        assert pending_delta(edges) == ({row_a}, {existing})
-        assert edges.columnar(table).id_row_set is known  # advanced by the delta
-        assert known == {table.intern_row(row) for row in edges.rows}
-        assert pending_delta(edges) == (set(), set())
-
-    def test_remove_then_readd_nets_out(self, edges):
-        table = Instance().term_table()
-        view = edges.columnar(table)
-        existing = next(iter(edges.rows))
-        edges.discard(existing)
-        edges.add(existing)
-        assert pending_delta(edges) == (set(), set())
-        assert edges.columnar(table) is view
-
-    def test_ineffective_mutations_are_not_logged(self, edges):
+    def test_ineffective_changes_keep_the_view_and_the_generation(self, edges):
         table = Instance().term_table()
         view = edges.columnar(table)
         generation = edges.generation
-        edges.add(next(iter(edges.rows)))
-        edges.discard((path("missing"), path("missing")))
+        assert edges.add(next(iter(edges.rows))) is False
+        assert edges.discard((path("missing"), path("missing"))) is False
         assert edges.generation == generation
-        assert pending_delta(edges) == (set(), set())
         assert edges.columnar(table) is view
 
-    def test_wholesale_rewrite_voids_the_log(self, edges):
+    def test_a_wholesale_rewrite_drops_the_view(self, edges):
         table = Instance().term_table()
         known = edges.columnar(table).id_row_set
         edges.set_rows({(path("a"), path("b"))})
-        assert pending_delta(edges) is None
+        assert edges._columnar is None
         rebuilt = edges.columnar(table).id_row_set
         assert rebuilt is not known and rebuilt == {table.intern_row((path("a"), path("b")))}
-        # But the view rebuilt after the rewrite keeps a delta again.
-        edges.add((path("c"), path("d")))
-        assert pending_delta(edges) == ({(path("c"), path("d"))}, set())
 
-    def test_clear_voids_the_log(self, edges):
+    def test_clear_drops_the_view(self, edges):
         table = Instance().term_table()
         edges.columnar(table)
         edges.clear()
-        assert pending_delta(edges) is None
+        assert edges._columnar is None
         assert len(edges.columnar(table)) == 0
 
-    def test_copy_does_not_inherit_the_log(self, edges):
+    def test_a_copy_has_no_view_and_moves_alone(self, edges):
         table = Instance().term_table()
-        edges.columnar(table)
-        edges.add((path("q"), path("q")))
+        view = edges.columnar(table)
         clone = edges.copy()
-        assert pending_delta(clone) is None
-        assert pending_delta(edges) == ({(path("q"), path("q"))}, set())
-        assert clone.columnar(table).id_row_set == {table.intern_row(row) for row in edges.rows}
+        assert clone._columnar is None
+        clone.add((path("q"), path("q")))
+        assert edges.columnar(table) is view
+        assert_view_is_fresh(clone, table)
 
-    def test_marks_before_watch_are_unknown(self, edges):
+    def test_a_view_built_after_a_change_by_paths_holds_it(self, edges):
         table = Instance().term_table()
         edges.add((path("q"), path("q")))
-        view = edges.columnar(table)  # built over the change, which is not pending
-        assert pending_delta(edges) == (set(), set())
+        view = edges.columnar(table)
         assert table.intern_row((path("q"), path("q"))) in view.id_row_set
+        assert_view_is_fresh(edges, table)
+
+    def test_a_row_removed_and_readded_by_id_rows_keeps_the_id_row_set(self, edges):
+        table = Instance().term_table()
+        known = edges.columnar(table).id_row_set
+        row = next(iter(edges.rows))
+        ids = [table.intern_row(row)]
+        edges.discard_rows({row}, ids, table)
+        edges.add_rows({row}, ids, table)
+        assert edges.columnar(table).id_row_set is known
+        assert_view_is_fresh(edges, table)
 
 
 class TestMutationPathAudit:
@@ -322,10 +282,11 @@ class TestBatchAdds:
     """``add_rows``: what ``add`` does row by row, plus the id rows for the view;
     ``discard_rows`` is its mirror."""
 
-    def test_a_batch_counts_and_logs_like_single_adds(self, edges):
+    def test_a_batch_without_id_rows_counts_and_drops_the_view_like_single_adds(self, edges):
         table = Instance().term_table()
         single, batch = edges.copy(), edges.copy()
-        known = [relation.columnar(table).id_row_set for relation in (single, batch)]
+        for relation in (single, batch):
+            relation.columnar(table)
         generation = batch.generation
         new = rows_of((("d",), ("x",)), (("e",), ("y",)))
         for row in new:
@@ -333,9 +294,28 @@ class TestBatchAdds:
         batch.add_rows(set(new))
         assert batch.rows == single.rows
         assert batch.generation == generation + 1
-        for relation, row_set in zip((single, batch), known):
-            assert relation.columnar(table).id_row_set is row_set  # advanced, not rebuilt
-            assert row_set == {table.intern_row(row) for row in relation.rows}
+        for relation in (single, batch):
+            assert relation._columnar is None
+            assert_view_is_fresh(relation, table)
+
+    def test_a_single_discard_drops_the_view(self, edges):
+        table = Instance().term_table()
+        edges.columnar(table)
+        edges.discard(next(iter(edges.rows)))
+        assert edges._columnar is None
+        assert_view_is_fresh(edges, table)
+
+    def test_id_rows_against_another_table_drop_the_view(self, edges):
+        table, other = Instance().term_table(), Instance().term_table()
+        edges.columnar(table)
+        new = list(rows_of((("d",), ("x",))))
+        edges.add_rows(set(new), [other.intern_row(row) for row in new], other)
+        assert edges._columnar is None
+        gone = sorted(edges.rows, key=repr)[:1]
+        edges.columnar(table)
+        edges.discard_rows(set(gone), [other.intern_row(row) for row in gone], other)
+        assert edges._columnar is None
+        assert_view_is_fresh(edges, table)
 
     def test_a_row_already_held_is_refused(self, edges):
         with pytest.raises(ModelError):
@@ -354,7 +334,7 @@ class TestBatchAdds:
         assert sorted(advanced.id_rows) == sorted(known)
         assert view.id_row_set == set(view.id_rows) and len(view) == 5  # the old snapshot holds
 
-    def test_id_rows_found_the_view_of_an_empty_relation_without_a_log(self):
+    def test_id_rows_found_the_view_of_an_empty_relation(self):
         table = Instance().term_table()
         relation = Relation()
         rows = list(rows_of((("a",),), (("b",),)))
@@ -363,18 +343,8 @@ class TestBatchAdds:
         view = relation.columnar(table)
         assert view.id_rows is id_rows
         known = view.id_row_set
-        relation.discard(rows[0])
+        relation.discard_rows({rows[0]}, [id_rows[0]], table)
         assert relation.columnar(table).id_row_set is known == {table.intern_row(rows[1])}
-
-    def test_a_stale_view_is_left_to_catch_up_from_the_log(self, edges):
-        table = Instance().term_table()
-        edges.columnar(table)
-        edges.add(next(iter(rows_of((("d",), ("x",))))))  # the view is now one row behind
-        new = list(rows_of((("e",), ("y",))))
-        edges.add_rows(set(new), [table.intern_row(row) for row in new], table)
-        view = edges.columnar(table)
-        assert view.id_row_set == {table.intern_row(row) for row in edges.rows}
-        assert len(view) == len(edges) == 7
 
     def test_discard_rows_advances_the_cached_view_by_the_id_rows(self, edges):
         table = Instance().term_table()
@@ -383,7 +353,6 @@ class TestBatchAdds:
         generation = edges.generation
         gone = sorted(edges.rows, key=repr)[:2]
         edges.discard_rows(set(gone), [table.intern_row(row) for row in gone], table)
-        assert edges._pending == {}  # advanced in step, nothing queued to re-intern
         assert edges.generation == generation + 1
         advanced = edges.columnar(table)
         assert advanced.id_row_set is known == {table.intern_row(row) for row in edges.rows}
@@ -409,48 +378,3 @@ def assert_view_is_fresh(relation, table):
             for built in (view, fresh)
         )
         assert grouped == expected
-
-
-class TestSharedViewsOnCopy:
-    """A copy shares the cached columnar view, and either side may move on."""
-
-    ADDED = (path("n"), path("m"))
-
-    @pytest.mark.parametrize(
-        "changed", [("source",), ("copy",), ("source", "copy"), ("copy", "source")]
-    )
-    def test_both_sides_stay_fresh_after_changes(self, edges, changed):
-        instance = Instance()
-        for row in edges.rows:
-            instance.add("E", *row)
-        table = instance.term_table()
-        source = instance.storage("E")
-        source.columnar(table).groups(0)  # something built, to be moved by an advance
-        clone = instance.copy()
-        copy = clone.storage("E")
-        assert copy._columnar is source._columnar  # shared, not rebuilt
-        removed = (path("a", "b"), path("x"))
-        for side in changed:
-            relation = source if side == "source" else copy
-            relation.add(self.ADDED)
-            relation.discard(removed)
-            assert_view_is_fresh(relation, table)
-        assert_view_is_fresh(source, table)
-        assert_view_is_fresh(copy, table)
-        assert (removed in source) == ("source" not in changed)
-        assert (removed in copy) == ("copy" not in changed)
-
-    def test_a_stale_view_is_shared_with_its_pending_delta(self, edges):
-        table = Instance().term_table()
-        edges.columnar(table)
-        edges.add(self.ADDED)  # the view is now one row behind
-        copy = edges.copy(table)
-        assert copy._columnar is edges._columnar
-        assert_view_is_fresh(copy, table)
-        assert_view_is_fresh(edges, table)
-
-    def test_a_copy_builds_no_view_on_its_source(self, edges):
-        table = Instance().term_table()
-        copy = edges.copy(table)
-        assert edges._columnar is None and copy._columnar is None
-        assert edges._pending is None and copy._pending is None
